@@ -75,6 +75,9 @@ impl Config {
                 "crates/hash/src/simd/neon.rs",
                 "crates/tensor/src/tensor.rs",
                 "crates/tensor/src/ops/conv.rs",
+                // The implicit-im2col, zero-skipping projection the
+                // engine's hot path runs instead of im2col + dense GEMM.
+                "crates/tensor/src/ops/project.rs",
                 "crates/tensor/src/ops/linear.rs",
                 "crates/tensor/src/pool.rs",
                 "crates/bench/src/guard.rs",

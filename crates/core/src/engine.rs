@@ -9,8 +9,10 @@
 //! **bit-identical** logits. [`DeepCamEngine::infer`] then runs real
 //! inference:
 //!
-//! 1. im2col the layer input and hash every patch with the layer's
-//!    projection (the on-chip crossbar; optional device noise),
+//! 1. hash every im2col patch of the layer input with the layer's
+//!    projection (the on-chip crossbar; optional device noise) — read
+//!    straight from the NCHW input, skipping zero taps, without
+//!    materialising the im2col matrix,
 //! 2. Hamming-compare against the stored kernel contexts — functionally
 //!    what the CAM array does in parallel,
 //! 3. reconstruct each output as
@@ -34,9 +36,9 @@ use deepcam_models::Cnn;
 use deepcam_tensor::ops::conv::{im2col_sharded, Conv2dConfig};
 use deepcam_tensor::ops::norm::BN_EPS;
 use deepcam_tensor::ops::pool::{avg_pool2d, max_pool2d};
+use deepcam_tensor::ops::project::{project_patches_into, PatchSource, ProjectScratch};
 use deepcam_tensor::pool::{split_ranges, Parallelism, ThreadPool};
 use deepcam_tensor::rng::{seeded_rng, standard_normal};
-use deepcam_tensor::tensor::matmul_dense_into;
 use deepcam_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -807,6 +809,7 @@ fn run_step(
 /// logits bitwise (`tests/passes_invariance.rs` pins this across the
 /// zoo).
 #[allow(clippy::too_many_arguments)]
+// analyze: allow(determinism, "opt-in profiler timestamps only; the computed values never depend on the clock")
 fn run_dot_fused(
     conv: Option<&Conv2dConfig>,
     tile: &CompiledTile,
@@ -820,29 +823,36 @@ fn run_dot_fused(
     dot_workers: usize,
     path: DotPath,
 ) -> Result<Tensor> {
-    match conv {
+    let timer = crate::profile::enabled().then(std::time::Instant::now);
+    let n_batch = x.shape().dim(0);
+    let m = tile.kernels();
+    let rt = &tiles[tile.layer_idx];
+    let out = match conv {
         Some(conv_cfg) => {
-            let (n_batch, _c, h, w) = x
-                .shape()
-                .as_nchw()
-                .ok_or_else(|| CoreError::Unsupported("conv input must be NCHW".to_string()))?;
-            let (oh, ow) = conv_cfg.output_hw(h, w);
-            // Patch extraction shards over the same worker budget as
-            // the hashing below (bit-identical at any count).
-            let patches = im2col_sharded(x, conv_cfg, dot_workers)?; // [N*P, n]
-                                                                     // Every image contributes OH*OW patch rows, so the global
-                                                                     // patch-row offset of this chunk is img_offset * P.
-            let row_offset = img_offset * (oh * ow);
-            let rt = &tiles[tile.layer_idx];
-            let out2d = dot_rows(&patches, tile, rt, cfg, row_offset, dot_workers, path)?;
+            let src = PatchSource::conv(x, conv_cfg).map_err(|e| {
+                CoreError::InvalidInput(format!("dot layer {}: {e}", tile.layer_idx))
+            })?;
+            check_width(tile, src.width())?;
+            // `PatchSource::conv` checked that the kernel fits.
+            let (oh, ow) = conv_cfg.output_hw(x.shape().dim(2), x.shape().dim(3));
+            // Only the frozen reference datapath still materialises the
+            // [N*P, n] im2col matrix.
+            let staged = (path == DotPath::Reference)
+                .then(|| im2col_sharded(x, conv_cfg, dot_workers))
+                .transpose()?;
+            let src = staged
+                .as_ref()
+                .map_or(src, |patches| PatchSource::rows(patches.data(), tile.n));
+            // Every image contributes OH*OW patch rows, so the global
+            // patch-row offset of this chunk is img_offset * P.
+            let p = oh * ow;
+            let out2d = dot_rows(&src, tile, rt, cfg, img_offset * p, dot_workers, path);
             // `1/√(var+ε)` is hoisted per channel — the same value the
             // standalone BN step computes once per (image, channel).
             let inv: Option<Vec<f32>> =
                 bn.map(|p| p.var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect());
             // Permute [N*P, M] -> [N, M, OH, OW], adding bias and any
             // folded peripherals in the same pass.
-            let p = oh * ow;
-            let m = tile.kernels();
             let mut out = vec![0.0f32; n_batch * m * p];
             for ni in 0..n_batch {
                 for pi in 0..p {
@@ -859,17 +869,22 @@ fn run_dot_fused(
                     }
                 }
             }
-            Ok(Tensor::from_vec(out, Shape::new(&[n_batch, m, oh, ow]))?)
+            Tensor::from_vec(out, Shape::new(&[n_batch, m, oh, ow]))?
         }
         None => {
             // One patch row per image: the row offset is img_offset.
             // (Linear-sourced steps never fold BN — see the fusion pass.)
             debug_assert!(bn.is_none(), "BN folds only into conv-sourced steps");
-            let rt = &tiles[tile.layer_idx];
-            let out2d = dot_rows(x, tile, rt, cfg, img_offset, dot_workers, path)?;
-            let n_batch = x.shape().dim(0);
-            let m = tile.kernels();
-            let mut out = out2d;
+            if x.shape().rank() != 2 {
+                return Err(CoreError::InvalidInput(format!(
+                    "dot layer {}: linear input must be [N, features], got {}",
+                    tile.layer_idx,
+                    x.shape()
+                )));
+            }
+            check_width(tile, x.shape().dim(1))?;
+            let src = PatchSource::rows(x.data(), tile.n);
+            let mut out = dot_rows(&src, tile, rt, cfg, img_offset, dot_workers, path);
             for ni in 0..n_batch {
                 for (mi, &b) in bias.iter().enumerate() {
                     let v = &mut out[ni * m + mi];
@@ -879,8 +894,32 @@ fn run_dot_fused(
                     }
                 }
             }
-            Ok(Tensor::from_vec(out, Shape::new(&[n_batch, m]))?)
+            Tensor::from_vec(out, Shape::new(&[n_batch, m]))?
         }
+    };
+    if let Some(start) = timer {
+        crate::profile::record(crate::profile::DotSample {
+            layer_idx: tile.layer_idx,
+            rows: out.len() / m.max(1),
+            m,
+            k: tile.k,
+            seconds: start.elapsed().as_secs_f64(),
+        });
+    }
+    Ok(out)
+}
+
+/// Rejects a patch row whose width is not the tile's `n` — a request
+/// whose element count matches the model input but whose shape does not
+/// reaches the dot layer with the wrong row width.
+fn check_width(tile: &CompiledTile, width: usize) -> Result<()> {
+    if width == tile.n {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidInput(format!(
+            "dot layer {}: rows of {width} features, but the layer hashes {}",
+            tile.layer_idx, tile.n
+        )))
     }
 }
 
@@ -1009,9 +1048,9 @@ fn calibrate_steps(
     Ok(cur)
 }
 
-/// The heart of the engine: approximate dot-products of every row of
-/// `rows [R, n]` against every stored kernel context, via hashing and
-/// Hamming distance. Returns a flat `[R * M]` buffer.
+/// The heart of the engine: approximate dot-products of every patch row
+/// of `src` against every stored kernel context, via hashing and Hamming
+/// distance. Returns a flat `[R * M]` buffer.
 ///
 /// `row_offset` is the global patch-row index of row 0 (used only to
 /// seed the per-patch crossbar noise, making disturbances a pure
@@ -1020,35 +1059,25 @@ fn calibrate_steps(
 /// the identical scalar pipeline regardless of sharding, so results are
 /// bit-identical for every worker count — and the `Reference` path is
 /// bit-identical to the `Fast` one (`tests/hotpath_reference.rs`).
-#[allow(clippy::too_many_arguments)]
-// analyze: allow(determinism, "opt-in profiler timestamps only; the computed values never depend on the clock")
 fn dot_rows(
-    rows: &Tensor,
+    src: &PatchSource<'_>,
     ct: &CompiledTile,
     rt: &RuntimeTile,
     engine_cfg: &EngineConfig,
     row_offset: usize,
     workers: usize,
     path: DotPath,
-) -> Result<Vec<f32>> {
-    let r = rows.shape().dim(0);
-    let n = rows.shape().dim(1);
+) -> Vec<f32> {
+    let r = src.len();
     let m = ct.kernels();
     let mut out = vec![0.0f32; r * m];
-    let row_data = rows.data();
     let workers = workers.clamp(1, r.max(1));
-    let timer = if crate::profile::enabled() {
-        Some(std::time::Instant::now())
-    } else {
-        None
-    };
     let range = |row_start: usize, chunk: &mut [f32]| match path {
-        DotPath::Fast => dot_rows_range(
-            row_data, n, ct, rt, engine_cfg, row_offset, row_start, chunk,
-        ),
+        DotPath::Fast => dot_rows_range(src, ct, rt, engine_cfg, row_offset, row_start, chunk),
         DotPath::Reference => crate::reference::dot_rows_range(
-            row_data,
-            n,
+            src.materialized()
+                .expect("the reference path projects staged im2col rows"),
+            ct.n,
             &rt.proj,
             rt.weights(ct),
             ct.k,
@@ -1067,37 +1096,27 @@ fn dot_rows(
             range(ci * chunk_rows, chunk);
         });
     }
-    if let Some(start) = timer {
-        crate::profile::record(crate::profile::DotSample {
-            layer_idx: ct.layer_idx,
-            rows: r,
-            m,
-            k: ct.k,
-            seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-    Ok(out)
+    out
 }
 
 /// Hashes patch rows `row_start..row_start + out.len() / M` and fills
 /// their output slice. This single function serves both the serial and
 /// every sharded configuration of [`dot_rows`].
 ///
-/// The loop is allocation-free per patch: the chunk is projected
-/// straight out of `row_data` into one per-worker scratch buffer
-/// (`matmul_into` — same kernel, same per-element accumulation order as
-/// the historical `Tensor::matmul` path), noise is applied in place,
-/// signs are packed into a reusable word buffer, and one XOR+popcount
-/// pass over the packed weight tile yields every Hamming distance. The
-/// final `a_norm * w_norm * cos_lut[hd]` is the identical expression
-/// (and multiplication order) the per-pair path evaluated, with the
-/// angle/cosine collapsed into the k+1-entry LUT computed at compile
-/// time.
+/// The loop is allocation-free per patch. Each 64-row sub-block is
+/// projected straight from the layer input by the implicit-im2col,
+/// zero-skipping kernel (`project_patches_into`, which also yields the
+/// patch norms) into one per-worker scratch buffer; noise is applied in
+/// place, signs are packed into a reusable word buffer, and one
+/// XOR+popcount pass over the packed weight tile yields every Hamming
+/// distance. The final `a_norm * w_norm * cos_lut[hd]` is the identical
+/// expression (and multiplication order) the per-pair path evaluated,
+/// with the angle/cosine collapsed into the k+1-entry LUT computed at
+/// compile time.
 #[allow(clippy::too_many_arguments)]
 // analyze: alloc-free
 fn dot_rows_range(
-    row_data: &[f32],
-    n: usize,
+    src: &PatchSource<'_>,
     ct: &CompiledTile,
     rt: &RuntimeTile,
     engine_cfg: &EngineConfig,
@@ -1112,37 +1131,39 @@ fn dot_rows_range(
     let norm_mode = engine_cfg.norm;
     let seed = engine_cfg.seed;
     // Patch rows are processed in sub-blocks sized so the projected
-    // activations stay cache-resident between the GEMM that produces
-    // them and the sign/Hamming stage that consumes them (64 rows × k
-    // floats ≈ 64 KB at k = 256, vs streaming a whole layer's
+    // activations stay cache-resident between the projection that
+    // produces them and the sign/Hamming stage that consumes them (64
+    // rows × k floats ≈ 64 KB at k = 256, vs streaming a whole layer's
     // projection through memory).
     const SUB_ROWS: usize = 64;
+    let block = SUB_ROWS.min(rows_here.max(1));
     // Per-worker scratch, allocated once per chunk (not per patch).
-    let mut projected = vec![0.0f32; SUB_ROWS.min(rows_here.max(1)) * k];
+    let mut scratch = ProjectScratch::new(block, ct.n);
+    let mut projected = vec![0.0f32; block * k];
+    let mut norms = vec![0.0f32; block];
     let mut query = vec![0u64; ct.packed.words_per_row()];
     let mut dists = vec![0u32; m];
     let mut sub_start = 0usize;
     while sub_start < rows_here {
         let sub_rows = SUB_ROWS.min(rows_here - sub_start);
-        // Batched projection of this sub-block: [sub_rows, n] x [n, k],
-        // read directly from the shared patch buffer through the
-        // register-tiled dense kernel (projection matrices are finite by
-        // construction, so it is bit-identical to the zero-skip kernel —
-        // see its docs). Each projected element is a fixed-order dot
-        // over n, so block boundaries never change its value.
-        let abs0 = row_start + sub_start;
-        matmul_dense_into(
-            &row_data[abs0 * n..(abs0 + sub_rows) * n],
+        // Projection matrices are finite by construction, so skipping
+        // zero taps is bit-identical to the dense GEMM over materialised
+        // im2col rows (see `project_patches_into`). Each projected
+        // element is a fixed-order chain over n, so block boundaries
+        // never change its value.
+        project_patches_into(
+            src,
+            row_start + sub_start,
             sub_rows,
-            n,
             rt.proj.data(),
             k,
-            &mut projected[..sub_rows * k],
+            &mut scratch,
+            &mut projected,
+            &mut norms,
         );
         for sub_local in 0..sub_rows {
             let local = sub_start + sub_local;
-            let patch = &row_data[(abs0 + sub_local) * n..(abs0 + sub_local + 1) * n];
-            let norm = patch.iter().map(|&v| v * v).sum::<f32>().sqrt();
+            let norm = norms[sub_local];
             let pre = &mut projected[sub_local * k..(sub_local + 1) * k];
             if noise > 0.0 {
                 // Per-patch deterministic RNG keyed by the *global*

@@ -116,8 +116,30 @@ impl Minifloat8 {
 
     /// Quantizes an `f32` through the format and back — the quantization
     /// that the DeepCAM post-processing module applies to every norm.
+    ///
+    /// Bit-identical to `Minifloat8::from_f32(x).to_f32()` for every one
+    /// of the 2³² inputs (checked exhaustively once; the unit tests pin a
+    /// sampled sweep plus the edge cases), but computed directly: round
+    /// to nearest even on the format's grid — spacing `2^(E-3)` in binade
+    /// `[2^E, 2^(E+1))`, `2⁻⁹` below the smallest normal — then saturate
+    /// and restore the sign. Power-of-two scaling is exact, so no
+    /// `log2`/`exp2` call is needed; the engine calls this once per
+    /// hashed patch.
     pub fn quantize(x: f32) -> f32 {
-        Self::from_f32(x).to_f32()
+        if x.is_nan() {
+            return 0.0;
+        }
+        let mag = x.abs();
+        let q = if mag >= Self::MAX {
+            Self::MAX
+        } else if mag < ((1 - BIAS) as f32).exp2() {
+            (mag / Self::MIN_POSITIVE).round_ties_even() * Self::MIN_POSITIVE
+        } else {
+            let binade = (mag.to_bits() >> 23) as i32 - 127;
+            let lsb = f32::from_bits(((binade - MAN_BITS as i32 + 127) as u32) << 23);
+            (mag / lsb).round_ties_even() * lsb
+        };
+        q.copysign(x)
     }
 }
 
@@ -135,6 +157,48 @@ fn round_ties_even(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantize_equals_encode_then_decode_bitwise() {
+        let check = |x: f32| {
+            let want = Minifloat8::from_f32(x).to_f32();
+            assert_eq!(
+                Minifloat8::quantize(x).to_bits(),
+                want.to_bits(),
+                "quantize({x:e}) [{:#010x}]",
+                x.to_bits()
+            );
+        };
+        // A sweep over the whole bit space (both signs, subnormals, inf,
+        // NaN payloads) ...
+        for bits in (0..=u32::MAX).step_by(65_537) {
+            check(f32::from_bits(bits));
+        }
+        // ... plus every grid point, midpoint and its neighbours, and the
+        // saturation and subnormal edges.
+        for code in 0..=255u8 {
+            let v = Minifloat8::from_bits(code).to_f32();
+            let next = Minifloat8::from_bits(code.wrapping_add(1)).to_f32();
+            for x in [v, (v + next) / 2.0] {
+                for d in -2i32..=2 {
+                    check(f32::from_bits(x.to_bits().wrapping_add_signed(d)));
+                }
+            }
+        }
+        for x in [
+            0.0,
+            -0.0,
+            480.0,
+            496.0,
+            1e30,
+            f32::INFINITY,
+            f32::MIN_POSITIVE,
+            1.0 / 64.0,
+        ] {
+            check(x);
+            check(-x);
+        }
+    }
 
     #[test]
     fn zero_round_trip() {

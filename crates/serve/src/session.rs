@@ -223,7 +223,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidRequest`] for empty/misshapen images,
+    /// [`ServeError::InvalidRequest`] for empty/misshapen images or
+    /// non-finite (NaN, ±inf) values,
     /// [`ServeError::Overloaded`] when the bounded queue is full,
     /// [`ServeError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, dims: &[usize], data: &[f32]) -> Result<Pending> {
@@ -281,6 +282,12 @@ impl Session {
                     self.engine.model_name()
                 )));
             }
+        }
+        if let Some(i) = data.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::InvalidRequest(format!(
+                "image element {i} is {}, inputs must be finite",
+                data[i]
+            )));
         }
         {
             let mut st = self.shared.state.lock().expect("session lock");

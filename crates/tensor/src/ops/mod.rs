@@ -16,7 +16,9 @@ pub mod linear;
 pub mod loss;
 pub mod norm;
 pub mod pool;
+pub mod project;
 
 pub use conv::{col2im, conv2d, conv2d_sharded, im2col, im2col_sharded, Conv2dConfig};
 pub use linear::{linear, linear_sharded};
 pub use pool::{avg_pool2d, max_pool2d, PoolConfig};
+pub use project::{project_patches_into, PatchSource, ProjectScratch};

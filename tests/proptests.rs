@@ -9,6 +9,7 @@ use deepcam::models::{Block, Cnn};
 use deepcam::tensor::layer::{Conv2d, Flatten, Linear, ReLU};
 use deepcam::tensor::ops::conv::{col2im, conv2d, conv2d_sharded, im2col, Conv2dConfig};
 use deepcam::tensor::ops::linear::{linear, linear_sharded};
+use deepcam::tensor::ops::project::{project_patches_into, PatchSource, ProjectScratch};
 use deepcam::tensor::pool::Parallelism;
 use deepcam::tensor::{Shape, Tensor};
 use proptest::prelude::*;
@@ -309,4 +310,143 @@ proptest! {
         // with device noise and remainder mini-batches.
         prop_assert_eq!(reference, parallel);
     }
+}
+
+/// An NCHW input where each entry is kept with probability `density`
+/// (a tenth of the kept ones subnormal) and the rest are `+0.0`/`-0.0`.
+fn sparse_activation(shape: &[usize], density: f32, seed: u64) -> Tensor {
+    use rand::RngExt;
+    let mut rng = deepcam::tensor::rng::seeded_rng(seed);
+    let mut x = deepcam::tensor::init::normal(&mut rng, Shape::new(shape), 0.0, 1.0);
+    for v in x.data_mut() {
+        let keep = rng.random::<f32>() < density;
+        *v = match (keep, rng.random::<u8>() % 10) {
+            (false, r) if r < 5 => -0.0,
+            (false, _) => 0.0,
+            (true, 0) => v.signum() * 1.0e-40,
+            (true, _) => *v,
+        };
+    }
+    x
+}
+
+/// Runs the implicit-im2col projection over `src` in `block`-row blocks
+/// and checks every row against the materialised oracle: im2col rows,
+/// `matmul_dense_into`, and the historical per-row norm expression.
+fn check_projection(
+    src: &PatchSource<'_>,
+    patches: &[f32],
+    proj: &[f32],
+    k: usize,
+    block: usize,
+) -> Result<(), TestCaseError> {
+    let (rows, n) = (src.len(), src.width());
+    let mut want = vec![0.0f32; rows * k];
+    deepcam::tensor::matmul_dense_into(patches, rows, n, proj, k, &mut want);
+    let mut scratch = ProjectScratch::new(block, n);
+    let mut out = vec![f32::NAN; block * k];
+    let mut norms = vec![f32::NAN; block];
+    let mut start = 0;
+    while start < rows {
+        let here = block.min(rows - start);
+        project_patches_into(
+            src,
+            start,
+            here,
+            proj,
+            k,
+            &mut scratch,
+            &mut out,
+            &mut norms,
+        );
+        for r in 0..here {
+            let patch = &patches[(start + r) * n..(start + r + 1) * n];
+            let norm = patch.iter().map(|&v| v * v).sum::<f32>().sqrt();
+            prop_assert_eq!(
+                norms[r].to_bits(),
+                norm.to_bits(),
+                "norm of row {}",
+                start + r
+            );
+            let got = &out[r * k..(r + 1) * k];
+            let exp = &want[(start + r) * k..(start + r + 1) * k];
+            prop_assert!(
+                got.iter().zip(exp).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "projection of row {} differs",
+                start + r
+            );
+        }
+        start += here;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn implicit_sparse_projection_matches_im2col_dense_gemm(
+        kernel_i in 0usize..4,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        c in 1usize..4,
+        h in 1usize..10,
+        w in 1usize..10,
+        images in 1usize..3,
+        density_i in 0usize..4,
+        k_i in 0usize..4,
+        block in 1usize..70,
+        seed in 0u64..1000,
+    ) {
+        // Index 3 is the LeNet-style unpadded 5×5 window.
+        let kernel = [1usize, 3, 5, 5][kernel_i];
+        let pad = if kernel_i == 3 { 0 } else { pad };
+        prop_assume!(h + 2 * pad >= kernel && w + 2 * pad >= kernel);
+        let density = [0.0f32, 0.1, 0.5, 1.0][density_i];
+        let k = [256usize, 512, 768, 1024][k_i];
+        let cfg = Conv2dConfig::new(c, 4, kernel).with_stride(stride).with_padding(pad);
+        let x = sparse_activation(&[images, c, h, w], density, seed);
+        let n = cfg.patch_len();
+        let proj = deepcam::tensor::init::normal(
+            &mut deepcam::tensor::rng::seeded_rng(seed ^ 0x5eed), Shape::new(&[n, k]), 0.0, 1.0);
+        let patches = im2col(&x, &cfg).unwrap();
+        let src = PatchSource::conv(&x, &cfg).unwrap();
+        check_projection(&src, patches.data(), proj.data(), k, block)?;
+        // The same rows, materialised, take the row-source path.
+        check_projection(&PatchSource::rows(patches.data(), n), patches.data(), proj.data(), k, block)?;
+    }
+}
+
+#[test]
+fn all_zero_patches_get_a_positive_zero_norm() {
+    // `Sum` for f32 folds from -0.0, so a norm over an *empty* non-zero
+    // support would be -0.0 and could flip output bits downstream. The
+    // projection must give +0.0, as the full-patch expression does.
+    assert_eq!(
+        std::iter::empty::<f32>().sum::<f32>().to_bits(),
+        (-0.0f32).to_bits()
+    );
+    let cfg = Conv2dConfig::new(2, 4, 3).with_padding(1);
+    let x = sparse_activation(&[1, 2, 5, 5], 0.0, 7);
+    assert!(x.data().iter().any(|v| v.is_sign_negative()));
+    let proj = deepcam::tensor::init::normal(
+        &mut deepcam::tensor::rng::seeded_rng(1),
+        Shape::new(&[18, 256]),
+        0.0,
+        1.0,
+    );
+    let src = PatchSource::conv(&x, &cfg).unwrap();
+    let mut scratch = ProjectScratch::new(25, 18);
+    let (mut out, mut norms) = (vec![f32::NAN; 25 * 256], vec![f32::NAN; 25]);
+    project_patches_into(
+        &src,
+        0,
+        25,
+        proj.data(),
+        256,
+        &mut scratch,
+        &mut out,
+        &mut norms,
+    );
+    assert!(norms.iter().chain(&out).all(|v| v.to_bits() == 0));
 }
