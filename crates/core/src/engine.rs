@@ -824,7 +824,6 @@ fn run_dot_fused(
     path: DotPath,
 ) -> Result<Tensor> {
     let timer = crate::profile::enabled().then(std::time::Instant::now);
-    let n_batch = x.shape().dim(0);
     let m = tile.kernels();
     let rt = &tiles[tile.layer_idx];
     let out = match conv {
@@ -833,8 +832,10 @@ fn run_dot_fused(
                 CoreError::InvalidInput(format!("dot layer {}: {e}", tile.layer_idx))
             })?;
             check_width(tile, src.width())?;
-            // `PatchSource::conv` checked that the kernel fits.
-            let (oh, ow) = conv_cfg.output_hw(x.shape().dim(2), x.shape().dim(3));
+            // `PatchSource::conv` checked the NCHW rank and that the
+            // kernel fits.
+            let (n_batch, _, h, w) = x.shape().as_nchw().expect("checked NCHW");
+            let (oh, ow) = conv_cfg.output_hw(h, w);
             // Only the frozen reference datapath still materialises the
             // [N*P, n] im2col matrix.
             let staged = (path == DotPath::Reference)
@@ -883,6 +884,7 @@ fn run_dot_fused(
                 )));
             }
             check_width(tile, x.shape().dim(1))?;
+            let n_batch = x.shape().dim(0);
             let src = PatchSource::rows(x.data(), tile.n);
             let mut out = dot_rows(&src, tile, rt, cfg, img_offset, dot_workers, path);
             for ni in 0..n_batch {
@@ -1519,6 +1521,24 @@ mod tests {
             // Row `row` must be counted under its argmax label.
             let hits = DeepCamEngine::count_correct(&logits, &labels);
             assert!(hits >= 1, "row {row}");
+        }
+    }
+
+    #[test]
+    fn misshapen_input_is_a_typed_error_on_both_paths() {
+        // 784 values shaped 14x56 run the convs but reach `fc1` with 192
+        // features instead of 400; a 3-channel image fails `conv1`.
+        let mut rng = seeded_rng(22);
+        let engine =
+            DeepCamEngine::compile(&scaled_lenet5(&mut rng, 10), EngineConfig::default()).unwrap();
+        for shape in [[1, 1, 14, 56], [1, 3, 28, 28]] {
+            let x = Tensor::zeros(Shape::new(&shape));
+            for result in [engine.infer(&x), engine.infer_reference(&x)] {
+                assert!(
+                    matches!(result, Err(CoreError::InvalidInput(_))),
+                    "{shape:?}: {result:?}"
+                );
+            }
         }
     }
 

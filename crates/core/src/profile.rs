@@ -4,8 +4,10 @@
 //! inference time goes, for both the packed fast path and the frozen
 //! `reference` baseline. Rather than plumb timing
 //! sinks through every call signature, the engine records one
-//! [`DotSample`] per `dot_rows` invocation into a process-global buffer
-//! — but **only while a caller has switched the profiler on**; the hot
+//! [`DotSample`] per dot step into a process-global buffer — patch
+//! staging, projection and hashing alike, so samples from datapaths that
+//! stage patches differently stay comparable — but **only while a
+//! caller has switched the profiler on**; the hot
 //! loop's only steady-state cost is one relaxed atomic load.
 //!
 //! ```
@@ -20,7 +22,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// One timed `dot_rows` call (one layer × one mini-batch × one worker
+/// One timed dot step (one layer × one mini-batch × one worker
 /// sharding decision).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DotSample {
@@ -32,8 +34,8 @@ pub struct DotSample {
     pub m: usize,
     /// Hash width of the layer.
     pub k: usize,
-    /// Wall-clock seconds of the whole call (projection + Hamming +
-    /// post-processing arithmetic).
+    /// Wall-clock seconds of the whole step (patch staging, projection,
+    /// Hamming, reconstruction and the folded peripherals).
     pub seconds: f64,
 }
 
