@@ -78,6 +78,10 @@ impl Config {
                 // The implicit-im2col, zero-skipping projection the
                 // engine's hot path runs instead of im2col + dense GEMM.
                 "crates/tensor/src/ops/project.rs",
+                // Its AVX-512 tiles; like the hash kernels, the dispatch
+                // layer (tensor simd/mod.rs) owns the env read and stays
+                // out.
+                "crates/tensor/src/simd/x86.rs",
                 "crates/tensor/src/ops/linear.rs",
                 "crates/tensor/src/pool.rs",
                 "crates/bench/src/guard.rs",

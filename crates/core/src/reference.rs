@@ -107,7 +107,7 @@ pub(crate) fn dot_rows_range(
         }
         let bits = bitwise_from_signs(&pre);
         let a_norm = match norm_mode {
-            NormMode::Minifloat8 => Minifloat8::quantize(norm),
+            NormMode::Minifloat8 => Minifloat8::from_f32(norm).to_f32(),
             NormMode::Fp32 => norm,
         };
         for (mi, wctx) in weights.iter().enumerate() {

@@ -262,7 +262,7 @@ impl BitVec {
 /// contribution, so no carries can corrupt the top byte. The serial
 /// shift-or loop (kept for tails) has a 64-deep OR dependency chain;
 /// this path replaces it with ~5 ops per 8 elements.
-fn sign_word(chunk: &[f32]) -> u64 {
+pub(crate) fn sign_word(chunk: &[f32]) -> u64 {
     const WORD: usize = 64;
     const MAGIC: u64 = 0x0102_0408_1020_4080;
     if chunk.len() == WORD {
@@ -293,6 +293,10 @@ fn sign_word(chunk: &[f32]) -> u64 {
 /// same trailing-zero invariant as a [`BitVec`] and can be compared
 /// against packed storage without tail masking.
 ///
+/// Runs on the active [`crate::simd`] variant (AVX-512: an ordered
+/// `>=` mask compare). Every variant packs identical bits: bit set
+/// exactly when `x >= 0.0`, so NaN packs 0 and `-0.0` packs 1.
+///
 /// # Panics
 ///
 /// Panics when `out` has the wrong length.
@@ -303,6 +307,13 @@ pub fn pack_signs_into(values: &[f32], out: &mut [u64]) {
         values.len().div_ceil(WORD_BITS),
         "sign word buffer must match the value count"
     );
+    crate::simd::pack_signs(values, out);
+}
+
+/// The portable sign-pack kernel behind [`pack_signs_into`]: the
+/// dispatch fallback and the oracle the SIMD pack is tested against.
+// analyze: alloc-free
+pub(crate) fn pack_sign_words(values: &[f32], out: &mut [u64]) {
     for (w, chunk) in out.iter_mut().zip(values.chunks(WORD_BITS)) {
         *w = sign_word(chunk);
     }

@@ -118,11 +118,13 @@ impl Minifloat8 {
     /// that the DeepCAM post-processing module applies to every norm.
     ///
     /// Bit-identical to `Minifloat8::from_f32(x).to_f32()` for every one
-    /// of the 2³² inputs (checked exhaustively once; the unit tests pin a
-    /// sampled sweep plus the edge cases), but computed directly: round
-    /// to nearest even on the format's grid — spacing `2^(E-3)` in binade
-    /// `[2^E, 2^(E+1))`, `2⁻⁹` below the smallest normal — then saturate
-    /// and restore the sign. Power-of-two scaling is exact, so no
+    /// of the 2³² inputs (checked exhaustively by the ignored test
+    /// `quantize_equals_encode_then_decode_on_all_inputs`, run with
+    /// `cargo test --release -p deepcam-hash -- --ignored`; the default
+    /// unit tests pin a sampled sweep plus the edge cases), but computed
+    /// directly: round to nearest even on the format's grid — spacing
+    /// `2^(E-3)` in binade `[2^E, 2^(E+1))`, `2⁻⁹` below the smallest
+    /// normal — then saturate and restore the sign. Power-of-two scaling is exact, so no
     /// `log2`/`exp2` call is needed; the engine calls this once per
     /// hashed patch.
     pub fn quantize(x: f32) -> f32 {
@@ -197,6 +199,20 @@ mod tests {
         ] {
             check(x);
             check(-x);
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive over all 2^32 inputs; run in release with --ignored"]
+    fn quantize_equals_encode_then_decode_on_all_inputs() {
+        for bits in 0..=u32::MAX {
+            let x = f32::from_bits(bits);
+            let want = Minifloat8::from_f32(x).to_f32();
+            assert_eq!(
+                Minifloat8::quantize(x).to_bits(),
+                want.to_bits(),
+                "quantize({x:e}) [{bits:#010x}]"
+            );
         }
     }
 

@@ -1,31 +1,30 @@
-//! Runtime-dispatched SIMD microkernels for the XOR+popcount hot path.
+//! Runtime-dispatched SIMD microkernels for the XOR+popcount and
+//! sign-pack hot path.
 //!
 //! The packed Hamming kernels ([`PackedHashes::hamming_into`] and
-//! friends) route through this module: a *detection table* is built once
-//! per process (`is_x86_feature_detected!` / NEON, cached in a
-//! [`OnceLock`]) and an *active variant* is selected from it — by
-//! default the most capable detected kernel, overridable with the
-//! `DEEPCAM_SIMD` environment variable (`auto`, `scalar`, `avx2`,
-//! `avx512`, `neon`; read once, outside the A5 kernel files).
+//! friends) and [`pack_signs_into`] route through this module. The
+//! detection table, the active variant and the `DEEPCAM_SIMD` override
+//! live in `deepcam_tensor::simd` and are re-exported here unchanged, so
+//! one variant selects these kernels *and* the patch projection, and
+//! [`force_variant`] pins them all.
 //!
-//! Every variant is an implementation of the **same exact integer
-//! function** — popcounts have one right answer — so dispatch can never
-//! move an output bit. The scalar kernel ([`scalar`]) is the
-//! always-available fallback *and* the differential oracle: the
-//! per-width scalar-vs-SIMD suite plus `tests/hotpath_reference.rs`
-//! assert bitwise equality on every variant the host detects, and the
-//! CI `DEEPCAM_SIMD=scalar` leg keeps the fallback exercised on
-//! SIMD-capable runners.
+//! The Hamming kernels compute the **same exact integer function** on
+//! every variant — popcounts have one right answer — and the sign pack is
+//! one exact comparison per value, so dispatch can never move an output
+//! bit. The scalar kernels ([`scalar`], and the portable pack in
+//! `bitvec`) are the always-available fallback *and* the differential
+//! oracle: the per-width scalar-vs-SIMD suite plus
+//! `tests/hotpath_reference.rs` assert bitwise equality on every variant
+//! the host detects, and the CI `DEEPCAM_SIMD=scalar` leg keeps the
+//! fallback exercised on SIMD-capable runners.
 //!
-//! The dispatch cost is one relaxed atomic load per *range* call (not
-//! per row), and [`force_variant`] lets benches and tests pin a variant
-//! process-wide — safe to flip mid-run precisely because all variants
-//! are bit-identical.
+//! The dispatch cost is one relaxed atomic load per *range* or *pack*
+//! call (not per row).
 //!
 //! [`PackedHashes::hamming_into`]: crate::PackedHashes::hamming_into
+//! [`pack_signs_into`]: crate::bitvec::pack_signs_into
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+pub use deepcam_tensor::simd::{active, detected, force_variant, is_detected, Variant, SIMD_ENV};
 
 pub mod scalar;
 
@@ -34,80 +33,17 @@ pub mod neon;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
-/// Environment variable selecting the kernel variant (`auto` when
-/// unset). Invalid or undetected values fall back to `auto` — loudly,
-/// once per distinct bad value, mirroring `DEEPCAM_WORKERS`.
-pub const SIMD_ENV: &str = "DEEPCAM_SIMD";
-
-/// One implementation of the XOR+popcount kernels.
-///
-/// Ordered by capability: later variants are preferred by `auto`
-/// selection when detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Variant {
-    /// Portable `u64::count_ones` loop — always available; the
-    /// differential oracle every other variant is tested against.
-    Scalar,
-    /// AArch64 NEON `vcnt` byte popcount with pairwise widening.
-    Neon,
-    /// AVX2 Harley–Seal carry-save popcount over 256-bit lanes
-    /// (nibble-LUT `vpshufb` + `vpsadbw` reduction).
-    Avx2,
-    /// AVX-512 `VPOPCNTDQ`: hardware per-lane popcount over 512-bit
-    /// blocks.
-    Avx512,
-}
-
-impl Variant {
-    /// The name used by `DEEPCAM_SIMD` and the bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Variant::Scalar => "scalar",
-            Variant::Neon => "neon",
-            Variant::Avx2 => "avx2",
-            Variant::Avx512 => "avx512",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<Variant> {
-        match name {
-            "scalar" => Some(Variant::Scalar),
-            "neon" => Some(Variant::Neon),
-            "avx2" => Some(Variant::Avx2),
-            "avx512" => Some(Variant::Avx512),
-            _ => None,
-        }
-    }
-
-    /// Encoding for the active-variant atomic (0 is "not yet resolved").
-    fn code(self) -> u8 {
-        match self {
-            Variant::Scalar => 1,
-            Variant::Neon => 2,
-            Variant::Avx2 => 3,
-            Variant::Avx512 => 4,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Variant> {
-        match code {
-            1 => Some(Variant::Scalar),
-            2 => Some(Variant::Neon),
-            3 => Some(Variant::Avx2),
-            4 => Some(Variant::Avx512),
-            _ => None,
-        }
-    }
-}
-
 /// The kernel entry points of one variant. Every entry computes the
-/// identical integer function; only the instructions differ.
+/// identical function; only the instructions differ.
 struct Kernels {
     /// Hamming distance of `query` against every `wpr`-word row of a
     /// contiguous slab, one `u32` per row.
     range: fn(slab: &[u64], wpr: usize, query: &[u64], out: &mut [u32]),
     /// Hamming distance between two equal-length word slices.
     pair: fn(a: &[u64], b: &[u64]) -> u32,
+    /// Sign bits of `values` (`x >= 0.0`), 64 per word, into exactly
+    /// `values.len().div_ceil(64)` words with the unused high bits zero.
+    pack_signs: fn(values: &[f32], out: &mut [u64]),
 }
 
 /// Kernel table for `variant`. Variants that cannot exist on this
@@ -117,21 +53,25 @@ fn kernels_of(variant: Variant) -> &'static Kernels {
     const SCALAR: Kernels = Kernels {
         range: scalar::hamming_range,
         pair: scalar::hamming_pair,
+        pack_signs: crate::bitvec::pack_sign_words,
     };
     #[cfg(target_arch = "x86_64")]
     const AVX2: Kernels = Kernels {
         range: x86::hamming_range_avx2,
         pair: x86::hamming_pair_avx2,
+        pack_signs: crate::bitvec::pack_sign_words,
     };
     #[cfg(target_arch = "x86_64")]
     const AVX512: Kernels = Kernels {
         range: x86::hamming_range_avx512,
         pair: x86::hamming_pair_avx512,
+        pack_signs: x86::pack_signs_avx512,
     };
     #[cfg(target_arch = "aarch64")]
     const NEON: Kernels = Kernels {
         range: neon::hamming_range_neon,
         pair: neon::hamming_pair_neon,
+        pack_signs: crate::bitvec::pack_sign_words,
     };
     match variant {
         #[cfg(target_arch = "x86_64")]
@@ -142,124 +82,6 @@ fn kernels_of(variant: Variant) -> &'static Kernels {
         Variant::Neon => &NEON,
         _ => &SCALAR,
     }
-}
-
-/// The variants this host supports, in ascending capability order —
-/// always starts with [`Variant::Scalar`]. Detection runs once per
-/// process and is cached (the `OnceLock` detection table).
-pub fn detected() -> &'static [Variant] {
-    static TABLE: OnceLock<Vec<Variant>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        #[allow(unused_mut)]
-        let mut table = vec![Variant::Scalar];
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            table.push(Variant::Neon);
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                table.push(Variant::Avx2);
-            }
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vpopcntdq") {
-                table.push(Variant::Avx512);
-            }
-        }
-        table
-    })
-}
-
-/// Whether `variant` is runnable on this host.
-pub fn is_detected(variant: Variant) -> bool {
-    detected().contains(&variant)
-}
-
-/// Resolution of the `DEEPCAM_SIMD` override, pure so every outcome is
-/// unit-testable without touching the process environment: returns the
-/// selected variant plus the warning to emit when `raw` is set but
-/// unusable (unknown name, or a variant this host does not support).
-fn resolve_env(raw: Option<&str>, table: &[Variant]) -> (Variant, Option<String>) {
-    let auto = *table.last().expect("non-empty table");
-    let Some(raw) = raw else { return (auto, None) };
-    let trimmed = raw.trim();
-    if trimmed == "auto" {
-        return (auto, None);
-    }
-    match Variant::from_name(trimmed) {
-        Some(v) if table.contains(&v) => (v, None),
-        Some(v) => (
-            auto,
-            Some(format!(
-                "warning: {SIMD_ENV}={raw:?} requests the {} kernel but this host does not \
-                 support it; falling back to {} (results are bit-identical either way)",
-                v.name(),
-                auto.name()
-            )),
-        ),
-        None => (
-            auto,
-            Some(format!(
-                "warning: ignoring unknown {SIMD_ENV}={raw:?} (expected auto, scalar, avx2, \
-                 avx512 or neon); falling back to {}",
-                auto.name()
-            )),
-        ),
-    }
-}
-
-/// The process-wide active variant (0 = not yet resolved). A plain
-/// atomic rather than the `OnceLock` itself so [`force_variant`] can
-/// re-point dispatch mid-process — safe because every variant computes
-/// identical bits.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// The currently active kernel variant. First use resolves the
-/// `DEEPCAM_SIMD` override against the detection table; subsequent
-/// calls are one relaxed load.
-pub fn active() -> Variant {
-    match Variant::from_code(ACTIVE.load(Ordering::Relaxed)) {
-        Some(v) => v,
-        None => {
-            let raw = std::env::var(SIMD_ENV).ok();
-            let (variant, warning) = resolve_env(raw.as_deref(), detected());
-            if let Some(msg) = warning {
-                emit_env_warning_once(&msg);
-            }
-            // Racing first calls resolve to the same value; last store
-            // wins harmlessly.
-            ACTIVE.store(variant.code(), Ordering::Relaxed);
-            variant
-        }
-    }
-}
-
-/// Pins the active variant process-wide (benches sweeping every kernel;
-/// the differential suites). Returns the previously active variant, or
-/// `None` — with dispatch unchanged — when `variant` is not detected on
-/// this host.
-pub fn force_variant(variant: Variant) -> Option<Variant> {
-    if !is_detected(variant) {
-        return None;
-    }
-    let prev = active();
-    ACTIVE.store(variant.code(), Ordering::Relaxed);
-    Some(prev)
-}
-
-/// Prints `msg` to stderr once per distinct message (same discipline as
-/// the `DEEPCAM_WORKERS` misconfiguration warning).
-fn emit_env_warning_once(msg: &str) {
-    use std::sync::Mutex;
-    static WARNED: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    let mut seen = WARNED
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("simd env warning lock");
-    if seen.iter().any(|m| m == msg) {
-        return;
-    }
-    eprintln!("{msg}");
-    seen.push(msg.to_string());
 }
 
 /// Validates the shared slab/query/out contract once, before any kernel
@@ -352,79 +174,16 @@ pub fn hamming_pair_with(variant: Variant, a: &[u64], b: &[u64]) -> u32 {
     (kernels_of(variant).pair)(a, b)
 }
 
+/// Dispatched sign pack behind [`crate::bitvec::pack_signs_into`], which
+/// checks the buffer contract first.
+#[inline]
+pub(crate) fn pack_signs(values: &[f32], out: &mut [u64]) {
+    (kernels_of(active()).pack_signs)(values, out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn detection_table_starts_with_scalar() {
-        let table = detected();
-        assert_eq!(table.first(), Some(&Variant::Scalar));
-        // Ascending capability order, no duplicates.
-        for pair in table.windows(2) {
-            assert!(pair[0] < pair[1], "table out of order: {table:?}");
-        }
-    }
-
-    #[test]
-    fn env_resolution_rules() {
-        let table = [Variant::Scalar, Variant::Avx2];
-        // Unset and auto pick the most capable detected variant.
-        assert_eq!(resolve_env(None, &table), (Variant::Avx2, None));
-        assert_eq!(resolve_env(Some("auto"), &table), (Variant::Avx2, None));
-        // A detected variant is honored (whitespace tolerated).
-        assert_eq!(
-            resolve_env(Some(" scalar "), &table),
-            (Variant::Scalar, None)
-        );
-        assert_eq!(resolve_env(Some("avx2"), &table), (Variant::Avx2, None));
-        // Known but undetected: fall back loudly.
-        let (v, warn) = resolve_env(Some("avx512"), &table);
-        assert_eq!(v, Variant::Avx2);
-        assert!(warn.is_some_and(|w| w.contains("avx512")));
-        // Unknown name: fall back loudly.
-        let (v, warn) = resolve_env(Some("sse9"), &table);
-        assert_eq!(v, Variant::Avx2);
-        assert!(warn.is_some_and(|w| w.contains("unknown")));
-    }
-
-    #[test]
-    fn force_variant_round_trips() {
-        let initial = active();
-        let prev = force_variant(Variant::Scalar).expect("scalar is always detected");
-        assert_eq!(prev, initial);
-        assert_eq!(active(), Variant::Scalar);
-        force_variant(initial).expect("restoring a detected variant");
-        assert_eq!(active(), initial);
-    }
-
-    #[test]
-    fn force_variant_refuses_undetected() {
-        // At most one of these can be detected on any real host; an
-        // undetected one must leave dispatch untouched.
-        let before = active();
-        for v in [Variant::Avx2, Variant::Avx512, Variant::Neon] {
-            if !is_detected(v) {
-                assert_eq!(force_variant(v), None);
-                assert_eq!(active(), before);
-            }
-        }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for v in [
-            Variant::Scalar,
-            Variant::Neon,
-            Variant::Avx2,
-            Variant::Avx512,
-        ] {
-            assert_eq!(Variant::from_name(v.name()), Some(v));
-            assert_eq!(Variant::from_code(v.code()), Some(v));
-        }
-        assert_eq!(Variant::from_name("turbo"), None);
-        assert_eq!(Variant::from_code(0), None);
-    }
 
     #[test]
     fn zero_width_rows_have_zero_distance() {

@@ -1,5 +1,5 @@
-//! x86-64 Hamming kernels: AVX2 Harley–Seal popcount and AVX-512
-//! `VPOPCNTDQ`.
+//! x86-64 Hamming kernels — AVX2 Harley–Seal popcount and AVX-512
+//! `VPOPCNTDQ` — and the AVX-512 mask-compare sign pack.
 //!
 //! Selected at runtime by the dispatch table in [`super`]; the plain
 //! wrapper functions at the bottom are the only entries the table
@@ -167,6 +167,37 @@ fn range_avx512(slab: &[u64], wpr: usize, query: &[u64], out: &mut [u32]) {
 }
 
 // ---------------------------------------------------------------------
+// AVX-512: sign pack by mask compare.
+// ---------------------------------------------------------------------
+
+/// Sign words of `values` (`x >= 0.0` per bit, 64 per word). Each full
+/// 64-value chunk is four 16-lane `_CMP_GE_OQ` compares against `+0.0`,
+/// whose masks are the word's four 16-bit quarters. The predicate is
+/// ordered and quiet, so it is exactly Rust's `x >= 0.0`: NaN (either
+/// sign, any payload) compares false and `-0.0 >= 0.0` is true. The
+/// final partial chunk takes the portable packer.
+// analyze: alloc-free
+#[target_feature(enable = "avx512f")]
+fn pack_signs_512(values: &[f32], out: &mut [u64]) {
+    let zero = _mm512_setzero_ps();
+    let mut chunks = values.chunks_exact(64);
+    for (w, chunk) in out.iter_mut().zip(&mut chunks) {
+        let mut word = 0u64;
+        for (q, lanes) in chunk.chunks_exact(16).enumerate() {
+            // SAFETY: `lanes` is a live 16-element `&[f32]`, so this
+            // unaligned load reads exactly its 64 in-bounds bytes.
+            let v = unsafe { _mm512_loadu_ps(lanes.as_ptr()) };
+            word |= u64::from(_mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, zero)) << (16 * q);
+        }
+        *w = word;
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        out[values.len() / 64] = crate::bitvec::sign_word(tail);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Plain-ABI wrappers — the only symbols the dispatch table installs.
 // ---------------------------------------------------------------------
 
@@ -199,4 +230,12 @@ pub(super) fn hamming_pair_avx512(a: &[u64], b: &[u64]) -> u32 {
     // lists solely after `is_x86_feature_detected!` confirmed both
     // "avx512f" and "avx512vpopcntdq" on this host.
     unsafe { pair_avx512(a, b) }
+}
+
+/// [`crate::bitvec::pack_signs_into`] entry for [`super::Variant::Avx512`].
+pub(super) fn pack_signs_avx512(values: &[f32], out: &mut [u64]) {
+    // SAFETY: installed only for `Variant::Avx512`, which `detected()`
+    // lists solely after `is_x86_feature_detected!` confirmed
+    // "avx512f" (the only feature this kernel uses) on this host.
+    unsafe { pack_signs_512(values, out) }
 }

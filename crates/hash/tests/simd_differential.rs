@@ -1,15 +1,18 @@
 //! Per-width scalar-vs-SIMD differential suite: every kernel variant the
 //! host detects must be **bitwise equal** to the scalar oracle
-//! (`hamming_words`) on every width — explicit boundary widths around
-//! the word, lane and Harley–Seal group sizes, plus randomized
-//! property-based sweeps.
+//! (`hamming_words`, and one `x >= 0.0` per value for the sign pack) on
+//! every width — explicit boundary widths around the word, lane and
+//! Harley–Seal group sizes, plus randomized property-based sweeps.
 //!
 //! These tests gate the SIMD wave: a variant that disagrees with scalar
 //! on any input is a correctness bug, never a tolerance question —
-//! popcounts are exact integers.
+//! popcounts are exact integers and a sign is one exact comparison.
 
+use deepcam_hash::bitvec::pack_signs_into;
 use deepcam_hash::packed::hamming_words;
-use deepcam_hash::simd::{detected, force_variant, hamming_pair_with, hamming_range_with, Variant};
+use deepcam_hash::simd::{
+    active, detected, force_variant, hamming_pair_with, hamming_range_with, Variant,
+};
 use deepcam_hash::{BitVec, PackedHashes};
 use proptest::prelude::*;
 
@@ -122,6 +125,81 @@ fn forced_variants_drive_the_public_kernel() {
         assert_eq!(got, want, "variant {}", v.name());
         for (row, &w) in want.iter().enumerate() {
             assert_eq!(tile.hamming_row(row, query.words()), w);
+        }
+    }
+    let _ = force_variant(initial);
+}
+
+/// Bit patterns whose sign the pack must get exactly right: ±0.0, quiet
+/// and signalling NaN payloads of both signs, ±inf, the smallest and
+/// largest subnormals of both signs, and the smallest normals.
+const SIGN_SPECIALS: [u32; 14] = [
+    0x0000_0000,
+    0x8000_0000,
+    0x7fc0_0000,
+    0xffc0_0000,
+    0x7f80_0001,
+    0xff80_0001,
+    0x7fff_ffff,
+    0x7f80_0000,
+    0xff80_0000,
+    0x0000_0001,
+    0x8000_0001,
+    0x007f_ffff,
+    0x807f_ffff,
+    0x8080_0000,
+];
+
+/// The sign-pack oracle: one `x >= 0.0` per value, set bit by bit.
+fn signs_bitwise(values: &[f32]) -> Vec<u64> {
+    let mut words = vec![0u64; values.len().div_ceil(64)];
+    for (i, &x) in values.iter().enumerate() {
+        words[i / 64] |= u64::from(x >= 0.0) << (i % 64);
+    }
+    words
+}
+
+/// Packs `values` on every detected variant (each pinned in turn, into a
+/// buffer pre-filled with ones so every word must be written) and checks
+/// each against the bitwise oracle.
+fn check_pack_on_every_variant(values: &[f32], what: &str) {
+    let want = signs_bitwise(values);
+    for &v in detected() {
+        force_variant(v).expect("detected variant");
+        let mut got = vec![!0u64; want.len()];
+        pack_signs_into(values, &mut got);
+        assert_eq!(got, want, "{what} variant {}", v.name());
+    }
+}
+
+#[test]
+fn every_detected_variant_packs_signs_like_the_comparison() {
+    let initial = active();
+    // Boundary widths: arbitrary bit patterns (NaNs and subnormals
+    // included) with a special value in about every third slot.
+    for &bits in &BOUNDARY_BITS {
+        let values: Vec<f32> = (0..bits as u64)
+            .map(|i| {
+                let w = mixed_word(bits as u64, i);
+                if w.is_multiple_of(3) {
+                    f32::from_bits(SIGN_SPECIALS[(w >> 8) as usize % SIGN_SPECIALS.len()])
+                } else {
+                    f32::from_bits(w as u32)
+                }
+            })
+            .collect();
+        check_pack_on_every_variant(&values, &format!("bits {bits}"));
+    }
+    // Every special value in every lane of a full word and of a tail,
+    // among neighbours that pack the opposite bit.
+    for &special in &SIGN_SPECIALS {
+        let x = f32::from_bits(special);
+        for len in [64usize, 65] {
+            for lane in 0..len {
+                let mut values = vec![if x >= 0.0 { -1.0f32 } else { 1.0 }; len];
+                values[lane] = x;
+                check_pack_on_every_variant(&values, &format!("{special:#010x} at {lane}/{len}"));
+            }
         }
     }
     let _ = force_variant(initial);

@@ -28,9 +28,9 @@
 //! # Ok::<(), deepcam_tensor::TensorError>(())
 //! ```
 
-// The workspace's single unsafe block lives in `pool.rs` (see
-// ANALYZE_UNSAFE.md); inside any unsafe fn, each unsafe operation must
-// still be wrapped in its own audited `unsafe {}` block.
+// The unsafe in this crate lives in `pool.rs` and the `simd` kernel
+// files (see ANALYZE_UNSAFE.md); inside any unsafe fn, each unsafe
+// operation must still be wrapped in its own audited `unsafe {}` block.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod error;
@@ -41,6 +41,7 @@ pub mod optim;
 pub mod pool;
 pub mod rng;
 pub mod shape;
+pub mod simd;
 pub mod tensor;
 
 pub use error::TensorError;

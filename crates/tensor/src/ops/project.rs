@@ -37,16 +37,25 @@
 //! identical bits. The gather itself takes the form (compacted taps or
 //! dense rows) the previous block's choice predicts, and converts when
 //! the count disagrees.
+//!
+//! Both branches dispatch on the active [`crate::simd`] variant: on
+//! `Avx512` the dense block runs a 4-row × 64-column tile with sixteen
+//! `zmm` accumulators and the broadcast keeps a row's 128 accumulators in
+//! eight `zmm` registers ([`crate::simd`]'s x86 kernels); every other
+//! variant runs the portable code here, which LLVM vectorizes at 256 bits
+//! on AVX-512 hosts too. The wide kernels keep the separate multiply and
+//! add of every term (no FMA), so all variants give identical bits.
 
 use crate::error::TensorError;
 use crate::ops::conv::Conv2dConfig;
 use crate::shape::Shape;
+use crate::simd::Avx512Token;
 use crate::tensor::{matmul_dense_into, Tensor};
 use crate::Result;
 
 /// Output columns per register tile of the tap broadcast: a row's 128
-/// accumulators fill sixteen 256-bit registers.
-const KT: usize = 128;
+/// accumulators fill sixteen 256-bit or eight 512-bit registers.
+pub(crate) const KT: usize = 128;
 
 /// Patch columns per packed `R` tile: `NC × KT` floats (32 KB) stay in
 /// L1 while every row of the block reads them.
@@ -244,6 +253,7 @@ pub fn project_patches_into(
     let out = &mut out[..rows * k];
     let norms = &mut norms[..rows];
     let s = scratch;
+    let wide = crate::simd::avx512();
     let (lo, hi) = (row_start * n, (row_start + rows) * n);
     // Materialised rows are already dense; a conv block is gathered in
     // the form the previous block's choice predicts.
@@ -276,13 +286,14 @@ pub fn project_patches_into(
     };
     if s.dense {
         dense_norms(block, n, norms);
-        matmul_dense_into(block, rows, n, proj, k, out);
+        dense_gemm(wide, block, rows, n, proj, k, out);
         return;
     }
     if !compacted {
         compact_rows(block, n, &mut s.tap_col, &mut s.tap_x, &mut s.lens[..rows]);
     }
     broadcast_taps(
+        wide,
         &s.tap_col,
         &s.tap_x,
         &s.lens[..rows],
@@ -539,6 +550,25 @@ fn scatter_taps(tap_col: &[u32], tap_x: &[f32], lens: &[usize], n: usize, patch:
     }
 }
 
+/// The dense branch's GEMM: the AVX-512 tile when `wide`, else
+/// [`matmul_dense_into`] (identical bits).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn dense_gemm(
+    wide: Option<Avx512Token>,
+    block: &[f32],
+    rows: usize,
+    n: usize,
+    proj: &[f32],
+    k: usize,
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(token) = wide {
+        return crate::simd::x86::dense_avx512(token, block, rows, n, proj, k, out);
+    }
+    matmul_dense_into(block, rows, n, proj, k, out);
+}
+
 /// Row norms of dense rows, four rows' serial chains interleaved so the
 /// add latency overlaps (each row still sums ascending from `+0.0`).
 fn dense_norms(block: &[f32], n: usize, norms: &mut [f32]) {
@@ -575,6 +605,7 @@ fn dense_norms(block: &[f32], n: usize, norms: &mut [f32]) {
 /// The norms ride along on the first output tile.
 #[allow(clippy::too_many_arguments)]
 fn broadcast_taps(
+    wide: Option<Avx512Token>,
     tap_col: &[u32],
     tap_x: &[f32],
     lens: &[usize],
@@ -613,6 +644,7 @@ fn broadcast_taps(
                 let (from, c) = (cursor[r], (c0, c1));
                 cursor[r] = if kt == 0 {
                     row_tile::<true>(
+                        wide,
                         tap_col,
                         tap_x,
                         from,
@@ -623,7 +655,9 @@ fn broadcast_taps(
                         &mut norms[r],
                     )
                 } else {
-                    row_tile::<false>(tap_col, tap_x, from, end, c, strip, &mut tile, &mut 0.0)
+                    row_tile::<false>(
+                        wide, tap_col, tap_x, from, end, c, strip, &mut tile, &mut 0.0,
+                    )
                 };
                 out_row.copy_from_slice(&tile[..width]);
             }
@@ -638,10 +672,36 @@ fn broadcast_taps(
 
 /// One row's taps `from..end` with column in `c0..c1`, added into a
 /// `KT`-wide register tile (and, with `NORM`, their squares into
-/// `norm`). Returns where the next column tile resumes.
+/// `norm`) — on the AVX-512 kernel when `wide`, else [`row_tile_portable`]
+/// (identical bits). Returns where the next column tile resumes.
 #[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 #[inline]
 fn row_tile<const NORM: bool>(
+    wide: Option<Avx512Token>,
+    tap_col: &[u32],
+    tap_x: &[f32],
+    from: usize,
+    end: usize,
+    c: (usize, usize),
+    strip: &[f32],
+    tile: &mut [f32; KT],
+    norm: &mut f32,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(token) = wide {
+        return crate::simd::x86::row_tile_avx512::<NORM>(
+            token, tap_col, tap_x, from, end, c, strip, tile, norm,
+        );
+    }
+    row_tile_portable::<NORM>(tap_col, tap_x, from, end, c, strip, tile, norm)
+}
+
+/// The portable row tile: the path of every non-`Avx512` variant and the
+/// oracle of the AVX-512 one.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn row_tile_portable<const NORM: bool>(
     tap_col: &[u32],
     tap_x: &[f32],
     from: usize,

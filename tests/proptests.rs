@@ -11,6 +11,7 @@ use deepcam::tensor::ops::conv::{col2im, conv2d, conv2d_sharded, im2col, Conv2dC
 use deepcam::tensor::ops::linear::{linear, linear_sharded};
 use deepcam::tensor::ops::project::{project_patches_into, PatchSource, ProjectScratch};
 use deepcam::tensor::pool::Parallelism;
+use deepcam::tensor::simd::{active, detected, force_variant};
 use deepcam::tensor::{Shape, Tensor};
 use proptest::prelude::*;
 
@@ -394,8 +395,9 @@ proptest! {
         w in 1usize..10,
         images in 1usize..3,
         density_i in 0usize..4,
-        k_i in 0usize..4,
-        block in 1usize..70,
+        k_i in 0usize..7,
+        // Blocks of 1-3 and 5-7 rows hit the dense tiles' row tails.
+        block in prop_oneof![1usize..4, 5usize..8, 1usize..70],
         seed in 0u64..1000,
     ) {
         // Index 3 is the LeNet-style unpadded 5×5 window.
@@ -403,7 +405,8 @@ proptest! {
         let pad = if kernel_i == 3 { 0 } else { pad };
         prop_assume!(h + 2 * pad >= kernel && w + 2 * pad >= kernel);
         let density = [0.0f32, 0.1, 0.5, 1.0][density_i];
-        let k = [256usize, 512, 768, 1024][k_i];
+        // 64, 70 and 96 give no, a masked and a half-tile column tail.
+        let k = [256usize, 512, 768, 1024, 64, 70, 96][k_i];
         let cfg = Conv2dConfig::new(c, 4, kernel).with_stride(stride).with_padding(pad);
         let x = sparse_activation(&[images, c, h, w], density, seed);
         let n = cfg.patch_len();
@@ -411,9 +414,19 @@ proptest! {
             &mut deepcam::tensor::rng::seeded_rng(seed ^ 0x5eed), Shape::new(&[n, k]), 0.0, 1.0);
         let patches = im2col(&x, &cfg).unwrap();
         let src = PatchSource::conv(&x, &cfg).unwrap();
-        check_projection(&src, patches.data(), proj.data(), k, block)?;
-        // The same rows, materialised, take the row-source path.
-        check_projection(&PatchSource::rows(patches.data(), n), patches.data(), proj.data(), k, block)?;
+        // Every detected kernel variant, each pinned in turn, must hit
+        // the oracle; the ambient variant is restored even on failure.
+        let initial = active();
+        let result = detected().iter().try_for_each(|&v| {
+            force_variant(v).expect("detected variant");
+            check_projection(&src, patches.data(), proj.data(), k, block)
+                // The same rows, materialised, take the row-source path.
+                .and_then(|()| check_projection(
+                    &PatchSource::rows(patches.data(), n), patches.data(), proj.data(), k, block))
+                .map_err(|e| TestCaseError::fail(format!("variant {}: {e}", v.name())))
+        });
+        force_variant(initial).expect("restore the ambient variant");
+        result?;
     }
 }
 
