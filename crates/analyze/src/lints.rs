@@ -42,11 +42,14 @@ impl Config {
     /// The DeepCAM repository's declared invariants.
     pub fn repo() -> Config {
         Config {
-            // A3: the serve decode path (wire → Request), the server
-            // read loop, and the epoll readiness loop — the code
+            // A3: the serve decode path (wire → Request), the
+            // connection state machine that frames and dispatches it,
+            // and the two serving cores around it (the threads core's
+            // blocking loop and the epoll readiness loop) — the code
             // hostile bytes reach first.
             panic_free_files: vec![
                 "crates/serve/src/protocol.rs",
+                "crates/serve/src/connection.rs",
                 "crates/serve/src/server.rs",
                 "crates/serve/src/event_loop.rs",
                 "crates/serve/src/poll.rs",
@@ -94,6 +97,10 @@ impl Config {
                 "crates/serve/src/server.rs",
                 "crates/serve/src/client.rs",
                 "crates/serve/src/chaos.rs",
+                // The connection state machine takes `now` from its
+                // caller with every event and never reads a clock, so
+                // the socket-free lifecycle tests replay exactly.
+                "crates/serve/src/connection.rs",
                 // The readiness core: every deadline in the event loop
                 // is computed from `shared.clock`, and the syscall
                 // wrappers in poll.rs take explicit timeouts — neither

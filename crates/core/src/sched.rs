@@ -260,40 +260,13 @@ impl CamScheduler {
         binding: &PlanBinding,
         plan_label: impl AsRef<str>,
     ) -> Result<PerfReport> {
-        if binding.len() != ir.dots.len() {
-            return Err(CoreError::InvalidPlan(format!(
-                "binding covers {} layers but IR '{}' has {}",
-                binding.len(),
-                ir.model_name,
-                ir.dots.len()
-            )));
-        }
-        if !ir.has_static_shapes() && !ir.is_empty() {
-            return Err(CoreError::Unsupported(format!(
-                "IR '{}' lacks static shapes (lower the model with a declared input)",
-                ir.model_name
-            )));
-        }
-        let mut layers: Vec<LayerPerf> = Vec::with_capacity(ir.dots.len());
-        for dot in &ir.dots {
-            let k = binding.k_for(dot.index);
-            let mut perf = self.layer_perf(&dot.shape, k, dot.index == 0)?;
-            for peripheral in &dot.peripherals {
-                let cost = self.postproc.peripheral_cost(peripheral);
-                perf.cycles += cost.cycles;
-                perf.energy.postproc += cost.energy_j;
-            }
-            layers.push(perf);
-        }
-        // Pre-dot peripheral work (`ir.preamble`) exists in no paper
-        // workload and is ignored, exactly as it was before the IR.
         let config = format!(
             "DeepCAM-{} rows={} {}",
             self.dataflow.label(),
             self.rows,
             plan_label.as_ref()
         );
-        Ok(PerfReport::from_layers(config, ir.workload.clone(), layers))
+        self.run_ir_body(ir, binding, None, config)
     }
 
     /// Runs a lowered model under a validated binding **and** a per-layer
@@ -313,6 +286,24 @@ impl CamScheduler {
         mapping: &ModelMapping,
         plan_label: impl AsRef<str>,
     ) -> Result<PerfReport> {
+        let config = format!(
+            "DeepCAM-mapped arrays={} {}",
+            mapping.arrays,
+            plan_label.as_ref()
+        );
+        self.run_ir_body(ir, binding, Some(mapping), config)
+    }
+
+    /// The one body behind [`CamScheduler::run_ir`] (no mapping: every
+    /// layer on the scheduler's own single `rows × dataflow` array) and
+    /// [`CamScheduler::run_ir_mapped`].
+    fn run_ir_body(
+        &self,
+        ir: &LayerIr,
+        binding: &PlanBinding,
+        mapping: Option<&ModelMapping>,
+        config: String,
+    ) -> Result<PerfReport> {
         if binding.len() != ir.dots.len() {
             return Err(CoreError::InvalidPlan(format!(
                 "binding covers {} layers but IR '{}' has {}",
@@ -321,7 +312,7 @@ impl CamScheduler {
                 ir.dots.len()
             )));
         }
-        if mapping.per_layer.len() != ir.dots.len() {
+        if let Some(mapping) = mapping.filter(|m| m.per_layer.len() != ir.dots.len()) {
             return Err(CoreError::InvalidPlan(format!(
                 "mapping covers {} layers but IR '{}' has {}",
                 mapping.per_layer.len(),
@@ -337,16 +328,16 @@ impl CamScheduler {
         }
         let mut layers: Vec<LayerPerf> = Vec::with_capacity(ir.dots.len());
         for dot in &ir.dots {
+            let (rows, dataflow, arrays) = match mapping {
+                Some(m) => {
+                    let lm = m.per_layer[dot.index];
+                    (lm.rows, lm.dataflow, m.arrays)
+                }
+                None => (self.rows, self.dataflow, 1),
+            };
             let k = binding.k_for(dot.index);
-            let lm = mapping.per_layer[dot.index];
-            let mut perf = self.layer_perf_mapped(
-                &dot.shape,
-                k,
-                dot.index == 0,
-                lm.rows,
-                lm.dataflow,
-                mapping.arrays,
-            )?;
+            let mut perf =
+                self.layer_perf_mapped(&dot.shape, k, dot.index == 0, rows, dataflow, arrays)?;
             for peripheral in &dot.peripherals {
                 let cost = self.postproc.peripheral_cost(peripheral);
                 perf.cycles += cost.cycles;
@@ -354,11 +345,8 @@ impl CamScheduler {
             }
             layers.push(perf);
         }
-        let config = format!(
-            "DeepCAM-mapped arrays={} {}",
-            mapping.arrays,
-            plan_label.as_ref()
-        );
+        // Pre-dot peripheral work (`ir.preamble`) exists in no paper
+        // workload and is ignored, exactly as it was before the IR.
         Ok(PerfReport::from_layers(config, ir.workload.clone(), layers))
     }
 }

@@ -1,60 +1,27 @@
 //! The epoll readiness core: one thread, every connection.
 //!
-//! Each connection is a non-blocking read/write state machine over the
-//! [`crate::protocol`] framing. Readiness comes from a level-triggered
-//! [`crate::poll::Epoll`]; completions come back from the session
-//! dispatcher threads through a queue + `eventfd` waker
-//! ([`LoopCtl`]), keyed by (connection token, request id) so protocol
-//! v2 clients multiplex many in-flight requests over one socket.
-//!
-//! # Contracts carried over from the threads core
-//!
-//! The lifecycle semantics of `crate::server` are ported one-for-one,
-//! re-proven by `tests/server_lifecycle.rs` and `tests/chaos_soak.rs`
-//! running against both cores:
-//!
-//! - **Idle vs stalled**: a connection quietly parked at a frame
-//!   boundary lives under `idle_timeout` (quiet close); the moment a
-//!   frame's first byte arrives an *absolute* `read_timeout` deadline
-//!   is armed — a trickling peer cannot extend it — and expiry is
-//!   answered once with a typed [`ErrorKind::Timeout`], then hang-up.
-//! - **Refusals**: over-limit and mid-drain connects get a typed error
-//!   frame written asynchronously (the accept path never blocks), a
-//!   write-half close, and a bounded linger discarding peer bytes so
-//!   the refusal is not lost to an RST.
-//! - **Drain accounting**: `busy` rises when a complete frame is
-//!   parsed and falls only when its reply's last byte is flushed (or
-//!   its connection dies), so [`crate::server::Server::shutdown`]'s
-//!   drain wait holds until in-flight replies are on the wire. A v2
-//!   connection closing mid-drain still delivers every queued reply
-//!   first.
-//!
-//! # Ordering
-//!
-//! v1 frames are served strictly one at a time per connection (parsing
-//! holds while a request is in flight), preserving the threads core's
-//! request→reply ordering. v2 frames all enter the micro-batcher
-//! immediately and replies are written in *completion* order under
-//! their request ids.
+//! Each connection's lifecycle is a [`Connection`] (`crate::connection`);
+//! this loop only moves bytes and events to and from it. Readiness comes
+//! from a level-triggered [`crate::poll::Epoll`] over non-blocking
+//! sockets; completions come back from the session dispatcher threads
+//! through a queue + `eventfd` waker ([`LoopCtl`]), keyed by (connection
+//! token, request id) so protocol v2 clients multiplex many in-flight
+//! requests over one socket.
 
 #![cfg(target_os = "linux")]
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Read;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
+use crate::connection::{Action, Connection};
 use crate::error::{Result as ServeResult, ServeError};
 use crate::poll::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::protocol::{
-    check_frame_len, classify, decode_payload, decode_payload_v2, negotiate_version, ErrorKind,
-    Request, Response, CONNECTION_SCOPED_ID, MAX_FRAME_BYTES, PROTOCOL_V1, PROTOCOL_V2,
-};
-use crate::server::{frame_response, handle_request, ServerShared};
+use crate::server::ServerShared;
 
 /// Epoll token of the accept listener.
 const LISTENER_TOKEN: u64 = 0;
@@ -68,10 +35,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// level-triggered epoll re-reports leftover data, so capping keeps
 /// one firehose connection from starving the rest.
 const READS_PER_WAKE: usize = 8;
-/// How long a connection whose write half is closed may keep
-/// discarding peer bytes before the hard close (mirrors the threads
-/// core's bounded refusal drain).
-const LINGER_TIMEOUT: Duration = Duration::from_millis(250);
 /// Readiness records per `epoll_wait`.
 const MAX_EVENTS: usize = 256;
 
@@ -158,121 +121,24 @@ pub(crate) fn spawn_event_loop(
     Ok((handle, ctl))
 }
 
-/// Where a connection is in its life.
-enum Phase {
-    /// Serving: reading frames, writing replies.
-    Open,
-    /// No more frames will be served (refusal, timeout or drain
-    /// answered). Once in-flight replies are queued and flushed:
-    /// half-close and linger (`linger`), or close outright.
-    Finishing { linger: bool },
-    /// Write half closed; discarding peer bytes until EOF or the
-    /// deadline, so the final frame is not lost to an RST.
-    Lingering { deadline: Instant },
-}
-
-/// A reply frame's completion record in the write buffer: when
-/// `sent_total` passes `end`, the reply is on the wire.
-struct Marker {
-    end: u64,
-    /// Whether flushing releases a `busy` count (and counts toward
-    /// `drained` during a drain). False for refusal/timeout frames
-    /// that answer no accepted request.
-    counts_busy: bool,
-}
-
-/// One connection's state machine.
+/// One registered connection: its socket, its lifecycle, and the epoll
+/// interest currently registered for it.
 struct Conn {
     stream: TcpStream,
-    /// Received-but-unparsed bytes.
-    rbuf: Vec<u8>,
-    /// Negotiated protocol version; `None` until the first frame.
-    version: Option<u32>,
-    /// Reply bytes; `[wstart..]` still pending.
-    wbuf: Vec<u8>,
-    wstart: usize,
-    /// Lifetime bytes queued/flushed — marker arithmetic that
-    /// survives buffer compaction.
-    queued_total: u64,
-    sent_total: u64,
-    markers: VecDeque<Marker>,
-    /// Requests inside the session whose completions are pending.
-    inflight: usize,
-    /// Absolute mid-frame deadline, armed at a partial frame's first
-    /// byte (trickling cannot extend it).
-    frame_deadline: Option<Instant>,
-    /// When this connection last sat at a clean frame boundary (the
-    /// idle clock).
-    boundary_since: Instant,
-    /// Absolute reply-write deadline, re-armed on write progress.
-    write_deadline: Option<Instant>,
-    /// The peer closed its sending half (it may still be reading).
-    peer_eof: bool,
-    phase: Phase,
-    /// Currently registered epoll interest.
+    conn: Connection,
     interest: u32,
-    /// Counts toward accepted/active (false for refusals).
-    served: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Conn {
-        Conn {
-            stream,
-            rbuf: Vec::new(),
-            version: None,
-            wbuf: Vec::new(),
-            wstart: 0,
-            queued_total: 0,
-            sent_total: 0,
-            markers: VecDeque::new(),
-            inflight: 0,
-            frame_deadline: None,
-            boundary_since: now,
-            write_deadline: None,
-            peer_eof: false,
-            phase: Phase::Open,
-            interest: 0,
-            served: false,
-        }
-    }
-
-    fn flushed(&self) -> bool {
-        self.wstart >= self.wbuf.len()
-    }
-
-    /// Clean frame boundary with nothing pending in either direction —
-    /// the only state `idle_timeout` applies to.
-    fn at_boundary(&self) -> bool {
-        self.rbuf.is_empty() && self.inflight == 0 && self.flushed() && self.markers.is_empty()
-    }
-
-    /// The idle deadline, when one applies.
-    fn idle_deadline(&self, idle_timeout: Option<Duration>) -> Option<Instant> {
-        match self.phase {
-            Phase::Open if self.at_boundary() && !self.peer_eof => {
-                idle_timeout.and_then(|t| self.boundary_since.checked_add(t))
-            }
-            _ => None,
-        }
-    }
-}
-
-/// The loop body: wait for readiness, serve it, apply completions,
-/// sweep deadlines, close the dead. Exits when the shutdown flag is
-/// observed (the waker guarantees a prompt wake).
+/// The loop body: wait for readiness, feed it to the connections, apply
+/// completions, tick lapsed deadlines, close the dead. Exits when the
+/// shutdown flag is observed (the waker guarantees a prompt wake);
+/// dropping the connections then releases their counts and sockets.
 fn run_loop(epoll: &Epoll, listener: &TcpListener, shared: &Arc<ServerShared>, ctl: &Arc<LoopCtl>) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events = vec![EpollEvent::zeroed(); MAX_EVENTS];
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            for (_, conn) in conns.drain() {
-                close_conn(epoll, conn, shared);
-            }
-            return;
-        }
-        let timeout = wait_timeout_ms(&conns, shared);
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let timeout = wait_timeout_ms(&conns, shared.clock.now());
         let n = match epoll.wait(&mut events, timeout) {
             Ok(n) => n,
             // Only a broken epoll fd lands here; back off rather than
@@ -282,51 +148,60 @@ fn run_loop(epoll: &Epoll, listener: &TcpListener, shared: &Arc<ServerShared>, c
                 0
             }
         };
+        let now = shared.clock.now();
         let mut dead: Vec<u64> = Vec::new();
-        let mut accept_ready = false;
         for ev in events.iter().take(n) {
             match ev.token() {
-                LISTENER_TOKEN => accept_ready = true,
+                LISTENER_TOKEN => accept_ready_conns(
+                    listener,
+                    epoll,
+                    &mut conns,
+                    &mut next_token,
+                    shared,
+                    ctl,
+                    now,
+                ),
                 WAKER_TOKEN => ctl.waker.drain(),
                 token => {
-                    if let Some(conn) = conns.get_mut(&token) {
-                        if !handle_io(conn, token, ev.events(), shared, ctl) {
+                    if let Some(c) = conns.get_mut(&token) {
+                        let readable = ev.events() & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP);
+                        if (readable != 0 && !read_ready(c, now))
+                            || !pump(c, token, shared, ctl, now)
+                        {
                             dead.push(token);
                         }
                     }
                 }
             }
         }
-        if accept_ready {
-            accept_ready_conns(listener, epoll, &mut conns, &mut next_token, shared);
-        }
-        // Completions arrive from dispatcher threads at any time;
-        // drain unconditionally (cheap when empty). One for a
-        // connection that already closed is dropped — its busy count
-        // was released at close.
+        // Completions arrive from dispatcher threads at any time; drain
+        // unconditionally (cheap when empty). One for a connection that
+        // already closed is dropped: its busy count went with it.
         for completion in ctl.drain() {
             let token = completion.conn;
-            if let Some(conn) = conns.get_mut(&token) {
-                if !apply_completion(conn, token, completion, shared, ctl) {
+            if let Some(c) = conns.get_mut(&token) {
+                c.conn
+                    .on_completion(completion.request, completion.result, now);
+                if !pump(c, token, shared, ctl, now) {
                     dead.push(token);
                 }
             }
         }
-        let now = shared.clock.now();
-        for (token, conn) in conns.iter_mut() {
-            if !check_deadlines(conn, now, shared) {
-                dead.push(*token);
+        for (token, c) in conns.iter_mut() {
+            if c.conn.next_deadline().is_some_and(|d| now >= d) {
+                c.conn.on_tick(now);
+                if !pump(c, *token, shared, ctl, now) {
+                    dead.push(*token);
+                }
             }
         }
-        dead.sort_unstable();
-        dead.dedup();
+        // Dropping a connection closes its socket, which also removes
+        // it from the epoll set.
         for token in dead {
-            if let Some(conn) = conns.remove(&token) {
-                close_conn(epoll, conn, shared);
-            }
+            conns.remove(&token);
         }
-        for (token, conn) in conns.iter_mut() {
-            sync_interest(epoll, *token, conn);
+        for (token, c) in conns.iter_mut() {
+            sync_interest(epoll, *token, c);
         }
     }
 }
@@ -335,71 +210,30 @@ fn run_loop(epoll: &Epoll, listener: &TcpListener, shared: &Arc<ServerShared>, c
 /// millisecond so expiry lands inside the wake, never a spin before
 /// it), or forever when nothing is armed — the waker eventfd covers
 /// completions, clock jumps and shutdown.
-fn wait_timeout_ms(conns: &HashMap<u64, Conn>, shared: &ServerShared) -> Option<u32> {
-    let mut next: Option<Instant> = None;
-    let mut consider = |d: Option<Instant>| {
-        if let Some(d) = d {
-            next = Some(next.map_or(d, |n| n.min(d)));
-        }
-    };
-    for conn in conns.values() {
-        consider(conn.frame_deadline);
-        consider(conn.write_deadline);
-        consider(conn.idle_deadline(shared.cfg.idle_timeout));
-        if let Phase::Lingering { deadline } = conn.phase {
-            consider(Some(deadline));
-        }
-    }
-    let next = next?;
-    let remaining = next.saturating_duration_since(shared.clock.now());
-    let ms = remaining.as_millis().saturating_add(1);
+fn wait_timeout_ms(conns: &HashMap<u64, Conn>, now: Instant) -> Option<u32> {
+    let next = conns
+        .values()
+        .filter_map(|c| c.conn.next_deadline())
+        .min()?;
+    let ms = next
+        .saturating_duration_since(now)
+        .as_millis()
+        .saturating_add(1);
     Some(u32::try_from(ms).unwrap_or(u32::MAX))
 }
 
-/// Serves one readiness report for one connection. Returns false when
-/// the connection must close now.
-fn handle_io(
-    conn: &mut Conn,
-    token: u64,
-    revents: u32,
-    shared: &Arc<ServerShared>,
-    ctl: &Arc<LoopCtl>,
-) -> bool {
-    // Writes first: flushing may release markers (busy counts) and
-    // buffer space before new work queues more.
-    if revents & EPOLLOUT != 0 && !flush(conn, shared) {
-        return false;
-    }
-    if revents & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-        let alive = match conn.phase {
-            Phase::Open => read_and_serve(conn, token, shared, ctl),
-            Phase::Finishing { .. } | Phase::Lingering { .. } => discard_reads(conn),
-        };
-        if !alive {
-            return false;
-        }
-    }
-    advance_phase(conn, shared)
-}
-
-/// Reads whatever arrived (bounded per wake) and parses/serves it.
-fn read_and_serve(
-    conn: &mut Conn,
-    token: u64,
-    shared: &Arc<ServerShared>,
-    ctl: &Arc<LoopCtl>,
-) -> bool {
+/// Reads whatever arrived (bounded per wake) into the connection.
+/// Returns false on a hard socket error.
+fn read_ready(c: &mut Conn, now: Instant) -> bool {
     let mut scratch = [0u8; READ_CHUNK];
     for _ in 0..READS_PER_WAKE {
-        match conn.stream.read(&mut scratch) {
+        match c.stream.read(&mut scratch) {
             Ok(0) => {
-                conn.peer_eof = true;
+                c.conn.on_eof(now);
                 break;
             }
             Ok(n) => {
-                if let Some(chunk) = scratch.get(..n) {
-                    conn.rbuf.extend_from_slice(chunk);
-                }
+                c.conn.on_bytes(scratch.get(..n).unwrap_or_default(), now);
                 if n < scratch.len() {
                     break;
                 }
@@ -409,454 +243,65 @@ fn read_and_serve(
             Err(_) => return false,
         }
     }
-    parse_frames(conn, token, shared, ctl)
-}
-
-/// Discards peer bytes on a finishing/lingering connection (bounded
-/// per wake), mirroring the threads core's refusal drain. EOF during a
-/// linger means the final frame was deliverable: close.
-fn discard_reads(conn: &mut Conn) -> bool {
-    let mut scratch = [0u8; 1024];
-    for _ in 0..READS_PER_WAKE {
-        match conn.stream.read(&mut scratch) {
-            Ok(0) => {
-                conn.peer_eof = true;
-                return !matches!(conn.phase, Phase::Lingering { .. });
-            }
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
     true
 }
 
-/// Parses every currently parseable frame out of `rbuf` and serves it,
-/// then re-arms the boundary/mid-frame deadline state.
-fn parse_frames(
-    conn: &mut Conn,
-    token: u64,
-    shared: &Arc<ServerShared>,
-    ctl: &Arc<LoopCtl>,
-) -> bool {
-    let mut pos = 0usize;
-    let mut incomplete = false;
-    loop {
-        if !matches!(conn.phase, Phase::Open) {
-            break;
-        }
-        // v1 has no request ids: replies must leave in request order,
-        // so serving holds while one request is in flight (buffered
-        // frames resume when its completion lands). v2 multiplexes.
-        if conn.inflight > 0 && conn.version.is_some_and(|v| v < PROTOCOL_V2) {
-            break;
-        }
-        let Some(prefix) = conn.rbuf.get(pos..pos + 4) else {
-            incomplete = conn.rbuf.len() > pos;
-            break;
-        };
-        let Ok(len_bytes) = <[u8; 4]>::try_from(prefix) else {
-            return false;
-        };
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if let Err(e) = check_frame_len(len) {
-            // A bad length prefix desyncs the stream: answer once
-            // (the typed-error contract), stop reading, hang up after
-            // the flush.
-            shared.counters.inc_protocol_errors();
-            let (kind, message) = classify(&e);
-            let version = conn.version.unwrap_or(PROTOCOL_V1);
-            if !queue_reply(
-                conn,
-                version,
-                CONNECTION_SCOPED_ID,
-                &Response::Error { kind, message },
-                false,
-                shared,
-            ) {
-                return false;
-            }
-            conn.phase = Phase::Finishing { linger: true };
-            break;
-        }
-        let Some(payload) = conn.rbuf.get(pos + 4..pos + 4 + len) else {
-            incomplete = true;
-            break;
-        };
-        let payload = payload.to_vec();
-        pos += 4 + len;
-        if !on_frame(conn, token, &payload, shared, ctl) {
-            return false;
-        }
-    }
-    conn.rbuf.drain(..pos.min(conn.rbuf.len()));
-    if incomplete && conn.peer_eof {
-        // Mid-frame EOF: the frame can never complete. Close quietly
-        // (no counters), same as the threads core's `ConnRead::Io`.
-        conn.rbuf.clear();
-        incomplete = false;
-    }
-    let now = shared.clock.now();
-    if incomplete {
-        // First byte of a partial frame arms the absolute deadline.
-        if conn.frame_deadline.is_none() {
-            conn.frame_deadline = shared.cfg.read_timeout.and_then(|t| now.checked_add(t));
-        }
-    } else {
-        conn.frame_deadline = None;
-        conn.boundary_since = now;
-    }
-    true
-}
-
-/// Serves one complete frame payload: drain gate, version sniffing,
-/// then dispatch — `Infer` into the micro-batcher with a completion
-/// sink, control requests inline.
-fn on_frame(
-    conn: &mut Conn,
-    token: u64,
-    payload: &[u8],
-    shared: &Arc<ServerShared>,
-    ctl: &Arc<LoopCtl>,
-) -> bool {
-    // Count this request in-flight *before* checking the drain flag,
-    // so the drain wait can never observe `busy == 0` while a received
-    // frame is slipping into the runtime.
-    shared.busy.fetch_add(1, Ordering::SeqCst);
-    let wire_version = conn.version.unwrap_or(PROTOCOL_V1);
-    if shared.draining.load(Ordering::SeqCst) {
-        shared.busy.fetch_sub(1, Ordering::SeqCst);
-        // Echo the request id when the frame is well-formed v2, so a
-        // multiplexing client can attribute the refusal.
-        let req_id = if wire_version >= PROTOCOL_V2 {
-            decode_payload_v2::<Request>(payload)
-                .map(|(id, _)| id)
-                .unwrap_or(CONNECTION_SCOPED_ID)
-        } else {
-            CONNECTION_SCOPED_ID
-        };
-        let resp = Response::Error {
-            kind: ErrorKind::Draining,
-            message: "server is draining for shutdown".into(),
-        };
-        if !queue_reply(conn, wire_version, req_id, &resp, false, shared) {
-            return false;
-        }
-        conn.phase = Phase::Finishing { linger: true };
-        return true;
-    }
-    let (req_id, decoded) = if wire_version >= PROTOCOL_V2 {
-        match decode_payload_v2::<Request>(payload) {
-            Ok((id, req)) => (id, Ok(req)),
-            Err(e) => (CONNECTION_SCOPED_ID, Err(e)),
-        }
-    } else {
-        (CONNECTION_SCOPED_ID, decode_payload::<Request>(payload))
-    };
-    match decoded {
-        Ok(Request::Hello { max_version }) if conn.version.is_none() => {
-            match negotiate_version(max_version) {
-                Ok(v) => {
-                    conn.version = Some(v);
-                    // The handshake reply itself is always v1-framed;
-                    // the negotiated version governs later frames.
-                    queue_reply(
-                        conn,
-                        PROTOCOL_V1,
-                        CONNECTION_SCOPED_ID,
-                        &Response::Hello { version: v },
-                        true,
-                        shared,
-                    )
-                }
-                // Version 0 leaves the connection's version ambiguous:
-                // answer once, hang up.
-                Err(e) => {
-                    shared.counters.inc_protocol_errors();
-                    let (kind, message) = classify(&e);
-                    let alive = queue_reply(
-                        conn,
-                        PROTOCOL_V1,
-                        CONNECTION_SCOPED_ID,
-                        &Response::Error { kind, message },
-                        true,
-                        shared,
-                    );
-                    conn.phase = Phase::Finishing { linger: true };
-                    alive
-                }
-            }
-        }
-        Ok(Request::Hello { .. }) => {
-            // Hello after the first frame: a violation, but frame
-            // boundaries are intact — answer and keep serving.
-            shared.counters.inc_protocol_errors();
-            let (kind, message) = classify(&ServeError::Protocol(
-                "Hello is only valid as a connection's first frame".to_string(),
-            ));
-            queue_reply(
-                conn,
-                wire_version,
-                req_id,
-                &Response::Error { kind, message },
-                true,
-                shared,
-            )
-        }
-        Ok(Request::Infer { model, dims, data }) => {
-            conn.version.get_or_insert(PROTOCOL_V1);
-            let sink_ctl = Arc::clone(ctl);
-            let outcome = shared
+/// Carries out what the connection asks for after an event: submits
+/// its `Infer` requests into the micro-batcher, writes what the socket
+/// takes, and applies its socket action. Returns false when the
+/// connection must close now.
+fn pump(c: &mut Conn, token: u64, shared: &ServerShared, ctl: &Arc<LoopCtl>, now: Instant) -> bool {
+    while let Some(sub) = c.conn.take_submission() {
+        let sink_ctl = Arc::clone(ctl);
+        let request = sub.id;
+        let submitted =
+            shared
                 .runtime
-                .submit_sink(&model, &dims, &data, move |result| {
+                .submit_sink(&sub.model, &sub.dims, &sub.data, move |result| {
                     sink_ctl.push(Completion {
                         conn: token,
-                        request: req_id,
+                        request,
                         result,
                     });
                 });
-            match outcome {
-                Ok(()) => {
-                    conn.inflight += 1;
-                    true
-                }
-                Err(e) => {
-                    let (kind, message) = classify(&e);
-                    queue_reply(
-                        conn,
-                        wire_version,
-                        req_id,
-                        &Response::Error { kind, message },
-                        true,
-                        shared,
-                    )
-                }
-            }
-        }
-        Ok(request) => {
-            conn.version.get_or_insert(PROTOCOL_V1);
-            let resp = handle_request(shared, request);
-            queue_reply(conn, wire_version, req_id, &resp, true, shared)
-        }
-        Err(e) => {
-            // Frame boundaries are intact, so a garbage payload is
-            // answered and the connection keeps serving (and a
-            // first-frame garbage payload locks v1).
-            conn.version.get_or_insert(PROTOCOL_V1);
-            shared.counters.inc_protocol_errors();
-            let (kind, message) = classify(&e);
-            queue_reply(
-                conn,
-                wire_version,
-                req_id,
-                &Response::Error { kind, message },
-                true,
-                shared,
-            )
+        if let Err(e) = submitted {
+            c.conn.on_completion(request, Err(e), now);
         }
     }
-}
-
-/// One arrived completion: frame the reply under the connection's
-/// version and resume parsing (a v1 connection may have the next
-/// frame waiting on exactly this reply).
-fn apply_completion(
-    conn: &mut Conn,
-    token: u64,
-    completion: Completion,
-    shared: &Arc<ServerShared>,
-    ctl: &Arc<LoopCtl>,
-) -> bool {
-    conn.inflight = conn.inflight.saturating_sub(1);
-    let resp = match completion.result {
-        Ok(logits) => Response::Logits(logits),
-        Err(e) => {
-            let (kind, message) = classify(&e);
-            Response::Error { kind, message }
-        }
-    };
-    let version = conn.version.unwrap_or(PROTOCOL_V1);
-    if !queue_reply(conn, version, completion.request, &resp, true, shared) {
-        return false;
-    }
-    if !parse_frames(conn, token, shared, ctl) {
-        return false;
-    }
-    advance_phase(conn, shared)
-}
-
-/// Appends one framed reply to the write buffer with its completion
-/// marker and flushes what the socket will take now.
-fn queue_reply(
-    conn: &mut Conn,
-    version: u32,
-    req_id: u64,
-    resp: &Response,
-    counts_busy: bool,
-    shared: &ServerShared,
-) -> bool {
-    let payload = frame_response(version, req_id, resp);
-    if payload.len() > MAX_FRAME_BYTES {
-        // Unreachable for the replies this server builds; refuse to
-        // desync the stream if it ever becomes reachable.
-        return false;
-    }
-    conn.wbuf
-        .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    conn.wbuf.extend_from_slice(&payload);
-    conn.queued_total += 4 + payload.len() as u64;
-    conn.markers.push_back(Marker {
-        end: conn.queued_total,
-        counts_busy,
-    });
-    flush(conn, shared)
-}
-
-/// Writes as much pending reply data as the socket accepts, releases
-/// completed markers (busy counts, drain accounting), and maintains
-/// the write deadline.
-fn flush(conn: &mut Conn, shared: &ServerShared) -> bool {
-    let mut progressed = false;
     loop {
-        let pending = match conn.wbuf.get(conn.wstart..) {
-            Some(p) if !p.is_empty() => p,
-            _ => break,
-        };
-        match conn.stream.write(pending) {
+        let pending = c.conn.pending();
+        if pending.is_empty() {
+            break;
+        }
+        match c.stream.write(pending) {
             Ok(0) => return false,
-            Ok(n) => {
-                conn.wstart += n;
-                conn.sent_total += n as u64;
-                progressed = true;
-            }
+            Ok(n) => c.conn.on_written(n, now),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return false,
         }
     }
-    if conn.flushed() {
-        conn.wbuf.clear();
-        conn.wstart = 0;
-        conn.write_deadline = None;
-    } else if progressed || conn.write_deadline.is_none() {
-        // A peer that keeps taking bytes keeps its budget (like the
-        // threads core's per-write timer); one that stops reading is
-        // reaped when the armed deadline lapses.
-        conn.write_deadline = shared
-            .cfg
-            .write_timeout
-            .and_then(|t| shared.clock.now().checked_add(t));
-    }
-    let draining = shared.draining.load(Ordering::SeqCst);
-    while let Some(marker) = conn.markers.front() {
-        if marker.end > conn.sent_total {
-            break;
-        }
-        if marker.counts_busy {
-            // Decrement only now, with the reply's last byte on the
-            // wire: the drain wait holds until in-flight replies are
-            // delivered, not merely computed.
-            shared.busy.fetch_sub(1, Ordering::SeqCst);
-            if draining {
-                shared.counters.inc_drained();
-            }
-        }
-        conn.markers.pop_front();
-    }
-    true
-}
-
-/// Moves a connection's phase forward once its obligations are met.
-/// Returns false when it should close now.
-fn advance_phase(conn: &mut Conn, shared: &ServerShared) -> bool {
-    match conn.phase {
-        Phase::Open => {
-            // A half-closed peer is served to the last buffered frame
-            // and reply (it may still be reading); only a fully idle
-            // one closes.
-            if conn.peer_eof && conn.rbuf.is_empty() && conn.inflight == 0 && conn.at_boundary() {
-                return false;
-            }
+    match c.conn.action(now) {
+        Action::Serve => true,
+        Action::HalfClose => {
+            let _ = c.stream.shutdown(Shutdown::Write);
             true
         }
-        Phase::Finishing { linger } => {
-            if conn.inflight > 0 || !conn.flushed() {
-                return true;
-            }
-            if !linger || conn.peer_eof {
-                return false;
-            }
-            // Half-close, then discard whatever the peer was mid-way
-            // through sending: a hard close here would race its write
-            // and the RST could discard the final frame unread.
-            let _ = conn.stream.shutdown(Shutdown::Write);
-            match shared.clock.now().checked_add(LINGER_TIMEOUT) {
-                Some(deadline) => {
-                    conn.phase = Phase::Lingering { deadline };
-                    true
-                }
-                None => false,
-            }
-        }
-        Phase::Lingering { .. } => true,
+        Action::Close => false,
     }
 }
 
-/// Expires whatever deadline lapsed. Returns false when the
-/// connection should close now.
-fn check_deadlines(conn: &mut Conn, now: Instant, shared: &ServerShared) -> bool {
-    if let Phase::Lingering { deadline } = conn.phase {
-        if now >= deadline {
-            return false;
-        }
-    }
-    if matches!(conn.phase, Phase::Open) {
-        if let Some(deadline) = conn.frame_deadline {
-            if now >= deadline {
-                // Slow-loris: answer once with the typed timeout, stop
-                // reading, hang up after the flush.
-                shared.counters.inc_timed_out();
-                let version = conn.version.unwrap_or(PROTOCOL_V1);
-                let resp = Response::Error {
-                    kind: ErrorKind::Timeout,
-                    message: "connection stalled mid-frame past read_timeout".into(),
-                };
-                conn.frame_deadline = None;
-                conn.rbuf.clear();
-                if !queue_reply(conn, version, CONNECTION_SCOPED_ID, &resp, false, shared) {
-                    return false;
-                }
-                conn.phase = Phase::Finishing { linger: true };
-                return advance_phase(conn, shared);
-            }
-        } else if let Some(deadline) = conn.idle_deadline(shared.cfg.idle_timeout) {
-            if now >= deadline {
-                // Idle past its welcome: done, quietly (EOF, no error
-                // frame, no counter — it did nothing wrong mid-frame).
-                return false;
-            }
-        }
-    }
-    if let Some(deadline) = conn.write_deadline {
-        if now >= deadline {
-            // Zero-window peer stalling reply writes: reap it.
-            return false;
-        }
-    }
-    true
-}
-
-/// Accepts every pending connection: the admission gate (drain, then
-/// connection limit) refuses with a typed frame that flushes through
-/// the same non-blocking machinery as any reply, so refusals can never
-/// stall the accept path.
+/// Accepts every pending connection. Refused connections are
+/// registered too: their typed refusal flushes through the same
+/// non-blocking path as any reply, so refusals never stall accepts.
 fn accept_ready_conns(
     listener: &TcpListener,
     epoll: &Epoll,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     shared: &Arc<ServerShared>,
+    ctl: &Arc<LoopCtl>,
+    now: Instant,
 ) {
     loop {
         let stream = match listener.accept() {
@@ -870,98 +315,39 @@ fn accept_ready_conns(
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
+        let _ = stream.set_nodelay(true);
         let token = *next_token;
         *next_token += 1;
-        let mut conn = Conn::new(stream, shared.clock.now());
-        let refusal = if shared.draining.load(Ordering::SeqCst) {
-            shared.counters.inc_refused();
-            Some(Response::Error {
-                kind: ErrorKind::Draining,
-                message: "server is draining for shutdown".into(),
-            })
-        } else {
-            let active = shared.active.load(Ordering::SeqCst);
-            if active >= shared.cfg.max_connections {
-                shared.counters.inc_refused();
-                Some(Response::Error {
-                    kind: ErrorKind::Overloaded,
-                    message: format!("server at its connection limit ({active} active)"),
-                })
-            } else {
-                None
-            }
+        let mut c = Conn {
+            stream,
+            conn: Connection::accept(Arc::clone(shared), now),
+            interest: 0,
         };
-        match refusal {
-            Some(resp) => {
-                if !queue_reply(
-                    &mut conn,
-                    PROTOCOL_V1,
-                    CONNECTION_SCOPED_ID,
-                    &resp,
-                    false,
-                    shared,
-                ) {
-                    continue;
-                }
-                conn.phase = Phase::Finishing { linger: true };
-                if !advance_phase(&mut conn, shared) {
-                    continue;
-                }
-            }
-            None => {
-                conn.served = true;
-                let _ = conn.stream.set_nodelay(true);
-                shared.counters.inc_accepted();
-                shared.active.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let interest = desired_interest(&conn);
-        if epoll.add(conn.stream.as_raw_fd(), interest, token).is_err() {
-            if conn.served {
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-            }
+        if !pump(&mut c, token, shared, ctl, now) {
             continue;
         }
-        conn.interest = interest;
-        conns.insert(token, conn);
+        let interest = desired_interest(&c);
+        if epoll.add(c.stream.as_raw_fd(), interest, token).is_ok() {
+            c.interest = interest;
+            conns.insert(token, c);
+        }
     }
 }
 
-fn desired_interest(conn: &Conn) -> u32 {
+fn desired_interest(c: &Conn) -> u32 {
     let mut interest = 0;
-    if !conn.flushed() {
+    if !c.conn.pending().is_empty() {
         interest |= EPOLLOUT;
     }
-    if !conn.peer_eof {
+    if c.conn.wants_read() {
         interest |= EPOLLIN | EPOLLRDHUP;
     }
     interest
 }
 
-fn sync_interest(epoll: &Epoll, token: u64, conn: &mut Conn) {
-    let want = desired_interest(conn);
-    if want != conn.interest && epoll.modify(conn.stream.as_raw_fd(), want, token).is_ok() {
-        conn.interest = want;
+fn sync_interest(epoll: &Epoll, token: u64, c: &mut Conn) {
+    let want = desired_interest(c);
+    if want != c.interest && epoll.modify(c.stream.as_raw_fd(), want, token).is_ok() {
+        c.interest = want;
     }
-}
-
-/// Releases everything a closing connection still holds: its epoll
-/// registration, the busy counts of unflushed replies and of
-/// submissions whose completions have not landed (those completions
-/// are dropped on arrival), and its `active` slot.
-fn close_conn(epoll: &Epoll, conn: Conn, shared: &ServerShared) {
-    let _ = epoll.delete(conn.stream.as_raw_fd());
-    let unreleased = conn
-        .markers
-        .iter()
-        .filter(|m| m.end > conn.sent_total && m.counts_busy)
-        .count()
-        + conn.inflight;
-    for _ in 0..unreleased {
-        shared.busy.fetch_sub(1, Ordering::SeqCst);
-    }
-    if conn.served {
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-    }
-    // Dropping the stream closes its fd.
 }

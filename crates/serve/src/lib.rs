@@ -20,9 +20,10 @@
 //!                    └────────────────────────────────────────────┘
 //! ```
 //!
-//! * [`registry::ModelRegistry`] — `DCAM` v1 artifacts keyed by model
-//!   id, loaded lazily, evicted least-recently-used, with typed errors
-//!   for missing/corrupt artifacts.
+//! * [`registry::ModelRegistry`] — `DCAM` artifacts (v2 is written,
+//!   v1–v2 are read) keyed by model id, loaded lazily, evicted
+//!   least-recently-used, with typed errors for missing/corrupt
+//!   artifacts.
 //! * [`session::Session`] / [`session::Runtime`] — the one submission
 //!   path: a bounded request queue and a dynamic micro-batcher that
 //!   coalesces concurrent single-image requests into
@@ -41,7 +42,9 @@
 //!   drain, and the client retries transport faults, `Overloaded` and
 //!   `Draining` under a seeded deterministic
 //!   [`client::RetryPolicy`] — safe because inference is pure and
-//!   bit-exact. Two interchangeable connection cores sit behind
+//!   bit-exact. The connection lifecycle is decided once, in a
+//!   sans-IO state machine (`connection`) that does no I/O and reads
+//!   no clock. Two connection cores run it behind
 //!   [`server::ServerConfig::core`] (see [`core_select`]): the
 //!   portable thread-per-connection core, and on Linux a
 //!   dependency-free epoll readiness loop ([`poll`] + `event_loop`)
@@ -80,6 +83,7 @@
 pub mod chaos;
 pub mod client;
 pub mod clock;
+mod connection;
 pub mod core_select;
 pub mod error;
 mod event_loop;

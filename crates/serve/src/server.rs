@@ -1,8 +1,9 @@
 //! A dependency-free (`std::net`) TCP inference server over the
 //! [`crate::protocol`] framing.
 //!
-//! Two connection cores share this module's lifecycle contracts,
-//! selected by [`ServerConfig::core`] / `DEEPCAM_SERVE_CORE`
+//! Every connection's lifecycle is one `Connection` state machine
+//! (`crate::connection`). Two connection cores run it, selected by
+//! [`ServerConfig::core`] / `DEEPCAM_SERVE_CORE`
 //! ([`crate::core_select`]):
 //!
 //! - **threads** (this file): one accept thread plus one blocking
@@ -28,9 +29,13 @@
 //!   rest didn't within [`ServerConfig::read_timeout`]. This is the
 //!   slow-loris shape: the connection is answered once with a typed
 //!   [`ErrorKind::Timeout`] frame and hung up, so a half-frame peer
-//!   can never pin a connection thread against `max_connections`.
+//!   can never pin a connection against `max_connections`.
 //! - **Not reading replies** — a zero-window peer stalling reply
 //!   writes is reaped by [`ServerConfig::write_timeout`].
+//!
+//! A final error frame (refusal, timeout, drain, bad length prefix) is
+//! followed by a write-half close and a short linger, so it is not
+//! lost to an RST.
 //!
 //! # Graceful drain
 //!
@@ -40,32 +45,23 @@
 //! [`ServerConfig::drain_timeout`]), then every remaining stream is
 //! hard-closed and the accept thread joined.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::clock::{Clock, SystemClock};
+use crate::connection::{Action, Connection};
 use crate::core_select::{self, CoreSelect, ServerCore};
 use crate::error::{Result, ServeError};
-use crate::protocol::{
-    check_frame_len, classify, decode_payload, decode_payload_v2, encode_payload,
-    encode_payload_v2, negotiate_version, write_frame, ErrorKind, Request, Response, WireModelInfo,
-    WireServerStats, WireStats, CONNECTION_SCOPED_ID, PROTOCOL_V1, PROTOCOL_V2,
-};
+#[cfg(doc)]
+use crate::protocol::ErrorKind;
 use crate::session::Runtime;
 use crate::stats::{ServerCounters, ServerStats};
 
-/// Payload chunk size the deadline-aware reader grows by (allocation
-/// tracks received bytes, not the claimed length — same contract as
-/// `protocol::read_frame`).
+/// Read buffer of one connection thread.
 const READ_CHUNK: usize = 64 * 1024;
-
-/// Write timeout for refusal frames: long enough for any cooperating
-/// peer, short enough that a zero-window peer only pins the detached
-/// refusal thread briefly.
-const REFUSE_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Server limits and knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,10 +106,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// State both connection cores share: the runtime, config, clock,
-/// lifecycle flags and robustness counters. The threads core reaches
-/// it from the accept/connection threads; the epoll core from its one
-/// event-loop thread (`crate::event_loop`).
+/// State every connection shares: the runtime, config, clock,
+/// lifecycle flags and robustness counters. Each `Connection` holds
+/// it; the threads core reaches it from the accept/connection threads,
+/// the epoll core from its one event-loop thread (`crate::event_loop`).
 pub(crate) struct ServerShared {
     pub(crate) runtime: Arc<Runtime>,
     pub(crate) cfg: ServerConfig,
@@ -136,6 +132,23 @@ pub(crate) struct ServerShared {
     /// file descriptors) tracks live connections, not connection
     /// history.
     conns: Mutex<std::collections::HashMap<usize, TcpStream>>,
+}
+
+impl ServerShared {
+    pub(crate) fn new(runtime: Arc<Runtime>, cfg: ServerConfig, clock: Arc<dyn Clock>) -> Self {
+        ServerShared {
+            runtime,
+            cfg,
+            clock,
+            shutdown: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            busy: AtomicUsize::new(0),
+            next_conn_id: AtomicUsize::new(0),
+            counters: ServerCounters::default(),
+            conns: Mutex::new(std::collections::HashMap::new()),
+        }
+    }
 }
 
 /// The tracked-connection table, recovering from a poisoned lock: a
@@ -205,18 +218,7 @@ impl Server {
             .local_addr()
             .map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
         let resolved = core_select::resolve(cfg.core);
-        let shared = Arc::new(ServerShared {
-            runtime,
-            cfg,
-            clock,
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            busy: AtomicUsize::new(0),
-            next_conn_id: AtomicUsize::new(0),
-            counters: ServerCounters::default(),
-            conns: Mutex::new(std::collections::HashMap::new()),
-        });
+        let shared = Arc::new(ServerShared::new(runtime, cfg, clock));
         let core = match resolved {
             ServerCore::Threads => {
                 let accept_shared = Arc::clone(&shared);
@@ -336,28 +338,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
             return;
         }
         let Ok(stream) = stream else { continue };
-        if shared.draining.load(Ordering::SeqCst) {
-            shared.counters.inc_refused();
-            refuse_connection(
-                stream,
-                ErrorKind::Draining,
-                "server is draining for shutdown".into(),
-            );
-            continue;
-        }
-        let previous = shared.active.fetch_add(1, Ordering::SeqCst);
-        if previous >= shared.cfg.max_connections {
-            shared.active.fetch_sub(1, Ordering::SeqCst);
-            shared.counters.inc_refused();
-            refuse_connection(
-                stream,
-                ErrorKind::Overloaded,
-                format!("server at its connection limit ({previous} active)"),
-            );
-            continue;
-        }
-        shared.counters.inc_accepted();
-        let _ = stream.set_nodelay(true);
+        let conn = Connection::accept(Arc::clone(shared), shared.clock.now());
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
         if let Ok(clone) = stream.try_clone() {
             lock_conns(shared).insert(conn_id, clone);
@@ -365,412 +346,98 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
         let conn_shared = Arc::clone(shared);
         // Connection threads are not joined: shutdown unblocks them by
         // closing their streams, after which they exit promptly.
-        let _ = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("deepcam-serve-conn".into())
             .spawn(move || {
-                serve_connection(stream, &conn_shared);
+                serve_connection(stream, conn, &conn_shared);
                 // Release this connection's tracked clone (and its fd).
                 lock_conns(&conn_shared).remove(&conn_id);
-                conn_shared.active.fetch_sub(1, Ordering::SeqCst);
             });
-    }
-}
-
-/// Best-effort typed refusal to a connection the accept gate rejected.
-///
-/// The frame is written from a short-lived detached thread under
-/// [`REFUSE_WRITE_TIMEOUT`], so a zero-window peer can never stall
-/// `accept_loop` itself (the accept thread used to write this frame
-/// inline and block). If the thread cannot be spawned the stream just
-/// drops — a hang-up is an acceptable refusal.
-fn refuse_connection(stream: TcpStream, kind: ErrorKind, message: String) {
-    let _ = stream.set_write_timeout(Some(REFUSE_WRITE_TIMEOUT));
-    let _ = stream.set_read_timeout(Some(REFUSE_WRITE_TIMEOUT));
-    let _ = std::thread::Builder::new()
-        .name("deepcam-serve-refuse".into())
-        .spawn(move || {
-            let mut stream = stream;
-            let payload = encode_payload(&Response::Error { kind, message });
-            let _ = write_frame(&mut stream, &payload);
-            // Half-close, then briefly drain whatever the peer was
-            // mid-way through sending. A hard close here would race
-            // the peer's own write: the resulting RST can discard the
-            // refusal frame before the peer reads it. The drain is
-            // bounded (read timeout x iteration cap) so a trickling
-            // peer cannot pin this thread.
-            let _ = stream.shutdown(Shutdown::Write);
-            let mut sink = [0u8; 1024];
-            for _ in 0..8 {
-                match stream.read(&mut sink) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-            }
-        });
-}
-
-/// What one attempt to read a frame from a connection produced.
-enum ConnRead {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// Clean EOF at a frame boundary.
-    Closed,
-    /// No bytes arrived within `idle_timeout` at a frame boundary.
-    Idle,
-    /// Mid-frame deadline (`read_timeout`) exceeded: the slow-loris
-    /// shape, answered with [`ErrorKind::Timeout`].
-    Stalled,
-    /// Malformed length prefix: answered once, then hang-up.
-    Protocol(ServeError),
-    /// Mid-frame EOF or hard socket error: close quietly.
-    Io,
-}
-
-/// Outcome of arming the socket read timer against a frame deadline.
-enum Arm {
-    Armed,
-    Expired,
-    Failed,
-}
-
-/// Points the socket's read timer at what remains of `deadline`
-/// according to `clock` (or disarms it when there is no deadline).
-fn arm_read_timer(stream: &TcpStream, deadline: Option<Instant>, clock: &dyn Clock) -> Arm {
-    let remaining = match deadline {
-        None => None,
-        Some(deadline) => {
-            let left = deadline.saturating_duration_since(clock.now());
-            if left.is_zero() {
-                return Arm::Expired;
-            }
-            Some(left)
-        }
-    };
-    match stream.set_read_timeout(remaining) {
-        Ok(()) => Arm::Armed,
-        Err(_) => Arm::Failed,
-    }
-}
-
-/// True for the error kinds a socket read timer produces.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Reads one frame under the connection-lifecycle deadlines.
-///
-/// Waiting for the *first* byte of a frame runs under `idle_timeout`
-/// (None = forever). The moment the first byte arrives, a per-frame
-/// deadline of `read_timeout` is armed and re-armed with the remaining
-/// budget after every partial read — a peer trickling one byte per
-/// interval cannot reset it, which is what makes the slow-loris test
-/// deterministic.
-fn read_one_frame(stream: &mut TcpStream, shared: &ServerShared) -> ConnRead {
-    // Phase 1: the 4-byte length prefix.
-    if stream.set_read_timeout(shared.cfg.idle_timeout).is_err() {
-        return ConnRead::Io;
-    }
-    let mut prefix = [0u8; 4];
-    let mut got = 0usize;
-    let mut deadline: Option<Instant> = None;
-    let mut mid_frame = false;
-    while got < prefix.len() {
-        let Some(buf) = prefix.get_mut(got..) else {
-            return ConnRead::Io;
-        };
-        match stream.read(buf) {
-            Ok(0) => {
-                return if got == 0 {
-                    ConnRead::Closed
-                } else {
-                    ConnRead::Io
-                };
-            }
-            Ok(n) => {
-                got += n;
-                if !mid_frame {
-                    // First byte of a frame: arm the mid-frame deadline.
-                    mid_frame = true;
-                    deadline = shared
-                        .cfg
-                        .read_timeout
-                        .and_then(|t| shared.clock.now().checked_add(t));
-                }
-                match arm_read_timer(stream, deadline, shared.clock.as_ref()) {
-                    Arm::Armed => {}
-                    Arm::Expired => return ConnRead::Stalled,
-                    Arm::Failed => return ConnRead::Io,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                return if got == 0 {
-                    ConnRead::Idle
-                } else {
-                    ConnRead::Stalled
-                };
-            }
-            Err(_) => return ConnRead::Io,
+        if spawned.is_err() {
+            // The failed spawn dropped the closure, and with it the
+            // `Connection` (releasing its `active` slot) and the stream.
+            // Release the tracked clone too, or every failed spawn would
+            // keep one fd open until shutdown.
+            lock_conns(shared).remove(&conn_id);
         }
     }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if let Err(e) = check_frame_len(len) {
-        return ConnRead::Protocol(e);
-    }
-    // Phase 2: the payload, under the same frame deadline. Allocation
-    // grows with received bytes (READ_CHUNK steps), never the claimed
-    // length — the same hostile-prefix contract as `read_frame`.
-    let mut payload: Vec<u8> = Vec::with_capacity(len.min(READ_CHUNK));
-    while payload.len() < len {
-        let start = payload.len();
-        let step = (len - start).min(READ_CHUNK);
-        payload.resize(start + step, 0);
-        let Some(buf) = payload.get_mut(start..) else {
-            return ConnRead::Io;
-        };
-        match stream.read(buf) {
-            Ok(0) => return ConnRead::Io,
-            Ok(n) => {
-                payload.truncate(start + n);
-                match arm_read_timer(stream, deadline, shared.clock.as_ref()) {
-                    Arm::Armed => {}
-                    Arm::Expired => return ConnRead::Stalled,
-                    Arm::Failed => return ConnRead::Io,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                payload.truncate(start);
-            }
-            Err(e) if is_timeout(&e) => return ConnRead::Stalled,
-            Err(_) => return ConnRead::Io,
-        }
-    }
-    ConnRead::Frame(payload)
 }
 
-/// Frames `resp` for a connection speaking `version`: v2 payloads
-/// carry `req_id` (or [`CONNECTION_SCOPED_ID`] for errors that answer
-/// no particular request), v1 payloads the bare encoding. Shared by
-/// both connection cores.
-pub(crate) fn frame_response(version: u32, req_id: u64, resp: &Response) -> Vec<u8> {
-    if version >= PROTOCOL_V2 {
-        encode_payload_v2(req_id, resp)
-    } else {
-        encode_payload(resp)
-    }
-}
-
-/// One connection's request/response loop (threads core). Speaks both
-/// protocol versions: the first frame is sniffed for a
-/// [`Request::Hello`]; anything else locks the connection to v1. The
-/// threads core serves strictly one request at a time, so v2 clients
-/// pipelining here get their replies in order — out-of-order
-/// completion is the epoll core's (`crate::event_loop`) territory.
-fn serve_connection(mut stream: TcpStream, shared: &Arc<ServerShared>) {
+/// The threads core's loop: one [`Connection`] over a blocking
+/// socket. Each `Infer` submission runs to completion with
+/// [`Runtime::infer`] and its reply is written before the next runs,
+/// writes block under `write_timeout`, and reads block until the
+/// connection's next deadline, which is then fed back as a tick.
+fn serve_connection(mut stream: TcpStream, mut conn: Connection, shared: &ServerShared) {
+    let _ = stream.set_nodelay(true);
     if stream.set_write_timeout(shared.cfg.write_timeout).is_err() {
         return;
     }
-    // Negotiated protocol version; `None` until the first frame.
-    let mut version: Option<u32> = None;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let wire_version = version.unwrap_or(PROTOCOL_V1);
-        let payload = match read_one_frame(&mut stream, shared) {
-            ConnRead::Frame(p) => p,
-            // Clean close at a frame boundary, or an idle connection
-            // past its welcome: done, quietly.
-            ConnRead::Closed | ConnRead::Idle => return,
-            // Slow-loris: answer once with the typed timeout, hang up.
-            ConnRead::Stalled => {
-                shared.counters.inc_timed_out();
-                let resp = Response::Error {
-                    kind: ErrorKind::Timeout,
-                    message: "connection stalled mid-frame past read_timeout".into(),
-                };
-                let _ = write_frame(
-                    &mut stream,
-                    &frame_response(wire_version, CONNECTION_SCOPED_ID, &resp),
-                );
-                let _ = stream.shutdown(Shutdown::Both);
+    let clock = shared.clock.as_ref();
+    let mut buf = vec![0u8; READ_CHUNK];
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        while let Some(sub) = conn.take_submission() {
+            let result = shared.runtime.infer(&sub.model, &sub.dims, &sub.data);
+            conn.on_completion(sub.id, result, clock.now());
+            if !write_pending(&mut stream, &mut conn, clock) {
                 return;
             }
-            // A bad length prefix desyncs the stream: answer once (the
-            // typed-error contract) and hang up.
-            ConnRead::Protocol(e) => {
-                shared.counters.inc_protocol_errors();
-                let (kind, message) = classify(&e);
-                let _ = write_frame(
-                    &mut stream,
-                    &frame_response(
-                        wire_version,
-                        CONNECTION_SCOPED_ID,
-                        &Response::Error { kind, message },
-                    ),
-                );
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-            ConnRead::Io => return,
-        };
-        // Count this request in-flight *before* checking the drain
-        // flag, so the drain wait can never observe `busy == 0` while
-        // a received frame is slipping into the runtime.
-        shared.busy.fetch_add(1, Ordering::SeqCst);
-        if shared.draining.load(Ordering::SeqCst) {
-            shared.busy.fetch_sub(1, Ordering::SeqCst);
-            // Echo the request id when the frame is well-formed v2, so
-            // a multiplexing client can attribute the refusal.
-            let req_id = if wire_version >= PROTOCOL_V2 {
-                decode_payload_v2::<Request>(&payload)
-                    .map(|(id, _)| id)
-                    .unwrap_or(CONNECTION_SCOPED_ID)
-            } else {
-                CONNECTION_SCOPED_ID
-            };
-            let resp = Response::Error {
-                kind: ErrorKind::Draining,
-                message: "server is draining for shutdown".into(),
-            };
-            let _ = write_frame(&mut stream, &frame_response(wire_version, req_id, &resp));
-            let _ = stream.shutdown(Shutdown::Both);
+        }
+        if !write_pending(&mut stream, &mut conn, clock) {
             return;
         }
-        // Decode under the locked version. Frame boundaries are intact
-        // here, so a garbage *payload* is answered and the connection
-        // keeps serving.
-        let (req_id, decoded) = if wire_version >= PROTOCOL_V2 {
-            match decode_payload_v2::<Request>(&payload) {
-                Ok((id, req)) => (id, Ok(req)),
-                Err(e) => (CONNECTION_SCOPED_ID, Err(e)),
+        match conn.action(clock.now()) {
+            Action::Serve => {}
+            Action::HalfClose => {
+                let _ = stream.shutdown(Shutdown::Write);
             }
-        } else {
-            (CONNECTION_SCOPED_ID, decode_payload::<Request>(&payload))
-        };
-        let mut hangup_after_reply = false;
-        let response = match decoded {
-            Ok(Request::Hello { max_version }) if version.is_none() => {
-                match negotiate_version(max_version) {
-                    Ok(v) => {
-                        version = Some(v);
-                        Response::Hello { version: v }
-                    }
-                    // A version-0 Hello leaves the connection's version
-                    // ambiguous: answer once, hang up.
-                    Err(e) => {
-                        shared.counters.inc_protocol_errors();
-                        hangup_after_reply = true;
-                        let (kind, message) = classify(&e);
-                        Response::Error { kind, message }
-                    }
+            Action::Close => return,
+        }
+        let now = clock.now();
+        let timer = match conn.next_deadline() {
+            None => None,
+            Some(deadline) => match deadline.checked_duration_since(now) {
+                Some(left) if !left.is_zero() => Some(left),
+                _ => {
+                    conn.on_tick(now);
+                    continue;
                 }
-            }
-            Ok(Request::Hello { .. }) => {
-                // Hello after the first frame: a violation, but frame
-                // boundaries are intact — answer and keep serving.
-                shared.counters.inc_protocol_errors();
-                let (kind, message) = classify(&ServeError::Protocol(
-                    "Hello is only valid as a connection's first frame".to_string(),
-                ));
-                Response::Error { kind, message }
-            }
-            Ok(request) => {
-                version.get_or_insert(PROTOCOL_V1);
-                handle_request(shared, request)
-            }
-            Err(e) => {
-                version.get_or_insert(PROTOCOL_V1);
-                shared.counters.inc_protocol_errors();
-                let (kind, message) = classify(&e);
-                Response::Error { kind, message }
-            }
+            },
         };
-        // The handshake reply itself is always v1-framed: the
-        // negotiated version governs *subsequent* frames.
-        let framed = match &response {
-            Response::Hello { .. } => encode_payload(&response),
-            _ => frame_response(version.unwrap_or(PROTOCOL_V1), req_id, &response),
-        };
-        let wrote = write_frame(&mut stream, &framed).is_ok();
-        let was_draining = shared.draining.load(Ordering::SeqCst);
-        // Decrement *after* the reply write: the drain wait holds until
-        // in-flight replies are on the wire, not merely computed.
-        shared.busy.fetch_sub(1, Ordering::SeqCst);
-        if was_draining {
-            if wrote {
-                shared.counters.inc_drained();
-            }
-            let _ = stream.shutdown(Shutdown::Both);
+        if stream.set_read_timeout(timer).is_err() {
             return;
         }
-        if hangup_after_reply {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        if !wrote {
-            return;
+        match stream.read(&mut buf) {
+            Ok(0) => conn.on_eof(clock.now()),
+            Ok(n) => conn.on_bytes(buf.get(..n).unwrap_or_default(), clock.now()),
+            // The read timer lapsed: the deadline may have passed.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                conn.on_tick(clock.now())
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return,
         }
     }
 }
 
-/// Executes one decoded request against the runtime. Blocking for
-/// `Infer` (the threads core's shape); the epoll core submits `Infer`
-/// asynchronously itself and only routes its control requests here.
-pub(crate) fn handle_request(shared: &ServerShared, request: Request) -> Response {
-    let outcome = match request {
-        // The decode already enforced dims/data consistency and size
-        // caps; the session re-validates against the model's expected
-        // image size.
-        Request::Infer { model, dims, data } => shared
-            .runtime
-            .infer(&model, &dims, &data)
-            .map(Response::Logits),
-        Request::ListModels => Ok(Response::Models(
-            shared
-                .runtime
-                .list()
-                .into_iter()
-                .map(|m| WireModelInfo {
-                    id: m.id,
-                    loaded: m.loaded,
-                })
-                .collect(),
-        )),
-        Request::Stats { model } => shared.runtime.stats(&model).map(|s| {
-            Response::Stats(WireStats {
-                submitted: s.submitted,
-                completed: s.completed,
-                failed: s.failed,
-                rejected: s.rejected,
-                batches: s.batches,
-                mean_occupancy: s.mean_occupancy,
-                max_occupancy: s.max_occupancy as u64,
-                p50_latency_ms: s.p50_latency_ms,
-                p99_latency_ms: s.p99_latency_ms,
-            })
-        }),
-        Request::ServerStats => {
-            let s = shared.counters.snapshot();
-            Ok(Response::ServerStats(WireServerStats {
-                accepted: s.accepted,
-                refused: s.refused,
-                timed_out: s.timed_out,
-                protocol_errors: s.protocol_errors,
-                drained: s.drained,
-            }))
+/// Writes every pending reply byte. Returns false when the socket
+/// failed, including a lapsed `write_timeout`.
+fn write_pending(stream: &mut TcpStream, conn: &mut Connection, clock: &dyn Clock) -> bool {
+    loop {
+        let pending = conn.pending();
+        if pending.is_empty() {
+            return true;
         }
-        // Both cores intercept Hello before dispatching here; a stray
-        // one is a protocol violation, answered typed.
-        Request::Hello { .. } => Err(ServeError::Protocol(
-            "Hello is only valid as a connection's first frame".to_string(),
-        )),
-    };
-    outcome.unwrap_or_else(|e| {
-        let (kind, message) = classify(&e);
-        Response::Error { kind, message }
-    })
+        match stream.write(pending) {
+            Ok(0) => return false,
+            Ok(n) => conn.on_written(n, clock.now()),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
 }
