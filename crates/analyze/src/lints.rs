@@ -151,7 +151,6 @@ impl Config {
                         ("crates/bench/src/experiments/fig9.rs", 1),
                         ("crates/bench/src/experiments/fig10.rs", 1),
                         ("crates/bench/src/experiments/table2.rs", 1),
-                        ("crates/bench/src/bin/tuner.rs", 1),
                         // The compiler bench costs the uniform_max
                         // baseline; its tuned bindings come from
                         // `tune_joint`, which reuses the tuner's.

@@ -1,6 +1,7 @@
-//! The compiler pass-pipeline benchmark: joint mapping+width search vs
-//! the fixed 64-row chip, and fused vs unfused step programs, recorded
-//! in `BENCH_compiler.json`.
+//! The compiler pass-pipeline benchmark: the variable-hash-length tuner
+//! against `uniform_max` (all-1024), joint mapping+width search vs the
+//! fixed 64-row chip, and fused vs unfused step programs, recorded in
+//! `BENCH_compiler.json`.
 //!
 //! Usage: `cargo run --release -p deepcam-bench --bin compiler
 //! [--out PATH] [--repeats R] [--force] [--smoke]`
@@ -17,8 +18,15 @@
 //! * tuned widths on the fixed chip (width-only tuning), and
 //! * tuned widths under the searched mapping (the joint optimum).
 //!
+//! The search narrows a layer only when the tuning split shows no
+//! accuracy loss at all; the recorded accuracies come from the
+//! **held-out** split the search never saw, and full runs assert the
+//! held-out drop stays within a 1% budget. Every run asserts the tuned
+//! plan beats `uniform_max` on modeled CAM search energy.
+//!
 //! Separately, the fusion pass's wall-clock effect is measured as the
-//! median full-set evaluation time of the unfused vs fused engine.
+//! median full-set evaluation time of the unfused vs fused engine, next
+//! to an unfused `uniform_max` engine.
 //! **Every reported config is gated bit-identical first**: the fused and
 //! fully-passed models must produce bitwise-equal logits to the no-pass
 //! pipeline on the entire test set before any timing is taken, and the
@@ -27,14 +35,18 @@
 //!
 //! `--smoke` shrinks everything (tiny data, one epoch, temp output) so
 //! CI exercises the full search path on every push; wall-clock ordering
-//! is reported but not asserted there (sub-millisecond noise).
+//! and the held-out drop are reported but not asserted there
+//! (sub-millisecond noise; a few dozen held-out images cannot resolve
+//! 1%).
 
 use std::time::Instant;
 
 use deepcam_bench::guard::{self, median_millis};
 use deepcam_core::passes::{self, Pass};
 use deepcam_core::sched::CamScheduler;
-use deepcam_core::tune::{tune_joint, JointTuneReport, JointTunerConfig, TunerConfig};
+use deepcam_core::tune::{
+    holdout_within, tune_joint, JointTuneReport, JointTunerConfig, TunerConfig,
+};
 use deepcam_core::{
     CompiledModel, Dataflow, DeepCamEngine, EngineConfig, HashPlan, LayerIr, PerfReport,
 };
@@ -45,10 +57,18 @@ use deepcam_models::Cnn;
 use deepcam_tensor::rng::seeded_rng;
 use deepcam_tensor::{Parallelism, Shape, Tensor};
 
+/// Held-out accuracy budget (absolute top-1) a full run enforces.
+const MAX_DROP: f32 = 0.01;
+
 struct WorkloadResult {
     workload: String,
     dot_layers: usize,
     plan: Vec<usize>,
+    mean_hash_len: f64,
+    evaluations: usize,
+    acc_max: f32,
+    acc_tuned: f32,
+    holdout_within_budget: bool,
     arrays: usize,
     mapping_rows: Vec<usize>,
     mapping_dataflows: Vec<&'static str>,
@@ -58,20 +78,12 @@ struct WorkloadResult {
     cycles_max_fixed: u64,
     cycles_tuned_fixed: u64,
     cycles_tuned_mapped: u64,
+    total_energy_max_fixed: f64,
+    total_energy_tuned_fixed: f64,
+    total_energy_tuned_mapped: f64,
+    wall_ms_max: f64,
     wall_ms_unfused: f64,
     wall_ms_fused: f64,
-}
-
-fn subset(images: &Tensor, labels: &[usize], count: usize) -> (Tensor, Vec<usize>) {
-    let n = labels.len().min(count);
-    let sample: usize = images.shape().dims()[1..].iter().product();
-    let mut dims = vec![n];
-    dims.extend_from_slice(&images.shape().dims()[1..]);
-    (
-        Tensor::from_vec(images.data()[..n * sample].to_vec(), Shape::new(&dims))
-            .expect("subset volume consistent"),
-        labels[..n].to_vec(),
-    )
 }
 
 /// Full-set logits in evaluation-sized chunks (bounds im2col memory the
@@ -116,7 +128,7 @@ fn run_workload(
         seed: 7,
     };
     train(&mut model, train_set.images(), train_set.labels(), &tc).expect("training succeeds");
-    let (calib_x, _) = subset(train_set.images(), train_set.labels(), 32);
+    let (calib_x, _) = train_set.batch(&(0..32.min(train_set.len())).collect::<Vec<_>>());
     let calibration = use_calibration.then_some(&calib_x);
 
     // Single-thread engines keep the wall-clock numbers comparable and
@@ -125,6 +137,9 @@ fn run_workload(
         parallelism: Parallelism::Serial,
         ..EngineConfig::default()
     };
+    // Zero-drop acceptance: the tuning split accepts a width only with
+    // no measurable loss, which absorbs the ~±1% sampling error between
+    // it and the held-out split the budget is checked on.
     let joint: JointTuneReport = tune_joint(
         &model,
         test_set.images(),
@@ -145,6 +160,15 @@ fn run_workload(
     println!(
         "tuned plan {plan:?} (mean k {:.0}) in {} evaluations",
         joint.tune.mean_hash_len, joint.tune.evaluations
+    );
+    println!(
+        "holdout accuracy: uniform_max {:.3}, tuned {:.3}",
+        joint.tune.holdout_reference, joint.tune.holdout_tuned
+    );
+    let holdout_within_budget = holdout_within(
+        MAX_DROP,
+        joint.tune.holdout_reference,
+        joint.tune.holdout_tuned,
     );
     let rows: Vec<usize> = joint.mapping.per_layer.iter().map(|lm| lm.rows).collect();
     let dataflows: Vec<&'static str> = joint
@@ -179,9 +203,13 @@ fn run_workload(
         100.0 * (1.0 - joint.mapped.energy.cam_search / joint.fixed.energy.cam_search)
     );
 
-    // The headline claim this benchmark exists to check: co-optimizing
-    // mapping and widths strictly dominates width-only tuning on modeled
-    // CAM search energy.
+    // The headline claims this benchmark exists to check: tuned widths
+    // save CAM search energy over uniform_max, and co-optimizing mapping
+    // and widths strictly dominates width-only tuning.
+    assert!(
+        joint.fixed.energy.cam_search < perf_max.energy.cam_search,
+        "{name}: tuned plan does not save CAM search energy"
+    );
     assert!(
         joint.mapped.energy.cam_search < joint.fixed.energy.cam_search,
         "{name}: joint search does not beat the fixed 64-row mapping"
@@ -243,11 +271,30 @@ fn run_workload(
         "full-set eval: unfused {wall_unfused:.1} ms, fused {wall_fused:.1} ms ({:.3}x)",
         wall_unfused / wall_fused
     );
+    // The width baseline: an unfused uniform_max engine, calibrated and
+    // timed like the tuned one above.
+    let max_cfg = EngineConfig {
+        plan: max_plan,
+        ..base.clone()
+    };
+    let mut max_engine = DeepCamEngine::compile(&model, max_cfg).expect("compiles");
+    if let Some(calib) = calibration {
+        max_engine
+            .calibrate_bn(calib)
+            .expect("calibration succeeds");
+    }
+    let wall_max = time_eval(&max_engine);
+    println!("full-set eval: uniform_max {wall_max:.1} ms, tuned (unfused) {wall_unfused:.1} ms");
 
     WorkloadResult {
         workload: name.to_string(),
         dot_layers: ir.len(),
         plan,
+        mean_hash_len: joint.tune.mean_hash_len,
+        evaluations: joint.tune.evaluations,
+        acc_max: joint.tune.holdout_reference,
+        acc_tuned: joint.tune.holdout_tuned,
+        holdout_within_budget,
         arrays: joint.mapping.arrays,
         mapping_rows: rows,
         mapping_dataflows: dataflows,
@@ -257,6 +304,10 @@ fn run_workload(
         cycles_max_fixed: perf_max.total_cycles,
         cycles_tuned_fixed: joint.fixed.total_cycles,
         cycles_tuned_mapped: joint.mapped.total_cycles,
+        total_energy_max_fixed: perf_max.total_energy_j,
+        total_energy_tuned_fixed: joint.fixed.total_energy_j,
+        total_energy_tuned_mapped: joint.mapped.total_energy_j,
+        wall_ms_max: wall_max,
         wall_ms_unfused: wall_unfused,
         wall_ms_fused: wall_fused,
     }
@@ -334,19 +385,35 @@ fn main() {
         ));
     }
 
-    // Fusion's acceptance gate: at least one workload must show a
-    // measured wall-clock win (full runs only — smoke timings are
-    // sub-millisecond noise).
+    // Full-run acceptance gates: at least one workload must show a
+    // measured fusion wall-clock win, and every held-out drop must stay
+    // within the budget. Smoke timings are sub-millisecond noise and
+    // smoke holdout splits cannot resolve 1%, so neither is asserted
+    // there.
     let fusion_wins = results
         .iter()
         .filter(|r| r.wall_ms_fused < r.wall_ms_unfused)
         .count();
+    for r in results.iter().filter(|r| !r.holdout_within_budget) {
+        println!(
+            "WARNING: {}: held-out accuracy drop {:.4} exceeds the {MAX_DROP} budget",
+            r.workload,
+            r.acc_max - r.acc_tuned
+        );
+    }
     if smoke {
-        println!("smoke mode: fusion wall-clock ordering not asserted ({fusion_wins}/2 faster)");
+        println!(
+            "smoke mode: fusion wall-clock ordering ({fusion_wins}/2 faster) and the \
+             held-out budget not asserted"
+        );
     } else {
         assert!(
             fusion_wins >= 1,
             "fusion pass shows no eval wall-clock improvement on any workload"
+        );
+        assert!(
+            results.iter().all(|r| r.holdout_within_budget),
+            "held-out accuracy drop exceeds {MAX_DROP}"
         );
     }
 
@@ -355,14 +422,16 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(
-        "  \"experiment\": \"compiler pass pipeline: joint array-mapping + hash-width search \
-         vs the fixed 64-row AS chip on modeled CAM search energy/cycles, and fused vs \
-         unfused step programs on full-set evaluation wall-clock (all configs gated \
-         bit-identical to the no-pass pipeline first)\",\n",
+        "  \"experiment\": \"compiler pass pipeline: auto-tuned variable hash lengths vs \
+         uniform_max on held-out accuracy, joint array-mapping + hash-width search vs the \
+         fixed 64-row AS chip on modeled CAM search energy/cycles, and fused vs unfused \
+         step programs on full-set evaluation wall-clock (all configs gated bit-identical \
+         to the no-pass pipeline first)\",\n",
     );
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str(&format!("  \"repeats\": {repeats},\n"));
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
+    json.push_str(&format!("  \"max_drop\": {MAX_DROP},\n"));
     json.push_str("  \"workloads\": [\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
@@ -375,17 +444,28 @@ fn main() {
             .collect();
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"dot_layers\": {}, \"plan\": [{}], \
+             \"mean_hash_len\": {:.1}, \"evaluations\": {}, \
+             \"accuracy\": {{\"uniform_max\": {:.4}, \"tuned\": {:.4}, \"drop\": {:.4}, \
+             \"holdout_within_budget\": {}}}, \
              \"mapping\": {{\"arrays\": {}, \"rows\": [{}], \"dataflows\": [{}]}}, \
              \"cam_search_energy_j\": {{\"uniform_max_fixed64\": {:.6e}, \
              \"tuned_fixed64\": {:.6e}, \"tuned_mapped\": {:.6e}, \
              \"joint_vs_width_only_saving_pct\": {:.1}}}, \
              \"total_cycles\": {{\"uniform_max_fixed64\": {}, \"tuned_fixed64\": {}, \
              \"tuned_mapped\": {}}}, \
-             \"eval_wall_ms\": {{\"unfused\": {:.2}, \"fused\": {:.2}, \
-             \"speedup\": {:.3}}}, \"bit_identical\": true}}{comma}\n",
+             \"total_energy_j\": {{\"uniform_max_fixed64\": {:.6e}, \
+             \"tuned_fixed64\": {:.6e}, \"tuned_mapped\": {:.6e}}}, \
+             \"eval_wall_ms\": {{\"uniform_max\": {:.2}, \"unfused\": {:.2}, \
+             \"fused\": {:.2}, \"speedup\": {:.3}}}, \"bit_identical\": true}}{comma}\n",
             r.workload,
             r.dot_layers,
             plan.join(", "),
+            r.mean_hash_len,
+            r.evaluations,
+            r.acc_max,
+            r.acc_tuned,
+            r.acc_max - r.acc_tuned,
+            r.holdout_within_budget,
             r.arrays,
             rows.join(", "),
             dfs.join(", "),
@@ -396,6 +476,10 @@ fn main() {
             r.cycles_max_fixed,
             r.cycles_tuned_fixed,
             r.cycles_tuned_mapped,
+            r.total_energy_max_fixed,
+            r.total_energy_tuned_fixed,
+            r.total_energy_tuned_mapped,
+            r.wall_ms_max,
             r.wall_ms_unfused,
             r.wall_ms_fused,
             r.wall_ms_unfused / r.wall_ms_fused,

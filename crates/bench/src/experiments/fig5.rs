@@ -6,14 +6,14 @@
 //! PyTorch models on MNIST/CIFAR. The measured quantity — how DC
 //! accuracy degrades as hash length shrinks, per layer — is preserved.
 
-use deepcam_core::analysis::search_variable_plan_calibrated;
+use deepcam_core::tune::{tune, SearchStrategy, TunerConfig};
 use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_data::synth::{generate, SynthConfig};
 use deepcam_models::scaled::{scaled_lenet5, scaled_resnet18, scaled_vgg11, scaled_vgg16};
 use deepcam_models::train::{evaluate, train, TrainConfig};
 use deepcam_models::Cnn;
 use deepcam_tensor::rng::seeded_rng;
-use deepcam_tensor::{Parallelism, Tensor};
+use deepcam_tensor::Parallelism;
 
 /// Result row for one workload.
 #[derive(Debug, Clone)]
@@ -88,21 +88,6 @@ impl Fig5Config {
     }
 }
 
-fn subset(images: &Tensor, labels: &[usize], count: usize) -> (Tensor, Vec<usize>) {
-    let n = labels.len().min(count);
-    let sample: usize = images.shape().dims()[1..].iter().product();
-    let mut dims = vec![n];
-    dims.extend_from_slice(&images.shape().dims()[1..]);
-    (
-        Tensor::from_vec(
-            images.data()[..n * sample].to_vec(),
-            deepcam_tensor::Shape::new(&dims),
-        )
-        .expect("subset volume consistent"),
-        labels[..n].to_vec(),
-    )
-}
-
 fn run_workload(name: &str, mut model: Cnn, data_cfg: &SynthConfig, cfg: &Fig5Config) -> Fig5Row {
     let (train_set, test_set) = generate(data_cfg);
     let tc = TrainConfig {
@@ -114,10 +99,11 @@ fn run_workload(name: &str, mut model: Cnn, data_cfg: &SynthConfig, cfg: &Fig5Co
         seed: 7,
     };
     train(&mut model, train_set.images(), train_set.labels(), &tc).expect("training succeeds");
-    let (eval_x, eval_y) = subset(test_set.images(), test_set.labels(), cfg.eval_images);
+    let n_eval = cfg.eval_images.min(test_set.len());
+    let (eval_x, eval_y) = test_set.batch(&(0..n_eval).collect::<Vec<_>>());
     let baseline_acc = evaluate(&mut model, &eval_x, &eval_y, 16).expect("evaluation succeeds");
     // BN calibration set: training images, never test data.
-    let (calib_x, _) = subset(train_set.images(), train_set.labels(), 32);
+    let (calib_x, _) = train_set.batch(&(0..32.min(train_set.len())).collect::<Vec<_>>());
 
     let mut uniform = Vec::new();
     for &k in &cfg.hash_lengths {
@@ -137,25 +123,27 @@ fn run_workload(name: &str, mut model: Cnn, data_cfg: &SynthConfig, cfg: &Fig5Co
         uniform.push((k, acc));
     }
 
-    let (search_x, search_y) = subset(test_set.images(), test_set.labels(), cfg.search_images);
-    let search = search_variable_plan_calibrated(
+    // The greedy search sees only the first `search_images` evaluation
+    // images (the tuning split); the rest are its held-out split.
+    let search = tune(
         &model,
-        &search_x,
-        &search_y,
+        &eval_x,
+        &eval_y,
         &EngineConfig::default(),
-        cfg.tolerance,
-        16,
         Some(&calib_x),
+        &TunerConfig {
+            max_drop: cfg.tolerance,
+            batch_size: 16,
+            tune_fraction: cfg.search_images as f32 / n_eval as f32,
+            strategy: SearchStrategy::GreedyAscending,
+        },
     )
     .expect("vhl search succeeds");
-    let variable_plan = match &search.plan {
-        HashPlan::PerLayer(ks) => ks.clone(),
-        HashPlan::Uniform(k) => vec![*k],
-    };
+    let variable_plan = search.binding.ks().to_vec();
     let mut engine = DeepCamEngine::compile(
         &model,
         EngineConfig {
-            plan: search.plan.clone(),
+            plan: search.plan,
             parallelism: cfg.parallelism,
             ..EngineConfig::default()
         },

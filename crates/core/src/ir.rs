@@ -701,8 +701,7 @@ pub const ARTIFACT_MAGIC: [u8; 4] = *b"DCAM";
 /// * **1** — config, IR, binding, steps.
 /// * **2** — adds the optional [`ModelMapping`] section after the steps
 ///   and the fused step tag (pass-pipeline PR). Version-aware load keeps
-///   v1 artifacts readable; [`CompiledModel::to_bytes_v1`] writes the
-///   old layout for models no pass has touched.
+///   v1 artifacts readable (`tests/data/lenet5_v1.dcam` pins one).
 pub const ARTIFACT_VERSION: u32 = 2;
 /// Oldest artifact format version [`CompiledModel::from_bytes`] accepts.
 pub const ARTIFACT_MIN_VERSION: u32 = 1;
@@ -1015,43 +1014,6 @@ impl CompiledModel {
         self.steps.encode(&mut w);
         self.mapping.encode(&mut w);
         w.into_bytes()
-    }
-
-    /// Serializes to the legacy v1 artifact layout, for deployments that
-    /// still run a pre-pass-pipeline reader.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Artifact`] when the model carries state the
-    /// v1 format cannot express — a mapping, or any fused step.
-    pub fn to_bytes_v1(&self) -> Result<Vec<u8>> {
-        fn has_fused(steps: &[CompiledStep]) -> bool {
-            steps.iter().any(|s| match s {
-                CompiledStep::Fused { .. } => true,
-                CompiledStep::Residual { body, shortcut } => {
-                    has_fused(body) || shortcut.as_deref().is_some_and(has_fused)
-                }
-                _ => false,
-            })
-        }
-        if self.mapping.is_some() {
-            return Err(CoreError::Artifact(
-                "model carries an array mapping; the v1 format cannot express it".to_string(),
-            ));
-        }
-        if has_fused(&self.steps) {
-            return Err(CoreError::Artifact(
-                "model carries fused steps; the v1 format cannot express them".to_string(),
-            ));
-        }
-        let mut w = Writer::new();
-        w.put_raw(&ARTIFACT_MAGIC);
-        w.put_u32(1);
-        self.config.encode(&mut w);
-        self.ir.encode(&mut w);
-        self.binding.encode(&mut w);
-        self.steps.encode(&mut w);
-        Ok(w.into_bytes())
     }
 
     /// Deserializes and validates an artifact.
@@ -1452,56 +1414,15 @@ mod tests {
 
     #[test]
     fn v1_artifact_loads_with_no_mapping() {
-        let mut rng = seeded_rng(9);
-        let model = scaled_lenet5(&mut rng, 10);
-        let compiled = CompiledModel::compile(
-            &model,
-            EngineConfig {
-                plan: HashPlan::Uniform(512),
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        let v1 = compiled.to_bytes_v1().unwrap();
+        // A v1 artifact decodes with no mapping and re-saves as the
+        // current version without changing value.
+        let v1 = include_bytes!("../../../tests/data/lenet5_v1.dcam");
         assert_eq!(&v1[4..8], &1u32.to_le_bytes());
-        let restored = CompiledModel::from_bytes(&v1).unwrap();
-        assert_eq!(compiled, restored);
+        let restored = CompiledModel::from_bytes(v1).unwrap();
         assert!(restored.mapping.is_none());
-    }
-
-    #[test]
-    fn v1_writer_refuses_mapped_and_fused_models() {
-        use crate::passes::mapping::ModelMapping;
-        use crate::Dataflow;
-        let mut rng = seeded_rng(10);
-        let model = scaled_lenet5(&mut rng, 10);
-        let compiled = CompiledModel::compile(
-            &model,
-            EngineConfig {
-                plan: HashPlan::Uniform(256),
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-
-        let mut mapped = compiled.clone();
-        mapped.mapping = Some(ModelMapping::fixed(
-            64,
-            Dataflow::ActivationStationary,
-            mapped.dot_layers(),
-        ));
-        mapped.validate().unwrap();
-        assert!(matches!(
-            mapped.to_bytes_v1(),
-            Err(CoreError::Artifact(msg)) if msg.contains("mapping")
-        ));
-
-        let mut fused = compiled;
-        crate::passes::fuse::run(&mut fused);
-        assert!(matches!(
-            fused.to_bytes_v1(),
-            Err(CoreError::Artifact(msg)) if msg.contains("fused")
-        ));
+        let v2 = restored.to_bytes();
+        assert_eq!(&v2[4..8], &ARTIFACT_VERSION.to_le_bytes());
+        assert_eq!(CompiledModel::from_bytes(&v2).unwrap(), restored);
     }
 
     #[test]

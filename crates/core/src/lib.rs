@@ -36,7 +36,6 @@
 // unsafe code, and the compiler now enforces that it never grows any.
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod ctxgen;
 pub mod dataflow;
 pub mod engine;

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = scaled_lenet5(&mut rng, 10);
 
     // Stage 1+2: lower and bind a variable plan (shape-driven here; see
-    // the `tuner` bench binary for the accuracy-driven search).
+    // the `compiler` bench binary for the accuracy-driven search).
     let ir = LayerIr::from_cnn(&model)?;
     let plan = HashPlan::variable_for_dims(&ir.patch_lens());
     let binding = plan.bind(&ir)?;

@@ -175,9 +175,14 @@ fn passed_models_roundtrip_with_mapping_and_fused_steps() {
 
 #[test]
 fn v1_artifacts_still_load() {
-    // Pre-mapping artifacts (version 1) must keep loading: the v1
-    // writer emits the exact historical layout, and the version-aware
-    // reader fills the new fields with their pre-change defaults.
+    // Pre-mapping artifacts (version 1) must keep loading: the fixture
+    // was written by the historical v1 writer from this exact model and
+    // config, and the version-aware reader fills the new fields with
+    // their pre-change defaults.
+    let v1 = include_bytes!("data/lenet5_v1.dcam");
+    assert_eq!(&v1[4..8], &1u32.to_le_bytes(), "fixture must be version 1");
+    let loaded = CompiledModel::from_bytes(v1).expect("v1 loads");
+    assert_eq!(loaded.mapping, None);
     let mut rng = seeded_rng(7);
     let model = scaled_lenet5(&mut rng, 10);
     let cfg = EngineConfig {
@@ -185,16 +190,6 @@ fn v1_artifacts_still_load() {
         ..EngineConfig::default()
     };
     let compiled = CompiledModel::compile(&model, cfg).expect("compiles");
-    let v1 = compiled
-        .to_bytes_v1()
-        .expect("unmapped models export as v1");
-    assert_eq!(
-        &v1[4..8],
-        &1u32.to_le_bytes(),
-        "v1 writer must stamp version 1"
-    );
-    let loaded = CompiledModel::from_bytes(&v1).expect("v1 loads");
-    assert_eq!(loaded.mapping, None);
     assert_eq!(compiled, loaded);
     let x = batch_for(&model, 2, 23);
     assert_eq!(
@@ -209,23 +204,6 @@ fn v1_artifacts_still_load() {
             .unwrap()
             .data()
     );
-}
-
-#[test]
-fn v1_writer_refuses_what_v1_cannot_express() {
-    use deepcam::accel::passes;
-    let mut rng = seeded_rng(8);
-    let model = scaled_lenet5(&mut rng, 10);
-    let cfg = EngineConfig {
-        plan: HashPlan::Uniform(256),
-        ..EngineConfig::default()
-    };
-    let mut compiled = CompiledModel::compile(&model, cfg).expect("compiles");
-    passes::apply(&mut compiled, &passes::default_passes()).expect("passes");
-    assert!(matches!(
-        compiled.to_bytes_v1(),
-        Err(CoreError::Artifact(_))
-    ));
 }
 
 fn plan_strategy(layers: usize) -> impl Strategy<Value = Vec<usize>> {

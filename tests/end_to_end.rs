@@ -1,6 +1,7 @@
 //! End-to-end integration: synthetic data → trained CNN → DeepCAM
 //! compilation → CAM-based inference, across crates.
 
+use deepcam::accel::tune::{tune, SearchStrategy, TunerConfig};
 use deepcam::accel::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam::data::synth::{generate, SynthConfig};
 use deepcam::models::scaled::{scaled_lenet5, scaled_vgg11};
@@ -117,14 +118,20 @@ fn variable_plan_search_integrates_with_training() {
         &quick_train_cfg(),
     )
     .expect("training runs");
-    let (x, y) = test_set.batch(&(0..20).collect::<Vec<_>>());
-    let result = deepcam::accel::analysis::search_variable_plan(
+    // The first 20 images are the tuning split, the last 20 held out.
+    let (x, y) = test_set.batch(&(0..40).collect::<Vec<_>>());
+    let result = tune(
         &model,
         &x,
         &y,
         &EngineConfig::default(),
-        0.05,
-        20,
+        None,
+        &TunerConfig {
+            max_drop: 0.05,
+            batch_size: 20,
+            tune_fraction: 0.5,
+            strategy: SearchStrategy::GreedyAscending,
+        },
     )
     .expect("search runs");
     match result.plan {
@@ -134,5 +141,5 @@ fn variable_plan_search_integrates_with_training() {
         }
         _ => panic!("expected a per-layer plan"),
     }
-    assert!(result.final_accuracy + 0.05 >= result.reference_accuracy);
+    assert!(result.tuned_accuracy + 0.05 >= result.reference_accuracy);
 }
