@@ -13,10 +13,13 @@
 //!    projection (the on-chip crossbar; optional device noise) — read
 //!    straight from the NCHW input, skipping zero taps, without
 //!    materialising the im2col matrix,
-//! 2. Hamming-compare against the stored kernel contexts — functionally
-//!    what the CAM array does in parallel,
-//! 3. reconstruct each output as
-//!    `‖a‖·‖w‖·cos(π·HD/k)` with eq. 5 cosine and minifloat norms,
+//! 2. Hamming-compare a 64-patch block of hashes against all stored
+//!    kernel contexts in one tile — functionally what the CAM array does
+//!    in parallel, one search per patch,
+//! 3. reconstruct each output as `‖a‖·‖w‖·cos(π·HD/k)` with eq. 5 cosine
+//!    and minifloat norms, add the bias and any folded batch-norm/ReLU,
+//!    and write it straight into its `[N, M, OH, OW]` slot — no staging
+//!    buffer, no permute pass,
 //! 4. run ReLU/pool/batch-norm/bias exactly (digital post-processing).
 //!
 //! The result is the "DC" accuracy of the paper's Fig. 5, directly
@@ -795,19 +798,32 @@ fn run_step(
     }
 }
 
+/// The per-channel output chain of a dot step: `+ bias`, then — when
+/// the fusion pass folded them in — batch-norm and ReLU.
+pub(crate) struct Epilogue<'a> {
+    /// Per-kernel bias.
+    pub(crate) bias: &'a [f32],
+    /// Folded batch-norm with `1/√(var+ε)` hoisted per channel — the
+    /// same value the standalone BN step computes once per (image,
+    /// channel).
+    pub(crate) bn: Option<(&'a BnParams, Vec<f32>)>,
+    /// Folded ReLU.
+    pub(crate) relu: bool,
+}
+
 /// The shared dot-layer body behind the `Conv`, `Linear` and `Fused`
 /// step arms: CAM dot-products, then bias — and, when the fusion pass
-/// folded them in, batch-norm and ReLU — applied in the *same* single
-/// pass over the output activations.
+/// folded them in, batch-norm and ReLU — applied as each output element
+/// is written into the `[N, M, OH, OW]` (or, for linear steps, the
+/// `[N, M]`) output.
 ///
 /// Bit-exactness contract: with `bn = None, relu = false` this is the
-/// historical Conv/Linear arm verbatim (same expressions, same
-/// per-element order). With folded peripherals, each output element
-/// evaluates `bias → gamma·(v−mean)·inv + beta → max(v, 0)` — exactly
-/// the element-wise chain the unfused `Bn`/`Relu` steps apply in later
-/// passes, element order preserved — so fused logits equal unfused
-/// logits bitwise (`tests/passes_invariance.rs` pins this across the
-/// zoo).
+/// historical Conv/Linear arm (same expressions, same per-element
+/// order). With folded peripherals, each output element evaluates
+/// `bias → gamma·(v−mean)·inv + beta → max(v, 0)` — exactly the
+/// element-wise chain the unfused `Bn`/`Relu` steps apply in later
+/// passes — so fused logits equal unfused logits bitwise
+/// (`tests/passes_invariance.rs` pins this across the zoo).
 #[allow(clippy::too_many_arguments)]
 // analyze: allow(determinism, "opt-in profiler timestamps only; the computed values never depend on the clock")
 fn run_dot_fused(
@@ -826,55 +842,32 @@ fn run_dot_fused(
     let timer = crate::profile::enabled().then(std::time::Instant::now);
     let m = tile.kernels();
     let rt = &tiles[tile.layer_idx];
-    let out = match conv {
+    let epi = Epilogue {
+        bias,
+        bn: bn.map(|p| {
+            (
+                p,
+                p.var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect(),
+            )
+        }),
+        relu,
+    };
+    // Each image contributes P = OH*OW patch rows (P = 1 for a linear
+    // step), so the global patch-row offset of this chunk is
+    // img_offset * P.
+    let (src, dims, p) = match conv {
         Some(conv_cfg) => {
             let src = PatchSource::conv(x, conv_cfg).map_err(|e| {
                 CoreError::InvalidInput(format!("dot layer {}: {e}", tile.layer_idx))
             })?;
-            check_width(tile, src.width())?;
             // `PatchSource::conv` checked the NCHW rank and that the
             // kernel fits.
             let (n_batch, _, h, w) = x.shape().as_nchw().expect("checked NCHW");
             let (oh, ow) = conv_cfg.output_hw(h, w);
-            // Only the frozen reference datapath still materialises the
-            // [N*P, n] im2col matrix.
-            let staged = (path == DotPath::Reference)
-                .then(|| im2col_sharded(x, conv_cfg, dot_workers))
-                .transpose()?;
-            let src = staged
-                .as_ref()
-                .map_or(src, |patches| PatchSource::rows(patches.data(), tile.n));
-            // Every image contributes OH*OW patch rows, so the global
-            // patch-row offset of this chunk is img_offset * P.
-            let p = oh * ow;
-            let out2d = dot_rows(&src, tile, rt, cfg, img_offset * p, dot_workers, path);
-            // `1/√(var+ε)` is hoisted per channel — the same value the
-            // standalone BN step computes once per (image, channel).
-            let inv: Option<Vec<f32>> =
-                bn.map(|p| p.var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect());
-            // Permute [N*P, M] -> [N, M, OH, OW], adding bias and any
-            // folded peripherals in the same pass.
-            let mut out = vec![0.0f32; n_batch * m * p];
-            for ni in 0..n_batch {
-                for pi in 0..p {
-                    let row = (ni * p + pi) * m;
-                    for (mi, &b) in bias.iter().enumerate() {
-                        let mut v = out2d[row + mi] + b;
-                        if let (Some(p), Some(inv)) = (bn, inv.as_deref()) {
-                            v = p.gamma[mi] * (v - p.mean[mi]) * inv[mi] + p.beta[mi];
-                        }
-                        if relu {
-                            v = v.max(0.0);
-                        }
-                        out[(ni * m + mi) * p + pi] = v;
-                    }
-                }
-            }
-            Tensor::from_vec(out, Shape::new(&[n_batch, m, oh, ow]))?
+            (src, vec![n_batch, m, oh, ow], oh * ow)
         }
         None => {
-            // One patch row per image: the row offset is img_offset.
-            // (Linear-sourced steps never fold BN — see the fusion pass.)
+            // Linear-sourced steps never fold BN — see the fusion pass.
             debug_assert!(bn.is_none(), "BN folds only into conv-sourced steps");
             if x.shape().rank() != 2 {
                 return Err(CoreError::InvalidInput(format!(
@@ -883,22 +876,34 @@ fn run_dot_fused(
                     x.shape()
                 )));
             }
-            check_width(tile, x.shape().dim(1))?;
-            let n_batch = x.shape().dim(0);
-            let src = PatchSource::rows(x.data(), tile.n);
-            let mut out = dot_rows(&src, tile, rt, cfg, img_offset, dot_workers, path);
-            for ni in 0..n_batch {
-                for (mi, &b) in bias.iter().enumerate() {
-                    let v = &mut out[ni * m + mi];
-                    *v += b;
-                    if relu {
-                        *v = v.max(0.0);
-                    }
-                }
-            }
-            Tensor::from_vec(out, Shape::new(&[n_batch, m]))?
+            let src = PatchSource::rows(x.data(), x.shape().dim(1));
+            (src, vec![x.shape().dim(0), m], 1)
         }
     };
+    check_width(tile, src.width())?;
+    let row_offset = img_offset * p;
+    let out = match path {
+        DotPath::Fast => dot_rows(&src, tile, rt, cfg, &epi, p, row_offset, dot_workers),
+        DotPath::Reference => {
+            // Only the frozen reference datapath still materialises the
+            // [N*P, n] im2col matrix.
+            let staged = conv
+                .map(|c| im2col_sharded(x, c, dot_workers))
+                .transpose()?;
+            crate::reference::dot_layer(
+                staged.as_ref().map_or(x.data(), Tensor::data),
+                tile,
+                &rt.proj,
+                rt.weights(tile),
+                cfg,
+                &epi,
+                p,
+                row_offset,
+                dot_workers,
+            )
+        }
+    };
+    let out = Tensor::from_vec(out, Shape::new(&dims))?;
     if let Some(start) = timer {
         crate::profile::record(crate::profile::DotSample {
             layer_idx: tile.layer_idx,
@@ -1050,71 +1055,110 @@ fn calibrate_steps(
     Ok(cur)
 }
 
+/// Patch rows per blocked sub-block: the projected activations stay
+/// cache-resident between the projection that produces them and the
+/// sign/Hamming stage that consumes them (64 rows × k floats ≈ 64 KB at
+/// k = 256, vs streaming a whole layer's projection through memory).
+const SUB_ROWS: usize = 64;
+
 /// The heart of the engine: approximate dot-products of every patch row
 /// of `src` against every stored kernel context, via hashing and Hamming
-/// distance. Returns a flat `[R * M]` buffer.
+/// distance, finished by `epi` and written straight into the
+/// `[N, M, P]` output it returns (`P` patch rows per image; `P = 1` for
+/// a linear step).
 ///
 /// `row_offset` is the global patch-row index of row 0 (used only to
 /// seed the per-patch crossbar noise, making disturbances a pure
 /// function of the patch's position in the full set); `workers` shards
-/// the row range across the pool. Every output element is computed by
-/// the identical scalar pipeline regardless of sharding, so results are
-/// bit-identical for every worker count — and the `Reference` path is
-/// bit-identical to the `Fast` one (`tests/hotpath_reference.rs`).
+/// the row range across the pool. Each worker owns the disjoint
+/// segments of every `(image, channel)` plane its rows cover, split off
+/// the output with `split_at_mut`. Every output element is computed by
+/// the identical pipeline regardless of sharding, so results are
+/// bit-identical for every worker count — and to the frozen reference
+/// datapath (`tests/hotpath_reference.rs`).
+#[allow(clippy::too_many_arguments)]
 fn dot_rows(
     src: &PatchSource<'_>,
     ct: &CompiledTile,
     rt: &RuntimeTile,
     engine_cfg: &EngineConfig,
+    epi: &Epilogue<'_>,
+    p: usize,
     row_offset: usize,
     workers: usize,
-    path: DotPath,
 ) -> Vec<f32> {
     let r = src.len();
     let m = ct.kernels();
     let mut out = vec![0.0f32; r * m];
-    let workers = workers.clamp(1, r.max(1));
-    let range = |row_start: usize, chunk: &mut [f32]| match path {
-        DotPath::Fast => dot_rows_range(src, ct, rt, engine_cfg, row_offset, row_start, chunk),
-        DotPath::Reference => crate::reference::dot_rows_range(
-            src.materialized()
-                .expect("the reference path projects staged im2col rows"),
-            ct.n,
-            &rt.proj,
-            rt.weights(ct),
-            ct.k,
-            ct.layer_idx,
-            engine_cfg,
-            row_offset,
-            row_start,
-            chunk,
-        ),
+    let ranges = split_ranges(r, workers);
+    let mut shares = plane_segments(&mut out, m, p, &ranges);
+    let run = |rows: &std::ops::Range<usize>, segs: &mut [&mut [f32]]| {
+        dot_rows_range(src, ct, rt, engine_cfg, epi, p, row_offset, rows, segs)
     };
-    if workers <= 1 {
-        range(0, &mut out);
+    if ranges.len() <= 1 {
+        // One range (none for an empty batch) runs on the calling thread.
+        for (rows, segs) in ranges.iter().zip(&mut shares) {
+            run(rows, segs);
+        }
     } else {
-        let chunk_rows = r.div_ceil(workers);
-        ThreadPool::global().run_chunks_mut(&mut out, chunk_rows * m, |ci, chunk| {
-            range(ci * chunk_rows, chunk);
+        ThreadPool::global().scope(|s| {
+            for (rows, segs) in ranges.iter().zip(&mut shares) {
+                let run = &run;
+                s.spawn(move || run(rows, segs));
+            }
         });
     }
+    // The segments borrow `out`; release them before handing it back.
+    drop(shares);
     out
 }
 
-/// Hashes patch rows `row_start..row_start + out.len() / M` and fills
-/// their output slice. This single function serves both the serial and
-/// every sharded configuration of [`dot_rows`].
+/// Splits the `[N, M, P]` output among the row `ranges` (contiguous and
+/// ascending, covering `0..N·P`): range `i` gets, for every image its
+/// rows touch and every channel, the run of that `(image, channel)`
+/// plane its rows cover — disjoint `&mut` segments in (image, channel)
+/// order.
+fn plane_segments<'o>(
+    out: &'o mut [f32],
+    m: usize,
+    p: usize,
+    ranges: &[std::ops::Range<usize>],
+) -> Vec<Vec<&'o mut [f32]>> {
+    let mut shares: Vec<Vec<&mut [f32]>> = ranges.iter().map(|_| Vec::new()).collect();
+    for (plane_idx, mut plane) in out.chunks_mut(p.max(1)).enumerate() {
+        let lo = plane_idx / m * p;
+        for (rows, share) in ranges.iter().zip(&mut shares) {
+            let len = rows.end.min(lo + p).saturating_sub(rows.start.max(lo));
+            if len > 0 {
+                let (head, tail) = std::mem::take(&mut plane).split_at_mut(len);
+                share.push(head);
+                plane = tail;
+            }
+        }
+    }
+    shares
+}
+
+/// Hashes patch rows `rows` and writes their outputs into `segs`, this
+/// range's share of the output from [`plane_segments`]. This single
+/// function serves both the serial and every sharded configuration of
+/// [`dot_rows`].
 ///
-/// The loop is allocation-free per patch. Each 64-row sub-block is
-/// projected straight from the layer input by the implicit-im2col,
-/// zero-skipping kernel (`project_patches_into`, which also yields the
-/// patch norms) into one per-worker scratch buffer; noise is applied in
-/// place, signs are packed into a reusable word buffer, and one
-/// XOR+popcount pass over the packed weight tile yields every Hamming
-/// distance. The final `a_norm * w_norm * cos_lut[hd]` is the identical
-/// expression (and multiplication order) the per-pair path evaluated,
-/// with the angle/cosine collapsed into the k+1-entry LUT computed at
-/// compile time.
+/// One blocked kernel per 64-row sub-block, allocation-free inside the
+/// loop (the scratch is allocated once per chunk):
+/// 1. project the sub-block straight from the layer input with the
+///    implicit-im2col, zero-skipping kernel (`project_patches_into`,
+///    which also yields the patch norms);
+/// 2. apply any crossbar noise per global row, then pack every row's
+///    signs into word-major queries;
+/// 3. run one Hamming tile of those queries against all M packed kernel
+///    rows ([`PackedHashes::hamming_tile_into`](deepcam_hash::PackedHashes::hamming_tile_into));
+/// 4. per kernel, evaluate `a_norm * w_norm * cos_lut[hd]` — the
+///    identical expression (and multiplication order) the per-pair path
+///    evaluated, with the angle/cosine collapsed into the k+1-entry LUT
+///    — then `+ bias`, any folded BN and ReLU, contiguously over the
+///    sub-block's rows;
+/// 5. store each channel plane's run straight into its output segment.
 #[allow(clippy::too_many_arguments)]
 // analyze: alloc-free
 fn dot_rows_range(
@@ -1122,32 +1166,33 @@ fn dot_rows_range(
     ct: &CompiledTile,
     rt: &RuntimeTile,
     engine_cfg: &EngineConfig,
+    epi: &Epilogue<'_>,
+    p: usize,
     row_offset: usize,
-    row_start: usize,
-    out: &mut [f32],
+    rows: &std::ops::Range<usize>,
+    segs: &mut [&mut [f32]],
 ) {
     let m = ct.kernels();
     let k = ct.k;
-    let rows_here = out.len() / m;
+    let wpr = ct.packed.words_per_row();
     let noise = engine_cfg.crossbar_noise;
     let norm_mode = engine_cfg.norm;
     let seed = engine_cfg.seed;
-    // Patch rows are processed in sub-blocks sized so the projected
-    // activations stay cache-resident between the projection that
-    // produces them and the sign/Hamming stage that consumes them (64
-    // rows × k floats ≈ 64 KB at k = 256, vs streaming a whole layer's
-    // projection through memory).
-    const SUB_ROWS: usize = 64;
-    let block = SUB_ROWS.min(rows_here.max(1));
+    let lut = &rt.cos_lut[..=k];
+    let first_image = rows.start / p;
+    let block = SUB_ROWS.min(rows.len().max(1));
     // Per-worker scratch, allocated once per chunk (not per patch).
     let mut scratch = ProjectScratch::new(block, ct.n);
     let mut projected = vec![0.0f32; block * k];
     let mut norms = vec![0.0f32; block];
-    let mut query = vec![0u64; ct.packed.words_per_row()];
-    let mut dists = vec![0u32; m];
-    let mut sub_start = 0usize;
-    while sub_start < rows_here {
-        let sub_rows = SUB_ROWS.min(rows_here - sub_start);
+    let mut a_norms = vec![0.0f32; block];
+    let mut query = vec![0u64; wpr];
+    let mut queries = vec![0u64; wpr * block];
+    let mut dists = vec![0u32; m * block];
+    let mut cos = vec![0.0f32; block];
+    let mut g0 = rows.start;
+    while g0 < rows.end {
+        let nq = SUB_ROWS.min(rows.end - g0);
         // Projection matrices are finite by construction, so skipping
         // zero taps is bit-identical to the dense GEMM over materialised
         // im2col rows (see `project_patches_into`). Each projected
@@ -1155,23 +1200,22 @@ fn dot_rows_range(
         // never change its value.
         project_patches_into(
             src,
-            row_start + sub_start,
-            sub_rows,
+            g0,
+            nq,
             rt.proj.data(),
             k,
             &mut scratch,
             &mut projected,
             &mut norms,
         );
-        for sub_local in 0..sub_rows {
-            let local = sub_start + sub_local;
-            let norm = norms[sub_local];
-            let pre = &mut projected[sub_local * k..(sub_local + 1) * k];
+        let queries = &mut queries[..wpr * nq];
+        for (r, pre) in projected.chunks_exact_mut(k).take(nq).enumerate() {
+            let norm = norms[r];
             if noise > 0.0 {
                 // Per-patch deterministic RNG keyed by the *global*
                 // patch index: disturbances are reproducible across
                 // runs, thread counts and batch splits.
-                let global_row = (row_offset + row_start + local) as u64;
+                let global_row = (row_offset + g0 + r) as u64;
                 let mut rng = seeded_rng(
                     seed ^ ((ct.layer_idx as u64) << 40)
                         ^ global_row.wrapping_mul(0x9E3779B97F4A7C15),
@@ -1181,17 +1225,50 @@ fn dot_rows_range(
                 }
             }
             pack_signs_into(pre, &mut query);
-            let a_norm = match norm_mode {
+            for (w, &word) in query.iter().enumerate() {
+                queries[w * nq + r] = word;
+            }
+            a_norms[r] = match norm_mode {
                 NormMode::Minifloat8 => Minifloat8::quantize(norm),
                 NormMode::Fp32 => norm,
             };
-            ct.packed.hamming_into(&query, &mut dists);
-            let out_row = &mut out[local * m..(local + 1) * m];
-            for ((o, &hd), &w_norm) in out_row.iter_mut().zip(dists.iter()).zip(rt.w_norms.iter()) {
-                *o = a_norm * w_norm * rt.cos_lut[hd as usize];
+        }
+        let dists = &mut dists[..m * nq];
+        ct.packed.hamming_tile_into(queries, nq, dists);
+        let g1 = g0 + nq;
+        for (j, hd_row) in dists.chunks_exact(nq).enumerate() {
+            // The LUT reads first (scalar gathers), so the arithmetic
+            // below runs over contiguous lanes. `hd <= k` always; the
+            // clamp only lets the bounds check fold away.
+            for (c, &hd) in cos.iter_mut().zip(hd_row) {
+                *c = lut[(hd as usize).min(k)];
+            }
+            let w_norm = rt.w_norms[j];
+            let bias = epi.bias[j];
+            let bn = epi
+                .bn
+                .as_ref()
+                .map(|(bn, inv)| (bn.gamma[j], bn.mean[j], inv[j], bn.beta[j]));
+            // The sub-block's rows, split at image boundaries: each
+            // image's run lands in one contiguous stretch of the plane.
+            for ni in g0 / p..=(g1 - 1) / p {
+                let (lo, hi) = (g0.max(ni * p), g1.min((ni + 1) * p));
+                let seg_start = rows.start.max(ni * p);
+                let dst = &mut segs[(ni - first_image) * m + j][lo - seg_start..hi - seg_start];
+                let (cos, a_norms) = (&cos[lo - g0..hi - g0], &a_norms[lo - g0..hi - g0]);
+                for ((o, &c), &a_norm) in dst.iter_mut().zip(cos).zip(a_norms) {
+                    let mut v = a_norm * w_norm * c + bias;
+                    if let Some((gamma, mean, inv, beta)) = bn {
+                        v = gamma * (v - mean) * inv + beta;
+                    }
+                    if epi.relu {
+                        v = v.max(0.0);
+                    }
+                    *o = v;
+                }
             }
         }
-        sub_start += sub_rows;
+        g0 = g1;
     }
 }
 

@@ -5,7 +5,8 @@
 //! copied chunk, a per-bit `BitVec` sign build with one bounds-checked
 //! `set()` per bit, and a per-(patch, kernel) loop that re-evaluates the
 //! angle and cosine transcendental for every pair through heap-allocated
-//! per-row hashes.
+//! per-row hashes — written into an `[N·P, M]` buffer that a second pass
+//! permutes into `[N, M, P]`, adding bias and any folded peripherals.
 //!
 //! It exists for two reasons:
 //!
@@ -25,9 +26,12 @@
 use deepcam_hash::context::ContextSet;
 use deepcam_hash::geometric::{GeometricDot, NormMode};
 use deepcam_hash::{BitVec, Minifloat8};
+use deepcam_tensor::pool::ThreadPool;
 use deepcam_tensor::rng::{seeded_rng, standard_normal};
+use deepcam_tensor::Tensor;
 
-use crate::engine::EngineConfig;
+use crate::engine::{EngineConfig, Epilogue};
+use crate::ir::CompiledTile;
 
 /// The historical scalar ikj GEMM (`Tensor::matmul` before k-blocking),
 /// kept so the baseline's projection cost is measured as it was.
@@ -61,12 +65,77 @@ fn bitwise_from_signs(values: &[f32]) -> BitVec {
     v
 }
 
+/// One dot step over the materialised patch rows `row_data` (`[N·P, n]`):
+/// the pre-rewrite `[N·P, M]` rows, sharded across `workers` as the
+/// engine sharded them, then the historical permute into `[N, M, P]`
+/// with `+ bias`, any folded BN and ReLU applied per element in that
+/// order. Returns the `[N, M, P]` buffer.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dot_layer(
+    row_data: &[f32],
+    tile: &CompiledTile,
+    proj: &Tensor,
+    weights: &ContextSet,
+    engine_cfg: &EngineConfig,
+    epi: &Epilogue<'_>,
+    p: usize,
+    row_offset: usize,
+    workers: usize,
+) -> Vec<f32> {
+    let r = row_data.len() / tile.n.max(1);
+    let m = tile.kernels();
+    let mut out2d = vec![0.0f32; r * m];
+    let workers = workers.clamp(1, r.max(1));
+    let range = |row_start: usize, chunk: &mut [f32]| {
+        dot_rows_range(
+            row_data,
+            tile.n,
+            proj,
+            weights,
+            tile.k,
+            tile.layer_idx,
+            engine_cfg,
+            row_offset,
+            row_start,
+            chunk,
+        )
+    };
+    if workers <= 1 {
+        range(0, &mut out2d);
+    } else {
+        let chunk_rows = r.div_ceil(workers);
+        ThreadPool::global().run_chunks_mut(&mut out2d, chunk_rows * m, |ci, chunk| {
+            range(ci * chunk_rows, chunk);
+        });
+    }
+    // Permute [N*P, M] -> [N, M, P], adding bias and any folded
+    // peripherals in the same pass.
+    let n_batch = r / p.max(1);
+    let mut out = vec![0.0f32; n_batch * m * p];
+    for ni in 0..n_batch {
+        for pi in 0..p {
+            let row = (ni * p + pi) * m;
+            for (mi, &b) in epi.bias.iter().enumerate() {
+                let mut v = out2d[row + mi] + b;
+                if let Some((bn, inv)) = &epi.bn {
+                    v = bn.gamma[mi] * (v - bn.mean[mi]) * inv[mi] + bn.beta[mi];
+                }
+                if epi.relu {
+                    v = v.max(0.0);
+                }
+                out[(ni * m + mi) * p + pi] = v;
+            }
+        }
+    }
+    out
+}
+
 /// Hashes patch rows `row_start..row_start + out.len() / M` and fills
 /// their output slice — the pre-rewrite body of the engine's
 /// `dot_rows_range`, character-for-character up to the two helpers
 /// above.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn dot_rows_range(
+fn dot_rows_range(
     row_data: &[f32],
     n: usize,
     proj: &deepcam_tensor::Tensor,

@@ -35,6 +35,9 @@ use crate::Result;
 
 const WORD_BITS: usize = 64;
 
+/// Queries per register-resident run of [`PackedHashes::hamming_tile_into`].
+const TILE_QUERIES: usize = 64;
+
 /// A dense tile of equal-width hashes in one contiguous row-major slab.
 ///
 /// # Example
@@ -239,6 +242,59 @@ impl PackedHashes {
         assert_eq!(out.len(), hi - lo, "output slot per row in range");
         let wpr = self.words_per_row;
         crate::simd::hamming_range(&self.slab[lo * wpr..hi * wpr], wpr, query_words, out);
+    }
+
+    /// The blocked Hamming tile: the distance of each of `nq` queries
+    /// against every row, into `out[row * nq + q]`.
+    ///
+    /// `queries` is **word-major**: word `w` of query `q` sits at
+    /// `queries[w * nq + q]`, so each row word is broadcast against a
+    /// contiguous run of query words and one pass over the slab serves
+    /// every query (the CAM's one-search-per-query, turned sideways).
+    /// Queries must obey the [`BitVec`] trailing-zero invariant, as for
+    /// [`PackedHashes::hamming_into`]. The loop is portable: under the
+    /// workspace's `target-cpu=native` LLVM vectorizes the query run
+    /// (`vpopcntq` on AVX-512 hosts), and every distance is the exact
+    /// integer [`hamming_words`] gives, whatever the variant.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `queries` is not `words_per_row * nq` words or `out`
+    /// is not `rows * nq` long.
+    // analyze: alloc-free
+    pub fn hamming_tile_into(&self, queries: &[u64], nq: usize, out: &mut [u32]) {
+        let wpr = self.words_per_row;
+        assert_eq!(queries.len(), wpr * nq, "queries must be wpr × nq words");
+        assert_eq!(out.len(), self.rows * nq, "output slot per (row, query)");
+        out.fill(0);
+        if wpr == 0 || nq == 0 {
+            return;
+        }
+        // Full runs of `TILE_QUERIES` queries keep their distances in
+        // registers across the row's words (a fixed-length `u64` run is
+        // what LLVM keeps in vector registers); the remainder accumulates
+        // in `out`.
+        let full = nq / TILE_QUERIES * TILE_QUERIES;
+        for (row_words, dists) in self.slab.chunks_exact(wpr).zip(out.chunks_exact_mut(nq)) {
+            let (runs, tail) = dists.split_at_mut(full);
+            for (b, run) in runs.chunks_exact_mut(TILE_QUERIES).enumerate() {
+                let mut acc = [0u64; TILE_QUERIES];
+                for (&kw, q) in row_words.iter().zip(queries.chunks_exact(nq)) {
+                    let q = &q[b * TILE_QUERIES..(b + 1) * TILE_QUERIES];
+                    for (a, &qw) in acc.iter_mut().zip(q) {
+                        *a += u64::from((qw ^ kw).count_ones());
+                    }
+                }
+                for (d, a) in run.iter_mut().zip(acc) {
+                    *d = a as u32;
+                }
+            }
+            for (&kw, q) in row_words.iter().zip(queries.chunks_exact(nq)) {
+                for (d, &qw) in tail.iter_mut().zip(&q[full..]) {
+                    *d += (qw ^ kw).count_ones();
+                }
+            }
+        }
     }
 
     /// Hamming distance between row `row` and `query_words`, through the

@@ -205,6 +205,57 @@ fn every_detected_variant_packs_signs_like_the_comparison() {
     let _ = force_variant(initial);
 }
 
+/// The Hamming tile's geometry sweep: query counts around one and a full
+/// 64-query run, kernel counts around the 8-row and 64-row edges, and
+/// the hash widths of the paper's plans plus odd word counts.
+const TILE_QUERY_COUNTS: [usize; 9] = [1, 2, 3, 4, 5, 6, 7, 63, 64];
+const TILE_KERNEL_COUNTS: [usize; 7] = [1, 7, 8, 9, 63, 64, 65];
+const TILE_BITS: [usize; 7] = [64, 192, 256, 448, 512, 768, 1024];
+
+#[test]
+fn every_detected_variant_runs_the_hamming_tile_like_hamming_words() {
+    let initial = active();
+    for &bits in &TILE_BITS {
+        for &kernels in &TILE_KERNEL_COUNTS {
+            let rows: Vec<BitVec> = (0..kernels)
+                .map(|r| patterned_bitvec(bits, 1000 + r as u64))
+                .collect();
+            let tile = PackedHashes::from_bitvecs(bits, &rows).expect("equal widths");
+            let wpr = tile.words_per_row();
+            for &nq in &TILE_QUERY_COUNTS {
+                let queries: Vec<BitVec> = (0..nq)
+                    .map(|q| patterned_bitvec(bits, 5000 + q as u64))
+                    .collect();
+                // Word-major: word `w` of query `q` at `w * nq + q`.
+                let mut word_major = vec![0u64; wpr * nq];
+                for (q, query) in queries.iter().enumerate() {
+                    for (w, &word) in query.words().iter().enumerate() {
+                        word_major[w * nq + q] = word;
+                    }
+                }
+                for &v in detected() {
+                    force_variant(v).expect("detected variant");
+                    // Pre-filled so every slot must be written.
+                    let mut got = vec![u32::MAX; kernels * nq];
+                    tile.hamming_tile_into(&word_major, nq, &mut got);
+                    for (r, row) in rows.iter().enumerate() {
+                        for (q, query) in queries.iter().enumerate() {
+                            assert_eq!(
+                                got[r * nq + q],
+                                hamming_words(row.words(), query.words()),
+                                "bits {bits} kernels {kernels} queries {nq} variant {} \
+                                 (kernel {r}, query {q})",
+                                v.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let _ = force_variant(initial);
+}
+
 #[test]
 fn hamming_words_length_contract_is_checked_in_release() {
     let caught = std::panic::catch_unwind(|| hamming_words(&[0u64; 3], &[0u64; 4]));

@@ -66,6 +66,20 @@ const NC: usize = 64;
 /// broadcast reads `R` once per tap where the dense tile shares each `R`
 /// load across four rows, so it only wins on clearly sparse blocks
 /// (measured crossover on VGG11: 600–760 perform alike, 870 is slower).
+///
+/// Re-measured after the 512-bit tiles, with the threshold the only
+/// difference: perfbench `offline-vgg11`, 10 s alternating pairs on a
+/// 2-vCPU AVX-512 Xeon, 680 → 480 (≈ the 0.47 break-even the two
+/// kernels' MAC-per-cycle rates predict on that host; it moves VGG11's
+/// 0.53- and 0.66-dense layers to the dense tile):
+///
+/// | variant | pairs | 480 faster in | median ms/image | 680's IQR |
+/// |---|---|---|---|---|
+/// | `avx512` | 6 | 4 | 0.893 → 0.862 (−3.5%) | 0.065 |
+/// | `scalar` | 4 | 1 | 1.108 → 1.152 (+3.9%) | 0.085 |
+///
+/// Neither move clears the band, and the variants disagree, so 680
+/// stays as the one threshold.
 const DENSE_PER_1024: usize = 680;
 
 /// Where projected patch rows come from.
@@ -166,14 +180,6 @@ impl<'a> PatchSource<'a> {
         match *self {
             PatchSource::Rows { n, .. } => n,
             PatchSource::Conv { cfg, .. } => cfg.patch_len(),
-        }
-    }
-
-    /// The row-major values, when the rows are materialised.
-    pub fn materialized(&self) -> Option<&'a [f32]> {
-        match *self {
-            PatchSource::Rows { data, .. } => Some(data),
-            PatchSource::Conv { .. } => None,
         }
     }
 }

@@ -9,7 +9,7 @@
 //! hot path be rebuilt for throughput without moving a single output
 //! bit.
 
-use deepcam::accel::{DeepCamEngine, EngineConfig, HashPlan};
+use deepcam::accel::{passes, CompiledModel, DeepCamEngine, EngineConfig, HashPlan};
 use deepcam::hash::geometric::{CosineMode, NormMode};
 use deepcam::models::scaled::{scaled_lenet5, scaled_resnet18, scaled_vgg11};
 use deepcam::models::Cnn;
@@ -146,28 +146,42 @@ fn every_detected_simd_variant_matches_reference() {
 #[test]
 fn sharded_fast_path_matches_serial_reference() {
     // Both axes at once: the reference (serial) pins the values, the
-    // fast path must hit them at every worker count.
+    // fast path must hit them at every worker count. The worker row
+    // ranges and 64-row sub-blocks cut the output planes in different
+    // places per model: LeNet5 (P = 784 and 100) splits mid-image, and
+    // fused VGG11's 4×4 layer (P = 16) puts an image and part of the
+    // next into one sub-block, with BN and ReLU folded into the writer.
     let mut rng = seeded_rng(310);
-    let model = scaled_lenet5(&mut rng, 10);
+    let lenet = scaled_lenet5(&mut rng, 10);
     let mut data_rng = seeded_rng(311);
-    let x = init::normal(&mut data_rng, Shape::new(&[3, 1, 28, 28]), 0.0, 1.0);
-    let reference = {
+    let lenet_x = init::normal(&mut data_rng, Shape::new(&[3, 1, 28, 28]), 0.0, 1.0);
+    let compile = |model: &Cnn, parallelism: Parallelism, fused: bool| {
         let cfg = EngineConfig {
             plan: HashPlan::Uniform(256),
-            parallelism: Parallelism::Serial,
+            parallelism,
             ..EngineConfig::default()
         };
-        let engine = DeepCamEngine::compile(&model, cfg).expect("engine compiles");
-        engine.infer_reference(&x).expect("reference succeeds")
+        let mut compiled = CompiledModel::compile(model, cfg).expect("model compiles");
+        if fused {
+            passes::apply(&mut compiled, &passes::default_passes()).expect("passes apply");
+        }
+        DeepCamEngine::from_compiled(compiled).expect("engine builds")
     };
-    for workers in [1usize, 2, 5] {
-        let cfg = EngineConfig {
-            plan: HashPlan::Uniform(256),
-            parallelism: Parallelism::Fixed(workers),
-            ..EngineConfig::default()
-        };
-        let engine = DeepCamEngine::compile(&model, cfg).expect("engine compiles");
-        let fast = engine.infer(&x).expect("fast succeeds");
-        assert_eq!(fast.data(), reference.data(), "workers {workers}");
+    let vgg = scaled_vgg11(&mut seeded_rng(314), 4, 10);
+    let vgg_x = init::normal(&mut seeded_rng(315), Shape::new(&[3, 3, 32, 32]), 0.0, 1.0);
+    let cases: [(&str, &Cnn, &Tensor, bool, &[usize]); 2] = [
+        ("lenet5", &lenet, &lenet_x, false, &[1, 2, 5]),
+        ("fused vgg11", &vgg, &vgg_x, true, &[2, 3]),
+    ];
+    for (label, model, x, fused, workers) in cases {
+        let reference = compile(model, Parallelism::Serial, fused)
+            .infer_reference(x)
+            .expect("reference succeeds");
+        for &workers in workers {
+            let fast = compile(model, Parallelism::Fixed(workers), fused)
+                .infer(x)
+                .expect("fast succeeds");
+            assert_eq!(fast.data(), reference.data(), "{label}, workers {workers}");
+        }
     }
 }
