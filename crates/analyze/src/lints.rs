@@ -61,11 +61,10 @@ impl Config {
             determinism_files: vec![
                 "crates/core/src/engine.rs",
                 "crates/core/src/reference.rs",
-                // The pass pipeline rewrites compiled artifacts and
-                // searches mappings; both must be pure functions of the
-                // model and config (resumable, replayable, cacheable).
+                // The pass pipeline searches mappings over compiled
+                // artifacts; it must be a pure function of the model and
+                // config (resumable, replayable, cacheable).
                 "crates/core/src/passes/mod.rs",
-                "crates/core/src/passes/fuse.rs",
                 "crates/core/src/passes/mapping.rs",
                 "crates/hash/src/packed.rs",
                 "crates/hash/src/bitvec.rs",

@@ -1,7 +1,6 @@
 //! The compiler pass-pipeline benchmark: the variable-hash-length tuner
-//! against `uniform_max` (all-1024), joint mapping+width search vs the
-//! fixed 64-row chip, and fused vs unfused step programs, recorded in
-//! `BENCH_compiler.json`.
+//! against `uniform_max` (all-1024) and joint mapping+width search vs the
+//! fixed 64-row chip, recorded in `BENCH_compiler.json`.
 //!
 //! Usage: `cargo run --release -p deepcam-bench --bin compiler
 //! [--out PATH] [--repeats R] [--force] [--smoke]`
@@ -24,25 +23,23 @@
 //! held-out drop stays within a 1% budget. Every run asserts the tuned
 //! plan beats `uniform_max` on modeled CAM search energy.
 //!
-//! Separately, the fusion pass's wall-clock effect is measured as the
-//! median full-set evaluation time of the unfused vs fused engine, next
-//! to an unfused `uniform_max` engine.
-//! **Every reported config is gated bit-identical first**: the fused and
-//! fully-passed models must produce bitwise-equal logits to the no-pass
-//! pipeline on the entire test set before any timing is taken, and the
-//! run asserts the joint search strictly beats width-only tuning on
-//! modeled CAM search energy before writing anything.
+//! Separately, the median full-set evaluation time of the tuned engine
+//! (default passes applied) is recorded next to a `uniform_max` engine.
+//! **The passed model is gated bit-identical first**: it must produce
+//! bitwise-equal logits to the no-pass pipeline on the entire test set
+//! before any timing is taken, and the run asserts the joint search
+//! strictly beats width-only tuning on modeled CAM search energy before
+//! writing anything.
 //!
 //! `--smoke` shrinks everything (tiny data, one epoch, temp output) so
-//! CI exercises the full search path on every push; wall-clock ordering
-//! and the held-out drop are reported but not asserted there
-//! (sub-millisecond noise; a few dozen held-out images cannot resolve
-//! 1%).
+//! CI exercises the full search path on every push; the held-out drop is
+//! reported but not asserted there (a few dozen held-out images cannot
+//! resolve 1%).
 
 use std::time::Instant;
 
 use deepcam_bench::guard::{self, median_millis};
-use deepcam_core::passes::{self, Pass};
+use deepcam_core::passes;
 use deepcam_core::sched::CamScheduler;
 use deepcam_core::tune::{
     holdout_within, tune_joint, JointTuneReport, JointTunerConfig, TunerConfig,
@@ -82,8 +79,7 @@ struct WorkloadResult {
     total_energy_tuned_fixed: f64,
     total_energy_tuned_mapped: f64,
     wall_ms_max: f64,
-    wall_ms_unfused: f64,
-    wall_ms_fused: f64,
+    wall_ms_tuned: f64,
 }
 
 /// Full-set logits in evaluation-sized chunks (bounds im2col memory the
@@ -215,22 +211,18 @@ fn run_workload(
         "{name}: joint search does not beat the fixed 64-row mapping"
     );
 
-    // Fusion: build the unfused and fused step programs from the *same*
-    // compiled artifact, calibrate identically, then gate bit-exactness
-    // on the full test set BEFORE timing anything.
+    // Build the no-pass and default-passes step programs from the
+    // *same* compiled artifact, calibrate identically, then gate
+    // bit-exactness on the full test set BEFORE timing anything.
     let tuned_cfg = EngineConfig {
         plan: joint.tune.plan.clone(),
         ..base.clone()
     };
     let compiled = CompiledModel::compile(&model, tuned_cfg).expect("compiles");
-    let mut fused = compiled.clone();
-    let fuse_outcome = &passes::apply(&mut fused, &[Pass::FuseSteps]).expect("fusion applies")[0];
-    println!("fusion: {}", fuse_outcome.detail);
     let mut passed = compiled.clone();
     passes::apply(&mut passed, &passes::default_passes()).expect("passes apply");
     let mut engines = [
-        DeepCamEngine::from_compiled(compiled).expect("unfused runtime"),
-        DeepCamEngine::from_compiled(fused).expect("fused runtime"),
+        DeepCamEngine::from_compiled(compiled).expect("no-pass runtime"),
         DeepCamEngine::from_compiled(passed).expect("passed runtime"),
     ];
     if let Some(calib) = calibration {
@@ -238,15 +230,12 @@ fn run_workload(
             engine.calibrate_bn(calib).expect("calibration succeeds");
         }
     }
-    let reference = logits_chunked(&engines[0], test_set.images(), 16);
-    for (engine, label) in engines[1..].iter().zip(["fused", "fused+mapped"]) {
-        let got = logits_chunked(engine, test_set.images(), 16);
-        assert_eq!(
-            reference, got,
-            "{name}: {label} logits differ from the no-pass pipeline"
-        );
-    }
-    println!("bit-exactness gate passed: fused and passed logits identical on the full test set");
+    assert_eq!(
+        logits_chunked(&engines[0], test_set.images(), 16),
+        logits_chunked(&engines[1], test_set.images(), 16),
+        "{name}: passed logits differ from the no-pass pipeline"
+    );
+    println!("bit-exactness gate passed: passed logits identical on the full test set");
 
     let time_eval = |engine: &DeepCamEngine| -> f64 {
         let warm = engine
@@ -265,14 +254,9 @@ fn run_workload(
             .collect();
         median_millis(runs)
     };
-    let wall_unfused = time_eval(&engines[0]);
-    let wall_fused = time_eval(&engines[1]);
-    println!(
-        "full-set eval: unfused {wall_unfused:.1} ms, fused {wall_fused:.1} ms ({:.3}x)",
-        wall_unfused / wall_fused
-    );
-    // The width baseline: an unfused uniform_max engine, calibrated and
-    // timed like the tuned one above.
+    let wall_tuned = time_eval(&engines[1]);
+    // The width baseline: a uniform_max engine, calibrated and timed
+    // like the tuned one.
     let max_cfg = EngineConfig {
         plan: max_plan,
         ..base.clone()
@@ -284,7 +268,7 @@ fn run_workload(
             .expect("calibration succeeds");
     }
     let wall_max = time_eval(&max_engine);
-    println!("full-set eval: uniform_max {wall_max:.1} ms, tuned (unfused) {wall_unfused:.1} ms");
+    println!("full-set eval: uniform_max {wall_max:.1} ms, tuned {wall_tuned:.1} ms");
 
     WorkloadResult {
         workload: name.to_string(),
@@ -308,8 +292,7 @@ fn run_workload(
         total_energy_tuned_fixed: joint.fixed.total_energy_j,
         total_energy_tuned_mapped: joint.mapped.total_energy_j,
         wall_ms_max: wall_max,
-        wall_ms_unfused: wall_unfused,
-        wall_ms_fused: wall_fused,
+        wall_ms_tuned: wall_tuned,
     }
 }
 
@@ -385,15 +368,9 @@ fn main() {
         ));
     }
 
-    // Full-run acceptance gates: at least one workload must show a
-    // measured fusion wall-clock win, and every held-out drop must stay
-    // within the budget. Smoke timings are sub-millisecond noise and
-    // smoke holdout splits cannot resolve 1%, so neither is asserted
-    // there.
-    let fusion_wins = results
-        .iter()
-        .filter(|r| r.wall_ms_fused < r.wall_ms_unfused)
-        .count();
+    // Full-run acceptance gate: every held-out drop must stay within
+    // the budget. Smoke holdout splits cannot resolve 1%, so it is not
+    // asserted there.
     for r in results.iter().filter(|r| !r.holdout_within_budget) {
         println!(
             "WARNING: {}: held-out accuracy drop {:.4} exceeds the {MAX_DROP} budget",
@@ -402,15 +379,8 @@ fn main() {
         );
     }
     if smoke {
-        println!(
-            "smoke mode: fusion wall-clock ordering ({fusion_wins}/2 faster) and the \
-             held-out budget not asserted"
-        );
+        println!("smoke mode: held-out budget not asserted");
     } else {
-        assert!(
-            fusion_wins >= 1,
-            "fusion pass shows no eval wall-clock improvement on any workload"
-        );
         assert!(
             results.iter().all(|r| r.holdout_within_budget),
             "held-out accuracy drop exceeds {MAX_DROP}"
@@ -424,8 +394,8 @@ fn main() {
     json.push_str(
         "  \"experiment\": \"compiler pass pipeline: auto-tuned variable hash lengths vs \
          uniform_max on held-out accuracy, joint array-mapping + hash-width search vs the \
-         fixed 64-row AS chip on modeled CAM search energy/cycles, and fused vs unfused \
-         step programs on full-set evaluation wall-clock (all configs gated bit-identical \
+         fixed 64-row AS chip on modeled CAM search energy/cycles, and full-set evaluation \
+         wall-clock of the tuned and uniform_max engines (passed logits gated bit-identical \
          to the no-pass pipeline first)\",\n",
     );
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
@@ -455,8 +425,8 @@ fn main() {
              \"tuned_mapped\": {}}}, \
              \"total_energy_j\": {{\"uniform_max_fixed64\": {:.6e}, \
              \"tuned_fixed64\": {:.6e}, \"tuned_mapped\": {:.6e}}}, \
-             \"eval_wall_ms\": {{\"uniform_max\": {:.2}, \"unfused\": {:.2}, \
-             \"fused\": {:.2}, \"speedup\": {:.3}}}, \"bit_identical\": true}}{comma}\n",
+             \"eval_wall_ms\": {{\"uniform_max\": {:.2}, \"tuned\": {:.2}}}, \
+             \"bit_identical\": true}}{comma}\n",
             r.workload,
             r.dot_layers,
             plan.join(", "),
@@ -480,9 +450,7 @@ fn main() {
             r.total_energy_tuned_fixed,
             r.total_energy_tuned_mapped,
             r.wall_ms_max,
-            r.wall_ms_unfused,
-            r.wall_ms_fused,
-            r.wall_ms_unfused / r.wall_ms_fused,
+            r.wall_ms_tuned,
         ));
     }
     json.push_str("  ]\n}\n");

@@ -17,10 +17,10 @@
 //!    kernel contexts in one tile — functionally what the CAM array does
 //!    in parallel, one search per patch,
 //! 3. reconstruct each output as `‖a‖·‖w‖·cos(π·HD/k)` with eq. 5 cosine
-//!    and minifloat norms, add the bias and any folded batch-norm/ReLU,
-//!    and write it straight into its `[N, M, OH, OW]` slot — no staging
-//!    buffer, no permute pass,
-//! 4. run ReLU/pool/batch-norm/bias exactly (digital post-processing).
+//!    and minifloat norms, add the bias, and write it straight into its
+//!    `[N, M, OH, OW]` slot — no staging buffer, no permute pass,
+//! 4. run batch-norm/ReLU/pool exactly, in place, as standalone steps
+//!    (digital post-processing).
 //!
 //! The result is the "DC" accuracy of the paper's Fig. 5, directly
 //! comparable to the float model's "BL" accuracy.
@@ -47,7 +47,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 use crate::hashplan::HashPlan;
-use crate::ir::{BnParams, CompiledModel, CompiledStep, CompiledTile};
+use crate::ir::{CompiledModel, CompiledStep, CompiledTile};
 use crate::Result;
 
 /// Functional engine configuration.
@@ -348,7 +348,7 @@ impl DeepCamEngine {
         for step in &self.compiled.steps {
             cur = run_step(
                 step,
-                &cur,
+                cur,
                 &self.compiled.config,
                 &self.tiles,
                 img_offset,
@@ -683,7 +683,8 @@ impl DeepCamEngine {
     }
 }
 
-/// Executes one pipeline step on `x`.
+/// Executes one pipeline step on `x`, consuming it: peripheral steps
+/// rewrite the activations in place.
 ///
 /// `img_offset` is the global index of `x`'s first image within the set
 /// being inferred (keeps crossbar noise batch-invariant); `dot_workers`
@@ -692,7 +693,7 @@ impl DeepCamEngine {
 /// same traversal index.
 fn run_step(
     step: &CompiledStep,
-    x: &Tensor,
+    mut x: Tensor,
     cfg: &EngineConfig,
     tiles: &[RuntimeTile],
     img_offset: usize,
@@ -704,45 +705,22 @@ fn run_step(
             cfg: conv_cfg,
             tile,
             bias,
-        } => run_dot_fused(
+        } => run_dot(
             Some(conv_cfg),
             tile,
             bias,
-            None,
-            false,
-            x,
+            &x,
             cfg,
             tiles,
             img_offset,
             dot_workers,
             path,
         ),
-        CompiledStep::Linear { tile, bias } => run_dot_fused(
+        CompiledStep::Linear { tile, bias } => run_dot(
             None,
             tile,
             bias,
-            None,
-            false,
-            x,
-            cfg,
-            tiles,
-            img_offset,
-            dot_workers,
-            path,
-        ),
-        CompiledStep::Fused {
-            conv,
-            tile,
-            bias,
-            bn,
-            relu,
-        } => run_dot_fused(
-            conv.as_ref(),
-            tile,
-            bias,
-            bn.as_ref(),
-            *relu,
-            x,
+            &x,
             cfg,
             tiles,
             img_offset,
@@ -758,80 +736,58 @@ fn run_step(
             let (n, c, h, w) = x.shape().as_nchw().ok_or_else(|| {
                 CoreError::Unsupported("batch norm input must be NCHW".to_string())
             })?;
-            let mut out = x.clone();
+            if gamma.len() != c {
+                return Err(CoreError::InvalidInput(format!(
+                    "batch norm over {} channels, input has {c}",
+                    gamma.len()
+                )));
+            }
             for ni in 0..n {
                 for ci in 0..c {
                     let inv = 1.0 / (var[ci] + BN_EPS).sqrt();
                     let base = (ni * c + ci) * h * w;
-                    for v in &mut out.data_mut()[base..base + h * w] {
+                    for v in &mut x.data_mut()[base..base + h * w] {
                         *v = gamma[ci] * (*v - mean[ci]) * inv + beta[ci];
                     }
                 }
             }
-            Ok(out)
+            Ok(x)
         }
-        CompiledStep::Relu => Ok(x.map(|v| v.max(0.0))),
-        CompiledStep::MaxPool(p) => Ok(max_pool2d(x, p)?.0),
-        CompiledStep::AvgPool(p) => Ok(avg_pool2d(x, p)?),
+        CompiledStep::Relu => {
+            x.map_inplace(|v| v.max(0.0));
+            Ok(x)
+        }
+        CompiledStep::MaxPool(p) => Ok(max_pool2d(&x, p)?.0),
+        CompiledStep::AvgPool(p) => Ok(avg_pool2d(&x, p)?),
         CompiledStep::Flatten => {
             let n = x.shape().dim(0);
             let rest = x.len() / n.max(1);
-            Ok(x.clone().reshape(Shape::new(&[n, rest]))?)
+            Ok(x.reshape(Shape::new(&[n, rest]))?)
         }
         CompiledStep::Residual { body, shortcut } => {
             let mut main = x.clone();
             for s in body {
-                main = run_step(s, &main, cfg, tiles, img_offset, dot_workers, path)?;
+                main = run_step(s, main, cfg, tiles, img_offset, dot_workers, path)?;
             }
-            let skip = match shortcut {
-                Some(sc) => {
-                    let mut t = x.clone();
-                    for s in sc {
-                        t = run_step(s, &t, cfg, tiles, img_offset, dot_workers, path)?;
-                    }
-                    t
-                }
-                None => x.clone(),
-            };
-            Ok(main.add(&skip)?.map(|v| v.max(0.0)))
+            for s in shortcut.iter().flatten() {
+                x = run_step(s, x, cfg, tiles, img_offset, dot_workers, path)?;
+            }
+            let mut out = main.add(&x)?;
+            out.map_inplace(|v| v.max(0.0));
+            Ok(out)
         }
     }
 }
 
-/// The per-channel output chain of a dot step: `+ bias`, then — when
-/// the fusion pass folded them in — batch-norm and ReLU.
-pub(crate) struct Epilogue<'a> {
-    /// Per-kernel bias.
-    pub(crate) bias: &'a [f32],
-    /// Folded batch-norm with `1/√(var+ε)` hoisted per channel — the
-    /// same value the standalone BN step computes once per (image,
-    /// channel).
-    pub(crate) bn: Option<(&'a BnParams, Vec<f32>)>,
-    /// Folded ReLU.
-    pub(crate) relu: bool,
-}
-
-/// The shared dot-layer body behind the `Conv`, `Linear` and `Fused`
-/// step arms: CAM dot-products, then bias — and, when the fusion pass
-/// folded them in, batch-norm and ReLU — applied as each output element
-/// is written into the `[N, M, OH, OW]` (or, for linear steps, the
-/// `[N, M]`) output.
-///
-/// Bit-exactness contract: with `bn = None, relu = false` this is the
-/// historical Conv/Linear arm (same expressions, same per-element
-/// order). With folded peripherals, each output element evaluates
-/// `bias → gamma·(v−mean)·inv + beta → max(v, 0)` — exactly the
-/// element-wise chain the unfused `Bn`/`Relu` steps apply in later
-/// passes — so fused logits equal unfused logits bitwise
-/// (`tests/passes_invariance.rs` pins this across the zoo).
+/// The dot-layer body behind the `Conv` and `Linear` step arms: CAM
+/// dot-products, then `+ bias`, written straight into the
+/// `[N, M, OH, OW]` (or, for linear steps, the `[N, M]`) output.
 #[allow(clippy::too_many_arguments)]
 // analyze: allow(determinism, "opt-in profiler timestamps only; the computed values never depend on the clock")
-fn run_dot_fused(
+fn run_dot(
     conv: Option<&Conv2dConfig>,
     tile: &CompiledTile,
     bias: &[f32],
-    bn: Option<&BnParams>,
-    relu: bool,
     x: &Tensor,
     cfg: &EngineConfig,
     tiles: &[RuntimeTile],
@@ -842,16 +798,6 @@ fn run_dot_fused(
     let timer = crate::profile::enabled().then(std::time::Instant::now);
     let m = tile.kernels();
     let rt = &tiles[tile.layer_idx];
-    let epi = Epilogue {
-        bias,
-        bn: bn.map(|p| {
-            (
-                p,
-                p.var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect(),
-            )
-        }),
-        relu,
-    };
     // Each image contributes P = OH*OW patch rows (P = 1 for a linear
     // step), so the global patch-row offset of this chunk is
     // img_offset * P.
@@ -867,8 +813,6 @@ fn run_dot_fused(
             (src, vec![n_batch, m, oh, ow], oh * ow)
         }
         None => {
-            // Linear-sourced steps never fold BN — see the fusion pass.
-            debug_assert!(bn.is_none(), "BN folds only into conv-sourced steps");
             if x.shape().rank() != 2 {
                 return Err(CoreError::InvalidInput(format!(
                     "dot layer {}: linear input must be [N, features], got {}",
@@ -883,7 +827,7 @@ fn run_dot_fused(
     check_width(tile, src.width())?;
     let row_offset = img_offset * p;
     let out = match path {
-        DotPath::Fast => dot_rows(&src, tile, rt, cfg, &epi, p, row_offset, dot_workers),
+        DotPath::Fast => dot_rows(&src, tile, rt, cfg, bias, p, row_offset, dot_workers),
         DotPath::Reference => {
             // Only the frozen reference datapath still materialises the
             // [N*P, n] im2col matrix.
@@ -896,7 +840,7 @@ fn run_dot_fused(
                 &rt.proj,
                 rt.weights(tile),
                 cfg,
-                &epi,
+                bias,
                 p,
                 row_offset,
                 dot_workers,
@@ -931,8 +875,7 @@ fn check_width(tile: &CompiledTile, width: usize) -> Result<()> {
 }
 
 /// Per-channel mean and biased variance of an NCHW tensor — the batch
-/// statistics BN calibration stores (identical arithmetic for the
-/// standalone and fused calibration arms).
+/// statistics BN calibration stores.
 fn channel_stats(x: &Tensor) -> Result<(Vec<f32>, Vec<f32>)> {
     let (n, c, h, w) = x
         .shape()
@@ -967,26 +910,6 @@ fn channel_stats(x: &Tensor) -> Result<(Vec<f32>, Vec<f32>)> {
     Ok((new_mean, new_var))
 }
 
-/// Applies batch-norm in place over an NCHW tensor — the standalone BN
-/// step's expression and element order, used by the fused calibration
-/// arm after it refreshed the statistics.
-fn apply_bn_nchw(x: &mut Tensor, p: &BnParams) -> Result<()> {
-    let (n, c, h, w) = x
-        .shape()
-        .as_nchw()
-        .ok_or_else(|| CoreError::Unsupported("batch norm input must be NCHW".to_string()))?;
-    for ni in 0..n {
-        for ci in 0..c {
-            let inv = 1.0 / (p.var[ci] + BN_EPS).sqrt();
-            let base = (ni * c + ci) * h * w;
-            for v in &mut x.data_mut()[base..base + h * w] {
-                *v = p.gamma[ci] * (*v - p.mean[ci]) * inv + p.beta[ci];
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Walks the pipeline forwarding `x`, replacing every batch-norm stage's
 /// statistics with the batch statistics of its *approximate-datapath*
 /// input.
@@ -1004,52 +927,19 @@ fn calibrate_steps(
                 let (new_mean, new_var) = channel_stats(&cur)?;
                 *mean = new_mean;
                 *var = new_var;
-                run_step(step, &cur, cfg, tiles, 0, dot_workers, DotPath::Fast)?
-            }
-            CompiledStep::Fused {
-                conv,
-                tile,
-                bias,
-                bn,
-                relu,
-            } if bn.is_some() => {
-                // Run the dot layer with the folded peripherals
-                // suppressed: the pre-BN activations are what the
-                // statistics must be computed over (identically to the
-                // unfused Conv-then-Bn calibration walk).
-                let pre = run_dot_fused(
-                    conv.as_ref(),
-                    tile,
-                    bias,
-                    None,
-                    false,
-                    &cur,
-                    cfg,
-                    tiles,
-                    0,
-                    dot_workers,
-                    DotPath::Fast,
-                )?;
-                let (new_mean, new_var) = channel_stats(&pre)?;
-                let params = bn.as_mut().expect("guarded Some");
-                params.mean = new_mean;
-                params.var = new_var;
-                let mut out = pre;
-                apply_bn_nchw(&mut out, params)?;
-                if *relu {
-                    out = out.map(|v| v.max(0.0));
-                }
-                out
+                run_step(step, cur, cfg, tiles, 0, dot_workers, DotPath::Fast)?
             }
             CompiledStep::Residual { body, shortcut } => {
                 let main = calibrate_steps(body, cur.clone(), cfg, tiles)?;
                 let skip = match shortcut {
-                    Some(sc) => calibrate_steps(sc, cur.clone(), cfg, tiles)?,
-                    None => cur.clone(),
+                    Some(sc) => calibrate_steps(sc, cur, cfg, tiles)?,
+                    None => cur,
                 };
-                main.add(&skip)?.map(|v| v.max(0.0))
+                let mut out = main.add(&skip)?;
+                out.map_inplace(|v| v.max(0.0));
+                out
             }
-            other => run_step(other, &cur, cfg, tiles, 0, dot_workers, DotPath::Fast)?,
+            other => run_step(other, cur, cfg, tiles, 0, dot_workers, DotPath::Fast)?,
         };
     }
     Ok(cur)
@@ -1063,7 +953,7 @@ const SUB_ROWS: usize = 64;
 
 /// The heart of the engine: approximate dot-products of every patch row
 /// of `src` against every stored kernel context, via hashing and Hamming
-/// distance, finished by `epi` and written straight into the
+/// distance, plus `bias`, written straight into the
 /// `[N, M, P]` output it returns (`P` patch rows per image; `P = 1` for
 /// a linear step).
 ///
@@ -1082,7 +972,7 @@ fn dot_rows(
     ct: &CompiledTile,
     rt: &RuntimeTile,
     engine_cfg: &EngineConfig,
-    epi: &Epilogue<'_>,
+    bias: &[f32],
     p: usize,
     row_offset: usize,
     workers: usize,
@@ -1093,7 +983,7 @@ fn dot_rows(
     let ranges = split_ranges(r, workers);
     let mut shares = plane_segments(&mut out, m, p, &ranges);
     let run = |rows: &std::ops::Range<usize>, segs: &mut [&mut [f32]]| {
-        dot_rows_range(src, ct, rt, engine_cfg, epi, p, row_offset, rows, segs)
+        dot_rows_range(src, ct, rt, engine_cfg, bias, p, row_offset, rows, segs)
     };
     if ranges.len() <= 1 {
         // One range (none for an empty batch) runs on the calling thread.
@@ -1156,8 +1046,7 @@ fn plane_segments<'o>(
 /// 4. per kernel, evaluate `a_norm * w_norm * cos_lut[hd]` — the
 ///    identical expression (and multiplication order) the per-pair path
 ///    evaluated, with the angle/cosine collapsed into the k+1-entry LUT
-///    — then `+ bias`, any folded BN and ReLU, contiguously over the
-///    sub-block's rows;
+///    — then `+ bias`, contiguously over the sub-block's rows;
 /// 5. store each channel plane's run straight into its output segment.
 #[allow(clippy::too_many_arguments)]
 // analyze: alloc-free
@@ -1166,7 +1055,7 @@ fn dot_rows_range(
     ct: &CompiledTile,
     rt: &RuntimeTile,
     engine_cfg: &EngineConfig,
-    epi: &Epilogue<'_>,
+    bias: &[f32],
     p: usize,
     row_offset: usize,
     rows: &std::ops::Range<usize>,
@@ -1244,11 +1133,7 @@ fn dot_rows_range(
                 *c = lut[(hd as usize).min(k)];
             }
             let w_norm = rt.w_norms[j];
-            let bias = epi.bias[j];
-            let bn = epi
-                .bn
-                .as_ref()
-                .map(|(bn, inv)| (bn.gamma[j], bn.mean[j], inv[j], bn.beta[j]));
+            let b = bias[j];
             // The sub-block's rows, split at image boundaries: each
             // image's run lands in one contiguous stretch of the plane.
             for ni in g0 / p..=(g1 - 1) / p {
@@ -1257,14 +1142,7 @@ fn dot_rows_range(
                 let dst = &mut segs[(ni - first_image) * m + j][lo - seg_start..hi - seg_start];
                 let (cos, a_norms) = (&cos[lo - g0..hi - g0], &a_norms[lo - g0..hi - g0]);
                 for ((o, &c), &a_norm) in dst.iter_mut().zip(cos).zip(a_norms) {
-                    let mut v = a_norm * w_norm * c + bias;
-                    if let Some((gamma, mean, inv, beta)) = bn {
-                        v = gamma * (v - mean) * inv + beta;
-                    }
-                    if epi.relu {
-                        v = v.max(0.0);
-                    }
-                    *o = v;
+                    *o = a_norm * w_norm * c + b;
                 }
             }
         }
@@ -1505,67 +1383,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_steps_are_bitwise_identical_to_unfused() {
-        // The fusion pass's whole contract: same logits, to the bit,
-        // with crossbar noise exercising the noisy datapath too.
-        let mut rng = seeded_rng(51);
-        let model = deepcam_models::scaled::scaled_vgg11(&mut rng, 4, 10);
-        let cfg = EngineConfig {
-            plan: HashPlan::Uniform(256),
-            crossbar_noise: 0.3,
-            ..EngineConfig::default()
-        };
-        let compiled = CompiledModel::compile(&model, cfg).unwrap();
-        let mut fused = compiled.clone();
-        let outcome = crate::passes::fuse::run(&mut fused);
-        assert!(outcome.changed);
-        let plain = DeepCamEngine::from_compiled(compiled).unwrap();
-        let fused = DeepCamEngine::from_compiled(fused).unwrap();
-        let mut rng2 = seeded_rng(52);
-        let x = deepcam_tensor::init::normal(&mut rng2, Shape::new(&[3, 3, 32, 32]), 0.0, 1.0);
-        assert_eq!(
-            plain.infer(&x).unwrap().data(),
-            fused.infer(&x).unwrap().data()
-        );
-        // And through the reference (non-SIMD) dot path.
-        assert_eq!(
-            plain.infer_reference(&x).unwrap().data(),
-            fused.infer_reference(&x).unwrap().data()
-        );
-    }
-
-    #[test]
-    fn fused_calibration_matches_unfused() {
-        // Calibrating a fused model must land on the same statistics —
-        // and hence the same logits — as calibrating before fusion.
-        let mut rng = seeded_rng(53);
-        let model = deepcam_models::scaled::scaled_vgg11(&mut rng, 4, 10);
-        let cfg = EngineConfig {
-            plan: HashPlan::Uniform(256),
-            ..EngineConfig::default()
-        };
-        let compiled = CompiledModel::compile(&model, cfg).unwrap();
-        let mut fused = compiled.clone();
-        crate::passes::fuse::run(&mut fused);
-        let mut plain = DeepCamEngine::from_compiled(compiled).unwrap();
-        let mut fused = DeepCamEngine::from_compiled(fused).unwrap();
-        let mut rng2 = seeded_rng(54);
-        let calib = deepcam_tensor::init::normal(&mut rng2, Shape::new(&[4, 3, 32, 32]), 0.0, 1.0);
-        plain.calibrate_bn(&calib).unwrap();
-        fused.calibrate_bn(&calib).unwrap();
-        let x = deepcam_tensor::init::normal(
-            &mut seeded_rng(55),
-            Shape::new(&[2, 3, 32, 32]),
-            0.0,
-            1.0,
-        );
-        assert_eq!(
-            plain.infer(&x).unwrap().data(),
-            fused.infer(&x).unwrap().data()
-        );
-    }
-
-    #[test]
     fn count_correct_tie_breaks_to_first_max() {
         // Two tied maxima: the *first* index wins, matching
         // `Tensor::argmax`. Labels hitting the first tie count as
@@ -1617,6 +1434,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn batch_norm_channel_mismatch_is_a_typed_error() {
+        // A leading batch-norm's channel count is unknown until the
+        // input arrives, so a mismatch must surface at inference as a
+        // typed error, not an out-of-bounds index.
+        use deepcam_models::Block;
+        use deepcam_tensor::layer::{BatchNorm2d, Flatten, Linear};
+        let mut rng = seeded_rng(23);
+        let model = Cnn::new(
+            "bn-first",
+            vec![
+                Block::Bn(BatchNorm2d::new(2)),
+                Block::Flatten(Flatten::new()),
+                Block::Linear(Linear::new(&mut rng, 8, 4)),
+            ],
+            4,
+        );
+        let engine = DeepCamEngine::compile(&model, EngineConfig::default()).unwrap();
+        assert!(engine
+            .infer(&Tensor::zeros(Shape::new(&[1, 2, 2, 2])))
+            .is_ok());
+        let result = engine.infer(&Tensor::zeros(Shape::new(&[1, 3, 2, 2])));
+        assert!(
+            matches!(result, Err(CoreError::InvalidInput(_))),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -456,42 +456,6 @@ impl CompiledTile {
     }
 }
 
-/// Batch-norm parameters folded into a [`CompiledStep::Fused`] step.
-///
-/// Same fields as a standalone [`CompiledStep::Bn`]; the fused engine
-/// arm evaluates the identical per-element expression
-/// (`gamma·(v − mean)/√(var + ε) + beta`), so folding never changes a
-/// bit of the output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BnParams {
-    /// Scale.
-    pub gamma: Vec<f32>,
-    /// Shift.
-    pub beta: Vec<f32>,
-    /// Running (or calibrated) mean.
-    pub mean: Vec<f32>,
-    /// Running (or calibrated) variance.
-    pub var: Vec<f32>,
-}
-
-impl BinCodec for BnParams {
-    fn encode(&self, w: &mut Writer) {
-        self.gamma.encode(w);
-        self.beta.encode(w);
-        self.mean.encode(w);
-        self.var.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> BinResult<Self> {
-        Ok(BnParams {
-            gamma: BinCodec::decode(r)?,
-            beta: BinCodec::decode(r)?,
-            mean: BinCodec::decode(r)?,
-            var: BinCodec::decode(r)?,
-        })
-    }
-}
-
 /// One step of the compiled digital pipeline.
 ///
 /// Mirrors the model's block structure: dot-product steps carry their
@@ -541,23 +505,6 @@ pub enum CompiledStep {
         /// Projection branch; `None` = identity.
         shortcut: Option<Vec<CompiledStep>>,
     },
-    /// A dot layer with its trailing peripherals folded in — the fusion
-    /// pass output ([`crate::passes::fuse`]). The engine computes
-    /// dot-product reconstruction, bias, batch-norm and ReLU in a single
-    /// pass over the output activations, with per-element arithmetic
-    /// identical to running the unfused step sequence.
-    Fused {
-        /// im2col geometry for conv-sourced steps; `None` = linear.
-        conv: Option<Conv2dConfig>,
-        /// The layer's packed weight contexts.
-        tile: CompiledTile,
-        /// Per-kernel bias.
-        bias: Vec<f32>,
-        /// Folded batch-norm (conv-sourced steps only).
-        bn: Option<BnParams>,
-        /// Folded trailing ReLU.
-        relu: bool,
-    },
 }
 
 /// Maximum residual nesting accepted when decoding an artifact (real
@@ -566,63 +513,6 @@ pub enum CompiledStep {
 const MAX_STEP_DEPTH: usize = 64;
 
 impl CompiledStep {
-    fn decode_at(r: &mut Reader<'_>, depth: usize) -> BinResult<Self> {
-        if depth > MAX_STEP_DEPTH {
-            return Err(BinError::Invalid(format!(
-                "step nesting deeper than {MAX_STEP_DEPTH}"
-            )));
-        }
-        match r.get_u8()? {
-            0 => Ok(CompiledStep::Conv {
-                cfg: BinCodec::decode(r)?,
-                tile: BinCodec::decode(r)?,
-                bias: BinCodec::decode(r)?,
-            }),
-            1 => Ok(CompiledStep::Linear {
-                tile: BinCodec::decode(r)?,
-                bias: BinCodec::decode(r)?,
-            }),
-            2 => Ok(CompiledStep::Bn {
-                gamma: BinCodec::decode(r)?,
-                beta: BinCodec::decode(r)?,
-                mean: BinCodec::decode(r)?,
-                var: BinCodec::decode(r)?,
-            }),
-            3 => Ok(CompiledStep::Relu),
-            4 => Ok(CompiledStep::MaxPool(BinCodec::decode(r)?)),
-            5 => Ok(CompiledStep::AvgPool(BinCodec::decode(r)?)),
-            6 => Ok(CompiledStep::Flatten),
-            7 => {
-                let body = Self::decode_vec(r, depth + 1)?;
-                let shortcut = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(Self::decode_vec(r, depth + 1)?),
-                    other => return Err(BinError::Invalid(format!("shortcut tag {other}"))),
-                };
-                Ok(CompiledStep::Residual { body, shortcut })
-            }
-            8 => Ok(CompiledStep::Fused {
-                conv: BinCodec::decode(r)?,
-                tile: BinCodec::decode(r)?,
-                bias: BinCodec::decode(r)?,
-                bn: BinCodec::decode(r)?,
-                relu: r.get_bool()?,
-            }),
-            other => Err(BinError::Invalid(format!("CompiledStep tag {other}"))),
-        }
-    }
-
-    fn decode_vec(r: &mut Reader<'_>, depth: usize) -> BinResult<Vec<Self>> {
-        let len = r.get_usize()?;
-        let mut out = Vec::with_capacity(len.min(r.remaining()));
-        for _ in 0..len {
-            out.push(Self::decode_at(r, depth)?);
-        }
-        Ok(out)
-    }
-}
-
-impl BinCodec for CompiledStep {
     fn encode(&self, w: &mut Writer) {
         match self {
             CompiledStep::Conv { cfg, tile, bias } => {
@@ -660,34 +550,109 @@ impl BinCodec for CompiledStep {
             CompiledStep::Flatten => w.put_u8(6),
             CompiledStep::Residual { body, shortcut } => {
                 w.put_u8(7);
-                body.encode(w);
+                Self::encode_vec(body, w);
                 match shortcut {
                     None => w.put_u8(0),
                     Some(sc) => {
                         w.put_u8(1);
-                        sc.encode(w);
+                        Self::encode_vec(sc, w);
                     }
                 }
-            }
-            CompiledStep::Fused {
-                conv,
-                tile,
-                bias,
-                bn,
-                relu,
-            } => {
-                w.put_u8(8);
-                conv.encode(w);
-                tile.encode(w);
-                bias.encode(w);
-                bn.encode(w);
-                w.put_bool(*relu);
             }
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> BinResult<Self> {
-        Self::decode_at(r, 0)
+    fn encode_vec(steps: &[Self], w: &mut Writer) {
+        w.put_usize(steps.len());
+        for step in steps {
+            step.encode(w);
+        }
+    }
+
+    /// Decodes one encoded step onto `out`. Tag 8 is the fused step
+    /// older writers emitted (a dot layer with its trailing batch-norm
+    /// and/or ReLU folded in); it expands into exactly the steps it
+    /// folded — the dot step, then `Bn` if folded, then `Relu` if
+    /// folded — which serve the same logits.
+    fn decode_into(r: &mut Reader<'_>, depth: usize, out: &mut Vec<Self>) -> BinResult<()> {
+        if depth > MAX_STEP_DEPTH {
+            return Err(BinError::Invalid(format!(
+                "step nesting deeper than {MAX_STEP_DEPTH}"
+            )));
+        }
+        let step = match r.get_u8()? {
+            0 => CompiledStep::Conv {
+                cfg: BinCodec::decode(r)?,
+                tile: BinCodec::decode(r)?,
+                bias: BinCodec::decode(r)?,
+            },
+            1 => CompiledStep::Linear {
+                tile: BinCodec::decode(r)?,
+                bias: BinCodec::decode(r)?,
+            },
+            2 => Self::decode_bn(r)?,
+            3 => CompiledStep::Relu,
+            4 => CompiledStep::MaxPool(BinCodec::decode(r)?),
+            5 => CompiledStep::AvgPool(BinCodec::decode(r)?),
+            6 => CompiledStep::Flatten,
+            7 => {
+                let body = Self::decode_vec(r, depth + 1)?;
+                let shortcut = match r.get_u8()? {
+                    0 => None,
+                    1 => Some(Self::decode_vec(r, depth + 1)?),
+                    other => return Err(BinError::Invalid(format!("shortcut tag {other}"))),
+                };
+                CompiledStep::Residual { body, shortcut }
+            }
+            8 => {
+                let conv: Option<Conv2dConfig> = BinCodec::decode(r)?;
+                let tile = BinCodec::decode(r)?;
+                let bias = BinCodec::decode(r)?;
+                let bn = match r.get_u8()? {
+                    0 => None,
+                    1 => Some(Self::decode_bn(r)?),
+                    other => return Err(BinError::Invalid(format!("Option tag {other}"))),
+                };
+                let relu = r.get_bool()?;
+                let dot = match conv {
+                    Some(cfg) => CompiledStep::Conv { cfg, tile, bias },
+                    None if bn.is_none() => CompiledStep::Linear { tile, bias },
+                    // Batch-norm was only ever folded into conv steps.
+                    None => {
+                        return Err(BinError::Invalid(
+                            "fused step folds batch-norm without conv geometry".to_string(),
+                        ))
+                    }
+                };
+                out.push(dot);
+                out.extend(bn);
+                if relu {
+                    out.push(CompiledStep::Relu);
+                }
+                return Ok(());
+            }
+            other => return Err(BinError::Invalid(format!("CompiledStep tag {other}"))),
+        };
+        out.push(step);
+        Ok(())
+    }
+
+    fn decode_bn(r: &mut Reader<'_>) -> BinResult<Self> {
+        Ok(CompiledStep::Bn {
+            gamma: BinCodec::decode(r)?,
+            beta: BinCodec::decode(r)?,
+            mean: BinCodec::decode(r)?,
+            var: BinCodec::decode(r)?,
+        })
+    }
+
+    fn decode_vec(r: &mut Reader<'_>, depth: usize) -> BinResult<Vec<Self>> {
+        let len = r.get_usize()?;
+        let mut out = Vec::with_capacity(len.min(r.remaining()));
+        for _ in 0..len {
+            Self::decode_into(r, depth, &mut out)?;
+        }
+        Ok(out)
     }
 }
 
@@ -700,8 +665,11 @@ pub const ARTIFACT_MAGIC: [u8; 4] = *b"DCAM";
 /// Version history:
 /// * **1** — config, IR, binding, steps.
 /// * **2** — adds the optional [`ModelMapping`] section after the steps
-///   and the fused step tag (pass-pipeline PR). Version-aware load keeps
-///   v1 artifacts readable (`tests/data/lenet5_v1.dcam` pins one).
+///   and the fused step tag 8 (a dot layer with folded batch-norm/ReLU).
+///   Tag 8 is no longer written; the reader expands it into the
+///   unfused steps (`tests/data/vgg11_fused_v2.dcam` pins one).
+///   Version-aware load keeps v1 artifacts readable
+///   (`tests/data/lenet5_v1.dcam` pins one).
 pub const ARTIFACT_VERSION: u32 = 2;
 /// Oldest artifact format version [`CompiledModel::from_bytes`] accepts.
 pub const ARTIFACT_MIN_VERSION: u32 = 1;
@@ -771,9 +739,9 @@ impl CompiledModel {
         fn collect<'m>(steps: &'m [CompiledStep], out: &mut Vec<&'m CompiledTile>) {
             for step in steps {
                 match step {
-                    CompiledStep::Conv { tile, .. }
-                    | CompiledStep::Linear { tile, .. }
-                    | CompiledStep::Fused { tile, .. } => out.push(tile),
+                    CompiledStep::Conv { tile, .. } | CompiledStep::Linear { tile, .. } => {
+                        out.push(tile)
+                    }
                     CompiledStep::Residual { body, shortcut } => {
                         collect(body, out);
                         if let Some(sc) = shortcut {
@@ -794,9 +762,7 @@ impl CompiledModel {
         fn walk(steps: &mut [CompiledStep], f: &mut impl FnMut(&mut CompiledTile)) {
             for step in steps {
                 match step {
-                    CompiledStep::Conv { tile, .. }
-                    | CompiledStep::Linear { tile, .. }
-                    | CompiledStep::Fused { tile, .. } => f(tile),
+                    CompiledStep::Conv { tile, .. } | CompiledStep::Linear { tile, .. } => f(tile),
                     CompiledStep::Residual { body, shortcut } => {
                         walk(body, f);
                         if let Some(sc) = shortcut {
@@ -882,8 +848,14 @@ impl CompiledModel {
         // Per-step parameter vectors: the inference loops index these by
         // kernel/channel without bounds checks of their own, so a
         // corrupted artifact must be rejected here, not panic at serve
-        // time.
-        fn check_steps(steps: &[CompiledStep]) -> Result<()> {
+        // time. `channels` is the channel count of the activations that
+        // reach each step, where the steps before it fix one: a conv sets
+        // it, a linear or flatten step leaves flat activations, and the
+        // input's count is unknown.
+        fn check_steps(
+            steps: &[CompiledStep],
+            mut channels: Option<usize>,
+        ) -> Result<Option<usize>> {
             for step in steps {
                 match step {
                     CompiledStep::Conv { cfg, tile, bias } => {
@@ -905,14 +877,18 @@ impl CompiledModel {
                                 tile.n
                             )));
                         }
+                        channels = Some(tile.kernels());
                     }
-                    CompiledStep::Linear { tile, bias } if bias.len() != tile.kernels() => {
-                        return Err(CoreError::Artifact(format!(
-                            "linear step '{}' has {} bias entries for {} features",
-                            tile.name,
-                            bias.len(),
-                            tile.kernels()
-                        )));
+                    CompiledStep::Linear { tile, bias } => {
+                        if bias.len() != tile.kernels() {
+                            return Err(CoreError::Artifact(format!(
+                                "linear step '{}' has {} bias entries for {} features",
+                                tile.name,
+                                bias.len(),
+                                tile.kernels()
+                            )));
+                        }
+                        channels = None;
                     }
                     CompiledStep::Bn {
                         gamma,
@@ -930,73 +906,26 @@ impl CompiledModel {
                                 var.len()
                             )));
                         }
-                    }
-                    CompiledStep::Fused {
-                        conv,
-                        tile,
-                        bias,
-                        bn,
-                        ..
-                    } => {
-                        if bias.len() != tile.kernels() {
+                        if let Some(expected) = channels.filter(|&e| e != c) {
                             return Err(CoreError::Artifact(format!(
-                                "fused step '{}' has {} bias entries for {} kernels",
-                                tile.name,
-                                bias.len(),
-                                tile.kernels()
+                                "batch-norm step has {c} channels, its input has {expected}"
                             )));
                         }
-                        if let Some(cfg) = conv {
-                            if cfg.out_channels != tile.kernels() || cfg.patch_len() != tile.n {
-                                return Err(CoreError::Artifact(format!(
-                                    "fused step '{}' geometry {}x{} disagrees with its tile {}x{}",
-                                    tile.name,
-                                    cfg.out_channels,
-                                    cfg.patch_len(),
-                                    tile.kernels(),
-                                    tile.n
-                                )));
-                            }
-                        }
-                        if let Some(p) = bn {
-                            // Fused BN is per-channel over an NCHW map;
-                            // only conv-sourced steps produce one.
-                            if conv.is_none() {
-                                return Err(CoreError::Artifact(format!(
-                                    "fused step '{}' folds batch-norm without conv geometry",
-                                    tile.name
-                                )));
-                            }
-                            let c = tile.kernels();
-                            if p.gamma.len() != c
-                                || p.beta.len() != c
-                                || p.mean.len() != c
-                                || p.var.len() != c
-                            {
-                                return Err(CoreError::Artifact(format!(
-                                    "fused step '{}' batch-norm statistics disagree with \
-                                     {c} kernels: gamma {}, beta {}, mean {}, var {}",
-                                    tile.name,
-                                    p.gamma.len(),
-                                    p.beta.len(),
-                                    p.mean.len(),
-                                    p.var.len()
-                                )));
-                            }
-                        }
                     }
+                    CompiledStep::Flatten => channels = None,
                     CompiledStep::Residual { body, shortcut } => {
-                        check_steps(body)?;
+                        let body_channels = check_steps(body, channels)?;
                         if let Some(sc) = shortcut {
-                            check_steps(sc)?;
+                            check_steps(sc, channels)?;
                         }
+                        channels = body_channels;
                     }
-                    _ => {}
+                    CompiledStep::Relu | CompiledStep::MaxPool(_) | CompiledStep::AvgPool(_) => {}
                 }
             }
-            Ok(())
+            Ok(channels)
         }
-        check_steps(&self.steps)?;
+        check_steps(&self.steps, None)?;
         if let Some(mapping) = &self.mapping {
             mapping.check(dots)?;
         }
@@ -1011,7 +940,7 @@ impl CompiledModel {
         self.config.encode(&mut w);
         self.ir.encode(&mut w);
         self.binding.encode(&mut w);
-        self.steps.encode(&mut w);
+        CompiledStep::encode_vec(&self.steps, &mut w);
         self.mapping.encode(&mut w);
         w.into_bytes()
     }
@@ -1369,6 +1298,92 @@ mod tests {
         assert!(matches!(
             CompiledModel::from_bytes(&compiled.to_bytes()),
             Err(CoreError::Artifact(_))
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_batch_norm_that_disagrees_with_its_channels() {
+        // VGG11's first conv has 4 kernels; a batch-norm after it with
+        // 3 self-consistent entries would index past its vectors at
+        // inference, so the artifact must be rejected at decode.
+        let mut rng = seeded_rng(9);
+        let model = scaled_vgg11(&mut rng, 4, 10);
+        let mut compiled = CompiledModel::compile(
+            &model,
+            EngineConfig {
+                plan: HashPlan::Uniform(256),
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let Some(CompiledStep::Bn {
+            gamma,
+            beta,
+            mean,
+            var,
+        }) = compiled
+            .steps
+            .iter_mut()
+            .find(|s| matches!(s, CompiledStep::Bn { .. }))
+        else {
+            panic!("VGG11 has batch-norm steps");
+        };
+        assert_eq!(gamma.len(), 4);
+        for v in [gamma, beta, mean, var] {
+            v.pop();
+        }
+        assert!(matches!(
+            compiled.validate(),
+            Err(CoreError::Artifact(msg)) if msg.contains("3 channels, its input has 4")
+        ));
+        assert!(matches!(
+            CompiledModel::from_bytes(&compiled.to_bytes()),
+            Err(CoreError::Artifact(_))
+        ));
+    }
+
+    #[test]
+    fn fused_linear_tag_expands_and_rejects_folded_batch_norm() {
+        // Tag 8 without conv geometry is a fused linear step: it expands
+        // into `Linear` then `Relu`, and a batch-norm folded into it (no
+        // writer ever produced one) is malformed.
+        let weight = Tensor::from_vec(
+            (0..32).map(|i| i as f32 - 16.0).collect(),
+            deepcam_tensor::Shape::new(&[4, 8]),
+        )
+        .unwrap();
+        let tile = CompiledTile::compile("fc1", 0, 256, 7, &weight).unwrap();
+        let bias = vec![0.5f32; 4];
+        let fused = |with_bn: bool| {
+            let mut w = Writer::new();
+            w.put_usize(1);
+            w.put_u8(8);
+            None::<Conv2dConfig>.encode(&mut w);
+            tile.encode(&mut w);
+            bias.encode(&mut w);
+            w.put_bool(with_bn);
+            if with_bn {
+                for _ in 0..4 {
+                    bias.encode(&mut w);
+                }
+            }
+            w.put_bool(true);
+            w.into_bytes()
+        };
+        let steps = CompiledStep::decode_vec(&mut Reader::new(&fused(false)), 0).unwrap();
+        assert_eq!(
+            steps,
+            [
+                CompiledStep::Linear {
+                    tile: tile.clone(),
+                    bias: bias.clone()
+                },
+                CompiledStep::Relu
+            ]
+        );
+        assert!(matches!(
+            CompiledStep::decode_vec(&mut Reader::new(&fused(true)), 0),
+            Err(BinError::Invalid(msg)) if msg.contains("without conv geometry")
         ));
     }
 

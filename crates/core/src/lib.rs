@@ -60,7 +60,7 @@ pub use deepcam_hash::simd;
 pub use engine::{DeepCamEngine, EngineConfig};
 pub use error::CoreError;
 pub use hashplan::{HashPlan, PlanBinding};
-pub use ir::{BnParams, CompiledModel, CompiledStep, CompiledTile, DotIr, DotKind, LayerIr};
+pub use ir::{CompiledModel, CompiledStep, CompiledTile, DotIr, DotKind, LayerIr};
 pub use passes::{LayerMapping, MappingConfig, ModelMapping, Pass, PassOutcome};
 pub use perf::{EnergyBreakdown, LayerPerf, PerfReport};
 pub use tune::{JointTuneReport, JointTunerConfig, TuneReport, TunerConfig};

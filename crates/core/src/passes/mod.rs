@@ -2,30 +2,26 @@
 //!
 //! Compilation produces a straight-line step program
 //! (`Cnn → LayerIr → PlanBinding → CompiledModel`); the passes here
-//! rewrite that program *after* compilation, as an explicit, ordered
+//! run over that program *after* compilation, as an explicit, ordered
 //! list. Every pass obeys one contract, pinned by
 //! `tests/passes_invariance.rs` for every ordered subset of the list:
 //!
-//! * **May change:** the step program's *shape* (which steps exist, what
-//!   each fuses), and scheduling metadata ([`CompiledModel::mapping`]).
+//! * **May change:** scheduling metadata ([`CompiledModel::mapping`]).
 //! * **May never change:** the logits. Output must stay **bitwise
 //!   identical** to the unpassed pipeline for every input, noise seed,
 //!   worker count and SIMD variant.
 //!
-//! The default list, in order:
-//!
-//! 1. [`Pass::FuseSteps`] ([`fuse`]) — folds trailing batch-norm/ReLU
-//!    steps into their producing dot layer so the engine makes one pass
-//!    over the output activations instead of several (wall-clock win).
-//! 2. [`Pass::MapArrays`] ([`mapping`]) — replaces the scheduler's fixed
-//!    64-row assumption with per-layer tile-shape + dataflow selection
-//!    over a modeled multi-array chip, scored by the `deepcam-cam` cost
-//!    model (modeled energy/latency win; attaches metadata only).
+//! The default list is one pass, [`Pass::MapArrays`] ([`mapping`]): it
+//! replaces the scheduler's fixed 64-row assumption with per-layer
+//! tile-shape + dataflow selection over a modeled multi-array chip,
+//! scored by the `deepcam-cam` cost model (modeled energy/latency win;
+//! attaches metadata only). The step program keeps one form per dot
+//! step (`Conv`/`Linear` plus bias); batch-norm and ReLU always run as
+//! standalone peripheral steps.
 //!
 //! [`crate::tune::tune_joint`] runs the mapping search together with the
 //! per-layer hash-length tuner, co-optimizing both.
 
-pub mod fuse;
 pub mod mapping;
 
 pub use mapping::{LayerMapping, MappingConfig, ModelMapping};
@@ -36,8 +32,6 @@ use crate::Result;
 /// One pass of the pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Pass {
-    /// Fold trailing BN/ReLU steps into their producing dot layer.
-    FuseSteps,
     /// Search a per-layer CAM array mapping under this configuration.
     MapArrays(MappingConfig),
 }
@@ -46,7 +40,6 @@ impl Pass {
     /// Stable pass name (progress lines, [`PassOutcome::pass`]).
     pub fn name(&self) -> &'static str {
         match self {
-            Pass::FuseSteps => "fuse-steps",
             Pass::MapArrays(_) => "map-arrays",
         }
     }
@@ -65,7 +58,7 @@ pub struct PassOutcome {
 
 /// The default pass list, in application order.
 pub fn default_passes() -> Vec<Pass> {
-    vec![Pass::FuseSteps, Pass::MapArrays(MappingConfig::default())]
+    vec![Pass::MapArrays(MappingConfig::default())]
 }
 
 /// Applies `passes` to `model` in order, re-validating the model after
@@ -81,7 +74,6 @@ pub fn apply(model: &mut CompiledModel, passes: &[Pass]) -> Result<Vec<PassOutco
     let mut outcomes = Vec::with_capacity(passes.len());
     for pass in passes {
         let outcome = match pass {
-            Pass::FuseSteps => fuse::run(model),
             Pass::MapArrays(cfg) => mapping::run(model, cfg)?,
         };
         model.validate()?;
@@ -100,17 +92,16 @@ mod tests {
 
     #[test]
     fn pass_names_are_stable() {
-        assert_eq!(Pass::FuseSteps.name(), "fuse-steps");
         assert_eq!(
             Pass::MapArrays(MappingConfig::default()).name(),
             "map-arrays"
         );
         let names: Vec<&str> = default_passes().iter().map(|p| p.name()).collect();
-        assert_eq!(names, ["fuse-steps", "map-arrays"]);
+        assert_eq!(names, ["map-arrays"]);
     }
 
     #[test]
-    fn default_pipeline_fuses_and_maps_a_bn_model() {
+    fn default_pipeline_maps_a_bn_model_and_keeps_its_steps() {
         let mut rng = seeded_rng(11);
         let model = scaled_vgg11(&mut rng, 4, 10);
         let mut compiled = CompiledModel::compile(
@@ -121,15 +112,14 @@ mod tests {
             },
         )
         .unwrap();
+        let unpassed = compiled.steps.clone();
         let outcomes = apply(&mut compiled, &default_passes()).unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes.iter().all(|o| o.changed), "{outcomes:?}");
+        assert_eq!(outcomes.len(), 1);
+        assert!(outcomes[0].changed, "{outcomes:?}");
         assert!(compiled.mapping.is_some());
-        compiled.validate().unwrap();
-        // Applying the same list again is a fixpoint for fusion and
-        // deterministic for mapping.
+        assert_eq!(compiled.steps, unpassed, "passes never rewrite the steps");
+        // Applying the same list again is deterministic.
         let again = apply(&mut compiled, &default_passes()).unwrap();
         assert!(!again[0].changed, "{:?}", again[0]);
-        assert!(!again[1].changed, "{:?}", again[1]);
     }
 }

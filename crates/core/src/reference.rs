@@ -6,7 +6,7 @@
 //! `set()` per bit, and a per-(patch, kernel) loop that re-evaluates the
 //! angle and cosine transcendental for every pair through heap-allocated
 //! per-row hashes — written into an `[N·P, M]` buffer that a second pass
-//! permutes into `[N, M, P]`, adding bias and any folded peripherals.
+//! permutes into `[N, M, P]`, adding bias.
 //!
 //! It exists for two reasons:
 //!
@@ -30,7 +30,7 @@ use deepcam_tensor::pool::ThreadPool;
 use deepcam_tensor::rng::{seeded_rng, standard_normal};
 use deepcam_tensor::Tensor;
 
-use crate::engine::{EngineConfig, Epilogue};
+use crate::engine::EngineConfig;
 use crate::ir::CompiledTile;
 
 /// The historical scalar ikj GEMM (`Tensor::matmul` before k-blocking),
@@ -68,8 +68,7 @@ fn bitwise_from_signs(values: &[f32]) -> BitVec {
 /// One dot step over the materialised patch rows `row_data` (`[N·P, n]`):
 /// the pre-rewrite `[N·P, M]` rows, sharded across `workers` as the
 /// engine sharded them, then the historical permute into `[N, M, P]`
-/// with `+ bias`, any folded BN and ReLU applied per element in that
-/// order. Returns the `[N, M, P]` buffer.
+/// with `+ bias`. Returns the `[N, M, P]` buffer.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dot_layer(
     row_data: &[f32],
@@ -77,7 +76,7 @@ pub(crate) fn dot_layer(
     proj: &Tensor,
     weights: &ContextSet,
     engine_cfg: &EngineConfig,
-    epi: &Epilogue<'_>,
+    bias: &[f32],
     p: usize,
     row_offset: usize,
     workers: usize,
@@ -108,22 +107,14 @@ pub(crate) fn dot_layer(
             range(ci * chunk_rows, chunk);
         });
     }
-    // Permute [N*P, M] -> [N, M, P], adding bias and any folded
-    // peripherals in the same pass.
+    // Permute [N*P, M] -> [N, M, P], adding bias in the same pass.
     let n_batch = r / p.max(1);
     let mut out = vec![0.0f32; n_batch * m * p];
     for ni in 0..n_batch {
         for pi in 0..p {
             let row = (ni * p + pi) * m;
-            for (mi, &b) in epi.bias.iter().enumerate() {
-                let mut v = out2d[row + mi] + b;
-                if let Some((bn, inv)) = &epi.bn {
-                    v = bn.gamma[mi] * (v - bn.mean[mi]) * inv[mi] + bn.beta[mi];
-                }
-                if epi.relu {
-                    v = v.max(0.0);
-                }
-                out[(ni * m + mi) * p + pi] = v;
+            for (mi, &b) in bias.iter().enumerate() {
+                out[(ni * m + mi) * p + pi] = out2d[row + mi] + b;
             }
         }
     }

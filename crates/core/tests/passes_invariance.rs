@@ -3,9 +3,8 @@
 //! logits bitwise identical to the unpassed model, across random zoo
 //! models, per-layer hash plans, crossbar noise levels and seeds.
 //!
-//! Fusion rewrites the step program; mapping attaches scheduling
-//! metadata. Neither may perturb a single output bit, in any order of
-//! application.
+//! Mapping attaches scheduling metadata; it may not perturb a single
+//! output bit.
 
 use deepcam_core::passes::{self, Pass};
 use deepcam_core::{CompiledModel, DeepCamEngine, EngineConfig, HashPlan, MappingConfig};
@@ -29,18 +28,10 @@ fn batch_for(model: &Cnn, n: usize, seed: u64) -> Tensor {
     init::normal(&mut rng, Shape::new(&[n, c, h, w]), 0.0, 1.0)
 }
 
-/// Every ordered subset of the two-pass default list (the empty subset
+/// Every ordered subset of the one-pass default list (the empty subset
 /// is the baseline itself and serves as a sanity anchor).
 fn pass_subsets() -> Vec<Vec<Pass>> {
-    let fuse = Pass::FuseSteps;
-    let map = Pass::MapArrays(MappingConfig::default());
-    vec![
-        vec![],
-        vec![fuse.clone()],
-        vec![map.clone()],
-        vec![fuse.clone(), map.clone()],
-        vec![map, fuse],
-    ]
+    vec![vec![], vec![Pass::MapArrays(MappingConfig::default())]]
 }
 
 proptest! {

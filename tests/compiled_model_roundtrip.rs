@@ -143,10 +143,27 @@ fn load_of_missing_or_garbage_file_is_a_typed_error() {
     std::fs::remove_file(&garbage).ok();
 }
 
+/// The legacy fused fixture and the fresh, unpassed compile it was
+/// written from. The fixture was written by the fusion-era v2 writer
+/// from `scaled_vgg11(seeded_rng(6), 4, 10)` at `Uniform(256)` with that
+/// era's default passes (step fusion, then array mapping) applied: 8 of
+/// its 15 top-level steps are fused (tag 8), which the reader expands
+/// into the dot, batch-norm and ReLU steps they folded.
+fn legacy_fused_fixture() -> (&'static [u8], CompiledModel, Cnn) {
+    let bytes: &'static [u8] = include_bytes!("data/vgg11_fused_v2.dcam");
+    let model = scaled_vgg11(&mut seeded_rng(6), 4, 10);
+    let cfg = EngineConfig {
+        plan: HashPlan::Uniform(256),
+        ..EngineConfig::default()
+    };
+    let unpassed = CompiledModel::compile(&model, cfg).expect("compiles");
+    (bytes, unpassed, model)
+}
+
 #[test]
 fn passed_models_roundtrip_with_mapping_and_fused_steps() {
-    // The pass pipeline's output — fused steps plus an array mapping —
-    // must survive the v2 artifact bit-exactly.
+    // The pass pipeline's output — an array mapping — must survive the
+    // v2 artifact bit-exactly.
     use deepcam::accel::passes;
     let mut rng = seeded_rng(6);
     let model = scaled_vgg11(&mut rng, 4, 10);
@@ -161,8 +178,7 @@ fn passed_models_roundtrip_with_mapping_and_fused_steps() {
     assert!(compiled.mapping.is_some());
 
     let decoded = CompiledModel::from_bytes(&compiled.to_bytes()).expect("decodes");
-    assert_eq!(compiled, decoded, "mapping or fused steps lost in transit");
-    assert_eq!(compiled.mapping, decoded.mapping);
+    assert_eq!(compiled, decoded, "mapping lost in transit");
 
     let x = batch_for(&model, 3, 17);
     let direct = DeepCamEngine::from_compiled(compiled).expect("runtime");
@@ -170,6 +186,60 @@ fn passed_models_roundtrip_with_mapping_and_fused_steps() {
     assert_eq!(
         direct.infer(&x).unwrap().data(),
         served.infer(&x).unwrap().data()
+    );
+
+    // A legacy artifact with fused steps decodes to exactly the unpassed
+    // compile's steps, keeps its mapping, and re-saves without them.
+    let (fixture, mut expected, _) = legacy_fused_fixture();
+    assert_eq!(
+        &fixture[4..8],
+        &2u32.to_le_bytes(),
+        "fixture must be version 2"
+    );
+    let legacy = CompiledModel::from_bytes(fixture).expect("legacy fused artifact loads");
+    assert!(legacy.mapping.is_some());
+    expected.mapping = legacy.mapping.clone();
+    assert_eq!(
+        legacy, expected,
+        "fused steps must expand to the unpassed steps"
+    );
+    let resaved = legacy.to_bytes();
+    assert_eq!(resaved, expected.to_bytes());
+    assert_ne!(resaved, fixture, "fixture must hold fused (tag 8) steps");
+    assert_eq!(
+        CompiledModel::from_bytes(&resaved).expect("re-saved decodes"),
+        legacy
+    );
+}
+
+#[test]
+fn legacy_fused_artifact_serves_and_calibrates_like_unfused() {
+    let (fixture, unpassed, model) = legacy_fused_fixture();
+    let mut legacy =
+        DeepCamEngine::from_compiled(CompiledModel::from_bytes(fixture).expect("loads"))
+            .expect("legacy runtime");
+    let mut fresh = DeepCamEngine::from_compiled(unpassed).expect("fresh runtime");
+    let x = batch_for(&model, 3, 17);
+    assert_eq!(
+        fresh.infer(&x).unwrap().data(),
+        legacy.infer(&x).unwrap().data()
+    );
+    assert_eq!(
+        fresh.infer_reference(&x).unwrap().data(),
+        legacy.infer_reference(&x).unwrap().data()
+    );
+
+    // Calibration lands on the same statistics: the two artifacts then
+    // differ only in the fixture's mapping metadata.
+    let calib = batch_for(&model, 4, 29);
+    fresh.calibrate_bn(&calib).expect("fresh calibrates");
+    legacy.calibrate_bn(&calib).expect("legacy calibrates");
+    let mut expected = fresh.compiled().clone();
+    expected.mapping = legacy.compiled().mapping.clone();
+    assert_eq!(legacy.compiled(), &expected);
+    assert_eq!(
+        fresh.infer(&x).unwrap().data(),
+        legacy.infer(&x).unwrap().data()
     );
 }
 

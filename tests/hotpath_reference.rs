@@ -149,20 +149,20 @@ fn sharded_fast_path_matches_serial_reference() {
     // fast path must hit them at every worker count. The worker row
     // ranges and 64-row sub-blocks cut the output planes in different
     // places per model: LeNet5 (P = 784 and 100) splits mid-image, and
-    // fused VGG11's 4×4 layer (P = 16) puts an image and part of the
-    // next into one sub-block, with BN and ReLU folded into the writer.
+    // VGG11's 4×4 layer (P = 16) puts an image and part of the next
+    // into one sub-block.
     let mut rng = seeded_rng(310);
     let lenet = scaled_lenet5(&mut rng, 10);
     let mut data_rng = seeded_rng(311);
     let lenet_x = init::normal(&mut data_rng, Shape::new(&[3, 1, 28, 28]), 0.0, 1.0);
-    let compile = |model: &Cnn, parallelism: Parallelism, fused: bool| {
+    let compile = |model: &Cnn, parallelism: Parallelism, passed: bool| {
         let cfg = EngineConfig {
             plan: HashPlan::Uniform(256),
             parallelism,
             ..EngineConfig::default()
         };
         let mut compiled = CompiledModel::compile(model, cfg).expect("model compiles");
-        if fused {
+        if passed {
             passes::apply(&mut compiled, &passes::default_passes()).expect("passes apply");
         }
         DeepCamEngine::from_compiled(compiled).expect("engine builds")
@@ -171,14 +171,14 @@ fn sharded_fast_path_matches_serial_reference() {
     let vgg_x = init::normal(&mut seeded_rng(315), Shape::new(&[3, 3, 32, 32]), 0.0, 1.0);
     let cases: [(&str, &Cnn, &Tensor, bool, &[usize]); 2] = [
         ("lenet5", &lenet, &lenet_x, false, &[1, 2, 5]),
-        ("fused vgg11", &vgg, &vgg_x, true, &[2, 3]),
+        ("vgg11 (default passes)", &vgg, &vgg_x, true, &[2, 3]),
     ];
-    for (label, model, x, fused, workers) in cases {
-        let reference = compile(model, Parallelism::Serial, fused)
+    for (label, model, x, passed, workers) in cases {
+        let reference = compile(model, Parallelism::Serial, passed)
             .infer_reference(x)
             .expect("reference succeeds");
         for &workers in workers {
-            let fast = compile(model, Parallelism::Fixed(workers), fused)
+            let fast = compile(model, Parallelism::Fixed(workers), passed)
                 .infer(x)
                 .expect("fast succeeds");
             assert_eq!(fast.data(), reference.data(), "{label}, workers {workers}");
