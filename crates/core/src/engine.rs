@@ -31,7 +31,6 @@
 //! `RuntimeTile`-building — the same derivation whether the artifact
 //! came from an in-memory compile or from disk.
 
-use deepcam_hash::bitvec::pack_signs_into;
 use deepcam_hash::context::{Context, ContextSet};
 use deepcam_hash::geometric::{CosineMode, GeometricDot, NormMode};
 use deepcam_hash::{Minifloat8, ProjectionMatrix};
@@ -39,12 +38,12 @@ use deepcam_models::Cnn;
 use deepcam_tensor::ops::conv::{im2col_sharded, Conv2dConfig};
 use deepcam_tensor::ops::norm::BN_EPS;
 use deepcam_tensor::ops::pool::{avg_pool2d, max_pool2d};
-use deepcam_tensor::ops::project::{project_patches_into, PatchSource, ProjectScratch};
+use deepcam_tensor::ops::project::PatchSource;
 use deepcam_tensor::pool::{split_ranges, Parallelism, ThreadPool};
-use deepcam_tensor::rng::{seeded_rng, standard_normal};
 use deepcam_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
 
+use crate::certify::{column_bounds, CrossbarNoise, SignHasher};
 use crate::error::CoreError;
 use crate::hashplan::HashPlan;
 use crate::ir::{CompiledModel, CompiledStep, CompiledTile};
@@ -117,6 +116,9 @@ pub(crate) struct RuntimeTile {
     /// Layer projection `[n, k]` (the on-chip crossbar weights),
     /// regenerated from the tile's seed.
     pub(crate) proj: Tensor,
+    /// Upward-rounded bounds on the projection's column norms, the `c_j`
+    /// of the sign certificate (see [`crate::certify`]).
+    col_bounds: Vec<f32>,
     /// Per-kernel contexts rebuilt from the packed tile + raw norms —
     /// read only by the frozen [`reference`](`crate::reference`)
     /// datapath and tests, so they are derived lazily on first use (the
@@ -145,6 +147,7 @@ impl RuntimeTile {
         luts: &mut std::collections::HashMap<usize, std::sync::Arc<Vec<f32>>>,
     ) -> Self {
         let proj = ProjectionMatrix::generate(tile.n, tile.k, tile.seed).to_tensor();
+        let col_bounds = column_bounds(proj.data(), tile.k);
         let w_norms = tile
             .norms
             .iter()
@@ -171,6 +174,7 @@ impl RuntimeTile {
             .clone();
         RuntimeTile {
             proj,
+            col_bounds,
             weights: std::sync::OnceLock::new(),
             w_norms,
             cos_lut,
@@ -1037,10 +1041,12 @@ fn plane_segments<'o>(
 /// One blocked kernel per 64-row sub-block, allocation-free inside the
 /// loop (the scratch is allocated once per chunk):
 /// 1. project the sub-block straight from the layer input with the
-///    implicit-im2col, zero-skipping kernel (`project_patches_into`,
-///    which also yields the patch norms);
+///    implicit-im2col, zero-skipping kernel in its fused multiply-add
+///    form, which also yields the exact patch norms;
 /// 2. apply any crossbar noise per global row, then pack every row's
-///    signs into word-major queries;
+///    signs into word-major queries, certifying each sign against an
+///    error bound and recomputing the uncertain lanes exactly
+///    ([`SignHasher`]; the signs are those of the exact chain);
 /// 3. run one Hamming tile of those queries against all M packed kernel
 ///    rows ([`PackedHashes::hamming_tile_into`](deepcam_hash::PackedHashes::hamming_tile_into));
 /// 4. per kernel, evaluate `a_norm * w_norm * cos_lut[hd]` — the
@@ -1064,60 +1070,35 @@ fn dot_rows_range(
     let m = ct.kernels();
     let k = ct.k;
     let wpr = ct.packed.words_per_row();
-    let noise = engine_cfg.crossbar_noise;
+    let noise = CrossbarNoise::of(engine_cfg, ct.layer_idx);
     let norm_mode = engine_cfg.norm;
-    let seed = engine_cfg.seed;
     let lut = &rt.cos_lut[..=k];
     let first_image = rows.start / p;
     let block = SUB_ROWS.min(rows.len().max(1));
     // Per-worker scratch, allocated once per chunk (not per patch).
-    let mut scratch = ProjectScratch::new(block, ct.n);
-    let mut projected = vec![0.0f32; block * k];
-    let mut norms = vec![0.0f32; block];
+    let mut hasher = SignHasher::new(block, ct.n, k);
     let mut a_norms = vec![0.0f32; block];
-    let mut query = vec![0u64; wpr];
     let mut queries = vec![0u64; wpr * block];
     let mut dists = vec![0u32; m * block];
     let mut cos = vec![0.0f32; block];
     let mut g0 = rows.start;
     while g0 < rows.end {
         let nq = SUB_ROWS.min(rows.end - g0);
-        // Projection matrices are finite by construction, so skipping
-        // zero taps is bit-identical to the dense GEMM over materialised
-        // im2col rows (see `project_patches_into`). Each projected
-        // element is a fixed-order chain over n, so block boundaries
-        // never change its value.
-        project_patches_into(
+        // Each hash bit is the exact chain's sign, and each chain runs
+        // in a fixed order over n, so block boundaries never change it.
+        let queries = &mut queries[..wpr * nq];
+        hasher.hash(
             src,
             g0,
             nq,
             rt.proj.data(),
-            k,
-            &mut scratch,
-            &mut projected,
-            &mut norms,
+            &rt.col_bounds,
+            noise,
+            row_offset,
+            queries,
         );
-        let queries = &mut queries[..wpr * nq];
-        for (r, pre) in projected.chunks_exact_mut(k).take(nq).enumerate() {
-            let norm = norms[r];
-            if noise > 0.0 {
-                // Per-patch deterministic RNG keyed by the *global*
-                // patch index: disturbances are reproducible across
-                // runs, thread counts and batch splits.
-                let global_row = (row_offset + g0 + r) as u64;
-                let mut rng = seeded_rng(
-                    seed ^ ((ct.layer_idx as u64) << 40)
-                        ^ global_row.wrapping_mul(0x9E3779B97F4A7C15),
-                );
-                for v in pre.iter_mut() {
-                    *v += noise * norm * standard_normal(&mut rng) as f32;
-                }
-            }
-            pack_signs_into(pre, &mut query);
-            for (w, &word) in query.iter().enumerate() {
-                queries[w * nq + r] = word;
-            }
-            a_norms[r] = match norm_mode {
+        for (a_norm, &norm) in a_norms.iter_mut().zip(&hasher.norms()[..nq]) {
+            *a_norm = match norm_mode {
                 NormMode::Minifloat8 => Minifloat8::quantize(norm),
                 NormMode::Fp32 => norm,
             };

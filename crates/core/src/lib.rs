@@ -36,6 +36,7 @@
 // unsafe code, and the compiler now enforces that it never grows any.
 #![forbid(unsafe_code)]
 
+mod certify;
 pub mod ctxgen;
 pub mod dataflow;
 pub mod engine;

@@ -35,7 +35,7 @@ pub struct DotSample {
     /// Hash width of the layer.
     pub k: usize,
     /// Wall-clock seconds of the whole step (patch staging, projection,
-    /// Hamming, reconstruction and the folded peripherals).
+    /// sign pack, Hamming, reconstruction and bias).
     pub seconds: f64,
 }
 

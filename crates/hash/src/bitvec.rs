@@ -263,19 +263,12 @@ impl BitVec {
 /// shift-or loop (kept for tails) has a 64-deep OR dependency chain;
 /// this path replaces it with ~5 ops per 8 elements.
 pub(crate) fn sign_word(chunk: &[f32]) -> u64 {
-    const WORD: usize = 64;
-    const MAGIC: u64 = 0x0102_0408_1020_4080;
-    if chunk.len() == WORD {
-        let mut bytes = [0u8; WORD];
-        for (d, &x) in bytes.iter_mut().zip(chunk.iter()) {
+    if let Ok(chunk) = <&[f32; 64]>::try_from(chunk) {
+        let mut bytes = [0u8; 64];
+        for (d, &x) in bytes.iter_mut().zip(chunk) {
             *d = u8::from(x >= 0.0);
         }
-        let mut word = 0u64;
-        for (g, group) in bytes.chunks_exact(8).enumerate() {
-            let lanes = u64::from_le_bytes(group.try_into().expect("8-byte group"));
-            word |= (lanes.wrapping_mul(MAGIC) >> 56) << (8 * g);
-        }
-        return word;
+        return collapse_bytes(&bytes);
     }
     let mut word = 0u64;
     for (b, &x) in chunk.iter().enumerate() {
@@ -284,18 +277,30 @@ pub(crate) fn sign_word(chunk: &[f32]) -> u64 {
     word
 }
 
+/// Collapses 64 0/1 bytes into a word (bit `b` = `bytes[b]`), one
+/// multiply per 8-byte group: the second stage of [`sign_word`]'s full
+/// path.
+fn collapse_bytes(bytes: &[u8; 64]) -> u64 {
+    const MAGIC: u64 = 0x0102_0408_1020_4080;
+    let mut word = 0u64;
+    for (g, group) in bytes.chunks_exact(8).enumerate() {
+        let lanes = u64::from_le_bytes(group.try_into().expect("8-byte group"));
+        word |= (lanes.wrapping_mul(MAGIC) >> 56) << (8 * g);
+    }
+    word
+}
+
 /// Packs the signs of `values` directly into a caller-provided word
-/// buffer — the allocation-free twin of [`BitVec::from_signs`] used by
-/// the inference hot loop to build query hashes in reusable scratch.
+/// buffer — the allocation-free twin of [`BitVec::from_signs`], for
+/// building query hashes in reusable scratch (the engine's own hot loop
+/// packs through [`certify_signs_into`]).
 ///
 /// `out` must hold exactly `values.len().div_ceil(64)` words; unused high
 /// bits of the final word are written zero, so the buffer satisfies the
 /// same trailing-zero invariant as a [`BitVec`] and can be compared
 /// against packed storage without tail masking.
 ///
-/// Runs on the active [`crate::simd`] variant (AVX-512: an ordered
-/// `>=` mask compare). Every variant packs identical bits: bit set
-/// exactly when `x >= 0.0`, so NaN packs 0 and `-0.0` packs 1.
+/// Bit set exactly when `x >= 0.0`, so NaN packs 0 and `-0.0` packs 1.
 ///
 /// # Panics
 ///
@@ -307,15 +312,77 @@ pub fn pack_signs_into(values: &[f32], out: &mut [u64]) {
         values.len().div_ceil(WORD_BITS),
         "sign word buffer must match the value count"
     );
-    crate::simd::pack_signs(values, out);
-}
-
-/// The portable sign-pack kernel behind [`pack_signs_into`]: the
-/// dispatch fallback and the oracle the SIMD pack is tested against.
-// analyze: alloc-free
-pub(crate) fn pack_sign_words(values: &[f32], out: &mut [u64]) {
     for (w, chunk) in out.iter_mut().zip(values.chunks(WORD_BITS)) {
         *w = sign_word(chunk);
+    }
+}
+
+/// Packs the signs of `values` into `signs` exactly as
+/// [`pack_signs_into`] does, and flags in `uncertain` every lane whose
+/// sign the caller's error bound does not prove: bit `j` is clear
+/// exactly when `values[j].abs() > scale * bounds[j]`, the product
+/// rounded to `f32`. The compare is ordered, so a NaN value, a NaN bound
+/// and an infinite value against an infinite bound all flag — the check
+/// fails closed. Returns the number of flagged lanes.
+///
+/// Both word buffers follow [`pack_signs_into`]'s length contract and
+/// trailing-zero invariant. Runs on the active [`crate::simd`] variant
+/// (AVX-512: one pass of mask compares); every variant writes identical
+/// words.
+///
+/// # Panics
+///
+/// Panics when `bounds` is not as long as `values`, or a word buffer has
+/// the wrong length.
+// analyze: alloc-free
+pub fn certify_signs_into(
+    values: &[f32],
+    bounds: &[f32],
+    scale: f32,
+    signs: &mut [u64],
+    uncertain: &mut [u64],
+) -> usize {
+    assert_eq!(bounds.len(), values.len(), "one bound per value");
+    let words = values.len().div_ceil(WORD_BITS);
+    assert_eq!(
+        signs.len(),
+        words,
+        "sign word buffer must match the value count"
+    );
+    assert_eq!(
+        uncertain.len(),
+        words,
+        "uncertain word buffer must match the value count"
+    );
+    crate::simd::certify_signs(values, bounds, scale, signs, uncertain);
+    uncertain.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Sign and uncertain words of one chunk of at most 64 values — the
+/// portable certify step of [`certify_signs_into`]. The flags go through
+/// bytes, as in [`sign_word`], so the compares vectorize.
+pub(crate) fn certify_word(values: &[f32], bounds: &[f32], scale: f32) -> (u64, u64) {
+    let mut unsure = [0u8; 64];
+    for ((d, &x), &c) in unsure.iter_mut().zip(values).zip(bounds) {
+        let sure = x.abs() > scale * c;
+        *d = u8::from(!sure);
+    }
+    (sign_word(values), collapse_bytes(&unsure))
+}
+
+/// The portable certify kernel behind [`certify_signs_into`]: the
+/// dispatch fallback and the oracle the SIMD kernel is tested against.
+// analyze: alloc-free
+pub(crate) fn certify_sign_words(
+    values: &[f32],
+    bounds: &[f32],
+    scale: f32,
+    signs: &mut [u64],
+    uncertain: &mut [u64],
+) {
+    let chunks = values.chunks(WORD_BITS).zip(bounds.chunks(WORD_BITS));
+    for ((s, u), (v, b)) in signs.iter_mut().zip(uncertain.iter_mut()).zip(chunks) {
+        (*s, *u) = certify_word(v, b, scale);
     }
 }
 

@@ -1,5 +1,5 @@
 //! x86-64 Hamming kernels — AVX2 Harley–Seal popcount and AVX-512
-//! `VPOPCNTDQ` — and the AVX-512 mask-compare sign pack.
+//! `VPOPCNTDQ` — and the AVX-512 mask-compare certify pack.
 //!
 //! Selected at runtime by the dispatch table in [`super`]; the plain
 //! wrapper functions at the bottom are the only entries the table
@@ -167,34 +167,59 @@ fn range_avx512(slab: &[u64], wpr: usize, query: &[u64], out: &mut [u32]) {
 }
 
 // ---------------------------------------------------------------------
-// AVX-512: sign pack by mask compare.
+// AVX-512: certified sign pack by mask compare.
 // ---------------------------------------------------------------------
 
-/// Sign words of `values` (`x >= 0.0` per bit, 64 per word). Each full
-/// 64-value chunk is four 16-lane `_CMP_GE_OQ` compares against `+0.0`,
-/// whose masks are the word's four 16-bit quarters. The predicate is
-/// ordered and quiet, so it is exactly Rust's `x >= 0.0`: NaN (either
-/// sign, any payload) compares false and `-0.0 >= 0.0` is true. The
-/// final partial chunk takes the portable packer.
+/// Sign words of `values` (`x >= 0.0` per bit, 64 per word) and, in the
+/// same pass, the uncertain words. Per 16 lanes, one `_CMP_GE_OQ`
+/// compare against `+0.0` gives a quarter of the sign word, and one
+/// `_CMP_GT_OQ` compare of `|x|` (the sign bit cleared, as `f32::abs`
+/// does) against `scale · bound` (one rounded multiply, as the portable
+/// `scale * c`) gives the lanes the bound certifies; its complement
+/// flags the rest. Both predicates are ordered and quiet, so they are
+/// exactly Rust's `>=` and `>`: NaN (either sign, any payload) packs 0
+/// and fails the bound, and `-0.0 >= 0.0` is true. The final partial
+/// chunk takes the portable kernel.
 // analyze: alloc-free
 #[target_feature(enable = "avx512f")]
-fn pack_signs_512(values: &[f32], out: &mut [u64]) {
+fn certify_signs_512(
+    values: &[f32],
+    bounds: &[f32],
+    scale: f32,
+    signs: &mut [u64],
+    uncertain: &mut [u64],
+) {
     let zero = _mm512_setzero_ps();
+    let s = _mm512_set1_ps(scale);
     let mut chunks = values.chunks_exact(64);
-    for (w, chunk) in out.iter_mut().zip(&mut chunks) {
-        let mut word = 0u64;
-        for (q, lanes) in chunk.chunks_exact(16).enumerate() {
-            // SAFETY: `lanes` is a live 16-element `&[f32]`, so this
-            // unaligned load reads exactly its 64 in-bounds bytes.
-            let v = unsafe { _mm512_loadu_ps(lanes.as_ptr()) };
-            word |= u64::from(_mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, zero)) << (16 * q);
+    let mut bound_chunks = bounds.chunks_exact(64);
+    let words = signs.iter_mut().zip(uncertain.iter_mut());
+    for ((sw, uw), (chunk, bound)) in words.zip((&mut chunks).zip(&mut bound_chunks)) {
+        let (mut sign, mut sure) = (0u64, 0u64);
+        for q in 0..4 {
+            let v = load_ps(chunk, 16 * q);
+            let b = _mm512_mul_ps(s, load_ps(bound, 16 * q));
+            sign |= u64::from(_mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, zero)) << (16 * q);
+            sure |= u64::from(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(_mm512_abs_ps(v), b)) << (16 * q);
         }
-        *w = word;
+        (*sw, *uw) = (sign, !sure);
     }
     let tail = chunks.remainder();
     if !tail.is_empty() {
-        out[values.len() / 64] = crate::bitvec::sign_word(tail);
+        let w = values.len() / 64;
+        (signs[w], uncertain[w]) =
+            crate::bitvec::certify_word(tail, bound_chunks.remainder(), scale);
     }
+}
+
+/// Loads the 16 floats `src[at..at + 16]`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load_ps(src: &[f32], at: usize) -> __m512 {
+    let lanes = &src[at..at + 16];
+    // SAFETY: `lanes` is a bounds-checked 16-element slice of a live
+    // allocation, so this unaligned load reads exactly its 64 bytes.
+    unsafe { _mm512_loadu_ps(lanes.as_ptr()) }
 }
 
 // ---------------------------------------------------------------------
@@ -232,10 +257,17 @@ pub(super) fn hamming_pair_avx512(a: &[u64], b: &[u64]) -> u32 {
     unsafe { pair_avx512(a, b) }
 }
 
-/// [`crate::bitvec::pack_signs_into`] entry for [`super::Variant::Avx512`].
-pub(super) fn pack_signs_avx512(values: &[f32], out: &mut [u64]) {
+/// [`crate::bitvec::certify_signs_into`] entry for
+/// [`super::Variant::Avx512`].
+pub(super) fn certify_signs_avx512(
+    values: &[f32],
+    bounds: &[f32],
+    scale: f32,
+    signs: &mut [u64],
+    uncertain: &mut [u64],
+) {
     // SAFETY: installed only for `Variant::Avx512`, which `detected()`
     // lists solely after `is_x86_feature_detected!` confirmed
     // "avx512f" (the only feature this kernel uses) on this host.
-    unsafe { pack_signs_512(values, out) }
+    unsafe { certify_signs_512(values, bounds, scale, signs, uncertain) }
 }

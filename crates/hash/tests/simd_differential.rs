@@ -1,6 +1,7 @@
 //! Per-width scalar-vs-SIMD differential suite: every kernel variant the
 //! host detects must be **bitwise equal** to the scalar oracle
-//! (`hamming_words`, and one `x >= 0.0` per value for the sign pack) on
+//! (`hamming_words`, one `x >= 0.0` per value for the sign pack, and
+//! one `|x| > scale · bound` more for the certify pack) on
 //! every width — explicit boundary widths around the word, lane and
 //! Harley–Seal group sizes, plus randomized property-based sweeps.
 //!
@@ -8,7 +9,7 @@
 //! on any input is a correctness bug, never a tolerance question —
 //! popcounts are exact integers and a sign is one exact comparison.
 
-use deepcam_hash::bitvec::pack_signs_into;
+use deepcam_hash::bitvec::{certify_signs_into, pack_signs_into};
 use deepcam_hash::packed::hamming_words;
 use deepcam_hash::simd::{
     active, detected, force_variant, hamming_pair_with, hamming_range_with, Variant,
@@ -199,6 +200,70 @@ fn every_detected_variant_packs_signs_like_the_comparison() {
                 let mut values = vec![if x >= 0.0 { -1.0f32 } else { 1.0 }; len];
                 values[lane] = x;
                 check_pack_on_every_variant(&values, &format!("{special:#010x} at {lane}/{len}"));
+            }
+        }
+    }
+    let _ = force_variant(initial);
+}
+
+/// The certify-pack oracle: per value, the sign bit `x >= 0.0` and the
+/// uncertain bit `!(|x| > scale · bound)`, set bit by bit.
+fn certify_bitwise(values: &[f32], bounds: &[f32], scale: f32) -> (Vec<u64>, Vec<u64>) {
+    let words = values.len().div_ceil(64);
+    let (mut signs, mut uncertain) = (vec![0u64; words], vec![0u64; words]);
+    for (i, (&x, &c)) in values.iter().zip(bounds).enumerate() {
+        signs[i / 64] |= u64::from(x >= 0.0) << (i % 64);
+        let sure = x.abs() > scale * c;
+        uncertain[i / 64] |= u64::from(!sure) << (i % 64);
+    }
+    (signs, uncertain)
+}
+
+#[test]
+fn every_detected_variant_certifies_signs_like_the_comparison() {
+    let initial = active();
+    // Values near the bound on both sides, every special among them;
+    // bounds that are ordinary, zero, subnormal, infinite or NaN; and
+    // scales that make the products ordinary, overflow or vanish.
+    let bound_specials = [0.0f32, 1e-40, f32::INFINITY, f32::NAN, f32::MAX];
+    for &bits in &BOUNDARY_BITS {
+        let values: Vec<f32> = (0..bits as u64)
+            .map(|i| {
+                let w = mixed_word(bits as u64 + 17, i);
+                match w % 4 {
+                    0 => f32::from_bits(SIGN_SPECIALS[(w >> 8) as usize % SIGN_SPECIALS.len()]),
+                    1 => f32::from_bits(w as u32),
+                    // Within a few ulps of the ±1e-3 bound below.
+                    _ => {
+                        f32::from_bits(1e-3f32.to_bits() - 4 + (w >> 8) as u32 % 9)
+                            * if w & 0x100_0000 == 0 { 1.0 } else { -1.0 }
+                    }
+                }
+            })
+            .collect();
+        let bounds: Vec<f32> = (0..bits as u64)
+            .map(|i| {
+                let w = mixed_word(bits as u64 + 99, i);
+                if w.is_multiple_of(5) {
+                    bound_specials[(w >> 8) as usize % bound_specials.len()]
+                } else {
+                    2.0
+                }
+            })
+            .collect();
+        for scale in [5e-4f32, 0.0, 1e-30, 1e30, f32::INFINITY] {
+            let (want_signs, want_uncertain) = certify_bitwise(&values, &bounds, scale);
+            let flagged: usize = want_uncertain.iter().map(|w| w.count_ones() as usize).sum();
+            for &v in detected() {
+                force_variant(v).expect("detected variant");
+                // Pre-filled with ones so every word must be written.
+                let mut signs = vec![!0u64; want_signs.len()];
+                let mut uncertain = vec![!0u64; want_signs.len()];
+                let got = certify_signs_into(&values, &bounds, scale, &mut signs, &mut uncertain);
+                let what = format!("bits {bits} scale {scale} variant {}", v.name());
+                assert_eq!(signs, want_signs, "signs: {what}");
+                assert_eq!(uncertain, want_uncertain, "uncertain: {what}");
+                assert_eq!(got, flagged, "flagged count: {what}");
             }
         }
     }

@@ -43,8 +43,24 @@
 //! `zmm` accumulators and the broadcast keeps a row's 128 accumulators in
 //! eight `zmm` registers ([`crate::simd`]'s x86 kernels); every other
 //! variant runs the portable code here, which LLVM vectorizes at 256 bits
-//! on AVX-512 hosts too. The wide kernels keep the separate multiply and
-//! add of every term (no FMA), so all variants give identical bits.
+//! on AVX-512 hosts too. In [`project_patches_into`] the wide kernels keep
+//! the separate multiply and add of every term, so all variants give
+//! identical bits.
+//!
+//! # The fused form
+//!
+//! [`project_patches_approx_into`] runs the same gather and norms, but
+//! on `Avx512` its tiles fuse each term into one `_mm512_fmadd_ps`: one
+//! rounding instead of two, so a projected value may differ from the
+//! exact one in its last bits (every other variant has no fused tile and
+//! stays exact). Each value is still one serial chain over at most `n`
+//! terms, so it lies within `γ_n·Σ|x_i·r_i|` of the true dot product, as
+//! the exact value does. The norms are exact in both forms. The fused
+//! dense tile gains more than the fused broadcast, so there the dense
+//! branch starts at a lower density (`FUSED_DENSE_PER_1024`). After
+//! either call, [`ProjectScratch::exact_element`] recomputes any one
+//! output with the exact chain, from the taps the block's gather left in
+//! the scratch.
 
 use crate::error::TensorError;
 use crate::ops::conv::Conv2dConfig;
@@ -79,8 +95,31 @@ const NC: usize = 64;
 /// | `scalar` | 4 | 1 | 1.108 → 1.152 (+3.9%) | 0.085 |
 ///
 /// Neither move clears the band, and the variants disagree, so 680
-/// stays as the one threshold.
+/// stays as the threshold of the exact kernels.
 const DENSE_PER_1024: usize = 680;
+
+/// [`DENSE_PER_1024`] for the fused multiply-add tiles of
+/// [`project_patches_approx_into`] on `Avx512`: they speed the dense
+/// tile up about 1.55× and the broadcast only about 1.1×, so the dense
+/// tile wins on sparser blocks.
+///
+/// Measured with the engine on the fused tiles, the threshold the only
+/// difference: perfbench `offline-vgg11` `cpu_ms_per_image`, 10 s
+/// alternating pairs on a 2-vCPU AVX-512 Xeon. VGG11's conv inputs are
+/// 0.96, 0.86, 0.66, 0.44, 0.52, 0.36, 0.37 and 0.24 dense, so 340 moves
+/// layers 2–6 to the dense tile and 200 layer 7 too:
+///
+/// | variant | change | pairs | new faster in | median ms/image | old's IQR |
+/// |---|---|---|---|---|---|
+/// | `avx512` | 680 → 480 | 6 | 4 | 0.774 → 0.773 | 0.042 |
+/// | `avx512` | 680 → 340 | 6 | 6 | 0.832 → 0.772 (−7.2%) | 0.046 |
+/// | `avx512` | 340 → 200 | 6 | 2 | 0.787 → 0.810 (+3.0%) | 0.044 |
+/// | `scalar` | 680 → 340 | 6 | 0 | 1.162 → 1.291 (+11.1%) | 0.036 |
+///
+/// The last row is why the exact kernels keep [`DENSE_PER_1024`]: every
+/// variant but `Avx512` runs them, fused entry or not, and 340 costs
+/// them 11%.
+const FUSED_DENSE_PER_1024: usize = 340;
 
 /// Where projected patch rows come from.
 #[derive(Debug, Clone, Copy)]
@@ -204,6 +243,9 @@ pub struct ProjectScratch {
     /// Whether the last block took the dense branch (picks the next
     /// block's gather form).
     dense: bool,
+    /// First source row and row count of the last block.
+    start: usize,
+    rows: usize,
 }
 
 impl ProjectScratch {
@@ -219,7 +261,105 @@ impl ProjectScratch {
             strip: vec![0.0; NC * KT],
             cursor: vec![0; max_rows],
             dense: false,
+            start: 0,
+            rows: 0,
         }
+    }
+
+    /// Output `j` of row `r` of the block last projected from `src`
+    /// (`proj` is that call's `[n, k]` matrix), recomputed with the exact
+    /// serial multiply-then-add chain over the row's taps: the bits
+    /// [`project_patches_into`] gives it, whichever form projected the
+    /// block.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r` or `j` lies outside the last block, or `proj` is
+    /// not `n·k`.
+    // analyze: alloc-free
+    pub fn exact_element(
+        &self,
+        src: &PatchSource<'_>,
+        r: usize,
+        proj: &[f32],
+        k: usize,
+        j: usize,
+    ) -> f32 {
+        let n = self.n;
+        assert!(r < self.rows && j < k, "element outside the last block");
+        assert_eq!(proj.len(), n * k, "projection must be n*k");
+        let mut acc = 0.0f32;
+        if self.dense {
+            // Zero taps included: the chain of `matmul_dense_into`.
+            let row = self.dense_row(src, r);
+            for (&x, &v) in row.iter().zip(proj[j..].iter().step_by(k)) {
+                acc += x * v;
+            }
+        } else {
+            let (cols, xs) = self.taps(r);
+            for (&col, &x) in cols.iter().zip(xs) {
+                acc += x * proj[col as usize * k + j];
+            }
+        }
+        acc
+    }
+
+    /// Every output of row `r` of the block last projected from `src`
+    /// into `out[..k]`, each the bits [`ProjectScratch::exact_element`]
+    /// gives it: the `k` exact chains run side by side over the row's
+    /// non-zero taps (skipping a zero tap keeps every bit, see the
+    /// [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r` lies outside the last block, `proj` is not `n·k`,
+    /// or `out` is shorter than `k`.
+    // analyze: alloc-free
+    pub fn exact_row_into(
+        &self,
+        src: &PatchSource<'_>,
+        r: usize,
+        proj: &[f32],
+        k: usize,
+        out: &mut [f32],
+    ) {
+        let n = self.n;
+        assert!(r < self.rows, "row outside the last block");
+        assert_eq!(proj.len(), n * k, "projection must be n*k");
+        let out = &mut out[..k];
+        out.fill(0.0);
+        let mut add = |col: usize, x: f32| {
+            for (o, &v) in out.iter_mut().zip(&proj[col * k..(col + 1) * k]) {
+                *o += x * v;
+            }
+        };
+        if self.dense {
+            for (col, &x) in self.dense_row(src, r).iter().enumerate() {
+                if x != 0.0 {
+                    add(col, x);
+                }
+            }
+        } else {
+            let (cols, xs) = self.taps(r);
+            for (&col, &x) in cols.iter().zip(xs) {
+                add(col as usize, x);
+            }
+        }
+    }
+
+    /// Row `r` of the last block as the dense branch read it.
+    fn dense_row<'s>(&'s self, src: &PatchSource<'s>, r: usize) -> &'s [f32] {
+        let n = self.n;
+        match *src {
+            PatchSource::Rows { data, .. } => &data[(self.start + r) * n..][..n],
+            PatchSource::Conv { .. } => &self.patch[r * n..(r + 1) * n],
+        }
+    }
+
+    /// Row `r`'s non-zero taps of the last block: columns and values.
+    fn taps(&self, r: usize) -> (&[u32], &[f32]) {
+        let (lo, hi) = (r * self.n, r * self.n + self.lens[r]);
+        (&self.tap_col[lo..hi], &self.tap_x[lo..hi])
     }
 }
 
@@ -248,6 +388,46 @@ pub fn project_patches_into(
     out: &mut [f32],
     norms: &mut [f32],
 ) {
+    project_block::<false>(src, row_start, rows, proj, k, scratch, out, norms);
+}
+
+/// [`project_patches_into`] with fused multiply-add tiles on `Avx512`:
+/// the same contract, except that a projected value may differ from the
+/// exact one by the rounding of its chain (see the
+/// [module docs](self#the-fused-form)). The norms are bit-identical.
+///
+/// # Panics
+///
+/// The same conditions as [`project_patches_into`].
+// analyze: alloc-free
+#[allow(clippy::too_many_arguments)]
+pub fn project_patches_approx_into(
+    src: &PatchSource<'_>,
+    row_start: usize,
+    rows: usize,
+    proj: &[f32],
+    k: usize,
+    scratch: &mut ProjectScratch,
+    out: &mut [f32],
+    norms: &mut [f32],
+) {
+    project_block::<true>(src, row_start, rows, proj, k, scratch, out, norms);
+}
+
+/// The body of both projection entries; `FMA` picks the wide tiles'
+/// form.
+// analyze: alloc-free
+#[allow(clippy::too_many_arguments)]
+fn project_block<const FMA: bool>(
+    src: &PatchSource<'_>,
+    row_start: usize,
+    rows: usize,
+    proj: &[f32],
+    k: usize,
+    scratch: &mut ProjectScratch,
+    out: &mut [f32],
+    norms: &mut [f32],
+) {
     let n = src.width();
     assert_eq!(scratch.n, n, "scratch width must match the patch width");
     assert!(rows <= scratch.max_rows, "block exceeds scratch capacity");
@@ -259,6 +439,7 @@ pub fn project_patches_into(
     let out = &mut out[..rows * k];
     let norms = &mut norms[..rows];
     let s = scratch;
+    (s.start, s.rows) = (row_start, rows);
     let wide = crate::simd::avx512();
     let (lo, hi) = (row_start * n, (row_start + rows) * n);
     // Materialised rows are already dense; a conv block is gathered in
@@ -276,7 +457,12 @@ pub fn project_patches_into(
             )
         }
     };
-    s.dense = nnz * 1024 >= rows * n * DENSE_PER_1024;
+    let per_1024 = if FMA && wide.is_some() {
+        FUSED_DENSE_PER_1024
+    } else {
+        DENSE_PER_1024
+    };
+    s.dense = nnz * 1024 >= rows * n * per_1024;
     if s.dense && compacted {
         scatter_taps(
             &s.tap_col,
@@ -292,13 +478,13 @@ pub fn project_patches_into(
     };
     if s.dense {
         dense_norms(block, n, norms);
-        dense_gemm(wide, block, rows, n, proj, k, out);
+        dense_gemm::<FMA>(wide, block, rows, n, proj, k, out);
         return;
     }
     if !compacted {
         compact_rows(block, n, &mut s.tap_col, &mut s.tap_x, &mut s.lens[..rows]);
     }
-    broadcast_taps(
+    broadcast_taps::<FMA>(
         wide,
         &s.tap_col,
         &s.tap_x,
@@ -556,10 +742,10 @@ fn scatter_taps(tap_col: &[u32], tap_x: &[f32], lens: &[usize], n: usize, patch:
     }
 }
 
-/// The dense branch's GEMM: the AVX-512 tile when `wide`, else
-/// [`matmul_dense_into`] (identical bits).
+/// The dense branch's GEMM: the AVX-512 tile (in `FMA`'s form) when
+/// `wide`, else [`matmul_dense_into`] (the exact form's bits).
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn dense_gemm(
+fn dense_gemm<const FMA: bool>(
     wide: Option<Avx512Token>,
     block: &[f32],
     rows: usize,
@@ -570,7 +756,7 @@ fn dense_gemm(
 ) {
     #[cfg(target_arch = "x86_64")]
     if let Some(token) = wide {
-        return crate::simd::x86::dense_avx512(token, block, rows, n, proj, k, out);
+        return crate::simd::x86::dense_avx512::<FMA>(token, block, rows, n, proj, k, out);
     }
     matmul_dense_into(block, rows, n, proj, k, out);
 }
@@ -610,7 +796,7 @@ fn dense_norms(block: &[f32], n: usize, norms: &mut [f32]) {
 /// reload the partial sums, so each output keeps one ascending chain.
 /// The norms ride along on the first output tile.
 #[allow(clippy::too_many_arguments)]
-fn broadcast_taps(
+fn broadcast_taps<const FMA: bool>(
     wide: Option<Avx512Token>,
     tap_col: &[u32],
     tap_x: &[f32],
@@ -649,7 +835,7 @@ fn broadcast_taps(
                 }
                 let (from, c) = (cursor[r], (c0, c1));
                 cursor[r] = if kt == 0 {
-                    row_tile::<true>(
+                    row_tile::<true, FMA>(
                         wide,
                         tap_col,
                         tap_x,
@@ -661,7 +847,7 @@ fn broadcast_taps(
                         &mut norms[r],
                     )
                 } else {
-                    row_tile::<false>(
+                    row_tile::<false, FMA>(
                         wide, tap_col, tap_x, from, end, c, strip, &mut tile, &mut 0.0,
                     )
                 };
@@ -678,12 +864,13 @@ fn broadcast_taps(
 
 /// One row's taps `from..end` with column in `c0..c1`, added into a
 /// `KT`-wide register tile (and, with `NORM`, their squares into
-/// `norm`) — on the AVX-512 kernel when `wide`, else [`row_tile_portable`]
-/// (identical bits). Returns where the next column tile resumes.
+/// `norm`) — on the AVX-512 kernel (in `FMA`'s form) when `wide`, else
+/// [`row_tile_portable`] (the exact form's bits). Returns where the next
+/// column tile resumes.
 #[allow(clippy::too_many_arguments)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 #[inline]
-fn row_tile<const NORM: bool>(
+fn row_tile<const NORM: bool, const FMA: bool>(
     wide: Option<Avx512Token>,
     tap_col: &[u32],
     tap_x: &[f32],
@@ -696,7 +883,7 @@ fn row_tile<const NORM: bool>(
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
     if let Some(token) = wide {
-        return crate::simd::x86::row_tile_avx512::<NORM>(
+        return crate::simd::x86::row_tile_avx512::<NORM, FMA>(
             token, tap_col, tap_x, from, end, c, strip, tile, norm,
         );
     }

@@ -10,11 +10,17 @@
 //! One variant selects every kernel that dispatches on it: the patch
 //! projection in [`crate::ops::project`] (AVX-512 tiles in
 //! `simd/x86.rs`) and, through the re-export in `deepcam_hash::simd`,
-//! the packed Hamming and sign-pack kernels. Every variant computes
-//! **identical bits** — the Hamming kernels are exact integer popcounts,
-//! and the float kernels keep each output's serial add chain, with no
-//! FMA — so dispatch can never move an output bit. The portable code is the always-available
-//! fallback *and* the differential oracle.
+//! the packed Hamming and certify-pack kernels. Every variant
+//! computes **identical bits** — the Hamming kernels are exact integer
+//! popcounts, and the exact projection keeps each output's serial
+//! multiply-then-add chain — so dispatch can never move an output bit.
+//! The one exception is the fused multiply-add projection
+//! ([`crate::ops::project::project_patches_approx_into`]), whose values
+//! may differ on `Avx512` in their last bits; its only caller keeps just
+//! the signs an error bound proves and recomputes the rest exactly, so
+//! the hash bits it feeds are identical on every variant too. The
+//! portable code is the always-available fallback *and* the differential
+//! oracle.
 //!
 //! The dispatch cost is one relaxed atomic load per kernel call (not per
 //! row), and [`force_variant`] lets benches and tests pin a variant
@@ -47,7 +53,7 @@ pub enum Variant {
     /// (nibble-LUT `vpshufb` + `vpsadbw` reduction).
     Avx2,
     /// AVX-512: `VPOPCNTDQ` Hamming over 512-bit blocks, 512-bit
-    /// projection tiles and a mask-compare sign pack. Requires both
+    /// projection tiles and a mask-compare certify pack. Requires both
     /// `avx512f` and `avx512vpopcntdq`.
     Avx512,
 }
