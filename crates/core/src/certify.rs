@@ -63,13 +63,11 @@
 //!
 //! The fix-up evaluates `fl(exact + δ_j)` with the same `δ_j`, so an
 //! uncertain lane packs exactly the oracle's bit whatever its value. A
-//! row whose factor is `+∞` (every lane uncertain: a zero, huge or
-//! non-finite norm) is recomputed whole before the noise is added
-//! ([`ProjectScratch::exact_row_into`], all lanes of a tap at once), so
-//! an all-zero row costs nothing and a NaN row one projection. On
-//! Gaussian rows a lane is uncertain with probability about
-//! `3.2·n^1.5·u` (`y` is `N(0, ‖x‖²)` and `c_j ≈ √n`): 0.003% at
-//! `n = 27`, 0.26% at `n = 576`.
+//! row whose factor is `+∞` (a zero, huge or non-finite norm) has every
+//! lane uncertain, and each is recomputed the same way. On Gaussian
+//! rows a lane is uncertain with probability about `3.2·n^1.5·u` (`y`
+//! is `N(0, ‖x‖²)` and `c_j ≈ √n`): 0.003% at `n = 27`, 0.26% at
+//! `n = 576`.
 
 use deepcam_hash::bitvec::certify_signs_into;
 use deepcam_tensor::ops::project::{project_patches_approx_into, PatchSource, ProjectScratch};
@@ -219,20 +217,13 @@ impl SignHasher {
         for (r, y) in projected.chunks_exact_mut(k).take(nq).enumerate() {
             let norm = norms[r];
             let scale = row_scale(n, norm);
-            // A row that certifies nothing is recomputed whole, its lanes
-            // side by side: an all-zero row then costs nothing.
-            let whole = scale == f32::INFINITY;
-            if whole {
-                scratch.exact_row_into(src, r, proj, k, y);
-                recomputed += k;
-            }
             if let Some(noise) = noise {
                 noise.fill(row_offset + g0 + r, norm, delta);
                 for (v, &d) in y.iter_mut().zip(delta.iter()) {
                     *v += d;
                 }
             }
-            if certify_signs_into(y, bounds, scale, signs, uncertain) > 0 && !whole {
+            if certify_signs_into(y, bounds, scale, signs, uncertain) > 0 {
                 for (w, (word, &flags)) in signs.iter_mut().zip(uncertain.iter()).enumerate() {
                     let mut left = flags;
                     while left != 0 {
@@ -266,13 +257,22 @@ impl SignHasher {
 mod tests {
     use super::*;
     use deepcam_hash::bitvec::pack_signs_into;
-    use deepcam_hash::simd::{active, detected, force_variant};
+    use deepcam_hash::simd::{active, detected, force_variant, Variant};
     use deepcam_tensor::ops::conv::{im2col, Conv2dConfig};
     use deepcam_tensor::rng::seeded_rng;
     use deepcam_tensor::tensor::matmul_dense_into;
     use deepcam_tensor::{Shape, Tensor};
+    use std::sync::{Mutex, MutexGuard};
 
     const BLOCK: usize = 64;
+
+    /// Held by every test that pins a variant: the pin is process-wide,
+    /// and one test asserts what the fused tile does on `Avx512` alone.
+    static PINNED: Mutex<()> = Mutex::new(());
+
+    fn pin() -> MutexGuard<'static, ()> {
+        PINNED.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Noise of the test dot step at `level` (`None` at 0).
     fn noise_at(level: f32) -> Option<CrossbarNoise> {
@@ -381,6 +381,7 @@ mod tests {
 
     #[test]
     fn certified_signs_match_the_exact_oracle_on_every_variant() {
+        let _pin = pin();
         let initial = active();
         let cfg = Conv2dConfig::new(8, 4, 3).with_padding(1);
         let n = cfg.patch_len();
@@ -413,6 +414,7 @@ mod tests {
 
     #[test]
     fn adversarial_rows_take_the_exact_path() {
+        let _pin = pin();
         let initial = active();
         let (n, k) = (8, 256);
         let proj = gaussian(&[n, k], 5);
@@ -424,7 +426,7 @@ mod tests {
         let mut cancel = vec![0.0f32; n];
         (cancel[0], cancel[1]) = (r[k + j], -r[j]);
         // Scaled by powers of two the cancellation stays exact, and the
-        // norm leaves [2⁻⁴⁰, 2⁴⁰]: those rows are recomputed whole.
+        // norm leaves [2⁻⁴⁰, 2⁴⁰]: every lane of those rows is uncertain.
         let scaled = |s: f32| cancel.iter().map(|&x| x * s).collect::<Vec<f32>>();
         let rows: Vec<(&str, Vec<f32>)> = vec![
             ("cancelling taps", cancel.clone()),
@@ -488,6 +490,57 @@ mod tests {
                 let fixed = check(&src, x.data(), &zero_col, k, None, &what);
                 assert!(fixed >= 40, "{what}: {fixed} lanes recomputed");
             }
+        }
+        let _ = force_variant(initial);
+    }
+
+    #[test]
+    fn cancelling_rows_in_a_dense_block_are_fixed_up() {
+        let _pin = pin();
+        let initial = active();
+        let (n, k) = (8, 256);
+        let proj = gaussian(&[n, k], 5);
+        let r = proj.data();
+        // A column whose product p = fl(r[k + j]·r[j]) rounds down: the
+        // fused chain fma(−r[j], r[k + j], p) leaves p − r[k + j]·r[j], a
+        // negative value, where the exact chain cancels to +0.0. Its
+        // fused sign bit is 0, the oracle's 1.
+        let j = (0..k)
+            .find(|&j| {
+                let exact = f64::from(r[k + j]) * f64::from(r[j]);
+                f64::from(r[k + j] * r[j]) < exact
+            })
+            .expect("a product that rounds down");
+        let mut cancel = vec![0.0f32; n];
+        (cancel[0], cancel[1]) = (r[k + j], -r[j]);
+        // 62 rows, the cancelling row at 0 (a 4-row tile) and at 61 (the
+        // 1-row tail); the rest dense Gaussian, so the block is 0.97
+        // dense and takes the dense tile in both projection forms.
+        let rows = 62;
+        let mut x = gaussian(&[rows, n], 8).data().to_vec();
+        for at in [0, rows - 1] {
+            x[at * n..(at + 1) * n].copy_from_slice(&cancel);
+        }
+        let src = PatchSource::rows(&x, n);
+        let wpr = k / 64;
+        for &v in detected() {
+            force_variant(v).expect("detected variant");
+            let mut scratch = ProjectScratch::new(BLOCK, n);
+            let (mut y, mut norms) = (vec![0.0; rows * k], vec![0.0; rows]);
+            project_patches_approx_into(&src, 0, rows, r, k, &mut scratch, &mut y, &mut norms);
+            let what = format!("{} dense block with cancelling rows", v.name());
+            let (words, _, fixed) = certified(&src, r, k, None);
+            let (want, _) = oracle(&x, n, r, k, None);
+            assert_eq!(words, want, "sign words: {what}");
+            for at in [0, rows - 1] {
+                assert_eq!(want[at * wpr + j / 64] >> (j % 64) & 1, 1, "{what}");
+                if v == Variant::Avx512 {
+                    assert!(y[at * k + j] < 0.0, "{what}: the fused sign did not flip");
+                } else {
+                    assert_eq!(y[at * k + j].to_bits(), 0, "{what}: exact tile");
+                }
+            }
+            assert!(fixed >= 2, "{what}: {fixed} lanes recomputed");
         }
         let _ = force_variant(initial);
     }

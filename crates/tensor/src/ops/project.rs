@@ -55,10 +55,8 @@
 //! exact one in its last bits (every other variant has no fused tile and
 //! stays exact). Each value is still one serial chain over at most `n`
 //! terms, so it lies within `γ_n·Σ|x_i·r_i|` of the true dot product, as
-//! the exact value does. The norms are exact in both forms. The fused
-//! dense tile gains more than the fused broadcast, so there the dense
-//! branch starts at a lower density (`FUSED_DENSE_PER_1024`). After
-//! either call, [`ProjectScratch::exact_element`] recomputes any one
+//! the exact value does. The norms are exact in both forms, and both
+//! pick the branch at the same density. After either call, [`ProjectScratch::exact_element`] recomputes any one
 //! output with the exact chain, from the taps the block's gather left in
 //! the scratch.
 
@@ -95,31 +93,27 @@ const NC: usize = 64;
 /// | `scalar` | 4 | 1 | 1.108 → 1.152 (+3.9%) | 0.085 |
 ///
 /// Neither move clears the band, and the variants disagree, so 680
-/// stays as the threshold of the exact kernels.
+/// stays.
+///
+/// Re-measured once [`project_patches_approx_into`]'s fused tiles ran
+/// the engine on `Avx512` (they speed the dense tile up about 1.55× and
+/// the broadcast about 1.1×), the threshold the only difference. VGG11's
+/// conv inputs are 0.96, 0.86, 0.66, 0.44, 0.52, 0.36, 0.37 and 0.24
+/// dense, so 340 moves layers 2–6 to the dense tile and 200 layer 7
+/// too:
+///
+/// | variant | change | run | pairs | new faster in | median ms/image | old's IQR |
+/// |---|---|---|---|---|---|---|
+/// | `avx512` | 680 → 480 | 10 s | 6 | 4 | 0.774 → 0.773 | 0.042 |
+/// | `avx512` | 680 → 340 | 10 s | 6 | 6 | 0.832 → 0.772 (−7.2%) | 0.046 |
+/// | `avx512` | 680 → 340 | 20 s | 10 | 6 | 0.763 → 0.747 (−2.1%) | 0.019 |
+/// | `avx512` | 340 → 200 | 10 s | 6 | 2 | 0.787 → 0.810 (+3.0%) | 0.044 |
+/// | `scalar` | 680 → 340 | 10 s | 6 | 0 | 1.162 → 1.291 (+11.1%) | 0.036 |
+///
+/// At the benchmark's 20 s run length 340 wins 6/10 pairs, inside the
+/// band, and it costs the portable kernels 11%, so 680 stays for both
+/// forms.
 const DENSE_PER_1024: usize = 680;
-
-/// [`DENSE_PER_1024`] for the fused multiply-add tiles of
-/// [`project_patches_approx_into`] on `Avx512`: they speed the dense
-/// tile up about 1.55× and the broadcast only about 1.1×, so the dense
-/// tile wins on sparser blocks.
-///
-/// Measured with the engine on the fused tiles, the threshold the only
-/// difference: perfbench `offline-vgg11` `cpu_ms_per_image`, 10 s
-/// alternating pairs on a 2-vCPU AVX-512 Xeon. VGG11's conv inputs are
-/// 0.96, 0.86, 0.66, 0.44, 0.52, 0.36, 0.37 and 0.24 dense, so 340 moves
-/// layers 2–6 to the dense tile and 200 layer 7 too:
-///
-/// | variant | change | pairs | new faster in | median ms/image | old's IQR |
-/// |---|---|---|---|---|---|
-/// | `avx512` | 680 → 480 | 6 | 4 | 0.774 → 0.773 | 0.042 |
-/// | `avx512` | 680 → 340 | 6 | 6 | 0.832 → 0.772 (−7.2%) | 0.046 |
-/// | `avx512` | 340 → 200 | 6 | 2 | 0.787 → 0.810 (+3.0%) | 0.044 |
-/// | `scalar` | 680 → 340 | 6 | 0 | 1.162 → 1.291 (+11.1%) | 0.036 |
-///
-/// The last row is why the exact kernels keep [`DENSE_PER_1024`]: every
-/// variant but `Avx512` runs them, fused entry or not, and 340 costs
-/// them 11%.
-const FUSED_DENSE_PER_1024: usize = 340;
 
 /// Where projected patch rows come from.
 #[derive(Debug, Clone, Copy)]
@@ -304,49 +298,6 @@ impl ProjectScratch {
         acc
     }
 
-    /// Every output of row `r` of the block last projected from `src`
-    /// into `out[..k]`, each the bits [`ProjectScratch::exact_element`]
-    /// gives it: the `k` exact chains run side by side over the row's
-    /// non-zero taps (skipping a zero tap keeps every bit, see the
-    /// [module docs](self)).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `r` lies outside the last block, `proj` is not `n·k`,
-    /// or `out` is shorter than `k`.
-    // analyze: alloc-free
-    pub fn exact_row_into(
-        &self,
-        src: &PatchSource<'_>,
-        r: usize,
-        proj: &[f32],
-        k: usize,
-        out: &mut [f32],
-    ) {
-        let n = self.n;
-        assert!(r < self.rows, "row outside the last block");
-        assert_eq!(proj.len(), n * k, "projection must be n*k");
-        let out = &mut out[..k];
-        out.fill(0.0);
-        let mut add = |col: usize, x: f32| {
-            for (o, &v) in out.iter_mut().zip(&proj[col * k..(col + 1) * k]) {
-                *o += x * v;
-            }
-        };
-        if self.dense {
-            for (col, &x) in self.dense_row(src, r).iter().enumerate() {
-                if x != 0.0 {
-                    add(col, x);
-                }
-            }
-        } else {
-            let (cols, xs) = self.taps(r);
-            for (&col, &x) in cols.iter().zip(xs) {
-                add(col as usize, x);
-            }
-        }
-    }
-
     /// Row `r` of the last block as the dense branch read it.
     fn dense_row<'s>(&'s self, src: &PatchSource<'s>, r: usize) -> &'s [f32] {
         let n = self.n;
@@ -457,12 +408,7 @@ fn project_block<const FMA: bool>(
             )
         }
     };
-    let per_1024 = if FMA && wide.is_some() {
-        FUSED_DENSE_PER_1024
-    } else {
-        DENSE_PER_1024
-    };
-    s.dense = nnz * 1024 >= rows * n * per_1024;
+    s.dense = nnz * 1024 >= rows * n * DENSE_PER_1024;
     if s.dense && compacted {
         scatter_taps(
             &s.tap_col,
