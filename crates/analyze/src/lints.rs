@@ -60,6 +60,9 @@ impl Config {
             // through a justified `// analyze: allow(determinism, …)`.
             determinism_files: vec![
                 "crates/core/src/engine.rs",
+                // The engine's recorder: its one clock read carries the
+                // only allow in deepcam-core.
+                "crates/core/src/record.rs",
                 // The sign certificate and exact fix-up the engine's hash
                 // path runs.
                 "crates/core/src/certify.rs",

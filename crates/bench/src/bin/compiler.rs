@@ -38,7 +38,7 @@
 
 use std::time::Instant;
 
-use deepcam_bench::guard::{self, median_millis};
+use deepcam_bench::guard::{self, Spread};
 use deepcam_core::passes;
 use deepcam_core::sched::CamScheduler;
 use deepcam_core::tune::{
@@ -252,7 +252,7 @@ fn run_workload(
                 start.elapsed().as_secs_f64() * 1e3
             })
             .collect();
-        median_millis(runs)
+        Spread::of(runs).median
     };
     let wall_tuned = time_eval(&engines[1]);
     // The width baseline: a uniform_max engine, calibrated and timed

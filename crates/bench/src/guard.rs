@@ -1,11 +1,13 @@
-//! Overwrite guard for committed `BENCH_*.json` artifacts.
+//! Overwrite guard and run statistics for the committed `BENCH_*.json`
+//! artifacts.
 //!
-//! The repo commits benchmark JSONs (`BENCH_parallel.json`,
-//! `BENCH_hotpath.json`) whose numbers are only meaningful together
-//! with the `host_cores` they were measured on. ROADMAP keeps an open
-//! item to re-measure the parallel numbers on a many-core host; this
+//! The repo commits benchmark JSONs (`BENCH_perf.json`,
+//! `BENCH_compiler.json`, `BENCH_serve.json`) whose numbers are only
+//! meaningful together with the `host_cores` they were measured on. The
 //! guard stops a casual re-run on a *smaller* machine from silently
-//! replacing a better measurement. Pass `--force` to overwrite anyway.
+//! replacing a measurement from a bigger one. Pass `--force` to
+//! overwrite anyway. [`Spread`] is the median with min/max every `perf`
+//! timing records, and decides when a ratio of two is a speedup.
 
 /// Number of logical cores on this host (1 when undetectable).
 // analyze: allow(determinism, "the guard exists to compare hosts; probing this host is its job")
@@ -15,15 +17,48 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Median of a set of wall-clock samples in milliseconds (shared by the
-/// speedup bins so their statistics can never drift apart).
-///
-/// # Panics
-///
-/// Panics on an empty or non-finite sample set.
-pub fn median_millis(mut runs: Vec<f64>) -> f64 {
-    runs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    runs[runs.len() / 2]
+/// Median, minimum and maximum of a set of wall-clock samples, in
+/// milliseconds (shared by the bench bins so their statistics can never
+/// drift apart).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The median sample.
+    pub median: f64,
+    /// The fastest sample.
+    pub min: f64,
+    /// The slowest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `runs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty or non-finite sample set.
+    pub fn of(mut runs: Vec<f64>) -> Spread {
+        runs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        Spread {
+            median: runs[runs.len() / 2],
+            min: runs[0],
+            max: runs[runs.len() - 1],
+        }
+    }
+
+    /// `self.median / after.median` when the two min–max intervals do
+    /// not overlap; `None` when they do, so the runs cannot tell the two
+    /// apart.
+    pub fn speedup_to(&self, after: &Spread) -> Option<f64> {
+        (after.max < self.min || self.max < after.min).then(|| self.median / after.median)
+    }
+
+    /// The spread as a JSON object.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"median_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}}}",
+            self.median, self.min, self.max
+        )
+    }
 }
 
 /// Extracts the `"host_cores": N` field from a committed bench JSON.
@@ -108,6 +143,24 @@ mod tests {
         assert_eq!(recorded_host_cores(json), Some(16));
         assert_eq!(recorded_host_cores("{}"), None);
         assert_eq!(recorded_host_cores("{\"host_cores\": \"oops\"}"), None);
+    }
+
+    #[test]
+    fn speedup_needs_disjoint_intervals() {
+        let before = Spread::of(vec![10.0, 12.0, 11.0]);
+        assert_eq!(
+            before,
+            Spread {
+                median: 11.0,
+                min: 10.0,
+                max: 12.0
+            }
+        );
+        let after = Spread::of(vec![5.0, 5.5, 6.0]);
+        assert_eq!(before.speedup_to(&after), Some(2.0));
+        assert_eq!(after.speedup_to(&before), Some(0.5));
+        let overlapping = Spread::of(vec![9.0, 10.5, 9.5]);
+        assert_eq!(before.speedup_to(&overlapping), None);
     }
 
     #[test]

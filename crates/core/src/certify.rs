@@ -178,28 +178,49 @@ impl SignHasher {
         }
     }
 
-    /// Hashes patch rows `g0..g0 + nq` of `src` through `proj` (`[n, k]`,
-    /// with `bounds` its [`column_bounds`]). Sign word `w` of row `r`
-    /// goes to `queries[w·nq + r]`, word-major as the Hamming tile reads
-    /// it, and the row's norm to [`SignHasher::norms`]`()[r]`. `noise`
-    /// disturbs row `r` as the patch at global index `row_offset + g0 +
-    /// r`. Returns the number of lanes recomputed exactly.
+    /// Projects patch rows `g0..g0 + nq` of `src` through `proj`
+    /// (`[n, k]`) with the fused tiles, for [`SignHasher::certify`] to
+    /// pack. Returns whether the block took the dense tile.
     ///
     /// # Panics
     ///
     /// Panics when the block exceeds the buffers, or a length disagrees
     /// with `n`, `k` or `nq`.
     // analyze: alloc-free
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn hash(
+    pub(crate) fn project(
         &mut self,
         src: &PatchSource<'_>,
         g0: usize,
         nq: usize,
         proj: &[f32],
+        k: usize,
+    ) -> bool {
+        let (scratch, out, norms) = (&mut self.scratch, &mut self.projected, &mut self.norms);
+        project_patches_approx_into(src, g0, nq, proj, k, scratch, out, norms);
+        scratch.dense()
+    }
+
+    /// Packs the `nq` rows the last [`SignHasher::project`] projected
+    /// from `src` through `proj`, with `bounds` its [`column_bounds`].
+    /// Sign word `w` of row `r` goes to `queries[w·nq + r]`, word-major
+    /// as the Hamming tile reads it, and the row's norm stays in
+    /// [`SignHasher::norms`]`()[r]`. `noise` disturbs row `r` as the
+    /// patch at global index `first_row + r`. Returns the number of lanes
+    /// recomputed exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `nq` or a length disagrees with the last projection.
+    // analyze: alloc-free
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn certify(
+        &mut self,
+        src: &PatchSource<'_>,
+        nq: usize,
+        proj: &[f32],
         bounds: &[f32],
         noise: Option<CrossbarNoise>,
-        row_offset: usize,
+        first_row: usize,
         queries: &mut [u64],
     ) -> usize {
         let SignHasher {
@@ -212,13 +233,12 @@ impl SignHasher {
         } = self;
         let (n, k) = (src.width(), bounds.len());
         assert_eq!(queries.len(), signs.len() * nq, "word-major query block");
-        project_patches_approx_into(src, g0, nq, proj, k, scratch, projected, norms);
         let mut recomputed = 0;
         for (r, y) in projected.chunks_exact_mut(k).take(nq).enumerate() {
             let norm = norms[r];
             let scale = row_scale(n, norm);
             if let Some(noise) = noise {
-                noise.fill(row_offset + g0 + r, norm, delta);
+                noise.fill(first_row + r, norm, delta);
                 for (v, &d) in y.iter_mut().zip(delta.iter()) {
                     *v += d;
                 }
@@ -246,8 +266,8 @@ impl SignHasher {
         recomputed
     }
 
-    /// The norms of the rows [`SignHasher::hash`] last hashed (its first
-    /// `nq` entries).
+    /// The norms of the rows [`SignHasher::project`] last projected (its
+    /// first `nq` entries).
     pub(crate) fn norms(&self) -> &[f32] {
         &self.norms
     }
@@ -337,7 +357,8 @@ mod tests {
         for g0 in (0..rows).step_by(BLOCK) {
             let nq = BLOCK.min(rows - g0);
             let queries = &mut queries[..nq * wpr];
-            recomputed += hasher.hash(src, g0, nq, proj, &bounds, noise, 0, queries);
+            hasher.project(src, g0, nq, proj, k);
+            recomputed += hasher.certify(src, nq, proj, &bounds, noise, g0, queries);
             for r in 0..nq {
                 for w in 0..wpr {
                     words[(g0 + r) * wpr + w] = queries[w * nq + r];

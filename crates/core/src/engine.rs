@@ -47,6 +47,7 @@ use crate::certify::{column_bounds, CrossbarNoise, SignHasher};
 use crate::error::CoreError;
 use crate::hashplan::HashPlan;
 use crate::ir::{CompiledModel, CompiledStep, CompiledTile};
+use crate::record::{now, DotRecord, Probe, Recording, Timed};
 use crate::Result;
 
 /// Functional engine configuration.
@@ -206,12 +207,25 @@ impl RuntimeTile {
 
 /// Which dot-product datapath a pipeline walk uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DotPath {
+pub enum Datapath {
     /// The packed-tile + cosine-LUT kernels (production).
     Fast,
-    /// The frozen pre-optimization scalar path
-    /// ([`crate::reference`]) — differential oracle and bench baseline.
+    /// The frozen pre-optimization scalar path — differential oracle and
+    /// bench baseline (see [`DeepCamEngine::infer_reference`]).
     Reference,
+}
+
+/// What every step of one pipeline walk shares.
+struct Walk<'a> {
+    cfg: &'a EngineConfig,
+    /// One derived tile per dot layer, indexed by traversal index.
+    tiles: &'a [RuntimeTile],
+    /// Global index of the batch's first image within the set being
+    /// inferred (keeps crossbar noise batch-invariant).
+    img_offset: usize,
+    /// Workers for patch hashing inside a dot step.
+    dot_workers: usize,
+    datapath: Datapath,
 }
 
 /// A compiled model plus its derived runtime state, ready to serve.
@@ -308,7 +322,7 @@ impl DeepCamEngine {
             batch,
             0,
             self.compiled.config.parallelism.resolve(),
-            DotPath::Fast,
+            Datapath::Fast,
         )
     }
 
@@ -320,8 +334,8 @@ impl DeepCamEngine {
     /// Logits are guaranteed bit-identical to [`DeepCamEngine::infer`]
     /// — `tests/hotpath_reference.rs` enforces it across models, modes
     /// and noise levels. This exists as a differential oracle and as the
-    /// "before" side of the `hotpath_speedup` benchmark; never use it
-    /// for production inference.
+    /// baseline side of the `perf` benchmark; never use it for
+    /// production inference.
     ///
     /// # Errors
     ///
@@ -331,8 +345,37 @@ impl DeepCamEngine {
             batch,
             0,
             self.compiled.config.parallelism.resolve(),
-            DotPath::Reference,
+            Datapath::Reference,
         )
+    }
+
+    /// [`DeepCamEngine::infer`] (or, for [`Datapath::Reference`],
+    /// [`DeepCamEngine::infer_reference`]) that also times the pass: the
+    /// wall time of every top-level step and, per dot layer, its phases
+    /// and counters (see [`crate::record`]). The logits are bit-identical
+    /// to the unrecorded call's.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`DeepCamEngine::infer`].
+    pub fn infer_recorded(
+        &self,
+        batch: &Tensor,
+        datapath: Datapath,
+    ) -> Result<(Tensor, Recording)> {
+        let walk = self.walk(0, self.compiled.config.parallelism.resolve(), datapath);
+        let mut rec = Recording {
+            datapath,
+            steps: Vec::new(),
+            dots: Vec::new(),
+        };
+        let mut cur = batch.clone();
+        for step in &self.compiled.steps {
+            let start = now();
+            cur = run_step(step, cur, &walk, Some(&mut rec))?;
+            rec.steps.push(now() - start);
+        }
+        Ok((cur, rec))
     }
 
     /// Runs inference with the batch logically positioned at image index
@@ -346,21 +389,24 @@ impl DeepCamEngine {
         batch: &Tensor,
         img_offset: usize,
         dot_workers: usize,
-        path: DotPath,
+        datapath: Datapath,
     ) -> Result<Tensor> {
+        let walk = self.walk(img_offset, dot_workers, datapath);
         let mut cur = batch.clone();
         for step in &self.compiled.steps {
-            cur = run_step(
-                step,
-                cur,
-                &self.compiled.config,
-                &self.tiles,
-                img_offset,
-                dot_workers,
-                path,
-            )?;
+            cur = run_step(step, cur, &walk, None)?;
         }
         Ok(cur)
+    }
+
+    fn walk(&self, img_offset: usize, dot_workers: usize, datapath: Datapath) -> Walk<'_> {
+        Walk {
+            cfg: &self.compiled.config,
+            tiles: &self.tiles,
+            img_offset,
+            dot_workers,
+            datapath,
+        }
     }
 
     /// The single batch fan-out/reassembly primitive every batched
@@ -390,7 +436,7 @@ impl DeepCamEngine {
         let run_one = |r: &std::ops::Range<usize>| -> Result<R> {
             let chunk = self.image_chunk(images, r.start, r.end)?;
             let logits =
-                self.infer_at_offset(&chunk, offset_of(r), inner_workers, DotPath::Fast)?;
+                self.infer_at_offset(&chunk, offset_of(r), inner_workers, Datapath::Fast)?;
             Ok(finish(r, logits))
         };
         if workers <= 1 || ranges.len() <= 1 {
@@ -440,7 +486,7 @@ impl DeepCamEngine {
         let n = batch.shape().dim(0);
         let workers = parallelism.resolve();
         if workers.min(n.max(1)) <= 1 {
-            return self.infer_at_offset(batch, 0, workers, DotPath::Fast);
+            return self.infer_at_offset(batch, 0, workers, Datapath::Fast);
         }
         let ranges = split_ranges(n, workers);
         let chunks = self.fan_out(batch, &ranges, workers, |r| r.start, |_, logits| logits);
@@ -485,7 +531,7 @@ impl DeepCamEngine {
         let n = batch.shape().dim(0);
         let workers = parallelism.resolve();
         if n <= 1 {
-            return self.infer_at_offset(batch, 0, workers, DotPath::Fast);
+            return self.infer_at_offset(batch, 0, workers, Datapath::Fast);
         }
         // One range per image, every range at offset 0: each image's
         // noise is drawn exactly as its own single-image `infer` draws
@@ -521,9 +567,13 @@ impl DeepCamEngine {
     ///
     /// Propagates inference errors.
     pub fn calibrate_bn(&mut self, images: &Tensor) -> Result<()> {
-        let cfg = self.compiled.config.clone();
         let mut steps = std::mem::take(&mut self.compiled.steps);
-        let result = calibrate_steps(&mut steps, images.clone(), &cfg, &self.tiles);
+        let walk = self.walk(
+            0,
+            self.compiled.config.parallelism.resolve(),
+            Datapath::Fast,
+        );
+        let result = calibrate_steps(&mut steps, images.clone(), &walk);
         self.compiled.steps = steps;
         result.map(|_| ())
     }
@@ -621,7 +671,7 @@ impl DeepCamEngine {
         while start < n {
             let end = (start + batch_size).min(n);
             let chunk = self.image_chunk(images, start, end)?;
-            let logits = self.infer_at_offset(&chunk, start, dot_workers, DotPath::Fast)?;
+            let logits = self.infer_at_offset(&chunk, start, dot_workers, Datapath::Fast)?;
             correct += Self::count_correct(&logits, &labels[start..end]);
             start = end;
         }
@@ -688,49 +738,22 @@ impl DeepCamEngine {
 }
 
 /// Executes one pipeline step on `x`, consuming it: peripheral steps
-/// rewrite the activations in place.
-///
-/// `img_offset` is the global index of `x`'s first image within the set
-/// being inferred (keeps crossbar noise batch-invariant); `dot_workers`
-/// is the worker count for patch hashing inside the step. Dot steps pair
-/// their stored [`CompiledTile`] with the derived [`RuntimeTile`] at the
-/// same traversal index.
+/// rewrite the activations in place. Dot steps pair their stored
+/// [`CompiledTile`] with the derived [`RuntimeTile`] at the same
+/// traversal index, and append their [`DotRecord`] to `rec` when given.
 fn run_step(
     step: &CompiledStep,
     mut x: Tensor,
-    cfg: &EngineConfig,
-    tiles: &[RuntimeTile],
-    img_offset: usize,
-    dot_workers: usize,
-    path: DotPath,
+    walk: &Walk<'_>,
+    mut rec: Option<&mut Recording>,
 ) -> Result<Tensor> {
     match step {
         CompiledStep::Conv {
             cfg: conv_cfg,
             tile,
             bias,
-        } => run_dot(
-            Some(conv_cfg),
-            tile,
-            bias,
-            &x,
-            cfg,
-            tiles,
-            img_offset,
-            dot_workers,
-            path,
-        ),
-        CompiledStep::Linear { tile, bias } => run_dot(
-            None,
-            tile,
-            bias,
-            &x,
-            cfg,
-            tiles,
-            img_offset,
-            dot_workers,
-            path,
-        ),
+        } => run_dot(Some(conv_cfg), tile, bias, &x, walk, rec),
+        CompiledStep::Linear { tile, bias } => run_dot(None, tile, bias, &x, walk, rec),
         CompiledStep::Bn {
             gamma,
             beta,
@@ -771,10 +794,10 @@ fn run_step(
         CompiledStep::Residual { body, shortcut } => {
             let mut main = x.clone();
             for s in body {
-                main = run_step(s, main, cfg, tiles, img_offset, dot_workers, path)?;
+                main = run_step(s, main, walk, rec.as_deref_mut())?;
             }
             for s in shortcut.iter().flatten() {
-                x = run_step(s, x, cfg, tiles, img_offset, dot_workers, path)?;
+                x = run_step(s, x, walk, rec.as_deref_mut())?;
             }
             let mut out = main.add(&x)?;
             out.map_inplace(|v| v.max(0.0));
@@ -786,22 +809,17 @@ fn run_step(
 /// The dot-layer body behind the `Conv` and `Linear` step arms: CAM
 /// dot-products, then `+ bias`, written straight into the
 /// `[N, M, OH, OW]` (or, for linear steps, the `[N, M]`) output.
-#[allow(clippy::too_many_arguments)]
-// analyze: allow(determinism, "opt-in profiler timestamps only; the computed values never depend on the clock")
 fn run_dot(
     conv: Option<&Conv2dConfig>,
     tile: &CompiledTile,
     bias: &[f32],
     x: &Tensor,
-    cfg: &EngineConfig,
-    tiles: &[RuntimeTile],
-    img_offset: usize,
-    dot_workers: usize,
-    path: DotPath,
+    walk: &Walk<'_>,
+    rec: Option<&mut Recording>,
 ) -> Result<Tensor> {
-    let timer = crate::profile::enabled().then(std::time::Instant::now);
+    let start = rec.is_some().then(now);
     let m = tile.kernels();
-    let rt = &tiles[tile.layer_idx];
+    let rt = &walk.tiles[tile.layer_idx];
     // Each image contributes P = OH*OW patch rows (P = 1 for a linear
     // step), so the global patch-row offset of this chunk is
     // img_offset * P.
@@ -829,37 +847,48 @@ fn run_dot(
         }
     };
     check_width(tile, src.width())?;
-    let row_offset = img_offset * p;
-    let out = match path {
-        DotPath::Fast => dot_rows(&src, tile, rt, cfg, bias, p, row_offset, dot_workers),
-        DotPath::Reference => {
+    let mut dot = DotRecord {
+        layer: tile.layer_idx,
+        rows: src.len(),
+        ..DotRecord::default()
+    };
+    let row_offset = walk.img_offset * p;
+    let out = match walk.datapath {
+        Datapath::Fast => {
+            let step = DotStep {
+                src,
+                ct: tile,
+                rt,
+                cfg: walk.cfg,
+                bias,
+                p,
+                row_offset,
+            };
+            dot_rows(&step, walk.dot_workers, rec.is_some().then_some(&mut dot))
+        }
+        Datapath::Reference => {
             // Only the frozen reference datapath still materialises the
             // [N*P, n] im2col matrix.
             let staged = conv
-                .map(|c| im2col_sharded(x, c, dot_workers))
+                .map(|c| im2col_sharded(x, c, walk.dot_workers))
                 .transpose()?;
             crate::reference::dot_layer(
                 staged.as_ref().map_or(x.data(), Tensor::data),
                 tile,
                 &rt.proj,
                 rt.weights(tile),
-                cfg,
+                walk.cfg,
                 bias,
                 p,
                 row_offset,
-                dot_workers,
+                walk.dot_workers,
             )
         }
     };
     let out = Tensor::from_vec(out, Shape::new(&dims))?;
-    if let Some(start) = timer {
-        crate::profile::record(crate::profile::DotSample {
-            layer_idx: tile.layer_idx,
-            rows: out.len() / m.max(1),
-            m,
-            k: tile.k,
-            seconds: start.elapsed().as_secs_f64(),
-        });
+    if let (Some(rec), Some(start)) = (rec, start) {
+        dot.wall = now() - start;
+        rec.dots.push(dot);
     }
     Ok(out)
 }
@@ -917,13 +946,7 @@ fn channel_stats(x: &Tensor) -> Result<(Vec<f32>, Vec<f32>)> {
 /// Walks the pipeline forwarding `x`, replacing every batch-norm stage's
 /// statistics with the batch statistics of its *approximate-datapath*
 /// input.
-fn calibrate_steps(
-    steps: &mut [CompiledStep],
-    x: Tensor,
-    cfg: &EngineConfig,
-    tiles: &[RuntimeTile],
-) -> Result<Tensor> {
-    let dot_workers = cfg.parallelism.resolve();
+fn calibrate_steps(steps: &mut [CompiledStep], x: Tensor, walk: &Walk<'_>) -> Result<Tensor> {
     let mut cur = x;
     for step in steps.iter_mut() {
         cur = match step {
@@ -931,19 +954,19 @@ fn calibrate_steps(
                 let (new_mean, new_var) = channel_stats(&cur)?;
                 *mean = new_mean;
                 *var = new_var;
-                run_step(step, cur, cfg, tiles, 0, dot_workers, DotPath::Fast)?
+                run_step(step, cur, walk, None)?
             }
             CompiledStep::Residual { body, shortcut } => {
-                let main = calibrate_steps(body, cur.clone(), cfg, tiles)?;
+                let main = calibrate_steps(body, cur.clone(), walk)?;
                 let skip = match shortcut {
-                    Some(sc) => calibrate_steps(sc, cur, cfg, tiles)?,
+                    Some(sc) => calibrate_steps(sc, cur, walk)?,
                     None => cur,
                 };
                 let mut out = main.add(&skip)?;
                 out.map_inplace(|v| v.max(0.0));
                 out
             }
-            other => run_step(other, cur, cfg, tiles, 0, dot_workers, DotPath::Fast)?,
+            other => run_step(other, cur, walk, None)?,
         };
     }
     Ok(cur)
@@ -955,55 +978,65 @@ fn calibrate_steps(
 /// k = 256, vs streaming a whole layer's projection through memory).
 const SUB_ROWS: usize = 64;
 
-/// The heart of the engine: approximate dot-products of every patch row
-/// of `src` against every stored kernel context, via hashing and Hamming
-/// distance, plus `bias`, written straight into the
-/// `[N, M, P]` output it returns (`P` patch rows per image; `P = 1` for
-/// a linear step).
-///
-/// `row_offset` is the global patch-row index of row 0 (used only to
-/// seed the per-patch crossbar noise, making disturbances a pure
-/// function of the patch's position in the full set); `workers` shards
-/// the row range across the pool. Each worker owns the disjoint
-/// segments of every `(image, channel)` plane its rows cover, split off
-/// the output with `split_at_mut`. Every output element is computed by
-/// the identical pipeline regardless of sharding, so results are
-/// bit-identical for every worker count — and to the frozen reference
-/// datapath (`tests/hotpath_reference.rs`).
-#[allow(clippy::too_many_arguments)]
-fn dot_rows(
-    src: &PatchSource<'_>,
-    ct: &CompiledTile,
-    rt: &RuntimeTile,
-    engine_cfg: &EngineConfig,
-    bias: &[f32],
+/// What every row range of one dot step shares.
+struct DotStep<'a> {
+    src: PatchSource<'a>,
+    ct: &'a CompiledTile,
+    rt: &'a RuntimeTile,
+    cfg: &'a EngineConfig,
+    bias: &'a [f32],
+    /// Patch rows per image (`P = 1` for a linear step).
     p: usize,
+    /// Global patch-row index of row 0 (used only to seed the per-patch
+    /// crossbar noise, making disturbances a pure function of the
+    /// patch's position in the full set).
     row_offset: usize,
-    workers: usize,
-) -> Vec<f32> {
-    let r = src.len();
-    let m = ct.kernels();
+}
+
+/// The heart of the engine: approximate dot-products of every patch row
+/// of `step.src` against every stored kernel context, via hashing and
+/// Hamming distance, plus the bias, written straight into the
+/// `[N, M, P]` output it returns.
+///
+/// `workers` shards the row range across the pool. Each worker owns the
+/// disjoint segments of every `(image, channel)` plane its rows cover,
+/// split off the output with `split_at_mut`. Every output element is
+/// computed by the identical pipeline regardless of sharding, so results
+/// are bit-identical for every worker count — and to the frozen
+/// reference datapath (`tests/hotpath_reference.rs`). With `rec`, each
+/// range times its sub-blocks into a record of its own, summed into
+/// `rec`; without, each runs the untimed loop.
+fn dot_rows(step: &DotStep<'_>, workers: usize, rec: Option<&mut DotRecord>) -> Vec<f32> {
+    let (r, m) = (step.src.len(), step.ct.kernels());
     let mut out = vec![0.0f32; r * m];
     let ranges = split_ranges(r, workers);
-    let mut shares = plane_segments(&mut out, m, p, &ranges);
-    let run = |rows: &std::ops::Range<usize>, segs: &mut [&mut [f32]]| {
-        dot_rows_range(src, ct, rt, engine_cfg, bias, p, row_offset, rows, segs)
+    let mut shares = plane_segments(&mut out, m, step.p, &ranges);
+    let mut parts = vec![DotRecord::default(); if rec.is_some() { ranges.len() } else { 0 }];
+    let run = |rows: &std::ops::Range<usize>, segs: &mut [&mut [f32]], part| match part {
+        Some(rec) => dot_rows_range(step, rows, segs, &mut Timed { rec, last: now() }),
+        None => dot_rows_range(step, rows, segs, &mut ()),
     };
+    let mut parts_iter = parts.iter_mut();
     if ranges.len() <= 1 {
         // One range (none for an empty batch) runs on the calling thread.
         for (rows, segs) in ranges.iter().zip(&mut shares) {
-            run(rows, segs);
+            run(rows, segs, parts_iter.next());
         }
     } else {
         ThreadPool::global().scope(|s| {
             for (rows, segs) in ranges.iter().zip(&mut shares) {
-                let run = &run;
-                s.spawn(move || run(rows, segs));
+                let (run, part) = (&run, parts_iter.next());
+                s.spawn(move || run(rows, segs, part));
             }
         });
     }
     // The segments borrow `out`; release them before handing it back.
     drop(shares);
+    if let Some(rec) = rec {
+        for part in &parts {
+            rec.absorb(part);
+        }
+    }
     out
 }
 
@@ -1036,7 +1069,8 @@ fn plane_segments<'o>(
 /// Hashes patch rows `rows` and writes their outputs into `segs`, this
 /// range's share of the output from [`plane_segments`]. This single
 /// function serves both the serial and every sharded configuration of
-/// [`dot_rows`].
+/// [`dot_rows`], and reports each sub-block's phases and counts to
+/// `probe` (`()` when nothing records).
 ///
 /// One blocked kernel per 64-row sub-block, allocation-free inside the
 /// loop (the scratch is allocated once per chunk):
@@ -1054,19 +1088,22 @@ fn plane_segments<'o>(
 ///    evaluated, with the angle/cosine collapsed into the k+1-entry LUT
 ///    — then `+ bias`, contiguously over the sub-block's rows;
 /// 5. store each channel plane's run straight into its output segment.
-#[allow(clippy::too_many_arguments)]
 // analyze: alloc-free
-fn dot_rows_range(
-    src: &PatchSource<'_>,
-    ct: &CompiledTile,
-    rt: &RuntimeTile,
-    engine_cfg: &EngineConfig,
-    bias: &[f32],
-    p: usize,
-    row_offset: usize,
+fn dot_rows_range<P: Probe>(
+    step: &DotStep<'_>,
     rows: &std::ops::Range<usize>,
     segs: &mut [&mut [f32]],
+    probe: &mut P,
 ) {
+    let &DotStep {
+        ref src,
+        ct,
+        rt,
+        cfg: engine_cfg,
+        bias,
+        p,
+        row_offset,
+    } = step;
     let m = ct.kernels();
     let k = ct.k;
     let wpr = ct.packed.words_per_row();
@@ -1087,14 +1124,15 @@ fn dot_rows_range(
         // Each hash bit is the exact chain's sign, and each chain runs
         // in a fixed order over n, so block boundaries never change it.
         let queries = &mut queries[..wpr * nq];
-        hasher.hash(
+        let dense = hasher.project(src, g0, nq, rt.proj.data(), k);
+        probe.lap(|d| &mut d.project);
+        let recomputed = hasher.certify(
             src,
-            g0,
             nq,
             rt.proj.data(),
             &rt.col_bounds,
             noise,
-            row_offset,
+            row_offset + g0,
             queries,
         );
         for (a_norm, &norm) in a_norms.iter_mut().zip(&hasher.norms()[..nq]) {
@@ -1103,8 +1141,10 @@ fn dot_rows_range(
                 NormMode::Fp32 => norm,
             };
         }
+        probe.lap(|d| &mut d.certify);
         let dists = &mut dists[..m * nq];
         ct.packed.hamming_tile_into(queries, nq, dists);
+        probe.lap(|d| &mut d.hamming);
         let g1 = g0 + nq;
         for (j, hd_row) in dists.chunks_exact(nq).enumerate() {
             // The LUT reads first (scalar gathers), so the arithmetic
@@ -1127,6 +1167,8 @@ fn dot_rows_range(
                 }
             }
         }
+        probe.lap(|d| &mut d.lut);
+        probe.block(dense, recomputed);
         g0 = g1;
     }
 }
@@ -1458,6 +1500,84 @@ mod tests {
         let fast = engine.infer(&x).unwrap();
         let reference = engine.infer_reference(&x).unwrap();
         assert_eq!(fast.data(), reference.data());
+    }
+
+    #[test]
+    fn infer_recorded_matches_both_datapaths_bitwise() {
+        let mut rng = seeded_rng(22);
+        let models = [
+            (scaled_lenet5(&mut rng, 10), tiny_batch(3)),
+            (
+                scaled_resnet18(&mut rng, 4, 10),
+                deepcam_tensor::init::normal(&mut rng, Shape::new(&[2, 3, 32, 32]), 0.0, 1.0),
+            ),
+        ];
+        for (model, x) in &models {
+            for (crossbar_noise, parallelism) in [
+                (0.0, Parallelism::Serial),
+                (0.05, Parallelism::Serial),
+                (0.05, Parallelism::Fixed(2)),
+            ] {
+                let cfg = EngineConfig {
+                    plan: HashPlan::Uniform(256),
+                    crossbar_noise,
+                    parallelism,
+                    ..EngineConfig::default()
+                };
+                let engine = DeepCamEngine::compile(model, cfg).unwrap();
+                let what = format!("{} noise {crossbar_noise} {parallelism:?}", model.name);
+                let (fast, rec) = engine.infer_recorded(x, Datapath::Fast).unwrap();
+                assert_eq!(fast.data(), engine.infer(x).unwrap().data(), "{what}");
+                assert_eq!(rec.datapath, Datapath::Fast);
+                assert_eq!(rec.steps.len(), engine.compiled.steps.len(), "{what}");
+                assert_eq!(rec.dots.len(), engine.dot_layers(), "{what}");
+                for (i, dot) in rec.dots.iter().enumerate() {
+                    assert_eq!(dot.layer, i, "{what}: traversal order");
+                    assert!(dot.sub_blocks >= dot.rows.div_ceil(SUB_ROWS), "{what}");
+                    if parallelism == Parallelism::Serial {
+                        assert_eq!(dot.sub_blocks, dot.rows.div_ceil(SUB_ROWS), "{what}");
+                        assert!(dot.phases() <= dot.wall, "{what}: phases inside the step");
+                    }
+                    assert!(dot.dense_sub_blocks <= dot.sub_blocks, "{what}");
+                }
+                let (reference, rec) = engine.infer_recorded(x, Datapath::Reference).unwrap();
+                assert_eq!(
+                    reference.data(),
+                    engine.infer_reference(x).unwrap().data(),
+                    "{what}"
+                );
+                assert_eq!(rec.dots.len(), engine.dot_layers(), "{what}");
+                for dot in &rec.dots {
+                    assert_eq!(dot.phases(), std::time::Duration::ZERO, "{what}");
+                    assert_eq!(dot.sub_blocks, 0, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_all_zero_image_recomputes_every_lane_of_the_first_layer() {
+        let mut rng = seeded_rng(23);
+        let model = scaled_lenet5(&mut rng, 10);
+        let cfg = EngineConfig {
+            plan: HashPlan::Uniform(256),
+            parallelism: Parallelism::Serial,
+            ..EngineConfig::default()
+        };
+        let engine = DeepCamEngine::compile(&model, cfg).unwrap();
+        // Norm 0 leaves the bound +∞: no lane can be certified.
+        let zeros = Tensor::zeros(Shape::new(&[1, 1, 28, 28]));
+        let (_, rec) = engine.infer_recorded(&zeros, Datapath::Fast).unwrap();
+        let first = &rec.dots[0];
+        assert_eq!(first.recomputed_lanes, first.rows * 256);
+        assert_eq!(first.dense_sub_blocks, 0);
+        // A Gaussian image certifies nearly every lane.
+        let (_, rec) = engine
+            .infer_recorded(&tiny_batch(1), Datapath::Fast)
+            .unwrap();
+        let first = &rec.dots[0];
+        assert!(first.recomputed_lanes * 100 < first.rows * 256);
+        assert!(first.dense_sub_blocks > 0);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod ir;
 pub mod passes;
 pub mod perf;
 pub mod postproc;
-pub mod profile;
+pub mod record;
 mod reference;
 pub mod sched;
 pub mod tune;
@@ -58,12 +58,13 @@ pub use dataflow::Dataflow;
 /// variants, serving deployments pinning `scalar` — can reach dispatch
 /// without depending on `deepcam-hash` directly.
 pub use deepcam_hash::simd;
-pub use engine::{DeepCamEngine, EngineConfig};
+pub use engine::{Datapath, DeepCamEngine, EngineConfig};
 pub use error::CoreError;
 pub use hashplan::{HashPlan, PlanBinding};
 pub use ir::{CompiledModel, CompiledStep, CompiledTile, DotIr, DotKind, LayerIr};
 pub use passes::{LayerMapping, MappingConfig, ModelMapping, Pass, PassOutcome};
 pub use perf::{EnergyBreakdown, LayerPerf, PerfReport};
+pub use record::{DotRecord, Recording};
 pub use tune::{JointTuneReport, JointTunerConfig, TuneReport, TunerConfig};
 
 /// Result alias used across the crate.

@@ -15,7 +15,7 @@
 //!    norm mode and noise level (`tests/hotpath_reference.rs`). Any
 //!    semantic drift in the fast kernels fails loudly against code that
 //!    provably computed the paper's equations.
-//! 2. **Benchmark baseline.** `hotpath_speedup` times
+//! 2. **Benchmark baseline.** The `perf` bench bin times
 //!    [`DeepCamEngine::infer_reference`](crate::DeepCamEngine::infer_reference)
 //!    against the fast path to report the rewrite's true before/after on
 //!    the same binary and host.

@@ -160,22 +160,18 @@ fn signs_bitwise(values: &[f32]) -> Vec<u64> {
     words
 }
 
-/// Packs `values` on every detected variant (each pinned in turn, into a
-/// buffer pre-filled with ones so every word must be written) and checks
-/// each against the bitwise oracle.
-fn check_pack_on_every_variant(values: &[f32], what: &str) {
+/// Packs `values` (into a buffer pre-filled with ones, so every word
+/// must be written) and checks it against the bitwise oracle. The pack
+/// is the one portable kernel on every variant, so it runs once.
+fn check_pack(values: &[f32], what: &str) {
     let want = signs_bitwise(values);
-    for &v in detected() {
-        force_variant(v).expect("detected variant");
-        let mut got = vec![!0u64; want.len()];
-        pack_signs_into(values, &mut got);
-        assert_eq!(got, want, "{what} variant {}", v.name());
-    }
+    let mut got = vec![!0u64; want.len()];
+    pack_signs_into(values, &mut got);
+    assert_eq!(got, want, "{what}");
 }
 
 #[test]
 fn every_detected_variant_packs_signs_like_the_comparison() {
-    let initial = active();
     // Boundary widths: arbitrary bit patterns (NaNs and subnormals
     // included) with a special value in about every third slot.
     for &bits in &BOUNDARY_BITS {
@@ -189,7 +185,7 @@ fn every_detected_variant_packs_signs_like_the_comparison() {
                 }
             })
             .collect();
-        check_pack_on_every_variant(&values, &format!("bits {bits}"));
+        check_pack(&values, &format!("bits {bits}"));
     }
     // Every special value in every lane of a full word and of a tail,
     // among neighbours that pack the opposite bit.
@@ -199,11 +195,10 @@ fn every_detected_variant_packs_signs_like_the_comparison() {
             for lane in 0..len {
                 let mut values = vec![if x >= 0.0 { -1.0f32 } else { 1.0 }; len];
                 values[lane] = x;
-                check_pack_on_every_variant(&values, &format!("{special:#010x} at {lane}/{len}"));
+                check_pack(&values, &format!("{special:#010x} at {lane}/{len}"));
             }
         }
     }
-    let _ = force_variant(initial);
 }
 
 /// The certify-pack oracle: per value, the sign bit `x >= 0.0` and the

@@ -4,26 +4,36 @@
 //! The DeepCAM engine hashes every im2col patch by projecting it through
 //! a dense, finite `[n, k]` matrix `R`. Materialising the `[N·P, n]`
 //! im2col matrix and running a dense GEMM over it multiplies every
-//! zero-padding tap and every post-ReLU zero. [`project_patches_into`]
-//! instead gathers one block of patch rows at a time, walking only the
-//! in-bounds taps of each patch, and keeps each row's non-zero taps in
-//! ascending column order. Each tap is then broadcast across `k`:
-//! `acc[..] += x · R[col, ..]`, with `k` tiled so a row's accumulators
-//! stay in registers and the `R` tile they read stays in L1. The patch
-//! norms are accumulated in the same pass over the taps.
+//! zero-padding tap and every post-ReLU zero.
+//! [`project_patches_approx_into`] instead gathers one block of patch
+//! rows at a time, walking only the in-bounds taps of each patch, and
+//! keeps each row's non-zero taps in ascending column order. Each tap is
+//! then broadcast across `k`: `acc[..] += x · R[col, ..]`, with `k` tiled
+//! so a row's accumulators stay in registers and the `R` tile they read
+//! stays in L1. The patch norms are accumulated in the same pass over
+//! the taps.
 //!
-//! # Bit-exactness
+//! # Exact and fused chains
 //!
-//! Every output element is one serial add chain over ascending patch
+//! Every output element is one serial chain over ascending patch
 //! columns, starting from `+0.0` — the chain [`matmul_dense_into`] and
 //! [`crate::tensor::matmul_into`] evaluate — minus the terms whose patch
 //! entry is `±0.0`. With `R` finite those terms are `±0.0`, and adding
 //! `±0.0` to an accumulator that started at `+0.0` never changes a bit
-//! (exact cancellation rounds to `+0.0`, and `+0.0 + ±0.0 = +0.0`). So
-//! the result equals im2col + [`matmul_dense_into`] bitwise. Subnormal
-//! and non-finite entries are not zero: they are kept as taps.
+//! (exact cancellation rounds to `+0.0`, and `+0.0 + ±0.0 = +0.0`).
+//! Subnormal and non-finite entries are not zero: they are kept as taps.
 //!
-//! The norm follows the same rule. `patch.iter().map(|v| v * v).sum()`
+//! The portable kernels, which every variant but `Avx512` runs, round
+//! each term's multiply, then its add, so their result equals im2col +
+//! [`matmul_dense_into`] bitwise. On `Avx512` the tiles fuse each term
+//! into one `_mm512_fmadd_ps`: one rounding instead of two, so a value
+//! may differ from the exact one in its last bits. It is still one
+//! serial chain over at most `n` terms, so it lies within
+//! `γ_n·Σ|x_i·r_i|` of the true dot product, as the exact value does.
+//! [`ProjectScratch::exact_element`] recomputes any output with the
+//! exact chain, from the taps the block's gather left in the scratch.
+//!
+//! The norm is exact in every form. `patch.iter().map(|v| v * v).sum()`
 //! folds from `-0.0` on current toolchains, but its first `+ v²` (always
 //! `≥ +0.0` or NaN) already lands on `+0.0` or above, so starting from
 //! `+0.0` and adding only the non-zero squares reproduces it for any
@@ -31,34 +41,16 @@
 //! the `-0.0` an empty `sum` would give.
 //!
 //! A nearly dense block (the first layer's raw image, density ≈ 0.96)
-//! runs through [`matmul_dense_into`]'s 4×32 register tile over the
-//! block's implicit patch rows instead. The choice is made per block from
-//! the non-zero count its gather just counted; both branches give
+//! runs through a 4×32 register tile over the block's implicit patch
+//! rows instead ([`matmul_dense_into`], or on `Avx512` a 4-row × 64-column
+//! tile with sixteen `zmm` accumulators). The choice is made per block
+//! from the non-zero count its gather just counted; both branches give
 //! identical bits. The gather itself takes the form (compacted taps or
 //! dense rows) the previous block's choice predicts, and converts when
-//! the count disagrees.
-//!
-//! Both branches dispatch on the active [`crate::simd`] variant: on
-//! `Avx512` the dense block runs a 4-row × 64-column tile with sixteen
-//! `zmm` accumulators and the broadcast keeps a row's 128 accumulators in
-//! eight `zmm` registers ([`crate::simd`]'s x86 kernels); every other
-//! variant runs the portable code here, which LLVM vectorizes at 256 bits
-//! on AVX-512 hosts too. In [`project_patches_into`] the wide kernels keep
-//! the separate multiply and add of every term, so all variants give
-//! identical bits.
-//!
-//! # The fused form
-//!
-//! [`project_patches_approx_into`] runs the same gather and norms, but
-//! on `Avx512` its tiles fuse each term into one `_mm512_fmadd_ps`: one
-//! rounding instead of two, so a projected value may differ from the
-//! exact one in its last bits (every other variant has no fused tile and
-//! stays exact). Each value is still one serial chain over at most `n`
-//! terms, so it lies within `γ_n·Σ|x_i·r_i|` of the true dot product, as
-//! the exact value does. The norms are exact in both forms, and both
-//! pick the branch at the same density. After either call, [`ProjectScratch::exact_element`] recomputes any one
-//! output with the exact chain, from the taps the block's gather left in
-//! the scratch.
+//! the count disagrees. On `Avx512` the broadcast keeps a row's 128
+//! accumulators in eight `zmm` registers ([`crate::simd`]'s x86
+//! kernels); the portable code is vectorized by LLVM, at 256 bits on
+//! AVX-512 hosts too.
 
 use crate::error::TensorError;
 use crate::ops::conv::Conv2dConfig;
@@ -111,8 +103,7 @@ const NC: usize = 64;
 /// | `scalar` | 680 → 340 | 10 s | 6 | 0 | 1.162 → 1.291 (+11.1%) | 0.036 |
 ///
 /// At the benchmark's 20 s run length 340 wins 6/10 pairs, inside the
-/// band, and it costs the portable kernels 11%, so 680 stays for both
-/// forms.
+/// band, and it costs the portable kernels 11%, so 680 stays.
 const DENSE_PER_1024: usize = 680;
 
 /// Where projected patch rows come from.
@@ -217,7 +208,7 @@ impl<'a> PatchSource<'a> {
     }
 }
 
-/// Reusable per-worker buffers of [`project_patches_into`], sized for
+/// Reusable per-worker buffers of [`project_patches_approx_into`], sized for
 /// blocks of up to `max_rows` rows of width `n` (allocated once, not per
 /// block).
 #[derive(Debug, Clone)]
@@ -262,8 +253,8 @@ impl ProjectScratch {
 
     /// Output `j` of row `r` of the block last projected from `src`
     /// (`proj` is that call's `[n, k]` matrix), recomputed with the exact
-    /// serial multiply-then-add chain over the row's taps: the bits
-    /// [`project_patches_into`] gives it, whichever form projected the
+    /// serial multiply-then-add chain over the row's taps: the bits of
+    /// im2col + [`matmul_dense_into`], whichever form projected the
     /// block.
     ///
     /// # Panics
@@ -298,6 +289,11 @@ impl ProjectScratch {
         acc
     }
 
+    /// Whether the last block took the dense branch.
+    pub fn dense(&self) -> bool {
+        self.dense
+    }
+
     /// Row `r` of the last block as the dense branch read it.
     fn dense_row<'s>(&'s self, src: &PatchSource<'s>, r: usize) -> &'s [f32] {
         let n = self.n;
@@ -318,10 +314,13 @@ impl ProjectScratch {
 /// `proj` (`[n, k]`, row-major, every element finite) into
 /// `out[..rows * k]`, and writes each row's L2 norm into `norms[..rows]`.
 ///
-/// Bit-identical to materialising the rows (im2col for a conv source),
-/// running [`matmul_dense_into`] over them, and taking
-/// `patch.iter().map(|v| v * v).sum::<f32>().sqrt()` per row — see the
-/// [module docs](self) for why skipping zero taps keeps every bit.
+/// The norms are bit-identical to materialising the rows (im2col for a
+/// conv source) and taking `patch.iter().map(|v| v * v).sum::<f32>()
+/// .sqrt()` per row. Each projected value is one serial chain over the
+/// row's taps, fused on `Avx512` and exact elsewhere, so it lies within
+/// `γ_n·Σ|x_i·r_i|` of the true dot product, as the value of im2col +
+/// [`matmul_dense_into`] does (see the [module docs](self)).
+/// [`ProjectScratch::exact_element`] gives any output's exact bits.
 ///
 /// # Panics
 ///
@@ -329,47 +328,7 @@ impl ProjectScratch {
 /// or a buffer length disagrees with `rows`, `n` or `k`.
 // analyze: alloc-free
 #[allow(clippy::too_many_arguments)]
-pub fn project_patches_into(
-    src: &PatchSource<'_>,
-    row_start: usize,
-    rows: usize,
-    proj: &[f32],
-    k: usize,
-    scratch: &mut ProjectScratch,
-    out: &mut [f32],
-    norms: &mut [f32],
-) {
-    project_block::<false>(src, row_start, rows, proj, k, scratch, out, norms);
-}
-
-/// [`project_patches_into`] with fused multiply-add tiles on `Avx512`:
-/// the same contract, except that a projected value may differ from the
-/// exact one by the rounding of its chain (see the
-/// [module docs](self#the-fused-form)). The norms are bit-identical.
-///
-/// # Panics
-///
-/// The same conditions as [`project_patches_into`].
-// analyze: alloc-free
-#[allow(clippy::too_many_arguments)]
 pub fn project_patches_approx_into(
-    src: &PatchSource<'_>,
-    row_start: usize,
-    rows: usize,
-    proj: &[f32],
-    k: usize,
-    scratch: &mut ProjectScratch,
-    out: &mut [f32],
-    norms: &mut [f32],
-) {
-    project_block::<true>(src, row_start, rows, proj, k, scratch, out, norms);
-}
-
-/// The body of both projection entries; `FMA` picks the wide tiles'
-/// form.
-// analyze: alloc-free
-#[allow(clippy::too_many_arguments)]
-fn project_block<const FMA: bool>(
     src: &PatchSource<'_>,
     row_start: usize,
     rows: usize,
@@ -424,13 +383,13 @@ fn project_block<const FMA: bool>(
     };
     if s.dense {
         dense_norms(block, n, norms);
-        dense_gemm::<FMA>(wide, block, rows, n, proj, k, out);
+        dense_gemm(wide, block, rows, n, proj, k, out);
         return;
     }
     if !compacted {
         compact_rows(block, n, &mut s.tap_col, &mut s.tap_x, &mut s.lens[..rows]);
     }
-    broadcast_taps::<FMA>(
+    broadcast_taps(
         wide,
         &s.tap_col,
         &s.tap_x,
@@ -688,10 +647,10 @@ fn scatter_taps(tap_col: &[u32], tap_x: &[f32], lens: &[usize], n: usize, patch:
     }
 }
 
-/// The dense branch's GEMM: the AVX-512 tile (in `FMA`'s form) when
-/// `wide`, else [`matmul_dense_into`] (the exact form's bits).
+/// The dense branch's GEMM: the fused AVX-512 tile when `wide`, else
+/// [`matmul_dense_into`] (the exact bits).
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn dense_gemm<const FMA: bool>(
+fn dense_gemm(
     wide: Option<Avx512Token>,
     block: &[f32],
     rows: usize,
@@ -702,7 +661,7 @@ fn dense_gemm<const FMA: bool>(
 ) {
     #[cfg(target_arch = "x86_64")]
     if let Some(token) = wide {
-        return crate::simd::x86::dense_avx512::<FMA>(token, block, rows, n, proj, k, out);
+        return crate::simd::x86::dense_avx512(token, block, rows, n, proj, k, out);
     }
     matmul_dense_into(block, rows, n, proj, k, out);
 }
@@ -742,7 +701,7 @@ fn dense_norms(block: &[f32], n: usize, norms: &mut [f32]) {
 /// reload the partial sums, so each output keeps one ascending chain.
 /// The norms ride along on the first output tile.
 #[allow(clippy::too_many_arguments)]
-fn broadcast_taps<const FMA: bool>(
+fn broadcast_taps(
     wide: Option<Avx512Token>,
     tap_col: &[u32],
     tap_x: &[f32],
@@ -781,7 +740,7 @@ fn broadcast_taps<const FMA: bool>(
                 }
                 let (from, c) = (cursor[r], (c0, c1));
                 cursor[r] = if kt == 0 {
-                    row_tile::<true, FMA>(
+                    row_tile::<true>(
                         wide,
                         tap_col,
                         tap_x,
@@ -793,7 +752,7 @@ fn broadcast_taps<const FMA: bool>(
                         &mut norms[r],
                     )
                 } else {
-                    row_tile::<false, FMA>(
+                    row_tile::<false>(
                         wide, tap_col, tap_x, from, end, c, strip, &mut tile, &mut 0.0,
                     )
                 };
@@ -810,13 +769,13 @@ fn broadcast_taps<const FMA: bool>(
 
 /// One row's taps `from..end` with column in `c0..c1`, added into a
 /// `KT`-wide register tile (and, with `NORM`, their squares into
-/// `norm`) — on the AVX-512 kernel (in `FMA`'s form) when `wide`, else
-/// [`row_tile_portable`] (the exact form's bits). Returns where the next
-/// column tile resumes.
+/// `norm`) — on the fused AVX-512 kernel when `wide`, else
+/// [`row_tile_portable`] (the exact bits). Returns where the next column
+/// tile resumes.
 #[allow(clippy::too_many_arguments)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 #[inline]
-fn row_tile<const NORM: bool, const FMA: bool>(
+fn row_tile<const NORM: bool>(
     wide: Option<Avx512Token>,
     tap_col: &[u32],
     tap_x: &[f32],
@@ -829,15 +788,14 @@ fn row_tile<const NORM: bool, const FMA: bool>(
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
     if let Some(token) = wide {
-        return crate::simd::x86::row_tile_avx512::<NORM, FMA>(
+        return crate::simd::x86::row_tile_avx512::<NORM>(
             token, tap_col, tap_x, from, end, c, strip, tile, norm,
         );
     }
     row_tile_portable::<NORM>(tap_col, tap_x, from, end, c, strip, tile, norm)
 }
 
-/// The portable row tile: the path of every non-`Avx512` variant and the
-/// oracle of the AVX-512 one.
+/// The portable row tile: the path of every non-`Avx512` variant.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn row_tile_portable<const NORM: bool>(
@@ -907,32 +865,59 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Projects `src` in `block`-row blocks on every detected variant and
+    /// checks each block against the oracle over the materialised rows
+    /// `patches`: the norms bitwise, [`ProjectScratch::exact_element`] on
+    /// every lane bitwise, and each fused value within
+    /// `2·γ_n·‖x‖·‖R[:, j]‖` of the exact one.
     fn check(src: &PatchSource<'_>, patches: &[f32], proj: &[f32], k: usize, block: usize) {
         let (n, rows) = (src.width(), src.len());
         let (want, want_norms) = oracle(patches, rows, n, proj, k);
-        let mut scratch = ProjectScratch::new(block, n);
-        let mut out = vec![f32::NAN; block * k];
-        let mut norms = vec![f32::NAN; block];
-        let mut start = 0;
-        while start < rows {
-            let here = block.min(rows - start);
-            project_patches_into(
-                src,
-                start,
-                here,
-                proj,
-                k,
-                &mut scratch,
-                &mut out,
-                &mut norms,
-            );
-            assert_eq!(
-                bits(&out[..here * k]),
-                bits(&want[start * k..(start + here) * k])
-            );
-            assert_eq!(bits(&norms[..here]), bits(&want_norms[start..start + here]));
-            start += here;
+        let norm64 = |v: &mut dyn Iterator<Item = f32>| -> f64 {
+            v.map(|x| f64::from(x).powi(2)).sum::<f64>().sqrt()
+        };
+        let col_norms: Vec<f64> = (0..k)
+            .map(|j| norm64(&mut proj[j..].iter().step_by(k).copied()))
+            .collect();
+        let nu = n as f64 * f64::from(f32::EPSILON) / 2.0;
+        let gamma = nu / (1.0 - nu);
+        let _pin = crate::simd::tests::pinned();
+        let initial = crate::simd::active();
+        for &v in crate::simd::detected() {
+            crate::simd::force_variant(v).expect("detected variant");
+            let mut scratch = ProjectScratch::new(block, n);
+            let mut out = vec![f32::NAN; block * k];
+            let mut norms = vec![f32::NAN; block];
+            let mut start = 0;
+            while start < rows {
+                let here = block.min(rows - start);
+                project_patches_approx_into(
+                    src,
+                    start,
+                    here,
+                    proj,
+                    k,
+                    &mut scratch,
+                    &mut out,
+                    &mut norms,
+                );
+                assert_eq!(bits(&norms[..here]), bits(&want_norms[start..start + here]));
+                for r in 0..here {
+                    let g = start + r;
+                    let x_norm = norm64(&mut patches[g * n..(g + 1) * n].iter().copied());
+                    for (j, &c_norm) in col_norms.iter().enumerate() {
+                        let exact = want[g * k + j];
+                        let what = format!("{} row {g} lane {j}", v.name());
+                        let recomputed = scratch.exact_element(src, r, proj, k, j);
+                        assert_eq!(recomputed.to_bits(), exact.to_bits(), "{what}");
+                        let gap = (f64::from(out[r * k + j]) - f64::from(exact)).abs();
+                        assert!(gap <= 2.0 * gamma * x_norm * c_norm, "{what}: gap {gap}");
+                    }
+                }
+                start += here;
+            }
         }
+        crate::simd::force_variant(initial).expect("restore the ambient variant");
     }
 
     /// A normal tensor with about `density_pct`% of entries kept; the
@@ -985,7 +970,7 @@ mod tests {
         );
         let mut scratch = ProjectScratch::new(9, 20);
         let (mut out, mut norms) = (vec![1.0f32; 9 * 128], vec![1.0f32; 9]);
-        project_patches_into(
+        project_patches_approx_into(
             &PatchSource::rows(x.data(), 20),
             0,
             9,

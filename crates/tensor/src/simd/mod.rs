@@ -12,15 +12,14 @@
 //! `simd/x86.rs`) and, through the re-export in `deepcam_hash::simd`,
 //! the packed Hamming and certify-pack kernels. Every variant
 //! computes **identical bits** — the Hamming kernels are exact integer
-//! popcounts, and the exact projection keeps each output's serial
-//! multiply-then-add chain — so dispatch can never move an output bit.
-//! The one exception is the fused multiply-add projection
-//! ([`crate::ops::project::project_patches_approx_into`]), whose values
-//! may differ on `Avx512` in their last bits; its only caller keeps just
-//! the signs an error bound proves and recomputes the rest exactly, so
-//! the hash bits it feeds are identical on every variant too. The
-//! portable code is the always-available fallback *and* the differential
-//! oracle.
+//! popcounts — so dispatch can never move an output bit. The one
+//! exception is the patch projection
+//! ([`crate::ops::project::project_patches_approx_into`]), whose fused
+//! multiply-add values may differ on `Avx512` in their last bits; its
+//! only caller keeps just the signs an error bound proves and recomputes
+//! the rest exactly, so the hash bits it feeds are identical on every
+//! variant too. The portable code is the always-available fallback *and*
+//! the differential oracle.
 //!
 //! The dispatch cost is one relaxed atomic load per kernel call (not per
 //! row), and [`force_variant`] lets benches and tests pin a variant
@@ -231,8 +230,16 @@ fn emit_env_warning_once(msg: &str) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Held by every unit test that pins a variant: the pin is
+    /// process-wide, and some of them assert which variant is active.
+    pub(crate) fn pinned() -> MutexGuard<'static, ()> {
+        static PINNED: Mutex<()> = Mutex::new(());
+        PINNED.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn detection_table_starts_with_scalar() {
@@ -268,6 +275,7 @@ mod tests {
 
     #[test]
     fn force_variant_round_trips() {
+        let _pin = pinned();
         let initial = active();
         let prev = force_variant(Variant::Scalar).expect("scalar is always detected");
         assert_eq!(prev, initial);
@@ -280,6 +288,7 @@ mod tests {
     fn force_variant_refuses_undetected() {
         // At most one of these can be detected on any real host; an
         // undetected one must leave dispatch untouched.
+        let _pin = pinned();
         let before = active();
         for v in [Variant::Avx2, Variant::Avx512, Variant::Neon] {
             if !is_detected(v) {

@@ -9,25 +9,19 @@
 //! That detection is the soundness argument for every `unsafe` in this
 //! file.
 //!
-//! # Two forms: exact and fused
+//! # Fused terms
 //!
-//! Each kernel has one body and a `const FMA: bool`. With `FMA = false`
-//! every term is `acc = _mm512_add_ps(acc, _mm512_mul_ps(x, r))`, in
-//! ascending patch-column order, from `+0.0` (dense) or from the partial
-//! sums of earlier column tiles (broadcast). That is the portable
-//! kernels' exact per-element operation sequence — one rounded multiply,
-//! then one rounded add — only wider. Lanes never mix, so every output
-//! keeps its own serial chain and the result equals the portable code
-//! bitwise.
-//!
-//! With `FMA = true` every term is `_mm512_fmadd_ps(x, r, acc)` over the
-//! same chain: one rounding per term instead of two, so the value can
-//! differ from the exact form in its last bits. In exchange the 4×64
-//! tile peaks at 140–159 GFLOP/s against 84–88 (2-vCPU AVX-512 Xeon).
-//! Only the engine's sign-certified hash path runs it, and it recomputes
+//! Every term is `acc = _mm512_fmadd_ps(x, r, acc)`, in ascending
+//! patch-column order, from `+0.0` (dense) or from the partial sums of
+//! earlier column tiles (broadcast). Lanes never mix, so every output
+//! keeps its own serial chain, with one rounding per term where the
+//! portable kernels round the multiply and the add: the value can differ
+//! from theirs in its last bits. In exchange the 4×64 tile peaks at
+//! 140–159 GFLOP/s against 84–88 for a separate multiply and add (2-vCPU
+//! AVX-512 Xeon). The engine's sign-certified hash path recomputes
 //! exactly every lane whose sign the error bound does not prove
 //! (`crates/core/src/certify.rs`). The patch norms the broadcast
-//! accumulates stay a separate multiply and add in both forms.
+//! accumulates stay a separate multiply and add.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -104,11 +98,10 @@ fn store_lanes(dst: &mut [f32], at: usize, lanes: usize, v: __m512) {
 /// (`[n, k]`), into `out` (`[_, k]`). `R × 4` accumulators stay in
 /// registers for the whole ascending walk over `n`. `FULL` tiles
 /// (`w == JT`) use plain loads and stores; a column tail masks its lanes.
-/// `FMA` picks the fused or the exact form of each term.
 #[inline]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-fn dense_tile<const R: usize, const FULL: bool, const FMA: bool>(
+fn dense_tile<const R: usize, const FULL: bool>(
     a: &[f32],
     r0: usize,
     n: usize,
@@ -138,7 +131,7 @@ fn dense_tile<const R: usize, const FULL: bool, const FMA: bool>(
         for (i, acc_r) in acc.iter_mut().enumerate() {
             let x = _mm512_set1_ps(a[i * n + kk]);
             for (a_v, &b_v) in acc_r.iter_mut().zip(&bv) {
-                *a_v = madd::<FMA>(x, b_v, *a_v);
+                *a_v = _mm512_fmadd_ps(x, b_v, *a_v);
             }
         }
     }
@@ -154,46 +147,27 @@ fn dense_tile<const R: usize, const FULL: bool, const FMA: bool>(
     }
 }
 
-/// One term of a chain: `acc + x·r`, fused (one rounding) when `FMA`,
-/// else a rounded multiply, then a rounded add.
-#[inline]
-#[target_feature(enable = "avx512f")]
-fn madd<const FMA: bool>(x: __m512, r: __m512, acc: __m512) -> __m512 {
-    if FMA {
-        _mm512_fmadd_ps(x, r, acc)
-    } else {
-        _mm512_add_ps(acc, _mm512_mul_ps(x, r))
-    }
-}
-
 /// The dense block GEMM `out[rows, k] = a[rows, n] · b[n, k]` over
 /// 4-row tiles (sixteen `zmm` accumulators), 1-row tiles for the
 /// `rows % 4` tail, and masked lanes for the `k % 64` column tail.
 #[target_feature(enable = "avx512f")]
-fn dense_512<const FMA: bool>(
-    a: &[f32],
-    rows: usize,
-    n: usize,
-    b: &[f32],
-    k: usize,
-    out: &mut [f32],
-) {
+fn dense_512(a: &[f32], rows: usize, n: usize, b: &[f32], k: usize, out: &mut [f32]) {
     let quads = rows / 4 * 4;
     let full = k / JT * JT;
     for r0 in (0..quads).step_by(4) {
         for jt in (0..full).step_by(JT) {
-            dense_tile::<4, true, FMA>(a, r0, n, b, k, jt, JT, out);
+            dense_tile::<4, true>(a, r0, n, b, k, jt, JT, out);
         }
         if full < k {
-            dense_tile::<4, false, FMA>(a, r0, n, b, k, full, k - full, out);
+            dense_tile::<4, false>(a, r0, n, b, k, full, k - full, out);
         }
     }
     for r0 in quads..rows {
         for jt in (0..full).step_by(JT) {
-            dense_tile::<1, true, FMA>(a, r0, n, b, k, jt, JT, out);
+            dense_tile::<1, true>(a, r0, n, b, k, jt, JT, out);
         }
         if full < k {
-            dense_tile::<1, false, FMA>(a, r0, n, b, k, full, k - full, out);
+            dense_tile::<1, false>(a, r0, n, b, k, full, k - full, out);
         }
     }
 }
@@ -201,11 +175,10 @@ fn dense_512<const FMA: bool>(
 /// One row's taps `from..end` with column in `c0..c1`, each broadcast
 /// across the `KT`-wide packed `strip` row of its column and added into
 /// `tile` held in eight `zmm` accumulators (and, with `NORM`, its square
-/// into `norm`, in scalar). `FMA` picks the form of the broadcast terms.
-/// Returns where the next column tile resumes.
+/// into `norm`, in scalar). Returns where the next column tile resumes.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-fn row_tile_512<const NORM: bool, const FMA: bool>(
+fn row_tile_512<const NORM: bool>(
     tap_col: &[u32],
     tap_x: &[f32],
     from: usize,
@@ -235,7 +208,7 @@ fn row_tile_512<const NORM: bool, const FMA: bool>(
             .expect("KT-wide tile");
         let xv = _mm512_set1_ps(x);
         for (v, a_v) in acc.iter_mut().enumerate() {
-            *a_v = madd::<FMA>(xv, load16(rv, 16 * v), *a_v);
+            *a_v = _mm512_fmadd_ps(xv, load16(rv, 16 * v), *a_v);
         }
         i += 1;
     }
@@ -250,15 +223,14 @@ fn row_tile_512<const NORM: bool, const FMA: bool>(
 // Plain-ABI wrappers — the only symbols the projection calls.
 // ---------------------------------------------------------------------
 
-/// `matmul_dense_into`'s contract on AVX-512: the dense branch of the
-/// projection for [`super::Variant::Avx512`] — its bits too, unless
-/// `FMA`.
+/// `matmul_dense_into`'s contract on AVX-512, with fused terms: the
+/// dense branch of the projection for [`super::Variant::Avx512`].
 ///
 /// # Panics
 ///
 /// Panics when a slice length disagrees with its stated dimensions.
 // analyze: alloc-free
-pub(crate) fn dense_avx512<const FMA: bool>(
+pub(crate) fn dense_avx512(
     _: Avx512Token,
     a: &[f32],
     rows: usize,
@@ -274,14 +246,14 @@ pub(crate) fn dense_avx512<const FMA: bool>(
     // `Variant::Avx512`, which `detected()` lists solely after
     // `is_x86_feature_detected!` confirmed "avx512f" (the only feature
     // this kernel uses).
-    unsafe { dense_512::<FMA>(a, rows, n, b, k, out) }
+    unsafe { dense_512(a, rows, n, b, k, out) }
 }
 
-/// The tap-broadcast row tile of the projection on AVX-512 (same
-/// contract as the portable row tile, and its bits unless `FMA`).
+/// The tap-broadcast row tile of the projection on AVX-512 (the
+/// portable row tile's contract, with fused terms).
 // analyze: alloc-free
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn row_tile_avx512<const NORM: bool, const FMA: bool>(
+pub(crate) fn row_tile_avx512<const NORM: bool>(
     _: Avx512Token,
     tap_col: &[u32],
     tap_x: &[f32],
@@ -296,5 +268,5 @@ pub(crate) fn row_tile_avx512<const NORM: bool, const FMA: bool>(
     // `Variant::Avx512`, which `detected()` lists solely after
     // `is_x86_feature_detected!` confirmed "avx512f" (the only feature
     // this kernel uses).
-    unsafe { row_tile_512::<NORM, FMA>(tap_col, tap_x, from, end, c, strip, tile, norm) }
+    unsafe { row_tile_512::<NORM>(tap_col, tap_x, from, end, c, strip, tile, norm) }
 }

@@ -9,7 +9,7 @@ use deepcam::models::{Block, Cnn};
 use deepcam::tensor::layer::{Conv2d, Flatten, Linear, ReLU};
 use deepcam::tensor::ops::conv::{col2im, conv2d, conv2d_sharded, im2col, Conv2dConfig};
 use deepcam::tensor::ops::linear::{linear, linear_sharded};
-use deepcam::tensor::ops::project::{project_patches_into, PatchSource, ProjectScratch};
+use deepcam::tensor::ops::project::{project_patches_approx_into, PatchSource, ProjectScratch};
 use deepcam::tensor::pool::Parallelism;
 use deepcam::tensor::simd::{active, detected, force_variant};
 use deepcam::tensor::{Shape, Tensor};
@@ -332,8 +332,10 @@ fn sparse_activation(shape: &[usize], density: f32, seed: u64) -> Tensor {
 }
 
 /// Runs the implicit-im2col projection over `src` in `block`-row blocks
-/// and checks every row against the materialised oracle: im2col rows,
-/// `matmul_dense_into`, and the historical per-row norm expression.
+/// and checks every row against the materialised oracle (im2col rows,
+/// `matmul_dense_into`, and the historical per-row norm expression): the
+/// norm bitwise, `exact_element` on every lane bitwise, and each fused
+/// value within `2·γ_n·‖x‖·‖R[:, j]‖` of the exact one.
 fn check_projection(
     src: &PatchSource<'_>,
     patches: &[f32],
@@ -344,13 +346,21 @@ fn check_projection(
     let (rows, n) = (src.len(), src.width());
     let mut want = vec![0.0f32; rows * k];
     deepcam::tensor::matmul_dense_into(patches, rows, n, proj, k, &mut want);
+    let norm64 = |v: &mut dyn Iterator<Item = f32>| -> f64 {
+        v.map(|x| f64::from(x).powi(2)).sum::<f64>().sqrt()
+    };
+    let col_norms: Vec<f64> = (0..k)
+        .map(|j| norm64(&mut proj[j..].iter().step_by(k).copied()))
+        .collect();
+    let nu = n as f64 * f64::from(f32::EPSILON) / 2.0;
+    let gamma = nu / (1.0 - nu);
     let mut scratch = ProjectScratch::new(block, n);
     let mut out = vec![f32::NAN; block * k];
     let mut norms = vec![f32::NAN; block];
     let mut start = 0;
     while start < rows {
         let here = block.min(rows - start);
-        project_patches_into(
+        project_patches_approx_into(
             src,
             start,
             here,
@@ -361,21 +371,29 @@ fn check_projection(
             &mut norms,
         );
         for r in 0..here {
-            let patch = &patches[(start + r) * n..(start + r + 1) * n];
+            let g = start + r;
+            let patch = &patches[g * n..(g + 1) * n];
             let norm = patch.iter().map(|&v| v * v).sum::<f32>().sqrt();
-            prop_assert_eq!(
-                norms[r].to_bits(),
-                norm.to_bits(),
-                "norm of row {}",
-                start + r
-            );
-            let got = &out[r * k..(r + 1) * k];
-            let exp = &want[(start + r) * k..(start + r + 1) * k];
-            prop_assert!(
-                got.iter().zip(exp).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "projection of row {} differs",
-                start + r
-            );
+            prop_assert_eq!(norms[r].to_bits(), norm.to_bits(), "norm of row {}", g);
+            let x_norm = norm64(&mut patch.iter().copied());
+            for (j, &c_norm) in col_norms.iter().enumerate() {
+                let exact = want[g * k + j];
+                prop_assert_eq!(
+                    scratch.exact_element(src, r, proj, k, j).to_bits(),
+                    exact.to_bits(),
+                    "exact element {} of row {}",
+                    j,
+                    g
+                );
+                let gap = (f64::from(out[r * k + j]) - f64::from(exact)).abs();
+                prop_assert!(
+                    gap <= 2.0 * gamma * x_norm * c_norm,
+                    "fused element {} of row {} is {} from the exact one",
+                    j,
+                    g,
+                    gap
+                );
+            }
         }
         start += here;
     }
@@ -451,7 +469,7 @@ fn all_zero_patches_get_a_positive_zero_norm() {
     let src = PatchSource::conv(&x, &cfg).unwrap();
     let mut scratch = ProjectScratch::new(25, 18);
     let (mut out, mut norms) = (vec![f32::NAN; 25 * 256], vec![f32::NAN; 25]);
-    project_patches_into(
+    project_patches_approx_into(
         &src,
         0,
         25,
