@@ -3,7 +3,9 @@
 //! fixed 64-row chip, recorded in `BENCH_compiler.json`.
 //!
 //! Usage: `cargo run --release -p deepcam-bench --bin compiler
-//! [--out PATH] [--repeats R] [--force] [--smoke]`
+//! [--out PATH] [--repeats R] [--force] [--smoke] [--train-per-class N]
+//! [--test-per-class N] [--epochs N]` (an unknown flag or a value that is
+//! not a count of at least 1 exits 2 with this usage line).
 //!
 //! For each workload a scaled model is trained on its synthetic set,
 //! then [`deepcam_core::tune::tune_joint`] co-optimizes per-layer hash
@@ -38,7 +40,7 @@
 
 use std::time::Instant;
 
-use deepcam_bench::guard::{self, Spread};
+use deepcam_bench::guard::{self, BenchArgs, Spread};
 use deepcam_core::passes;
 use deepcam_core::sched::CamScheduler;
 use deepcam_core::tune::{
@@ -297,38 +299,33 @@ fn run_workload(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|p| args.get(p + 1))
-            .and_then(|v| v.parse().ok())
-    };
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|p| args.get(p + 1).cloned())
-        .unwrap_or_else(|| {
-            if smoke {
-                // Smoke runs exercise the search path, not the record.
-                std::env::temp_dir()
-                    .join("BENCH_compiler_smoke.json")
-                    .to_string_lossy()
-                    .into_owned()
-            } else {
-                "BENCH_compiler.json".to_string()
-            }
-        });
-    let repeats = arg("--repeats").unwrap_or(if smoke { 1 } else { 5 }).max(1);
-    let force = args.iter().any(|a| a == "--force");
+    let args = BenchArgs::from_env(
+        "compiler [--out PATH] [--repeats R] [--force] [--smoke] [--train-per-class N] \
+         [--test-per-class N] [--epochs N]",
+        &["--train-per-class", "--test-per-class", "--epochs"],
+        &["--smoke"],
+    );
+    let smoke = args.switch("--smoke");
+    let out_path = args.out.clone().unwrap_or_else(|| {
+        if smoke {
+            // Smoke runs exercise the search path, not the record.
+            std::env::temp_dir()
+                .join("BENCH_compiler_smoke.json")
+                .to_string_lossy()
+                .into_owned()
+        } else {
+            "BENCH_compiler.json".to_string()
+        }
+    });
+    let repeats = args.repeats.unwrap_or(if smoke { 1 } else { 5 });
+    let force = args.force;
     let (train_pc, test_pc, epochs) = if smoke {
         (8, 8, 1)
     } else {
         (
-            arg("--train-per-class").unwrap_or(64),
-            arg("--test-per-class").unwrap_or(100),
-            arg("--epochs").unwrap_or(3),
+            args.number("--train-per-class").unwrap_or(64),
+            args.number("--test-per-class").unwrap_or(100),
+            args.number("--epochs").unwrap_or(3),
         )
     };
 

@@ -5,7 +5,9 @@
 //! ([`DeepCamEngine::infer_recorded`]).
 //!
 //! Usage: `cargo run --release -p deepcam-bench --bin perf
-//! [--out PATH] [--images N] [--repeats R] [--force]`
+//! [--out PATH] [--images N] [--repeats R] [--force]` (an unknown flag or
+//! a value that is not a count of at least 1 exits 2 with this usage
+//! line).
 //!
 //! The workload is scaled VGG11 (width 8) at k = 256 on `--images`
 //! random-normal images, one batch. Before any timing the run asserts
@@ -17,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use deepcam_bench::guard::{self, Spread};
+use deepcam_bench::guard::{self, BenchArgs, Spread};
 use deepcam_core::simd::{self, Variant};
 use deepcam_core::{Datapath, DeepCamEngine, EngineConfig, HashPlan, Recording};
 use deepcam_models::scaled::scaled_vgg11;
@@ -101,21 +103,18 @@ fn ms(d: Duration) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|p| args.get(p + 1))
-            .and_then(|v| v.parse().ok())
-    };
+    let args = BenchArgs::from_env(
+        "perf [--out PATH] [--images N] [--repeats R] [--force]",
+        &["--images"],
+        &[],
+    );
     let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|p| args.get(p + 1).cloned())
+        .out
+        .clone()
         .unwrap_or_else(|| "BENCH_perf.json".to_string());
-    let images = arg("--images").unwrap_or(16).max(1);
-    let repeats = arg("--repeats").unwrap_or(7).max(1);
-    let force = args.iter().any(|a| a == "--force");
+    let images = args.number("--images").unwrap_or(16);
+    let repeats = args.repeats.unwrap_or(7);
+    let force = args.force;
 
     let host_cores = guard::host_cores();
     if !guard::check_overwrite(&out_path, host_cores, force).proceed() {

@@ -4,7 +4,9 @@
 //! latency percentiles into `BENCH_serve.json`.
 //!
 //! Usage: `cargo run --release -p deepcam-bench --bin serve_throughput
-//! [--out PATH] [--clients N] [--requests N] [--repeats R] [--force]`
+//! [--out PATH] [--clients N] [--requests N] [--conns N] [--repeats R]
+//! [--force]` (an unknown flag or a value that is not a count of at least
+//! 1 exits 2 with this usage line).
 //!
 //! The `max_batch = 1` row is the "before": one engine call per request,
 //! exactly what a naive server wrapping `infer` would do. Larger
@@ -22,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use deepcam_bench::guard;
+use deepcam_bench::guard::{self, BenchArgs};
 use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
 use deepcam_serve::protocol::Response;
@@ -229,22 +231,20 @@ fn run_open_loop(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |name: &str| -> Option<usize> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|p| args.get(p + 1))
-            .and_then(|v| v.parse().ok())
-    };
+    let args = BenchArgs::from_env(
+        "serve_throughput [--out PATH] [--clients N] [--requests N] [--conns N] [--repeats R] \
+         [--force]",
+        &["--clients", "--requests", "--conns"],
+        &[],
+    );
     let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|p| args.get(p + 1).cloned())
+        .out
+        .clone()
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let clients = arg("--clients").unwrap_or(8).max(1);
-    let requests = arg("--requests").unwrap_or(40).max(1);
-    let repeats = arg("--repeats").unwrap_or(3).max(1);
-    let force = args.iter().any(|a| a == "--force");
+    let clients = args.number("--clients").unwrap_or(8);
+    let requests = args.number("--requests").unwrap_or(40);
+    let repeats = args.repeats.unwrap_or(3);
+    let force = args.force;
     let batch_sweep = [1usize, 4, 8, 16];
 
     let host_cores = guard::host_cores();
@@ -316,7 +316,7 @@ fn main() {
     // the threads core pays a parked thread per connection.
     const OPEN_INFLIGHT: usize = 16;
     const OPEN_TOTAL: usize = 256;
-    let base_conns = arg("--conns").unwrap_or(4).max(1);
+    let base_conns = args.number("--conns").unwrap_or(4);
     let conn_sweep = [base_conns, base_conns * 4];
     println!(
         "\n== Open-loop wire sweep: {OPEN_INFLIGHT} pipelined v2 requests in flight, split over the connections =="

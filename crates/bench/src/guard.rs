@@ -8,6 +8,9 @@
 //! replacing a measurement from a bigger one. Pass `--force` to
 //! overwrite anyway. [`Spread`] is the median with min/max every `perf`
 //! timing records, and decides when a ratio of two is a speedup.
+//! [`BenchArgs`] is the one command-line parser of the bins that write
+//! those files: a flag it does not know, or a value it cannot read, stops
+//! the run before anything is measured or overwritten.
 
 /// Number of logical cores on this host (1 when undetectable).
 // analyze: allow(determinism, "the guard exists to compare hosts; probing this host is its job")
@@ -58,6 +61,82 @@ impl Spread {
             "{{\"median_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}}}",
             self.median, self.min, self.max
         )
+    }
+}
+
+/// The command line of a bench bin: the shared `--out PATH`,
+/// `--repeats R` and `--force`, plus the bin's own numeric flags and
+/// switches. Every number is a count of at least 1.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BenchArgs {
+    /// `--out PATH`: where to write the JSON.
+    pub out: Option<String>,
+    /// `--repeats R`: timed runs per measurement.
+    pub repeats: Option<usize>,
+    /// `--force`: overwrite a JSON recorded on a bigger host.
+    pub force: bool,
+    numbers: Vec<(String, usize)>,
+    switches: Vec<String>,
+}
+
+impl BenchArgs {
+    /// Parses `args` (the program name excluded); `numeric` names the
+    /// bin's own flags that take a count, `switches` those that take
+    /// none.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag or stray argument, a flag given twice, a missing
+    /// value, or a value that is not a count of at least 1.
+    pub fn parse(args: &[String], numeric: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut parsed = BenchArgs::default();
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            if args.iter().filter(|a| *a == flag).count() > 1 {
+                return Err(format!("{flag} given twice"));
+            }
+            let mut value = || match rest.next() {
+                Some(v) if !v.starts_with("--") => Ok(v.clone()),
+                _ => Err(format!("{flag} needs a value")),
+            };
+            let count = |v: String| match v.parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err(format!("{flag} needs a count of at least 1, not {v:?}")),
+            };
+            match flag.as_str() {
+                "--out" => parsed.out = Some(value()?),
+                "--repeats" => parsed.repeats = Some(count(value()?)?),
+                "--force" => parsed.force = true,
+                f if numeric.contains(&f) => parsed.numbers.push((f.into(), count(value()?)?)),
+                f if switches.contains(&f) => parsed.switches.push(f.into()),
+                f => return Err(format!("unknown argument {f:?}")),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Parses the process's arguments; on a fault, prints it and `usage`
+    /// and exits with status 2.
+    // analyze: allow(determinism, "reads the command line and reports a refusal; runs before any timing, never inside a kernel")
+    pub fn from_env(usage: &str, numeric: &[&str], switches: &[&str]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        BenchArgs::parse(&args, numeric, switches).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {usage}");
+            std::process::exit(2)
+        })
+    }
+
+    /// The value of the bin's numeric flag `flag`, if given.
+    pub fn number(&self, flag: &str) -> Option<usize> {
+        self.numbers
+            .iter()
+            .find(|(f, _)| f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    /// Whether the bin's switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.switches.iter().any(|f| f == flag)
     }
 }
 
@@ -161,6 +240,64 @@ mod tests {
         assert_eq!(after.speedup_to(&before), Some(0.5));
         let overlapping = Spread::of(vec![9.0, 10.5, 9.5]);
         assert_eq!(before.speedup_to(&overlapping), None);
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn parse(line: &str) -> Result<BenchArgs, String> {
+        BenchArgs::parse(&args(line), &["--images"], &["--smoke"])
+    }
+
+    #[test]
+    fn parses_shared_and_own_flags() {
+        let got = parse("--out x.json --repeats 3 --force --images 4 --smoke").unwrap();
+        assert_eq!(got.out.as_deref(), Some("x.json"));
+        assert_eq!(got.repeats, Some(3));
+        assert!(got.force && got.switch("--smoke"));
+        assert_eq!(got.number("--images"), Some(4));
+        assert_eq!(parse("").unwrap(), BenchArgs::default());
+        assert_eq!(parse("--force").unwrap().number("--images"), None);
+    }
+
+    #[test]
+    fn refuses_a_bare_out() {
+        // Falling back to the default path would overwrite the committed
+        // JSON.
+        assert!(parse("--out").unwrap_err().contains("--out needs a value"));
+        assert!(parse("--out --force").is_err());
+    }
+
+    #[test]
+    fn refuses_an_unparsable_or_zero_count() {
+        for line in [
+            "--repeats x",
+            "--repeats -1",
+            "--repeats 0",
+            "--repeats",
+            "--images 2.5",
+        ] {
+            assert!(parse(line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn refuses_unknown_flags_and_stray_arguments() {
+        assert!(parse("--repeat 3")
+            .unwrap_err()
+            .contains("unknown argument"));
+        assert!(parse("--conns 4").is_err(), "another bin's flag");
+        assert!(parse("extra").is_err());
+        assert!(parse("--images 2 5").is_err());
+    }
+
+    #[test]
+    fn refuses_a_repeated_flag() {
+        assert!(parse("--repeats 2 --repeats 3")
+            .unwrap_err()
+            .contains("twice"));
+        assert!(parse("--force --force").is_err());
     }
 
     #[test]

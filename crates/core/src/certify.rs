@@ -7,10 +7,11 @@
 //! The engine needs that predicate exactly as the serial
 //! multiply-then-add chain gives it, not the float itself. So
 //! [`SignHasher`] projects each sub-block with fused multiply-add tiles
-//! ([`project_patches_approx_into`]), and lane `j` keeps the fused sign
+//! whose epilogue packs the signs straight from the accumulators
+//! ([`project_patches_signs_into`]), and lane `j` keeps the fused sign
 //! only when an error bound proves that the exact chain has the same
 //! one. Every other lane is recomputed with the exact chain
-//! ([`ProjectScratch::exact_element`]) before it is packed. The sign
+//! ([`ProjectScratch::exact_element`]) and its bit replaced. The sign
 //! words and norms are therefore bit-identical to im2col →
 //! `matmul_dense_into` → noise → `pack_signs_into`, and so are the
 //! logits, the wire bytes and the modeled CAM cost. Only kernel time
@@ -27,8 +28,9 @@
 //!   ([`column_bounds`]); it is `+∞` when the column norm lies outside
 //!   `[2⁻⁴⁰, 2⁴⁰]`.
 //!
-//! `B` is evaluated in `f32` as `(4·n·u·‖x‖) · c_j`, two roundings, inside
-//! the one-pass pack [`certify_signs_into`].
+//! `B` is evaluated in `f32` as `(4·n·u·‖x‖) · c_j`, two roundings, in
+//! the tile epilogue, which compares while the accumulators are still in
+//! registers (the `Signs` epilogue of `deepcam_tensor::ops::project`).
 //!
 //! # Proof
 //!
@@ -69,11 +71,13 @@
 //! is `N(0, ‖x‖²)` and `c_j ≈ √n`): 0.003% at `n = 27`, 0.26% at
 //! `n = 576`.
 
-use deepcam_hash::bitvec::certify_signs_into;
-use deepcam_tensor::ops::project::{project_patches_approx_into, PatchSource, ProjectScratch};
+use deepcam_tensor::ops::project::{
+    project_patches_signs_into, PatchSource, ProjectScratch, Signs,
+};
 use deepcam_tensor::rng::{seeded_rng, standard_normal};
 
 use crate::engine::EngineConfig;
+use crate::record::Probe;
 
 /// The unit roundoff of `f32`, `2⁻²⁴`.
 const U: f32 = f32::EPSILON / 2.0;
@@ -142,143 +146,137 @@ impl CrossbarNoise {
         })
     }
 
-    /// Fills `delta` with the disturbance of the patch row at global
-    /// index `row`, `δ_j = level · ‖x‖ · z_j`, from an RNG keyed by that
-    /// index: reproducible across runs, thread counts and batch splits.
-    fn fill(&self, row: usize, norm: f32, delta: &mut [f32]) {
+    /// Fills `z` with the norm-free draws of the patch row at global
+    /// index `row`, from an RNG keyed by that index: reproducible across
+    /// runs, thread counts and batch splits. The row's disturbance is
+    /// `δ_j = (level · ‖x‖) · z_j`, two roundings.
+    fn draw(&self, row: usize, z: &mut [f32]) {
         let mut rng = seeded_rng(self.seed ^ (row as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        for d in delta {
-            *d = self.level * norm * standard_normal(&mut rng) as f32;
+        for v in z {
+            *v = standard_normal(&mut rng) as f32;
         }
     }
 }
 
 /// Per-chunk buffers of the certified hash of one sub-block at a time,
-/// allocated once per chunk (the noise row included), never per block.
+/// allocated once per chunk (the noise draws included), never per block.
 pub(crate) struct SignHasher {
     scratch: ProjectScratch,
-    projected: Vec<f32>,
+    noise: Option<CrossbarNoise>,
     norms: Vec<f32>,
-    delta: Vec<f32>,
-    signs: Vec<u64>,
+    /// The block's `[rows, k]` noise draws (empty without noise).
+    z: Vec<f32>,
+    /// Word-major uncertain words, laid out as the queries.
     uncertain: Vec<u64>,
 }
 
 impl SignHasher {
     /// Buffers for sub-blocks of up to `block` rows of width `n`, hashed
-    /// to `k` bits.
-    pub(crate) fn new(block: usize, n: usize, k: usize) -> Self {
+    /// to `k` bits under `noise`.
+    pub(crate) fn new(block: usize, n: usize, k: usize, noise: Option<CrossbarNoise>) -> Self {
         SignHasher {
             scratch: ProjectScratch::new(block, n),
-            projected: vec![0.0; block * k],
+            noise,
             norms: vec![0.0; block],
-            delta: vec![0.0; k],
-            signs: vec![0; k.div_ceil(64)],
-            uncertain: vec![0; k.div_ceil(64)],
+            z: vec![0.0; if noise.is_some() { block * k } else { 0 }],
+            uncertain: vec![0; k.div_ceil(64) * block],
         }
     }
 
-    /// Projects patch rows `g0..g0 + nq` of `src` through `proj`
-    /// (`[n, k]`) with the fused tiles, for [`SignHasher::certify`] to
-    /// pack. Returns whether the block took the dense tile.
+    /// Hashes patch rows `g0..g0 + nq` of `src` through `proj` (`[n, k]`),
+    /// with `bounds` its [`column_bounds`]. The fused tiles compare each
+    /// finished tile against the bound ([`project_patches_signs_into`])
+    /// and write sign word `w` of row `r` to `queries[w·nq + r]`,
+    /// word-major as the Hamming tile reads it; the row's norm stays in
+    /// [`SignHasher::norms`]`()[r]`. The noise disturbs row `r` as the
+    /// patch at global index `first_row + r`. Then every lane the bound
+    /// left uncertain is recomputed exactly. The projection is charged to
+    /// `probe`'s project phase. Returns the number of lanes recomputed.
     ///
     /// # Panics
     ///
     /// Panics when the block exceeds the buffers, or a length disagrees
     /// with `n`, `k` or `nq`.
     // analyze: alloc-free
-    pub(crate) fn project(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn hash<P: Probe>(
         &mut self,
         src: &PatchSource<'_>,
         g0: usize,
         nq: usize,
         proj: &[f32],
-        k: usize,
-    ) -> bool {
-        let (scratch, out, norms) = (&mut self.scratch, &mut self.projected, &mut self.norms);
-        project_patches_approx_into(src, g0, nq, proj, k, scratch, out, norms);
-        scratch.dense()
-    }
-
-    /// Packs the `nq` rows the last [`SignHasher::project`] projected
-    /// from `src` through `proj`, with `bounds` its [`column_bounds`].
-    /// Sign word `w` of row `r` goes to `queries[w·nq + r]`, word-major
-    /// as the Hamming tile reads it, and the row's norm stays in
-    /// [`SignHasher::norms`]`()[r]`. `noise` disturbs row `r` as the
-    /// patch at global index `first_row + r`. Returns the number of lanes
-    /// recomputed exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nq` or a length disagrees with the last projection.
-    // analyze: alloc-free
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn certify(
-        &mut self,
-        src: &PatchSource<'_>,
-        nq: usize,
-        proj: &[f32],
         bounds: &[f32],
-        noise: Option<CrossbarNoise>,
         first_row: usize,
         queries: &mut [u64],
+        probe: &mut P,
     ) -> usize {
         let SignHasher {
             scratch,
-            projected,
+            noise,
             norms,
-            delta,
-            signs,
+            z,
             uncertain,
         } = self;
-        let (n, k) = (src.width(), bounds.len());
-        assert_eq!(queries.len(), signs.len() * nq, "word-major query block");
+        let k = bounds.len();
+        let uncertain = &mut uncertain[..queries.len()];
+        let noise = match *noise {
+            Some(noise) => {
+                for (r, row) in z[..nq * k].chunks_exact_mut(k).enumerate() {
+                    noise.draw(first_row + r, row);
+                }
+                Some((noise.level, &z[..nq * k]))
+            }
+            None => None,
+        };
+        let signs = Signs {
+            bounds,
+            row_scale,
+            noise,
+            signs: queries,
+            uncertain,
+        };
+        project_patches_signs_into(src, g0, nq, proj, k, scratch, signs, norms);
+        probe.lap(|d| &mut d.project);
         let mut recomputed = 0;
-        for (r, y) in projected.chunks_exact_mut(k).take(nq).enumerate() {
-            let norm = norms[r];
-            let scale = row_scale(n, norm);
-            if let Some(noise) = noise {
-                noise.fill(first_row + r, norm, delta);
-                for (v, &d) in y.iter_mut().zip(delta.iter()) {
-                    *v += d;
-                }
-            }
-            if certify_signs_into(y, bounds, scale, signs, uncertain) > 0 {
-                for (w, (word, &flags)) in signs.iter_mut().zip(uncertain.iter()).enumerate() {
-                    let mut left = flags;
-                    while left != 0 {
-                        let b = left.trailing_zeros() as usize;
-                        left &= left - 1;
-                        let j = w * 64 + b;
-                        let mut v = scratch.exact_element(src, r, proj, k, j);
-                        if noise.is_some() {
-                            v += delta[j];
-                        }
-                        *word = (*word & !(1 << b)) | (u64::from(v >= 0.0) << b);
-                        recomputed += 1;
+        let words = queries.chunks_exact_mut(nq).zip(uncertain.chunks_exact(nq));
+        for (w, (word_row, flag_row)) in words.enumerate() {
+            for (r, (word, &flags)) in word_row.iter_mut().zip(flag_row).enumerate() {
+                let mut left = flags;
+                while left != 0 {
+                    let b = left.trailing_zeros() as usize;
+                    left &= left - 1;
+                    let j = w * 64 + b;
+                    let mut v = scratch.exact_element(src, r, proj, k, j);
+                    if let Some((level, z)) = noise {
+                        v += level * norms[r] * z[r * k + j];
                     }
+                    *word = (*word & !(1 << b)) | (u64::from(v >= 0.0) << b);
+                    recomputed += 1;
                 }
-            }
-            for (w, &word) in signs.iter().enumerate() {
-                queries[w * nq + r] = word;
             }
         }
         recomputed
     }
 
-    /// The norms of the rows [`SignHasher::project`] last projected (its
-    /// first `nq` entries).
+    /// The norms of the rows [`SignHasher::hash`] last hashed (its first
+    /// `nq` entries).
     pub(crate) fn norms(&self) -> &[f32] {
         &self.norms
+    }
+
+    /// Whether the last block took the dense tile.
+    pub(crate) fn dense(&self) -> bool {
+        self.scratch.dense()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcam_hash::bitvec::pack_signs_into;
+    use deepcam_hash::bitvec::{certify_signs_into, pack_signs_into};
     use deepcam_hash::simd::{active, detected, force_variant, Variant};
     use deepcam_tensor::ops::conv::{im2col, Conv2dConfig};
+    use deepcam_tensor::ops::project::project_patches_approx_into;
     use deepcam_tensor::rng::seeded_rng;
     use deepcam_tensor::tensor::matmul_dense_into;
     use deepcam_tensor::{Shape, Tensor};
@@ -301,6 +299,15 @@ mod tests {
             ..EngineConfig::default()
         };
         CrossbarNoise::of(&cfg, 3)
+    }
+
+    /// The historical disturbance of row `row`, `δ_j = level · ‖x‖ · z_j`
+    /// in one expression: the oracle [`CrossbarNoise::draw`] must match.
+    fn fill(noise: &CrossbarNoise, row: usize, norm: f32, delta: &mut [f32]) {
+        let mut rng = seeded_rng(noise.seed ^ (row as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        for d in delta {
+            *d = noise.level * norm * standard_normal(&mut rng) as f32;
+        }
     }
 
     /// The oracle: im2col rows → `matmul_dense_into` → noise →
@@ -328,7 +335,7 @@ mod tests {
                 .sqrt();
             let pre = &mut y[r * k..(r + 1) * k];
             if let Some(noise) = noise {
-                noise.fill(r, norm, &mut delta);
+                fill(&noise, r, norm, &mut delta);
                 for (v, &d) in pre.iter_mut().zip(&delta) {
                     *v += d;
                 }
@@ -349,7 +356,7 @@ mod tests {
     ) -> (Vec<u64>, Vec<u32>, usize) {
         let (rows, wpr) = (src.len(), k.div_ceil(64));
         let bounds = column_bounds(proj, k);
-        let mut hasher = SignHasher::new(BLOCK, src.width(), k);
+        let mut hasher = SignHasher::new(BLOCK, src.width(), k, noise);
         let mut words = vec![!0u64; rows * wpr];
         let mut norms = Vec::with_capacity(rows);
         let mut queries = vec![0u64; BLOCK * wpr];
@@ -357,8 +364,7 @@ mod tests {
         for g0 in (0..rows).step_by(BLOCK) {
             let nq = BLOCK.min(rows - g0);
             let queries = &mut queries[..nq * wpr];
-            hasher.project(src, g0, nq, proj, k);
-            recomputed += hasher.certify(src, nq, proj, &bounds, noise, g0, queries);
+            recomputed += hasher.hash(src, g0, nq, proj, &bounds, g0, queries, &mut ());
             for r in 0..nq {
                 for w in 0..wpr {
                     words[(g0 + r) * wpr + w] = queries[w * nq + r];
@@ -562,6 +568,142 @@ mod tests {
                 }
             }
             assert!(fixed >= 2, "{what}: {fixed} lanes recomputed");
+        }
+        let _ = force_variant(initial);
+    }
+
+    /// The ±0.0, NaN, ±∞ and subnormal rows of
+    /// `adversarial_rows_take_the_exact_path`, each repeated to width `n`.
+    fn special_rows(n: usize) -> Vec<f32> {
+        let rows: [[f32; 8]; 9] = [
+            [1e-40; 8],
+            [1e-40, -1e-40, 0.0, 1e-40, -0.0, 1e-40, 1e-40, -1e-40],
+            [1.0, f32::NAN, -1.0, 0.5, 2.0, -0.25, 1.0, 3.0],
+            [1.0, 2.0, f32::INFINITY, 0.5, -2.0, -0.25, 1.0, 3.0],
+            [1.0, 2.0, 0.5, 0.0, -2.0, f32::NEG_INFINITY, 1.0, 3.0],
+            [0.0; 8],
+            [-0.0; 8],
+            [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0],
+            [1e30, 1e-40, -1e30, 0.0, 1e-40, -1e30, 1.0, -1.0],
+        ];
+        rows.iter()
+            .flat_map(|row| row.iter().cycle().take(n).copied())
+            .collect()
+    }
+
+    #[test]
+    fn sign_epilogue_matches_the_portable_certify_of_the_stored_tile() {
+        let _pin = pin();
+        let initial = active();
+        // Blocks of 61 rows (a `rows % 4` tail) of width 27 and 8 (one
+        // column tile) and 72 and 200 (two and four): Gaussian rows take
+        // the dense tile and 20%-dense ones the tap broadcast; the special
+        // rows ride in blocks of both kinds. k = 96 and 192 add a partial
+        // last word and a 64-wide last broadcast tile.
+        let mut cases = Vec::new();
+        for n in [8, 27, 72, 200] {
+            let dense = gaussian(&[61, n], n as u64).data().to_vec();
+            let sparse = sparsify(gaussian(&[61, n], 1 + n as u64), 20)
+                .data()
+                .to_vec();
+            let mixed = |mut rows: Vec<f32>| {
+                rows[..9 * n].copy_from_slice(&special_rows(n));
+                rows
+            };
+            cases.push((n, "dense", true, mixed(dense)));
+            cases.push((n, "sparse", false, mixed(sparse)));
+        }
+        for &v in detected() {
+            force_variant(v).expect("detected variant");
+            for (n, density, dense, x) in &cases {
+                let (n, rows) = (*n, x.len() / n);
+                let src = PatchSource::rows(x, n);
+                for k in [256, 512, 768, 1024, 96, 192] {
+                    let proj = gaussian(&[n, k], 7 + k as u64);
+                    let bounds = column_bounds(proj.data(), k);
+                    for level in [0.0, 0.05] {
+                        let what = format!("{} n {n} {density} k {k} noise {level}", v.name());
+                        let noise = noise_at(level);
+                        let (wpr, words) = (k.div_ceil(64), k.div_ceil(64) * rows);
+                        let mut z = vec![0.0f32; rows * k];
+                        if let Some(noise) = noise {
+                            for (r, z) in z.chunks_exact_mut(k).enumerate() {
+                                noise.draw(r, z);
+                            }
+                        }
+                        let mut scratch = ProjectScratch::new(rows, n);
+                        let (mut y, mut norms) = (vec![0.0; rows * k], vec![0.0; rows]);
+                        project_patches_approx_into(
+                            &src,
+                            0,
+                            rows,
+                            proj.data(),
+                            k,
+                            &mut scratch,
+                            &mut y,
+                            &mut norms,
+                        );
+                        assert_eq!(scratch.dense(), *dense, "branch: {what}");
+                        // The stored floats plus the noise: what the
+                        // epilogue compares.
+                        for (r, y) in y.chunks_exact_mut(k).enumerate() {
+                            if let Some(noise) = noise {
+                                for (y, &z) in y.iter_mut().zip(&z[r * k..]) {
+                                    *y += noise.level * norms[r] * z;
+                                }
+                            }
+                        }
+                        // Bounds at exactly the last row's `|v|` under a
+                        // unit scale: a one-ulp change in how `v` or the
+                        // compare rounds flips that row's words.
+                        let tie: Vec<f32> = y[(rows - 1) * k..].iter().map(|v| v.abs()).collect();
+                        let unit: fn(usize, f32) -> f32 = |_, _| 1.0;
+                        for (bounds, scale) in
+                            [(&bounds, row_scale as fn(usize, f32) -> f32), (&tie, unit)]
+                        {
+                            let (mut signs, mut uncertain) = (vec![!0; words], vec![!0; words]);
+                            let mut sign_norms = vec![0.0; rows];
+                            let epilogue = Signs {
+                                bounds,
+                                row_scale: scale,
+                                noise: noise.map(|noise| (noise.level, &z[..])),
+                                signs: &mut signs,
+                                uncertain: &mut uncertain,
+                            };
+                            project_patches_signs_into(
+                                &src,
+                                0,
+                                rows,
+                                proj.data(),
+                                k,
+                                &mut scratch,
+                                epilogue,
+                                &mut sign_norms,
+                            );
+                            assert_eq!(scratch.dense(), *dense, "branch: {what}");
+                            let bits =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&sign_norms), bits(&norms), "norms: {what}");
+                            let (mut want_s, mut want_u) = (vec![0; wpr], vec![0; wpr]);
+                            for (r, v) in y.chunks_exact(k).enumerate() {
+                                let row_scale = scale(n, norms[r]);
+                                certify_signs_into(v, bounds, row_scale, &mut want_s, &mut want_u);
+                                for w in 0..wpr {
+                                    let at = w * rows + r;
+                                    assert_eq!(
+                                        signs[at], want_s[w],
+                                        "signs row {r} word {w}: {what}"
+                                    );
+                                    assert_eq!(
+                                        uncertain[at], want_u[w],
+                                        "uncertain row {r} word {w}: {what}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
         let _ = force_variant(initial);
     }

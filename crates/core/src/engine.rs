@@ -1076,11 +1076,11 @@ fn plane_segments<'o>(
 /// loop (the scratch is allocated once per chunk):
 /// 1. project the sub-block straight from the layer input with the
 ///    implicit-im2col, zero-skipping kernel in its fused multiply-add
-///    form, which also yields the exact patch norms;
-/// 2. apply any crossbar noise per global row, then pack every row's
-///    signs into word-major queries, certifying each sign against an
-///    error bound and recomputing the uncertain lanes exactly
-///    ([`SignHasher`]; the signs are those of the exact chain);
+///    form, which also yields the exact patch norms; each finished tile
+///    adds any crossbar noise (per global row) and packs its signs into
+///    word-major queries, certifying each sign against an error bound;
+/// 2. recompute the uncertain lanes exactly ([`SignHasher`]; the signs
+///    are those of the exact chain) and quantize the norms;
 /// 3. run one Hamming tile of those queries against all M packed kernel
 ///    rows ([`PackedHashes::hamming_tile_into`](deepcam_hash::PackedHashes::hamming_tile_into));
 /// 4. per kernel, evaluate `a_norm * w_norm * cos_lut[hd]` — the
@@ -1113,7 +1113,7 @@ fn dot_rows_range<P: Probe>(
     let first_image = rows.start / p;
     let block = SUB_ROWS.min(rows.len().max(1));
     // Per-worker scratch, allocated once per chunk (not per patch).
-    let mut hasher = SignHasher::new(block, ct.n, k);
+    let mut hasher = SignHasher::new(block, ct.n, k, noise);
     let mut a_norms = vec![0.0f32; block];
     let mut queries = vec![0u64; wpr * block];
     let mut dists = vec![0u32; m * block];
@@ -1124,17 +1124,8 @@ fn dot_rows_range<P: Probe>(
         // Each hash bit is the exact chain's sign, and each chain runs
         // in a fixed order over n, so block boundaries never change it.
         let queries = &mut queries[..wpr * nq];
-        let dense = hasher.project(src, g0, nq, rt.proj.data(), k);
-        probe.lap(|d| &mut d.project);
-        let recomputed = hasher.certify(
-            src,
-            nq,
-            rt.proj.data(),
-            &rt.col_bounds,
-            noise,
-            row_offset + g0,
-            queries,
-        );
+        let (proj, bounds) = (rt.proj.data(), &rt.col_bounds[..]);
+        let recomputed = hasher.hash(src, g0, nq, proj, bounds, row_offset + g0, queries, probe);
         for (a_norm, &norm) in a_norms.iter_mut().zip(&hasher.norms()[..nq]) {
             *a_norm = match norm_mode {
                 NormMode::Minifloat8 => Minifloat8::quantize(norm),
@@ -1168,7 +1159,7 @@ fn dot_rows_range<P: Probe>(
             }
         }
         probe.lap(|d| &mut d.lut);
-        probe.block(dense, recomputed);
+        probe.block(hasher.dense(), recomputed);
         g0 = g1;
     }
 }

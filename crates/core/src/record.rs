@@ -73,10 +73,12 @@ pub struct DotRecord {
     pub rows: usize,
     /// Wall time of the whole dot step.
     pub wall: Duration,
-    /// Fused-tile projection, its gather and the patch norms.
+    /// Fused-tile projection, its gather and the patch norms, with the
+    /// noise draws and the tile epilogue that compares each finished tile
+    /// against the sign certificate and packs the sign words.
     pub project: Duration,
-    /// Noise, the certified sign pack, the exact fix-up of uncertain
-    /// lanes and the norm quantization.
+    /// The exact fix-up of the lanes the certificate left uncertain and
+    /// the norm quantization.
     pub certify: Duration,
     /// The Hamming tile against every kernel.
     pub hamming: Duration,

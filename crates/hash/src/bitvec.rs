@@ -293,7 +293,7 @@ fn collapse_bytes(bytes: &[u8; 64]) -> u64 {
 /// Packs the signs of `values` directly into a caller-provided word
 /// buffer — the allocation-free twin of [`BitVec::from_signs`], for
 /// building query hashes in reusable scratch (the engine's own hot loop
-/// packs through [`certify_signs_into`]).
+/// packs in its projection tiles' epilogue).
 ///
 /// `out` must hold exactly `values.len().div_ceil(64)` words; unused high
 /// bits of the final word are written zero, so the buffer satisfies the
@@ -326,9 +326,10 @@ pub fn pack_signs_into(values: &[f32], out: &mut [u64]) {
 /// fails closed. Returns the number of flagged lanes.
 ///
 /// Both word buffers follow [`pack_signs_into`]'s length contract and
-/// trailing-zero invariant. Runs on the active [`crate::simd`] variant
-/// (AVX-512: one pass of mask compares); every variant writes identical
-/// words.
+/// trailing-zero invariant. This is the portable oracle of the certified
+/// sign pack: the engine packs the same words in its projection tiles'
+/// epilogue (`deepcam_tensor::ops::project::Signs`), which is tested
+/// against it.
 ///
 /// # Panics
 ///
@@ -354,35 +355,27 @@ pub fn certify_signs_into(
         words,
         "uncertain word buffer must match the value count"
     );
-    crate::simd::certify_signs(values, bounds, scale, signs, uncertain);
+    certify_sign_words(values, bounds, scale, signs, uncertain);
     uncertain.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// Sign and uncertain words of one chunk of at most 64 values — the
-/// portable certify step of [`certify_signs_into`]. The flags go through
-/// bytes, as in [`sign_word`], so the compares vectorize.
-pub(crate) fn certify_word(values: &[f32], bounds: &[f32], scale: f32) -> (u64, u64) {
-    let mut unsure = [0u8; 64];
-    for ((d, &x), &c) in unsure.iter_mut().zip(values).zip(bounds) {
-        let sure = x.abs() > scale * c;
-        *d = u8::from(!sure);
-    }
-    (sign_word(values), collapse_bytes(&unsure))
-}
-
-/// The portable certify kernel behind [`certify_signs_into`]: the
-/// dispatch fallback and the oracle the SIMD kernel is tested against.
+/// The word loop of [`certify_signs_into`]: one bit per value, set by
+/// the plain comparisons, so the oracle shares no packing trick with the
+/// kernels it checks.
 // analyze: alloc-free
-pub(crate) fn certify_sign_words(
+fn certify_sign_words(
     values: &[f32],
     bounds: &[f32],
     scale: f32,
     signs: &mut [u64],
     uncertain: &mut [u64],
 ) {
-    let chunks = values.chunks(WORD_BITS).zip(bounds.chunks(WORD_BITS));
-    for ((s, u), (v, b)) in signs.iter_mut().zip(uncertain.iter_mut()).zip(chunks) {
-        (*s, *u) = certify_word(v, b, scale);
+    signs.fill(0);
+    uncertain.fill(0);
+    for (i, (&x, &c)) in values.iter().zip(bounds).enumerate() {
+        let sure = x.abs() > scale * c;
+        signs[i / WORD_BITS] |= u64::from(x >= 0.0) << (i % WORD_BITS);
+        uncertain[i / WORD_BITS] |= u64::from(!sure) << (i % WORD_BITS);
     }
 }
 

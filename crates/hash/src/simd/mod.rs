@@ -1,29 +1,25 @@
-//! Runtime-dispatched SIMD microkernels for the XOR+popcount and
-//! certified sign-pack hot path.
+//! Runtime-dispatched SIMD microkernels for the XOR+popcount hot path.
 //!
 //! The packed Hamming kernels ([`PackedHashes::hamming_into`] and
-//! friends) and [`certify_signs_into`] route through this module. The
-//! detection table, the active variant and the `DEEPCAM_SIMD` override
-//! live in `deepcam_tensor::simd` and are re-exported here unchanged, so
-//! one variant selects these kernels *and* the patch projection, and
-//! [`force_variant`] pins them all.
+//! friends) route through this module. The detection table, the active
+//! variant and the `DEEPCAM_SIMD` override live in `deepcam_tensor::simd`
+//! and are re-exported here unchanged, so one variant selects these
+//! kernels *and* the patch projection (whose tiles also pack the
+//! engine's certified sign words), and [`force_variant`] pins them all.
 //!
 //! The Hamming kernels compute the **same exact integer function** on
-//! every variant — popcounts have one right answer — and the certify
-//! pack is one exact sign comparison, one rounded multiply and one exact
-//! bound comparison per value, so dispatch can never move an output
-//! bit. The scalar kernels ([`scalar`], and the portable pack in
-//! `bitvec`) are the always-available fallback *and* the differential
-//! oracle: the per-width scalar-vs-SIMD suite plus
-//! `tests/hotpath_reference.rs` assert bitwise equality on every variant
-//! the host detects, and the CI `DEEPCAM_SIMD=scalar` leg keeps the
-//! fallback exercised on SIMD-capable runners.
+//! every variant — popcounts have one right answer — so dispatch can
+//! never move an output bit. The scalar kernels ([`scalar`]) are the
+//! always-available fallback *and* the differential oracle: the
+//! per-width scalar-vs-SIMD suite plus `tests/hotpath_reference.rs`
+//! assert bitwise equality on every variant the host detects, and the CI
+//! `DEEPCAM_SIMD=scalar` leg keeps the fallback exercised on SIMD-capable
+//! runners.
 //!
-//! The dispatch cost is one relaxed atomic load per *range* or *pack*
-//! call (not per row).
+//! The dispatch cost is one relaxed atomic load per *range* call (not
+//! per row).
 //!
 //! [`PackedHashes::hamming_into`]: crate::PackedHashes::hamming_into
-//! [`certify_signs_into`]: crate::bitvec::certify_signs_into
 
 pub use deepcam_tensor::simd::{active, detected, force_variant, is_detected, Variant, SIMD_ENV};
 
@@ -34,9 +30,6 @@ pub mod neon;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
-/// A certify-pack kernel: `(values, bounds, scale, signs, uncertain)`.
-type CertifyFn = fn(&[f32], &[f32], f32, &mut [u64], &mut [u64]);
-
 /// The kernel entry points of one variant. Every entry computes the
 /// identical function; only the instructions differ.
 struct Kernels {
@@ -45,11 +38,6 @@ struct Kernels {
     range: fn(slab: &[u64], wpr: usize, query: &[u64], out: &mut [u32]),
     /// Hamming distance between two equal-length word slices.
     pair: fn(a: &[u64], b: &[u64]) -> u32,
-    /// Sign bits of `values` (`x >= 0.0`), 64 per word, into exactly
-    /// `values.len().div_ceil(64)` words with the unused high bits zero,
-    /// plus, per lane, whether `|x| > scale·bound` fails (the uncertain
-    /// words).
-    certify_signs: CertifyFn,
 }
 
 /// Kernel table for `variant`. Variants that cannot exist on this
@@ -59,25 +47,21 @@ fn kernels_of(variant: Variant) -> &'static Kernels {
     const SCALAR: Kernels = Kernels {
         range: scalar::hamming_range,
         pair: scalar::hamming_pair,
-        certify_signs: crate::bitvec::certify_sign_words,
     };
     #[cfg(target_arch = "x86_64")]
     const AVX2: Kernels = Kernels {
         range: x86::hamming_range_avx2,
         pair: x86::hamming_pair_avx2,
-        certify_signs: crate::bitvec::certify_sign_words,
     };
     #[cfg(target_arch = "x86_64")]
     const AVX512: Kernels = Kernels {
         range: x86::hamming_range_avx512,
         pair: x86::hamming_pair_avx512,
-        certify_signs: x86::certify_signs_avx512,
     };
     #[cfg(target_arch = "aarch64")]
     const NEON: Kernels = Kernels {
         range: neon::hamming_range_neon,
         pair: neon::hamming_pair_neon,
-        certify_signs: crate::bitvec::certify_sign_words,
     };
     match variant {
         #[cfg(target_arch = "x86_64")]
@@ -178,19 +162,6 @@ pub fn hamming_pair_with(variant: Variant, a: &[u64], b: &[u64]) -> u32 {
     );
     assert_eq!(a.len(), b.len(), "word slices must be equal length");
     (kernels_of(variant).pair)(a, b)
-}
-
-/// Dispatched certify pack behind [`crate::bitvec::certify_signs_into`],
-/// which checks the buffer contract first.
-#[inline]
-pub(crate) fn certify_signs(
-    values: &[f32],
-    bounds: &[f32],
-    scale: f32,
-    signs: &mut [u64],
-    uncertain: &mut [u64],
-) {
-    (kernels_of(active()).certify_signs)(values, bounds, scale, signs, uncertain);
 }
 
 #[cfg(test)]

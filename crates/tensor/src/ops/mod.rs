@@ -21,4 +21,6 @@ pub mod project;
 pub use conv::{col2im, conv2d, conv2d_sharded, im2col, im2col_sharded, Conv2dConfig};
 pub use linear::{linear, linear_sharded};
 pub use pool::{avg_pool2d, max_pool2d, PoolConfig};
-pub use project::{project_patches_approx_into, PatchSource, ProjectScratch};
+pub use project::{
+    project_patches_approx_into, project_patches_signs_into, PatchSource, ProjectScratch, Signs,
+};

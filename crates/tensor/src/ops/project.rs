@@ -41,23 +41,38 @@
 //! the `-0.0` an empty `sum` would give.
 //!
 //! A nearly dense block (the first layer's raw image, density ≈ 0.96)
-//! runs through a 4×32 register tile over the block's implicit patch
-//! rows instead ([`matmul_dense_into`], or on `Avx512` a 4-row × 64-column
-//! tile with sixteen `zmm` accumulators). The choice is made per block
-//! from the non-zero count its gather just counted; both branches give
-//! identical bits. The gather itself takes the form (compacted taps or
-//! dense rows) the previous block's choice predicts, and converts when
-//! the count disagrees. On `Avx512` the broadcast keeps a row's 128
-//! accumulators in eight `zmm` registers ([`crate::simd`]'s x86
-//! kernels); the portable code is vectorized by LLVM, at 256 bits on
-//! AVX-512 hosts too.
+//! runs through a register tile over the block's implicit patch rows
+//! instead: four rows × 64 columns, filled by two 4×32 passes (the chain
+//! of [`matmul_dense_into`]), or on `Avx512` held in sixteen `zmm`
+//! accumulators. The choice is made per block from the non-zero count
+//! its gather just counted; both branches give identical bits. The
+//! gather itself takes the form (compacted taps or dense rows) the
+//! previous block's choice predicts, and converts when the count
+//! disagrees. On `Avx512` the broadcast keeps a row's 128 accumulators in
+//! eight `zmm` registers ([`crate::simd`]'s x86 kernels); the portable
+//! code is vectorized by LLVM, at 256 bits on AVX-512 hosts too.
+//!
+//! # Epilogues
+//!
+//! A tile is finished when its walk over `n` ends: a dense tile's 4 × 64
+//! outputs (one 64-bit word per row), or a broadcast row's 128 outputs on
+//! its last column tile. Every tile body ends in one epilogue.
+//! [`project_patches_approx_into`] stores the floats;
+//! [`project_patches_signs_into`] compares them against a per-lane bound
+//! ([`Signs`]) and writes each row's sign and uncertain words, so the
+//! DeepCAM hash, which needs only the sign bits, never stores or re-reads
+//! the float block. The AVX-512 tiles compare in registers, the portable
+//! ones from a stack tile.
 
 use crate::error::TensorError;
 use crate::ops::conv::Conv2dConfig;
 use crate::shape::Shape;
 use crate::simd::Avx512Token;
-use crate::tensor::{matmul_dense_into, Tensor};
+use crate::tensor::Tensor;
 use crate::Result;
+
+#[cfg(doc)]
+use crate::tensor::matmul_dense_into;
 
 /// Output columns per register tile of the tap broadcast: a row's 128
 /// accumulators fill sixteen 256-bit or eight 512-bit registers.
@@ -208,9 +223,139 @@ impl<'a> PatchSource<'a> {
     }
 }
 
-/// Reusable per-worker buffers of [`project_patches_approx_into`], sized for
-/// blocks of up to `max_rows` rows of width `n` (allocated once, not per
-/// block).
+/// The sign certificate [`project_patches_signs_into`] applies to every
+/// finished tile in place of storing its floats.
+///
+/// Lane `j` of row `r` compares `v = y_j`, or under crossbar noise
+/// `v = fl(y_j + fl(fl(level·‖x‖)·z_j))` with `z` the row's draws. Its
+/// sign bit is `v >= 0.0`, and its uncertain bit is set unless
+/// `|v| > fl(s_r · c_j)`, where `s_r = row_scale(n, ‖x‖)` and
+/// `c_j = bounds[j]`. Both compares are ordered, so a NaN value or
+/// bound, and an infinite value against an infinite bound, flag the lane:
+/// the certificate fails closed.
+///
+/// Word `w` of row `r` goes to `signs[w·rows + r]` and
+/// `uncertain[w·rows + r]`, word-major as the Hamming tile reads it; the
+/// unused high bits of a row's last word are zero.
+#[derive(Debug)]
+pub struct Signs<'e> {
+    /// `c_j`, one per output column (`k` entries).
+    pub bounds: &'e [f32],
+    /// The bound's row factor from the patch width and the row's norm.
+    pub row_scale: fn(usize, f32) -> f32,
+    /// Crossbar noise: its level and the block's `[rows, k]` norm-free
+    /// draws `z`, row-major.
+    pub noise: Option<(f32, &'e [f32])>,
+    /// The sign words, `k.div_ceil(64) · rows`.
+    pub signs: &'e mut [u64],
+    /// The uncertain words, laid out as `signs`.
+    pub uncertain: &'e mut [u64],
+}
+
+/// Where a projection's finished tiles go.
+enum Target<'e> {
+    Floats(&'e mut [f32]),
+    Signs(Signs<'e>),
+}
+
+/// What a tile does with its finished accumulators; every tile body,
+/// portable or AVX-512, ends in one.
+pub(crate) enum Epilogue<'e> {
+    /// Store the values into `out` (`[rows, k]`).
+    Store { out: &'e mut [f32], k: usize },
+    /// Compare them into sign and uncertain words.
+    Signs(SignTile<'e>),
+}
+
+/// A [`Signs`] certificate over a block of `rows` rows of width `n`, with
+/// row `r`'s bound factor and noise amplitude in `factors[r]` once its
+/// norm is known.
+pub(crate) struct SignTile<'e> {
+    pub(crate) cert: Signs<'e>,
+    pub(crate) n: usize,
+    pub(crate) rows: usize,
+    pub(crate) factors: &'e mut [(f32, f32)],
+}
+
+impl Epilogue<'_> {
+    /// Row `r`'s norm is known: fixes its bound factor and its noise
+    /// amplitude `fl(level·‖x‖)`.
+    #[inline]
+    pub(crate) fn set_norm(&mut self, r: usize, norm: f32) {
+        if let Epilogue::Signs(st) = self {
+            let amp = st.cert.noise.map_or(0.0, |(level, _)| level * norm);
+            st.factors[r] = ((st.cert.row_scale)(st.n, norm), amp);
+        }
+    }
+
+    /// Finishes row `r`'s first `w` values of `tile` at columns
+    /// `j0..j0 + w` (`j0` a multiple of 64): the portable epilogue. The
+    /// tile comes by value, so the caller's accumulators stay in
+    /// registers; the compares go through bytes, so they vectorize.
+    pub(crate) fn finish<const W: usize>(&mut self, r: usize, j0: usize, tile: [f32; W], w: usize) {
+        let vals = &tile[..w];
+        let st = match self {
+            Epilogue::Store { out, k } => {
+                return out[r * *k + j0..][..vals.len()].copy_from_slice(vals);
+            }
+            Epilogue::Signs(st) => st,
+        };
+        let (scale, amp) = st.factors[r];
+        let (k, cert) = (st.cert.bounds.len(), &mut st.cert);
+        for (w, chunk) in (j0 / 64..).zip(vals.chunks(64)) {
+            let j = 64 * w;
+            let mut noisy = [0.0f32; 64];
+            let v = match cert.noise {
+                Some((_, z)) => {
+                    for ((v, &y), &z) in noisy.iter_mut().zip(chunk).zip(&z[r * k + j..]) {
+                        *v = y + amp * z;
+                    }
+                    &noisy[..chunk.len()]
+                }
+                None => chunk,
+            };
+            let (mut sign, mut unsure) = ([0u8; 64], [0u8; 64]);
+            let lanes = sign.iter_mut().zip(&mut unsure).zip(v);
+            for (((s, u), &v), &c) in lanes.zip(&cert.bounds[j..]) {
+                *s = u8::from(v >= 0.0);
+                let sure = v.abs() > scale * c;
+                *u = u8::from(!sure);
+            }
+            let at = w * st.rows + r;
+            (cert.signs[at], cert.uncertain[at]) = (collapse(&sign), collapse(&unsure));
+        }
+    }
+}
+
+/// 64 0/1 bytes as a word, bit `b` = `bytes[b]`: one multiply per 8-byte
+/// group gathers its bits into the top byte.
+fn collapse(bytes: &[u8; 64]) -> u64 {
+    const MAGIC: u64 = 0x0102_0408_1020_4080;
+    let mut word = 0u64;
+    for (g, group) in bytes.chunks_exact(8).enumerate() {
+        let lanes = u64::from_le_bytes(group.try_into().expect("8-byte group"));
+        word |= (lanes.wrapping_mul(MAGIC) >> 56) << (8 * g);
+    }
+    word
+}
+
+/// One row's tile of the tap broadcast: its taps `from..end` with column
+/// in `c0..c1`, into output columns `kt..kt + width`; `last` when `c1`
+/// ends the row, so the tile is finished.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowTile {
+    pub(crate) r: usize,
+    pub(crate) from: usize,
+    pub(crate) end: usize,
+    pub(crate) c0: usize,
+    pub(crate) c1: usize,
+    pub(crate) kt: usize,
+    pub(crate) width: usize,
+    pub(crate) last: bool,
+}
+
+/// Reusable per-worker buffers of the projection, sized for blocks of up
+/// to `max_rows` rows of width `n` (allocated once, not per block).
 #[derive(Debug, Clone)]
 pub struct ProjectScratch {
     max_rows: usize,
@@ -225,6 +370,10 @@ pub struct ProjectScratch {
     strip: Vec<f32>,
     /// Per-row read position in the tap lists across column tiles.
     cursor: Vec<usize>,
+    /// Per-row `KT`-wide partial sums between column tiles (`n > NC`).
+    partial: Vec<f32>,
+    /// Per-row bound factor and noise amplitude of a [`Signs`] block.
+    factors: Vec<(f32, f32)>,
     /// Whether the last block took the dense branch (picks the next
     /// block's gather form).
     dense: bool,
@@ -243,8 +392,10 @@ impl ProjectScratch {
             tap_x: vec![0.0; max_rows * n],
             lens: vec![0; max_rows],
             patch: vec![0.0; max_rows * n],
-            strip: vec![0.0; NC * KT],
+            strip: vec![0.0; NC * KT + LINE],
             cursor: vec![0; max_rows],
+            partial: vec![0.0; max_rows * KT + LINE],
+            factors: vec![(0.0, 0.0); max_rows],
             dense: false,
             start: 0,
             rows: 0,
@@ -317,7 +468,8 @@ impl ProjectScratch {
 /// The norms are bit-identical to materialising the rows (im2col for a
 /// conv source) and taking `patch.iter().map(|v| v * v).sum::<f32>()
 /// .sqrt()` per row. Each projected value is one serial chain over the
-/// row's taps, fused on `Avx512` and exact elsewhere, so it lies within
+/// row's taps, fused on `Avx512` (but for a dense block's `k % 64`
+/// tail) and exact elsewhere, so it lies within
 /// `γ_n·Σ|x_i·r_i|` of the true dot product, as the value of im2col +
 /// [`matmul_dense_into`] does (see the [module docs](self)).
 /// [`ProjectScratch::exact_element`] gives any output's exact bits.
@@ -338,6 +490,58 @@ pub fn project_patches_approx_into(
     out: &mut [f32],
     norms: &mut [f32],
 ) {
+    let out = &mut out[..rows * k];
+    let target = Target::Floats(out);
+    project_block(src, row_start, rows, proj, k, scratch, target, norms);
+}
+
+/// [`project_patches_approx_into`]'s projection, with each finished tile
+/// compared into sign and uncertain words by `signs` while its
+/// accumulators are still in registers (on the portable variants, from a
+/// stack tile): no float of the block is stored. The words equal
+/// `bitvec::certify_signs_into` in `deepcam-hash` applied to the floats
+/// [`project_patches_approx_into`] stores (plus the noise `signs`
+/// describes), and the norms are the same.
+///
+/// # Panics
+///
+/// As [`project_patches_approx_into`], and when a buffer of `signs`
+/// disagrees with `rows` or `k`.
+// analyze: alloc-free
+#[allow(clippy::too_many_arguments)]
+pub fn project_patches_signs_into(
+    src: &PatchSource<'_>,
+    row_start: usize,
+    rows: usize,
+    proj: &[f32],
+    k: usize,
+    scratch: &mut ProjectScratch,
+    signs: Signs<'_>,
+    norms: &mut [f32],
+) {
+    let words = k.div_ceil(64) * rows;
+    assert_eq!(signs.bounds.len(), k, "one bound per output column");
+    assert_eq!(signs.signs.len(), words, "word-major sign block");
+    assert_eq!(signs.uncertain.len(), words, "word-major uncertain block");
+    if let Some((_, z)) = signs.noise {
+        assert_eq!(z.len(), rows * k, "one draw per output");
+    }
+    let target = Target::Signs(signs);
+    project_block(src, row_start, rows, proj, k, scratch, target, norms);
+}
+
+/// The one body of both projection entries.
+#[allow(clippy::too_many_arguments)]
+fn project_block(
+    src: &PatchSource<'_>,
+    row_start: usize,
+    rows: usize,
+    proj: &[f32],
+    k: usize,
+    scratch: &mut ProjectScratch,
+    target: Target<'_>,
+    norms: &mut [f32],
+) {
     let n = src.width();
     assert_eq!(scratch.n, n, "scratch width must match the patch width");
     assert!(rows <= scratch.max_rows, "block exceeds scratch capacity");
@@ -346,7 +550,6 @@ pub fn project_patches_approx_into(
         "block exceeds the source rows"
     );
     assert_eq!(proj.len(), n * k, "projection must be n*k");
-    let out = &mut out[..rows * k];
     let norms = &mut norms[..rows];
     let s = scratch;
     (s.start, s.rows) = (row_start, rows);
@@ -377,31 +580,57 @@ pub fn project_patches_approx_into(
             &mut s.patch[..rows * n],
         );
     }
+    let mut ep = match target {
+        Target::Floats(out) => Epilogue::Store { out, k },
+        Target::Signs(cert) => Epilogue::Signs(SignTile {
+            cert,
+            n,
+            rows,
+            factors: &mut s.factors[..rows],
+        }),
+    };
     let block = match *src {
         PatchSource::Rows { data, .. } => &data[lo..hi],
         PatchSource::Conv { .. } => &s.patch[..rows * n],
     };
     if s.dense {
         dense_norms(block, n, norms);
-        dense_gemm(wide, block, rows, n, proj, k, out);
+        for (r, &norm) in norms.iter().enumerate() {
+            ep.set_norm(r, norm);
+        }
+        dense_gemm(wide, block, rows, n, proj, k, &mut ep);
         return;
     }
     if !compacted {
         compact_rows(block, n, &mut s.tap_col, &mut s.tap_x, &mut s.lens[..rows]);
     }
+    let taps = (&s.tap_col[..], &s.tap_x[..]);
+    let (strip, partial) = (lines(&mut s.strip), lines(&mut s.partial));
+    let bufs = (strip, &mut s.cursor[..], partial);
     broadcast_taps(
         wide,
-        &s.tap_col,
-        &s.tap_x,
+        taps,
         &s.lens[..rows],
         n,
         proj,
         k,
-        &mut s.strip,
-        &mut s.cursor,
-        out,
+        bufs,
+        &mut ep,
         norms,
     );
+}
+
+/// Floats per 64-byte cache line.
+const LINE: usize = 16;
+
+/// `v` less its last `LINE` floats, starting on a cache line: the 512-bit
+/// tiles load and store the packed `R` tile and the partial sums in whole
+/// lines, never split across two (the zeroed buffer is allocated with
+/// `LINE` floats of slack and left untouched until used).
+fn lines(v: &mut [f32]) -> &mut [f32] {
+    let off = v.as_ptr().align_offset(64).min(LINE);
+    let len = v.len() - LINE;
+    &mut v[off..off + len]
 }
 
 /// Non-zero entries of `block`.
@@ -647,9 +876,10 @@ fn scatter_taps(tap_col: &[u32], tap_x: &[f32], lens: &[usize], n: usize, patch:
     }
 }
 
-/// The dense branch's GEMM: the fused AVX-512 tile when `wide`, else
-/// [`matmul_dense_into`] (the exact bits).
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+/// The dense branch: the fused AVX-512 tiles over the whole 64-column
+/// tiles when `wide`, and [`dense_portable`] (the exact bits) over the
+/// rest, each ending in `ep`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables, unused_mut))]
 fn dense_gemm(
     wide: Option<Avx512Token>,
     block: &[f32],
@@ -657,13 +887,87 @@ fn dense_gemm(
     n: usize,
     proj: &[f32],
     k: usize,
-    out: &mut [f32],
+    ep: &mut Epilogue<'_>,
 ) {
+    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
     if let Some(token) = wide {
-        return crate::simd::x86::dense_avx512(token, block, rows, n, proj, k, out);
+        crate::simd::x86::dense_avx512(token, block, rows, n, proj, k, ep);
+        done = k / 64 * 64;
     }
-    matmul_dense_into(block, rows, n, proj, k, out);
+    dense_portable(block, rows, n, proj, k, done, ep);
+}
+
+/// The portable dense branch over columns `from..k` (`from` a multiple of
+/// 64): [`matmul_dense_into`]'s chain (ascending over `n` from `+0.0`,
+/// multiply then add) in 2-row × 64-column tiles (a 1-row tile for an odd
+/// last row), each finished from its accumulators: one word per row, in
+/// sixteen 256-bit registers.
+fn dense_portable(
+    a: &[f32],
+    rows: usize,
+    n: usize,
+    b: &[f32],
+    k: usize,
+    from: usize,
+    ep: &mut Epilogue<'_>,
+) {
+    let pairs = rows / 2 * 2;
+    for jt in (from..k).step_by(64) {
+        let w = 64.min(k - jt);
+        for r0 in (0..pairs).step_by(2) {
+            dense_tile_portable::<2>(a, r0, n, b, k, jt, w, ep);
+        }
+        if pairs < rows {
+            dense_tile_portable::<1>(a, pairs, n, b, k, jt, w, ep);
+        }
+    }
+}
+
+/// Rows `r0..r0 + R` × columns `jt..jt + w` (`w ≤ 64`) of the portable
+/// dense branch. A whole 64-column tile walks fixed-width rows of `b`, so
+/// its accumulators stay in registers.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn dense_tile_portable<const R: usize>(
+    a: &[f32],
+    r0: usize,
+    n: usize,
+    b: &[f32],
+    k: usize,
+    jt: usize,
+    w: usize,
+    ep: &mut Epilogue<'_>,
+) {
+    let mut rows = [&a[..0]; R];
+    for (i, row) in rows.iter_mut().enumerate() {
+        *row = &a[(r0 + i) * n..(r0 + i + 1) * n];
+    }
+    let mut acc = [[0.0f32; 64]; R];
+    let b_rows = (0..n).zip(b.chunks_exact(k));
+    if w == 64 {
+        for (kk, b_row) in b_rows {
+            let bv: &[f32; 64] = b_row[jt..jt + 64].try_into().expect("64 columns");
+            for (row, acc_i) in rows.iter().zip(acc.iter_mut()) {
+                let x = row[kk];
+                for (s, &bl) in acc_i.iter_mut().zip(bv) {
+                    *s += x * bl;
+                }
+            }
+        }
+    } else {
+        for (kk, b_row) in b_rows {
+            for (row, acc_i) in rows.iter().zip(acc.iter_mut()) {
+                let x = row[kk];
+                for (s, &bl) in acc_i.iter_mut().zip(&b_row[jt..jt + w]) {
+                    *s += x * bl;
+                }
+            }
+        }
+    }
+    for (i, &acc_i) in acc.iter().enumerate() {
+        ep.finish(r0 + i, jt, acc_i, w);
+    }
 }
 
 /// Row norms of dense rows, four rows' serial chains interleaved so the
@@ -697,29 +1001,28 @@ fn dense_norms(block: &[f32], n: usize, norms: &mut [f32]) {
 /// The tap broadcast over a block: for each `KT`-wide output tile and
 /// each `NC`-column tile of `R` (packed contiguous, so it stays in L1),
 /// every row adds `x · R[col, tile]` for its taps in that column range
-/// into register accumulators. Column tiles run in ascending order and
-/// reload the partial sums, so each output keeps one ascending chain.
-/// The norms ride along on the first output tile.
+/// into register accumulators. Column tiles run in ascending order, the
+/// partial sums between them kept per row in `partial`, so each output
+/// keeps one ascending chain; the last column tile finishes the row's
+/// tile into `ep`. The norms ride along on the first output tile, and
+/// each is final (and handed to `ep`) when that tile's walk ends.
 #[allow(clippy::too_many_arguments)]
 fn broadcast_taps(
     wide: Option<Avx512Token>,
-    tap_col: &[u32],
-    tap_x: &[f32],
+    (tap_col, tap_x): (&[u32], &[f32]),
     lens: &[usize],
     n: usize,
     proj: &[f32],
     k: usize,
-    strip: &mut [f32],
-    cursor: &mut [usize],
-    out: &mut [f32],
+    (strip, cursor, partial): (&mut [f32], &mut [usize], &mut [f32]),
+    ep: &mut Epilogue<'_>,
     norms: &mut [f32],
 ) {
-    let rows = lens.len();
     norms.fill(0.0);
     let mut kt = 0;
     while kt < k {
         let width = KT.min(k - kt);
-        for (r, cur) in cursor[..rows].iter_mut().enumerate() {
+        for (r, cur) in cursor[..lens.len()].iter_mut().enumerate() {
             *cur = r * n;
         }
         let mut c0 = 0;
@@ -728,48 +1031,34 @@ fn broadcast_taps(
             for (c, tile) in (c0..c1).zip(strip.chunks_exact_mut(KT)) {
                 tile[..width].copy_from_slice(&proj[c * k + kt..c * k + kt + width]);
             }
-            for r in 0..rows {
-                let end = r * n + lens[r];
-                let out_row = &mut out[r * k + kt..r * k + kt + width];
-                // A tail tile (`width < KT`) computes garbage in its
-                // unused lanes from stale strip columns; they are never
-                // stored.
-                let mut tile = [0.0f32; KT];
-                if c0 > 0 {
-                    tile[..width].copy_from_slice(out_row);
-                }
-                let (from, c) = (cursor[r], (c0, c1));
-                cursor[r] = if kt == 0 {
-                    row_tile::<true>(
-                        wide,
-                        tap_col,
-                        tap_x,
-                        from,
-                        end,
-                        c,
-                        strip,
-                        &mut tile,
-                        &mut norms[r],
-                    )
-                } else {
-                    row_tile::<false>(
-                        wide, tap_col, tap_x, from, end, c, strip, &mut tile, &mut 0.0,
-                    )
+            for (r, &len) in lens.iter().enumerate() {
+                let t = RowTile {
+                    r,
+                    from: cursor[r],
+                    end: r * n + len,
+                    c0,
+                    c1,
+                    kt,
+                    width,
+                    last: c1 == n,
                 };
-                out_row.copy_from_slice(&tile[..width]);
+                let part = (&mut partial[r * KT..(r + 1) * KT])
+                    .try_into()
+                    .expect("KT-wide partial");
+                let taps = (tap_col, tap_x);
+                cursor[r] = if kt == 0 {
+                    row_tile::<true>(wide, taps, t, strip, part, &mut norms[r], ep)
+                } else {
+                    row_tile::<false>(wide, taps, t, strip, part, &mut 0.0, ep)
+                };
             }
             c0 = c1;
         }
         kt += width;
     }
-    for v in norms.iter_mut() {
-        *v = v.sqrt();
-    }
 }
 
-/// One row's taps `from..end` with column in `c0..c1`, added into a
-/// `KT`-wide register tile (and, with `NORM`, their squares into
-/// `norm`) — on the fused AVX-512 kernel when `wide`, else
+/// One row tile `t` on the fused AVX-512 kernel when `wide`, else
 /// [`row_tile_portable`] (the exact bits). Returns where the next column
 /// tile resumes.
 #[allow(clippy::too_many_arguments)]
@@ -777,59 +1066,68 @@ fn broadcast_taps(
 #[inline]
 fn row_tile<const NORM: bool>(
     wide: Option<Avx512Token>,
-    tap_col: &[u32],
-    tap_x: &[f32],
-    from: usize,
-    end: usize,
-    c: (usize, usize),
+    taps: (&[u32], &[f32]),
+    t: RowTile,
     strip: &[f32],
-    tile: &mut [f32; KT],
+    partial: &mut [f32; KT],
     norm: &mut f32,
+    ep: &mut Epilogue<'_>,
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
     if let Some(token) = wide {
-        return crate::simd::x86::row_tile_avx512::<NORM>(
-            token, tap_col, tap_x, from, end, c, strip, tile, norm,
-        );
+        return crate::simd::x86::row_tile_avx512::<NORM>(token, taps, t, strip, partial, norm, ep);
     }
-    row_tile_portable::<NORM>(tap_col, tap_x, from, end, c, strip, tile, norm)
+    row_tile_portable::<NORM>(taps, t, strip, partial, norm, ep)
 }
 
-/// The portable row tile: the path of every non-`Avx512` variant.
-#[allow(clippy::too_many_arguments)]
+/// The portable row tile: the path of every non-`Avx512` variant. Its
+/// `KT` accumulators start from `partial` (or `+0.0` on the first column
+/// tile), take the tile's taps (and, with `NORM`, their squares into
+/// `norm`), and go back to `partial`, or, on the last column tile, to
+/// `ep` from the stack.
 #[inline]
 fn row_tile_portable<const NORM: bool>(
-    tap_col: &[u32],
-    tap_x: &[f32],
-    from: usize,
-    end: usize,
-    (c0, c1): (usize, usize),
+    (tap_col, tap_x): (&[u32], &[f32]),
+    t: RowTile,
     strip: &[f32],
-    tile: &mut [f32; KT],
+    partial: &mut [f32; KT],
     norm: &mut f32,
+    ep: &mut Epilogue<'_>,
 ) -> usize {
-    let mut acc = *tile;
+    let mut acc = if t.c0 > 0 { *partial } else { [0.0f32; KT] };
     let mut nrm = *norm;
-    let mut i = from;
-    while i < end {
-        let col = tap_col[i] as usize;
-        if col >= c1 {
+    let (cols, xs) = (&tap_col[..t.end], &tap_x[..t.end]);
+    let mut i = t.from;
+    while i < t.end {
+        let col = cols[i] as usize;
+        if col >= t.c1 {
             break;
         }
-        let x = tap_x[i];
+        let x = xs[i];
+        i += 1;
         if NORM {
             nrm += x * x;
         }
-        let rv: &[f32; KT] = strip[(col - c0) * KT..(col - c0 + 1) * KT]
+        let rv: &[f32; KT] = strip[(col - t.c0) * KT..(col - t.c0 + 1) * KT]
             .try_into()
             .expect("KT-wide tile");
         for (a, &v) in acc.iter_mut().zip(rv) {
             *a += x * v;
         }
-        i += 1;
     }
-    *tile = acc;
-    *norm = nrm;
+    if NORM {
+        *norm = if t.last { nrm.sqrt() } else { nrm };
+        if t.last {
+            ep.set_norm(t.r, *norm);
+        }
+    }
+    if t.last {
+        // A tail tile (`width < KT`) holds garbage in its unused lanes,
+        // from stale strip columns; they are never finished.
+        ep.finish(t.r, t.kt, acc, t.width);
+    } else {
+        *partial = acc;
+    }
     i
 }
 
@@ -838,6 +1136,7 @@ mod tests {
     use super::*;
     use crate::ops::conv::im2col;
     use crate::rng::seeded_rng;
+    use crate::tensor::matmul_dense_into;
 
     /// im2col + dense GEMM + the historical norm expression.
     fn oracle(

@@ -9,17 +9,18 @@
 //!
 //! One variant selects every kernel that dispatches on it: the patch
 //! projection in [`crate::ops::project`] (AVX-512 tiles in
-//! `simd/x86.rs`) and, through the re-export in `deepcam_hash::simd`,
-//! the packed Hamming and certify-pack kernels. Every variant
-//! computes **identical bits** — the Hamming kernels are exact integer
-//! popcounts — so dispatch can never move an output bit. The one
-//! exception is the patch projection
-//! ([`crate::ops::project::project_patches_approx_into`]), whose fused
-//! multiply-add values may differ on `Avx512` in their last bits; its
-//! only caller keeps just the signs an error bound proves and recomputes
-//! the rest exactly, so the hash bits it feeds are identical on every
-//! variant too. The portable code is the always-available fallback *and*
-//! the differential oracle.
+//! `simd/x86.rs`, whose epilogue also packs the certified sign words)
+//! and, through the re-export in `deepcam_hash::simd`, the packed
+//! Hamming kernels. Every variant computes **identical bits** — the
+//! Hamming kernels are exact integer popcounts — so dispatch can never
+//! move an output bit. The one exception is the patch projection
+//! ([`crate::ops::project::project_patches_approx_into`] and its sign
+//! epilogue, [`crate::ops::project::project_patches_signs_into`]), whose
+//! fused multiply-add values may differ on `Avx512` in their last bits;
+//! its only engine caller keeps just the signs an error bound proves and
+//! recomputes the rest exactly, so the hash bits it feeds are identical
+//! on every variant too. The portable code is the always-available
+//! fallback *and* the differential oracle.
 //!
 //! The dispatch cost is one relaxed atomic load per kernel call (not per
 //! row), and [`force_variant`] lets benches and tests pin a variant
@@ -51,9 +52,10 @@ pub enum Variant {
     /// AVX2 Harley–Seal carry-save popcount over 256-bit lanes
     /// (nibble-LUT `vpshufb` + `vpsadbw` reduction).
     Avx2,
-    /// AVX-512: `VPOPCNTDQ` Hamming over 512-bit blocks, 512-bit
-    /// projection tiles and a mask-compare certify pack. Requires both
-    /// `avx512f` and `avx512vpopcntdq`.
+    /// AVX-512: `VPOPCNTDQ` Hamming over 512-bit blocks and 512-bit
+    /// projection tiles whose epilogue packs the certified sign words
+    /// with mask compares on the accumulators. Requires both `avx512f`
+    /// and `avx512vpopcntdq`.
     Avx512,
 }
 

@@ -122,23 +122,36 @@ fn every_detected_simd_variant_matches_reference() {
     // the host detects (scalar always included — the CI
     // `DEEPCAM_SIMD=scalar` leg runs this same suite with scalar as the
     // ambient default) and require the full pipeline to reproduce the
-    // frozen reference bit for bit. Flipping the process-wide variant is
-    // benign even if other tests race this one: all variants compute
-    // identical bits, which is exactly what this test enforces.
+    // frozen reference bit for bit, clean and under crossbar noise (each
+    // variant's tile epilogue adds the noise before it packs the signs).
+    // VGG11 at width 8 puts patch widths over 64 through both projection
+    // tiles. Flipping the process-wide variant is benign even if other
+    // tests race this one: all variants compute identical bits, which is
+    // exactly what this test enforces.
     use deepcam::hash::simd::{detected, force_variant};
-    let mut rng = seeded_rng(312);
-    let model = scaled_lenet5(&mut rng, 10);
-    let mut data_rng = seeded_rng(313);
-    let x = init::normal(&mut data_rng, Shape::new(&[2, 1, 28, 28]), 0.0, 1.0);
+    let lenet = scaled_lenet5(&mut seeded_rng(312), 10);
+    let lenet_x = init::normal(&mut seeded_rng(313), Shape::new(&[2, 1, 28, 28]), 0.0, 1.0);
+    let vgg = scaled_vgg11(&mut seeded_rng(316), 8, 10);
+    let vgg_x = init::normal(&mut seeded_rng(317), Shape::new(&[2, 3, 32, 32]), 0.0, 1.0);
+    let cases: [(&str, &Cnn, &Tensor, usize); 2] = [
+        ("lenet5", &lenet, &lenet_x, 512),
+        ("vgg11", &vgg, &vgg_x, 256),
+    ];
     let initial = force_variant(*detected().first().expect("non-empty")).expect("detected");
     for &variant in detected() {
         force_variant(variant).expect("detected variant");
-        let cfg = EngineConfig {
-            plan: HashPlan::Uniform(512),
-            parallelism: Parallelism::Serial,
-            ..EngineConfig::default()
-        };
-        assert_paths_identical(&model, &x, cfg, &format!("lenet5 simd {}", variant.name()));
+        for (name, model, x, k) in cases {
+            for noise in [0.0f32, 0.5] {
+                let cfg = EngineConfig {
+                    plan: HashPlan::Uniform(k),
+                    crossbar_noise: noise,
+                    parallelism: Parallelism::Serial,
+                    ..EngineConfig::default()
+                };
+                let label = format!("{name} simd {} noise {noise}", variant.name());
+                assert_paths_identical(model, x, cfg, &label);
+            }
+        }
     }
     let _ = force_variant(initial);
 }
