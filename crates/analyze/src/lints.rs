@@ -74,21 +74,16 @@ impl Config {
                 "crates/core/src/passes/mapping.rs",
                 "crates/hash/src/packed.rs",
                 "crates/hash/src/bitvec.rs",
-                // The SIMD kernel files are A5-bound; the dispatch layer
-                // (simd/mod.rs) is deliberately NOT — it is the one
-                // place allowed to read the DEEPCAM_SIMD env override,
-                // so kernels stay pure functions of their inputs.
-                "crates/hash/src/simd/scalar.rs",
-                "crates/hash/src/simd/x86.rs",
-                "crates/hash/src/simd/neon.rs",
                 "crates/tensor/src/tensor.rs",
                 "crates/tensor/src/ops/conv.rs",
                 // The implicit-im2col, zero-skipping projection the
                 // engine's hot path runs instead of im2col + dense GEMM.
                 "crates/tensor/src/ops/project.rs",
-                // Its AVX-512 tiles; like the hash kernels, the dispatch
-                // layer (tensor simd/mod.rs) owns the env read and stays
-                // out.
+                // Its AVX-512 tiles are A5-bound; the dispatch layer
+                // (tensor simd/mod.rs) is deliberately NOT — it is the
+                // one place allowed to read the DEEPCAM_SIMD env
+                // override, so kernels stay pure functions of their
+                // inputs.
                 "crates/tensor/src/simd/x86.rs",
                 "crates/tensor/src/ops/linear.rs",
                 "crates/tensor/src/pool.rs",

@@ -25,8 +25,9 @@
 //! held-out drop stays within a 1% budget. Every run asserts the tuned
 //! plan beats `uniform_max` on modeled CAM search energy.
 //!
-//! Separately, the median full-set evaluation time of the tuned engine
-//! (default passes applied) is recorded next to a `uniform_max` engine.
+//! Separately, the full-set evaluation time of the tuned engine (default
+//! passes applied) is recorded next to a `uniform_max` engine, each as
+//! the median, min and max of `--repeats` runs.
 //! **The passed model is gated bit-identical first**: it must produce
 //! bitwise-equal logits to the no-pass pipeline on the entire test set
 //! before any timing is taken, and the run asserts the joint search
@@ -80,8 +81,8 @@ struct WorkloadResult {
     total_energy_max_fixed: f64,
     total_energy_tuned_fixed: f64,
     total_energy_tuned_mapped: f64,
-    wall_ms_max: f64,
-    wall_ms_tuned: f64,
+    wall_ms_max: Spread,
+    wall_ms_tuned: Spread,
 }
 
 /// Full-set logits in evaluation-sized chunks (bounds im2col memory the
@@ -239,7 +240,7 @@ fn run_workload(
     );
     println!("bit-exactness gate passed: passed logits identical on the full test set");
 
-    let time_eval = |engine: &DeepCamEngine| -> f64 {
+    let time_eval = |engine: &DeepCamEngine| -> Spread {
         let warm = engine
             .evaluate(test_set.images(), test_set.labels(), 16)
             .expect("evaluation succeeds");
@@ -254,7 +255,7 @@ fn run_workload(
                 start.elapsed().as_secs_f64() * 1e3
             })
             .collect();
-        Spread::of(runs).median
+        Spread::of(runs)
     };
     let wall_tuned = time_eval(&engines[1]);
     // The width baseline: a uniform_max engine, calibrated and timed
@@ -270,7 +271,10 @@ fn run_workload(
             .expect("calibration succeeds");
     }
     let wall_max = time_eval(&max_engine);
-    println!("full-set eval: uniform_max {wall_max:.1} ms, tuned {wall_tuned:.1} ms");
+    println!(
+        "full-set eval (median): uniform_max {:.1} ms, tuned {:.1} ms",
+        wall_max.median, wall_tuned.median
+    );
 
     WorkloadResult {
         workload: name.to_string(),
@@ -422,7 +426,7 @@ fn main() {
              \"tuned_mapped\": {}}}, \
              \"total_energy_j\": {{\"uniform_max_fixed64\": {:.6e}, \
              \"tuned_fixed64\": {:.6e}, \"tuned_mapped\": {:.6e}}}, \
-             \"eval_wall_ms\": {{\"uniform_max\": {:.2}, \"tuned\": {:.2}}}, \
+             \"eval_wall_ms\": {{\"uniform_max\": {}, \"tuned\": {}}}, \
              \"bit_identical\": true}}{comma}\n",
             r.workload,
             r.dot_layers,
@@ -446,8 +450,8 @@ fn main() {
             r.total_energy_max_fixed,
             r.total_energy_tuned_fixed,
             r.total_energy_tuned_mapped,
-            r.wall_ms_max,
-            r.wall_ms_tuned,
+            r.wall_ms_max.json(),
+            r.wall_ms_tuned.json(),
         ));
     }
     json.push_str("  ]\n}\n");

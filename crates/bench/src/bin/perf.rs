@@ -71,17 +71,10 @@ fn speedup_field(key: &str, before: &Spread, after: &Spread) -> String {
 fn cpu_features() -> Vec<&'static str> {
     #[cfg(target_arch = "x86_64")]
     let features = [
-        ("avx2", is_x86_feature_detected!("avx2")),
         ("fma", is_x86_feature_detected!("fma")),
         ("avx512f", is_x86_feature_detected!("avx512f")),
-        (
-            "avx512vpopcntdq",
-            is_x86_feature_detected!("avx512vpopcntdq"),
-        ),
     ];
-    #[cfg(target_arch = "aarch64")]
-    let features = [("neon", std::arch::is_aarch64_feature_detected!("neon"))];
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     let features: [(&str, bool); 0] = [];
     features.iter().filter(|f| f.1).map(|f| f.0).collect()
 }

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use deepcam_bench::guard::{self, BenchArgs};
+use deepcam_bench::guard::{self, BenchArgs, Spread};
 use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
 use deepcam_serve::protocol::Response;
@@ -36,6 +36,7 @@ use deepcam_tensor::{init, Shape};
 
 struct Row {
     max_batch: usize,
+    elapsed_ms: f64,
     reqs_per_sec: f64,
     mean_occupancy: f64,
     max_occupancy: usize,
@@ -98,6 +99,7 @@ fn run_config(
         stats.mean_occupancy * stats.batches as f64 - warm.mean_occupancy * warm.batches as f64;
     Row {
         max_batch,
+        elapsed_ms: elapsed * 1e3,
         reqs_per_sec: (clients * requests) as f64 / elapsed,
         mean_occupancy: if timed_batches == 0 {
             0.0
@@ -115,9 +117,21 @@ struct OpenRow {
     conns: usize,
     completed: u64,
     errors: u64,
+    elapsed_ms: f64,
     reqs_per_sec: f64,
     p50_ms: f64,
     p99_ms: f64,
+}
+
+/// Runs `run` `repeats` times and keeps the run with the median wall
+/// time (`wall` of it, in ms), together with the spread of all of them:
+/// every rate is derived from the median run, so one lucky run cannot
+/// set the record.
+fn median_run<T>(repeats: usize, mut run: impl FnMut() -> T, wall: fn(&T) -> f64) -> (T, Spread) {
+    let mut runs: Vec<T> = (0..repeats).map(|_| run()).collect();
+    let spread = Spread::of(runs.iter().map(wall).collect());
+    runs.sort_by(|a, b| wall(a).total_cmp(&wall(b)));
+    (runs.swap_remove(runs.len() / 2), spread)
 }
 
 /// Exact percentile over the collected per-request latencies (the
@@ -224,6 +238,7 @@ fn run_open_loop(
         conns,
         completed,
         errors,
+        elapsed_ms: elapsed * 1e3,
         reqs_per_sec: completed as f64 / elapsed,
         p50_ms: percentile_ms(&latencies, 0.50),
         p99_ms: percentile_ms(&latencies, 0.99),
@@ -275,30 +290,29 @@ fn main() {
         })
         .collect();
 
-    // Best-of-repeats per config (closed-loop throughput is
-    // noise-prone on a shared host; the max is the honest capability).
-    let rows: Vec<Row> = batch_sweep
+    // The median-time run of `repeats` per config, with the spread of
+    // all of them (closed-loop throughput is noise-prone on a shared
+    // host).
+    let rows: Vec<(Row, Spread)> = batch_sweep
         .iter()
         .map(|&max_batch| {
-            let mut best: Option<Row> = None;
-            for _ in 0..repeats {
-                let row = run_config(&engine, max_batch, clients, requests, &images);
-                if best.as_ref().is_none_or(|b| row.reqs_per_sec > b.reqs_per_sec) {
-                    best = Some(row);
-                }
-            }
-            let row = best.expect("at least one repeat");
-            println!(
-                "max_batch {:>3}: {:>8.1} req/s, occupancy mean {:.2} max {}, p50 {:.2} ms, p99 {:.2} ms",
-                row.max_batch, row.reqs_per_sec, row.mean_occupancy, row.max_occupancy, row.p50_ms,
-                row.p99_ms
+            let (row, wall) = median_run(
+                repeats,
+                || run_config(&engine, max_batch, clients, requests, &images),
+                |r| r.elapsed_ms,
             );
-            row
+            println!(
+                "max_batch {:>3}: {:>8.1} req/s (wall {:.1} ms, {:.1}-{:.1}), occupancy mean {:.2} \
+                 max {}, p50 {:.2} ms, p99 {:.2} ms",
+                row.max_batch, row.reqs_per_sec, wall.median, wall.min, wall.max,
+                row.mean_occupancy, row.max_occupancy, row.p50_ms, row.p99_ms
+            );
+            (row, wall)
         })
         .collect();
 
-    let unbatched = rows[0].reqs_per_sec;
-    for row in &rows[1..] {
+    let unbatched = rows[0].0.reqs_per_sec;
+    for (row, _) in &rows[1..] {
         println!(
             "max_batch {} vs 1: {:.2}x throughput",
             row.max_batch,
@@ -321,7 +335,7 @@ fn main() {
     println!(
         "\n== Open-loop wire sweep: {OPEN_INFLIGHT} pipelined v2 requests in flight, split over the connections =="
     );
-    let mut open_rows: Vec<OpenRow> = Vec::new();
+    let mut open_rows: Vec<(OpenRow, Spread)> = Vec::new();
     for core in [CoreSelect::Threads, CoreSelect::Epoll] {
         if matches!(core, CoreSelect::Epoll) && !deepcam_serve::epoll_available() {
             continue;
@@ -329,30 +343,36 @@ fn main() {
         for &conns in &conn_sweep {
             let window = (OPEN_INFLIGHT / conns).max(1);
             let requests = (OPEN_TOTAL / conns).max(8);
-            let mut best: Option<OpenRow> = None;
-            for _ in 0..repeats {
-                let row = run_open_loop(&engine, core, conns, window, requests, &images);
-                if best
-                    .as_ref()
-                    .is_none_or(|b| row.reqs_per_sec > b.reqs_per_sec)
-                {
-                    best = Some(row);
-                }
-            }
-            let row = best.expect("at least one repeat");
-            println!(
-                "{:>7} core, {:>4} conns x window {}: {:>8.1} req/s, completed {}, errors {}, p50 {:.2} ms, p99 {:.2} ms",
-                row.core, row.conns, window, row.reqs_per_sec, row.completed, row.errors,
-                row.p50_ms, row.p99_ms
+            let (row, wall) = median_run(
+                repeats,
+                || run_open_loop(&engine, core, conns, window, requests, &images),
+                |r| r.elapsed_ms,
             );
-            open_rows.push(row);
+            println!(
+                "{:>7} core, {:>4} conns x window {}: {:>8.1} req/s (wall {:.1} ms, {:.1}-{:.1}), \
+                 completed {}, errors {}, p50 {:.2} ms, p99 {:.2} ms",
+                row.core,
+                row.conns,
+                window,
+                row.reqs_per_sec,
+                wall.median,
+                wall.min,
+                wall.max,
+                row.completed,
+                row.errors,
+                row.p50_ms,
+                row.p99_ms
+            );
+            open_rows.push((row, wall));
         }
     }
     let threads_base = open_rows
         .iter()
+        .map(|(r, _)| r)
         .find(|r| r.core == "threads" && r.conns == base_conns);
     let epoll_top = open_rows
         .iter()
+        .map(|(r, _)| r)
         .find(|r| r.core == "epoll" && r.conns == base_conns * 4);
     if let (Some(base), Some(top)) = (threads_base, epoll_top) {
         println!(
@@ -384,13 +404,14 @@ fn main() {
     json.push_str("  \"max_wait_us\": 500,\n");
     json.push_str("  \"bit_identical_to_serial\": true,\n");
     json.push_str("  \"configs\": [\n");
-    for (i, row) in rows.iter().enumerate() {
+    for (i, (row, wall)) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         json.push_str(&format!(
-            "    {{\"max_batch\": {}, \"reqs_per_sec\": {:.2}, \"mean_occupancy\": {:.3}, \
-             \"max_occupancy\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"speedup_vs_unbatched\": {:.3}}}{comma}\n",
+            "    {{\"max_batch\": {}, \"wall_ms\": {}, \"reqs_per_sec\": {:.2}, \
+             \"mean_occupancy\": {:.3}, \"max_occupancy\": {}, \"p50_ms\": {:.3}, \
+             \"p99_ms\": {:.3}, \"speedup_vs_unbatched\": {:.3}}}{comma}\n",
             row.max_batch,
+            wall.json(),
             row.reqs_per_sec,
             row.mean_occupancy,
             row.max_occupancy,
@@ -405,15 +426,17 @@ fn main() {
     json.push_str(&format!("    \"base_conns\": {base_conns},\n"));
     json.push_str("    \"protocol\": 2,\n");
     json.push_str("    \"rows\": [\n");
-    for (i, row) in open_rows.iter().enumerate() {
+    for (i, (row, wall)) in open_rows.iter().enumerate() {
         let comma = if i + 1 == open_rows.len() { "" } else { "," };
         json.push_str(&format!(
             "      {{\"core\": \"{}\", \"conns\": {}, \"completed\": {}, \"errors\": {}, \
-             \"reqs_per_sec\": {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{comma}\n",
+             \"wall_ms\": {}, \"reqs_per_sec\": {:.2}, \"p50_ms\": {:.3}, \
+             \"p99_ms\": {:.3}}}{comma}\n",
             row.core,
             row.conns,
             row.completed,
             row.errors,
+            wall.json(),
             row.reqs_per_sec,
             row.p50_ms,
             row.p99_ms

@@ -2,9 +2,11 @@
 //!
 //! Storage is a [`PackedHashes`] slab plus an occupancy bitmap rather
 //! than a `Vec<Option<BitVec>>`: every stored word lives in one
-//! contiguous row-major allocation, searched through the same dispatched
-//! XOR+popcount microkernel the inference engine's weight tiles use,
-//! instead of a pointer chase through per-row heap vectors. The
+//! contiguous row-major allocation, searched one row at a time by the
+//! portable XOR+popcount kernel `deepcam_hash::packed::hamming_words`
+//! (the inference engine's weight tiles use the same slab layout, walked
+//! by the blocked `hamming_tile_into`), instead of a pointer chase
+//! through per-row heap vectors. The
 //! occupancy bitmap doubles as an EIE-style skip index: a search walks
 //! it word by word, skipping 64 rows per all-zero word without touching
 //! the slab (the software twin of keeping empty match lines unsensed).

@@ -274,10 +274,10 @@ impl SignHasher {
 mod tests {
     use super::*;
     use deepcam_hash::bitvec::{certify_signs_into, pack_signs_into};
-    use deepcam_hash::simd::{active, detected, force_variant, Variant};
     use deepcam_tensor::ops::conv::{im2col, Conv2dConfig};
     use deepcam_tensor::ops::project::project_patches_approx_into;
     use deepcam_tensor::rng::seeded_rng;
+    use deepcam_tensor::simd::{active, detected, force_variant, Variant};
     use deepcam_tensor::tensor::matmul_dense_into;
     use deepcam_tensor::{Shape, Tensor};
     use std::sync::{Mutex, MutexGuard};

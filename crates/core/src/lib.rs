@@ -52,12 +52,13 @@ pub mod sched;
 pub mod tune;
 
 pub use dataflow::Dataflow;
-/// The engine's Hamming kernels dispatch through this table at runtime
-/// (`DEEPCAM_SIMD` selects a variant; all variants are bit-identical).
-/// Re-exported so accelerator-level callers — benches sweeping kernel
-/// variants, serving deployments pinning `scalar` — can reach dispatch
-/// without depending on `deepcam-hash` directly.
-pub use deepcam_hash::simd;
+/// The engine's patch projection dispatches through this table at
+/// runtime (`DEEPCAM_SIMD` selects a variant; the hash bits and logits
+/// are bit-identical on every variant). Re-exported so accelerator-level
+/// callers — benches sweeping kernel variants, serving deployments
+/// pinning `scalar` — can reach dispatch without depending on
+/// `deepcam-tensor` directly.
+pub use deepcam_tensor::simd;
 pub use engine::{Datapath, DeepCamEngine, EngineConfig};
 pub use error::CoreError;
 pub use hashplan::{HashPlan, PlanBinding};

@@ -33,12 +33,9 @@
 //! # Ok::<(), deepcam_hash::HashError>(())
 //! ```
 
-// Machine-checked by deepcam-analyze (lint A2): the only unsafe in this
-// crate lives in the `simd` kernel files (feature-gated `std::arch`
-// loads plus the detection-guarded dispatch wrappers), every token is
-// SAFETY-commented and registered in ANALYZE_UNSAFE.md, and unsafe
-// operations inside unsafe fns still need their own explicit blocks.
-#![deny(unsafe_op_in_unsafe_fn)]
+// Machine-checked by deepcam-analyze (lint A2): this crate holds no
+// unsafe code, and the compiler now enforces that it never grows any.
+#![forbid(unsafe_code)]
 
 pub mod bitvec;
 pub mod context;
@@ -48,7 +45,6 @@ pub mod geometric;
 pub mod minifloat;
 pub mod packed;
 pub mod projection;
-pub mod simd;
 pub mod stats;
 
 pub use bitvec::{low_mask, tail_garbage_mask, BitVec};

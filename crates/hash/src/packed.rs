@@ -14,10 +14,9 @@
 //! Compared to a `Vec<BitVec>` (one heap allocation per row, a length
 //! field re-checked per comparison), the slab gives the Hamming
 //! microkernel [`PackedHashes::hamming_into`] a single linear pass over
-//! contiguous memory through the runtime-dispatched kernel table in
-//! [`crate::simd`] (scalar 4×-unrolled fallback, AVX2 Harley–Seal,
-//! AVX-512 `VPOPCNTDQ`, NEON `vcnt`), with no per-row `Option`, no
-//! per-call length `Result`, and no tail masking in the loop — the
+//! contiguous memory, one portable XOR + popcount per word
+//! ([`hamming_words`]), with no per-row `Option`, no per-call length
+//! `Result`, and no tail masking in the loop — the
 //! *masked tail word is handled once at build time* by the
 //! trailing-zero invariant every [`BitVec`] builder upholds.
 //!
@@ -207,10 +206,8 @@ impl PackedHashes {
     ///
     /// `query_words` must obey the [`BitVec`] trailing-zero invariant
     /// (every builder in this crate does), so no tail mask is applied in
-    /// the loop. The pass runs on the kernel the [`crate::simd`]
-    /// dispatch table selected for this host (scalar fallback, AVX2
-    /// Harley–Seal, AVX-512 `VPOPCNTDQ` or NEON `vcnt`) — every variant
-    /// is bit-identical to [`hamming_words`], the scalar oracle.
+    /// the loop. Each row is one [`hamming_words`] call, the crate's one
+    /// XOR + popcount kernel.
     ///
     /// # Panics
     ///
@@ -241,7 +238,15 @@ impl PackedHashes {
         );
         assert_eq!(out.len(), hi - lo, "output slot per row in range");
         let wpr = self.words_per_row;
-        crate::simd::hamming_range(&self.slab[lo * wpr..hi * wpr], wpr, query_words, out);
+        if wpr == 0 {
+            // Zero-width rows: every distance is zero by definition.
+            out.fill(0);
+            return;
+        }
+        let rows = self.slab[lo * wpr..hi * wpr].chunks_exact(wpr);
+        for (row_words, o) in rows.zip(out.iter_mut()) {
+            *o = hamming_words(row_words, query_words);
+        }
     }
 
     /// The blocked Hamming tile: the distance of each of `nq` queries
@@ -298,7 +303,7 @@ impl PackedHashes {
     }
 
     /// Hamming distance between row `row` and `query_words`, through the
-    /// same dispatched kernel as [`PackedHashes::hamming_into`] (the
+    /// same [`hamming_words`] kernel as [`PackedHashes::hamming_into`] (the
     /// single-row primitive of the occupancy-skip CAM scan, which visits
     /// sparse survivors one at a time instead of the whole range).
     ///
@@ -314,7 +319,7 @@ impl PackedHashes {
             self.words_per_row,
             "query width must match the tile stride"
         );
-        crate::simd::hamming_pair(self.row_words(row), query_words)
+        hamming_words(self.row_words(row), query_words)
     }
 }
 
@@ -367,11 +372,15 @@ impl serde::bin::BinCodec for PackedHashes {
     }
 }
 
-/// XOR + popcount over two equal-length word slices — the **scalar
-/// oracle** every dispatched SIMD variant is differentially pinned to.
+/// XOR + popcount over two equal-length word slices — the one Hamming
+/// kernel of [`PackedHashes`]' row searches, and the oracle
+/// [`PackedHashes::hamming_tile_into`] is tested against.
 ///
-/// Shared by the tile microkernel and any caller that already holds
-/// packed words (e.g. scratch query buffers built by
+/// `u64::count_ones` compiles to the hardware `popcnt` instruction under
+/// the workspace's `target-cpu=native`, and LLVM vectorizes the `u64`
+/// sum (`vpopcntq` on AVX-512 hosts), so the loop needs no unrolling by
+/// hand. Shared with any caller that already holds packed words (e.g.
+/// scratch query buffers built by
 /// [`pack_signs_into`](crate::bitvec::pack_signs_into)). The length
 /// contract is checked **once here, outside the word loop** — a
 /// `debug_assert!` would silently truncate to the shorter slice in
@@ -387,7 +396,12 @@ pub fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
         b.len(),
         "hamming_words requires equal-length slices"
     );
-    crate::simd::scalar::hamming_pair(a, b)
+    // Summed in `u64`, the lane width LLVM vectorizes best; the total
+    // fits `u32` for any row shorter than 2^26 words.
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| u64::from((x ^ y).count_ones()))
+        .sum::<u64>() as u32
 }
 
 #[cfg(test)]

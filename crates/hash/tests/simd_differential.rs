@@ -1,24 +1,25 @@
-//! Per-width scalar-vs-SIMD differential suite: every kernel variant the
-//! host detects must be **bitwise equal** to the scalar oracle
-//! (`hamming_words`, and one `x >= 0.0` per value for the sign pack) on
-//! every width — explicit boundary widths around the word, lane and
-//! Harley–Seal group sizes, plus randomized property-based sweeps.
+//! Differential suite for the packed Hamming kernels and the sign pack:
+//! every search entry of `PackedHashes` (`hamming_into`,
+//! `hamming_range_into`, `hamming_row`, the blocked `hamming_tile_into`)
+//! and `hamming_words` must equal the bit-by-bit `BitVec::hamming`
+//! oracle, and the sign pack one `x >= 0.0` per value, on every width —
+//! explicit boundary widths around the word and the 256-bit chunk, plus
+//! randomized property-based sweeps.
 //!
-//! These tests gate the SIMD wave: a variant that disagrees with scalar
-//! on any input is a correctness bug, never a tolerance question —
-//! popcounts are exact integers and a sign is one exact comparison.
+//! The kernels are portable loops that LLVM vectorizes under the
+//! workspace's `target-cpu=native`, so this is where the vectorized code
+//! meets the scalar definition. A disagreement on any input is a
+//! correctness bug, never a tolerance question — popcounts are exact
+//! integers and a sign is one exact comparison.
 
 use deepcam_hash::bitvec::pack_signs_into;
 use deepcam_hash::packed::hamming_words;
-use deepcam_hash::simd::{
-    active, detected, force_variant, hamming_pair_with, hamming_range_with, Variant,
-};
 use deepcam_hash::{BitVec, PackedHashes};
 use proptest::prelude::*;
 
 /// The boundary widths (in bits) the suite must cover: 1, the word edges
-/// (63/64/65), the AVX2 lane and Harley–Seal group edges (255/256/257),
-/// and the full four-chunk CAM width.
+/// (63/64/65), the edges of the kernel's 4-word (256-bit chunk) unroll
+/// (255/256/257), and the full four-chunk CAM width.
 const BOUNDARY_BITS: [usize; 9] = [1, 63, 64, 65, 255, 256, 257, 512, 1024];
 
 /// Deterministic splittable word pattern (no RNG needed for the
@@ -34,43 +35,45 @@ fn patterned_bitvec(bits: usize, seed: u64) -> BitVec {
     BitVec::from_bools(&bools)
 }
 
+/// Runs every row-search entry of `tile` against `query` and checks each
+/// distance against `BitVec::hamming`. `what` labels a failure.
+fn check_searches(rows: &[BitVec], query: &BitVec, what: &str) {
+    let bits = query.len();
+    let tile = PackedHashes::from_bitvecs(bits, rows).expect("equal widths");
+    let n = rows.len();
+    let want: Vec<u32> = rows
+        .iter()
+        .map(|row| row.hamming(query).expect("equal widths") as u32)
+        .collect();
+    // Pre-filled so every slot must be written.
+    let mut full = vec![u32::MAX; n];
+    tile.hamming_into(query.words(), &mut full);
+    assert_eq!(full, want, "{what}: hamming_into");
+    for (lo, hi) in [(0, n), (0, n / 2), (n / 3, n), (n / 2, n / 2)] {
+        let mut part = vec![u32::MAX; hi - lo];
+        tile.hamming_range_into(query.words(), lo, hi, &mut part);
+        assert_eq!(part, want[lo..hi], "{what}: hamming_range_into {lo}..{hi}");
+    }
+    for (r, &w) in want.iter().enumerate() {
+        assert_eq!(
+            tile.hamming_row(r, query.words()),
+            w,
+            "{what}: hamming_row {r}"
+        );
+        assert_eq!(
+            hamming_words(tile.row_words(r), query.words()),
+            w,
+            "{what}: hamming_words {r}"
+        );
+    }
+}
+
 #[test]
-fn every_detected_variant_matches_scalar_on_boundary_widths() {
+fn boundary_widths_match_bitvec() {
     for &bits in &BOUNDARY_BITS {
         let rows: Vec<BitVec> = (0..17).map(|r| patterned_bitvec(bits, r as u64)).collect();
-        let tile = PackedHashes::from_bitvecs(bits, &rows).expect("equal widths");
         let query = patterned_bitvec(bits, 777);
-        let wpr = tile.words_per_row();
-        let slab: Vec<u64> = (0..tile.rows())
-            .flat_map(|r| tile.row_words(r).iter().copied())
-            .collect();
-
-        // Scalar oracle, three independent routes that must agree: the
-        // BitVec reference, hamming_words, and the scalar range kernel.
-        let mut want = vec![0u32; tile.rows()];
-        hamming_range_with(Variant::Scalar, &slab, wpr, query.words(), &mut want);
-        for (r, row) in rows.iter().enumerate() {
-            assert_eq!(
-                want[r] as usize,
-                row.hamming(&query).unwrap(),
-                "bits {bits} row {r}"
-            );
-            assert_eq!(want[r], hamming_words(tile.row_words(r), query.words()));
-        }
-
-        for &v in detected() {
-            let mut got = vec![0u32; tile.rows()];
-            hamming_range_with(v, &slab, wpr, query.words(), &mut got);
-            assert_eq!(got, want, "bits {bits} variant {}", v.name());
-            for (r, &w) in want.iter().enumerate() {
-                assert_eq!(
-                    hamming_pair_with(v, tile.row_words(r), query.words()),
-                    w,
-                    "bits {bits} variant {} row {r}",
-                    v.name()
-                );
-            }
-        }
+        check_searches(&rows, &query, &format!("bits {bits}"));
     }
 }
 
@@ -78,7 +81,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn random_rows_match_scalar_on_every_variant(
+    fn random_rows_match_bitvec(
         bits in 1usize..700,
         rows in 1usize..12,
         seed in 0u64..10_000,
@@ -86,48 +89,25 @@ proptest! {
         let words: Vec<BitVec> = (0..rows)
             .map(|r| patterned_bitvec(bits, seed.wrapping_add(r as u64)))
             .collect();
-        let tile = PackedHashes::from_bitvecs(bits, &words).unwrap();
         let query = patterned_bitvec(bits, seed ^ 0xABCD);
-        let mut want = vec![0u32; rows];
-        tile.hamming_into(query.words(), &mut want);
-        // The dispatched pass must agree with the BitVec reference…
-        for (row, w) in words.iter().enumerate() {
-            prop_assert_eq!(want[row] as usize, w.hamming(&query).unwrap());
-        }
-        // …and every detected variant must agree bitwise with scalar.
-        for &v in detected() {
-            for (row, w) in words.iter().enumerate() {
-                let got = hamming_pair_with(v, tile.row_words(row), query.words());
-                prop_assert_eq!(got, want[row], "variant {} row {} ({:?})", v.name(), row, w.len());
-            }
-        }
+        check_searches(&words, &query, &format!("bits {bits} rows {rows} seed {seed}"));
     }
 }
 
 #[test]
-fn forced_variants_drive_the_public_kernel() {
-    // force_variant repoints the dispatched entry points themselves; the
-    // results must be identical for every detected variant (flipping the
-    // active variant mid-run is benign by the bit-exactness contract).
-    let bits = 511;
-    let rows: Vec<BitVec> = (0..9)
-        .map(|r| patterned_bitvec(bits, 40 + r as u64))
-        .collect();
-    let tile = PackedHashes::from_bitvecs(bits, &rows).unwrap();
-    let query = patterned_bitvec(bits, 99);
-    let mut want = vec![0u32; rows.len()];
-    let initial = force_variant(Variant::Scalar).expect("scalar always detected");
-    tile.hamming_into(query.words(), &mut want);
-    for &v in detected() {
-        force_variant(v).expect("detected variant");
-        let mut got = vec![0u32; rows.len()];
-        tile.hamming_into(query.words(), &mut got);
-        assert_eq!(got, want, "variant {}", v.name());
-        for (row, &w) in want.iter().enumerate() {
-            assert_eq!(tile.hamming_row(row, query.words()), w);
-        }
+fn zero_width_rows_have_zero_distance() {
+    // A tile of zero-width rows holds no words; every distance is zero
+    // by definition, and no entry may divide the slab by its stride.
+    let tile = PackedHashes::zeroed(0, 3);
+    let mut out = [7u32; 3];
+    tile.hamming_into(&[], &mut out);
+    assert_eq!(out, [0, 0, 0]);
+    let mut out = [7u32; 3];
+    tile.hamming_range_into(&[], 0, 3, &mut out);
+    assert_eq!(out, [0, 0, 0]);
+    for row in 0..3 {
+        assert_eq!(tile.hamming_row(row, &[]), 0, "row {row}");
     }
-    let _ = force_variant(initial);
 }
 
 /// Bit patterns whose sign the pack must get exactly right: ±0.0, quiet
@@ -208,8 +188,7 @@ const TILE_KERNEL_COUNTS: [usize; 7] = [1, 7, 8, 9, 63, 64, 65];
 const TILE_BITS: [usize; 7] = [64, 192, 256, 448, 512, 768, 1024];
 
 #[test]
-fn every_detected_variant_runs_the_hamming_tile_like_hamming_words() {
-    let initial = active();
+fn hamming_tile_matches_hamming_words() {
     for &bits in &TILE_BITS {
         for &kernels in &TILE_KERNEL_COUNTS {
             let rows: Vec<BitVec> = (0..kernels)
@@ -228,27 +207,27 @@ fn every_detected_variant_runs_the_hamming_tile_like_hamming_words() {
                         word_major[w * nq + q] = word;
                     }
                 }
-                for &v in detected() {
-                    force_variant(v).expect("detected variant");
-                    // Pre-filled so every slot must be written.
-                    let mut got = vec![u32::MAX; kernels * nq];
-                    tile.hamming_tile_into(&word_major, nq, &mut got);
-                    for (r, row) in rows.iter().enumerate() {
-                        for (q, query) in queries.iter().enumerate() {
-                            assert_eq!(
-                                got[r * nq + q],
-                                hamming_words(row.words(), query.words()),
-                                "bits {bits} kernels {kernels} queries {nq} variant {} \
-                                 (kernel {r}, query {q})",
-                                v.name()
-                            );
-                        }
+                // Pre-filled so every slot must be written.
+                let mut got = vec![u32::MAX; kernels * nq];
+                tile.hamming_tile_into(&word_major, nq, &mut got);
+                for (r, row) in rows.iter().enumerate() {
+                    for (q, query) in queries.iter().enumerate() {
+                        let want = hamming_words(row.words(), query.words());
+                        assert_eq!(
+                            want as usize,
+                            row.hamming(query).expect("equal widths"),
+                            "bits {bits} (kernel {r}, query {q})"
+                        );
+                        assert_eq!(
+                            got[r * nq + q],
+                            want,
+                            "bits {bits} kernels {kernels} queries {nq} (kernel {r}, query {q})"
+                        );
                     }
                 }
             }
         }
     }
-    let _ = force_variant(initial);
 }
 
 #[test]

@@ -1,26 +1,24 @@
-//! Runtime SIMD kernel selection for every hot kernel of the workspace.
+//! Runtime SIMD kernel selection for the patch projection.
 //!
 //! A *detection table* is built once per process
-//! (`is_x86_feature_detected!` / NEON, cached in a [`OnceLock`]) and an
+//! (`is_x86_feature_detected!`, cached in a [`OnceLock`]) and an
 //! *active variant* is selected from it — by default the most capable
 //! detected kernel, overridable with the `DEEPCAM_SIMD` environment
-//! variable (`auto`, `scalar`, `avx2`, `avx512`, `neon`; read once, here,
-//! outside the A5 kernel files).
+//! variable (`auto`, `scalar`, `avx512`; read once, here, outside the A5
+//! kernel files).
 //!
-//! One variant selects every kernel that dispatches on it: the patch
-//! projection in [`crate::ops::project`] (AVX-512 tiles in
-//! `simd/x86.rs`, whose epilogue also packs the certified sign words)
-//! and, through the re-export in `deepcam_hash::simd`, the packed
-//! Hamming kernels. Every variant computes **identical bits** — the
-//! Hamming kernels are exact integer popcounts — so dispatch can never
-//! move an output bit. The one exception is the patch projection
+//! The variant selects the patch projection in [`crate::ops::project`]:
+//! the AVX-512 tiles in `simd/x86.rs`, whose epilogue also packs the
+//! certified sign words, or the portable tiles. Every other hot kernel
+//! (the Hamming loops in `deepcam-hash` among them) is one portable
+//! loop. The projection's fused multiply-add values
 //! ([`crate::ops::project::project_patches_approx_into`] and its sign
-//! epilogue, [`crate::ops::project::project_patches_signs_into`]), whose
-//! fused multiply-add values may differ on `Avx512` in their last bits;
-//! its only engine caller keeps just the signs an error bound proves and
-//! recomputes the rest exactly, so the hash bits it feeds are identical
-//! on every variant too. The portable code is the always-available
-//! fallback *and* the differential oracle.
+//! epilogue, [`crate::ops::project::project_patches_signs_into`]) may
+//! differ on `Avx512` in their last bits; its only engine caller keeps
+//! just the signs an error bound proves and recomputes the rest exactly,
+//! so the hash bits it feeds are identical on every variant. The
+//! portable code is the always-available fallback *and* the
+//! differential oracle.
 //!
 //! The dispatch cost is one relaxed atomic load per kernel call (not per
 //! row), and [`force_variant`] lets benches and tests pin a variant
@@ -47,15 +45,9 @@ pub enum Variant {
     /// Portable code — always available; the differential oracle every
     /// other variant is tested against.
     Scalar,
-    /// AArch64 NEON `vcnt` byte popcount with pairwise widening.
-    Neon,
-    /// AVX2 Harley–Seal carry-save popcount over 256-bit lanes
-    /// (nibble-LUT `vpshufb` + `vpsadbw` reduction).
-    Avx2,
-    /// AVX-512: `VPOPCNTDQ` Hamming over 512-bit blocks and 512-bit
-    /// projection tiles whose epilogue packs the certified sign words
-    /// with mask compares on the accumulators. Requires both `avx512f`
-    /// and `avx512vpopcntdq`.
+    /// AVX-512: 512-bit projection tiles whose epilogue packs the
+    /// certified sign words with mask compares on the accumulators.
+    /// Requires `avx512f`.
     Avx512,
 }
 
@@ -64,8 +56,6 @@ impl Variant {
     pub fn name(self) -> &'static str {
         match self {
             Variant::Scalar => "scalar",
-            Variant::Neon => "neon",
-            Variant::Avx2 => "avx2",
             Variant::Avx512 => "avx512",
         }
     }
@@ -73,8 +63,6 @@ impl Variant {
     fn from_name(name: &str) -> Option<Variant> {
         match name {
             "scalar" => Some(Variant::Scalar),
-            "neon" => Some(Variant::Neon),
-            "avx2" => Some(Variant::Avx2),
             "avx512" => Some(Variant::Avx512),
             _ => None,
         }
@@ -84,18 +72,14 @@ impl Variant {
     fn code(self) -> u8 {
         match self {
             Variant::Scalar => 1,
-            Variant::Neon => 2,
-            Variant::Avx2 => 3,
-            Variant::Avx512 => 4,
+            Variant::Avx512 => 2,
         }
     }
 
     fn from_code(code: u8) -> Option<Variant> {
         match code {
             1 => Some(Variant::Scalar),
-            2 => Some(Variant::Neon),
-            3 => Some(Variant::Avx2),
-            4 => Some(Variant::Avx512),
+            2 => Some(Variant::Avx512),
             _ => None,
         }
     }
@@ -109,18 +93,9 @@ pub fn detected() -> &'static [Variant] {
     TABLE.get_or_init(|| {
         #[allow(unused_mut)]
         let mut table = vec![Variant::Scalar];
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            table.push(Variant::Neon);
-        }
         #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                table.push(Variant::Avx2);
-            }
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vpopcntdq") {
-                table.push(Variant::Avx512);
-            }
+        if is_x86_feature_detected!("avx512f") {
+            table.push(Variant::Avx512);
         }
         table
     })
@@ -156,8 +131,8 @@ fn resolve_env(raw: Option<&str>, table: &[Variant]) -> (Variant, Option<String>
         None => (
             auto,
             Some(format!(
-                "warning: ignoring unknown {SIMD_ENV}={raw:?} (expected auto, scalar, avx2, \
-                 avx512 or neon); falling back to {}",
+                "warning: ignoring unknown {SIMD_ENV}={raw:?} (expected auto, scalar or \
+                 avx512); falling back to {}",
                 auto.name()
             )),
         ),
@@ -255,24 +230,27 @@ pub(crate) mod tests {
 
     #[test]
     fn env_resolution_rules() {
-        let table = [Variant::Scalar, Variant::Avx2];
+        let table = [Variant::Scalar, Variant::Avx512];
         // Unset and auto pick the most capable detected variant.
-        assert_eq!(resolve_env(None, &table), (Variant::Avx2, None));
-        assert_eq!(resolve_env(Some("auto"), &table), (Variant::Avx2, None));
+        assert_eq!(resolve_env(None, &table), (Variant::Avx512, None));
+        assert_eq!(resolve_env(Some("auto"), &table), (Variant::Avx512, None));
         // A detected variant is honored (whitespace tolerated).
         assert_eq!(
             resolve_env(Some(" scalar "), &table),
             (Variant::Scalar, None)
         );
-        assert_eq!(resolve_env(Some("avx2"), &table), (Variant::Avx2, None));
+        assert_eq!(resolve_env(Some("avx512"), &table), (Variant::Avx512, None));
         // Known but undetected: fall back loudly.
-        let (v, warn) = resolve_env(Some("avx512"), &table);
-        assert_eq!(v, Variant::Avx2);
+        let (v, warn) = resolve_env(Some("avx512"), &[Variant::Scalar]);
+        assert_eq!(v, Variant::Scalar);
         assert!(warn.is_some_and(|w| w.contains("avx512")));
-        // Unknown name: fall back loudly.
-        let (v, warn) = resolve_env(Some("sse9"), &table);
-        assert_eq!(v, Variant::Avx2);
-        assert!(warn.is_some_and(|w| w.contains("unknown")));
+        // Unknown name, including the retired `avx2` and `neon`: fall
+        // back loudly.
+        for name in ["sse9", "avx2", "neon"] {
+            let (v, warn) = resolve_env(Some(name), &table);
+            assert_eq!(v, Variant::Avx512);
+            assert!(warn.is_some_and(|w| w.contains("unknown")));
+        }
     }
 
     #[test]
@@ -288,11 +266,10 @@ pub(crate) mod tests {
 
     #[test]
     fn force_variant_refuses_undetected() {
-        // At most one of these can be detected on any real host; an
-        // undetected one must leave dispatch untouched.
+        // An undetected variant must leave dispatch untouched.
         let _pin = pinned();
         let before = active();
-        for v in [Variant::Avx2, Variant::Avx512, Variant::Neon] {
+        for v in [Variant::Scalar, Variant::Avx512] {
             if !is_detected(v) {
                 assert_eq!(force_variant(v), None);
                 assert_eq!(active(), before);
@@ -302,12 +279,7 @@ pub(crate) mod tests {
 
     #[test]
     fn names_round_trip() {
-        for v in [
-            Variant::Scalar,
-            Variant::Neon,
-            Variant::Avx2,
-            Variant::Avx512,
-        ] {
+        for v in [Variant::Scalar, Variant::Avx512] {
             assert_eq!(Variant::from_name(v.name()), Some(v));
             assert_eq!(Variant::from_code(v.code()), Some(v));
         }

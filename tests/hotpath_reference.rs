@@ -128,7 +128,7 @@ fn every_detected_simd_variant_matches_reference() {
     // tiles. Flipping the process-wide variant is benign even if other
     // tests race this one: all variants compute identical bits, which is
     // exactly what this test enforces.
-    use deepcam::hash::simd::{detected, force_variant};
+    use deepcam::tensor::simd::{detected, force_variant};
     let lenet = scaled_lenet5(&mut seeded_rng(312), 10);
     let lenet_x = init::normal(&mut seeded_rng(313), Shape::new(&[2, 1, 28, 28]), 0.0, 1.0);
     let vgg = scaled_vgg11(&mut seeded_rng(316), 8, 10);

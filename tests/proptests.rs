@@ -199,34 +199,6 @@ proptest! {
     }
 
     #[test]
-    fn simd_dispatch_bitwise_equal_across_variants(
-        bits in 1usize..600,
-        rows in 1usize..10,
-        seed in 0u64..500,
-    ) {
-        use deepcam::hash::simd::{detected, hamming_pair_with, Variant};
-        use rand::RngExt;
-        let mut rng = deepcam::tensor::rng::seeded_rng(seed);
-        let mut make = || {
-            let bools: Vec<bool> = (0..bits).map(|_| rng.random::<bool>()).collect();
-            BitVec::from_bools(&bools)
-        };
-        let key = make();
-        for _ in 0..rows {
-            let row = make();
-            let want = hamming_pair_with(Variant::Scalar, row.words(), key.words());
-            prop_assert_eq!(want as usize, row.hamming(&key).unwrap());
-            for &v in detected() {
-                prop_assert_eq!(
-                    hamming_pair_with(v, row.words(), key.words()),
-                    want,
-                    "variant {}", v.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn matmul_distributes_over_addition(
         a in proptest::collection::vec(-2.0f32..2.0, 6),
         b in proptest::collection::vec(-2.0f32..2.0, 6),
