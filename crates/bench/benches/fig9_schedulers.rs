@@ -5,13 +5,9 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deepcam_baselines::{Eyeriss, SkylakeCpu};
-use deepcam_cam::{CamArray, CamConfig};
 use deepcam_core::sched::CamScheduler;
 use deepcam_core::{Dataflow, HashPlan, LayerIr};
-use deepcam_hash::BitVec;
 use deepcam_models::zoo;
-use deepcam_tensor::rng::seeded_rng;
-use rand::RngExt;
 
 fn bench_deepcam_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig9/deepcam_sched");
@@ -41,40 +37,6 @@ fn bench_baselines(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded_cam_search(c: &mut Criterion) {
-    // The parallel runtime's CAM shard: row-range sharded search, swept
-    // over shard counts. Hits are identical across the sweep.
-    let mut rng = seeded_rng(3);
-    let rows = 512usize;
-    let bits = 1024usize;
-    let mut cam = CamArray::new(CamConfig::new(rows, bits).expect("supported"));
-    for row in 0..rows {
-        let mut word = BitVec::zeros(bits);
-        for i in 0..bits {
-            if rng.random::<bool>() {
-                word.set(i, true);
-            }
-        }
-        cam.write_row(row, word).expect("fits");
-    }
-    let mut key = BitVec::zeros(bits);
-    for i in 0..bits {
-        if rng.random::<bool>() {
-            key.set(i, true);
-        }
-    }
-    let mut group = c.benchmark_group("fig9/sharded_cam_search");
-    for shards in [1usize, 2, 4] {
-        group.bench_function(format!("rows512_shards{shards}"), |b| {
-            b.iter(|| {
-                cam.search_sharded(black_box(&key), shards)
-                    .expect("key width matches")
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     // Short measurement windows keep `cargo bench --workspace` minutes-scale
@@ -83,6 +45,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(900))
         .sample_size(10);
-    targets = bench_deepcam_scheduler, bench_baselines, bench_sharded_cam_search
+    targets = bench_deepcam_scheduler, bench_baselines
 }
 criterion_main!(benches);

@@ -225,7 +225,8 @@ fn main() {
                 "    {{\"layer\": {}, \"rows\": {}, \"kernels\": {}, \"k\": {}, \
                  \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \"project_ms\": {:.3}, \
                  \"certify_ms\": {:.3}, \"hamming_ms\": {:.3}, \"lut_ms\": {:.3}, \
-                 \"sub_blocks\": {}, \"dense_sub_blocks\": {}, \"recomputed_lanes\": {}}}",
+                 \"sub_blocks\": {}, \"dense_sub_blocks\": {}, \"recomputed_lanes\": {}, \
+                 \"macs\": {}}}",
                 d.layer,
                 d.rows,
                 tiles[d.layer].kernels(),
@@ -239,6 +240,7 @@ fn main() {
                 d.sub_blocks,
                 d.dense_sub_blocks,
                 d.recomputed_lanes,
+                d.macs,
             )
         })
         .collect();

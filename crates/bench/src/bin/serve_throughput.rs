@@ -8,6 +8,11 @@
 //! [--force]` (an unknown flag or a value that is not a count of at least
 //! 1 exits 2 with this usage line).
 //!
+//! The sweep runs `max_batch` 1, 4, 8 and 16, less every value above
+//! `--clients`: a closed loop never has more requests in flight than
+//! clients, so such a row could only time the batcher's `max_wait`
+//! deadline. The skipped values are printed and listed in the JSON.
+//!
 //! The `max_batch = 1` row is the "before": one engine call per request,
 //! exactly what a naive server wrapping `infer` would do. Larger
 //! `max_batch` rows coalesce concurrent requests into
@@ -260,7 +265,8 @@ fn main() {
     let requests = args.number("--requests").unwrap_or(40);
     let repeats = args.repeats.unwrap_or(3);
     let force = args.force;
-    let batch_sweep = [1usize, 4, 8, 16];
+    let (batch_sweep, skipped): (Vec<usize>, Vec<usize>) =
+        [1usize, 4, 8, 16].iter().partition(|&&b| b <= clients);
 
     let host_cores = guard::host_cores();
     if !guard::check_overwrite(&out_path, host_cores, force).proceed() {
@@ -268,6 +274,9 @@ fn main() {
     }
     println!("== Serving runtime: micro-batching vs one-request-per-infer ==");
     println!("host cores: {host_cores}, clients: {clients}, requests/client: {requests}, repeats: {repeats}");
+    for max_batch in &skipped {
+        println!("max_batch {max_batch:>3}: skipped, {clients} closed-loop clients cannot fill it");
+    }
 
     let mut rng = seeded_rng(0);
     let model = scaled_lenet5(&mut rng, 10);
@@ -403,6 +412,7 @@ fn main() {
     json.push_str(&format!("  \"repeats\": {repeats},\n"));
     json.push_str("  \"max_wait_us\": 500,\n");
     json.push_str("  \"bit_identical_to_serial\": true,\n");
+    json.push_str(&format!("  \"skipped_max_batch\": {skipped:?},\n"));
     json.push_str("  \"configs\": [\n");
     for (i, (row, wall)) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };

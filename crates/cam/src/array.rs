@@ -13,7 +13,6 @@
 //! The [`BitVec`] API is kept for construction and tests.
 
 use deepcam_hash::{low_mask, BitVec, PackedHashes};
-use deepcam_tensor::pool::{split_ranges, ThreadPool};
 use serde::{Deserialize, Serialize};
 
 use crate::config::CamConfig;
@@ -178,40 +177,11 @@ impl CamArray {
                 actual: key.len(),
             });
         }
-        Ok(self.search_rows(key, 0, self.config.rows))
+        Ok(self.search_rows(key))
     }
 
-    /// [`CamArray::search`] sharded over contiguous row ranges across
-    /// `shards` pool workers — the software analogue of splitting the
-    /// array into independently-sensed sub-arrays.
-    ///
-    /// Returns the same hits in the same (row) order as the unsharded
-    /// search for every shard count: each shard scans a disjoint row
-    /// range and the per-shard hit lists are concatenated in range order.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CamArray::search`].
-    pub fn search_sharded(&self, key: &BitVec, shards: usize) -> Result<Vec<SearchHit>> {
-        if key.len() != self.config.word_bits() {
-            return Err(CamError::WordLengthMismatch {
-                expected: self.config.word_bits(),
-                actual: key.len(),
-            });
-        }
-        if shards <= 1 || self.config.rows <= 1 {
-            return Ok(self.search_rows(key, 0, self.config.rows));
-        }
-        let ranges = split_ranges(self.config.rows, shards);
-        let per_shard: Vec<Vec<SearchHit>> = ThreadPool::global().run_indexed(ranges.len(), |si| {
-            let r = &ranges[si];
-            self.search_rows(key, r.start, r.end)
-        });
-        Ok(per_shard.concat())
-    }
-
-    /// Match-line evaluation for rows `lo..hi` (key width already
-    /// validated). Row order within the range is preserved.
+    /// Match-line evaluation for every row (key width already validated),
+    /// in row order.
     ///
     /// The occupancy bitmap drives an EIE-style zero-run skip: the scan
     /// walks one bitmap word (64 rows) at a time and an all-zero word is
@@ -221,24 +191,10 @@ impl CamArray {
     /// real array — and partially-occupied spans visit only the set bits
     /// through [`PackedHashes::hamming_row`], so stale slab rows are
     /// never read (empty rows keep their match lines silent).
-    fn search_rows(&self, key: &BitVec, lo: usize, hi: usize) -> Vec<SearchHit> {
-        let word_bits = self.config.word_bits();
+    fn search_rows(&self, key: &BitVec) -> Vec<SearchHit> {
+        let (rows, word_bits) = (self.config.rows, self.config.word_bits());
         let key_words = key.words();
-        if lo >= hi {
-            return Vec::new();
-        }
-        let words = lo / 64..hi.div_ceil(64);
-        let in_range = |wi: usize| {
-            let base = wi * 64;
-            let span_lo = lo.max(base) - base;
-            let span_hi = hi.min(base + 64) - base;
-            self.occupied[wi] & (low_mask(span_hi) & !low_mask(span_lo))
-        };
-        let occupied_in_range: usize = words
-            .clone()
-            .map(|wi| in_range(wi).count_ones() as usize)
-            .sum();
-        let mut hits = Vec::with_capacity(occupied_in_range);
+        let mut hits = Vec::with_capacity(self.occupied_rows());
         let push = |hits: &mut Vec<SearchHit>, row: usize, d: u32| {
             let hamming = d as usize;
             hits.push(SearchHit {
@@ -248,19 +204,18 @@ impl CamArray {
             });
         };
         let mut dists = [0u32; 64];
-        for wi in words {
+        for (wi, &occupied) in self.occupied.iter().enumerate() {
             let base = wi * 64;
-            let span_lo = lo.max(base) - base;
-            let span_hi = hi.min(base + 64) - base;
-            let span_mask = low_mask(span_hi) & !low_mask(span_lo);
-            let masked = self.occupied[wi] & span_mask;
+            let span_hi = rows.min(base + 64) - base;
+            let span_mask = low_mask(span_hi);
+            let masked = occupied & span_mask;
             if masked == 0 {
                 // Zero run: 64 rows skipped with one bitmap-word load.
                 continue;
             }
             if masked == span_mask {
                 // Dense span: one contiguous range pass over the slab.
-                let (rlo, rhi) = (base + span_lo, base + span_hi);
+                let (rlo, rhi) = (base, base + span_hi);
                 let span = &mut dists[..rhi - rlo];
                 self.packed.hamming_range_into(key_words, rlo, rhi, span);
                 for (off, &d) in span.iter().enumerate() {
@@ -341,33 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_search_matches_unsharded() {
-        let mut rng = seeded_rng(5);
-        let mut cam = CamArray::new(CamConfig::new(64, 256).unwrap());
-        // Sparse occupancy: hits must keep row indices, not shard-local
-        // offsets, and empty rows must stay silent in every shard.
-        for row in (0..64).step_by(3) {
-            cam.write_row(row, random_word(256, &mut rng)).unwrap();
-        }
-        let key = random_word(256, &mut rng);
-        let reference = cam.search(&key).unwrap();
-        for shards in [1usize, 2, 3, 7, 64, 200] {
-            let sharded = cam.search_sharded(&key, shards).unwrap();
-            assert_eq!(reference, sharded, "shards {shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_search_validates_key_width() {
-        let cam = CamArray::new(CamConfig::new(64, 512).unwrap());
-        assert!(cam.search_sharded(&BitVec::zeros(256), 4).is_err());
-    }
-
-    #[test]
     fn occupancy_skip_paths_agree_with_reference() {
         // 256 rows = 4 bitmap words, one per skip path: word 0 dense
         // (range-kernel pass), word 1 all-empty (zero-run skip), word 2
-        // sparse (per-set-bit visits), word 3 straddling a shard split.
+        // sparse (per-set-bit visits), word 3 sparse again.
         let mut rng = seeded_rng(9);
         let mut cam = CamArray::new(CamConfig::new(256, 256).unwrap());
         let mut stored: Vec<Option<BitVec>> = vec![None; 256];
@@ -394,11 +326,6 @@ mod tests {
         let hits = cam.search(&key).unwrap();
         let got: Vec<(usize, usize)> = hits.iter().map(|h| (h.row, h.hamming)).collect();
         assert_eq!(got, expected);
-        // Sharded ranges slice bitmap words mid-span; results must agree.
-        for shards in [2usize, 3, 5, 13] {
-            let sharded = cam.search_sharded(&key, shards).unwrap();
-            assert_eq!(sharded, hits, "shards {shards}");
-        }
     }
 
     #[test]

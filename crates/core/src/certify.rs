@@ -72,7 +72,7 @@
 //! `n = 576`.
 
 use deepcam_tensor::ops::project::{
-    project_patches_signs_into, PatchSource, ProjectScratch, Signs,
+    project_patches_signs_into, PatchSource, ProjPanels, ProjectScratch, Signs,
 };
 use deepcam_tensor::rng::{seeded_rng, standard_normal};
 
@@ -90,19 +90,22 @@ const HI: f32 = (1u64 << 40) as f32;
 /// The widest patch the bound covers (`n·u ≤ 1/16`).
 const MAX_WIDTH: usize = 1 << 20;
 
-/// Upward-rounded bounds `c_j ≥ ‖R[:, j]‖` on the column norms of `proj`
-/// (`[n, k]`, row-major): `+∞` where the norm lies outside `[2⁻⁴⁰, 2⁴⁰]`
-/// or is not finite.
-pub(crate) fn column_bounds(proj: &[f32], k: usize) -> Vec<f32> {
-    let mut squares = vec![0.0f64; k];
-    for row in proj.chunks_exact(k) {
-        for (s, &r) in squares.iter_mut().zip(row) {
-            *s += f64::from(r) * f64::from(r);
+/// Upward-rounded bounds `c_j ≥ ‖R[:, j]‖` on the column norms of
+/// `panels`: `+∞` where the norm lies outside `[2⁻⁴⁰, 2⁴⁰]` or is not
+/// finite.
+pub(crate) fn column_bounds(panels: &ProjPanels) -> Vec<f32> {
+    let k = panels.k();
+    let mut squares = vec![0.0f64; k.div_ceil(64) * 64];
+    for (p, sums) in squares.chunks_exact_mut(64).enumerate() {
+        for row in panels.panel(p).chunks_exact(64) {
+            for (s, &r) in sums.iter_mut().zip(row) {
+                *s += f64::from(r) * f64::from(r);
+            }
         }
     }
-    squares
-        .into_iter()
-        .map(|s| {
+    squares[..k]
+        .iter()
+        .map(|&s| {
             // Each square is exact in f64, and the sum and square root
             // err by under n·2⁻⁵³ ≤ 2⁻³³ relatively, so the 2⁻³⁰ margin
             // bounds the true norm; rounding up to f32 keeps it a bound.
@@ -159,7 +162,9 @@ impl CrossbarNoise {
 }
 
 /// Per-chunk buffers of the certified hash of one sub-block at a time,
-/// allocated once per chunk (the noise draws included), never per block.
+/// allocated once per chunk, never per block, and only for what the
+/// layer uses: the projection branch's own buffers, and noise draws only
+/// under noise.
 pub(crate) struct SignHasher {
     scratch: ProjectScratch,
     noise: Option<CrossbarNoise>,
@@ -171,11 +176,16 @@ pub(crate) struct SignHasher {
 }
 
 impl SignHasher {
-    /// Buffers for sub-blocks of up to `block` rows of width `n`, hashed
-    /// to `k` bits under `noise`.
-    pub(crate) fn new(block: usize, n: usize, k: usize, noise: Option<CrossbarNoise>) -> Self {
+    /// Buffers for sub-blocks of up to `block` rows of `src`, hashed to
+    /// `k` bits under `noise`.
+    pub(crate) fn new(
+        block: usize,
+        src: &PatchSource<'_>,
+        k: usize,
+        noise: Option<CrossbarNoise>,
+    ) -> Self {
         SignHasher {
-            scratch: ProjectScratch::new(block, n),
+            scratch: ProjectScratch::new(block, src),
             noise,
             norms: vec![0.0; block],
             z: vec![0.0; if noise.is_some() { block * k } else { 0 }],
@@ -183,7 +193,7 @@ impl SignHasher {
         }
     }
 
-    /// Hashes patch rows `g0..g0 + nq` of `src` through `proj` (`[n, k]`),
+    /// Hashes patch rows `g0..g0 + nq` of `src` through `panels` (`R`),
     /// with `bounds` its [`column_bounds`]. The fused tiles compare each
     /// finished tile against the bound ([`project_patches_signs_into`])
     /// and write sign word `w` of row `r` to `queries[w·nq + r]`,
@@ -204,7 +214,7 @@ impl SignHasher {
         src: &PatchSource<'_>,
         g0: usize,
         nq: usize,
-        proj: &[f32],
+        panels: &ProjPanels,
         bounds: &[f32],
         first_row: usize,
         queries: &mut [u64],
@@ -235,7 +245,7 @@ impl SignHasher {
             signs: queries,
             uncertain,
         };
-        project_patches_signs_into(src, g0, nq, proj, k, scratch, signs, norms);
+        project_patches_signs_into(src, g0, nq, panels, scratch, signs, norms);
         probe.lap(|d| &mut d.project);
         let mut recomputed = 0;
         let words = queries.chunks_exact_mut(nq).zip(uncertain.chunks_exact(nq));
@@ -246,7 +256,7 @@ impl SignHasher {
                     let b = left.trailing_zeros() as usize;
                     left &= left - 1;
                     let j = w * 64 + b;
-                    let mut v = scratch.exact_element(src, r, proj, k, j);
+                    let mut v = scratch.exact_element(src, r, panels, j);
                     if let Some((level, z)) = noise {
                         v += level * norms[r] * z[r * k + j];
                     }
@@ -264,9 +274,15 @@ impl SignHasher {
         &self.norms
     }
 
-    /// Whether the last block took the dense tile.
+    /// Whether the layer takes the dense tile.
     pub(crate) fn dense(&self) -> bool {
         self.scratch.dense()
+    }
+
+    /// Multiply-adds the last block ran per output column
+    /// ([`ProjectScratch::taps`]).
+    pub(crate) fn taps(&self) -> usize {
+        self.scratch.taps()
     }
 }
 
@@ -355,8 +371,9 @@ mod tests {
         noise: Option<CrossbarNoise>,
     ) -> (Vec<u64>, Vec<u32>, usize) {
         let (rows, wpr) = (src.len(), k.div_ceil(64));
-        let bounds = column_bounds(proj, k);
-        let mut hasher = SignHasher::new(BLOCK, src.width(), k, noise);
+        let panels = ProjPanels::pack(proj, src.width(), k);
+        let bounds = column_bounds(&panels);
+        let mut hasher = SignHasher::new(BLOCK, src, k, noise);
         let mut words = vec![!0u64; rows * wpr];
         let mut norms = Vec::with_capacity(rows);
         let mut queries = vec![0u64; BLOCK * wpr];
@@ -364,7 +381,7 @@ mod tests {
         for g0 in (0..rows).step_by(BLOCK) {
             let nq = BLOCK.min(rows - g0);
             let queries = &mut queries[..nq * wpr];
-            recomputed += hasher.hash(src, g0, nq, proj, &bounds, g0, queries, &mut ());
+            recomputed += hasher.hash(src, g0, nq, &panels, &bounds, g0, queries, &mut ());
             for r in 0..nq {
                 for w in 0..wpr {
                     words[(g0 + r) * wpr + w] = queries[w * nq + r];
@@ -506,7 +523,8 @@ mod tests {
         for c in 0..n {
             zero_col[c * k + j] = 0.0;
         }
-        assert_eq!(column_bounds(&zero_col, k)[j], f32::INFINITY);
+        let zero_panels = ProjPanels::pack(&zero_col, n, k);
+        assert_eq!(column_bounds(&zero_panels)[j], f32::INFINITY);
         let x = gaussian(&[40, n], 6);
         let x_sparse = sparsify(gaussian(&[40, n], 7), 20);
         for &v in detected() {
@@ -552,9 +570,10 @@ mod tests {
         let wpr = k / 64;
         for &v in detected() {
             force_variant(v).expect("detected variant");
-            let mut scratch = ProjectScratch::new(BLOCK, n);
+            let mut scratch = ProjectScratch::new(BLOCK, &src);
             let (mut y, mut norms) = (vec![0.0; rows * k], vec![0.0; rows]);
-            project_patches_approx_into(&src, 0, rows, r, k, &mut scratch, &mut y, &mut norms);
+            let panels = ProjPanels::pack(r, n, k);
+            project_patches_approx_into(&src, 0, rows, &panels, &mut scratch, &mut y, &mut norms);
             let what = format!("{} dense block with cancelling rows", v.name());
             let (words, _, fixed) = certified(&src, r, k, None);
             let (want, _) = oracle(&x, n, r, k, None);
@@ -568,6 +587,54 @@ mod tests {
                 }
             }
             assert!(fixed >= 2, "{what}: {fixed} lanes recomputed");
+        }
+        let _ = force_variant(initial);
+    }
+
+    #[test]
+    fn a_cancelling_border_window_of_a_padded_conv_is_fixed_up() {
+        let _pin = pin();
+        let initial = active();
+        // The padded twin of `cancelling_rows_in_a_dense_block_are_fixed_up`:
+        // image 0's top-left window (row 0) reads five padding zeros and
+        // input (0, 0), (0, 1), (1, 0), (1, 1) at columns 4, 5, 7 and 8.
+        // Columns 4 and 5 cancel exactly, as taps 0 and 1 do there, and
+        // 7 and 8 are zero.
+        let cfg = Conv2dConfig::new(1, 4, 3).with_padding(1);
+        let (n, k) = (cfg.patch_len(), 256);
+        let proj = gaussian(&[n, k], 5);
+        let r = proj.data();
+        let j = (0..k)
+            .find(|&j| {
+                let exact = f64::from(r[5 * k + j]) * f64::from(r[4 * k + j]);
+                f64::from(r[5 * k + j] * r[4 * k + j]) < exact
+            })
+            .expect("a product that rounds down");
+        let mut x = gaussian(&[2, 1, 9, 9], 8);
+        let img = x.data_mut();
+        (img[0], img[1], img[9], img[10]) = (r[5 * k + j], -r[4 * k + j], 0.0, 0.0);
+        let patches = im2col(&x, &cfg).unwrap();
+        let src = PatchSource::conv(&x, &cfg).unwrap();
+        assert!(src.dense(), "the layer takes the dense tile");
+        let panels = ProjPanels::pack(r, n, k);
+        let (rows, wpr) = (src.len(), k / 64);
+        for &v in detected() {
+            force_variant(v).expect("detected variant");
+            let mut scratch = ProjectScratch::new(BLOCK, &src);
+            let (mut y, mut norms) = (vec![0.0; BLOCK * k], vec![0.0; BLOCK]);
+            project_patches_approx_into(&src, 0, BLOCK, &panels, &mut scratch, &mut y, &mut norms);
+            let what = format!("{} padded border window", v.name());
+            let (words, _, fixed) = certified(&src, r, k, None);
+            let (want, _) = oracle(patches.data(), n, r, k, None);
+            assert_eq!(words.len(), rows * wpr);
+            assert_eq!(words, want, "sign words: {what}");
+            assert_eq!(want[j / 64] >> (j % 64) & 1, 1, "{what}");
+            if v == Variant::Avx512 {
+                assert!(y[j] < 0.0, "{what}: the fused sign did not flip");
+            } else {
+                assert_eq!(y[j].to_bits(), 0, "{what}: exact tile");
+            }
+            assert!(fixed >= 1, "{what}: {fixed} lanes recomputed");
         }
         let _ = force_variant(initial);
     }
@@ -620,7 +687,8 @@ mod tests {
                 let src = PatchSource::rows(x, n);
                 for k in [256, 512, 768, 1024, 96, 192] {
                     let proj = gaussian(&[n, k], 7 + k as u64);
-                    let bounds = column_bounds(proj.data(), k);
+                    let panels = ProjPanels::pack(proj.data(), n, k);
+                    let bounds = column_bounds(&panels);
                     for level in [0.0, 0.05] {
                         let what = format!("{} n {n} {density} k {k} noise {level}", v.name());
                         let noise = noise_at(level);
@@ -631,14 +699,13 @@ mod tests {
                                 noise.draw(r, z);
                             }
                         }
-                        let mut scratch = ProjectScratch::new(rows, n);
+                        let mut scratch = ProjectScratch::new(rows, &src);
                         let (mut y, mut norms) = (vec![0.0; rows * k], vec![0.0; rows]);
                         project_patches_approx_into(
                             &src,
                             0,
                             rows,
-                            proj.data(),
-                            k,
+                            &panels,
                             &mut scratch,
                             &mut y,
                             &mut norms,
@@ -674,8 +741,7 @@ mod tests {
                                 &src,
                                 0,
                                 rows,
-                                proj.data(),
-                                k,
+                                &panels,
                                 &mut scratch,
                                 epilogue,
                                 &mut sign_norms,
@@ -712,7 +778,7 @@ mod tests {
     fn column_bounds_bound_every_column_norm() {
         let (n, k) = (576, 64);
         let proj = gaussian(&[n, k], 9);
-        let bounds = column_bounds(proj.data(), k);
+        let bounds = column_bounds(&ProjPanels::pack(proj.data(), n, k));
         for (j, &c) in bounds.iter().enumerate() {
             let exact: f64 = (0..n)
                 .map(|i| f64::from(proj.data()[i * k + j]).powi(2))
@@ -723,8 +789,8 @@ mod tests {
                 "column {j} is loose"
             );
         }
-        let huge = vec![1e30f32; 2 * k];
-        assert!(column_bounds(&huge, k).iter().all(|c| c.is_infinite()));
+        let huge = ProjPanels::pack(&vec![1e30f32; 2 * k], 2, k);
+        assert!(column_bounds(&huge).iter().all(|c| c.is_infinite()));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! inference:
 //!
 //! 1. hash every im2col patch of the layer input with the layer's
-//!    projection (the on-chip crossbar; optional device noise) — read
-//!    straight from the NCHW input, skipping zero taps, without
-//!    materialising the im2col matrix,
+//!    projection (the on-chip crossbar; optional device noise) — both
+//!    read in place: the patches from the layer's zero-padded input,
+//!    skipping zero taps on sparse layers, without materialising the
+//!    im2col matrix, and the projection from 64-column panels packed
+//!    once per layer,
 //! 2. Hamming-compare a 64-patch block of hashes against all stored
 //!    kernel contexts in one tile — functionally what the CAM array does
 //!    in parallel, one search per patch,
@@ -26,7 +28,7 @@
 //! comparable to the float model's "BL" accuracy.
 //!
 //! The artifact stores only seeds, packed hashes and raw norms; the
-//! projection matrices, cosine LUTs and mode-quantized norms the inner
+//! projection panels, cosine LUTs and mode-quantized norms the inner
 //! loops read are *derived* here, deterministically, in
 //! `RuntimeTile`-building — the same derivation whether the artifact
 //! came from an in-memory compile or from disk.
@@ -38,7 +40,7 @@ use deepcam_models::Cnn;
 use deepcam_tensor::ops::conv::{im2col_sharded, Conv2dConfig};
 use deepcam_tensor::ops::norm::BN_EPS;
 use deepcam_tensor::ops::pool::{avg_pool2d, max_pool2d};
-use deepcam_tensor::ops::project::PatchSource;
+use deepcam_tensor::ops::project::{PatchSource, ProjPanels};
 use deepcam_tensor::pool::{split_ranges, Parallelism, ThreadPool};
 use deepcam_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
@@ -114,9 +116,14 @@ impl serde::bin::BinCodec for EngineConfig {
 /// engine-build time: everything the artifact deliberately does not
 /// store because it is a deterministic function of what it does store.
 pub(crate) struct RuntimeTile {
-    /// Layer projection `[n, k]` (the on-chip crossbar weights),
-    /// regenerated from the tile's seed.
-    pub(crate) proj: Tensor,
+    /// Layer projection `R` (`[n, k]`, the on-chip crossbar weights),
+    /// regenerated from the tile's seed and packed into the 64-column
+    /// panels the projection tiles read in place.
+    panels: ProjPanels,
+    /// `R` row-major, for the frozen [`reference`](`crate::reference`)
+    /// datapath alone: regenerated on its first use, so the fast path
+    /// never holds a second copy.
+    proj: std::sync::OnceLock<Tensor>,
     /// Upward-rounded bounds on the projection's column norms, the `c_j`
     /// of the sign certificate (see [`crate::certify`]).
     col_bounds: Vec<f32>,
@@ -147,8 +154,9 @@ impl RuntimeTile {
         cfg: &EngineConfig,
         luts: &mut std::collections::HashMap<usize, std::sync::Arc<Vec<f32>>>,
     ) -> Self {
-        let proj = ProjectionMatrix::generate(tile.n, tile.k, tile.seed).to_tensor();
-        let col_bounds = column_bounds(proj.data(), tile.k);
+        let matrix = ProjectionMatrix::generate(tile.n, tile.k, tile.seed);
+        let panels = ProjPanels::pack(matrix.as_slice(), tile.n, tile.k);
+        let col_bounds = column_bounds(&panels);
         let w_norms = tile
             .norms
             .iter()
@@ -174,12 +182,20 @@ impl RuntimeTile {
             })
             .clone();
         RuntimeTile {
-            proj,
+            panels,
+            proj: std::sync::OnceLock::new(),
             col_bounds,
             weights: std::sync::OnceLock::new(),
             w_norms,
             cos_lut,
         }
+    }
+
+    /// The layer's row-major projection, regenerated on first request
+    /// (thread-safe, as [`RuntimeTile::weights`]).
+    fn proj(&self, tile: &CompiledTile) -> &Tensor {
+        self.proj
+            .get_or_init(|| ProjectionMatrix::generate(tile.n, tile.k, tile.seed).to_tensor())
     }
 
     /// The layer's kernel contexts, rebuilt from the packed tile on
@@ -875,7 +891,7 @@ fn run_dot(
             crate::reference::dot_layer(
                 staged.as_ref().map_or(x.data(), Tensor::data),
                 tile,
-                &rt.proj,
+                rt.proj(tile),
                 rt.weights(tile),
                 walk.cfg,
                 bias,
@@ -1073,12 +1089,16 @@ fn plane_segments<'o>(
 /// `probe` (`()` when nothing records).
 ///
 /// One blocked kernel per 64-row sub-block, allocation-free inside the
-/// loop (the scratch is allocated once per chunk):
-/// 1. project the sub-block straight from the layer input with the
-///    implicit-im2col, zero-skipping kernel in its fused multiply-add
-///    form, which also yields the exact patch norms; each finished tile
-///    adds any crossbar noise (per global row) and packs its signs into
-///    word-major queries, certifying each sign against an error bound;
+/// loop (the scratch is allocated once per chunk, for the projection
+/// branch the layer takes):
+/// 1. project the sub-block with the implicit-im2col kernel in its
+///    fused multiply-add form, which reads both operands in place (the
+///    patch rows from the layer's zero-padded input through the
+///    source's offset table, `R` from the tile's 64-column panels),
+///    skips zero taps on a sparse layer and yields the exact patch
+///    norms; each finished tile adds any crossbar noise (per global row)
+///    and packs its signs into word-major queries, certifying each sign
+///    against an error bound;
 /// 2. recompute the uncertain lanes exactly ([`SignHasher`]; the signs
 ///    are those of the exact chain) and quantize the norms;
 /// 3. run one Hamming tile of those queries against all M packed kernel
@@ -1113,7 +1133,7 @@ fn dot_rows_range<P: Probe>(
     let first_image = rows.start / p;
     let block = SUB_ROWS.min(rows.len().max(1));
     // Per-worker scratch, allocated once per chunk (not per patch).
-    let mut hasher = SignHasher::new(block, ct.n, k, noise);
+    let mut hasher = SignHasher::new(block, src, k, noise);
     let mut a_norms = vec![0.0f32; block];
     let mut queries = vec![0u64; wpr * block];
     let mut dists = vec![0u32; m * block];
@@ -1124,8 +1144,8 @@ fn dot_rows_range<P: Probe>(
         // Each hash bit is the exact chain's sign, and each chain runs
         // in a fixed order over n, so block boundaries never change it.
         let queries = &mut queries[..wpr * nq];
-        let (proj, bounds) = (rt.proj.data(), &rt.col_bounds[..]);
-        let recomputed = hasher.hash(src, g0, nq, proj, bounds, row_offset + g0, queries, probe);
+        let (panels, bounds) = (&rt.panels, &rt.col_bounds[..]);
+        let recomputed = hasher.hash(src, g0, nq, panels, bounds, row_offset + g0, queries, probe);
         for (a_norm, &norm) in a_norms.iter_mut().zip(&hasher.norms()[..nq]) {
             *a_norm = match norm_mode {
                 NormMode::Minifloat8 => Minifloat8::quantize(norm),
@@ -1159,7 +1179,7 @@ fn dot_rows_range<P: Probe>(
             }
         }
         probe.lap(|d| &mut d.lut);
-        probe.block(hasher.dense(), recomputed);
+        probe.block(hasher.dense(), recomputed, hasher.taps() * k);
         g0 = g1;
     }
 }

@@ -73,7 +73,8 @@ pub struct DotRecord {
     pub rows: usize,
     /// Wall time of the whole dot step.
     pub wall: Duration,
-    /// Fused-tile projection, its gather and the patch norms, with the
+    /// Fused-tile projection (the rows' bases and, on the broadcast,
+    /// the tap gather) and the patch norms, with the
     /// noise draws and the tile epilogue that compares each finished tile
     /// against the sign certificate and packs the sign words.
     pub project: Duration,
@@ -90,6 +91,9 @@ pub struct DotRecord {
     pub dense_sub_blocks: usize,
     /// Hash lanes whose sign the bound did not prove, recomputed exactly.
     pub recomputed_lanes: usize,
+    /// Multiply-adds the projection tiles executed: `rows·n·k` for a
+    /// dense sub-block, `taps·k` for a broadcast one (its non-zero taps).
+    pub macs: usize,
 }
 
 impl DotRecord {
@@ -107,6 +111,7 @@ impl DotRecord {
         self.sub_blocks += part.sub_blocks;
         self.dense_sub_blocks += part.dense_sub_blocks;
         self.recomputed_lanes += part.recomputed_lanes;
+        self.macs += part.macs;
     }
 }
 
@@ -121,9 +126,9 @@ pub(crate) trait Probe {
     /// Ends a phase: the time since the previous boundary goes to the
     /// field `phase` picks.
     fn lap(&mut self, phase: fn(&mut DotRecord) -> &mut Duration);
-    /// Counts one sub-block: whether it took the dense tile, and the
-    /// lanes it recomputed.
-    fn block(&mut self, dense: bool, recomputed: usize);
+    /// Counts one sub-block: whether it took the dense tile, the lanes
+    /// it recomputed and the multiply-adds its projection ran.
+    fn block(&mut self, dense: bool, recomputed: usize, macs: usize);
 }
 
 /// Nothing records.
@@ -132,7 +137,7 @@ impl Probe for () {
     fn lap(&mut self, _: fn(&mut DotRecord) -> &mut Duration) {}
 
     #[inline(always)]
-    fn block(&mut self, _: bool, _: usize) {}
+    fn block(&mut self, _: bool, _: usize, _: usize) {}
 }
 
 /// Charges phases and counts to one worker's [`DotRecord`]; what runs
@@ -149,9 +154,10 @@ impl Probe for Timed<'_> {
         self.last = t;
     }
 
-    fn block(&mut self, dense: bool, recomputed: usize) {
+    fn block(&mut self, dense: bool, recomputed: usize, macs: usize) {
         self.rec.sub_blocks += 1;
         self.rec.dense_sub_blocks += usize::from(dense);
         self.rec.recomputed_lanes += recomputed;
+        self.rec.macs += macs;
     }
 }

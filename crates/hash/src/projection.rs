@@ -72,6 +72,11 @@ impl ProjectionMatrix {
         self.seed
     }
 
+    /// The whole matrix, row-major `[input_dim, hash_len]`.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
     /// Row `i` of the matrix (the hyperplane coefficients fed by input
     /// element `i`).
     ///

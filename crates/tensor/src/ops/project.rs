@@ -1,27 +1,43 @@
 //! Implicit-im2col, activation-sparse patch projection: `patch · R` for
-//! a block of patch rows, read straight from the NCHW activation.
+//! a block of patch rows, with both operands read where they lie.
 //!
 //! The DeepCAM engine hashes every im2col patch by projecting it through
 //! a dense, finite `[n, k]` matrix `R`. Materialising the `[N·P, n]`
-//! im2col matrix and running a dense GEMM over it multiplies every
-//! zero-padding tap and every post-ReLU zero.
-//! [`project_patches_approx_into`] instead gathers one block of patch
-//! rows at a time, walking only the in-bounds taps of each patch, and
-//! keeps each row's non-zero taps in ascending column order. Each tap is
-//! then broadcast across `k`: `acc[..] += x · R[col, ..]`, with `k` tiled
-//! so a row's accumulators stay in registers and the `R` tile they read
-//! stays in L1. The patch norms are accumulated in the same pass over
-//! the taps.
+//! im2col matrix and running a dense GEMM over it copies every patch and
+//! multiplies every zero-padding tap and every post-ReLU zero. Here
+//! neither operand is staged per block:
+//! - **`A`.** A [`PatchSource`] holds the layer input, zero-padded once
+//!   per layer (borrowed when the layer has no padding), and an `n`-entry
+//!   offset table: column `kk` of patch row `r` is
+//!   `padded[base_r + off[kk]]`. Linear layers use the same form, with
+//!   `base_r = r·n` and the identity table.
+//! - **`B`.** [`ProjPanels`] packs `R` once per layer into 64-column
+//!   panels laid out `[k/64][n][64]`, so every tile walks contiguous
+//!   64-float rows. A 64-column slice of row-major `R` at `k = 256` has a
+//!   1 KB stride, which maps it onto 16 of L1's 64 sets.
+//!
+//! Each layer takes one of two branches, chosen once from the im2col
+//! matrix's non-zero count ([`PatchSource::dense`]). A nearly dense
+//! layer (the first layer's raw image, density ≈ 0.96) runs a register
+//! tile over the block's rows, read in place: 4 rows × 64 columns in
+//! sixteen `zmm` accumulators on `Avx512`, 2 × 64 in the portable code. A
+//! sparse layer gathers each row's non-zero taps in ascending column
+//! order, then broadcasts each tap across `k`:
+//! `acc[..] += x · R[col, ..]`, 128 columns at a time, from the two
+//! panels' rows of its column. The broadcast walks `NC` columns at a
+//! time so the 32 KB of panel rows it reads stay in L1; the patch norms
+//! are accumulated in the same pass over the taps.
 //!
 //! # Exact and fused chains
 //!
 //! Every output element is one serial chain over ascending patch
 //! columns, starting from `+0.0` — the chain [`matmul_dense_into`] and
-//! [`crate::tensor::matmul_into`] evaluate — minus the terms whose patch
-//! entry is `±0.0`. With `R` finite those terms are `±0.0`, and adding
-//! `±0.0` to an accumulator that started at `+0.0` never changes a bit
-//! (exact cancellation rounds to `+0.0`, and `+0.0 + ±0.0 = +0.0`).
-//! Subnormal and non-finite entries are not zero: they are kept as taps.
+//! [`crate::tensor::matmul_into`] evaluate — minus, on the broadcast,
+//! the terms whose patch entry is `±0.0`. With `R` finite those terms
+//! are `±0.0`, and adding `±0.0` to an accumulator that started at
+//! `+0.0` never changes a bit (exact cancellation rounds to `+0.0`, and
+//! `+0.0 + ±0.0 = +0.0`). Subnormal and non-finite entries are not zero:
+//! they are kept as taps.
 //!
 //! The portable kernels, which every variant but `Avx512` runs, round
 //! each term's multiply, then its add, so their result equals im2col +
@@ -31,26 +47,15 @@
 //! serial chain over at most `n` terms, so it lies within
 //! `γ_n·Σ|x_i·r_i|` of the true dot product, as the exact value does.
 //! [`ProjectScratch::exact_element`] recomputes any output with the
-//! exact chain, from the taps the block's gather left in the scratch.
+//! exact chain, from the row the last block read.
 //!
 //! The norm is exact in every form. `patch.iter().map(|v| v * v).sum()`
 //! folds from `-0.0` on current toolchains, but its first `+ v²` (always
 //! `≥ +0.0` or NaN) already lands on `+0.0` or above, so starting from
-//! `+0.0` and adding only the non-zero squares reproduces it for any
-//! non-empty patch. An all-zero patch therefore gets norm `+0.0`, never
-//! the `-0.0` an empty `sum` would give.
-//!
-//! A nearly dense block (the first layer's raw image, density ≈ 0.96)
-//! runs through a register tile over the block's implicit patch rows
-//! instead: four rows × 64 columns, filled by two 4×32 passes (the chain
-//! of [`matmul_dense_into`]), or on `Avx512` held in sixteen `zmm`
-//! accumulators. The choice is made per block from the non-zero count
-//! its gather just counted; both branches give identical bits. The
-//! gather itself takes the form (compacted taps or dense rows) the
-//! previous block's choice predicts, and converts when the count
-//! disagrees. On `Avx512` the broadcast keeps a row's 128 accumulators in
-//! eight `zmm` registers ([`crate::simd`]'s x86 kernels); the portable
-//! code is vectorized by LLVM, at 256 bits on AVX-512 hosts too.
+//! `+0.0` and adding the squares in order (only the non-zero ones, or
+//! all of them) reproduces it for any non-empty patch. An all-zero patch
+//! therefore gets norm `+0.0`, never the `-0.0` an empty `sum` would
+//! give.
 //!
 //! # Epilogues
 //!
@@ -63,6 +68,8 @@
 //! DeepCAM hash, which needs only the sign bits, never stores or re-reads
 //! the float block. The AVX-512 tiles compare in registers, the portable
 //! ones from a stack tile.
+
+use std::borrow::Cow;
 
 use crate::error::TensorError;
 use crate::ops::conv::Conv2dConfig;
@@ -78,15 +85,17 @@ use crate::tensor::matmul_dense_into;
 /// accumulators fill sixteen 256-bit or eight 512-bit registers.
 pub(crate) const KT: usize = 128;
 
-/// Patch columns per packed `R` tile: `NC × KT` floats (32 KB) stay in
-/// L1 while every row of the block reads them.
+/// Patch columns per tile of the tap broadcast: the `NC × KT` floats
+/// (32 KB) of panel rows it reads stay in L1 while every row of the
+/// block reads them.
 const NC: usize = 64;
 
-/// A block at or above this share of non-zero taps (in 1/1024ths) takes
-/// the dense register-tiled kernel instead of the tap broadcast. The
-/// broadcast reads `R` once per tap where the dense tile shares each `R`
-/// load across four rows, so it only wins on clearly sparse blocks
-/// (measured crossover on VGG11: 600–760 perform alike, 870 is slower).
+/// A layer at or above this share of non-zero im2col entries (in
+/// 1/1024ths) takes the dense register-tiled kernel instead of the tap
+/// broadcast. The broadcast reads `R` once per tap where the dense tile
+/// shares each `R` load across four rows, so it only wins on clearly
+/// sparse layers (measured crossover on VGG11: 600–760 perform alike,
+/// 870 is slower).
 ///
 /// Re-measured after the 512-bit tiles, with the threshold the only
 /// difference: perfbench `offline-vgg11`, 10 s alternating pairs on a
@@ -119,47 +128,148 @@ const NC: usize = 64;
 ///
 /// At the benchmark's 20 s run length 340 wins 6/10 pairs, inside the
 /// band, and it costs the portable kernels 11%, so 680 stays.
+///
+/// Re-measured once the dense tile read its rows in place (no gather)
+/// and `R` from panels, with the choice made per layer:
+///
+/// | variant | change | run | pairs | new faster in | median ms/image | old's IQR |
+/// |---|---|---|---|---|---|---|
+/// | `avx512` | 680 → 340 | 10 s | 6 | 6 | 0.545 → 0.522 (−4.1%) | 0.049 |
+/// | `scalar` | 680 → 340 | 10 s | 4 | 0 | 1.252 → 1.364 (+9.0%) | 0.034 |
+///
+/// The `avx512` gain stays inside the band (the fix-up of a dense layer
+/// walks every column, zeros included, so its certify time grows), and
+/// the portable kernels lose 9%: 680 stays.
 const DENSE_PER_1024: usize = 680;
 
-/// Where projected patch rows come from.
-#[derive(Debug, Clone, Copy)]
-pub enum PatchSource<'a> {
-    /// Materialised row-major `[rows, n]` vectors (linear layers, or an
-    /// explicit im2col matrix).
-    Rows {
-        /// The rows, `rows · n` values.
-        data: &'a [f32],
-        /// Row width.
-        n: usize,
-    },
-    /// The implicit im2col of an NCHW input: row `ni·OH·OW + oh·OW + ow`,
-    /// column `ci·KH·KW + kh·KW + kw`, exactly as [`crate::ops::im2col`]
-    /// lays them out.
-    Conv {
-        /// The NCHW input values.
-        input: &'a [f32],
-        /// Convolution geometry.
-        cfg: Conv2dConfig,
-        /// Input height.
-        h: usize,
-        /// Input width.
-        w: usize,
-        /// Output height.
-        oh: usize,
-        /// Output width.
-        ow: usize,
-        /// Images in the input.
-        images: usize,
-    },
+/// Floats per 64-byte cache line.
+const LINE: usize = 16;
+
+/// The first index of `v` that starts a 64-byte line (at most `LINE`).
+fn line_start(v: &[f32]) -> usize {
+    v.as_ptr().align_offset(64).min(LINE)
+}
+
+/// `v` less its last `LINE` floats, starting on a cache line: the 512-bit
+/// tiles load and store the partial sums in whole lines, never split
+/// across two (the zeroed buffer is allocated with `LINE` floats of slack
+/// and left untouched until used).
+fn lines(v: &mut [f32]) -> &mut [f32] {
+    let (off, len) = (line_start(v), v.len() - LINE);
+    &mut v[off..off + len]
+}
+
+/// A projection `R` (`[n, k]`) packed into 64-column panels for the
+/// projection tiles, laid out `[k/64][n][64]`: panel `p` holds output
+/// columns `64p..64p + 64` of every row, each row's 64 floats one
+/// contiguous run. The panels start on a 64-byte line, and the last is
+/// zero-padded when `k % 64 ≠ 0`.
+///
+/// ```
+/// use deepcam_tensor::ops::project::ProjPanels;
+///
+/// // R = [[0, 1, .., 69], [70, .., 139]]: n = 2, k = 70.
+/// let r: Vec<f32> = (0..140).map(|v| v as f32).collect();
+/// let panels = ProjPanels::pack(&r, 2, 70);
+/// assert_eq!(panels.get(1, 65), 135.0);
+/// // Panel 1 holds columns 64..128: six real ones, then zeros.
+/// assert_eq!(&panels.panel(1)[64..71], &[134.0, 135.0, 136.0, 137.0, 138.0, 139.0, 0.0]);
+/// ```
+#[derive(Debug)]
+pub struct ProjPanels {
+    n: usize,
+    k: usize,
+    /// The panels, plus `LINE` floats of slack so they can start on a
+    /// line. The buffer never moves, so its start is found again on
+    /// every read.
+    buf: Vec<f32>,
+}
+
+impl ProjPanels {
+    /// Packs the row-major `[n, k]` matrix `proj`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `proj` is not `n·k` long.
+    pub fn pack(proj: &[f32], n: usize, k: usize) -> Self {
+        assert_eq!(proj.len(), n * k, "projection must be n*k");
+        let len = k.div_ceil(64) * n * 64;
+        let mut buf = vec![0.0; len + LINE];
+        let at = line_start(&buf);
+        let dst = &mut buf[at..at + len];
+        for (row, src) in proj.chunks_exact(k.max(1)).enumerate() {
+            for (p, cols) in src.chunks(64).enumerate() {
+                dst[(p * n + row) * 64..][..cols.len()].copy_from_slice(cols);
+            }
+        }
+        ProjPanels { n, k, buf }
+    }
+
+    /// Rows `n` of `R`.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Columns `k` of `R`.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Panel `p`: `n` rows of 64 floats, columns `64p..64p + 64`.
+    pub fn panel(&self, p: usize) -> &[f32] {
+        let at = line_start(&self.buf);
+        &self.buf[at..at + self.buf.len() - LINE][p * self.n * 64..(p + 1) * self.n * 64]
+    }
+
+    /// `R[row, col]`.
+    pub fn get(&self, row: usize, col: usize) -> f32 {
+        assert!(col < self.k, "column outside R");
+        self.panel(col / 64)[row * 64 + col % 64]
+    }
+}
+
+/// Where projected patch rows come from: the values every row reads (the
+/// layer input, or its zero-padded copy) and where each row's columns lie
+/// in them. Column `kk` of row `r` is `data[base_r + off[kk]]`.
+#[derive(Debug, Clone)]
+pub struct PatchSource<'a> {
+    data: Cow<'a, [f32]>,
+    /// One offset per patch column, ascending.
+    off: Vec<usize>,
+    /// Rows are `images × oh × ow`; row `(ni, y, x)` starts at
+    /// `ni·image + y·step_h + x·step_w`.
+    images: usize,
+    oh: usize,
+    ow: usize,
+    image: usize,
+    step_h: usize,
+    step_w: usize,
+    /// Non-zero entries of the (implicit) im2col matrix.
+    nonzero: usize,
 }
 
 impl<'a> PatchSource<'a> {
-    /// Row-major `[data.len() / n, n]` rows.
+    /// Row-major `[data.len() / n, n]` rows (linear layers, or an explicit
+    /// im2col matrix), read in place.
     pub fn rows(data: &'a [f32], n: usize) -> Self {
-        PatchSource::Rows { data, n }
+        let images = data.len() / n.max(1);
+        PatchSource {
+            nonzero: count_nonzero(&data[..images * n]),
+            data: Cow::Borrowed(data),
+            off: (0..n).collect(),
+            images,
+            oh: 1,
+            ow: 1,
+            image: n,
+            step_h: 0,
+            step_w: 0,
+        }
     }
 
-    /// The implicit im2col of `input` under `cfg`.
+    /// The implicit im2col of `input` under `cfg`: row
+    /// `ni·OH·OW + oh·OW + ow`, column `ci·KH·KW + kh·KW + kw`, exactly as
+    /// [`crate::ops::im2col`] lays them out. With padding the input is
+    /// copied once, zero-padded; without, it is read in place.
     ///
     /// # Errors
     ///
@@ -180,33 +290,64 @@ impl<'a> PatchSource<'a> {
                 op: "implicit im2col (channels)",
             });
         }
-        if h + 2 * cfg.padding < cfg.kernel_h || w + 2 * cfg.padding < cfg.kernel_w {
+        let (pad, stride) = (cfg.padding, cfg.stride);
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        if hp < cfg.kernel_h || wp < cfg.kernel_w {
             return Err(TensorError::InvalidConfig(format!(
-                "kernel {}x{} does not fit padded input {}x{}",
-                cfg.kernel_h,
-                cfg.kernel_w,
-                h + 2 * cfg.padding,
-                w + 2 * cfg.padding
+                "kernel {}x{} does not fit padded input {hp}x{wp}",
+                cfg.kernel_h, cfg.kernel_w
             )));
         }
         let (oh, ow) = cfg.output_hw(h, w);
-        Ok(PatchSource::Conv {
-            input: input.data(),
-            cfg: *cfg,
-            h,
-            w,
+        // Each input value lies in `cover_h[ih]·cover_w[iw]` patches.
+        let cover_h = cover(h, oh, cfg.kernel_h, stride, pad);
+        let cover_w = cover(w, ow, cfg.kernel_w, stride, pad);
+        let mut nonzero = 0;
+        for (i, line) in input.data().chunks_exact(w.max(1)).enumerate() {
+            let in_line: usize = line
+                .iter()
+                .zip(&cover_w)
+                .map(|(&x, &cw)| usize::from(x != 0.0) * cw)
+                .sum();
+            nonzero += in_line * cover_h[i % h];
+        }
+        let data = if pad == 0 {
+            Cow::Borrowed(input.data())
+        } else {
+            let mut padded = vec![0.0; images * c * hp * wp];
+            let planes = input.data().chunks_exact((h * w).max(1));
+            for (plane, dst) in planes.zip(padded.chunks_exact_mut(hp * wp)) {
+                for (line, dst) in plane
+                    .chunks_exact(w)
+                    .zip(dst[pad * wp..].chunks_exact_mut(wp))
+                {
+                    dst[pad..pad + w].copy_from_slice(line);
+                }
+            }
+            Cow::Owned(padded)
+        };
+        let mut off = Vec::with_capacity(cfg.patch_len());
+        for ci in 0..c {
+            for kh in 0..cfg.kernel_h {
+                off.extend((0..cfg.kernel_w).map(|kw| (ci * hp + kh) * wp + kw));
+            }
+        }
+        Ok(PatchSource {
+            data,
+            off,
+            images,
             oh,
             ow,
-            images,
+            image: c * hp * wp,
+            step_h: stride * wp,
+            step_w: stride,
+            nonzero,
         })
     }
 
     /// Number of patch rows.
     pub fn len(&self) -> usize {
-        match *self {
-            PatchSource::Rows { data, n } => data.len() / n.max(1),
-            PatchSource::Conv { oh, ow, images, .. } => images * oh * ow,
-        }
+        self.images * self.oh * self.ow
     }
 
     /// Whether there are no patch rows.
@@ -216,10 +357,79 @@ impl<'a> PatchSource<'a> {
 
     /// Patch width `n`.
     pub fn width(&self) -> usize {
-        match *self {
-            PatchSource::Rows { n, .. } => n,
-            PatchSource::Conv { cfg, .. } => cfg.patch_len(),
+        self.off.len()
+    }
+
+    /// Non-zero entries of the im2col matrix: each non-zero input value
+    /// counted once per patch it lies in.
+    pub fn nonzero(&self) -> usize {
+        self.nonzero
+    }
+
+    /// Whether the projection takes the dense tile: at least
+    /// `DENSE_PER_1024`/1024 of the im2col entries are non-zero.
+    pub fn dense(&self) -> bool {
+        self.nonzero * 1024 >= self.len() * self.width() * DENSE_PER_1024
+    }
+
+    /// Where rows `g0..g0 + bases.len()` start in the data: one division
+    /// for the first row, then a walk along the output rows.
+    fn bases_into(&self, g0: usize, bases: &mut [usize]) {
+        let per = self.oh * self.ow;
+        let (mut y, mut x) = (g0 % per / self.ow, g0 % self.ow);
+        let mut line = g0 / per * self.image + y * self.step_h;
+        for base in bases {
+            *base = line + x * self.step_w;
+            x += 1;
+            if x == self.ow {
+                (x, y) = (0, y + 1);
+                line += self.step_h;
+                if y == self.oh {
+                    y = 0;
+                    line = line - self.oh * self.step_h + self.image;
+                }
+            }
         }
+    }
+}
+
+/// `cover[i]`: the windows along one axis (`out` of them, `kernel` wide,
+/// `stride` apart, from `-pad`) that contain input index `i < extent`.
+fn cover(extent: usize, out: usize, kernel: usize, stride: usize, pad: usize) -> Vec<usize> {
+    let mut cover = vec![0; extent];
+    for o in 0..out {
+        for kk in 0..kernel {
+            let at = (o * stride + kk).checked_sub(pad);
+            if let Some(c) = at.and_then(|i| cover.get_mut(i)) {
+                *c += 1;
+            }
+        }
+    }
+    cover
+}
+
+/// Non-zero entries of `block`.
+fn count_nonzero(block: &[f32]) -> usize {
+    block.iter().map(|&x| usize::from(x != 0.0)).sum()
+}
+
+/// A block's patch rows, read in place: column `kk` of row `r` is
+/// `data[bases[r] + off[kk]]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DenseBlock<'b> {
+    pub(crate) data: &'b [f32],
+    pub(crate) off: &'b [usize],
+    pub(crate) bases: &'b [usize],
+}
+
+impl<'b> DenseBlock<'b> {
+    /// Row `r`'s window: from its base through its last column. Every
+    /// row's window is as long as the others', so one bounds check on an
+    /// offset covers a tile's rows.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &'b [f32] {
+        let span = self.off.last().map_or(0, |&o| o + 1);
+        &self.data[self.bases[r]..][..span]
     }
 }
 
@@ -274,6 +484,11 @@ pub(crate) struct SignTile<'e> {
     pub(crate) cert: Signs<'e>,
     pub(crate) n: usize,
     pub(crate) rows: usize,
+    /// The noise level, `0.0` without noise. A plain field, not read
+    /// through `cert.noise`: the amplitude multiply is speculated either
+    /// way, and the uninitialised level of a `None` can be a subnormal
+    /// whose microcode assist costs about 100 cycles a row.
+    pub(crate) level: f32,
     pub(crate) factors: &'e mut [(f32, f32)],
 }
 
@@ -283,8 +498,7 @@ impl Epilogue<'_> {
     #[inline]
     pub(crate) fn set_norm(&mut self, r: usize, norm: f32) {
         if let Epilogue::Signs(st) = self {
-            let amp = st.cert.noise.map_or(0.0, |(level, _)| level * norm);
-            st.factors[r] = ((st.cert.row_scale)(st.n, norm), amp);
+            st.factors[r] = ((st.cert.row_scale)(st.n, norm), st.level * norm);
         }
     }
 
@@ -354,145 +568,145 @@ pub(crate) struct RowTile {
     pub(crate) last: bool,
 }
 
+impl RowTile {
+    /// Columns of 64-wide half `h` the tile finishes.
+    pub(crate) fn half_width(&self, h: usize) -> usize {
+        64.min(self.width - 64 * h)
+    }
+}
+
 /// Reusable per-worker buffers of the projection, sized for blocks of up
-/// to `max_rows` rows of width `n` (allocated once, not per block).
+/// to `max_rows` rows of one source and allocated once, for the branch
+/// that source takes: a dense layer needs only the row bases and the
+/// bound factors, a broadcast layer the tap lists, cursors and partial
+/// sums too.
 #[derive(Debug, Clone)]
 pub struct ProjectScratch {
     max_rows: usize,
     n: usize,
+    dense: bool,
+    /// Rows of the last block.
+    rows: usize,
+    /// Where each row of the last block starts in the source's data.
+    bases: Vec<usize>,
+    /// Per-row bound factor and noise amplitude of a [`Signs`] block.
+    factors: Vec<(f32, f32)>,
     /// Row `r`'s non-zero taps, ascending column, at `r·n..r·n + lens[r]`.
     tap_col: Vec<u32>,
     tap_x: Vec<f32>,
     lens: Vec<usize>,
-    /// Dense block rows for the dense branch.
-    patch: Vec<f32>,
-    /// Packed `NC × KT` tile of `R`.
-    strip: Vec<f32>,
     /// Per-row read position in the tap lists across column tiles.
     cursor: Vec<usize>,
     /// Per-row `KT`-wide partial sums between column tiles (`n > NC`).
     partial: Vec<f32>,
-    /// Per-row bound factor and noise amplitude of a [`Signs`] block.
-    factors: Vec<(f32, f32)>,
-    /// Whether the last block took the dense branch (picks the next
-    /// block's gather form).
-    dense: bool,
-    /// First source row and row count of the last block.
-    start: usize,
-    rows: usize,
 }
 
 impl ProjectScratch {
-    /// Buffers for blocks of up to `max_rows` rows of width `n`.
-    pub fn new(max_rows: usize, n: usize) -> Self {
+    /// Buffers for blocks of up to `max_rows` rows of `src`.
+    pub fn new(max_rows: usize, src: &PatchSource<'_>) -> Self {
+        let (n, dense) = (src.width(), src.dense());
+        let taps = if dense { 0 } else { max_rows * n };
+        let per_row = if dense { 0 } else { max_rows };
         ProjectScratch {
             max_rows,
             n,
-            tap_col: vec![0; max_rows * n],
-            tap_x: vec![0.0; max_rows * n],
-            lens: vec![0; max_rows],
-            patch: vec![0.0; max_rows * n],
-            strip: vec![0.0; NC * KT + LINE],
-            cursor: vec![0; max_rows],
-            partial: vec![0.0; max_rows * KT + LINE],
-            factors: vec![(0.0, 0.0); max_rows],
-            dense: false,
-            start: 0,
+            dense,
             rows: 0,
+            bases: vec![0; max_rows],
+            factors: vec![(0.0, 0.0); max_rows],
+            tap_col: vec![0; taps],
+            tap_x: vec![0.0; taps],
+            lens: vec![0; per_row],
+            cursor: vec![0; per_row],
+            partial: vec![0.0; if dense { 0 } else { max_rows * KT + LINE }],
         }
     }
 
     /// Output `j` of row `r` of the block last projected from `src`
-    /// (`proj` is that call's `[n, k]` matrix), recomputed with the exact
-    /// serial multiply-then-add chain over the row's taps: the bits of
-    /// im2col + [`matmul_dense_into`], whichever form projected the
-    /// block.
+    /// through `panels`, recomputed with the exact serial
+    /// multiply-then-add chain over the row's columns: the bits of im2col
+    /// + [`matmul_dense_into`], whichever branch projected the block.
     ///
     /// # Panics
     ///
-    /// Panics when `r` or `j` lies outside the last block, or `proj` is
-    /// not `n·k`.
+    /// Panics when `r` or `j` lies outside the last block, or `panels`
+    /// does not match the source's width.
     // analyze: alloc-free
     pub fn exact_element(
         &self,
         src: &PatchSource<'_>,
         r: usize,
-        proj: &[f32],
-        k: usize,
+        panels: &ProjPanels,
         j: usize,
     ) -> f32 {
-        let n = self.n;
-        assert!(r < self.rows && j < k, "element outside the last block");
-        assert_eq!(proj.len(), n * k, "projection must be n*k");
+        assert!(
+            r < self.rows && j < panels.k(),
+            "element outside the last block"
+        );
+        assert_eq!(panels.n(), src.width(), "projection must have n rows");
+        let column = &panels.panel(j / 64)[j % 64..];
         let mut acc = 0.0f32;
         if self.dense {
-            // Zero taps included: the chain of `matmul_dense_into`.
-            let row = self.dense_row(src, r);
-            for (&x, &v) in row.iter().zip(proj[j..].iter().step_by(k)) {
-                acc += x * v;
+            // Zero terms included: the chain of `matmul_dense_into`.
+            let row = &src.data[self.bases[r]..];
+            for (&o, &v) in src.off.iter().zip(column.iter().step_by(64)) {
+                acc += row[o] * v;
             }
         } else {
-            let (cols, xs) = self.taps(r);
-            for (&col, &x) in cols.iter().zip(xs) {
-                acc += x * proj[col as usize * k + j];
+            let (lo, hi) = (r * self.n, r * self.n + self.lens[r]);
+            for (&col, &x) in self.tap_col[lo..hi].iter().zip(&self.tap_x[lo..hi]) {
+                acc += x * column[col as usize * 64];
             }
         }
         acc
     }
 
-    /// Whether the last block took the dense branch.
+    /// Whether this scratch's source takes the dense tile.
     pub fn dense(&self) -> bool {
         self.dense
     }
 
-    /// Row `r` of the last block as the dense branch read it.
-    fn dense_row<'s>(&'s self, src: &PatchSource<'s>, r: usize) -> &'s [f32] {
-        let n = self.n;
-        match *src {
-            PatchSource::Rows { data, .. } => &data[(self.start + r) * n..][..n],
-            PatchSource::Conv { .. } => &self.patch[r * n..(r + 1) * n],
+    /// Multiply-adds the last block ran per output column: `rows · n` on
+    /// the dense tile, the block's non-zero taps on the broadcast.
+    pub fn taps(&self) -> usize {
+        if self.dense {
+            self.rows * self.n
+        } else {
+            self.lens[..self.rows].iter().sum()
         }
-    }
-
-    /// Row `r`'s non-zero taps of the last block: columns and values.
-    fn taps(&self, r: usize) -> (&[u32], &[f32]) {
-        let (lo, hi) = (r * self.n, r * self.n + self.lens[r]);
-        (&self.tap_col[lo..hi], &self.tap_x[lo..hi])
     }
 }
 
 /// Projects patch rows `row_start..row_start + rows` of `src` through
-/// `proj` (`[n, k]`, row-major, every element finite) into
-/// `out[..rows * k]`, and writes each row's L2 norm into `norms[..rows]`.
+/// `panels` (`R`, every element finite) into `out[..rows * k]`, and
+/// writes each row's L2 norm into `norms[..rows]`.
 ///
 /// The norms are bit-identical to materialising the rows (im2col for a
 /// conv source) and taking `patch.iter().map(|v| v * v).sum::<f32>()
 /// .sqrt()` per row. Each projected value is one serial chain over the
-/// row's taps, fused on `Avx512` (but for a dense block's `k % 64`
-/// tail) and exact elsewhere, so it lies within
-/// `γ_n·Σ|x_i·r_i|` of the true dot product, as the value of im2col +
-/// [`matmul_dense_into`] does (see the [module docs](self)).
+/// row's columns, fused on `Avx512` and exact elsewhere, so it lies
+/// within `γ_n·Σ|x_i·r_i|` of the true dot product, as the value of
+/// im2col + [`matmul_dense_into`] does (see the [module docs](self)).
 /// [`ProjectScratch::exact_element`] gives any output's exact bits.
 ///
 /// # Panics
 ///
 /// Panics when the block exceeds the scratch's capacity or `src`'s rows,
-/// or a buffer length disagrees with `rows`, `n` or `k`.
+/// the scratch was built for another source's width or branch, or a
+/// buffer length disagrees with `rows`, `n` or `k`.
 // analyze: alloc-free
-#[allow(clippy::too_many_arguments)]
 pub fn project_patches_approx_into(
     src: &PatchSource<'_>,
     row_start: usize,
     rows: usize,
-    proj: &[f32],
-    k: usize,
+    panels: &ProjPanels,
     scratch: &mut ProjectScratch,
     out: &mut [f32],
     norms: &mut [f32],
 ) {
-    let out = &mut out[..rows * k];
+    let out = &mut out[..rows * panels.k()];
     let target = Target::Floats(out);
-    project_block(src, row_start, rows, proj, k, scratch, target, norms);
+    project_block(src, row_start, rows, panels, scratch, target, norms);
 }
 
 /// [`project_patches_approx_into`]'s projection, with each finished tile
@@ -508,17 +722,16 @@ pub fn project_patches_approx_into(
 /// As [`project_patches_approx_into`], and when a buffer of `signs`
 /// disagrees with `rows` or `k`.
 // analyze: alloc-free
-#[allow(clippy::too_many_arguments)]
 pub fn project_patches_signs_into(
     src: &PatchSource<'_>,
     row_start: usize,
     rows: usize,
-    proj: &[f32],
-    k: usize,
+    panels: &ProjPanels,
     scratch: &mut ProjectScratch,
     signs: Signs<'_>,
     norms: &mut [f32],
 ) {
+    let k = panels.k();
     let words = k.div_ceil(64) * rows;
     assert_eq!(signs.bounds.len(), k, "one bound per output column");
     assert_eq!(signs.signs.len(), words, "word-major sign block");
@@ -527,334 +740,78 @@ pub fn project_patches_signs_into(
         assert_eq!(z.len(), rows * k, "one draw per output");
     }
     let target = Target::Signs(signs);
-    project_block(src, row_start, rows, proj, k, scratch, target, norms);
+    project_block(src, row_start, rows, panels, scratch, target, norms);
 }
 
 /// The one body of both projection entries.
-#[allow(clippy::too_many_arguments)]
 fn project_block(
     src: &PatchSource<'_>,
     row_start: usize,
     rows: usize,
-    proj: &[f32],
-    k: usize,
+    panels: &ProjPanels,
     scratch: &mut ProjectScratch,
     target: Target<'_>,
     norms: &mut [f32],
 ) {
-    let n = src.width();
+    let (n, k) = (src.width(), panels.k());
+    assert_eq!(panels.n(), n, "projection must have n rows");
     assert_eq!(scratch.n, n, "scratch width must match the patch width");
+    assert_eq!(
+        scratch.dense,
+        src.dense(),
+        "scratch sized for the other branch"
+    );
     assert!(rows <= scratch.max_rows, "block exceeds scratch capacity");
     assert!(
         row_start + rows <= src.len(),
         "block exceeds the source rows"
     );
-    assert_eq!(proj.len(), n * k, "projection must be n*k");
     let norms = &mut norms[..rows];
     let s = scratch;
-    (s.start, s.rows) = (row_start, rows);
-    let wide = crate::simd::avx512();
-    let (lo, hi) = (row_start * n, (row_start + rows) * n);
-    // Materialised rows are already dense; a conv block is gathered in
-    // the form the previous block's choice predicts.
-    let (nnz, compacted) = match *src {
-        PatchSource::Rows { data, .. } => (count_nonzero(&data[lo..hi]), false),
-        PatchSource::Conv { .. } if s.dense => {
-            (gather_dense(src, row_start, rows, &mut s.patch), false)
-        }
-        PatchSource::Conv { .. } => {
-            let lens = &mut s.lens[..rows];
-            (
-                gather_taps(src, row_start, &mut s.tap_col, &mut s.tap_x, lens),
-                true,
-            )
-        }
-    };
-    s.dense = nnz * 1024 >= rows * n * DENSE_PER_1024;
-    if s.dense && compacted {
-        scatter_taps(
-            &s.tap_col,
-            &s.tap_x,
-            &s.lens[..rows],
-            n,
-            &mut s.patch[..rows * n],
-        );
-    }
+    s.rows = rows;
+    src.bases_into(row_start, &mut s.bases[..rows]);
     let mut ep = match target {
         Target::Floats(out) => Epilogue::Store { out, k },
         Target::Signs(cert) => Epilogue::Signs(SignTile {
+            level: cert.noise.map_or(0.0, |(level, _)| level),
             cert,
             n,
             rows,
             factors: &mut s.factors[..rows],
         }),
     };
-    let block = match *src {
-        PatchSource::Rows { data, .. } => &data[lo..hi],
-        PatchSource::Conv { .. } => &s.patch[..rows * n],
+    let wide = crate::simd::avx512();
+    let block = DenseBlock {
+        data: &src.data,
+        off: &src.off,
+        bases: &s.bases[..rows],
     };
     if s.dense {
-        dense_norms(block, n, norms);
+        dense_norms(&block, norms);
         for (r, &norm) in norms.iter().enumerate() {
             ep.set_norm(r, norm);
         }
-        dense_gemm(wide, block, rows, n, proj, k, &mut ep);
+        dense_gemm(wide, &block, panels, &mut ep);
         return;
     }
-    if !compacted {
-        compact_rows(block, n, &mut s.tap_col, &mut s.tap_x, &mut s.lens[..rows]);
-    }
+    gather_taps(&block, &mut s.tap_col, &mut s.tap_x, &mut s.lens[..rows]);
     let taps = (&s.tap_col[..], &s.tap_x[..]);
-    let (strip, partial) = (lines(&mut s.strip), lines(&mut s.partial));
-    let bufs = (strip, &mut s.cursor[..], partial);
-    broadcast_taps(
-        wide,
-        taps,
-        &s.lens[..rows],
-        n,
-        proj,
-        k,
-        bufs,
-        &mut ep,
-        norms,
-    );
+    let bufs = (&mut s.cursor[..], lines(&mut s.partial));
+    broadcast_taps(wide, taps, &s.lens[..rows], panels, bufs, &mut ep, norms);
 }
 
-/// Floats per 64-byte cache line.
-const LINE: usize = 16;
-
-/// `v` less its last `LINE` floats, starting on a cache line: the 512-bit
-/// tiles load and store the packed `R` tile and the partial sums in whole
-/// lines, never split across two (the zeroed buffer is allocated with
-/// `LINE` floats of slack and left untouched until used).
-fn lines(v: &mut [f32]) -> &mut [f32] {
-    let off = v.as_ptr().align_offset(64).min(LINE);
-    let len = v.len() - LINE;
-    &mut v[off..off + len]
-}
-
-/// Non-zero entries of `block`.
-fn count_nonzero(block: &[f32]) -> usize {
-    block.iter().map(|&x| usize::from(x != 0.0)).sum()
-}
-
-/// Per-row walk state of a conv block: `(image, oh, ow)` of the block's
-/// first row, advanced row by row without divisions.
-struct RowWalk {
-    ni: usize,
-    ohi: usize,
-    owi: usize,
-}
-
-impl RowWalk {
-    fn at(row: usize, oh: usize, ow: usize) -> Self {
-        RowWalk {
-            ni: row / (oh * ow),
-            ohi: (row / ow) % oh,
-            owi: row % ow,
-        }
-    }
-
-    /// The current row's `(image, ih0, iw0)`, then steps to the next.
-    fn next(&mut self, cfg: &Conv2dConfig, oh: usize, ow: usize) -> (usize, isize, isize) {
-        let pad = cfg.padding as isize;
-        let here = (
-            self.ni,
-            (self.ohi * cfg.stride) as isize - pad,
-            (self.owi * cfg.stride) as isize - pad,
-        );
-        self.owi += 1;
-        if self.owi == ow {
-            self.owi = 0;
-            self.ohi += 1;
-            if self.ohi == oh {
-                self.ohi = 0;
-                self.ni += 1;
-            }
-        }
-        here
-    }
-}
-
-/// The in-bounds kernel offsets `lo..hi` along one axis for a window
-/// starting at input coordinate `start` (may be negative).
-fn valid_range(start: isize, kernel: usize, extent: usize) -> (usize, usize) {
-    let lo = (-start).clamp(0, kernel as isize) as usize;
-    let hi = (extent as isize - start).clamp(lo as isize, kernel as isize) as usize;
-    (lo, hi)
-}
-
-/// Gathers each row's non-zero in-bounds taps of a conv block, ascending
-/// column, into `r·n..r·n + lens[r]`. Returns the non-zero count.
-fn gather_taps(
-    src: &PatchSource<'_>,
-    row_start: usize,
-    tap_col: &mut [u32],
-    tap_x: &mut [f32],
-    lens: &mut [usize],
-) -> usize {
-    match kernel_w(src) {
-        1 => gather_taps_kw::<1>(src, row_start, tap_col, tap_x, lens),
-        3 => gather_taps_kw::<3>(src, row_start, tap_col, tap_x, lens),
-        5 => gather_taps_kw::<5>(src, row_start, tap_col, tap_x, lens),
-        _ => gather_taps_kw::<0>(src, row_start, tap_col, tap_x, lens),
-    }
-}
-
-/// Gathers a conv block as dense im2col rows into `patch`, zero-filling
-/// out-of-bounds taps. Returns the non-zero count.
-fn gather_dense(src: &PatchSource<'_>, row_start: usize, rows: usize, patch: &mut [f32]) -> usize {
-    match kernel_w(src) {
-        1 => gather_dense_kw::<1>(src, row_start, rows, patch),
-        3 => gather_dense_kw::<3>(src, row_start, rows, patch),
-        5 => gather_dense_kw::<5>(src, row_start, rows, patch),
-        _ => gather_dense_kw::<0>(src, row_start, rows, patch),
-    }
-}
-
-/// The kernel width of a conv source: the gathers are monomorphised for
-/// the common widths so their innermost copy unrolls.
-fn kernel_w(src: &PatchSource<'_>) -> usize {
-    match *src {
-        PatchSource::Conv { cfg, .. } => cfg.kernel_w,
-        PatchSource::Rows { .. } => 0,
-    }
-}
-
-/// [`gather_taps`] with the kernel width fixed at `KW` (`0`: read it
-/// from the source at run time).
-#[inline(always)]
-fn gather_taps_kw<const KW: usize>(
-    src: &PatchSource<'_>,
-    row_start: usize,
-    tap_col: &mut [u32],
-    tap_x: &mut [f32],
-    lens: &mut [usize],
-) -> usize {
-    let PatchSource::Conv {
-        input,
-        cfg,
-        h,
-        w,
-        oh,
-        ow,
-        ..
-    } = *src
-    else {
-        unreachable!("conv sources only");
-    };
-    let (c, kh_n, n) = (cfg.in_channels, cfg.kernel_h, cfg.patch_len());
-    let kw_n = if KW == 0 { cfg.kernel_w } else { KW };
-    let plane = h * w;
-    let mut walk = RowWalk::at(row_start, oh, ow);
-    let mut total = 0;
+/// Gathers each row's non-zero taps of a block, ascending column, into
+/// `r·n..r·n + lens[r]`.
+fn gather_taps(block: &DenseBlock<'_>, tap_col: &mut [u32], tap_x: &mut [f32], lens: &mut [usize]) {
+    let n = block.off.len();
     for (r, len_out) in lens.iter_mut().enumerate() {
-        let (ni, ih0, iw0) = walk.next(&cfg, oh, ow);
-        let img = &input[ni * c * plane..(ni + 1) * c * plane];
-        let (kh_lo, kh_hi) = valid_range(ih0, kh_n, h);
-        let (kw_lo, kw_hi) = valid_range(iw0, kw_n, w);
-        let cols = &mut tap_col[r * n..(r + 1) * n];
+        let (row, cols) = (block.row(r), &mut tap_col[r * n..(r + 1) * n]);
         let xs = &mut tap_x[r * n..(r + 1) * n];
         let mut len = 0;
         // Write every tap, advance past non-zero ones only: branch-free
         // compaction.
-        let mut push = |len: &mut usize, col: usize, x: f32| {
-            cols[*len] = col as u32;
-            xs[*len] = x;
-            *len += usize::from(x != 0.0);
-        };
-        for ci in 0..c {
-            for kh in kh_lo..kh_hi {
-                let line = ci * plane + (ih0 + kh as isize) as usize * w;
-                let col0 = (ci * kh_n + kh) * kw_n;
-                if kw_hi - kw_lo == kw_n {
-                    // Full-width window row: a fixed-length walk.
-                    let from = line + iw0 as usize;
-                    for (kw, &x) in img[from..from + kw_n].iter().enumerate() {
-                        push(&mut len, col0 + kw, x);
-                    }
-                } else {
-                    for kw in kw_lo..kw_hi {
-                        push(
-                            &mut len,
-                            col0 + kw,
-                            img[line + (iw0 + kw as isize) as usize],
-                        );
-                    }
-                }
-            }
-        }
-        *len_out = len;
-        total += len;
-    }
-    total
-}
-
-/// [`gather_dense`] with the kernel width fixed at `KW` (`0`: read it
-/// from the source at run time).
-#[inline(always)]
-fn gather_dense_kw<const KW: usize>(
-    src: &PatchSource<'_>,
-    row_start: usize,
-    rows: usize,
-    patch: &mut [f32],
-) -> usize {
-    let PatchSource::Conv {
-        input,
-        cfg,
-        h,
-        w,
-        oh,
-        ow,
-        ..
-    } = *src
-    else {
-        unreachable!("conv sources only");
-    };
-    let (c, kh_n, n) = (cfg.in_channels, cfg.kernel_h, cfg.patch_len());
-    let kw_n = if KW == 0 { cfg.kernel_w } else { KW };
-    let plane = h * w;
-    let mut walk = RowWalk::at(row_start, oh, ow);
-    for dst in patch[..rows * n].chunks_exact_mut(n) {
-        let (ni, ih0, iw0) = walk.next(&cfg, oh, ow);
-        let img = &input[ni * c * plane..(ni + 1) * c * plane];
-        let (kh_lo, kh_hi) = valid_range(ih0, kh_n, h);
-        let (kw_lo, kw_hi) = valid_range(iw0, kw_n, w);
-        if (kh_hi - kh_lo) * (kw_hi - kw_lo) < kh_n * kw_n {
-            dst.fill(0.0);
-        }
-        for ci in 0..c {
-            for kh in kh_lo..kh_hi {
-                let line = ci * plane + (ih0 + kh as isize) as usize * w;
-                let col0 = (ci * kh_n + kh) * kw_n;
-                if kw_hi - kw_lo == kw_n {
-                    // Full-width window row: a fixed-length copy.
-                    let from = line + iw0 as usize;
-                    dst[col0..col0 + kw_n].copy_from_slice(&img[from..from + kw_n]);
-                } else {
-                    for kw in kw_lo..kw_hi {
-                        dst[col0 + kw] = img[line + (iw0 + kw as isize) as usize];
-                    }
-                }
-            }
-        }
-    }
-    count_nonzero(&patch[..rows * n])
-}
-
-/// Compacts dense rows into per-row non-zero tap lists.
-fn compact_rows(
-    block: &[f32],
-    n: usize,
-    tap_col: &mut [u32],
-    tap_x: &mut [f32],
-    lens: &mut [usize],
-) {
-    for (r, len_out) in lens.iter_mut().enumerate() {
-        let cols = &mut tap_col[r * n..(r + 1) * n];
-        let xs = &mut tap_x[r * n..(r + 1) * n];
-        let mut len = 0;
-        for (col, &x) in block[r * n..(r + 1) * n].iter().enumerate() {
+        for (col, &o) in block.off.iter().enumerate() {
+            let x = row[o];
             cols[len] = col as u32;
             xs[len] = x;
             len += usize::from(x != 0.0);
@@ -863,105 +820,103 @@ fn compact_rows(
     }
 }
 
-/// Expands per-row tap lists back into dense rows.
-fn scatter_taps(tap_col: &[u32], tap_x: &[f32], lens: &[usize], n: usize, patch: &mut [f32]) {
-    patch.fill(0.0);
-    for (r, (dst, &len)) in patch.chunks_exact_mut(n).zip(lens).enumerate() {
-        for (&col, &x) in tap_col[r * n..r * n + len]
-            .iter()
-            .zip(&tap_x[r * n..r * n + len])
-        {
-            dst[col as usize] = x;
-        }
+/// Row norms of a dense block, up to 16 rows at a time: rows whose bases
+/// step by one (neighbouring outputs of a stride-1 conv) read one
+/// contiguous slice per column, so their squares vectorize with the
+/// accumulators in registers; each row still sums its columns ascending
+/// from `+0.0`.
+fn dense_norms(block: &DenseBlock<'_>, norms: &mut [f32]) {
+    let bases = block.bases;
+    let mut r = 0;
+    while r < bases.len() {
+        let b = bases[r];
+        let run = bases[r..].iter().zip(b..).take(16);
+        let dst = &mut norms[r..];
+        r += match run.take_while(|&(&x, y)| x == y).count() {
+            16 => norm_run::<16>(block, b, dst),
+            8.. => norm_run::<8>(block, b, dst),
+            4.. => norm_run::<4>(block, b, dst),
+            _ => norm_run::<1>(block, b, dst),
+        };
     }
 }
 
-/// The dense branch: the fused AVX-512 tiles over the whole 64-column
-/// tiles when `wide`, and [`dense_portable`] (the exact bits) over the
-/// rest, each ending in `ep`.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables, unused_mut))]
+/// The norms of the `W` rows starting at `base`, one apart, into
+/// `norms[..W]`. Returns `W`.
+#[inline]
+fn norm_run<const W: usize>(block: &DenseBlock<'_>, base: usize, norms: &mut [f32]) -> usize {
+    let mut acc = [0.0f32; W];
+    for &o in block.off {
+        let xs: &[f32; W] = block.data[base + o..][..W].try_into().expect("W rows");
+        for (a, &x) in acc.iter_mut().zip(xs) {
+            *a += x * x;
+        }
+    }
+    for (v, a) in norms.iter_mut().zip(acc) {
+        *v = a.sqrt();
+    }
+    W
+}
+
+/// The dense branch: the fused AVX-512 tiles when `wide`, else
+/// [`dense_portable`] (the exact bits), each tile ending in `ep`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn dense_gemm(
     wide: Option<Avx512Token>,
-    block: &[f32],
-    rows: usize,
-    n: usize,
-    proj: &[f32],
-    k: usize,
+    block: &DenseBlock<'_>,
+    panels: &ProjPanels,
     ep: &mut Epilogue<'_>,
 ) {
-    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
     if let Some(token) = wide {
-        crate::simd::x86::dense_avx512(token, block, rows, n, proj, k, ep);
-        done = k / 64 * 64;
+        return crate::simd::x86::dense_avx512(token, block, panels, ep);
     }
-    dense_portable(block, rows, n, proj, k, done, ep);
+    dense_portable(block, panels, ep);
 }
 
-/// The portable dense branch over columns `from..k` (`from` a multiple of
-/// 64): [`matmul_dense_into`]'s chain (ascending over `n` from `+0.0`,
-/// multiply then add) in 2-row × 64-column tiles (a 1-row tile for an odd
-/// last row), each finished from its accumulators: one word per row, in
-/// sixteen 256-bit registers.
-fn dense_portable(
-    a: &[f32],
-    rows: usize,
-    n: usize,
-    b: &[f32],
-    k: usize,
-    from: usize,
-    ep: &mut Epilogue<'_>,
-) {
+/// The portable dense branch: [`matmul_dense_into`]'s chain (ascending
+/// over `n` from `+0.0`, multiply then add) in 2-row × 64-column tiles (a
+/// 1-row tile for an odd last row), each finished from its accumulators:
+/// one word per row, in sixteen 256-bit registers.
+fn dense_portable(block: &DenseBlock<'_>, panels: &ProjPanels, ep: &mut Epilogue<'_>) {
+    let (rows, k) = (block.bases.len(), panels.k());
     let pairs = rows / 2 * 2;
-    for jt in (from..k).step_by(64) {
+    for jt in (0..k).step_by(64) {
+        let panel = panels.panel(jt / 64);
         let w = 64.min(k - jt);
         for r0 in (0..pairs).step_by(2) {
-            dense_tile_portable::<2>(a, r0, n, b, k, jt, w, ep);
+            dense_tile_portable::<2>(block, r0, panel, jt, w, ep);
         }
         if pairs < rows {
-            dense_tile_portable::<1>(a, pairs, n, b, k, jt, w, ep);
+            dense_tile_portable::<1>(block, pairs, panel, jt, w, ep);
         }
     }
 }
 
-/// Rows `r0..r0 + R` × columns `jt..jt + w` (`w ≤ 64`) of the portable
-/// dense branch. A whole 64-column tile walks fixed-width rows of `b`, so
-/// its accumulators stay in registers.
-#[allow(clippy::too_many_arguments)]
+/// Rows `r0..r0 + R` × the 64 columns of `panel` (output columns
+/// `jt..jt + w` of them kept) of the portable dense branch: each column
+/// of `n` reads one contiguous panel row, so the accumulators stay in
+/// registers.
 #[inline]
 fn dense_tile_portable<const R: usize>(
-    a: &[f32],
+    block: &DenseBlock<'_>,
     r0: usize,
-    n: usize,
-    b: &[f32],
-    k: usize,
+    panel: &[f32],
     jt: usize,
     w: usize,
     ep: &mut Epilogue<'_>,
 ) {
-    let mut rows = [&a[..0]; R];
+    let mut rows = [&block.data[..0]; R];
     for (i, row) in rows.iter_mut().enumerate() {
-        *row = &a[(r0 + i) * n..(r0 + i + 1) * n];
+        *row = block.row(r0 + i);
     }
     let mut acc = [[0.0f32; 64]; R];
-    let b_rows = (0..n).zip(b.chunks_exact(k));
-    if w == 64 {
-        for (kk, b_row) in b_rows {
-            let bv: &[f32; 64] = b_row[jt..jt + 64].try_into().expect("64 columns");
-            for (row, acc_i) in rows.iter().zip(acc.iter_mut()) {
-                let x = row[kk];
-                for (s, &bl) in acc_i.iter_mut().zip(bv) {
-                    *s += x * bl;
-                }
-            }
-        }
-    } else {
-        for (kk, b_row) in b_rows {
-            for (row, acc_i) in rows.iter().zip(acc.iter_mut()) {
-                let x = row[kk];
-                for (s, &bl) in acc_i.iter_mut().zip(&b_row[jt..jt + w]) {
-                    *s += x * bl;
-                }
+    for (&o, b_row) in block.off.iter().zip(panel.chunks_exact(64)) {
+        let bv: &[f32; 64] = b_row.try_into().expect("64 columns");
+        for (row, acc_i) in rows.iter().zip(acc.iter_mut()) {
+            let x = row[o];
+            for (s, &bl) in acc_i.iter_mut().zip(bv) {
+                *s += x * bl;
             }
         }
     }
@@ -970,67 +925,37 @@ fn dense_tile_portable<const R: usize>(
     }
 }
 
-/// Row norms of dense rows, four rows' serial chains interleaved so the
-/// add latency overlaps (each row still sums ascending from `+0.0`).
-fn dense_norms(block: &[f32], n: usize, norms: &mut [f32]) {
-    let mut quads = norms.chunks_exact_mut(4);
-    let mut r = 0;
-    for quad in &mut quads {
-        let mut acc = [0.0f32; 4];
-        for col in 0..n {
-            for (j, a) in acc.iter_mut().enumerate() {
-                let x = block[(r + j) * n + col];
-                *a += x * x;
-            }
-        }
-        for (o, a) in quad.iter_mut().zip(acc) {
-            *o = a.sqrt();
-        }
-        r += 4;
-    }
-    for o in quads.into_remainder() {
-        let mut acc = 0.0f32;
-        for &x in &block[r * n..(r + 1) * n] {
-            acc += x * x;
-        }
-        *o = acc.sqrt();
-        r += 1;
-    }
-}
-
-/// The tap broadcast over a block: for each `KT`-wide output tile and
-/// each `NC`-column tile of `R` (packed contiguous, so it stays in L1),
-/// every row adds `x · R[col, tile]` for its taps in that column range
-/// into register accumulators. Column tiles run in ascending order, the
-/// partial sums between them kept per row in `partial`, so each output
-/// keeps one ascending chain; the last column tile finishes the row's
-/// tile into `ep`. The norms ride along on the first output tile, and
-/// each is final (and handed to `ep`) when that tile's walk ends.
-#[allow(clippy::too_many_arguments)]
+/// The tap broadcast over a block: for each `KT`-wide output tile (the
+/// two panels that hold it, or one for a last tile of at most 64
+/// columns) and each `NC`-column tile of `n`, every row adds
+/// `x · R[col, tile]` for its taps in that column range into register
+/// accumulators, reading the panels' rows in place. Column tiles run in
+/// ascending order, the partial sums between them kept per row in
+/// `partial`, so each output keeps one ascending chain; the last column
+/// tile finishes the row's tile into `ep`. The norms ride along on the
+/// first output tile, and each is final (and handed to `ep`) when that
+/// tile's walk ends.
 fn broadcast_taps(
     wide: Option<Avx512Token>,
     (tap_col, tap_x): (&[u32], &[f32]),
     lens: &[usize],
-    n: usize,
-    proj: &[f32],
-    k: usize,
-    (strip, cursor, partial): (&mut [f32], &mut [usize], &mut [f32]),
+    panels: &ProjPanels,
+    (cursor, partial): (&mut [usize], &mut [f32]),
     ep: &mut Epilogue<'_>,
     norms: &mut [f32],
 ) {
+    let (n, k) = (panels.n(), panels.k());
     norms.fill(0.0);
-    let mut kt = 0;
-    while kt < k {
+    for kt in (0..k).step_by(KT) {
         let width = KT.min(k - kt);
         for (r, cur) in cursor[..lens.len()].iter_mut().enumerate() {
             *cur = r * n;
         }
-        let mut c0 = 0;
-        while c0 < n {
+        for c0 in (0..n).step_by(NC) {
             let c1 = (c0 + NC).min(n);
-            for (c, tile) in (c0..c1).zip(strip.chunks_exact_mut(KT)) {
-                tile[..width].copy_from_slice(&proj[c * k + kt..c * k + kt + width]);
-            }
+            let half = |p: usize| &panels.panel(p)[c0 * 64..c1 * 64];
+            let lo = half(kt / 64);
+            let hi = if width > 64 { half(kt / 64 + 1) } else { lo };
             for (r, &len) in lens.iter().enumerate() {
                 let t = RowTile {
                     r,
@@ -1046,55 +971,63 @@ fn broadcast_taps(
                     .try_into()
                     .expect("KT-wide partial");
                 let taps = (tap_col, tap_x);
-                cursor[r] = if kt == 0 {
-                    row_tile::<true>(wide, taps, t, strip, part, &mut norms[r], ep)
-                } else {
-                    row_tile::<false>(wide, taps, t, strip, part, &mut 0.0, ep)
+                let mut running = 0.0;
+                let norm = if kt == 0 { &mut norms[r] } else { &mut running };
+                cursor[r] = match (kt == 0, width > 64) {
+                    (true, true) => row_tile::<true, 2>(wide, taps, t, [lo, hi], part, norm, ep),
+                    (true, false) => row_tile::<true, 1>(wide, taps, t, [lo], part, norm, ep),
+                    (false, true) => row_tile::<false, 2>(wide, taps, t, [lo, hi], part, norm, ep),
+                    (false, false) => row_tile::<false, 1>(wide, taps, t, [lo], part, norm, ep),
                 };
             }
-            c0 = c1;
         }
-        kt += width;
     }
 }
 
-/// One row tile `t` on the fused AVX-512 kernel when `wide`, else
-/// [`row_tile_portable`] (the exact bits). Returns where the next column
-/// tile resumes.
-#[allow(clippy::too_many_arguments)]
+/// One row tile `t` over `H` panel halves on the fused AVX-512 kernel
+/// when `wide`, else [`row_tile_portable`] (the exact bits). Returns
+/// where the next column tile resumes.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 #[inline]
-fn row_tile<const NORM: bool>(
+fn row_tile<const NORM: bool, const H: usize>(
     wide: Option<Avx512Token>,
     taps: (&[u32], &[f32]),
     t: RowTile,
-    strip: &[f32],
+    halves: [&[f32]; H],
     partial: &mut [f32; KT],
     norm: &mut f32,
     ep: &mut Epilogue<'_>,
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
     if let Some(token) = wide {
-        return crate::simd::x86::row_tile_avx512::<NORM>(token, taps, t, strip, partial, norm, ep);
+        return crate::simd::x86::row_tile_avx512::<NORM, H>(
+            token, taps, t, halves, partial, norm, ep,
+        );
     }
-    row_tile_portable::<NORM>(taps, t, strip, partial, norm, ep)
+    row_tile_portable::<NORM, H>(taps, t, halves, partial, norm, ep)
 }
 
 /// The portable row tile: the path of every non-`Avx512` variant. Its
-/// `KT` accumulators start from `partial` (or `+0.0` on the first column
-/// tile), take the tile's taps (and, with `NORM`, their squares into
-/// `norm`), and go back to `partial`, or, on the last column tile, to
-/// `ep` from the stack.
+/// `64·H` accumulators start from `partial` (or `+0.0` on the first
+/// column tile), take the tile's taps, each from its column's row of the
+/// `H` panel halves (and, with `NORM`, their squares into `norm`), and
+/// go back to `partial`, or, on the last column tile, to `ep` from the
+/// stack.
 #[inline]
-fn row_tile_portable<const NORM: bool>(
+fn row_tile_portable<const NORM: bool, const H: usize>(
     (tap_col, tap_x): (&[u32], &[f32]),
     t: RowTile,
-    strip: &[f32],
+    halves: [&[f32]; H],
     partial: &mut [f32; KT],
     norm: &mut f32,
     ep: &mut Epilogue<'_>,
 ) -> usize {
-    let mut acc = if t.c0 > 0 { *partial } else { [0.0f32; KT] };
+    let mut acc = [[0.0f32; 64]; H];
+    if t.c0 > 0 {
+        for (a, p) in acc.iter_mut().zip(partial.chunks_exact(64)) {
+            a.copy_from_slice(p);
+        }
+    }
     let mut nrm = *norm;
     let (cols, xs) = (&tap_col[..t.end], &tap_x[..t.end]);
     let mut i = t.from;
@@ -1108,11 +1041,12 @@ fn row_tile_portable<const NORM: bool>(
         if NORM {
             nrm += x * x;
         }
-        let rv: &[f32; KT] = strip[(col - t.c0) * KT..(col - t.c0 + 1) * KT]
-            .try_into()
-            .expect("KT-wide tile");
-        for (a, &v) in acc.iter_mut().zip(rv) {
-            *a += x * v;
+        let at = (col - t.c0) * 64;
+        for (a, half) in acc.iter_mut().zip(halves) {
+            let rv: &[f32; 64] = half[at..at + 64].try_into().expect("64-wide row");
+            for (s, &v) in a.iter_mut().zip(rv) {
+                *s += x * v;
+            }
         }
     }
     if NORM {
@@ -1121,12 +1055,12 @@ fn row_tile_portable<const NORM: bool>(
             ep.set_norm(t.r, *norm);
         }
     }
-    if t.last {
-        // A tail tile (`width < KT`) holds garbage in its unused lanes,
-        // from stale strip columns; they are never finished.
-        ep.finish(t.r, t.kt, acc, t.width);
-    } else {
-        *partial = acc;
+    for (h, a) in acc.into_iter().enumerate() {
+        if t.last {
+            ep.finish(t.r, t.kt + 64 * h, a, t.half_width(h));
+        } else {
+            partial[64 * h..64 * h + 64].copy_from_slice(&a);
+        }
     }
     i
 }
@@ -1180,11 +1114,12 @@ mod tests {
             .collect();
         let nu = n as f64 * f64::from(f32::EPSILON) / 2.0;
         let gamma = nu / (1.0 - nu);
+        let panels = ProjPanels::pack(proj, n, k);
         let _pin = crate::simd::tests::pinned();
         let initial = crate::simd::active();
         for &v in crate::simd::detected() {
             crate::simd::force_variant(v).expect("detected variant");
-            let mut scratch = ProjectScratch::new(block, n);
+            let mut scratch = ProjectScratch::new(block, src);
             let mut out = vec![f32::NAN; block * k];
             let mut norms = vec![f32::NAN; block];
             let mut start = 0;
@@ -1194,8 +1129,7 @@ mod tests {
                     src,
                     start,
                     here,
-                    proj,
-                    k,
+                    &panels,
                     &mut scratch,
                     &mut out,
                     &mut norms,
@@ -1207,7 +1141,7 @@ mod tests {
                     for (j, &c_norm) in col_norms.iter().enumerate() {
                         let exact = want[g * k + j];
                         let what = format!("{} row {g} lane {j}", v.name());
-                        let recomputed = scratch.exact_element(src, r, proj, k, j);
+                        let recomputed = scratch.exact_element(src, r, &panels, j);
                         assert_eq!(recomputed.to_bits(), exact.to_bits(), "{what}");
                         let gap = (f64::from(out[r * k + j]) - f64::from(exact)).abs();
                         assert!(gap <= 2.0 * gamma * x_norm * c_norm, "{what}: gap {gap}");
@@ -1267,19 +1201,77 @@ mod tests {
             128,
             4,
         );
-        let mut scratch = ProjectScratch::new(9, 20);
+        let src = PatchSource::rows(x.data(), 20);
+        let mut scratch = ProjectScratch::new(9, &src);
         let (mut out, mut norms) = (vec![1.0f32; 9 * 128], vec![1.0f32; 9]);
         project_patches_approx_into(
-            &PatchSource::rows(x.data(), 20),
+            &src,
             0,
             9,
-            proj.data(),
-            128,
+            &ProjPanels::pack(proj.data(), 20, 128),
             &mut scratch,
             &mut out,
             &mut norms,
         );
         assert!(norms.iter().chain(&out).all(|v| v.to_bits() == 0));
+    }
+
+    #[test]
+    fn packed_panels_read_back_as_row_major_r() {
+        // Whole panels, a 6-column and a half-width last panel, and more
+        // than two panels.
+        for k in [64, 70, 96, 256, 768] {
+            let n = 5;
+            let proj =
+                crate::init::normal(&mut seeded_rng(k as u64), Shape::new(&[n, k]), 0.0, 1.0);
+            let panels = ProjPanels::pack(proj.data(), n, k);
+            assert_eq!((panels.n(), panels.k()), (n, k));
+            for row in 0..n {
+                for col in 0..k {
+                    let want = proj.data()[row * k + col];
+                    assert_eq!(panels.get(row, col).to_bits(), want.to_bits(), "k {k}");
+                }
+            }
+            let last = panels.panel(k.div_ceil(64) - 1);
+            assert_eq!(last.len(), n * 64);
+            for row in last.chunks_exact(64) {
+                assert!(
+                    row[(k - 1) % 64 + 1..].iter().all(|v| v.to_bits() == 0),
+                    "k {k}"
+                );
+            }
+            assert_eq!(panels.panel(0).as_ptr().align_offset(64), 0, "k {k}");
+        }
+    }
+
+    #[test]
+    fn padded_conv_sources_match_im2col_on_both_branches() {
+        // Every kernel width the models use, strides 1–3 and padding 0–3
+        // on a non-square two-image input, projected in 61-row blocks
+        // that cross image boundaries; a dense and a sparse input take
+        // both branches. k = 96 ends in a half panel.
+        let mut branches = [false; 2];
+        for kernel in [1, 3, 5, 7] {
+            for stride in 1..=3 {
+                for pad in 0..=3 {
+                    for density in [100, 15] {
+                        let cfg = Conv2dConfig::new(3, 4, kernel)
+                            .with_stride(stride)
+                            .with_padding(pad);
+                        let x = sparse_input(&[2, 3, 11, 9], density, kernel as u64);
+                        let n = cfg.patch_len();
+                        let k = if stride == 2 { 96 } else { 128 };
+                        let proj =
+                            crate::init::normal(&mut seeded_rng(9), Shape::new(&[n, k]), 0.0, 1.0);
+                        let patches = im2col(&x, &cfg).unwrap();
+                        let src = PatchSource::conv(&x, &cfg).unwrap();
+                        branches[usize::from(src.dense())] = true;
+                        check(&src, patches.data(), proj.data(), k, 61);
+                    }
+                }
+            }
+        }
+        assert_eq!(branches, [true, true], "both branches ran");
     }
 
     #[test]

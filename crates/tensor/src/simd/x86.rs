@@ -1,6 +1,11 @@
 //! AVX-512 patch-projection kernels: the dense 4-row × 64-column tile
 //! and the tap-broadcast row tile of [`crate::ops::project`].
 //!
+//! Both read their operands in place. The patch rows come from the
+//! layer's (zero-padded) input through the source's offset table, and
+//! `R` from its [`ProjPanels`]: every column of `n` is one contiguous,
+//! line-aligned 64-float panel row, four `zmm` loads.
+//!
 //! Selected at runtime by [`crate::ops::project`] when the active
 //! variant is [`super::Variant::Avx512`]. The plain wrapper functions at
 //! the bottom are the only entries, and each takes an [`Avx512Token`],
@@ -21,8 +26,9 @@
 //! AVX-512 Xeon). The engine's sign-certified hash path recomputes
 //! exactly every lane whose sign the error bound does not prove
 //! (`crates/core/src/certify.rs`). The patch norms the broadcast
-//! accumulates stay a separate multiply and add. A dense block's
-//! `k % 64` column tail runs the portable tile, with exact terms.
+//! accumulates stay a separate multiply and add. A zero-padded last
+//! panel (`k % 64 ≠ 0`) runs fused too; its padding lanes are never
+//! finished.
 //!
 //! # Epilogue
 //!
@@ -35,7 +41,7 @@
 use std::arch::x86_64::*;
 
 use super::Avx512Token;
-use crate::ops::project::{Epilogue, RowTile, KT};
+use crate::ops::project::{DenseBlock, Epilogue, ProjPanels, RowTile, KT};
 
 /// Output columns per dense register tile: four 16-lane vectors.
 const JT: usize = 64;
@@ -152,80 +158,86 @@ fn spill_512<const V: usize>(
     ep.finish(r, j0, tile, w);
 }
 
-/// One `R`-row × `JT`-column tile of the dense block GEMM: rows
-/// `r0..r0 + R` of `a` (`[_, n]`) times columns `jt..jt + JT` of `b`
-/// (`[n, k]`), finished into `ep`. `R × 4` accumulators stay in
-/// registers for the whole ascending walk over `n`.
+/// One `R`-row × 64-column tile of the dense block GEMM: rows
+/// `r0..r0 + R` of `a`, read in place, times `panel` (one panel of `R`,
+/// output columns `jt..jt + w` of it kept), finished into `ep`. `R × 4`
+/// accumulators stay in registers for the whole ascending walk over `n`,
+/// which reads one contiguous 64-float panel row per column.
 #[inline]
 #[target_feature(enable = "avx512f")]
 fn dense_tile<const R: usize>(
-    a: &[f32],
+    a: &DenseBlock<'_>,
     r0: usize,
-    n: usize,
-    b: &[f32],
-    k: usize,
+    panel: &[f32],
     jt: usize,
+    w: usize,
     ep: &mut Epilogue<'_>,
 ) {
     // Plain loops, not `array::from_fn`: a closure would carry the
-    // target feature into a generic caller that cannot inline it. Rows of
-    // length `n`, walked by `kk < n`, need no bounds check in the loop.
-    let mut rows = [&a[..0]; R];
+    // target feature into a generic caller that cannot inline it. The
+    // rows' windows are equally long, so one bounds check on `o` covers
+    // all `R` loads of a column.
+    let mut rows = [&a.data[..0]; R];
     for (i, row) in rows.iter_mut().enumerate() {
-        *row = &a[(r0 + i) * n..(r0 + i + 1) * n];
+        *row = a.row(r0 + i);
     }
     let mut acc = [[_mm512_setzero_ps(); 4]; R];
     let mut bv = [_mm512_setzero_ps(); 4];
-    for (kk, b_row) in (0..n).zip(b.chunks_exact(k)) {
-        let row = &b_row[jt..jt + JT];
+    for (&o, b_row) in a.off.iter().zip(panel.chunks_exact(JT)) {
         for (v, b_v) in bv.iter_mut().enumerate() {
-            *b_v = load16(row, 16 * v);
+            *b_v = load16(b_row, 16 * v);
         }
         for (row, acc_r) in rows.iter().zip(acc.iter_mut()) {
-            let x = _mm512_set1_ps(row[kk]);
+            let x = _mm512_set1_ps(row[o]);
             for (a_v, &b_v) in acc_r.iter_mut().zip(&bv) {
                 *a_v = _mm512_fmadd_ps(x, b_v, *a_v);
             }
         }
     }
-    finish_512(ep, r0, jt, JT, acc);
+    finish_512(ep, r0, jt, w, acc);
 }
 
-/// The dense block GEMM `a[rows, n] · b[n, k]` over its whole 64-column
-/// tiles: 4-row tiles (sixteen `zmm` accumulators) and 1-row tiles for
-/// the `rows % 4` tail, each finished into `ep`.
+/// The dense block GEMM over every panel: 4-row tiles (sixteen `zmm`
+/// accumulators) and 1-row tiles for the `rows % 4` tail, each finished
+/// into `ep`. A zero-padded last panel runs whole; its padding lanes are
+/// not finished.
 #[target_feature(enable = "avx512f")]
-fn dense_512(a: &[f32], rows: usize, n: usize, b: &[f32], k: usize, ep: &mut Epilogue<'_>) {
+fn dense_512(a: &DenseBlock<'_>, panels: &ProjPanels, ep: &mut Epilogue<'_>) {
+    let (rows, k) = (a.bases.len(), panels.k());
     let quads = rows / 4 * 4;
-    for jt in (0..k / JT * JT).step_by(JT) {
+    for jt in (0..k).step_by(JT) {
+        let (panel, w) = (panels.panel(jt / JT), JT.min(k - jt));
         for r0 in (0..quads).step_by(4) {
-            dense_tile::<4>(a, r0, n, b, k, jt, ep);
+            dense_tile::<4>(a, r0, panel, jt, w, ep);
         }
         for r0 in quads..rows {
-            dense_tile::<1>(a, r0, n, b, k, jt, ep);
+            dense_tile::<1>(a, r0, panel, jt, w, ep);
         }
     }
 }
 
-/// One row tile `t` of the tap broadcast: its taps, each broadcast across
-/// the `KT`-wide packed `strip` row of its column, added into eight `zmm`
-/// accumulators that start from `partial` (or `+0.0` on the first column
-/// tile), with, under `NORM`, each square into `norm` in scalar. They go
-/// back to `partial`, or on the last column tile to `ep` (with the row's
-/// norm, now final). Returns where the next column tile resumes.
+/// One row tile `t` of the tap broadcast over `H` panel halves (64
+/// output columns each): its taps, each broadcast across its column's
+/// 64-float row of every half, added into `4·H` `zmm` accumulators that
+/// start from `partial` (or `+0.0` on the first column tile), with,
+/// under `NORM`, each square into `norm` in scalar. They go back to
+/// `partial`, or on the last column tile to `ep` (with the row's norm,
+/// now final). Returns where the next column tile resumes.
 #[target_feature(enable = "avx512f")]
-fn row_tile_512<const NORM: bool>(
+fn row_tile_512<const NORM: bool, const H: usize>(
     (tap_col, tap_x): (&[u32], &[f32]),
     t: RowTile,
-    strip: &[f32],
+    halves: [&[f32]; H],
     partial: &mut [f32; KT],
     norm: &mut f32,
     ep: &mut Epilogue<'_>,
 ) -> usize {
-    let mut acc = [_mm512_setzero_ps(); KT / 16];
+    let mut acc = [[_mm512_setzero_ps(); 4]; H];
     if t.c0 > 0 {
-        for (v, a_v) in acc.iter_mut().enumerate() {
-            *a_v = load16(partial, 16 * v);
+        for (h, acc_h) in acc.iter_mut().enumerate() {
+            for (v, a_v) in acc_h.iter_mut().enumerate() {
+                *a_v = load16(partial, 64 * h + 16 * v);
+            }
         }
     }
     let mut nrm = *norm;
@@ -241,12 +253,12 @@ fn row_tile_512<const NORM: bool>(
         if NORM {
             nrm += x * x;
         }
-        let rv: &[f32; KT] = strip[(col - t.c0) * KT..(col - t.c0 + 1) * KT]
-            .try_into()
-            .expect("KT-wide tile");
-        let xv = _mm512_set1_ps(x);
-        for (v, a_v) in acc.iter_mut().enumerate() {
-            *a_v = _mm512_fmadd_ps(xv, load16(rv, 16 * v), *a_v);
+        let (at, xv) = ((col - t.c0) * 64, _mm512_set1_ps(x));
+        for (acc_h, half) in acc.iter_mut().zip(halves) {
+            let rv = &half[at..at + 64];
+            for (v, a_v) in acc_h.iter_mut().enumerate() {
+                *a_v = _mm512_fmadd_ps(xv, load16(rv, 16 * v), *a_v);
+            }
         }
     }
     if NORM {
@@ -255,11 +267,13 @@ fn row_tile_512<const NORM: bool>(
             ep.set_norm(t.r, *norm);
         }
     }
-    if t.last {
-        finish_512(ep, t.r, t.kt, t.width, [acc]);
-    } else {
-        for (v, &a_v) in acc.iter().enumerate() {
-            store16(partial, 16 * v, a_v);
+    for (h, acc_h) in acc.into_iter().enumerate() {
+        if t.last {
+            finish_512(ep, t.r, t.kt + 64 * h, t.half_width(h), [acc_h]);
+        } else {
+            for (v, &a_v) in acc_h.iter().enumerate() {
+                store16(partial, 64 * h + 16 * v, a_v);
+            }
         }
     }
     i
@@ -269,40 +283,31 @@ fn row_tile_512<const NORM: bool>(
 // Plain-ABI wrappers — the only symbols the projection calls.
 // ---------------------------------------------------------------------
 
-/// The dense branch of the projection on AVX-512, with fused terms:
-/// `a[rows, n] · b[n, k]` over the whole 64-column tiles (the caller
-/// runs a `k % 64` tail), each finished tile into `ep`.
-///
-/// # Panics
-///
-/// Panics when a slice length disagrees with its stated dimensions.
+/// The dense branch of the projection on AVX-512, with fused terms: the
+/// block's rows, read in place, times every panel of `panels`, each
+/// finished tile into `ep`.
 // analyze: alloc-free
 pub(crate) fn dense_avx512(
     _: Avx512Token,
-    a: &[f32],
-    rows: usize,
-    n: usize,
-    b: &[f32],
-    k: usize,
+    a: &DenseBlock<'_>,
+    panels: &ProjPanels,
     ep: &mut Epilogue<'_>,
 ) {
-    assert_eq!(a.len(), rows * n, "lhs buffer must be rows*n");
-    assert_eq!(b.len(), n * k, "rhs buffer must be n*k");
     // SAFETY: an `Avx512Token` exists only while the active variant is
     // `Variant::Avx512`, which `detected()` lists solely after
     // `is_x86_feature_detected!` confirmed "avx512f" (the only feature
     // this kernel uses).
-    unsafe { dense_512(a, rows, n, b, k, ep) }
+    unsafe { dense_512(a, panels, ep) }
 }
 
 /// The tap-broadcast row tile of the projection on AVX-512 (the
 /// portable row tile's contract, with fused terms).
 // analyze: alloc-free
-pub(crate) fn row_tile_avx512<const NORM: bool>(
+pub(crate) fn row_tile_avx512<const NORM: bool, const H: usize>(
     _: Avx512Token,
     taps: (&[u32], &[f32]),
     t: RowTile,
-    strip: &[f32],
+    halves: [&[f32]; H],
     partial: &mut [f32; KT],
     norm: &mut f32,
     ep: &mut Epilogue<'_>,
@@ -311,5 +316,5 @@ pub(crate) fn row_tile_avx512<const NORM: bool>(
     // `Variant::Avx512`, which `detected()` lists solely after
     // `is_x86_feature_detected!` confirmed "avx512f" (the only feature
     // this kernel uses).
-    unsafe { row_tile_512::<NORM>(taps, t, strip, partial, norm, ep) }
+    unsafe { row_tile_512::<NORM, H>(taps, t, halves, partial, norm, ep) }
 }

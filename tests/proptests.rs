@@ -9,7 +9,9 @@ use deepcam::models::{Block, Cnn};
 use deepcam::tensor::layer::{Conv2d, Flatten, Linear, ReLU};
 use deepcam::tensor::ops::conv::{col2im, conv2d, conv2d_sharded, im2col, Conv2dConfig};
 use deepcam::tensor::ops::linear::{linear, linear_sharded};
-use deepcam::tensor::ops::project::{project_patches_approx_into, PatchSource, ProjectScratch};
+use deepcam::tensor::ops::project::{
+    project_patches_approx_into, PatchSource, ProjPanels, ProjectScratch,
+};
 use deepcam::tensor::pool::Parallelism;
 use deepcam::tensor::simd::{active, detected, force_variant};
 use deepcam::tensor::{Shape, Tensor};
@@ -326,7 +328,8 @@ fn check_projection(
         .collect();
     let nu = n as f64 * f64::from(f32::EPSILON) / 2.0;
     let gamma = nu / (1.0 - nu);
-    let mut scratch = ProjectScratch::new(block, n);
+    let panels = ProjPanels::pack(proj, n, k);
+    let mut scratch = ProjectScratch::new(block, src);
     let mut out = vec![f32::NAN; block * k];
     let mut norms = vec![f32::NAN; block];
     let mut start = 0;
@@ -336,8 +339,7 @@ fn check_projection(
             src,
             start,
             here,
-            proj,
-            k,
+            &panels,
             &mut scratch,
             &mut out,
             &mut norms,
@@ -351,7 +353,7 @@ fn check_projection(
             for (j, &c_norm) in col_norms.iter().enumerate() {
                 let exact = want[g * k + j];
                 prop_assert_eq!(
-                    scratch.exact_element(src, r, proj, k, j).to_bits(),
+                    scratch.exact_element(src, r, &panels, j).to_bits(),
                     exact.to_bits(),
                     "exact element {} of row {}",
                     j,
@@ -420,6 +422,33 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cover_weighted_count_equals_the_im2col_nonzero_count(
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        pad in 0usize..4,
+        c in 1usize..4,
+        h in 1usize..10,
+        w in 1usize..10,
+        images in 1usize..3,
+        density_i in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        prop_assume!(h + 2 * pad >= kernel && w + 2 * pad >= kernel);
+        let density = [0.0f32, 0.1, 0.5, 1.0][density_i];
+        let cfg = Conv2dConfig::new(c, 2, kernel).with_stride(stride).with_padding(pad);
+        let x = sparse_activation(&[images, c, h, w], density, seed);
+        let patches = im2col(&x, &cfg).unwrap();
+        let want = patches.data().iter().filter(|&&v| v != 0.0).count();
+        prop_assert_eq!(PatchSource::conv(&x, &cfg).unwrap().nonzero(), want);
+        let rows = PatchSource::rows(patches.data(), cfg.patch_len());
+        prop_assert_eq!(rows.nonzero(), want);
+    }
+}
+
 #[test]
 fn all_zero_patches_get_a_positive_zero_norm() {
     // `Sum` for f32 folds from -0.0, so a norm over an *empty* non-zero
@@ -439,14 +468,13 @@ fn all_zero_patches_get_a_positive_zero_norm() {
         1.0,
     );
     let src = PatchSource::conv(&x, &cfg).unwrap();
-    let mut scratch = ProjectScratch::new(25, 18);
+    let mut scratch = ProjectScratch::new(25, &src);
     let (mut out, mut norms) = (vec![f32::NAN; 25 * 256], vec![f32::NAN; 25]);
     project_patches_approx_into(
         &src,
         0,
         25,
-        proj.data(),
-        256,
+        &ProjPanels::pack(proj.data(), 18, 256),
         &mut scratch,
         &mut out,
         &mut norms,
