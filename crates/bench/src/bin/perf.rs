@@ -225,8 +225,8 @@ fn main() {
                 "    {{\"layer\": {}, \"rows\": {}, \"kernels\": {}, \"k\": {}, \
                  \"reference_ms\": {:.3}, \"fast_ms\": {:.3}, \"project_ms\": {:.3}, \
                  \"certify_ms\": {:.3}, \"hamming_ms\": {:.3}, \"lut_ms\": {:.3}, \
-                 \"sub_blocks\": {}, \"dense_sub_blocks\": {}, \"recomputed_lanes\": {}, \
-                 \"macs\": {}}}",
+                 \"sub_blocks\": {}, \"recomputed_lanes\": {}, \"macs\": {}, \
+                 \"nonzero_macs\": {}}}",
                 d.layer,
                 d.rows,
                 tiles[d.layer].kernels(),
@@ -238,9 +238,9 @@ fn main() {
                 ms(d.hamming),
                 ms(d.lut),
                 d.sub_blocks,
-                d.dense_sub_blocks,
                 d.recomputed_lanes,
                 d.macs,
+                d.nonzero_macs,
             )
         })
         .collect();

@@ -167,6 +167,8 @@ impl CrossbarNoise {
 /// under noise.
 pub(crate) struct SignHasher {
     scratch: ProjectScratch,
+    /// Per row of the block, its uncertain words ORed together.
+    any: Vec<u64>,
     noise: Option<CrossbarNoise>,
     norms: Vec<f32>,
     /// The block's `[rows, k]` noise draws (empty without noise).
@@ -186,6 +188,7 @@ impl SignHasher {
     ) -> Self {
         SignHasher {
             scratch: ProjectScratch::new(block, src),
+            any: vec![0; block],
             noise,
             norms: vec![0.0; block],
             z: vec![0.0; if noise.is_some() { block * k } else { 0 }],
@@ -222,6 +225,7 @@ impl SignHasher {
     ) -> usize {
         let SignHasher {
             scratch,
+            any,
             noise,
             norms,
             z,
@@ -247,22 +251,62 @@ impl SignHasher {
         };
         project_patches_signs_into(src, g0, nq, panels, scratch, signs, norms);
         probe.lap(|d| &mut d.project);
+        // The uncertain lanes of one group of rows share its walk: they
+        // are recomputed four at a time, their chains side by side.
         let mut recomputed = 0;
-        let words = queries.chunks_exact_mut(nq).zip(uncertain.chunks_exact(nq));
-        for (w, (word_row, flag_row)) in words.enumerate() {
-            for (r, (word, &flags)) in word_row.iter_mut().zip(flag_row).enumerate() {
-                let mut left = flags;
-                while left != 0 {
-                    let b = left.trailing_zeros() as usize;
-                    left &= left - 1;
-                    let j = w * 64 + b;
-                    let mut v = scratch.exact_element(src, r, panels, j);
-                    if let Some((level, z)) = noise {
-                        v += level * norms[r] * z[r * k + j];
-                    }
-                    *word = (*word & !(1 << b)) | (u64::from(v >= 0.0) << b);
-                    recomputed += 1;
+        let mut fix = |lanes: &[(usize, usize)]| {
+            let mut exact = [0.0; 4];
+            match *lanes {
+                [a] => exact[0] = scratch.exact_elements(src, [a], panels)[0],
+                [a, b] => exact[..2].copy_from_slice(&scratch.exact_elements(src, [a, b], panels)),
+                _ => {
+                    let mut four = [lanes[0]; 4];
+                    four[..lanes.len()].copy_from_slice(lanes);
+                    exact = scratch.exact_elements(src, four, panels);
                 }
+            }
+            for (&(r, j), mut v) in lanes.iter().zip(exact) {
+                if let Some((level, z)) = noise {
+                    v += level * norms[r] * z[r * k + j];
+                }
+                let (word, b) = (&mut queries[j / 64 * nq + r], j % 64);
+                *word = (*word & !(1 << b)) | (u64::from(v >= 0.0) << b);
+            }
+            recomputed += lanes.len();
+        };
+        // Each row's uncertain words ORed together: most groups have none.
+        let any = &mut any[..nq];
+        any.fill(0);
+        for flag_row in uncertain.chunks_exact(nq) {
+            for (a, &flags) in any.iter_mut().zip(flag_row) {
+                *a |= flags;
+            }
+        }
+        let mut lanes = [(0, 0); 4];
+        let mut r = 0;
+        while r < nq {
+            let std::ops::Range { start: r0, end: r1 } = scratch.group_rows(r);
+            r = r1;
+            if any[r0..r1].iter().all(|&a| a == 0) {
+                continue;
+            }
+            let mut m = 0;
+            for (w, flag_row) in uncertain.chunks_exact(nq).enumerate() {
+                for (r, &flags) in (r0..r1).zip(&flag_row[r0..r1]) {
+                    let mut left = flags;
+                    while left != 0 {
+                        lanes[m] = (r, w * 64 + left.trailing_zeros() as usize);
+                        left &= left - 1;
+                        m += 1;
+                        if m == 4 {
+                            fix(&lanes);
+                            m = 0;
+                        }
+                    }
+                }
+            }
+            if m > 0 {
+                fix(&lanes[..m]);
             }
         }
         recomputed
@@ -274,15 +318,10 @@ impl SignHasher {
         &self.norms
     }
 
-    /// Whether the layer takes the dense tile.
-    pub(crate) fn dense(&self) -> bool {
-        self.scratch.dense()
-    }
-
-    /// Multiply-adds the last block ran per output column
-    /// ([`ProjectScratch::taps`]).
-    pub(crate) fn taps(&self) -> usize {
-        self.scratch.taps()
+    /// Multiply-adds the last block's tiles ran per output column
+    /// ([`ProjectScratch::terms`]).
+    pub(crate) fn terms(&self) -> usize {
+        self.scratch.terms()
     }
 }
 
@@ -429,8 +468,8 @@ mod tests {
         let initial = active();
         let cfg = Conv2dConfig::new(8, 4, 3).with_padding(1);
         let n = cfg.patch_len();
-        // Dense inputs take the dense branch, 20%-dense ones the tap
-        // broadcast; row sources hold explicit rows of both kinds.
+        // Dense inputs walk every column in place, 20%-dense ones walk
+        // group lists; row sources hold explicit rows of both kinds.
         let inputs = [
             ("dense", gaussian(&[2, 8, 9, 9], 11)),
             ("sparse", sparsify(gaussian(&[2, 8, 9, 9], 12), 20)),
@@ -560,7 +599,7 @@ mod tests {
         (cancel[0], cancel[1]) = (r[k + j], -r[j]);
         // 62 rows, the cancelling row at 0 (a 4-row tile) and at 61 (the
         // 1-row tail); the rest dense Gaussian, so the block is 0.97
-        // dense and takes the dense tile in both projection forms.
+        // dense and walks every column in place in both projection forms.
         let rows = 62;
         let mut x = gaussian(&[rows, n], 8).data().to_vec();
         for at in [0, rows - 1] {
@@ -615,7 +654,7 @@ mod tests {
         (img[0], img[1], img[9], img[10]) = (r[5 * k + j], -r[4 * k + j], 0.0, 0.0);
         let patches = im2col(&x, &cfg).unwrap();
         let src = PatchSource::conv(&x, &cfg).unwrap();
-        assert!(src.dense(), "the layer takes the dense tile");
+        assert!(src.dense(), "the layer walks every column in place");
         let panels = ProjPanels::pack(r, n, k);
         let (rows, wpr) = (src.len(), k / 64);
         for &v in detected() {
@@ -662,11 +701,10 @@ mod tests {
     fn sign_epilogue_matches_the_portable_certify_of_the_stored_tile() {
         let _pin = pin();
         let initial = active();
-        // Blocks of 61 rows (a `rows % 4` tail) of width 27 and 8 (one
-        // column tile) and 72 and 200 (two and four): Gaussian rows take
-        // the dense tile and 20%-dense ones the tap broadcast; the special
-        // rows ride in blocks of both kinds. k = 96 and 192 add a partial
-        // last word and a 64-wide last broadcast tile.
+        // Blocks of 61 rows (a `rows % 4` tail) of width 8, 27, 72 and
+        // 200: Gaussian rows walk every column in place and 20%-dense ones
+        // walk group lists; the special rows ride in blocks of both kinds.
+        // k = 96 and 192 add a partial last word and a half last panel.
         let mut cases = Vec::new();
         for n in [8, 27, 72, 200] {
             let dense = gaussian(&[61, n], n as u64).data().to_vec();
@@ -710,7 +748,7 @@ mod tests {
                             &mut y,
                             &mut norms,
                         );
-                        assert_eq!(scratch.dense(), *dense, "branch: {what}");
+                        assert_eq!(src.dense(), *dense, "walk: {what}");
                         // The stored floats plus the noise: what the
                         // epilogue compares.
                         for (r, y) in y.chunks_exact_mut(k).enumerate() {
@@ -746,7 +784,7 @@ mod tests {
                                 epilogue,
                                 &mut sign_norms,
                             );
-                            assert_eq!(scratch.dense(), *dense, "branch: {what}");
+                            assert_eq!(src.dense(), *dense, "walk: {what}");
                             let bits =
                                 |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                             assert_eq!(bits(&sign_norms), bits(&norms), "norms: {what}");

@@ -12,9 +12,9 @@
 //! 1. hash every im2col patch of the layer input with the layer's
 //!    projection (the on-chip crossbar; optional device noise) — both
 //!    read in place: the patches from the layer's zero-padded input,
-//!    skipping zero taps on sparse layers, without materialising the
-//!    im2col matrix, and the projection from 64-column panels packed
-//!    once per layer,
+//!    skipping on sparse layers the columns a group of rows has all
+//!    zero, without materialising the im2col matrix, and the projection
+//!    from 64-column panels packed once per layer,
 //! 2. Hamming-compare a 64-patch block of hashes against all stored
 //!    kernel contexts in one tile — functionally what the CAM array does
 //!    in parallel, one search per patch,
@@ -866,6 +866,7 @@ fn run_dot(
     let mut dot = DotRecord {
         layer: tile.layer_idx,
         rows: src.len(),
+        nonzero_macs: src.nonzero() * tile.k,
         ..DotRecord::default()
     };
     let row_offset = walk.img_offset * p;
@@ -1089,16 +1090,17 @@ fn plane_segments<'o>(
 /// `probe` (`()` when nothing records).
 ///
 /// One blocked kernel per 64-row sub-block, allocation-free inside the
-/// loop (the scratch is allocated once per chunk, for the projection
-/// branch the layer takes):
-/// 1. project the sub-block with the implicit-im2col kernel in its
-///    fused multiply-add form, which reads both operands in place (the
-///    patch rows from the layer's zero-padded input through the
-///    source's offset table, `R` from the tile's 64-column panels),
-///    skips zero taps on a sparse layer and yields the exact patch
-///    norms; each finished tile adds any crossbar noise (per global row)
-///    and packs its signs into word-major queries, certifying each sign
-///    against an error bound;
+/// loop (the scratch is allocated once per chunk, with group lists only
+/// on a sparse layer):
+/// 1. project the sub-block with the one register tile in its fused
+///    multiply-add form, which reads both operands in place (the patch
+///    rows from the layer's zero-padded input through the source's
+///    offset table, `R` from the tile's 64-column panels) and, on a
+///    sparse layer, walks per group of rows only the columns some row of
+///    the group is non-zero in; the exact patch norms come with it; each
+///    finished tile adds any crossbar noise (per global row) and packs
+///    its signs into word-major queries, certifying each sign against an
+///    error bound;
 /// 2. recompute the uncertain lanes exactly ([`SignHasher`]; the signs
 ///    are those of the exact chain) and quantize the norms;
 /// 3. run one Hamming tile of those queries against all M packed kernel
@@ -1179,7 +1181,7 @@ fn dot_rows_range<P: Probe>(
             }
         }
         probe.lap(|d| &mut d.lut);
-        probe.block(hasher.dense(), recomputed, hasher.taps() * k);
+        probe.block(recomputed, hasher.terms() * k);
         g0 = g1;
     }
 }
@@ -1549,7 +1551,10 @@ mod tests {
                         assert_eq!(dot.sub_blocks, dot.rows.div_ceil(SUB_ROWS), "{what}");
                         assert!(dot.phases() <= dot.wall, "{what}: phases inside the step");
                     }
-                    assert!(dot.dense_sub_blocks <= dot.sub_blocks, "{what}");
+                    assert!(
+                        dot.nonzero_macs <= dot.macs,
+                        "{what}: every useful term ran"
+                    );
                 }
                 let (reference, rec) = engine.infer_recorded(x, Datapath::Reference).unwrap();
                 assert_eq!(
@@ -1581,14 +1586,14 @@ mod tests {
         let (_, rec) = engine.infer_recorded(&zeros, Datapath::Fast).unwrap();
         let first = &rec.dots[0];
         assert_eq!(first.recomputed_lanes, first.rows * 256);
-        assert_eq!(first.dense_sub_blocks, 0);
+        assert_eq!(first.nonzero_macs, 0);
         // A Gaussian image certifies nearly every lane.
         let (_, rec) = engine
             .infer_recorded(&tiny_batch(1), Datapath::Fast)
             .unwrap();
         let first = &rec.dots[0];
         assert!(first.recomputed_lanes * 100 < first.rows * 256);
-        assert!(first.dense_sub_blocks > 0);
+        assert!(first.nonzero_macs > 0);
     }
 
     #[test]

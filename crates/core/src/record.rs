@@ -63,7 +63,7 @@ impl Recording {
 /// One dot layer of a recorded pass.
 ///
 /// Phases and counters are zero on the reference datapath, which has no
-/// sub-blocks. When the layer's rows are sharded across workers, each
+/// sub-blocks (all but `nonzero_macs`). When the layer's rows are sharded across workers, each
 /// phase is summed over the workers, so the phases may exceed `wall`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DotRecord {
@@ -73,10 +73,10 @@ pub struct DotRecord {
     pub rows: usize,
     /// Wall time of the whole dot step.
     pub wall: Duration,
-    /// Fused-tile projection (the rows' bases and, on the broadcast,
-    /// the tap gather) and the patch norms, with the
-    /// noise draws and the tile epilogue that compares each finished tile
-    /// against the sign certificate and packs the sign words.
+    /// Fused-tile projection (the rows' bases, the patch norms and the
+    /// group lists), with the noise draws and the tile epilogue that
+    /// compares each finished tile against the sign certificate and
+    /// packs the sign words.
     pub project: Duration,
     /// The exact fix-up of the lanes the certificate left uncertain and
     /// the norm quantization.
@@ -87,13 +87,15 @@ pub struct DotRecord {
     pub lut: Duration,
     /// 64-row sub-blocks hashed.
     pub sub_blocks: usize,
-    /// Sub-blocks that took the dense projection tile.
-    pub dense_sub_blocks: usize,
     /// Hash lanes whose sign the bound did not prove, recomputed exactly.
     pub recomputed_lanes: usize,
-    /// Multiply-adds the projection tiles executed: `rows·n·k` for a
-    /// dense sub-block, `taps·k` for a broadcast one (its non-zero taps).
+    /// Multiply-adds the projection tiles executed: `Σ |list|·rows·k`
+    /// over every group of rows, its union list's length times its rows.
     pub macs: usize,
+    /// Multiply-adds the projection needs: the im2col matrix's non-zero
+    /// entries times `k`. A property of the layer's input, set on both
+    /// datapaths; `macs / nonzero_macs` is what the group unions add.
+    pub nonzero_macs: usize,
 }
 
 impl DotRecord {
@@ -109,7 +111,6 @@ impl DotRecord {
         self.hamming += part.hamming;
         self.lut += part.lut;
         self.sub_blocks += part.sub_blocks;
-        self.dense_sub_blocks += part.dense_sub_blocks;
         self.recomputed_lanes += part.recomputed_lanes;
         self.macs += part.macs;
     }
@@ -126,9 +127,9 @@ pub(crate) trait Probe {
     /// Ends a phase: the time since the previous boundary goes to the
     /// field `phase` picks.
     fn lap(&mut self, phase: fn(&mut DotRecord) -> &mut Duration);
-    /// Counts one sub-block: whether it took the dense tile, the lanes
-    /// it recomputed and the multiply-adds its projection ran.
-    fn block(&mut self, dense: bool, recomputed: usize, macs: usize);
+    /// Counts one sub-block: the lanes it recomputed and the
+    /// multiply-adds its projection ran.
+    fn block(&mut self, recomputed: usize, macs: usize);
 }
 
 /// Nothing records.
@@ -137,7 +138,7 @@ impl Probe for () {
     fn lap(&mut self, _: fn(&mut DotRecord) -> &mut Duration) {}
 
     #[inline(always)]
-    fn block(&mut self, _: bool, _: usize, _: usize) {}
+    fn block(&mut self, _: usize, _: usize) {}
 }
 
 /// Charges phases and counts to one worker's [`DotRecord`]; what runs
@@ -154,9 +155,8 @@ impl Probe for Timed<'_> {
         self.last = t;
     }
 
-    fn block(&mut self, dense: bool, recomputed: usize, macs: usize) {
+    fn block(&mut self, recomputed: usize, macs: usize) {
         self.rec.sub_blocks += 1;
-        self.rec.dense_sub_blocks += usize::from(dense);
         self.rec.recomputed_lanes += recomputed;
         self.rec.macs += macs;
     }

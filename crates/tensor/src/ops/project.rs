@@ -16,58 +16,65 @@
 //!   64-float rows. A 64-column slice of row-major `R` at `k = 256` has a
 //!   1 KB stride, which maps it onto 16 of L1's 64 sets.
 //!
-//! Each layer takes one of two branches, chosen once from the im2col
-//! matrix's non-zero count ([`PatchSource::dense`]). A nearly dense
-//! layer (the first layer's raw image, density ≈ 0.96) runs a register
-//! tile over the block's rows, read in place: 4 rows × 64 columns in
-//! sixteen `zmm` accumulators on `Avx512`, 2 × 64 in the portable code. A
-//! sparse layer gathers each row's non-zero taps in ascending column
-//! order, then broadcasts each tap across `k`:
-//! `acc[..] += x · R[col, ..]`, 128 columns at a time, from the two
-//! panels' rows of its column. The broadcast walks `NC` columns at a
-//! time so the 32 KB of panel rows it reads stay in L1; the patch norms
-//! are accumulated in the same pass over the taps.
+//! One register tile projects every layer: 4 rows × 64 columns in
+//! sixteen `zmm` accumulators on `Avx512`, 2 × 64 in the portable code.
+//! It walks the block's rows in groups of its height (the rows after the
+//! last whole group one at a time), and each panel row it loads serves
+//! every row of the group. What a group walks is chosen once per layer
+//! from the im2col matrix's non-zero count ([`PatchSource::dense`]):
+//! - a nearly dense layer (the first layer's raw image, density ≈ 0.96)
+//!   walks every column, its rows' values read in place;
+//! - a sparser layer first lists, per group, the columns in which any of
+//!   its rows is non-zero (the group's union), ascending, with the rows'
+//!   values at them packed `[len][rows]` beside it, and walks only that
+//!   list. Neighbouring output positions share most of their post-ReLU
+//!   zeros, so a 4-row union skips much of `n`: EIE shares each non-zero
+//!   activation across a group of processing elements the same way. Rows
+//!   that start one apart in the input (a stride-1 conv within one output
+//!   line) read a column's values in one load.
+//!
+//! The patch norms are summed in place, from the same rows.
 //!
 //! # Exact and fused chains
 //!
 //! Every output element is one serial chain over ascending patch
 //! columns, starting from `+0.0` — the chain [`matmul_dense_into`] and
-//! [`crate::tensor::matmul_into`] evaluate — minus, on the broadcast,
-//! the terms whose patch entry is `±0.0`. With `R` finite those terms
-//! are `±0.0`, and adding `±0.0` to an accumulator that started at
-//! `+0.0` never changes a bit (exact cancellation rounds to `+0.0`, and
+//! [`crate::tensor::matmul_into`] evaluate — minus the columns outside
+//! its group's union, where the row's entry is `±0.0`; a union column
+//! where the row itself is zero stays in the chain. With `R` finite every
+//! zero entry's term is `±0.0`, and adding `±0.0` to an accumulator that
+//! started at `+0.0` never changes a bit: the accumulator never holds
+//! `-0.0` (an exact cancellation rounds to `+0.0`, and
 //! `+0.0 + ±0.0 = +0.0`). Subnormal and non-finite entries are not zero:
-//! they are kept as taps.
+//! they enter the union.
 //!
-//! The portable kernels, which every variant but `Avx512` runs, round
-//! each term's multiply, then its add, so their result equals im2col +
-//! [`matmul_dense_into`] bitwise. On `Avx512` the tiles fuse each term
+//! The portable tile, which every variant but `Avx512` runs, rounds each
+//! term's multiply, then its add, so its result equals im2col +
+//! [`matmul_dense_into`] bitwise. On `Avx512` the tile fuses each term
 //! into one `_mm512_fmadd_ps`: one rounding instead of two, so a value
 //! may differ from the exact one in its last bits. It is still one
 //! serial chain over at most `n` terms, so it lies within
 //! `γ_n·Σ|x_i·r_i|` of the true dot product, as the exact value does.
 //! [`ProjectScratch::exact_element`] recomputes any output with the
-//! exact chain, from the row the last block read.
+//! exact chain over the same walk.
 //!
 //! The norm is exact in every form. `patch.iter().map(|v| v * v).sum()`
 //! folds from `-0.0` on current toolchains, but its first `+ v²` (always
 //! `≥ +0.0` or NaN) already lands on `+0.0` or above, so starting from
-//! `+0.0` and adding the squares in order (only the non-zero ones, or
-//! all of them) reproduces it for any non-empty patch. An all-zero patch
-//! therefore gets norm `+0.0`, never the `-0.0` an empty `sum` would
-//! give.
+//! `+0.0` and adding the squares in order reproduces it for any
+//! non-empty patch. An all-zero patch therefore gets norm `+0.0`, never
+//! the `-0.0` an empty `sum` would give.
 //!
 //! # Epilogues
 //!
-//! A tile is finished when its walk over `n` ends: a dense tile's 4 × 64
-//! outputs (one 64-bit word per row), or a broadcast row's 128 outputs on
-//! its last column tile. Every tile body ends in one epilogue.
-//! [`project_patches_approx_into`] stores the floats;
+//! A tile is finished when its walk over the group's list ends: its
+//! rows × 64 outputs, one 64-bit word per row. Every tile body ends in one
+//! epilogue. [`project_patches_approx_into`] stores the floats;
 //! [`project_patches_signs_into`] compares them against a per-lane bound
 //! ([`Signs`]) and writes each row's sign and uncertain words, so the
 //! DeepCAM hash, which needs only the sign bits, never stores or re-reads
-//! the float block. The AVX-512 tiles compare in registers, the portable
-//! ones from a stack tile.
+//! the float block. The AVX-512 tile compares in registers, the portable
+//! one from a stack tile.
 
 use std::borrow::Cow;
 
@@ -81,65 +88,15 @@ use crate::Result;
 #[cfg(doc)]
 use crate::tensor::matmul_dense_into;
 
-/// Output columns per register tile of the tap broadcast: a row's 128
-/// accumulators fill sixteen 256-bit or eight 512-bit registers.
-pub(crate) const KT: usize = 128;
-
-/// Patch columns per tile of the tap broadcast: the `NC × KT` floats
-/// (32 KB) of panel rows it reads stay in L1 while every row of the
-/// block reads them.
-const NC: usize = 64;
-
 /// A layer at or above this share of non-zero im2col entries (in
-/// 1/1024ths) takes the dense register-tiled kernel instead of the tap
-/// broadcast. The broadcast reads `R` once per tap where the dense tile
-/// shares each `R` load across four rows, so it only wins on clearly
-/// sparse layers (measured crossover on VGG11: 600–760 perform alike,
-/// 870 is slower).
-///
-/// Re-measured after the 512-bit tiles, with the threshold the only
-/// difference: perfbench `offline-vgg11`, 10 s alternating pairs on a
-/// 2-vCPU AVX-512 Xeon, 680 → 480 (≈ the 0.47 break-even the two
-/// kernels' MAC-per-cycle rates predict on that host; it moves VGG11's
-/// 0.53- and 0.66-dense layers to the dense tile):
-///
-/// | variant | pairs | 480 faster in | median ms/image | 680's IQR |
-/// |---|---|---|---|---|
-/// | `avx512` | 6 | 4 | 0.893 → 0.862 (−3.5%) | 0.065 |
-/// | `scalar` | 4 | 1 | 1.108 → 1.152 (+3.9%) | 0.085 |
-///
-/// Neither move clears the band, and the variants disagree, so 680
-/// stays.
-///
-/// Re-measured once [`project_patches_approx_into`]'s fused tiles ran
-/// the engine on `Avx512` (they speed the dense tile up about 1.55× and
-/// the broadcast about 1.1×), the threshold the only difference. VGG11's
-/// conv inputs are 0.96, 0.86, 0.66, 0.44, 0.52, 0.36, 0.37 and 0.24
-/// dense, so 340 moves layers 2–6 to the dense tile and 200 layer 7
-/// too:
-///
-/// | variant | change | run | pairs | new faster in | median ms/image | old's IQR |
-/// |---|---|---|---|---|---|---|
-/// | `avx512` | 680 → 480 | 10 s | 6 | 4 | 0.774 → 0.773 | 0.042 |
-/// | `avx512` | 680 → 340 | 10 s | 6 | 6 | 0.832 → 0.772 (−7.2%) | 0.046 |
-/// | `avx512` | 680 → 340 | 20 s | 10 | 6 | 0.763 → 0.747 (−2.1%) | 0.019 |
-/// | `avx512` | 340 → 200 | 10 s | 6 | 2 | 0.787 → 0.810 (+3.0%) | 0.044 |
-/// | `scalar` | 680 → 340 | 10 s | 6 | 0 | 1.162 → 1.291 (+11.1%) | 0.036 |
-///
-/// At the benchmark's 20 s run length 340 wins 6/10 pairs, inside the
-/// band, and it costs the portable kernels 11%, so 680 stays.
-///
-/// Re-measured once the dense tile read its rows in place (no gather)
-/// and `R` from panels, with the choice made per layer:
-///
-/// | variant | change | run | pairs | new faster in | median ms/image | old's IQR |
-/// |---|---|---|---|---|---|---|
-/// | `avx512` | 680 → 340 | 10 s | 6 | 6 | 0.545 → 0.522 (−4.1%) | 0.049 |
-/// | `scalar` | 680 → 340 | 10 s | 4 | 0 | 1.252 → 1.364 (+9.0%) | 0.034 |
-///
-/// The `avx512` gain stays inside the band (the fix-up of a dense layer
-/// walks every column, zeros included, so its certify time grows), and
-/// the portable kernels lose 9%: 680 stays.
+/// 1/1024ths) walks every column in place; below it each group walks its
+/// union list. A list costs a pass over the group's `n` columns, which a
+/// nearly dense layer's union (about all of `n`) does not pay back.
+/// Measured on VGG11 at k = 256 (fastest of 40 alternating serial
+/// 16-image passes, 2-vCPU AVX-512 Xeon): with lists, the 0.96- and
+/// 0.86-dense layers 0 and 1 project 9% and 15% slower; walked in place,
+/// the 0.44- and 0.36-dense layers 3 and 5 project 14% and 11% slower,
+/// the 0.66-dense layer 2 the same, and the 2×2-output layer 6 13% faster.
 const DENSE_PER_1024: usize = 680;
 
 /// Floats per 64-byte cache line.
@@ -148,15 +105,6 @@ const LINE: usize = 16;
 /// The first index of `v` that starts a 64-byte line (at most `LINE`).
 fn line_start(v: &[f32]) -> usize {
     v.as_ptr().align_offset(64).min(LINE)
-}
-
-/// `v` less its last `LINE` floats, starting on a cache line: the 512-bit
-/// tiles load and store the partial sums in whole lines, never split
-/// across two (the zeroed buffer is allocated with `LINE` floats of slack
-/// and left untouched until used).
-fn lines(v: &mut [f32]) -> &mut [f32] {
-    let (off, len) = (line_start(v), v.len() - LINE);
-    &mut v[off..off + len]
 }
 
 /// A projection `R` (`[n, k]`) packed into 64-column panels for the
@@ -361,12 +309,14 @@ impl<'a> PatchSource<'a> {
     }
 
     /// Non-zero entries of the im2col matrix: each non-zero input value
-    /// counted once per patch it lies in.
+    /// counted once per patch it lies in. Times `k`, the multiply-adds a
+    /// projection of every row needs; the tiles run more, the zeros of
+    /// each group's union.
     pub fn nonzero(&self) -> usize {
         self.nonzero
     }
 
-    /// Whether the projection takes the dense tile: at least
+    /// Whether the projection walks every column in place: at least
     /// `DENSE_PER_1024`/1024 of the im2col entries are non-zero.
     pub fn dense(&self) -> bool {
         self.nonzero * 1024 >= self.len() * self.width() * DENSE_PER_1024
@@ -416,21 +366,174 @@ fn count_nonzero(block: &[f32]) -> usize {
 /// A block's patch rows, read in place: column `kk` of row `r` is
 /// `data[bases[r] + off[kk]]`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DenseBlock<'b> {
-    pub(crate) data: &'b [f32],
-    pub(crate) off: &'b [usize],
-    pub(crate) bases: &'b [usize],
+struct Rows<'b> {
+    data: &'b [f32],
+    off: &'b [usize],
+    bases: &'b [usize],
 }
 
-impl<'b> DenseBlock<'b> {
-    /// Row `r`'s window: from its base through its last column. Every
-    /// row's window is as long as the others', so one bounds check on an
-    /// offset covers a tile's rows.
+impl<'b> Rows<'b> {
+    /// Row `r`'s window. Every row's window is as long as the others', so
+    /// one bounds check on an offset covers a group's rows.
     #[inline]
-    pub(crate) fn row(&self, r: usize) -> &'b [f32] {
-        let span = self.off.last().map_or(0, |&o| o + 1);
-        &self.data[self.bases[r]..][..span]
+    fn row(&self, r: usize) -> &'b [f32] {
+        &self.data[self.bases[r]..][..span(self.off)]
     }
+}
+
+/// How far a row's window reaches past its base: through its last
+/// offset.
+fn span(off: &[usize]) -> usize {
+    off.last().map_or(0, |&o| o + 1)
+}
+
+/// A block's rows in the groups the tile walks: rows `0..full` in groups
+/// of `group` consecutive rows, then rows `full..rows` one at a time.
+/// Listed, the group at row `r0` with `T` rows walks `lens[r0]` union
+/// columns, ascending, at `cols[r0·n..]`, with its rows' values at them,
+/// `[len][T]`, at `vals[r0·n..]`; otherwise it walks every column, its
+/// rows read in place.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Groups<'b> {
+    pub(crate) group: usize,
+    pub(crate) full: usize,
+    pub(crate) rows: usize,
+    block: Rows<'b>,
+    listed: bool,
+    cols: &'b [u32],
+    vals: &'b [f32],
+    lens: &'b [usize],
+}
+
+/// The group row `r` lies in, when rows `0..full` form groups of `group`
+/// and the rows after them stand alone: its first row and its height.
+fn group_of(r: usize, full: usize, group: usize) -> (usize, usize) {
+    if r < full {
+        (r / group * group, group)
+    } else {
+        (r, 1)
+    }
+}
+
+/// `rows` cut to the last offset of `off`: every window is then as long
+/// as the others, so one bounds check on an offset covers all `T` loads.
+#[inline(always)]
+pub(crate) fn windows<'b, const T: usize>(
+    mut rows: [&'b [f32]; T],
+    off: &[usize],
+) -> [&'b [f32]; T] {
+    let span = span(off);
+    for row in &mut rows {
+        *row = &row[..span];
+    }
+    rows
+}
+
+/// The terms of one `T`-row group, in ascending column order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Terms<'b, const T: usize> {
+    /// Column `s` of the walk is panel row `s`, and row `i`'s value
+    /// `rows[i][off[s]]`.
+    InPlace {
+        rows: [&'b [f32]; T],
+        off: &'b [usize],
+    },
+    /// Step `s` is panel row `cols[s]`, and row `i`'s value
+    /// `vals[s·T + i]`.
+    Listed { cols: &'b [u32], vals: &'b [f32] },
+}
+
+impl<'b> Groups<'b> {
+    /// The terms of the `T`-row group at row `r0`.
+    #[inline(always)]
+    pub(crate) fn terms<const T: usize>(&self, r0: usize) -> Terms<'b, T> {
+        if self.listed {
+            let (cols, vals) = self.list::<T>(r0);
+            Terms::Listed { cols, vals }
+        } else {
+            let mut rows = [&self.block.data[..0]; T];
+            for (i, row) in rows.iter_mut().enumerate() {
+                *row = self.block.row(r0 + i);
+            }
+            Terms::InPlace {
+                rows,
+                off: self.block.off,
+            }
+        }
+    }
+
+    /// The list of the `T`-row group at row `r0`: its columns and its
+    /// rows' values at them.
+    #[inline(always)]
+    fn list<const T: usize>(&self, r0: usize) -> (&'b [u32], &'b [f32]) {
+        let (at, len) = (r0 * self.block.off.len(), self.lens[r0]);
+        (&self.cols[at..at + len], &self.vals[at..at + len * T])
+    }
+
+    /// Outputs `(r, j)` of `L` lanes, each with the exact chain over the
+    /// walk of its row's group. On a listed block every lane's row must
+    /// lie in the first lane's group: the lanes then share its list.
+    fn exact<const L: usize>(
+        &self,
+        lanes: [(usize, usize); L],
+        panels: &'b ProjPanels,
+    ) -> [f32; L] {
+        let n = self.block.off.len();
+        // Lane `l` reads float `j % 64` of row `col` of `j`'s panel.
+        let columns = lanes.map(|(_, j)| (&panels.panel(j / 64).as_chunks().0[..n], j % 64));
+        if !self.listed {
+            let rows = windows(lanes.map(|(r, _)| self.block.row(r)), self.block.off);
+            let steps = self.block.off.iter().enumerate();
+            return exact_chains(steps.map(|(s, &o)| (s, rows.map(|row| row[o]))), columns);
+        }
+        let of = |r| group_of(r, self.full, self.group);
+        let (r0, t) = of(lanes.first().map_or(0, |l| l.0));
+        let at = lanes.map(|(r, _)| {
+            assert_eq!(of(r).0, r0, "lanes of one group");
+            r - r0
+        });
+        match t {
+            4 => self.listed_chains::<4, L>(r0, at, columns),
+            2 => self.listed_chains::<2, L>(r0, at, columns),
+            _ => self.listed_chains::<1, L>(r0, at, columns),
+        }
+    }
+
+    /// [`Groups::exact`] over the list of the `T`-row group at `r0`, lane
+    /// `l` its row `at[l]`.
+    #[inline]
+    fn listed_chains<const T: usize, const L: usize>(
+        &self,
+        r0: usize,
+        at: [usize; L],
+        columns: [(&[[f32; 64]], usize); L],
+    ) -> [f32; L] {
+        let (cols, vals) = self.list::<T>(r0);
+        let steps = cols.iter().zip(vals.as_chunks::<T>().0);
+        let rows = at.map(|i| i.min(T - 1));
+        exact_chains(
+            steps.map(|(&col, xs)| (col as usize, rows.map(|i| xs[i]))),
+            columns,
+        )
+    }
+}
+
+/// The exact serial multiply-then-add chains of `L` lanes from `+0.0`:
+/// step `(col, xs)` adds `xs[l] · columns[l].0[col][columns[l].1]` to
+/// lane `l`. Each chain waits an add's latency for the one before; `L`
+/// of them side by side overlap their waits.
+#[inline]
+fn exact_chains<const L: usize>(
+    steps: impl Iterator<Item = (usize, [f32; L])>,
+    columns: [(&[[f32; 64]], usize); L],
+) -> [f32; L] {
+    let mut acc = [0.0f32; L];
+    for (col, xs) in steps {
+        for ((a, x), (rows, j)) in acc.iter_mut().zip(xs).zip(columns) {
+            *a += x * rows[col][j & 63];
+        }
+    }
+    acc
 }
 
 /// The sign certificate [`project_patches_signs_into`] applies to every
@@ -496,7 +599,7 @@ impl Epilogue<'_> {
     /// Row `r`'s norm is known: fixes its bound factor and its noise
     /// amplitude `fl(level·‖x‖)`.
     #[inline]
-    pub(crate) fn set_norm(&mut self, r: usize, norm: f32) {
+    fn set_norm(&mut self, r: usize, norm: f32) {
         if let Epilogue::Signs(st) = self {
             st.factors[r] = ((st.cert.row_scale)(st.n, norm), st.level * norm);
         }
@@ -506,7 +609,7 @@ impl Epilogue<'_> {
     /// `j0..j0 + w` (`j0` a multiple of 64): the portable epilogue. The
     /// tile comes by value, so the caller's accumulators stay in
     /// registers; the compares go through bytes, so they vectorize.
-    pub(crate) fn finish<const W: usize>(&mut self, r: usize, j0: usize, tile: [f32; W], w: usize) {
+    pub(crate) fn finish(&mut self, r: usize, j0: usize, tile: [f32; 64], w: usize) {
         let vals = &tile[..w];
         let st = match self {
             Epilogue::Store { out, k } => {
@@ -516,28 +619,25 @@ impl Epilogue<'_> {
         };
         let (scale, amp) = st.factors[r];
         let (k, cert) = (st.cert.bounds.len(), &mut st.cert);
-        for (w, chunk) in (j0 / 64..).zip(vals.chunks(64)) {
-            let j = 64 * w;
-            let mut noisy = [0.0f32; 64];
-            let v = match cert.noise {
-                Some((_, z)) => {
-                    for ((v, &y), &z) in noisy.iter_mut().zip(chunk).zip(&z[r * k + j..]) {
-                        *v = y + amp * z;
-                    }
-                    &noisy[..chunk.len()]
+        let mut noisy = [0.0f32; 64];
+        let v = match cert.noise {
+            Some((_, z)) => {
+                for ((v, &y), &z) in noisy.iter_mut().zip(vals).zip(&z[r * k + j0..]) {
+                    *v = y + amp * z;
                 }
-                None => chunk,
-            };
-            let (mut sign, mut unsure) = ([0u8; 64], [0u8; 64]);
-            let lanes = sign.iter_mut().zip(&mut unsure).zip(v);
-            for (((s, u), &v), &c) in lanes.zip(&cert.bounds[j..]) {
-                *s = u8::from(v >= 0.0);
-                let sure = v.abs() > scale * c;
-                *u = u8::from(!sure);
+                &noisy[..w]
             }
-            let at = w * st.rows + r;
-            (cert.signs[at], cert.uncertain[at]) = (collapse(&sign), collapse(&unsure));
+            None => vals,
+        };
+        let (mut sign, mut unsure) = ([0u8; 64], [0u8; 64]);
+        let lanes = sign.iter_mut().zip(&mut unsure).zip(v);
+        for (((s, u), &v), &c) in lanes.zip(&cert.bounds[j0..]) {
+            *s = u8::from(v >= 0.0);
+            let sure = v.abs() > scale * c;
+            *u = u8::from(!sure);
         }
+        let at = j0 / 64 * st.rows + r;
+        (cert.signs[at], cert.uncertain[at]) = (collapse(&sign), collapse(&unsure));
     }
 }
 
@@ -553,79 +653,83 @@ fn collapse(bytes: &[u8; 64]) -> u64 {
     word
 }
 
-/// One row's tile of the tap broadcast: its taps `from..end` with column
-/// in `c0..c1`, into output columns `kt..kt + width`; `last` when `c1`
-/// ends the row, so the tile is finished.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RowTile {
-    pub(crate) r: usize,
-    pub(crate) from: usize,
-    pub(crate) end: usize,
-    pub(crate) c0: usize,
-    pub(crate) c1: usize,
-    pub(crate) kt: usize,
-    pub(crate) width: usize,
-    pub(crate) last: bool,
-}
-
-impl RowTile {
-    /// Columns of 64-wide half `h` the tile finishes.
-    pub(crate) fn half_width(&self, h: usize) -> usize {
-        64.min(self.width - 64 * h)
-    }
-}
-
 /// Reusable per-worker buffers of the projection, sized for blocks of up
-/// to `max_rows` rows of one source and allocated once, for the branch
-/// that source takes: a dense layer needs only the row bases and the
-/// bound factors, a broadcast layer the tap lists, cursors and partial
-/// sums too.
+/// to `max_rows` rows of one source: the bound factors, and the last
+/// block's row bases and, when the source's groups walk lists, its lists.
 #[derive(Debug, Clone)]
 pub struct ProjectScratch {
     max_rows: usize,
-    n: usize,
-    dense: bool,
-    /// Rows of the last block.
-    rows: usize,
-    /// Where each row of the last block starts in the source's data.
-    bases: Vec<usize>,
     /// Per-row bound factor and noise amplitude of a [`Signs`] block.
     factors: Vec<(f32, f32)>,
-    /// Row `r`'s non-zero taps, ascending column, at `r·n..r·n + lens[r]`.
-    tap_col: Vec<u32>,
-    tap_x: Vec<f32>,
+    last: LastBlock,
+}
+
+/// The block a scratch last projected.
+#[derive(Debug, Clone)]
+struct LastBlock {
+    n: usize,
+    listed: bool,
+    /// Its rows, and the height of its whole groups.
+    rows: usize,
+    group: usize,
+    /// Where each row starts in the source's data.
+    bases: Vec<usize>,
+    /// The group lists, laid out as [`Groups`] reads them.
+    cols: Vec<u32>,
+    vals: Vec<f32>,
     lens: Vec<usize>,
-    /// Per-row read position in the tap lists across column tiles.
-    cursor: Vec<usize>,
-    /// Per-row `KT`-wide partial sums between column tiles (`n > NC`).
-    partial: Vec<f32>,
+}
+
+impl LastBlock {
+    /// Rows in whole groups.
+    fn full(&self) -> usize {
+        self.rows / self.group * self.group
+    }
+
+    /// The block's groups, rows read from `src`.
+    fn groups<'b>(&'b self, src: &'b PatchSource<'_>) -> Groups<'b> {
+        Groups {
+            group: self.group,
+            full: self.full(),
+            rows: self.rows,
+            block: Rows {
+                data: &src.data,
+                off: &src.off,
+                bases: &self.bases[..self.rows],
+            },
+            listed: self.listed,
+            cols: &self.cols,
+            vals: &self.vals,
+            lens: &self.lens,
+        }
+    }
 }
 
 impl ProjectScratch {
     /// Buffers for blocks of up to `max_rows` rows of `src`.
     pub fn new(max_rows: usize, src: &PatchSource<'_>) -> Self {
-        let (n, dense) = (src.width(), src.dense());
-        let taps = if dense { 0 } else { max_rows * n };
-        let per_row = if dense { 0 } else { max_rows };
+        let (n, listed) = (src.width(), !src.dense());
+        let list = if listed { max_rows * n } else { 0 };
         ProjectScratch {
             max_rows,
-            n,
-            dense,
-            rows: 0,
-            bases: vec![0; max_rows],
             factors: vec![(0.0, 0.0); max_rows],
-            tap_col: vec![0; taps],
-            tap_x: vec![0.0; taps],
-            lens: vec![0; per_row],
-            cursor: vec![0; per_row],
-            partial: vec![0.0; if dense { 0 } else { max_rows * KT + LINE }],
+            last: LastBlock {
+                n,
+                listed,
+                rows: 0,
+                group: 1,
+                bases: vec![0; max_rows],
+                cols: vec![0; list],
+                vals: vec![0.0; list],
+                lens: vec![0; if listed { max_rows } else { 0 }],
+            },
         }
     }
 
     /// Output `j` of row `r` of the block last projected from `src`
     /// through `panels`, recomputed with the exact serial
-    /// multiply-then-add chain over the row's columns: the bits of im2col
-    /// + [`matmul_dense_into`], whichever branch projected the block.
+    /// multiply-then-add chain over the walk of the row's group: the bits
+    /// of im2col + [`matmul_dense_into`].
     ///
     /// # Panics
     ///
@@ -639,41 +743,50 @@ impl ProjectScratch {
         panels: &ProjPanels,
         j: usize,
     ) -> f32 {
-        assert!(
-            r < self.rows && j < panels.k(),
-            "element outside the last block"
-        );
+        self.exact_elements(src, [(r, j)], panels)[0]
+    }
+
+    /// [`ProjectScratch::exact_element`] of `L` lanes `(r, j)` whose rows
+    /// lie in one group ([`ProjectScratch::group_rows`]), in one walk of
+    /// the group: the lanes' chains run side by side.
+    ///
+    /// # Panics
+    ///
+    /// As [`ProjectScratch::exact_element`], for any lane, and when the
+    /// lanes' rows lie in different groups.
+    // analyze: alloc-free
+    pub fn exact_elements<const L: usize>(
+        &self,
+        src: &PatchSource<'_>,
+        lanes: [(usize, usize); L],
+        panels: &ProjPanels,
+    ) -> [f32; L] {
+        for &(r, j) in &lanes {
+            assert!(
+                r < self.last.rows && j < panels.k(),
+                "element outside the last block"
+            );
+        }
         assert_eq!(panels.n(), src.width(), "projection must have n rows");
-        let column = &panels.panel(j / 64)[j % 64..];
-        let mut acc = 0.0f32;
-        if self.dense {
-            // Zero terms included: the chain of `matmul_dense_into`.
-            let row = &src.data[self.bases[r]..];
-            for (&o, &v) in src.off.iter().zip(column.iter().step_by(64)) {
-                acc += row[o] * v;
-            }
-        } else {
-            let (lo, hi) = (r * self.n, r * self.n + self.lens[r]);
-            for (&col, &x) in self.tap_col[lo..hi].iter().zip(&self.tap_x[lo..hi]) {
-                acc += x * column[col as usize * 64];
-            }
-        }
-        acc
+        self.last.groups(src).exact(lanes, panels)
     }
 
-    /// Whether this scratch's source takes the dense tile.
-    pub fn dense(&self) -> bool {
-        self.dense
+    /// The rows of the group row `r` of the last block lies in.
+    pub fn group_rows(&self, r: usize) -> std::ops::Range<usize> {
+        let (r0, t) = group_of(r, self.last.full(), self.last.group);
+        r0..r0 + t
     }
 
-    /// Multiply-adds the last block ran per output column: `rows · n` on
-    /// the dense tile, the block's non-zero taps on the broadcast.
-    pub fn taps(&self) -> usize {
-        if self.dense {
-            self.rows * self.n
-        } else {
-            self.lens[..self.rows].iter().sum()
+    /// Multiply-adds the last block's tiles ran per output column: over
+    /// its groups, the walk's length times the group's rows.
+    pub fn terms(&self) -> usize {
+        let b = &self.last;
+        if !b.listed {
+            return b.rows * b.n;
         }
+        let whole = (0..b.full()).step_by(b.group);
+        let tail = b.lens[b.full()..b.rows].iter().sum::<usize>();
+        whole.map(|r0| b.lens[r0] * b.group).sum::<usize>() + tail
     }
 }
 
@@ -692,8 +805,8 @@ impl ProjectScratch {
 /// # Panics
 ///
 /// Panics when the block exceeds the scratch's capacity or `src`'s rows,
-/// the scratch was built for another source's width or branch, or a
-/// buffer length disagrees with `rows`, `n` or `k`.
+/// the scratch was built for another source's width, or a buffer length
+/// disagrees with `rows`, `n` or `k`.
 // analyze: alloc-free
 pub fn project_patches_approx_into(
     src: &PatchSource<'_>,
@@ -743,7 +856,8 @@ pub fn project_patches_signs_into(
     project_block(src, row_start, rows, panels, scratch, target, norms);
 }
 
-/// The one body of both projection entries.
+/// The one body of both projection entries: the rows' bases and norms,
+/// the group lists (on a listed source), then the tile over every panel.
 fn project_block(
     src: &PatchSource<'_>,
     row_start: usize,
@@ -755,11 +869,9 @@ fn project_block(
 ) {
     let (n, k) = (src.width(), panels.k());
     assert_eq!(panels.n(), n, "projection must have n rows");
-    assert_eq!(scratch.n, n, "scratch width must match the patch width");
     assert_eq!(
-        scratch.dense,
-        src.dense(),
-        "scratch sized for the other branch"
+        scratch.last.n, n,
+        "scratch width must match the patch width"
     );
     assert!(rows <= scratch.max_rows, "block exceeds scratch capacity");
     assert!(
@@ -767,9 +879,20 @@ fn project_block(
         "block exceeds the source rows"
     );
     let norms = &mut norms[..rows];
-    let s = scratch;
-    s.rows = rows;
-    src.bases_into(row_start, &mut s.bases[..rows]);
+    let wide = crate::simd::avx512();
+    let b = &mut scratch.last;
+    // A group is as tall as the tile that walks it.
+    (b.rows, b.group) = (rows, if wide.is_some() { 4 } else { 2 });
+    src.bases_into(row_start, &mut b.bases[..rows]);
+    let block = Rows {
+        data: &src.data,
+        off: &src.off,
+        bases: &b.bases[..rows],
+    };
+    block_norms(&block, norms);
+    if b.listed {
+        list_groups(&block, b.group, &mut b.cols, &mut b.vals, &mut b.lens);
+    }
     let mut ep = match target {
         Target::Floats(out) => Epilogue::Store { out, k },
         Target::Signs(cert) => Epilogue::Signs(SignTile {
@@ -777,55 +900,20 @@ fn project_block(
             cert,
             n,
             rows,
-            factors: &mut s.factors[..rows],
+            factors: &mut scratch.factors[..rows],
         }),
     };
-    let wide = crate::simd::avx512();
-    let block = DenseBlock {
-        data: &src.data,
-        off: &src.off,
-        bases: &s.bases[..rows],
-    };
-    if s.dense {
-        dense_norms(&block, norms);
-        for (r, &norm) in norms.iter().enumerate() {
-            ep.set_norm(r, norm);
-        }
-        dense_gemm(wide, &block, panels, &mut ep);
-        return;
+    for (r, &norm) in norms.iter().enumerate() {
+        ep.set_norm(r, norm);
     }
-    gather_taps(&block, &mut s.tap_col, &mut s.tap_x, &mut s.lens[..rows]);
-    let taps = (&s.tap_col[..], &s.tap_x[..]);
-    let bufs = (&mut s.cursor[..], lines(&mut s.partial));
-    broadcast_taps(wide, taps, &s.lens[..rows], panels, bufs, &mut ep, norms);
+    union_gemm(wide, &scratch.last.groups(src), panels, &mut ep);
 }
 
-/// Gathers each row's non-zero taps of a block, ascending column, into
-/// `r·n..r·n + lens[r]`.
-fn gather_taps(block: &DenseBlock<'_>, tap_col: &mut [u32], tap_x: &mut [f32], lens: &mut [usize]) {
-    let n = block.off.len();
-    for (r, len_out) in lens.iter_mut().enumerate() {
-        let (row, cols) = (block.row(r), &mut tap_col[r * n..(r + 1) * n]);
-        let xs = &mut tap_x[r * n..(r + 1) * n];
-        let mut len = 0;
-        // Write every tap, advance past non-zero ones only: branch-free
-        // compaction.
-        for (col, &o) in block.off.iter().enumerate() {
-            let x = row[o];
-            cols[len] = col as u32;
-            xs[len] = x;
-            len += usize::from(x != 0.0);
-        }
-        *len_out = len;
-    }
-}
-
-/// Row norms of a dense block, up to 16 rows at a time: rows whose bases
-/// step by one (neighbouring outputs of a stride-1 conv) read one
-/// contiguous slice per column, so their squares vectorize with the
-/// accumulators in registers; each row still sums its columns ascending
-/// from `+0.0`.
-fn dense_norms(block: &DenseBlock<'_>, norms: &mut [f32]) {
+/// Row norms of a block, up to 16 rows at a time: rows whose bases step
+/// by one (neighbouring outputs of a stride-1 conv) read one contiguous
+/// slice per column, so their squares vectorize with the accumulators in
+/// registers; each row still sums its columns ascending from `+0.0`.
+fn block_norms(block: &Rows<'_>, norms: &mut [f32]) {
     let bases = block.bases;
     let mut r = 0;
     while r < bases.len() {
@@ -844,7 +932,7 @@ fn dense_norms(block: &DenseBlock<'_>, norms: &mut [f32]) {
 /// The norms of the `W` rows starting at `base`, one apart, into
 /// `norms[..W]`. Returns `W`.
 #[inline]
-fn norm_run<const W: usize>(block: &DenseBlock<'_>, base: usize, norms: &mut [f32]) -> usize {
+fn norm_run<const W: usize>(block: &Rows<'_>, base: usize, norms: &mut [f32]) -> usize {
     let mut acc = [0.0f32; W];
     for &o in block.off {
         let xs: &[f32; W] = block.data[base + o..][..W].try_into().expect("W rows");
@@ -858,211 +946,151 @@ fn norm_run<const W: usize>(block: &DenseBlock<'_>, base: usize, norms: &mut [f3
     W
 }
 
-/// The dense branch: the fused AVX-512 tiles when `wide`, else
-/// [`dense_portable`] (the exact bits), each tile ending in `ep`.
+/// Lists every group of a block, laid out as [`Groups`] reads them:
+/// whole groups of `group` rows, then the rows after the last one alone.
+fn list_groups(
+    block: &Rows<'_>,
+    group: usize,
+    cols: &mut [u32],
+    vals: &mut [f32],
+    lens: &mut [usize],
+) {
+    let (rows, n) = (block.bases.len(), block.off.len());
+    let full = rows / group * group;
+    for r0 in (0..full).step_by(group) {
+        let (cols, vals) = (&mut cols[r0 * n..][..n], &mut vals[r0 * n..][..group * n]);
+        lens[r0] = match group {
+            4 => union_list::<4>(block, r0, cols, vals),
+            _ => union_list::<2>(block, r0, cols, vals),
+        };
+    }
+    for r0 in full..rows {
+        let (cols, vals) = (&mut cols[r0 * n..][..n], &mut vals[r0 * n..][..n]);
+        lens[r0] = union_list::<1>(block, r0, cols, vals);
+    }
+}
+
+/// Lists the columns in which any of rows `r0..r0 + T` is non-zero,
+/// ascending, into `cols`, and the rows' values at them into `vals`
+/// (`[len][T]`); returns `len`. Branch-free compaction: every column is
+/// written, and the cursor steps past listed ones only. Rows whose bases
+/// step by one read each column's `T` values in one load.
+#[inline]
+fn union_list<const T: usize>(
+    block: &Rows<'_>,
+    r0: usize,
+    cols: &mut [u32],
+    vals: &mut [f32],
+) -> usize {
+    let bases = &block.bases[r0..r0 + T];
+    let mut len = 0;
+    let mut put = |col: usize, xs: [f32; T]| {
+        cols[len] = col as u32;
+        vals[len * T..][..T].copy_from_slice(&xs);
+        len += usize::from(xs.iter().fold(false, |nz, &x| nz | (x != 0.0)));
+    };
+    if bases.iter().zip(bases[0]..).all(|(&b, at)| b == at) {
+        let run = &block.data[bases[0]..][..span(block.off) + T - 1];
+        for (col, &o) in block.off.iter().enumerate() {
+            put(col, run[o..o + T].try_into().expect("T rows"));
+        }
+    } else {
+        let mut rows = [&block.data[..0]; T];
+        for (i, row) in rows.iter_mut().enumerate() {
+            *row = block.row(r0 + i);
+        }
+        for (col, &o) in block.off.iter().enumerate() {
+            put(col, rows.map(|row| row[o]));
+        }
+    }
+    len
+}
+
+/// The tile over every group and panel: fused on AVX-512 when `wide`,
+/// else [`union_portable`] (the exact bits), each tile ending in `ep`.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn dense_gemm(
+fn union_gemm(
     wide: Option<Avx512Token>,
-    block: &DenseBlock<'_>,
+    groups: &Groups<'_>,
     panels: &ProjPanels,
     ep: &mut Epilogue<'_>,
 ) {
     #[cfg(target_arch = "x86_64")]
     if let Some(token) = wide {
-        return crate::simd::x86::dense_avx512(token, block, panels, ep);
+        return crate::simd::x86::union_avx512(token, groups, panels, ep);
     }
-    dense_portable(block, panels, ep);
+    union_portable(groups, panels, ep);
 }
 
-/// The portable dense branch: [`matmul_dense_into`]'s chain (ascending
-/// over `n` from `+0.0`, multiply then add) in 2-row × 64-column tiles (a
-/// 1-row tile for an odd last row), each finished from its accumulators:
-/// one word per row, in sixteen 256-bit registers.
-fn dense_portable(block: &DenseBlock<'_>, panels: &ProjPanels, ep: &mut Epilogue<'_>) {
-    let (rows, k) = (block.bases.len(), panels.k());
-    let pairs = rows / 2 * 2;
+/// The portable tile: [`matmul_dense_into`]'s chain (ascending over the
+/// group's walk from `+0.0`, multiply then add) in 2-row × 64-column
+/// tiles (1-row after the last whole group), each finished from its
+/// accumulators: one word per row, in sixteen 256-bit registers.
+fn union_portable(groups: &Groups<'_>, panels: &ProjPanels, ep: &mut Epilogue<'_>) {
+    assert_eq!(groups.group, 2, "the portable tile walks 2-row groups");
+    let k = panels.k();
     for jt in (0..k).step_by(64) {
-        let panel = panels.panel(jt / 64);
-        let w = 64.min(k - jt);
-        for r0 in (0..pairs).step_by(2) {
-            dense_tile_portable::<2>(block, r0, panel, jt, w, ep);
+        let (panel, w) = (panels.panel(jt / 64), 64.min(k - jt));
+        for r0 in (0..groups.full).step_by(2) {
+            tile_portable(groups.terms::<2>(r0), r0, panel, jt, w, ep);
         }
-        if pairs < rows {
-            dense_tile_portable::<1>(block, pairs, panel, jt, w, ep);
+        for r0 in groups.full..groups.rows {
+            tile_portable(groups.terms::<1>(r0), r0, panel, jt, w, ep);
         }
     }
 }
 
-/// Rows `r0..r0 + R` × the 64 columns of `panel` (output columns
-/// `jt..jt + w` of them kept) of the portable dense branch: each column
-/// of `n` reads one contiguous panel row, so the accumulators stay in
-/// registers.
+/// Rows `r0..r0 + T` × the 64 columns of `panel` (output columns
+/// `jt..jt + w` of them kept) over the group's `terms`: each step reads
+/// one contiguous panel row, so the accumulators stay in registers.
 #[inline]
-fn dense_tile_portable<const R: usize>(
-    block: &DenseBlock<'_>,
+fn tile_portable<const T: usize>(
+    terms: Terms<'_, T>,
     r0: usize,
     panel: &[f32],
     jt: usize,
     w: usize,
     ep: &mut Epilogue<'_>,
 ) {
-    let mut rows = [&block.data[..0]; R];
-    for (i, row) in rows.iter_mut().enumerate() {
-        *row = block.row(r0 + i);
-    }
-    let mut acc = [[0.0f32; 64]; R];
-    for (&o, b_row) in block.off.iter().zip(panel.chunks_exact(64)) {
-        let bv: &[f32; 64] = b_row.try_into().expect("64 columns");
-        for (row, acc_i) in rows.iter().zip(acc.iter_mut()) {
-            let x = row[o];
-            for (s, &bl) in acc_i.iter_mut().zip(bv) {
-                *s += x * bl;
+    // Each walk owns its accumulators: shared across both loops, they
+    // were written back to the stack on every step.
+    let acc = match terms {
+        Terms::InPlace { rows, off } => {
+            let mut acc = [[0.0f32; 64]; T];
+            let rows = windows(rows, off);
+            for (&o, b_row) in off.iter().zip(panel.chunks_exact(64)) {
+                let mut xs = [0.0f32; T];
+                for (x, row) in xs.iter_mut().zip(&rows) {
+                    *x = row[o];
+                }
+                add_step(&mut acc, &xs, b_row);
             }
+            acc
         }
-    }
-    for (i, &acc_i) in acc.iter().enumerate() {
+        Terms::Listed { cols, vals } => {
+            let mut acc = [[0.0f32; 64]; T];
+            for (&col, xs) in cols.iter().zip(vals.chunks_exact(T)) {
+                let xs = xs.try_into().expect("T rows");
+                add_step(&mut acc, xs, &panel[col as usize * 64..][..64]);
+            }
+            acc
+        }
+    };
+    for (i, acc_i) in acc.into_iter().enumerate() {
         ep.finish(r0 + i, jt, acc_i, w);
     }
 }
 
-/// The tap broadcast over a block: for each `KT`-wide output tile (the
-/// two panels that hold it, or one for a last tile of at most 64
-/// columns) and each `NC`-column tile of `n`, every row adds
-/// `x · R[col, tile]` for its taps in that column range into register
-/// accumulators, reading the panels' rows in place. Column tiles run in
-/// ascending order, the partial sums between them kept per row in
-/// `partial`, so each output keeps one ascending chain; the last column
-/// tile finishes the row's tile into `ep`. The norms ride along on the
-/// first output tile, and each is final (and handed to `ep`) when that
-/// tile's walk ends.
-fn broadcast_taps(
-    wide: Option<Avx512Token>,
-    (tap_col, tap_x): (&[u32], &[f32]),
-    lens: &[usize],
-    panels: &ProjPanels,
-    (cursor, partial): (&mut [usize], &mut [f32]),
-    ep: &mut Epilogue<'_>,
-    norms: &mut [f32],
-) {
-    let (n, k) = (panels.n(), panels.k());
-    norms.fill(0.0);
-    for kt in (0..k).step_by(KT) {
-        let width = KT.min(k - kt);
-        for (r, cur) in cursor[..lens.len()].iter_mut().enumerate() {
-            *cur = r * n;
-        }
-        for c0 in (0..n).step_by(NC) {
-            let c1 = (c0 + NC).min(n);
-            let half = |p: usize| &panels.panel(p)[c0 * 64..c1 * 64];
-            let lo = half(kt / 64);
-            let hi = if width > 64 { half(kt / 64 + 1) } else { lo };
-            for (r, &len) in lens.iter().enumerate() {
-                let t = RowTile {
-                    r,
-                    from: cursor[r],
-                    end: r * n + len,
-                    c0,
-                    c1,
-                    kt,
-                    width,
-                    last: c1 == n,
-                };
-                let part = (&mut partial[r * KT..(r + 1) * KT])
-                    .try_into()
-                    .expect("KT-wide partial");
-                let taps = (tap_col, tap_x);
-                let mut running = 0.0;
-                let norm = if kt == 0 { &mut norms[r] } else { &mut running };
-                cursor[r] = match (kt == 0, width > 64) {
-                    (true, true) => row_tile::<true, 2>(wide, taps, t, [lo, hi], part, norm, ep),
-                    (true, false) => row_tile::<true, 1>(wide, taps, t, [lo], part, norm, ep),
-                    (false, true) => row_tile::<false, 2>(wide, taps, t, [lo, hi], part, norm, ep),
-                    (false, false) => row_tile::<false, 1>(wide, taps, t, [lo], part, norm, ep),
-                };
-            }
+/// Adds one step of a walk to a `T`-row portable tile: the rows' values
+/// `xs` times the 64-float panel row `b_row`.
+#[inline(always)]
+fn add_step<const T: usize>(acc: &mut [[f32; 64]; T], xs: &[f32; T], b_row: &[f32]) {
+    let bv: &[f32; 64] = b_row.try_into().expect("64 columns");
+    for (&x, acc_i) in xs.iter().zip(acc.iter_mut()) {
+        for (s, &bl) in acc_i.iter_mut().zip(bv) {
+            *s += x * bl;
         }
     }
-}
-
-/// One row tile `t` over `H` panel halves on the fused AVX-512 kernel
-/// when `wide`, else [`row_tile_portable`] (the exact bits). Returns
-/// where the next column tile resumes.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-#[inline]
-fn row_tile<const NORM: bool, const H: usize>(
-    wide: Option<Avx512Token>,
-    taps: (&[u32], &[f32]),
-    t: RowTile,
-    halves: [&[f32]; H],
-    partial: &mut [f32; KT],
-    norm: &mut f32,
-    ep: &mut Epilogue<'_>,
-) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(token) = wide {
-        return crate::simd::x86::row_tile_avx512::<NORM, H>(
-            token, taps, t, halves, partial, norm, ep,
-        );
-    }
-    row_tile_portable::<NORM, H>(taps, t, halves, partial, norm, ep)
-}
-
-/// The portable row tile: the path of every non-`Avx512` variant. Its
-/// `64·H` accumulators start from `partial` (or `+0.0` on the first
-/// column tile), take the tile's taps, each from its column's row of the
-/// `H` panel halves (and, with `NORM`, their squares into `norm`), and
-/// go back to `partial`, or, on the last column tile, to `ep` from the
-/// stack.
-#[inline]
-fn row_tile_portable<const NORM: bool, const H: usize>(
-    (tap_col, tap_x): (&[u32], &[f32]),
-    t: RowTile,
-    halves: [&[f32]; H],
-    partial: &mut [f32; KT],
-    norm: &mut f32,
-    ep: &mut Epilogue<'_>,
-) -> usize {
-    let mut acc = [[0.0f32; 64]; H];
-    if t.c0 > 0 {
-        for (a, p) in acc.iter_mut().zip(partial.chunks_exact(64)) {
-            a.copy_from_slice(p);
-        }
-    }
-    let mut nrm = *norm;
-    let (cols, xs) = (&tap_col[..t.end], &tap_x[..t.end]);
-    let mut i = t.from;
-    while i < t.end {
-        let col = cols[i] as usize;
-        if col >= t.c1 {
-            break;
-        }
-        let x = xs[i];
-        i += 1;
-        if NORM {
-            nrm += x * x;
-        }
-        let at = (col - t.c0) * 64;
-        for (a, half) in acc.iter_mut().zip(halves) {
-            let rv: &[f32; 64] = half[at..at + 64].try_into().expect("64-wide row");
-            for (s, &v) in a.iter_mut().zip(rv) {
-                *s += x * v;
-            }
-        }
-    }
-    if NORM {
-        *norm = if t.last { nrm.sqrt() } else { nrm };
-        if t.last {
-            ep.set_norm(t.r, *norm);
-        }
-    }
-    for (h, a) in acc.into_iter().enumerate() {
-        if t.last {
-            ep.finish(t.r, t.kt + 64 * h, a, t.half_width(h));
-        } else {
-            partial[64 * h..64 * h + 64].copy_from_slice(&a);
-        }
-    }
-    i
 }
 
 #[cfg(test)]
@@ -1169,8 +1197,8 @@ mod tests {
     #[test]
     fn conv_source_matches_im2col_and_dense_gemm() {
         // Dense, sparse, all-zero and mixed densities; output tiles with
-        // and without a tail; strided and padded windows; more than one
-        // packed column tile (n = 8·3·3·... > NC).
+        // and without a tail; strided and padded windows; n = 180, wider
+        // than one 64-column stretch of a panel.
         for (c, density, k, stride, pad) in [
             (3, 100, 64, 1, 1),
             (3, 40, 96, 2, 1),
@@ -1248,8 +1276,8 @@ mod tests {
     fn padded_conv_sources_match_im2col_on_both_branches() {
         // Every kernel width the models use, strides 1–3 and padding 0–3
         // on a non-square two-image input, projected in 61-row blocks
-        // that cross image boundaries; a dense and a sparse input take
-        // both branches. k = 96 ends in a half panel.
+        // that cross image boundaries; a dense input walks in place and a
+        // sparse one walks group lists. k = 96 ends in a half panel.
         let mut branches = [false; 2];
         for kernel in [1, 3, 5, 7] {
             for stride in 1..=3 {
@@ -1272,6 +1300,38 @@ mod tests {
             }
         }
         assert_eq!(branches, [true, true], "both branches ran");
+        // Group lists on the shapes the sweep above leaves to chance: a
+        // 4-row group whose rows are non-zero in disjoint columns (row i
+        // in columns 2i and 2i + 1), groups that straddle an output line
+        // (6 outputs a line) and an image (18 outputs an image), and
+        // blocks of 5–7 rows, whose last rows walk alone.
+        let disjoint: Vec<f32> = (0..8 * 16)
+            .map(|i| {
+                if i % 16 / 2 == i / 16 {
+                    1.0 + i as f32
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let straddling = sparse_input(&[2, 3, 3, 6], 30, 5);
+        let cfg = Conv2dConfig::new(3, 4, 3).with_padding(1);
+        let patches = im2col(&straddling, &cfg).unwrap();
+        let sources = [
+            (PatchSource::rows(&disjoint, 16), &disjoint[..]),
+            (
+                PatchSource::conv(&straddling, &cfg).unwrap(),
+                patches.data(),
+            ),
+        ];
+        for (src, rows) in &sources {
+            assert!(!src.dense(), "the source walks group lists");
+            let n = src.width();
+            let proj = crate::init::normal(&mut seeded_rng(10), Shape::new(&[n, 128]), 0.0, 1.0);
+            for block in [61, 7, 6, 5] {
+                check(src, rows, proj.data(), 128, block);
+            }
+        }
     }
 
     #[test]

@@ -388,7 +388,7 @@ proptest! {
         images in 1usize..3,
         density_i in 0usize..4,
         k_i in 0usize..7,
-        // Blocks of 1-3 and 5-7 rows hit the dense tiles' row tails.
+        // Blocks of 1-3 and 5-7 rows end in rows that walk alone.
         block in prop_oneof![1usize..4, 5usize..8, 1usize..70],
         seed in 0u64..1000,
     ) {
@@ -406,6 +406,10 @@ proptest! {
             &mut deepcam::tensor::rng::seeded_rng(seed ^ 0x5eed), Shape::new(&[n, k]), 0.0, 1.0);
         let patches = im2col(&x, &cfg).unwrap();
         let src = PatchSource::conv(&x, &cfg).unwrap();
+        // Row r keeps only the columns c with c % 4 == r % 4.
+        let disjoint: Vec<f32> = patches.data().iter().enumerate()
+            .map(|(i, &v)| if i % n % 4 == i / n % 4 { v } else { 0.0 })
+            .collect();
         // Every detected kernel variant, each pinned in turn, must hit
         // the oracle; the ambient variant is restored even on failure.
         let initial = active();
@@ -415,6 +419,9 @@ proptest! {
                 // The same rows, materialised, take the row-source path.
                 .and_then(|()| check_projection(
                     &PatchSource::rows(patches.data(), n), patches.data(), proj.data(), k, block))
+                // Any four consecutive rows non-zero in disjoint columns.
+                .and_then(|()| check_projection(
+                    &PatchSource::rows(&disjoint, n), &disjoint, proj.data(), k, block))
                 .map_err(|e| TestCaseError::fail(format!("variant {}: {e}", v.name())))
         });
         force_variant(initial).expect("restore the ambient variant");
