@@ -19,7 +19,7 @@
 //! | A3 | `panic-free` | no panic/unwrap/indexing in the serve decode/read files |
 //! | A4 | `single-lowering` | lowering entry points have exactly their declared call sites |
 //! | A5 | `determinism` | no clock/env/rng/host tokens in bit-exact kernel files |
-//! | A6 | `thread` | thread creation only in pool.rs, server.rs, session.rs |
+//! | A6 | `thread` | thread creation only in pool.rs, session.rs, event_loop.rs |
 //!
 //! Escape hatch: `// analyze: allow(<key>, "why")` directly above a
 //! `fn`. The justification string is mandatory — an allow without one

@@ -44,9 +44,8 @@ impl Config {
         Config {
             // A3: the serve decode path (wire → Request), the
             // connection state machine that frames and dispatches it,
-            // and the two serving cores around it (the threads core's
-            // blocking loop and the epoll readiness loop) — the code
-            // hostile bytes reach first.
+            // the server that binds it, and the epoll readiness loop
+            // that drives it — the code hostile bytes reach first.
             panic_free_files: vec![
                 "crates/serve/src/protocol.rs",
                 "crates/serve/src/connection.rs",
@@ -105,18 +104,14 @@ impl Config {
                 // is computed from `shared.clock`, and the syscall
                 // wrappers in poll.rs take explicit timeouts — neither
                 // file may reach for host time or env state itself.
-                // The one env read (DEEPCAM_SERVE_CORE) lives in
-                // core_select.rs, which is deliberately NOT listed.
                 "crates/serve/src/event_loop.rs",
                 "crates/serve/src/poll.rs",
             ],
-            // A6: worker threads live in the pool; the TCP server owns
-            // its accept/connection threads; the session owns its
-            // dispatcher; the event loop owns its single epoll thread.
-            // Nothing else may create threads.
+            // A6: worker threads live in the pool; the session owns its
+            // dispatcher; the event loop owns the server's single epoll
+            // thread. Nothing else may create threads.
             thread_owner_files: vec![
                 "crates/tensor/src/pool.rs",
-                "crates/serve/src/server.rs",
                 "crates/serve/src/session.rs",
                 "crates/serve/src/event_loop.rs",
             ],
@@ -156,7 +151,7 @@ impl Config {
                         // `tune_joint`, which reuses the tuner's.
                         ("crates/bench/src/bin/compiler.rs", 1),
                         // The open-loop sweep stands up a real server
-                        // per (core, conns) cell.
+                        // per connection count.
                         ("crates/bench/src/bin/serve_throughput.rs", 1),
                     ],
                 },

@@ -33,9 +33,7 @@ use deepcam_bench::guard::{self, BenchArgs, Spread};
 use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
 use deepcam_serve::protocol::Response;
-use deepcam_serve::{
-    CoreSelect, ModelRegistry, MuxClient, Runtime, Server, ServerConfig, SessionConfig,
-};
+use deepcam_serve::{ModelRegistry, MuxClient, Runtime, Server, ServerConfig, SessionConfig};
 use deepcam_tensor::rng::seeded_rng;
 use deepcam_tensor::{init, Shape};
 
@@ -118,7 +116,6 @@ fn run_config(
 }
 
 struct OpenRow {
-    core: &'static str,
     conns: usize,
     completed: u64,
     errors: u64,
@@ -151,14 +148,13 @@ fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
 
 /// One open-loop run over the wire: `conns` protocol-v2 connections,
 /// each holding `window` pipelined requests in flight against a live
-/// TCP server on the given core — the sweep keeps `conns · window`
-/// constant, so climbing the connection count measures fan-in
-/// scalability at fixed offered load, not queueing delay. Per-request
+/// TCP server — the sweep keeps `conns · window` constant, so climbing
+/// the connection count measures fan-in scalability at fixed offered
+/// load, not queueing delay. Per-request
 /// latency is measured client-side submit→reply; typed error replies
 /// (overload backpressure) count separately from completions.
 fn run_open_loop(
     engine: &Arc<DeepCamEngine>,
-    core: CoreSelect,
     conns: usize,
     window: usize,
     requests: usize,
@@ -181,13 +177,11 @@ fn run_open_loop(
         "127.0.0.1:0",
         runtime,
         ServerConfig {
-            core,
             max_connections: conns + 8,
             ..ServerConfig::default()
         },
     )
     .expect("bench server binds");
-    let core_name = server.core_name();
     let addr = server.local_addr();
 
     let start = Instant::now();
@@ -239,7 +233,6 @@ fn run_open_loop(
     server.shutdown();
     latencies.sort_by(|a, b| a.total_cmp(b));
     OpenRow {
-        core: core_name,
         conns,
         completed,
         errors,
@@ -330,13 +323,11 @@ fn main() {
     }
 
     // Open-loop many-connection sweep over the wire: pipelined
-    // protocol-v2 requests against a live TCP server, both connection
-    // cores, from a base connection count up to 4× that fan-in at the
-    // SAME total in-flight load (window shrinks as connections grow).
-    // The interesting comparison is epoll at 4× the connections vs
-    // threads at the base count: the readiness core should hold p99 at
-    // equal-or-better while sustaining the fan-in on one thread where
-    // the threads core pays a parked thread per connection.
+    // protocol-v2 requests against a live TCP server, from a base
+    // connection count up to 4× that fan-in at the SAME total in-flight
+    // load (window shrinks as connections grow). The headline is the
+    // c10k question: does p99 at 4× the connections hold at
+    // equal-or-better than at the base count?
     const OPEN_INFLIGHT: usize = 16;
     const OPEN_TOTAL: usize = 256;
     let base_conns = args.number("--conns").unwrap_or(4);
@@ -344,23 +335,19 @@ fn main() {
     println!(
         "\n== Open-loop wire sweep: {OPEN_INFLIGHT} pipelined v2 requests in flight, split over the connections =="
     );
-    let mut open_rows: Vec<(OpenRow, Spread)> = Vec::new();
-    for core in [CoreSelect::Threads, CoreSelect::Epoll] {
-        if matches!(core, CoreSelect::Epoll) && !deepcam_serve::epoll_available() {
-            continue;
-        }
-        for &conns in &conn_sweep {
+    let open_rows: Vec<(OpenRow, Spread)> = conn_sweep
+        .iter()
+        .map(|&conns| {
             let window = (OPEN_INFLIGHT / conns).max(1);
             let requests = (OPEN_TOTAL / conns).max(8);
             let (row, wall) = median_run(
                 repeats,
-                || run_open_loop(&engine, core, conns, window, requests, &images),
+                || run_open_loop(&engine, conns, window, requests, &images),
                 |r| r.elapsed_ms,
             );
             println!(
-                "{:>7} core, {:>4} conns x window {}: {:>8.1} req/s (wall {:.1} ms, {:.1}-{:.1}), \
+                "{:>4} conns x window {}: {:>8.1} req/s (wall {:.1} ms, {:.1}-{:.1}), \
                  completed {}, errors {}, p50 {:.2} ms, p99 {:.2} ms",
-                row.core,
                 row.conns,
                 window,
                 row.reqs_per_sec,
@@ -372,32 +359,24 @@ fn main() {
                 row.p50_ms,
                 row.p99_ms
             );
-            open_rows.push((row, wall));
-        }
-    }
-    let threads_base = open_rows
-        .iter()
-        .map(|(r, _)| r)
-        .find(|r| r.core == "threads" && r.conns == base_conns);
-    let epoll_top = open_rows
-        .iter()
-        .map(|(r, _)| r)
-        .find(|r| r.core == "epoll" && r.conns == base_conns * 4);
-    if let (Some(base), Some(top)) = (threads_base, epoll_top) {
-        println!(
-            "epoll @ {} conns vs threads @ {} conns: p99 {:.2} ms vs {:.2} ms ({}), {:.2}x connections",
-            top.conns,
-            base.conns,
-            top.p99_ms,
-            base.p99_ms,
-            if top.p99_ms <= base.p99_ms {
-                "equal-or-better"
-            } else {
-                "worse"
-            },
-            top.conns as f64 / base.conns as f64
-        );
-    }
+            (row, wall)
+        })
+        .collect();
+    let (base, top) = (&open_rows[0].0, &open_rows[1].0);
+    let p99_equal_or_better = top.p99_ms <= base.p99_ms;
+    println!(
+        "{} conns vs {} conns: p99 {:.2} ms vs {:.2} ms ({}), {:.2}x connections",
+        top.conns,
+        base.conns,
+        top.p99_ms,
+        base.p99_ms,
+        if p99_equal_or_better {
+            "equal-or-better"
+        } else {
+            "worse"
+        },
+        top.conns as f64 / base.conns as f64
+    );
 
     // Hand-rolled JSON, like the other speedup bins (the vendored serde
     // has no serializer).
@@ -439,10 +418,9 @@ fn main() {
     for (i, (row, wall)) in open_rows.iter().enumerate() {
         let comma = if i + 1 == open_rows.len() { "" } else { "," };
         json.push_str(&format!(
-            "      {{\"core\": \"{}\", \"conns\": {}, \"completed\": {}, \"errors\": {}, \
+            "      {{\"conns\": {}, \"completed\": {}, \"errors\": {}, \
              \"wall_ms\": {}, \"reqs_per_sec\": {:.2}, \"p50_ms\": {:.3}, \
              \"p99_ms\": {:.3}}}{comma}\n",
-            row.core,
             row.conns,
             row.completed,
             row.errors,
@@ -452,22 +430,15 @@ fn main() {
             row.p99_ms
         ));
     }
-    json.push_str("    ]");
-    if let (Some(base), Some(top)) = (threads_base, epoll_top) {
-        json.push_str(&format!(
-            ",\n    \"headline\": {{\"epoll_conns\": {}, \"threads_conns\": {}, \
-             \"conn_ratio\": {:.1}, \"epoll_p99_ms\": {:.3}, \"threads_p99_ms\": {:.3}, \
-             \"epoll_p99_equal_or_better\": {}}}\n",
-            top.conns,
-            base.conns,
-            top.conns as f64 / base.conns as f64,
-            top.p99_ms,
-            base.p99_ms,
-            top.p99_ms <= base.p99_ms
-        ));
-    } else {
-        json.push('\n');
-    }
+    json.push_str("    ],\n");
+    json.push_str(&format!(
+        "    \"headline\": {{\"conn_ratio\": {:.1}, \"base_p99_ms\": {:.3}, \
+         \"top_p99_ms\": {:.3}, \"p99_equal_or_better\": {}}}\n",
+        top.conns as f64 / base.conns as f64,
+        base.p99_ms,
+        top.p99_ms,
+        p99_equal_or_better
+    ));
     json.push_str("  }\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
     println!("wrote {out_path}");

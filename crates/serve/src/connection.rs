@@ -1,5 +1,5 @@
 //! The connection lifecycle, decided once: a sans-IO state machine that
-//! both connection cores drive.
+//! the server's event loop drives.
 //!
 //! A [`Connection`] holds everything one client connection means to
 //! the server: framing, Hello negotiation, v1 ordering, the deadlines,
@@ -19,8 +19,7 @@
 //! ([`Connection::pending`]), `Infer` submissions to run
 //! ([`Connection::take_submission`]), and what to do with the socket
 //! ([`Connection::action`]). The epoll core (`crate::event_loop`) drives
-//! every connection from one readiness loop; the threads core
-//! (`crate::server`) drives one per blocking thread.
+//! every connection from one readiness loop.
 //!
 //! # Contracts
 //!
@@ -196,9 +195,7 @@ impl Connection {
     }
 
     /// Whether the serving core should keep reading the socket (the
-    /// epoll core's read interest; the blocking threads core never
-    /// reads past EOF).
-    #[cfg(target_os = "linux")]
+    /// epoll core's read interest): false once the peer sent EOF.
     pub(crate) fn wants_read(&self) -> bool {
         !self.peer_eof
     }
@@ -597,7 +594,7 @@ impl Connection {
 impl Drop for Connection {
     /// Releases what a closing connection still holds: the `busy`
     /// counts of unwritten replies and of submissions whose completions
-    /// have not landed (the serving cores drop those on arrival), and its
+    /// have not landed (the serving core drops those on arrival), and its
     /// `active` slot.
     fn drop(&mut self) {
         let unreleased = self.markers.iter().filter(|m| m.counts_busy).count() + self.inflight;

@@ -44,11 +44,9 @@
 //!   [`client::RetryPolicy`] — safe because inference is pure and
 //!   bit-exact. The connection lifecycle is decided once, in a
 //!   sans-IO state machine (`connection`) that does no I/O and reads
-//!   no clock. Two connection cores run it behind
-//!   [`server::ServerConfig::core`] (see [`core_select`]): the
-//!   portable thread-per-connection core, and on Linux a
-//!   dependency-free epoll readiness loop ([`poll`] + `event_loop`)
-//!   that multiplexes every connection on one thread and serves
+//!   no clock. One connection core runs it: a dependency-free epoll
+//!   readiness loop ([`poll`] + `event_loop`, so the server needs
+//!   Linux) that multiplexes every connection on one thread and serves
 //!   protocol-v2 clients many requests in flight per socket.
 //! * [`client::MuxClient`] — the pipelining counterpart: negotiates
 //!   protocol v2 and keys replies by request id, so callers keep many
@@ -79,12 +77,14 @@
 // can opt in with `#![allow(unsafe_code)]`; everything else stays
 // compiler-enforced safe.
 #![deny(unsafe_code)]
+// Off Linux nothing drives a `Connection` (the server needs epoll), but
+// the portable parts and the socket-free lifecycle tests still build.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 pub mod chaos;
 pub mod client;
 pub mod clock;
 mod connection;
-pub mod core_select;
 pub mod error;
 mod event_loop;
 pub mod poll;
@@ -97,9 +97,8 @@ pub mod stats;
 pub use chaos::{FaultOp, FaultPlan, FaultStream, SoakConfig, SoakReport};
 pub use client::{Client, ClientConfig, MuxClient, RetryPolicy};
 pub use clock::{Clock, ManualClock, SystemClock, Waker};
-pub use core_select::{epoll_available, CoreSelect, ServerCore, SERVE_CORE_ENV};
 pub use error::{Result, ServeError};
 pub use registry::{ModelInfo, ModelRegistry};
-pub use server::{Server, ServerConfig};
+pub use server::{CoreSelect, Server, ServerConfig};
 pub use session::{Pending, Runtime, Session, SessionConfig};
 pub use stats::{LatencyHistogram, ServerStats, SessionStats};

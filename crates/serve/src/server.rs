@@ -2,19 +2,14 @@
 //! [`crate::protocol`] framing.
 //!
 //! Every connection's lifecycle is one `Connection` state machine
-//! (`crate::connection`). Two connection cores run it, selected by
-//! [`ServerConfig::core`] / `DEEPCAM_SERVE_CORE`
-//! ([`crate::core_select`]):
+//! (`crate::connection`), and one epoll event loop (`crate::event_loop`)
+//! runs them all: a single thread multiplexing every connection through
+//! readiness polling. The server needs Linux for it; elsewhere
+//! [`Server::bind`] fails with [`ServeError::Io`].
 //!
-//! - **threads** (this file): one accept thread plus one blocking
-//!   thread per connection — portable, simple, capped by thread count.
-//! - **epoll** (`crate::event_loop`, Linux default): one event-loop
-//!   thread multiplexing every connection through readiness polling,
-//!   built for many more concurrent connections than threads.
-//!
-//! Either way every connection submits through the shared [`Runtime`],
-//! so concurrent clients' requests coalesce in the per-model
-//! micro-batchers and replies stay bit-identical between cores.
+//! Every connection submits through the shared [`Runtime`], so
+//! concurrent clients' requests coalesce in the per-model
+//! micro-batchers and replies stay bit-identical to serial inference.
 //! Per-connection limits (frame size, image size, connection count)
 //! are enforced before any allocation or engine work.
 //!
@@ -43,25 +38,29 @@
 //! refusing with [`ErrorKind::Draining`], in-flight requests complete
 //! through the session flush and their replies are written (bounded by
 //! [`ServerConfig::drain_timeout`]), then every remaining stream is
-//! hard-closed and the accept thread joined.
+//! hard-closed and the event-loop thread joined.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::clock::{Clock, SystemClock};
-use crate::connection::{Action, Connection};
-use crate::core_select::{self, CoreSelect, ServerCore};
 use crate::error::{Result, ServeError};
 #[cfg(doc)]
 use crate::protocol::ErrorKind;
 use crate::session::Runtime;
 use crate::stats::{ServerCounters, ServerStats};
 
-/// Read buffer of one connection thread.
-const READ_CHUNK: usize = 64 * 1024;
+/// The connection core of a [`ServerConfig`]. It has one value, and
+/// nothing reads it; it stays so existing configs that name it still
+/// build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CoreSelect {
+    /// The epoll event loop.
+    #[default]
+    Epoll,
+}
 
 /// Server limits and knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,11 +71,12 @@ pub struct ServerConfig {
     /// Mid-frame deadline: once the first byte of a frame arrives, the
     /// rest must follow within this budget or the connection is
     /// answered with [`ErrorKind::Timeout`] and closed. `None` disables
-    /// the deadline (a half-frame peer can then pin its thread).
+    /// the deadline (a half-frame peer can then hold its connection
+    /// slot forever).
     pub read_timeout: Option<Duration>,
-    /// Per-write deadline on reply frames; a peer that stops reading
-    /// (zero window) is reaped instead of pinning the thread. `None`
-    /// blocks forever.
+    /// Budget for pending reply bytes, re-armed whenever the peer takes
+    /// some; a peer that stops reading (zero window) is reaped instead
+    /// of holding its connection slot. `None` waits forever.
     pub write_timeout: Option<Duration>,
     /// How long a connection may sit with *no* bytes of a next frame
     /// before being closed quietly. `None` (default) waits forever —
@@ -86,10 +86,7 @@ pub struct ServerConfig {
     /// requests get to complete and write their replies before the
     /// hard close.
     pub drain_timeout: Duration,
-    /// Which connection core runs this server:
-    /// [`CoreSelect::Auto`] (the default) consults
-    /// `DEEPCAM_SERVE_CORE`, then the platform default (epoll on
-    /// Linux, threads elsewhere); an explicit selection wins outright.
+    /// Unread; see [`CoreSelect`].
     pub core: CoreSelect,
 }
 
@@ -101,15 +98,15 @@ impl Default for ServerConfig {
             write_timeout: Some(Duration::from_secs(10)),
             idle_timeout: None,
             drain_timeout: Duration::from_secs(5),
-            core: CoreSelect::Auto,
+            core: CoreSelect::Epoll,
         }
     }
 }
 
 /// State every connection shares: the runtime, config, clock,
 /// lifecycle flags and robustness counters. Each `Connection` holds
-/// it; the threads core reaches it from the accept/connection threads,
-/// the epoll core from its one event-loop thread (`crate::event_loop`).
+/// it; the event-loop thread (`crate::event_loop`) and
+/// [`Server::shutdown`] reach it.
 pub(crate) struct ServerShared {
     pub(crate) runtime: Arc<Runtime>,
     pub(crate) cfg: ServerConfig,
@@ -123,15 +120,7 @@ pub(crate) struct ServerShared {
     /// Requests currently between frame receipt and reply write. The
     /// drain wait in [`Server::shutdown`] blocks on this reaching 0.
     pub(crate) busy: AtomicUsize,
-    next_conn_id: AtomicUsize,
     pub(crate) counters: ServerCounters,
-    /// Clones of live connection streams keyed by connection id, kept
-    /// so shutdown can unblock their reader threads (threads core
-    /// only; the epoll core owns its streams inside the loop). Each
-    /// connection removes its own entry on exit, so the map (and its
-    /// file descriptors) tracks live connections, not connection
-    /// history.
-    conns: Mutex<std::collections::HashMap<usize, TcpStream>>,
 }
 
 impl ServerShared {
@@ -144,36 +133,9 @@ impl ServerShared {
             draining: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             busy: AtomicUsize::new(0),
-            next_conn_id: AtomicUsize::new(0),
             counters: ServerCounters::default(),
-            conns: Mutex::new(std::collections::HashMap::new()),
         }
     }
-}
-
-/// The tracked-connection table, recovering from a poisoned lock: a
-/// panicking connection thread must not take the server's shutdown
-/// path (or other connections) down with it, and the map of stream
-/// clones is valid under any interleaving of inserts/removes.
-fn lock_conns(
-    shared: &ServerShared,
-) -> std::sync::MutexGuard<'_, std::collections::HashMap<usize, TcpStream>> {
-    shared.conns.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// The per-core runtime half of a [`Server`]: which threads exist and
-/// how phase 2 of shutdown unblocks them.
-enum CoreRuntime {
-    /// One accept thread plus one thread per connection.
-    Threads {
-        accept: Option<std::thread::JoinHandle<()>>,
-    },
-    /// One event-loop thread multiplexing every connection.
-    #[cfg(target_os = "linux")]
-    Epoll {
-        thread: Option<std::thread::JoinHandle<()>>,
-        ctl: Arc<crate::event_loop::LoopCtl>,
-    },
 }
 
 /// A running TCP inference server. Shuts down on drop (or explicitly
@@ -181,7 +143,10 @@ enum CoreRuntime {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
-    core: CoreRuntime,
+    /// The event-loop thread; taken when shutdown joins it.
+    thread: Option<std::thread::JoinHandle<()>>,
+    #[cfg(target_os = "linux")]
+    ctl: Arc<crate::event_loop::LoopCtl>,
 }
 
 impl Server {
@@ -191,7 +156,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Io`] when the bind fails.
+    /// Returns [`ServeError::Io`] when the bind fails, when the event
+    /// loop cannot start, or on a host other than Linux.
     pub fn bind(
         addr: impl ToSocketAddrs,
         runtime: Arc<Runtime>,
@@ -206,7 +172,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Io`] when the bind fails.
+    /// As [`Server::bind`].
     pub fn bind_with_clock(
         addr: impl ToSocketAddrs,
         runtime: Arc<Runtime>,
@@ -217,36 +183,24 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
-        let resolved = core_select::resolve(cfg.core);
         let shared = Arc::new(ServerShared::new(runtime, cfg, clock));
-        let core = match resolved {
-            ServerCore::Threads => {
-                let accept_shared = Arc::clone(&shared);
-                let accept = std::thread::Builder::new()
-                    .name("deepcam-serve-accept".into())
-                    .spawn(move || accept_loop(&listener, &accept_shared))
-                    .map_err(|e| ServeError::Io(format!("spawn accept thread: {e}")))?;
-                CoreRuntime::Threads {
-                    accept: Some(accept),
-                }
-            }
-            #[cfg(target_os = "linux")]
-            ServerCore::Epoll => {
-                let (thread, ctl) = crate::event_loop::spawn_event_loop(listener, &shared)?;
-                CoreRuntime::Epoll {
-                    thread: Some(thread),
-                    ctl,
-                }
-            }
-            // `core_select::resolve` only returns Epoll where it can run.
-            #[cfg(not(target_os = "linux"))]
-            ServerCore::Epoll => {
-                return Err(ServeError::Io(
-                    "epoll core resolved on a non-Linux host".to_string(),
-                ))
-            }
-        };
-        Ok(Server { addr, shared, core })
+        #[cfg(target_os = "linux")]
+        {
+            let (thread, ctl) = crate::event_loop::spawn_event_loop(listener, &shared)?;
+            Ok(Server {
+                addr,
+                shared,
+                thread: Some(thread),
+                ctl,
+            })
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = (listener, addr, shared);
+            Err(ServeError::Io(
+                "the TCP server needs Linux: it serves from an epoll event loop".to_string(),
+            ))
+        }
     }
 
     /// The bound address (with the resolved port).
@@ -264,14 +218,11 @@ impl Server {
         self.shared.counters.snapshot()
     }
 
-    /// Stable name of the connection core this server runs
-    /// (`"threads"` or `"epoll"`).
-    pub fn core_name(&self) -> &'static str {
-        match &self.core {
-            CoreRuntime::Threads { .. } => ServerCore::Threads.name(),
-            #[cfg(target_os = "linux")]
-            CoreRuntime::Epoll { .. } => ServerCore::Epoll.name(),
-        }
+    /// Wakes the event loop so it re-reads the lifecycle flags now,
+    /// not at its next natural wakeup.
+    fn wake(&self) {
+        #[cfg(target_os = "linux")]
+        self.ctl.waker.signal();
     }
 
     /// Two-phase graceful drain. Phase 1: stop admitting work (the
@@ -279,19 +230,14 @@ impl Server {
     /// arriving on live connections are answered likewise) and wait up
     /// to [`ServerConfig::drain_timeout`] for in-flight requests to
     /// complete through the session flush and write their replies.
-    /// Phase 2: hard-close every remaining stream, unblock and join
-    /// the accept loop. Idempotent; also runs on drop.
+    /// Phase 2: the event loop closes every remaining connection and
+    /// exits, and its thread is joined. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         self.shared.draining.store(true, Ordering::SeqCst);
-        #[cfg(target_os = "linux")]
-        if let CoreRuntime::Epoll { ctl, .. } = &self.core {
-            // Wake the loop so the accept gate starts refusing now,
-            // not at its next natural wakeup.
-            ctl.waker.signal();
-        }
+        self.wake();
         let start = self.shared.clock.now();
         while self.shared.busy.load(Ordering::SeqCst) > 0
             && self.shared.clock.now().saturating_duration_since(start)
@@ -300,28 +246,9 @@ impl Server {
             std::thread::sleep(Duration::from_millis(1));
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &mut self.core {
-            CoreRuntime::Threads { accept } => {
-                // Unblock connection readers first, then the accept
-                // loop (via a throwaway connect so `incoming()` yields
-                // once more).
-                for (_, conn) in lock_conns(&self.shared).drain() {
-                    let _ = conn.shutdown(Shutdown::Both);
-                }
-                let _ = TcpStream::connect(self.addr);
-                if let Some(handle) = accept.take() {
-                    let _ = handle.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            CoreRuntime::Epoll { thread, ctl } => {
-                // The loop observes the shutdown flag on wake, closes
-                // every connection itself and exits.
-                ctl.waker.signal();
-                if let Some(handle) = thread.take() {
-                    let _ = handle.join();
-                }
-            }
+        self.wake();
+        if let Some(handle) = self.thread.take() {
+            let _ = handle.join();
         }
     }
 }
@@ -329,115 +256,5 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn = Connection::accept(Arc::clone(shared), shared.clock.now());
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
-        if let Ok(clone) = stream.try_clone() {
-            lock_conns(shared).insert(conn_id, clone);
-        }
-        let conn_shared = Arc::clone(shared);
-        // Connection threads are not joined: shutdown unblocks them by
-        // closing their streams, after which they exit promptly.
-        let spawned = std::thread::Builder::new()
-            .name("deepcam-serve-conn".into())
-            .spawn(move || {
-                serve_connection(stream, conn, &conn_shared);
-                // Release this connection's tracked clone (and its fd).
-                lock_conns(&conn_shared).remove(&conn_id);
-            });
-        if spawned.is_err() {
-            // The failed spawn dropped the closure, and with it the
-            // `Connection` (releasing its `active` slot) and the stream.
-            // Release the tracked clone too, or every failed spawn would
-            // keep one fd open until shutdown.
-            lock_conns(shared).remove(&conn_id);
-        }
-    }
-}
-
-/// The threads core's loop: one [`Connection`] over a blocking
-/// socket. Each `Infer` submission runs to completion with
-/// [`Runtime::infer`] and its reply is written before the next runs,
-/// writes block under `write_timeout`, and reads block until the
-/// connection's next deadline, which is then fed back as a tick.
-fn serve_connection(mut stream: TcpStream, mut conn: Connection, shared: &ServerShared) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_write_timeout(shared.cfg.write_timeout).is_err() {
-        return;
-    }
-    let clock = shared.clock.as_ref();
-    let mut buf = vec![0u8; READ_CHUNK];
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        while let Some(sub) = conn.take_submission() {
-            let result = shared.runtime.infer(&sub.model, &sub.dims, &sub.data);
-            conn.on_completion(sub.id, result, clock.now());
-            if !write_pending(&mut stream, &mut conn, clock) {
-                return;
-            }
-        }
-        if !write_pending(&mut stream, &mut conn, clock) {
-            return;
-        }
-        match conn.action(clock.now()) {
-            Action::Serve => {}
-            Action::HalfClose => {
-                let _ = stream.shutdown(Shutdown::Write);
-            }
-            Action::Close => return,
-        }
-        let now = clock.now();
-        let timer = match conn.next_deadline() {
-            None => None,
-            Some(deadline) => match deadline.checked_duration_since(now) {
-                Some(left) if !left.is_zero() => Some(left),
-                _ => {
-                    conn.on_tick(now);
-                    continue;
-                }
-            },
-        };
-        if stream.set_read_timeout(timer).is_err() {
-            return;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => conn.on_eof(clock.now()),
-            Ok(n) => conn.on_bytes(buf.get(..n).unwrap_or_default(), clock.now()),
-            // The read timer lapsed: the deadline may have passed.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                conn.on_tick(clock.now())
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Writes every pending reply byte. Returns false when the socket
-/// failed, including a lapsed `write_timeout`.
-fn write_pending(stream: &mut TcpStream, conn: &mut Connection, clock: &dyn Clock) -> bool {
-    loop {
-        let pending = conn.pending();
-        if pending.is_empty() {
-            return true;
-        }
-        match stream.write(pending) {
-            Ok(0) => return false,
-            Ok(n) => conn.on_written(n, clock.now()),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
     }
 }

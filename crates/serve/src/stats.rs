@@ -161,8 +161,8 @@ pub struct SessionStats {
     pub p99_latency_ms: f64,
 }
 
-/// Shared connection-lifecycle counters the server's accept and
-/// connection threads bump concurrently.
+/// Shared connection-lifecycle counters the server's event loop bumps
+/// while any thread may snapshot them.
 ///
 /// All increments are `Relaxed`: the counters are monotonic telemetry,
 /// never used to synchronize, so a snapshot taken mid-flight may lag a
@@ -212,7 +212,7 @@ impl ServerCounters {
 /// counters — what happened to every socket the listener ever saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
-    /// Connections accepted into a connection thread.
+    /// Connections accepted and served (not refused at the gate).
     pub accepted: u64,
     /// Connections refused at the accept gate (over `max_connections`,
     /// or arriving mid-drain).

@@ -11,8 +11,8 @@ use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
 use deepcam_serve::protocol::{ErrorKind, PROTOCOL_V2};
 use deepcam_serve::{
-    Client, ClientConfig, CoreSelect, ModelRegistry, Runtime, ServeError, Server, ServerConfig,
-    Session, SessionConfig,
+    Client, ClientConfig, ModelRegistry, Runtime, ServeError, Server, ServerConfig, Session,
+    SessionConfig,
 };
 use deepcam_tensor::rng::seeded_rng;
 
@@ -42,28 +42,12 @@ fn expected_logits(engine: &DeepCamEngine, img: &[f32]) -> Vec<f32> {
     engine.infer(&tensor).expect("inference").data().to_vec()
 }
 
-fn lenet_server(core: CoreSelect) -> (Server, Arc<DeepCamEngine>) {
+fn lenet_server() -> (Server, Arc<DeepCamEngine>) {
     let registry = Arc::new(ModelRegistry::new());
     let engine = registry.register("lenet", lenet_engine());
     let runtime = Arc::new(Runtime::new(registry, SessionConfig::default()));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        runtime,
-        ServerConfig {
-            core,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = Server::bind("127.0.0.1:0", runtime, ServerConfig::default()).expect("bind");
     (server, engine)
-}
-
-fn cores_under_test() -> Vec<CoreSelect> {
-    if deepcam_serve::epoll_available() {
-        vec![CoreSelect::Threads, CoreSelect::Epoll]
-    } else {
-        vec![CoreSelect::Threads]
-    }
 }
 
 /// A protocol-v2 client whose reads give up after a few seconds, so a
@@ -93,26 +77,24 @@ fn remote_kind(err: &ServeError) -> Option<ErrorKind> {
 /// request to the same model must still be answered, bit-exact.
 #[test]
 fn reshaped_image_is_a_typed_error_and_the_model_keeps_serving() {
-    for core in cores_under_test() {
-        let (mut server, engine) = lenet_server(core);
-        let mut client = v2_client(server.local_addr());
-        let img = image(3);
-        let err = client
-            .infer("lenet", &[1, 14, 56], &img)
-            .expect_err("a 14x56 image cannot run through LeNet5");
-        assert!(
-            matches!(
-                remote_kind(&err),
-                Some(ErrorKind::Engine | ErrorKind::InvalidRequest)
-            ),
-            "{core:?}: {err}"
-        );
-        let logits = client
-            .infer("lenet", &[1, 28, 28], &img)
-            .expect("the session survives the hostile shape");
-        assert_eq!(logits, expected_logits(&engine, &img), "{core:?}");
-        server.shutdown();
-    }
+    let (mut server, engine) = lenet_server();
+    let mut client = v2_client(server.local_addr());
+    let img = image(3);
+    let err = client
+        .infer("lenet", &[1, 14, 56], &img)
+        .expect_err("a 14x56 image cannot run through LeNet5");
+    assert!(
+        matches!(
+            remote_kind(&err),
+            Some(ErrorKind::Engine | ErrorKind::InvalidRequest)
+        ),
+        "{err}"
+    );
+    let logits = client
+        .infer("lenet", &[1, 28, 28], &img)
+        .expect("the session survives the hostile shape");
+    assert_eq!(logits, expected_logits(&engine, &img));
+    server.shutdown();
 }
 
 /// The same shape straight through a session: typed engine error, then
@@ -153,24 +135,22 @@ fn non_finite_pixels_are_invalid_requests() {
     }
     assert_eq!(session.stats().submitted, 0, "nothing was queued");
 
-    for core in cores_under_test() {
-        let (mut server, engine) = lenet_server(core);
-        let mut client = v2_client(server.local_addr());
-        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut img = image(6);
-            img[0] = bad;
-            let err = client
-                .infer("lenet", &[1, 28, 28], &img)
-                .expect_err("non-finite pixel");
-            assert_eq!(
-                remote_kind(&err),
-                Some(ErrorKind::InvalidRequest),
-                "{core:?} {bad}: {err}"
-            );
-        }
-        let img = image(6);
-        let logits = client.infer("lenet", &[1, 28, 28], &img).expect("clean");
-        assert_eq!(logits, expected_logits(&engine, &img), "{core:?}");
-        server.shutdown();
+    let (mut server, engine) = lenet_server();
+    let mut client = v2_client(server.local_addr());
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut img = image(6);
+        img[0] = bad;
+        let err = client
+            .infer("lenet", &[1, 28, 28], &img)
+            .expect_err("non-finite pixel");
+        assert_eq!(
+            remote_kind(&err),
+            Some(ErrorKind::InvalidRequest),
+            "{bad}: {err}"
+        );
     }
+    let img = image(6);
+    let logits = client.infer("lenet", &[1, 28, 28], &img).expect("clean");
+    assert_eq!(logits, expected_logits(&engine, &img));
+    server.shutdown();
 }

@@ -1,8 +1,7 @@
 //! Protocol-v2 negotiation and multiplexing, end to end: version
-//! downgrade against v1-only offers, pipelined v2 requests on both
-//! connection cores, and — the point of the request ids — out-of-order
-//! reply delivery proven bit-exact under a `ManualClock` on the epoll
-//! core.
+//! downgrade against v1-only offers, pipelined v2 requests, and — the
+//! point of the request ids — out-of-order reply delivery proven
+//! bit-exact under a `ManualClock`.
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -16,8 +15,8 @@ use deepcam_serve::protocol::{
     MAX_PROTOCOL_VERSION, PROTOCOL_V1, PROTOCOL_V2,
 };
 use deepcam_serve::{
-    Client, ClientConfig, CoreSelect, ManualClock, ModelRegistry, MuxClient, Runtime, Server,
-    ServerConfig, SessionConfig,
+    Client, ClientConfig, ManualClock, ModelRegistry, MuxClient, Runtime, Server, ServerConfig,
+    SessionConfig,
 };
 use deepcam_tensor::rng::seeded_rng;
 
@@ -52,76 +51,56 @@ fn expected_logits(engine: &DeepCamEngine, img: &[f32]) -> Vec<f32> {
         .to_vec()
 }
 
-fn lenet_server(core: CoreSelect) -> (Server, Arc<DeepCamEngine>) {
+fn lenet_server() -> (Server, Arc<DeepCamEngine>) {
     let registry = Arc::new(ModelRegistry::new());
     let engine = registry.register("lenet", lenet_engine(77));
     let runtime = Arc::new(Runtime::new(registry, SessionConfig::default()));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        runtime,
-        ServerConfig {
-            core,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = Server::bind("127.0.0.1:0", runtime, ServerConfig::default()).expect("bind");
     (server, engine)
 }
 
-fn cores_under_test() -> Vec<CoreSelect> {
-    if deepcam_serve::epoll_available() {
-        vec![CoreSelect::Threads, CoreSelect::Epoll]
-    } else {
-        vec![CoreSelect::Threads]
-    }
-}
-
 /// A v1 client (the default) never sends a `Hello` and round-trips
-/// unchanged on both cores — the downgrade path is "nothing happens".
+/// unchanged — the downgrade path is "nothing happens".
 #[test]
-fn v1_clients_work_unchanged_on_both_cores() {
-    for core in cores_under_test() {
-        let (mut server, engine) = lenet_server(core);
-        let addr = server.local_addr();
-        let mut client = Client::connect(addr).expect("connect");
-        assert_eq!(client.negotiated_version(), Some(PROTOCOL_V1));
-        let img = image(11);
-        let logits = client.infer("lenet", &[1, 28, 28], &img).expect("infer");
-        assert_eq!(logits, expected_logits(&engine, &img), "{core:?}");
-        server.shutdown();
-    }
+fn v1_clients_work_unchanged() {
+    let (mut server, engine) = lenet_server();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(client.negotiated_version(), Some(PROTOCOL_V1));
+    let img = image(11);
+    let logits = client.infer("lenet", &[1, 28, 28], &img).expect("infer");
+    assert_eq!(logits, expected_logits(&engine, &img));
+    server.shutdown();
 }
 
 /// A v2-offering client negotiates v2, round-trips bit-exact, and the
 /// negotiation survives a reconnect.
 #[test]
-fn v2_negotiation_round_trips_on_both_cores() {
-    for core in cores_under_test() {
-        let (mut server, engine) = lenet_server(core);
-        let addr = server.local_addr();
-        let mut client = Client::connect_with(
-            addr,
-            ClientConfig {
-                version: PROTOCOL_V2,
-                ..ClientConfig::default()
-            },
-        )
-        .expect("connect");
-        assert_eq!(client.negotiated_version(), Some(PROTOCOL_V2), "{core:?}");
-        let img = image(23);
-        for _ in 0..3 {
-            let logits = client.infer("lenet", &[1, 28, 28], &img).expect("infer");
-            assert_eq!(logits, expected_logits(&engine, &img), "{core:?}");
-        }
-        server.shutdown();
+fn v2_negotiation_round_trips() {
+    let (mut server, engine) = lenet_server();
+    let addr = server.local_addr();
+    let mut client = Client::connect_with(
+        addr,
+        ClientConfig {
+            version: PROTOCOL_V2,
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect");
+    assert_eq!(client.negotiated_version(), Some(PROTOCOL_V2));
+    let img = image(23);
+    for _ in 0..3 {
+        let logits = client.infer("lenet", &[1, 28, 28], &img).expect("infer");
+        assert_eq!(logits, expected_logits(&engine, &img));
     }
+    server.shutdown();
 }
 
 /// Offering more than the server speaks clamps to the server's
 /// maximum; offering exactly v1 locks v1 framing on the same wire.
 #[test]
 fn hello_offers_clamp_to_the_server_maximum() {
-    let (mut server, _) = lenet_server(CoreSelect::Auto);
+    let (mut server, _) = lenet_server();
     let addr = server.local_addr();
 
     let mux = MuxClient::connect(addr).expect("mux connect");
@@ -173,44 +152,41 @@ fn hello_offers_clamp_to_the_server_maximum() {
 
 /// Pipelining through [`MuxClient`]: a window of requests written
 /// before any reply is read, every reply attributed by id and
-/// bit-exact, on both cores. (The threads core serves them serially;
-/// the epoll core keeps them all in flight — the wire contract is the
-/// same.)
+/// bit-exact. The server keeps them all in flight at once, so they
+/// may share micro-batches.
 #[test]
-fn pipelined_v2_requests_all_answer_bit_exact_on_both_cores() {
+fn pipelined_v2_requests_all_answer_bit_exact() {
     const WINDOW: usize = 8;
-    for core in cores_under_test() {
-        let (mut server, engine) = lenet_server(core);
-        let addr = server.local_addr();
-        let mut mux = MuxClient::connect(addr).expect("mux connect");
+    let (mut server, engine) = lenet_server();
+    let addr = server.local_addr();
+    let mut mux = MuxClient::connect(addr).expect("mux connect");
 
-        let images: Vec<Vec<f32>> = (0..WINDOW as u64).map(|i| image(100 + i)).collect();
-        let mut ids = Vec::new();
-        for img in &images {
-            ids.push(
-                mux.submit_infer("lenet", &[1, 28, 28], img)
-                    .expect("submit"),
-            );
-        }
-        let mut replies: HashMap<u64, Vec<f32>> = HashMap::new();
-        for _ in 0..WINDOW {
-            let (id, resp) = mux.recv().expect("reply");
-            match resp {
-                Response::Logits(logits) => {
-                    assert!(replies.insert(id, logits).is_none(), "duplicate id {id}");
-                }
-                other => panic!("expected Logits, got {other:?}"),
-            }
-        }
-        for (id, img) in ids.iter().zip(&images) {
-            assert_eq!(
-                replies.get(id),
-                Some(&expected_logits(&engine, img)),
-                "{core:?} request {id}"
-            );
-        }
-        server.shutdown();
+    let images: Vec<Vec<f32>> = (0..WINDOW as u64).map(|i| image(100 + i)).collect();
+    let mut ids = Vec::new();
+    for img in &images {
+        ids.push(
+            mux.submit_infer("lenet", &[1, 28, 28], img)
+                .expect("submit"),
+        );
     }
+    let mut replies: HashMap<u64, Vec<f32>> = HashMap::new();
+    for _ in 0..WINDOW {
+        let (id, resp) = mux.recv().expect("reply");
+        match resp {
+            Response::Logits(logits) => {
+                assert!(replies.insert(id, logits).is_none(), "duplicate id {id}");
+            }
+            other => panic!("expected Logits, got {other:?}"),
+        }
+    }
+    for (id, img) in ids.iter().zip(&images) {
+        assert_eq!(
+            replies.get(id),
+            Some(&expected_logits(&engine, img)),
+            "request {id}"
+        );
+    }
+    server.shutdown();
 }
 
 /// The multiplexing payoff, made deterministic: three requests go out
@@ -218,7 +194,6 @@ fn pipelined_v2_requests_all_answer_bit_exact_on_both_cores() {
 /// `ManualClock`) completes the later two *first*, and only a clock
 /// advance releases the first. The replies arrive out of submission
 /// order, each attributed by request id and bit-exact.
-#[cfg(target_os = "linux")]
 #[test]
 fn out_of_order_replies_are_attributed_by_request_id() {
     let clock = Arc::new(ManualClock::new());
@@ -240,10 +215,7 @@ fn out_of_order_replies_are_attributed_by_request_id() {
     let mut server = Server::bind_with_clock(
         "127.0.0.1:0",
         Arc::clone(&runtime),
-        ServerConfig {
-            core: CoreSelect::Epoll,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
         Arc::clone(&clock) as Arc<dyn deepcam_serve::Clock>,
     )
     .expect("bind");
