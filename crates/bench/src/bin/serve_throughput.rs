@@ -125,12 +125,10 @@ struct OpenRow {
     p99_ms: f64,
 }
 
-/// Runs `run` `repeats` times and keeps the run with the median wall
-/// time (`wall` of it, in ms), together with the spread of all of them:
-/// every rate is derived from the median run, so one lucky run cannot
-/// set the record.
-fn median_run<T>(repeats: usize, mut run: impl FnMut() -> T, wall: fn(&T) -> f64) -> (T, Spread) {
-    let mut runs: Vec<T> = (0..repeats).map(|_| run()).collect();
+/// Keeps the run with the median wall time (`wall` of it, in ms) of
+/// `runs`, together with the spread of all of them: every rate is
+/// derived from the median run, so one lucky run cannot set the record.
+fn median_run<T>(mut runs: Vec<T>, wall: fn(&T) -> f64) -> (T, Spread) {
     let spread = Spread::of(runs.iter().map(wall).collect());
     runs.sort_by(|a, b| wall(a).total_cmp(&wall(b)));
     (runs.swap_remove(runs.len() / 2), spread)
@@ -298,11 +296,10 @@ fn main() {
     let rows: Vec<(Row, Spread)> = batch_sweep
         .iter()
         .map(|&max_batch| {
-            let (row, wall) = median_run(
-                repeats,
-                || run_config(&engine, max_batch, clients, requests, &images),
-                |r| r.elapsed_ms,
-            );
+            let runs = (0..repeats)
+                .map(|_| run_config(&engine, max_batch, clients, requests, &images))
+                .collect();
+            let (row, wall) = median_run(runs, |r| r.elapsed_ms);
             println!(
                 "max_batch {:>3}: {:>8.1} req/s (wall {:.1} ms, {:.1}-{:.1}), occupancy mean {:.2} \
                  max {}, p50 {:.2} ms, p99 {:.2} ms",
@@ -327,27 +324,28 @@ fn main() {
     // connection count up to 4× that fan-in at the SAME total in-flight
     // load (window shrinks as connections grow). The headline is the
     // c10k question: does p99 at 4× the connections hold at
-    // equal-or-better than at the base count?
+    // equal-or-better than at the base count? 2048 requests per run put
+    // 20 samples above each p99, and the p99 of every repeat is kept.
     const OPEN_INFLIGHT: usize = 16;
-    const OPEN_TOTAL: usize = 256;
+    const OPEN_TOTAL: usize = 2048;
     let base_conns = args.number("--conns").unwrap_or(4);
     let conn_sweep = [base_conns, base_conns * 4];
     println!(
         "\n== Open-loop wire sweep: {OPEN_INFLIGHT} pipelined v2 requests in flight, split over the connections =="
     );
-    let open_rows: Vec<(OpenRow, Spread)> = conn_sweep
+    let open_rows: Vec<(OpenRow, Spread, Spread)> = conn_sweep
         .iter()
         .map(|&conns| {
             let window = (OPEN_INFLIGHT / conns).max(1);
             let requests = (OPEN_TOTAL / conns).max(8);
-            let (row, wall) = median_run(
-                repeats,
-                || run_open_loop(&engine, conns, window, requests, &images),
-                |r| r.elapsed_ms,
-            );
+            let runs: Vec<OpenRow> = (0..repeats)
+                .map(|_| run_open_loop(&engine, conns, window, requests, &images))
+                .collect();
+            let p99 = Spread::of(runs.iter().map(|r| r.p99_ms).collect());
+            let (row, wall) = median_run(runs, |r| r.elapsed_ms);
             println!(
                 "{:>4} conns x window {}: {:>8.1} req/s (wall {:.1} ms, {:.1}-{:.1}), \
-                 completed {}, errors {}, p50 {:.2} ms, p99 {:.2} ms",
+                 completed {}, errors {}, p50 {:.2} ms, p99 {:.2} ms ({:.2}-{:.2})",
                 row.conns,
                 window,
                 row.reqs_per_sec,
@@ -357,23 +355,27 @@ fn main() {
                 row.completed,
                 row.errors,
                 row.p50_ms,
-                row.p99_ms
+                p99.median,
+                p99.min,
+                p99.max
             );
-            (row, wall)
+            (row, wall, p99)
         })
         .collect();
-    let (base, top) = (&open_rows[0].0, &open_rows[1].0);
-    let p99_equal_or_better = top.p99_ms <= base.p99_ms;
+    let ((base, _, base_p99), (top, _, top_p99)) = (&open_rows[0], &open_rows[1]);
+    // A verdict only where the p99 ranges do not overlap (`perf`'s
+    // speedup rule); `None` when the repeats cannot tell the two apart.
+    let p99_equal_or_better = base_p99.speedup_to(top_p99).map(|ratio| ratio >= 1.0);
     println!(
         "{} conns vs {} conns: p99 {:.2} ms vs {:.2} ms ({}), {:.2}x connections",
         top.conns,
         base.conns,
-        top.p99_ms,
-        base.p99_ms,
-        if p99_equal_or_better {
-            "equal-or-better"
-        } else {
-            "worse"
+        top_p99.median,
+        base_p99.median,
+        match p99_equal_or_better {
+            Some(true) => "equal-or-better",
+            Some(false) => "worse",
+            None => "ranges overlap",
         },
         top.conns as f64 / base.conns as f64
     );
@@ -415,29 +417,29 @@ fn main() {
     json.push_str(&format!("    \"base_conns\": {base_conns},\n"));
     json.push_str("    \"protocol\": 2,\n");
     json.push_str("    \"rows\": [\n");
-    for (i, (row, wall)) in open_rows.iter().enumerate() {
+    for (i, (row, wall, p99)) in open_rows.iter().enumerate() {
         let comma = if i + 1 == open_rows.len() { "" } else { "," };
         json.push_str(&format!(
             "      {{\"conns\": {}, \"completed\": {}, \"errors\": {}, \
              \"wall_ms\": {}, \"reqs_per_sec\": {:.2}, \"p50_ms\": {:.3}, \
-             \"p99_ms\": {:.3}}}{comma}\n",
+             \"p99_ms\": {}}}{comma}\n",
             row.conns,
             row.completed,
             row.errors,
             wall.json(),
             row.reqs_per_sec,
             row.p50_ms,
-            row.p99_ms
+            p99.json()
         ));
     }
     json.push_str("    ],\n");
     json.push_str(&format!(
-        "    \"headline\": {{\"conn_ratio\": {:.1}, \"base_p99_ms\": {:.3}, \
-         \"top_p99_ms\": {:.3}, \"p99_equal_or_better\": {}}}\n",
+        "    \"headline\": {{\"conn_ratio\": {:.1}, \"base_p99_ms\": {}, \
+         \"top_p99_ms\": {}, \"p99_equal_or_better\": {}}}\n",
         top.conns as f64 / base.conns as f64,
-        base.p99_ms,
-        top.p99_ms,
-        p99_equal_or_better
+        base_p99.json(),
+        top_p99.json(),
+        p99_equal_or_better.map_or("null".to_string(), |b| b.to_string())
     ));
     json.push_str("  }\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_serve.json");

@@ -118,7 +118,7 @@ fn run_workload(name: &str, mut model: Cnn, data_cfg: &SynthConfig, cfg: &Fig5Co
         .expect("engine compiles");
         engine.calibrate_bn(&calib_x).expect("calibration succeeds");
         let acc = engine
-            .evaluate_parallel(&eval_x, &eval_y, 16)
+            .evaluate(&eval_x, &eval_y, 16)
             .expect("dc evaluation succeeds");
         uniform.push((k, acc));
     }
@@ -151,7 +151,7 @@ fn run_workload(name: &str, mut model: Cnn, data_cfg: &SynthConfig, cfg: &Fig5Co
     .expect("engine compiles");
     engine.calibrate_bn(&calib_x).expect("calibration succeeds");
     let variable_acc = engine
-        .evaluate_parallel(&eval_x, &eval_y, 16)
+        .evaluate(&eval_x, &eval_y, 16)
         .expect("dc evaluation succeeds");
 
     Fig5Row {

@@ -327,19 +327,22 @@ impl DeepCamEngine {
 
     /// Runs inference on an NCHW batch, returning logits `[N, classes]`.
     ///
-    /// Patch hashing inside each layer is sharded across the configured
-    /// [`Parallelism`]; results are bit-identical for every setting.
+    /// The batch is split into contiguous image chunks, one per worker
+    /// of the configured [`Parallelism`], and the logits are reassembled
+    /// in input order. A single image runs on the calling thread with its
+    /// patch hashing sharded across the workers inside each layer; a
+    /// single worker runs everything on the calling thread.
+    ///
+    /// **Bit-exactness guarantee:** the logits are the same for every
+    /// worker count — including under `crossbar_noise`, whose draws
+    /// follow each image's position in the batch, not its chunk.
+    /// `tests/parallel_equivalence.rs` enforces this on all zoo models.
     ///
     /// # Errors
     ///
     /// Propagates tensor shape errors (batch/model mismatch).
     pub fn infer(&self, batch: &Tensor) -> Result<Tensor> {
-        self.infer_at_offset(
-            batch,
-            0,
-            self.compiled.config.parallelism.resolve(),
-            Datapath::Fast,
-        )
+        self.infer_batch_with(batch, self.compiled.config.parallelism)
     }
 
     /// Runs inference through the **frozen pre-optimization datapath**
@@ -425,10 +428,9 @@ impl DeepCamEngine {
         }
     }
 
-    /// The single batch fan-out/reassembly primitive every batched
-    /// entry point shares — [`DeepCamEngine::infer_batch`],
-    /// [`DeepCamEngine::evaluate_parallel`] and the serving runtime's
-    /// [`DeepCamEngine::infer_each`] are all thin wrappers over this.
+    /// The one batch fan-out/reassembly primitive: [`DeepCamEngine::infer`],
+    /// [`DeepCamEngine::evaluate_with`] and the serving runtime's
+    /// [`DeepCamEngine::infer_each`] all run their images through it.
     ///
     /// Each range of `ranges` is copied out as a standalone image chunk,
     /// run through the full pipeline at the noise offset `offset_of`
@@ -439,7 +441,7 @@ impl DeepCamEngine {
     /// chunk (either nesting is bit-exact — parallelism never changes
     /// values). With one chunk or one worker the chunks run on the
     /// calling thread, so `Parallelism::Serial` callers are genuinely
-    /// single-threaded.
+    /// single-threaded, and no range at all yields no result.
     fn fan_out<R: Send>(
         &self,
         images: &Tensor,
@@ -475,25 +477,18 @@ impl DeepCamEngine {
         Ok(Tensor::from_vec(logits, Shape::new(&[n, classes]))?)
     }
 
-    /// Batched inference fanned out across worker threads: the batch is
-    /// split into contiguous image chunks, each chunk runs the full
-    /// pipeline on one worker, and the logits are reassembled in input
-    /// order (a deterministic reduction).
-    ///
-    /// **Bit-exactness guarantee:** for every worker count — including
-    /// under `crossbar_noise` — the logits equal serial
-    /// [`DeepCamEngine::infer`] exactly. The differential suite in
-    /// `tests/parallel_equivalence.rs` enforces this on all zoo models.
+    /// Alias of [`DeepCamEngine::infer`], which the repo benchmark
+    /// (`perfbench/`) calls by this name.
     ///
     /// # Errors
     ///
-    /// Propagates tensor shape errors (batch/model mismatch).
+    /// Same conditions as [`DeepCamEngine::infer`].
     pub fn infer_batch(&self, batch: &Tensor) -> Result<Tensor> {
-        self.infer_batch_with(batch, self.compiled.config.parallelism)
+        self.infer(batch)
     }
 
-    /// [`DeepCamEngine::infer_batch`] with an explicit parallelism
-    /// override (the compiled engine is reusable across worker counts).
+    /// [`DeepCamEngine::infer`] with an explicit parallelism override
+    /// (the compiled engine is reusable across worker counts).
     ///
     /// # Errors
     ///
@@ -515,7 +510,7 @@ impl DeepCamEngine {
     ///
     /// The contract: logits for image `i` are bit-identical to running
     /// that image alone through [`DeepCamEngine::infer`], for every
-    /// batch composition and worker count. [`DeepCamEngine::infer_batch`]
+    /// batch composition and worker count. [`DeepCamEngine::infer`]
     /// deliberately does *not* have this property under
     /// `crossbar_noise > 0`: it treats the batch as one logical set, so
     /// image `i` draws the noise of global position `i`. Here every
@@ -524,30 +519,17 @@ impl DeepCamEngine {
     /// result (`tests/serve_differential.rs` enforces this).
     ///
     /// With a clean device (`crossbar_noise == 0`) offsets seed nothing,
-    /// and this delegates to the contiguous fan-out, which computes
+    /// and with one image offset 0 is its position anyway; both cases are
+    /// plain [`DeepCamEngine::infer`], whose contiguous chunks compute
     /// identical values with better chunking.
     ///
     /// # Errors
     ///
     /// Propagates tensor shape errors (batch/model mismatch).
     pub fn infer_each(&self, batch: &Tensor) -> Result<Tensor> {
-        self.infer_each_with(batch, self.compiled.config.parallelism)
-    }
-
-    /// [`DeepCamEngine::infer_each`] with an explicit parallelism
-    /// override.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DeepCamEngine::infer_each`].
-    pub fn infer_each_with(&self, batch: &Tensor, parallelism: Parallelism) -> Result<Tensor> {
-        if self.compiled.config.crossbar_noise == 0.0 {
-            return self.infer_batch_with(batch, parallelism);
-        }
         let n = batch.shape().dim(0);
-        let workers = parallelism.resolve();
-        if n <= 1 {
-            return self.infer_at_offset(batch, 0, workers, Datapath::Fast);
+        if self.compiled.config.crossbar_noise == 0.0 || n <= 1 {
+            return self.infer(batch);
         }
         // One range per image, every range at offset 0: each image's
         // noise is drawn exactly as its own single-image `infer` draws
@@ -555,9 +537,10 @@ impl DeepCamEngine {
         // contiguous path, ranges here cannot be merged (each needs its
         // own offset), so the worker cap is honored by fanning out in
         // `workers`-sized waves instead.
+        let workers = self.compiled.config.parallelism.resolve();
         let ranges: Vec<std::ops::Range<usize>> = (0..n).map(|i| i..i + 1).collect();
         let mut chunks = Vec::with_capacity(n);
-        for wave in ranges.chunks(workers.max(1)) {
+        for wave in ranges.chunks(workers) {
             chunks.extend(self.fan_out(batch, wave, workers, |_| 0, |_, logits| logits));
         }
         Self::concat_logits(n, chunks)
@@ -649,12 +632,13 @@ impl DeepCamEngine {
             .count()
     }
 
-    /// Top-1 accuracy over a labelled set, processed in mini-batches.
+    /// Top-1 accuracy over a labelled set, processed in mini-batches
+    /// fanned out across the configured [`Parallelism`].
     ///
     /// When the image count is not a multiple of `batch_size`, the final
     /// mini-batch is simply smaller — every image is always evaluated,
     /// never silently dropped (`evaluate_never_truncates_remainder` in
-    /// the test suite pins this down).
+    /// the test suite pins this down). An empty set scores 0.0.
     ///
     /// # Errors
     ///
@@ -662,63 +646,19 @@ impl DeepCamEngine {
     /// from the image count or `batch_size` is zero; propagates inference
     /// errors.
     pub fn evaluate(&self, images: &Tensor, labels: &[usize], batch_size: usize) -> Result<f32> {
-        let n = self.check_eval_inputs(images, labels, batch_size)?;
-        self.evaluate_batches_serially(
-            images,
-            labels,
-            batch_size,
-            n,
-            self.compiled.config.parallelism.resolve(),
-        )
+        self.evaluate_with(images, labels, batch_size, self.compiled.config.parallelism)
     }
 
-    /// Walks the mini-batches on the calling thread, using `dot_workers`
-    /// workers inside each layer (inputs already validated).
-    fn evaluate_batches_serially(
-        &self,
-        images: &Tensor,
-        labels: &[usize],
-        batch_size: usize,
-        n: usize,
-        dot_workers: usize,
-    ) -> Result<f32> {
-        let mut correct = 0usize;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch_size).min(n);
-            let chunk = self.image_chunk(images, start, end)?;
-            let logits = self.infer_at_offset(&chunk, start, dot_workers, Datapath::Fast)?;
-            correct += Self::count_correct(&logits, &labels[start..end]);
-            start = end;
-        }
-        Ok(correct as f32 / n.max(1) as f32)
-    }
-
-    /// [`DeepCamEngine::evaluate`] with mini-batches fanned out across
-    /// the configured [`Parallelism`]. Per-batch hit counts are reduced
-    /// in batch order, and per-image logits are bit-identical to the
-    /// serial path, so the returned accuracy is **exactly** equal to
-    /// [`DeepCamEngine::evaluate`] for every worker count.
+    /// [`DeepCamEngine::evaluate`] with an explicit parallelism override
+    /// (the compiled engine is reusable across worker counts). Per-batch
+    /// hit counts are reduced in batch order, and per-image logits are
+    /// bit-identical for every worker count, so the accuracy is
+    /// **exactly** the same for every setting.
     ///
     /// # Errors
     ///
     /// Same conditions as [`DeepCamEngine::evaluate`].
-    pub fn evaluate_parallel(
-        &self,
-        images: &Tensor,
-        labels: &[usize],
-        batch_size: usize,
-    ) -> Result<f32> {
-        self.evaluate_parallel_with(images, labels, batch_size, self.compiled.config.parallelism)
-    }
-
-    /// [`DeepCamEngine::evaluate_parallel`] with an explicit parallelism
-    /// override (the compiled engine is reusable across worker counts).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DeepCamEngine::evaluate`].
-    pub fn evaluate_parallel_with(
+    pub fn evaluate_with(
         &self,
         images: &Tensor,
         labels: &[usize],
@@ -726,13 +666,6 @@ impl DeepCamEngine {
         parallelism: Parallelism,
     ) -> Result<f32> {
         let n = self.check_eval_inputs(images, labels, batch_size)?;
-        let workers = parallelism.resolve();
-        if workers <= 1 || n == 0 {
-            // Honor the override on the fallback too: `workers` (not the
-            // engine-config parallelism) drives in-layer patch hashing,
-            // so `Parallelism::Serial` here is genuinely single-threaded.
-            return self.evaluate_batches_serially(images, labels, batch_size, n, workers);
-        }
         // Mini-batch ranges through the shared fan-out, reduced straight
         // to per-batch hit counts (summed in batch order below).
         let ranges: Vec<std::ops::Range<usize>> = (0..n.div_ceil(batch_size))
@@ -741,7 +674,7 @@ impl DeepCamEngine {
         let counts = self.fan_out(
             images,
             &ranges,
-            workers,
+            parallelism.resolve(),
             |r| r.start,
             |r, logits| Self::count_correct(&logits, &labels[r.start..r.end]),
         );
@@ -749,7 +682,7 @@ impl DeepCamEngine {
         for count in counts {
             correct += count?;
         }
-        Ok(correct as f32 / n as f32)
+        Ok(correct as f32 / n.max(1) as f32)
     }
 }
 
@@ -1609,6 +1542,9 @@ mod tests {
         let labels = vec![0usize; 6];
         let acc = engine.evaluate(&x, &labels, 4).unwrap();
         assert!((0.0..=1.0).contains(&acc));
+        // An empty set scores 0, not NaN.
+        let empty = Tensor::zeros(Shape::new(&[0, 1, 28, 28]));
+        assert_eq!(engine.evaluate(&empty, &[], 4).unwrap(), 0.0);
     }
 
     #[test]
@@ -1629,11 +1565,6 @@ mod tests {
         // Zero batch size too.
         assert!(matches!(
             engine.evaluate(&x, &[0usize; 4], 0),
-            Err(CoreError::InvalidInput(_))
-        ));
-        // And the parallel path applies the same validation.
-        assert!(matches!(
-            engine.evaluate_parallel(&x, &[0usize; 3], 2),
             Err(CoreError::InvalidInput(_))
         ));
     }
@@ -1677,7 +1608,7 @@ mod tests {
             let acc = engine.evaluate(&x, &labels, batch_size).unwrap();
             assert_eq!(acc, 0.5, "batch_size {batch_size}");
             let par = engine
-                .evaluate_parallel_with(&x, &labels, batch_size, Parallelism::Fixed(3))
+                .evaluate_with(&x, &labels, batch_size, Parallelism::Fixed(3))
                 .unwrap();
             assert_eq!(par, 0.5, "parallel batch_size {batch_size}");
         }
@@ -1691,9 +1622,17 @@ mod tests {
             plan: HashPlan::Uniform(256),
             ..EngineConfig::default()
         };
-        let engine = DeepCamEngine::compile(&model, cfg).unwrap();
+        let engine = DeepCamEngine::compile(&model, cfg.clone()).unwrap();
+        let serial_engine = DeepCamEngine::compile(
+            &model,
+            EngineConfig {
+                parallelism: Parallelism::Serial,
+                ..cfg
+            },
+        )
+        .unwrap();
         let x = tiny_batch(5); // odd count: uneven worker chunks
-        let serial = engine.infer(&x).unwrap();
+        let serial = serial_engine.infer(&x).unwrap();
         for workers in [1usize, 2, 3, 8] {
             let par = engine
                 .infer_batch_with(&x, Parallelism::Fixed(workers))
@@ -1712,12 +1651,16 @@ mod tests {
         let mut rng = seeded_rng(23);
         let model = scaled_lenet5(&mut rng, 10);
         for noise in [0.0f32, 0.5] {
-            let cfg = EngineConfig {
-                plan: HashPlan::Uniform(256),
-                crossbar_noise: noise,
-                ..EngineConfig::default()
+            let engine_at = |parallelism| {
+                let cfg = EngineConfig {
+                    plan: HashPlan::Uniform(256),
+                    crossbar_noise: noise,
+                    parallelism,
+                    ..EngineConfig::default()
+                };
+                DeepCamEngine::compile(&model, cfg).unwrap()
             };
-            let engine = DeepCamEngine::compile(&model, cfg).unwrap();
+            let engine = engine_at(Parallelism::Serial);
             let x = tiny_batch(5);
             let mut serial: Vec<f32> = Vec::new();
             for i in 0..5 {
@@ -1725,8 +1668,8 @@ mod tests {
                 serial.extend_from_slice(engine.infer(&one).unwrap().data());
             }
             for workers in [1usize, 2, 4] {
-                let coalesced = engine
-                    .infer_each_with(&x, Parallelism::Fixed(workers))
+                let coalesced = engine_at(Parallelism::Fixed(workers))
+                    .infer_each(&x)
                     .unwrap();
                 assert_eq!(
                     serial.as_slice(),
@@ -1750,7 +1693,7 @@ mod tests {
         };
         let engine = DeepCamEngine::compile(&model, cfg).unwrap();
         let x = tiny_batch(4);
-        let serial = engine.infer(&x).unwrap();
+        let serial = engine.infer_batch_with(&x, Parallelism::Serial).unwrap();
         let par = engine.infer_batch_with(&x, Parallelism::Fixed(4)).unwrap();
         assert_eq!(serial.data(), par.data());
     }

@@ -357,4 +357,59 @@ mod tests {
     fn param_count_positive() {
         assert!(tiny_cnn().param_count() > 0);
     }
+
+    #[test]
+    fn param_count_counts_everything() {
+        let mut rng = seeded_rng(1);
+        let mut net = Cnn::new(
+            "count",
+            vec![
+                Block::Linear(Linear::new(&mut rng, 10, 5)), // 50 + 5
+                Block::Bn(BatchNorm2d::new(3)),              // 3 + 3
+            ],
+            5,
+        );
+        assert_eq!(net.param_count(), 61);
+    }
+
+    #[test]
+    fn residual_identity_gradient_splits() {
+        // With a zeroed body, the block is relu(x), and the input gradient
+        // equals body-gradient + identity-gradient.
+        let mut rng = seeded_rng(2);
+        let mut conv = Conv2d::new(&mut rng, Conv2dConfig::new(2, 2, 3).with_padding(1));
+        conv.weight.value.map_inplace(|_| 0.0);
+        let mut block = ResBlock::new(vec![Block::Conv(conv)]);
+        let x = Tensor::full(Shape::new(&[1, 2, 4, 4]), 1.0);
+        let y = block.forward(&x, true).unwrap();
+        assert_eq!(y.data(), x.data());
+        let g = block
+            .backward(&Tensor::full(x.shape().clone(), 1.0))
+            .unwrap();
+        assert_eq!(g.shape(), x.shape());
+        // Identity path alone passes gradient 1 everywhere (plus the conv
+        // path contribution, which is 0 for zero weights).
+        assert!(g.data().iter().all(|&v| (v - 1.0).abs() < 1e-6));
+    }
+
+    #[test]
+    fn residual_projection_shortcut_runs() {
+        let mut rng = seeded_rng(3);
+        let body = vec![Block::Conv(Conv2d::new(
+            &mut rng,
+            Conv2dConfig::new(2, 4, 3).with_padding(1).with_stride(2),
+        ))];
+        let shortcut = vec![Block::Conv(Conv2d::new(
+            &mut rng,
+            Conv2dConfig::new(2, 4, 1).with_stride(2),
+        ))];
+        let mut block = ResBlock::with_shortcut(body, shortcut);
+        let x = Tensor::full(Shape::new(&[1, 2, 8, 8]), 0.5);
+        let y = block.forward(&x, true).unwrap();
+        assert_eq!(y.shape(), &Shape::new(&[1, 4, 4, 4]));
+        let gx = block
+            .backward(&Tensor::full(y.shape().clone(), 1.0))
+            .unwrap();
+        assert_eq!(gx.shape(), x.shape());
+    }
 }

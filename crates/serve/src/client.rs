@@ -159,16 +159,9 @@ impl Client {
         cfg: ClientConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Client> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| ServeError::Io(format!("resolve: {e}")))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(ServeError::Io("address resolved to nothing".into()));
-        }
         let rng = StdRng::seed_from_u64(cfg.retry.seed);
         let mut client = Client {
-            addrs,
+            addrs: resolve(addr)?,
             cfg,
             clock,
             rng,
@@ -197,71 +190,20 @@ impl Client {
     /// Re-establishes the connection if the last call tore it down,
     /// re-running the version handshake on every fresh stream (a
     /// reconnect may land on a different server).
-    fn ensure_connected(&mut self) -> Result<&mut TcpStream> {
+    fn ensure_connected(&mut self) -> Result<()> {
         if self.stream.is_none() {
             self.negotiated = None;
-            let mut last_err: Option<std::io::Error> = None;
-            for addr in &self.addrs {
-                match TcpStream::connect(addr) {
-                    Ok(s) => {
-                        let _ = s.set_nodelay(true);
-                        let _ = s.set_read_timeout(self.cfg.read_timeout);
-                        let _ = s.set_write_timeout(self.cfg.write_timeout);
-                        self.stream = Some(s);
-                        last_err = None;
-                        break;
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if let Some(e) = last_err {
-                return Err(ServeError::Io(format!("connect: {e}")));
-            }
-        }
-        if self.negotiated.is_none() {
+            let mut stream =
+                open_stream(&self.addrs, self.cfg.read_timeout, self.cfg.write_timeout)?;
             let version = if self.cfg.version > PROTOCOL_V1 {
-                self.handshake()?
+                hello(&mut stream, self.cfg.version)?
             } else {
                 PROTOCOL_V1
             };
             self.negotiated = Some(version);
+            self.stream = Some(stream);
         }
-        self.stream
-            .as_mut()
-            .ok_or_else(|| ServeError::Io("not connected".into()))
-    }
-
-    /// The v1-framed `Hello` exchange on a fresh stream.
-    fn handshake(&mut self) -> Result<u32> {
-        let offered = self.cfg.version;
-        let stream = self
-            .stream
-            .as_mut()
-            .ok_or_else(|| ServeError::Io("not connected".into()))?;
-        write_frame(
-            stream,
-            &encode_payload(&Request::Hello {
-                max_version: offered,
-            }),
-        )?;
-        match read_frame(stream)? {
-            Frame::Payload(payload) => match decode_payload::<Response>(&payload)? {
-                Response::Hello { version } if version >= PROTOCOL_V1 && version <= offered => {
-                    Ok(version)
-                }
-                Response::Hello { version } => Err(ServeError::Protocol(format!(
-                    "server negotiated unsupported protocol version {version} (offered up to \
-                     {offered})"
-                ))),
-                Response::Error { kind, message } => Err(ServeError::Remote { kind, message }),
-                other => Err(ServeError::Protocol(format!(
-                    "expected Hello, got {other:?}"
-                ))),
-            },
-            Frame::Closed => Err(ServeError::Io(
-                "server closed the connection during the version handshake".into(),
-            )),
-        }
+        Ok(())
     }
 
     /// One wire round trip. Transport failures drop the stream so the
@@ -461,65 +403,18 @@ impl MuxClient {
         read_timeout: Option<Duration>,
         write_timeout: Option<Duration>,
     ) -> Result<MuxClient> {
-        let mut last_err: Option<std::io::Error> = None;
-        let mut stream: Option<TcpStream> = None;
-        for addr in addr
-            .to_socket_addrs()
-            .map_err(|e| ServeError::Io(format!("resolve: {e}")))?
-        {
-            match TcpStream::connect(addr) {
-                Ok(s) => {
-                    stream = Some(s);
-                    last_err = None;
-                    break;
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let stream = match (stream, last_err) {
-            (Some(s), _) => s,
-            (None, Some(e)) => return Err(ServeError::Io(format!("connect: {e}"))),
-            (None, None) => return Err(ServeError::Io("address resolved to nothing".into())),
-        };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(read_timeout);
-        let _ = stream.set_write_timeout(write_timeout);
-        let mut client = MuxClient {
-            stream,
-            version: PROTOCOL_V1,
-            next_id: 0,
-        };
-        write_frame(
-            &mut client.stream,
-            &encode_payload(&Request::Hello {
-                max_version: MAX_PROTOCOL_VERSION,
-            }),
-        )?;
-        let version = match read_frame(&mut client.stream)? {
-            Frame::Payload(payload) => match decode_payload::<Response>(&payload)? {
-                Response::Hello { version } => version,
-                Response::Error { kind, message } => {
-                    return Err(ServeError::Remote { kind, message })
-                }
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected Hello, got {other:?}"
-                    )))
-                }
-            },
-            Frame::Closed => {
-                return Err(ServeError::Io(
-                    "server closed the connection during the version handshake".into(),
-                ))
-            }
-        };
+        let mut stream = open_stream(&resolve(addr)?, read_timeout, write_timeout)?;
+        let version = hello(&mut stream, MAX_PROTOCOL_VERSION)?;
         if version < PROTOCOL_V2 {
             return Err(ServeError::Protocol(format!(
                 "server negotiated protocol version {version}; multiplexing requires v2"
             )));
         }
-        client.version = version;
-        Ok(client)
+        Ok(MuxClient {
+            stream,
+            version,
+            next_id: 0,
+        })
     }
 
     /// The version the server answered the handshake with.
@@ -572,6 +467,69 @@ impl MuxClient {
                 "server closed the connection with replies outstanding".into(),
             )),
         }
+    }
+}
+
+/// Resolves `addr` to the socket addresses a connect tries in order.
+fn resolve(addr: impl ToSocketAddrs) -> Result<Vec<SocketAddr>> {
+    Ok(addr
+        .to_socket_addrs()
+        .map_err(|e| ServeError::Io(format!("resolve: {e}")))?
+        .collect())
+}
+
+/// Connects to the first of `addrs` that accepts, with Nagle off and
+/// the given socket deadlines.
+fn open_stream(
+    addrs: &[SocketAddr],
+    read_timeout: Option<Duration>,
+    write_timeout: Option<Duration>,
+) -> Result<TcpStream> {
+    let mut last_err = None;
+    for addr in addrs {
+        match TcpStream::connect(addr) {
+            Ok(s) => {
+                let _ = s.set_nodelay(true);
+                let _ = s.set_read_timeout(read_timeout);
+                let _ = s.set_write_timeout(write_timeout);
+                return Ok(s);
+            }
+            Err(e) => last_err = Some(e),
+        }
+    }
+    Err(ServeError::Io(match last_err {
+        Some(e) => format!("connect: {e}"),
+        None => "address resolved to nothing".into(),
+    }))
+}
+
+/// The v1-framed `Hello` exchange on a fresh stream: offers versions up
+/// to `offered` and returns the server's pick, refusing one outside
+/// `1..=offered`.
+fn hello(stream: &mut TcpStream, offered: u32) -> Result<u32> {
+    write_frame(
+        stream,
+        &encode_payload(&Request::Hello {
+            max_version: offered,
+        }),
+    )?;
+    match read_frame(stream)? {
+        Frame::Payload(payload) => match decode_payload::<Response>(&payload)? {
+            Response::Hello { version } if (PROTOCOL_V1..=offered).contains(&version) => {
+                Ok(version)
+            }
+            Response::Hello { version } => Err(ServeError::Protocol(format!(
+                "server negotiated unsupported protocol version {version} (offered up to \
+                 {offered})"
+            ))),
+            Response::Error { kind, message } => Err(ServeError::Remote { kind, message }),
+            other => Err(ServeError::Protocol(format!(
+                "expected Hello, got {other:?}"
+            ))),
+        },
+        Frame::Closed => Err(ServeError::Io(
+            "server closed the connection during the version handshake".into(),
+        )),
     }
 }
 

@@ -13,10 +13,11 @@ use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
 use deepcam_serve::protocol::{
     decode_payload, encode_payload, read_frame, write_frame, ErrorKind, Frame, Request, Response,
+    MAX_PROTOCOL_VERSION,
 };
 use deepcam_serve::{
-    Client, ClientConfig, ManualClock, ModelRegistry, RetryPolicy, Runtime, ServeError, Server,
-    ServerConfig, SessionConfig,
+    Client, ClientConfig, ManualClock, ModelRegistry, MuxClient, RetryPolicy, Runtime, ServeError,
+    Server, ServerConfig, SessionConfig,
 };
 use deepcam_tensor::rng::seeded_rng;
 
@@ -402,6 +403,33 @@ fn no_retry_policy_fails_fast_on_overload() {
     ));
     assert_eq!(client.last_call_attempts(), 1);
     assert_eq!(served.join().expect("script"), 1);
+}
+
+/// Both clients share one `Hello` exchange, so both refuse a server
+/// that answers with a version they did not offer (or with 0).
+#[test]
+fn clients_refuse_a_hello_answer_outside_their_offer() {
+    for mux in [false, true] {
+        for version in [0, MAX_PROTOCOL_VERSION + 1] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let served = scripted_server(listener, vec![Response::Hello { version }]);
+            let result = if mux {
+                MuxClient::connect(addr).map(|_| ())
+            } else {
+                let cfg = ClientConfig {
+                    version: MAX_PROTOCOL_VERSION,
+                    ..ClientConfig::default()
+                };
+                Client::connect_with(addr, cfg).map(|_| ())
+            };
+            assert!(
+                matches!(result, Err(ServeError::Protocol(_))),
+                "mux {mux}, version {version}: {result:?}"
+            );
+            assert_eq!(served.join().expect("script"), 1, "one Hello frame");
+        }
+    }
 }
 
 // ------------------------------------------------------------- stats

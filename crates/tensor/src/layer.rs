@@ -417,189 +417,10 @@ impl Layer for Flatten {
     }
 }
 
-/// An ordered stack of layers executed front to back.
-///
-/// # Example
-///
-/// ```
-/// use deepcam_tensor::{layer::{Linear, ReLU}, rng::seeded_rng, Sequential, Layer, Tensor, Shape};
-///
-/// let mut rng = seeded_rng(0);
-/// let mut net = Sequential::new();
-/// net.push(Linear::new(&mut rng, 4, 8));
-/// net.push(ReLU::new());
-/// net.push(Linear::new(&mut rng, 8, 2));
-/// let x = Tensor::zeros(Shape::new(&[1, 4]));
-/// let y = net.forward(&x, false)?;
-/// assert_eq!(y.shape(), &Shape::new(&[1, 2]));
-/// # Ok::<(), deepcam_tensor::TensorError>(())
-/// ```
-#[derive(Default)]
-pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
-}
-
-impl Sequential {
-    /// Creates an empty stack.
-    pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
-    }
-
-    /// Appends a layer.
-    pub fn push(&mut self, layer: impl Layer + 'static) {
-        self.layers.push(Box::new(layer));
-    }
-
-    /// Appends an already-boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Returns `true` when the stack holds no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// The layer names in execution order.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
-
-    /// Total number of scalar parameters.
-    pub fn param_count(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.value.len()).sum()
-    }
-}
-
-impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor> {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur, train)?;
-        }
-        Ok(cur)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut cur = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur)?;
-        }
-        Ok(cur)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "Sequential"
-    }
-}
-
-/// A residual block: `output = relu(body(x) + shortcut(x))`.
-///
-/// `shortcut` defaults to the identity; ResNet downsampling blocks install
-/// a 1x1 strided convolution (+ batch norm) instead.
-#[derive(Default)]
-pub struct Residual {
-    /// Main branch.
-    pub body: Sequential,
-    /// Projection branch (`None` = identity).
-    pub shortcut: Option<Sequential>,
-    cached_sum: Option<Tensor>,
-}
-
-impl Residual {
-    /// Creates a residual block with an identity shortcut.
-    pub fn new(body: Sequential) -> Self {
-        Residual {
-            body,
-            shortcut: None,
-            cached_sum: None,
-        }
-    }
-
-    /// Creates a residual block with a projection shortcut.
-    pub fn with_shortcut(body: Sequential, shortcut: Sequential) -> Self {
-        Residual {
-            body,
-            shortcut: Some(shortcut),
-            cached_sum: None,
-        }
-    }
-}
-
-impl Layer for Residual {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor> {
-        let main = self.body.forward(x, train)?;
-        let skip = match &mut self.shortcut {
-            Some(s) => s.forward(x, train)?,
-            None => x.clone(),
-        };
-        let sum = main.add(&skip)?;
-        self.cached_sum = Some(sum.clone());
-        Ok(relu(&sum))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let sum = self
-            .cached_sum
-            .as_ref()
-            .ok_or(TensorError::MissingForwardCache("Residual"))?;
-        let grad_sum = relu_backward(grad_out, sum)?;
-        let grad_main = self.body.backward(&grad_sum)?;
-        let grad_skip = match &mut self.shortcut {
-            Some(s) => s.backward(&grad_sum)?,
-            None => grad_sum,
-        };
-        grad_main.add(&grad_skip)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.body.params_mut();
-        if let Some(s) = &mut self.shortcut {
-            p.extend(s.params_mut());
-        }
-        p
-    }
-
-    fn name(&self) -> &'static str {
-        "Residual"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
-
-    #[test]
-    fn sequential_forward_backward_shapes() {
-        let mut rng = seeded_rng(0);
-        let mut net = Sequential::new();
-        net.push(Conv2d::new(
-            &mut rng,
-            Conv2dConfig::new(1, 4, 3).with_padding(1),
-        ));
-        net.push(ReLU::new());
-        net.push(MaxPool2d::new(2));
-        net.push(Flatten::new());
-        net.push(Linear::new(&mut rng, 4 * 4 * 4, 10));
-        let x = Tensor::zeros(Shape::new(&[2, 1, 8, 8]));
-        let y = net.forward(&x, true).unwrap();
-        assert_eq!(y.shape(), &Shape::new(&[2, 10]));
-        let gx = net.backward(&Tensor::full(y.shape().clone(), 1.0)).unwrap();
-        assert_eq!(gx.shape(), x.shape());
-    }
 
     #[test]
     fn backward_before_forward_errors() {
@@ -609,60 +430,6 @@ mod tests {
             r.backward(&g),
             Err(TensorError::MissingForwardCache("ReLU"))
         ));
-    }
-
-    #[test]
-    fn param_count_counts_everything() {
-        let mut rng = seeded_rng(1);
-        let mut net = Sequential::new();
-        net.push(Linear::new(&mut rng, 10, 5)); // 50 + 5
-        net.push(BatchNorm2d::new(3)); // 3 + 3
-        assert_eq!(net.param_count(), 61);
-    }
-
-    #[test]
-    fn residual_identity_gradient_splits() {
-        // With a zeroed body, the block is relu(x), and the input gradient
-        // equals body-gradient + identity-gradient.
-        let mut rng = seeded_rng(2);
-        let mut body = Sequential::new();
-        let mut conv = Conv2d::new(&mut rng, Conv2dConfig::new(2, 2, 3).with_padding(1));
-        conv.weight.value.map_inplace(|_| 0.0);
-        body.push(conv);
-        let mut block = Residual::new(body);
-        let x = Tensor::full(Shape::new(&[1, 2, 4, 4]), 1.0);
-        let y = block.forward(&x, true).unwrap();
-        assert_eq!(y.data(), x.data());
-        let g = block
-            .backward(&Tensor::full(x.shape().clone(), 1.0))
-            .unwrap();
-        assert_eq!(g.shape(), x.shape());
-        // Identity path alone passes gradient 1 everywhere (plus the conv
-        // path contribution, which is 0 for zero weights).
-        assert!(g.data().iter().all(|&v| (v - 1.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn residual_projection_shortcut_runs() {
-        let mut rng = seeded_rng(3);
-        let mut body = Sequential::new();
-        body.push(Conv2d::new(
-            &mut rng,
-            Conv2dConfig::new(2, 4, 3).with_padding(1).with_stride(2),
-        ));
-        let mut shortcut = Sequential::new();
-        shortcut.push(Conv2d::new(
-            &mut rng,
-            Conv2dConfig::new(2, 4, 1).with_stride(2),
-        ));
-        let mut block = Residual::with_shortcut(body, shortcut);
-        let x = Tensor::full(Shape::new(&[1, 2, 8, 8]), 0.5);
-        let y = block.forward(&x, true).unwrap();
-        assert_eq!(y.shape(), &Shape::new(&[1, 4, 4, 4]));
-        let gx = block
-            .backward(&Tensor::full(y.shape().clone(), 1.0))
-            .unwrap();
-        assert_eq!(gx.shape(), x.shape());
     }
 
     #[test]

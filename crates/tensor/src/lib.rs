@@ -14,8 +14,8 @@
 //! * full backpropagation through all of those operators plus an SGD
 //!   optimizer, so that the scaled-down accuracy-experiment models can be
 //!   trained in-repo (see `DESIGN.md` §4), and
-//! * the [`layer`] module with a [`Layer`] trait, [`Sequential`]
-//!   container and residual blocks used by the model zoo.
+//! * the [`layer`] module with a [`Layer`] trait and the trainable layers
+//!   the model zoo's `Cnn` is built from.
 //!
 //! # Example
 //!
@@ -45,7 +45,7 @@ pub mod simd;
 pub mod tensor;
 
 pub use error::TensorError;
-pub use layer::{Layer, Sequential};
+pub use layer::Layer;
 pub use pool::{Parallelism, ThreadPool};
 pub use shape::Shape;
 pub use tensor::{matmul_dense_into, matmul_into, Tensor};

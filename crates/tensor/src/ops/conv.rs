@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::TensorError;
-use crate::pool::{split_ranges, ThreadPool};
+use crate::pool::ThreadPool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -312,7 +312,24 @@ pub fn conv2d(
     bias: Option<&Tensor>,
     cfg: &Conv2dConfig,
 ) -> Result<Tensor> {
-    let (n, h, w) = validate_conv2d_inputs(input, weight, cfg)?;
+    let expected_w = Shape::new(&[
+        cfg.out_channels,
+        cfg.in_channels,
+        cfg.kernel_h,
+        cfg.kernel_w,
+    ]);
+    if weight.shape() != &expected_w {
+        return Err(TensorError::ShapeMismatch {
+            lhs: weight.shape().clone(),
+            rhs: expected_w,
+            op: "conv2d (weight)",
+        });
+    }
+    let (n, _c, h, w) = input.shape().as_nchw().ok_or(TensorError::RankMismatch {
+        expected: 4,
+        actual: input.shape().rank(),
+        op: "conv2d",
+    })?;
     let (oh, ow) = cfg.output_hw(h, w);
     let patches = im2col(input, cfg)?; // [N*P, CKK]
     let wmat = weight
@@ -333,47 +350,6 @@ pub fn conv2d(
             }
         }
     }
-    add_channel_bias(&mut out, bias, n, m, p)?;
-    Tensor::from_vec(out, Shape::new(&[n, m, oh, ow]))
-}
-
-/// Shared argument validation for the serial and sharded convolutions:
-/// weight shape against `cfg`, input rank. Returns `(N, H, W)`.
-fn validate_conv2d_inputs(
-    input: &Tensor,
-    weight: &Tensor,
-    cfg: &Conv2dConfig,
-) -> Result<(usize, usize, usize)> {
-    let expected_w = Shape::new(&[
-        cfg.out_channels,
-        cfg.in_channels,
-        cfg.kernel_h,
-        cfg.kernel_w,
-    ]);
-    if weight.shape() != &expected_w {
-        return Err(TensorError::ShapeMismatch {
-            lhs: weight.shape().clone(),
-            rhs: expected_w,
-            op: "conv2d (weight)",
-        });
-    }
-    let (n, _c, h, w) = input.shape().as_nchw().ok_or(TensorError::RankMismatch {
-        expected: 4,
-        actual: input.shape().rank(),
-        op: "conv2d",
-    })?;
-    Ok((n, h, w))
-}
-
-/// Adds a per-channel bias to an `[N, M, P]`-layout buffer (shared by the
-/// serial and sharded convolutions — one copy, one accumulation order).
-fn add_channel_bias(
-    out: &mut [f32],
-    bias: Option<&Tensor>,
-    n: usize,
-    m: usize,
-    p: usize,
-) -> Result<()> {
     if let Some(b) = bias {
         if b.len() != m {
             return Err(TensorError::ShapeMismatch {
@@ -382,76 +358,12 @@ fn add_channel_bias(
                 op: "conv2d (bias)",
             });
         }
-        for ni in 0..n {
-            for mi in 0..m {
-                let bv = b.data()[mi];
-                for v in &mut out[(ni * m + mi) * p..(ni * m + mi + 1) * p] {
-                    *v += bv;
-                }
+        for (plane, &bv) in out.chunks_mut(p.max(1)).zip(b.data().iter().cycle()) {
+            for v in plane {
+                *v += bv;
             }
         }
     }
-    Ok(())
-}
-
-/// [`conv2d`] sharded over output channels across `workers` pool workers.
-///
-/// Each worker computes the GEMM block for a contiguous range of output
-/// channels (the per-kernel unit DeepCAM maps onto CAM rows); the im2col
-/// expansion is sharded over patch rows. Per-element accumulation order
-/// is identical to the serial GEMM, so the result is **bit-identical** to
-/// [`conv2d`] for every worker count — enforced by the property suite in
-/// `tests/proptests.rs`.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d`].
-pub fn conv2d_sharded(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    cfg: &Conv2dConfig,
-    workers: usize,
-) -> Result<Tensor> {
-    if workers <= 1 {
-        return conv2d(input, weight, bias, cfg);
-    }
-    let (n, h, w) = validate_conv2d_inputs(input, weight, cfg)?;
-    let (oh, ow) = cfg.output_hw(h, w);
-    let patches = im2col_sharded(input, cfg, workers)?; // [N*P, CKK]
-    let m = cfg.out_channels;
-    let patch = cfg.patch_len();
-    let wdata = weight.data();
-    // One GEMM block per contiguous channel range. Every block row is an
-    // unchanged row of the weight matrix, so each output element runs the
-    // exact serial accumulation loop.
-    let ranges = split_ranges(m, workers);
-    let blocks: Vec<Result<Tensor>> = ThreadPool::global().run_indexed(ranges.len(), |bi| {
-        let r = &ranges[bi];
-        let sub = Tensor::from_vec(
-            wdata[r.start * patch..r.end * patch].to_vec(),
-            Shape::new(&[r.len(), patch]),
-        )?;
-        patches.matmul(&sub.transpose()?) // [N*P, r.len()]
-    });
-    // Deterministic (serial) scatter [N*P, m_block] -> [N, M, OH, OW],
-    // mirroring the serial permute + bias loops exactly.
-    let p = oh * ow;
-    let mut out = vec![0.0f32; n * m * p];
-    for (r, block) in ranges.iter().zip(blocks) {
-        let block = block?;
-        let src = block.data();
-        let mc = r.len();
-        for ni in 0..n {
-            for pi in 0..p {
-                let row = (ni * p + pi) * mc;
-                for (j, mi) in (r.start..r.end).enumerate() {
-                    out[(ni * m + mi) * p + pi] = src[row + j];
-                }
-            }
-        }
-    }
-    add_channel_bias(&mut out, bias, n, m, p)?;
     Tensor::from_vec(out, Shape::new(&[n, m, oh, ow]))
 }
 
@@ -706,7 +618,6 @@ mod tests {
         let cfg = Conv2dConfig::new(1, 1, 3);
         let w = Tensor::zeros(Shape::new(&[1, 1, 2, 2]));
         assert!(conv2d(&small_input(), &w, None, &cfg).is_err());
-        assert!(conv2d_sharded(&small_input(), &w, None, &cfg, 4).is_err());
     }
 
     #[test]
@@ -719,23 +630,5 @@ mod tests {
             let sharded = im2col_sharded(&x, &cfg, workers).unwrap();
             assert_eq!(serial.data(), sharded.data(), "workers {workers}");
         }
-    }
-
-    #[test]
-    fn conv2d_sharded_is_bit_identical() {
-        let mut rng = seeded_rng(22);
-        let cfg = Conv2dConfig::new(2, 5, 3).with_padding(1);
-        let x = init::normal(&mut rng, Shape::new(&[2, 2, 6, 6]), 0.0, 1.0);
-        let w = init::normal(&mut rng, Shape::new(&[5, 2, 3, 3]), 0.0, 1.0);
-        let b = init::normal(&mut rng, Shape::new(&[5]), 0.0, 1.0);
-        let serial = conv2d(&x, &w, Some(&b), &cfg).unwrap();
-        for workers in [2usize, 3, 5, 16] {
-            let sharded = conv2d_sharded(&x, &w, Some(&b), &cfg, workers).unwrap();
-            assert_eq!(serial.data(), sharded.data(), "workers {workers}");
-        }
-        // More shards than channels must also work.
-        let no_bias_serial = conv2d(&x, &w, None, &cfg).unwrap();
-        let no_bias = conv2d_sharded(&x, &w, None, &cfg, 16).unwrap();
-        assert_eq!(no_bias_serial.data(), no_bias.data());
     }
 }

@@ -1,7 +1,6 @@
 //! Fully-connected (dense) layer math.
 
 use crate::error::TensorError;
-use crate::pool::{split_ranges, ThreadPool};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -18,14 +17,6 @@ use crate::Result;
 /// Returns a shape error if `x` is not rank 2 or the feature dimensions
 /// disagree.
 pub fn linear(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
-    validate_linear_inputs(x, weight)?;
-    let mut y = x.matmul(&weight.transpose()?)?;
-    add_feature_bias(&mut y, bias, weight.shape().dim(0))?;
-    Ok(y)
-}
-
-/// Shared argument validation for the serial and sharded linear ops.
-fn validate_linear_inputs(x: &Tensor, weight: &Tensor) -> Result<()> {
     if x.shape().rank() != 2 {
         return Err(TensorError::RankMismatch {
             expected: 2,
@@ -40,12 +31,8 @@ fn validate_linear_inputs(x: &Tensor, weight: &Tensor) -> Result<()> {
             op: "linear",
         });
     }
-    Ok(())
-}
-
-/// Adds a per-feature bias to an `[N, F_out]` output (shared by the
-/// serial and sharded linear ops — one copy, one accumulation order).
-fn add_feature_bias(y: &mut Tensor, bias: Option<&Tensor>, f_out: usize) -> Result<()> {
+    let mut y = x.matmul(&weight.transpose()?)?;
+    let f_out = weight.shape().dim(0);
     if let Some(b) = bias {
         if b.len() != f_out {
             return Err(TensorError::ShapeMismatch {
@@ -54,62 +41,12 @@ fn add_feature_bias(y: &mut Tensor, bias: Option<&Tensor>, f_out: usize) -> Resu
                 op: "linear (bias)",
             });
         }
-        let n = y.shape().dim(0);
-        for i in 0..n {
-            for j in 0..f_out {
-                y.data_mut()[i * f_out + j] += b.data()[j];
+        for row in y.data_mut().chunks_mut(f_out.max(1)) {
+            for (v, &bv) in row.iter_mut().zip(b.data()) {
+                *v += bv;
             }
         }
     }
-    Ok(())
-}
-
-/// [`linear`] sharded over output features across `workers` pool workers.
-///
-/// Each worker computes the GEMM block for a contiguous range of output
-/// neurons — the per-row unit the DeepCAM context generator hashes into
-/// one CAM word. Per-element accumulation order matches the serial GEMM,
-/// so the result is **bit-identical** to [`linear`] for every worker
-/// count (enforced by `tests/proptests.rs`).
-///
-/// # Errors
-///
-/// Same conditions as [`linear`].
-pub fn linear_sharded(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    workers: usize,
-) -> Result<Tensor> {
-    if workers <= 1 {
-        return linear(x, weight, bias);
-    }
-    validate_linear_inputs(x, weight)?;
-    let n = x.shape().dim(0);
-    let f_in = x.shape().dim(1);
-    let f_out = weight.shape().dim(0);
-    let wdata = weight.data();
-    let ranges = split_ranges(f_out, workers);
-    let blocks: Vec<Result<Tensor>> = ThreadPool::global().run_indexed(ranges.len(), |bi| {
-        let r = &ranges[bi];
-        let sub = Tensor::from_vec(
-            wdata[r.start * f_in..r.end * f_in].to_vec(),
-            Shape::new(&[r.len(), f_in]),
-        )?;
-        x.matmul(&sub.transpose()?) // [N, r.len()]
-    });
-    // Deterministic column scatter, then the serial bias loop verbatim.
-    let mut out = vec![0.0f32; n * f_out];
-    for (r, block) in ranges.iter().zip(blocks) {
-        let block = block?;
-        let src = block.data();
-        let fc = r.len();
-        for i in 0..n {
-            out[i * f_out + r.start..i * f_out + r.end].copy_from_slice(&src[i * fc..(i + 1) * fc]);
-        }
-    }
-    let mut y = Tensor::from_vec(out, Shape::new(&[n, f_out]))?;
-    add_feature_bias(&mut y, bias, f_out)?;
     Ok(y)
 }
 
@@ -161,23 +98,6 @@ mod tests {
         let x = Tensor::zeros(Shape::new(&[1, 3]));
         let w = Tensor::zeros(Shape::new(&[4, 2]));
         assert!(linear(&x, &w, None).is_err());
-        assert!(linear_sharded(&x, &w, None, 4).is_err());
-    }
-
-    #[test]
-    fn linear_sharded_is_bit_identical() {
-        let mut rng = seeded_rng(17);
-        let x = init::normal(&mut rng, Shape::new(&[5, 9]), 0.0, 1.0);
-        let w = init::normal(&mut rng, Shape::new(&[7, 9]), 0.0, 1.0);
-        let b = init::normal(&mut rng, Shape::new(&[7]), 0.0, 1.0);
-        let serial = linear(&x, &w, Some(&b)).unwrap();
-        for workers in [2usize, 3, 7, 32] {
-            let sharded = linear_sharded(&x, &w, Some(&b), workers).unwrap();
-            assert_eq!(serial.data(), sharded.data(), "workers {workers}");
-        }
-        let no_bias_serial = linear(&x, &w, None).unwrap();
-        let no_bias = linear_sharded(&x, &w, None, 3).unwrap();
-        assert_eq!(no_bias_serial.data(), no_bias.data());
     }
 
     #[test]

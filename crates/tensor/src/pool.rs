@@ -1,26 +1,26 @@
-//! A small, dependency-free work-stealing thread pool.
+//! A small, dependency-free scoped thread pool.
 //!
 //! DeepCAM's speedup claim rests on massive parallelism across CAM
-//! sub-arrays and hash chunks; the software reproduction mirrors that by
-//! sharding its hot loops (im2col, GEMM channel blocks, patch hashing,
-//! CAM row ranges, image batches) across a shared pool of workers. The
-//! pool lives here — at the bottom of the crate graph — so every layer
-//! (`deepcam-cam`, `deepcam-core`, `deepcam-bench`) can reuse one set of
-//! threads instead of spawning per call.
+//! sub-arrays; the software reproduction mirrors that by sharding its hot
+//! loops (patch hashing, image batches, the reference datapath's im2col
+//! and dot layers) across a shared pool of workers. The pool lives here —
+//! at the bottom of the crate graph — so `deepcam-core` and the bench
+//! bins reuse one set of threads instead of spawning per call.
 //!
 //! # Design
 //!
-//! * **Work stealing.** Each worker owns a deque; [`Scope::spawn`]
-//!   distributes tasks round-robin, a worker drains its own deque first
-//!   and then steals from its siblings. No external crates (`rayon`,
-//!   `crossbeam`) are used — the container builds fully offline.
+//! * **One task queue.** [`Scope::spawn`] appends to a single FIFO under
+//!   the pool's lock, and an idle worker pops the oldest task. Every
+//!   claim takes that lock anyway, so per-worker queues would add no
+//!   parallelism. No external crates (`rayon`, `crossbeam`) are used —
+//!   the container builds fully offline.
 //! * **Scoped tasks.** [`ThreadPool::scope`] lets tasks borrow from the
 //!   caller's stack (like `std::thread::scope`): the call does not return
 //!   until every spawned task has finished, on every exit path.
 //! * **Nested-scope safe.** A thread that waits on a scope *helps*: it
-//!   pops queued tasks and runs them while waiting. An `infer_batch`
-//!   image task can therefore open its own `scope` for patch hashing on
-//!   a single-worker pool without deadlocking.
+//!   pops queued tasks and runs them while waiting. An image task of
+//!   `DeepCamEngine::infer` can therefore open its own `scope` for patch
+//!   hashing on a single-worker pool without deadlocking.
 //! * **Determinism.** The pool never changes *what* is computed, only
 //!   *where*: callers shard work into chunks whose outputs are disjoint,
 //!   so results are bit-identical for every worker count. The
@@ -45,7 +45,6 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -169,78 +168,49 @@ impl serde::bin::BinCodec for Parallelism {
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolState {
-    /// Tasks pushed but not yet claimed by any thread.
-    queued: usize,
+    /// Tasks pushed but not yet claimed by any thread, oldest first.
+    queue: VecDeque<Task>,
     shutdown: bool,
 }
 
 struct Shared {
     state: Mutex<PoolState>,
     work_available: Condvar,
-    /// One deque per worker; [`Scope::spawn`] round-robins across them
-    /// and idle workers steal from their siblings.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    round_robin: AtomicUsize,
 }
 
 impl Shared {
     fn push(&self, task: Task) {
-        let idx = self.round_robin.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[idx]
+        self.state
             .lock()
-            .expect("pool queue lock")
+            .expect("pool state lock")
+            .queue
             .push_back(task);
-        // The counter is incremented only after the task is visible in a
-        // deque, so a claimer is always able to find *a* task (not
-        // necessarily this one — tasks are interchangeable).
-        self.state.lock().expect("pool state lock").queued += 1;
         self.work_available.notify_one();
     }
 
-    /// Claims one queued task if any exists, without blocking.
-    fn try_claim(&self, home: usize) -> Option<Task> {
-        {
-            let mut st = self.state.lock().expect("pool state lock");
-            if st.queued == 0 {
-                return None;
-            }
-            st.queued -= 1;
-        }
-        Some(self.take_claimed(home))
+    /// Claims the oldest queued task if any exists, without blocking.
+    fn try_claim(&self) -> Option<Task> {
+        self.state
+            .lock()
+            .expect("pool state lock")
+            .queue
+            .pop_front()
     }
 
-    /// Pops a task after a successful claim. The claim guarantees at
-    /// least one task is in some deque, but a racing claimer may grab
-    /// the one we spotted first — hence the retry loop.
-    fn take_claimed(&self, home: usize) -> Task {
-        let n = self.queues.len();
+    fn worker_loop(&self) {
         loop {
-            for i in 0..n {
-                let q = &self.queues[(home + i) % n];
-                if let Some(t) = q.lock().expect("pool queue lock").pop_front() {
-                    return t;
-                }
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    fn worker_loop(self: &Arc<Self>, home: usize) {
-        loop {
-            {
+            let task = {
                 let mut st = self.state.lock().expect("pool state lock");
                 loop {
-                    if st.queued > 0 {
-                        st.queued -= 1;
-                        break;
+                    if let Some(task) = st.queue.pop_front() {
+                        break task;
                     }
                     if st.shutdown {
                         return;
                     }
                     st = self.work_available.wait(st).expect("pool state lock");
                 }
-            }
-            let task = self.take_claimed(home);
+            };
             task();
         }
     }
@@ -292,7 +262,7 @@ impl Completion {
             if self.state.lock().expect("scope lock").pending == 0 {
                 return;
             }
-            if let Some(task) = shared.try_claim(0) {
+            if let Some(task) = shared.try_claim() {
                 task();
                 continue;
             }
@@ -315,7 +285,7 @@ impl Completion {
     }
 }
 
-/// A fixed-size work-stealing thread pool. See the [module docs](self).
+/// A fixed-size scoped thread pool. See the [module docs](self).
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -327,19 +297,17 @@ impl ThreadPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
-                queued: 0,
+                queue: VecDeque::new(),
                 shutdown: false,
             }),
             work_available: Condvar::new(),
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            round_robin: AtomicUsize::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("deepcam-pool-{i}"))
-                    .spawn(move || shared.worker_loop(i))
+                    .spawn(move || shared.worker_loop())
                     .expect("spawn pool worker")
             })
             .collect();
@@ -359,7 +327,7 @@ impl ThreadPool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.queues.len()
+        self.handles.len()
     }
 
     /// Runs `f` with a [`Scope`] on which borrowing tasks can be
@@ -466,7 +434,7 @@ impl<'env> Scope<'_, 'env> {
         // `completion.pending == 0` on every exit path — including when
         // the scope closure panics — so this task finishes before any
         // 'env borrow it captured goes out of scope. The lifetime is
-        // erased only to store the task in the pool's 'static deques.
+        // erased only to store the task in the pool's 'static queue.
         let task: Task = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(task)
         };
@@ -499,7 +467,7 @@ pub fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn parallelism_resolves() {

@@ -9,7 +9,7 @@
 //! hot path be rebuilt for throughput without moving a single output
 //! bit.
 
-use deepcam::accel::{passes, CompiledModel, DeepCamEngine, EngineConfig, HashPlan};
+use deepcam::accel::{passes, CompiledModel, Datapath, DeepCamEngine, EngineConfig, HashPlan};
 use deepcam::hash::geometric::{CosineMode, NormMode};
 use deepcam::models::scaled::{scaled_lenet5, scaled_resnet18, scaled_vgg11};
 use deepcam::models::Cnn;
@@ -191,10 +191,20 @@ fn sharded_fast_path_matches_serial_reference() {
             .infer_reference(x)
             .expect("reference succeeds");
         for &workers in workers {
-            let fast = compile(model, Parallelism::Fixed(workers), passed)
-                .infer(x)
-                .expect("fast succeeds");
+            let engine = compile(model, Parallelism::Fixed(workers), passed);
+            let fast = engine.infer(x).expect("fast succeeds");
             assert_eq!(fast.data(), reference.data(), "{label}, workers {workers}");
+            // `infer` fans whole images out to the workers; the recorded
+            // pass (like BN calibration) shards each layer's rows over
+            // the whole batch, which is where the cuts above fall.
+            let (recorded, _) = engine
+                .infer_recorded(x, Datapath::Fast)
+                .expect("recorded succeeds");
+            assert_eq!(
+                recorded.data(),
+                reference.data(),
+                "{label}, workers {workers}"
+            );
         }
     }
 }

@@ -121,7 +121,7 @@ fn evaluate_parallel_equals_evaluate_exactly() {
     let reference = engine.evaluate(&x, &labels, 4).expect("serial evaluate");
     for workers in WORKER_SWEEP {
         let acc = engine
-            .evaluate_parallel_with(&x, &labels, 4, Parallelism::Fixed(workers))
+            .evaluate_with(&x, &labels, 4, Parallelism::Fixed(workers))
             .expect("parallel evaluate");
         assert_eq!(reference, acc, "{workers} workers");
     }

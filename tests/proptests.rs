@@ -7,8 +7,7 @@ use deepcam::hash::geometric::{CosineMode, NormMode};
 use deepcam::hash::{context::approx_dot, BitVec, ContextGenerator, Minifloat8};
 use deepcam::models::{Block, Cnn};
 use deepcam::tensor::layer::{Conv2d, Flatten, Linear, ReLU};
-use deepcam::tensor::ops::conv::{col2im, conv2d, conv2d_sharded, im2col, Conv2dConfig};
-use deepcam::tensor::ops::linear::{linear, linear_sharded};
+use deepcam::tensor::ops::conv::{col2im, im2col, im2col_sharded, Conv2dConfig};
 use deepcam::tensor::ops::project::{
     project_patches_approx_into, PatchSource, ProjPanels, ProjectScratch,
 };
@@ -134,11 +133,10 @@ proptest! {
     }
 
     #[test]
-    fn sharded_conv_bit_identical_for_random_geometry(
+    fn sharded_im2col_bit_identical_for_random_geometry(
         h in 3usize..9,
         w in 3usize..9,
         c in 1usize..4,
-        m in 1usize..6,
         kernel in 1usize..4,
         pad in 0usize..3,
         stride in 1usize..4,
@@ -147,32 +145,14 @@ proptest! {
         seed in 0u64..200,
     ) {
         prop_assume!(h + 2 * pad >= kernel && w + 2 * pad >= kernel);
-        let cfg = Conv2dConfig::new(c, m, kernel).with_padding(pad).with_stride(stride);
+        let cfg = Conv2dConfig::new(c, 1, kernel).with_padding(pad).with_stride(stride);
         let mut rng = deepcam::tensor::rng::seeded_rng(seed);
         let x = deepcam::tensor::init::normal(&mut rng, Shape::new(&[n, c, h, w]), 0.0, 1.0);
-        let wt = deepcam::tensor::init::normal(
-            &mut rng, Shape::new(&[m, c, kernel, kernel]), 0.0, 1.0);
-        let b = deepcam::tensor::init::normal(&mut rng, Shape::new(&[m]), 0.0, 1.0);
-        let serial = conv2d(&x, &wt, Some(&b), &cfg).unwrap();
-        let sharded = conv2d_sharded(&x, &wt, Some(&b), &cfg, workers).unwrap();
-        // Exact f32 equality: sharding must not reorder any accumulation.
-        prop_assert_eq!(serial.data(), sharded.data());
-    }
-
-    #[test]
-    fn sharded_linear_bit_identical_for_random_shapes(
-        n in 1usize..6,
-        f_in in 1usize..12,
-        f_out in 1usize..10,
-        workers in 1usize..9,
-        seed in 0u64..200,
-    ) {
-        let mut rng = deepcam::tensor::rng::seeded_rng(seed);
-        let x = deepcam::tensor::init::normal(&mut rng, Shape::new(&[n, f_in]), 0.0, 1.0);
-        let wt = deepcam::tensor::init::normal(&mut rng, Shape::new(&[f_out, f_in]), 0.0, 1.0);
-        let b = deepcam::tensor::init::normal(&mut rng, Shape::new(&[f_out]), 0.0, 1.0);
-        let serial = linear(&x, &wt, Some(&b)).unwrap();
-        let sharded = linear_sharded(&x, &wt, Some(&b), workers).unwrap();
+        let serial = im2col(&x, &cfg).unwrap();
+        let sharded = im2col_sharded(&x, &cfg, workers).unwrap();
+        // The reference datapath's patch matrix: sharding must not move
+        // a single element.
+        prop_assert_eq!(serial.shape(), sharded.shape());
         prop_assert_eq!(serial.data(), sharded.data());
     }
 
@@ -279,7 +259,7 @@ proptest! {
         let labels: Vec<usize> = (0..n_images).map(|i| (i * 7 + data_seed as usize) % 4).collect();
         let reference = engine.evaluate(&x, &labels, batch_size).unwrap();
         let parallel = engine
-            .evaluate_parallel_with(&x, &labels, batch_size, Parallelism::Fixed(workers))
+            .evaluate_with(&x, &labels, batch_size, Parallelism::Fixed(workers))
             .unwrap();
         // Exact equality — thread count must never move accuracy, even
         // with device noise and remainder mini-batches.
