@@ -2,8 +2,8 @@
 //! bound that proves each hash bit, and an exact recompute for the lanes
 //! it cannot prove.
 //!
-//! A hash bit is the sign of one projection `y_j = x·R[:, j]` (plus,
-//! under crossbar noise, a disturbance `δ_j`), packed as `y_j >= 0.0`.
+//! A hash bit is the sign of one projection `y_j = x·R[:, j]`, packed
+//! as `y_j >= 0.0`.
 //! The engine needs that predicate exactly as the serial
 //! multiply-then-add chain gives it, not the float itself. So
 //! [`SignHasher`] projects each sub-block with fused multiply-add tiles
@@ -13,7 +13,7 @@
 //! one. Every other lane is recomputed with the exact chain
 //! ([`ProjectScratch::exact_element`]) and its bit replaced. The sign
 //! words and norms are therefore bit-identical to im2col →
-//! `matmul_dense_into` → noise → `pack_signs_into`, and so are the
+//! `matmul_dense_into` → `pack_signs_into`, and so are the
 //! logits, the wire bytes and the modeled CAM cost. Only kernel time
 //! changes.
 //!
@@ -50,21 +50,17 @@
 //!    computed norm is at least `0.96·‖x‖`, and the two roundings in `B`
 //!    lose a factor `(1 − u)²`, so `B ≥ 3.8·n·u·‖x‖·c_j` while
 //!    `G ≤ 2.2·n·u·‖x‖·c_j`: `B > 1.7·G`.
-//! 3. **A certified lane has the exact sign.** Rounding is monotone and
-//!    `B` is a float, so `fl(y + δ) > B` implies the real `y + δ > B`
-//!    (and `< −B` likewise). The exact value lies within `G` of the
-//!    fused one, so `y_exact + δ` is on the same side of zero, at least
-//!    `B − G > 2⁻¹⁰⁴` from it. Rounding `fl(y_exact + δ)` keeps that side
-//!    and cannot reach `−0.0` (only reals within `2⁻¹⁵⁰` of zero round to
-//!    zero), so `>= 0.0` packs the same bit. Without noise `δ = 0` and
-//!    the step is exact.
+//! 3. **A certified lane has the exact sign.** Its fused value has
+//!    `|y| > B`, and the exact value lies within `G` of it, so `y_exact`
+//!    is on the same side of zero, at least `B − G > 2⁻¹⁰⁴` from it, and
+//!    `>= 0.0` packs the same bit.
 //! 4. **NaN and ∞ fail closed.** A non-finite tap makes `‖x‖` non-finite,
 //!    so `B = +∞`, and `|y| > +∞` is false for every `y`, `±∞` included;
 //!    an ordered compare against NaN is false too. Every such lane takes
 //!    the exact path, which reproduces whatever the oracle computes.
 //!
-//! The fix-up evaluates `fl(exact + δ_j)` with the same `δ_j`, so an
-//! uncertain lane packs exactly the oracle's bit whatever its value. A
+//! The fix-up packs the exact chain's own sign, so an uncertain lane
+//! packs exactly the oracle's bit whatever its value. A
 //! row whose factor is `+∞` (a zero, huge or non-finite norm) has every
 //! lane uncertain, and each is recomputed the same way. On Gaussian
 //! rows a lane is uncertain with probability about `3.2·n^1.5·u` (`y`
@@ -74,9 +70,7 @@
 use deepcam_tensor::ops::project::{
     project_patches_signs_into, PatchSource, ProjPanels, ProjectScratch, Signs,
 };
-use deepcam_tensor::rng::{seeded_rng, standard_normal};
 
-use crate::engine::EngineConfig;
 use crate::record::Probe;
 
 /// The unit roundoff of `f32`, `2⁻²⁴`.
@@ -131,67 +125,26 @@ fn row_scale(n: usize, norm: f32) -> f32 {
     }
 }
 
-/// The crossbar noise of one dot step: its level and the step's seed,
-/// from which every patch row's disturbance is drawn.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CrossbarNoise {
-    level: f32,
-    seed: u64,
-}
-
-impl CrossbarNoise {
-    /// The noise of dot step `layer_idx` under `cfg`; `None` on an ideal
-    /// device.
-    pub(crate) fn of(cfg: &EngineConfig, layer_idx: usize) -> Option<Self> {
-        (cfg.crossbar_noise > 0.0).then_some(CrossbarNoise {
-            level: cfg.crossbar_noise,
-            seed: cfg.seed ^ ((layer_idx as u64) << 40),
-        })
-    }
-
-    /// Fills `z` with the norm-free draws of the patch row at global
-    /// index `row`, from an RNG keyed by that index: reproducible across
-    /// runs, thread counts and batch splits. The row's disturbance is
-    /// `δ_j = (level · ‖x‖) · z_j`, two roundings.
-    fn draw(&self, row: usize, z: &mut [f32]) {
-        let mut rng = seeded_rng(self.seed ^ (row as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        for v in z {
-            *v = standard_normal(&mut rng) as f32;
-        }
-    }
-}
-
 /// Per-chunk buffers of the certified hash of one sub-block at a time,
 /// allocated once per chunk, never per block, and only for what the
-/// layer uses: the projection branch's own buffers, and noise draws only
-/// under noise.
+/// layer uses: the projection branch's own buffers.
 pub(crate) struct SignHasher {
     scratch: ProjectScratch,
     /// Per row of the block, its uncertain words ORed together.
     any: Vec<u64>,
-    noise: Option<CrossbarNoise>,
     norms: Vec<f32>,
-    /// The block's `[rows, k]` noise draws (empty without noise).
-    z: Vec<f32>,
     /// Word-major uncertain words, laid out as the queries.
     uncertain: Vec<u64>,
 }
 
 impl SignHasher {
     /// Buffers for sub-blocks of up to `block` rows of `src`, hashed to
-    /// `k` bits under `noise`.
-    pub(crate) fn new(
-        block: usize,
-        src: &PatchSource<'_>,
-        k: usize,
-        noise: Option<CrossbarNoise>,
-    ) -> Self {
+    /// `k` bits.
+    pub(crate) fn new(block: usize, src: &PatchSource<'_>, k: usize) -> Self {
         SignHasher {
             scratch: ProjectScratch::new(block, src),
             any: vec![0; block],
-            noise,
             norms: vec![0.0; block],
-            z: vec![0.0; if noise.is_some() { block * k } else { 0 }],
             uncertain: vec![0; k.div_ceil(64) * block],
         }
     }
@@ -201,9 +154,8 @@ impl SignHasher {
     /// finished tile against the bound ([`project_patches_signs_into`])
     /// and write sign word `w` of row `r` to `queries[w·nq + r]`,
     /// word-major as the Hamming tile reads it; the row's norm stays in
-    /// [`SignHasher::norms`]`()[r]`. The noise disturbs row `r` as the
-    /// patch at global index `first_row + r`. Then every lane the bound
-    /// left uncertain is recomputed exactly. The projection is charged to
+    /// [`SignHasher::norms`]`()[r]`. Then every lane the bound left
+    /// uncertain is recomputed exactly. The projection is charged to
     /// `probe`'s project phase. Returns the number of lanes recomputed.
     ///
     /// # Panics
@@ -219,33 +171,19 @@ impl SignHasher {
         nq: usize,
         panels: &ProjPanels,
         bounds: &[f32],
-        first_row: usize,
         queries: &mut [u64],
         probe: &mut P,
     ) -> usize {
         let SignHasher {
             scratch,
             any,
-            noise,
             norms,
-            z,
             uncertain,
         } = self;
-        let k = bounds.len();
         let uncertain = &mut uncertain[..queries.len()];
-        let noise = match *noise {
-            Some(noise) => {
-                for (r, row) in z[..nq * k].chunks_exact_mut(k).enumerate() {
-                    noise.draw(first_row + r, row);
-                }
-                Some((noise.level, &z[..nq * k]))
-            }
-            None => None,
-        };
         let signs = Signs {
             bounds,
             row_scale,
-            noise,
             signs: queries,
             uncertain,
         };
@@ -265,10 +203,7 @@ impl SignHasher {
                     exact = scratch.exact_elements(src, four, panels);
                 }
             }
-            for (&(r, j), mut v) in lanes.iter().zip(exact) {
-                if let Some((level, z)) = noise {
-                    v += level * norms[r] * z[r * k + j];
-                }
+            for (&(r, j), v) in lanes.iter().zip(exact) {
                 let (word, b) = (&mut queries[j / 64 * nq + r], j % 64);
                 *word = (*word & !(1 << b)) | (u64::from(v >= 0.0) << b);
             }
@@ -347,55 +282,23 @@ mod tests {
         PINNED.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Noise of the test dot step at `level` (`None` at 0).
-    fn noise_at(level: f32) -> Option<CrossbarNoise> {
-        let cfg = EngineConfig {
-            crossbar_noise: level,
-            ..EngineConfig::default()
-        };
-        CrossbarNoise::of(&cfg, 3)
-    }
-
-    /// The historical disturbance of row `row`, `δ_j = level · ‖x‖ · z_j`
-    /// in one expression: the oracle [`CrossbarNoise::draw`] must match.
-    fn fill(noise: &CrossbarNoise, row: usize, norm: f32, delta: &mut [f32]) {
-        let mut rng = seeded_rng(noise.seed ^ (row as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        for d in delta {
-            *d = noise.level * norm * standard_normal(&mut rng) as f32;
-        }
-    }
-
-    /// The oracle: im2col rows → `matmul_dense_into` → noise →
+    /// The oracle: im2col rows → `matmul_dense_into` →
     /// `pack_signs_into`, and the historical norm expression. Sign words
     /// are row-major.
-    fn oracle(
-        patches: &[f32],
-        n: usize,
-        proj: &[f32],
-        k: usize,
-        noise: Option<CrossbarNoise>,
-    ) -> (Vec<u64>, Vec<u32>) {
+    fn oracle(patches: &[f32], n: usize, proj: &[f32], k: usize) -> (Vec<u64>, Vec<u32>) {
         let rows = patches.len() / n;
         let wpr = k.div_ceil(64);
         let mut y = vec![0.0f32; rows * k];
         matmul_dense_into(patches, rows, n, proj, k, &mut y);
         let mut words = vec![0u64; rows * wpr];
         let mut norms = Vec::with_capacity(rows);
-        let mut delta = vec![0.0f32; k];
         for r in 0..rows {
             let norm = patches[r * n..(r + 1) * n]
                 .iter()
                 .map(|&v| v * v)
                 .sum::<f32>()
                 .sqrt();
-            let pre = &mut y[r * k..(r + 1) * k];
-            if let Some(noise) = noise {
-                fill(&noise, r, norm, &mut delta);
-                for (v, &d) in pre.iter_mut().zip(&delta) {
-                    *v += d;
-                }
-            }
-            pack_signs_into(pre, &mut words[r * wpr..(r + 1) * wpr]);
+            pack_signs_into(&y[r * k..(r + 1) * k], &mut words[r * wpr..(r + 1) * wpr]);
             norms.push(norm.to_bits());
         }
         (words, norms)
@@ -403,16 +306,11 @@ mod tests {
 
     /// Hashes every row of `src` in `BLOCK`-row sub-blocks; returns the
     /// row-major sign words, the norm bits and the recomputed lanes.
-    fn certified(
-        src: &PatchSource<'_>,
-        proj: &[f32],
-        k: usize,
-        noise: Option<CrossbarNoise>,
-    ) -> (Vec<u64>, Vec<u32>, usize) {
+    fn certified(src: &PatchSource<'_>, proj: &[f32], k: usize) -> (Vec<u64>, Vec<u32>, usize) {
         let (rows, wpr) = (src.len(), k.div_ceil(64));
         let panels = ProjPanels::pack(proj, src.width(), k);
         let bounds = column_bounds(&panels);
-        let mut hasher = SignHasher::new(BLOCK, src, k, noise);
+        let mut hasher = SignHasher::new(BLOCK, src, k);
         let mut words = vec![!0u64; rows * wpr];
         let mut norms = Vec::with_capacity(rows);
         let mut queries = vec![0u64; BLOCK * wpr];
@@ -420,7 +318,7 @@ mod tests {
         for g0 in (0..rows).step_by(BLOCK) {
             let nq = BLOCK.min(rows - g0);
             let queries = &mut queries[..nq * wpr];
-            recomputed += hasher.hash(src, g0, nq, &panels, &bounds, g0, queries, &mut ());
+            recomputed += hasher.hash(src, g0, nq, &panels, &bounds, queries, &mut ());
             for r in 0..nq {
                 for w in 0..wpr {
                     words[(g0 + r) * wpr + w] = queries[w * nq + r];
@@ -433,16 +331,9 @@ mod tests {
 
     /// Asserts the certified hash of `src` equals the oracle over its
     /// materialised rows `patches`; returns the recomputed lanes.
-    fn check(
-        src: &PatchSource<'_>,
-        patches: &[f32],
-        proj: &[f32],
-        k: usize,
-        noise: Option<CrossbarNoise>,
-        what: &str,
-    ) -> usize {
-        let (want_words, want_norms) = oracle(patches, src.width(), proj, k, noise);
-        let (words, norms, recomputed) = certified(src, proj, k, noise);
+    fn check(src: &PatchSource<'_>, patches: &[f32], proj: &[f32], k: usize, what: &str) -> usize {
+        let (want_words, want_norms) = oracle(patches, src.width(), proj, k);
+        let (words, norms, recomputed) = certified(src, proj, k);
         assert_eq!(words, want_words, "sign words: {what}");
         assert_eq!(norms, want_norms, "norms: {what}");
         recomputed
@@ -482,12 +373,9 @@ mod tests {
                 let rows = PatchSource::rows(patches.data(), n);
                 for k in [256, 512, 768, 1024] {
                     let proj = gaussian(&[n, k], k as u64);
-                    for level in [0.0, 0.05] {
-                        for (source, src) in [("conv", &conv), ("rows", &rows)] {
-                            let what =
-                                format!("{} {density} {source} k {k} noise {level}", v.name());
-                            check(src, patches.data(), proj.data(), k, noise_at(level), &what);
-                        }
+                    for (source, src) in [("conv", &conv), ("rows", &rows)] {
+                        let what = format!("{} {density} {source} k {k}", v.name());
+                        check(src, patches.data(), proj.data(), k, &what);
                     }
                 }
             }
@@ -543,17 +431,11 @@ mod tests {
         ];
         for &v in detected() {
             force_variant(v).expect("detected variant");
-            for (i, (what, row)) in rows.iter().enumerate() {
-                for level in [0.0, 0.05] {
-                    let what = format!("{} {what} noise {level}", v.name());
-                    let src = PatchSource::rows(row, n);
-                    let fixed = check(&src, row, r, k, noise_at(level), &what);
-                    // Noise moves the cancelled lane away from zero; every
-                    // other row has an infinite bound on every lane.
-                    if i > 0 || level == 0.0 {
-                        assert!(fixed > 0, "the fix-up never fired: {what}");
-                    }
-                }
+            for (what, row) in &rows {
+                let what = format!("{} {what}", v.name());
+                let src = PatchSource::rows(row, n);
+                let fixed = check(&src, row, r, k, &what);
+                assert!(fixed > 0, "the fix-up never fired: {what}");
             }
         }
         // A column of zeros has a +∞ bound: its lane is recomputed on
@@ -571,7 +453,7 @@ mod tests {
             for (what, x) in [("dense", &x), ("sparse", &x_sparse)] {
                 let src = PatchSource::rows(x.data(), n);
                 let what = format!("{} zero column {what}", v.name());
-                let fixed = check(&src, x.data(), &zero_col, k, None, &what);
+                let fixed = check(&src, x.data(), &zero_col, k, &what);
                 assert!(fixed >= 40, "{what}: {fixed} lanes recomputed");
             }
         }
@@ -614,8 +496,8 @@ mod tests {
             let panels = ProjPanels::pack(r, n, k);
             project_patches_approx_into(&src, 0, rows, &panels, &mut scratch, &mut y, &mut norms);
             let what = format!("{} dense block with cancelling rows", v.name());
-            let (words, _, fixed) = certified(&src, r, k, None);
-            let (want, _) = oracle(&x, n, r, k, None);
+            let (words, _, fixed) = certified(&src, r, k);
+            let (want, _) = oracle(&x, n, r, k);
             assert_eq!(words, want, "sign words: {what}");
             for at in [0, rows - 1] {
                 assert_eq!(want[at * wpr + j / 64] >> (j % 64) & 1, 1, "{what}");
@@ -663,8 +545,8 @@ mod tests {
             let (mut y, mut norms) = (vec![0.0; BLOCK * k], vec![0.0; BLOCK]);
             project_patches_approx_into(&src, 0, BLOCK, &panels, &mut scratch, &mut y, &mut norms);
             let what = format!("{} padded border window", v.name());
-            let (words, _, fixed) = certified(&src, r, k, None);
-            let (want, _) = oracle(patches.data(), n, r, k, None);
+            let (words, _, fixed) = certified(&src, r, k);
+            let (want, _) = oracle(patches.data(), n, r, k);
             assert_eq!(words.len(), rows * wpr);
             assert_eq!(words, want, "sign words: {what}");
             assert_eq!(want[j / 64] >> (j % 64) & 1, 1, "{what}");
@@ -727,82 +609,59 @@ mod tests {
                     let proj = gaussian(&[n, k], 7 + k as u64);
                     let panels = ProjPanels::pack(proj.data(), n, k);
                     let bounds = column_bounds(&panels);
-                    for level in [0.0, 0.05] {
-                        let what = format!("{} n {n} {density} k {k} noise {level}", v.name());
-                        let noise = noise_at(level);
-                        let (wpr, words) = (k.div_ceil(64), k.div_ceil(64) * rows);
-                        let mut z = vec![0.0f32; rows * k];
-                        if let Some(noise) = noise {
-                            for (r, z) in z.chunks_exact_mut(k).enumerate() {
-                                noise.draw(r, z);
-                            }
-                        }
-                        let mut scratch = ProjectScratch::new(rows, &src);
-                        let (mut y, mut norms) = (vec![0.0; rows * k], vec![0.0; rows]);
-                        project_patches_approx_into(
+                    let what = format!("{} n {n} {density} k {k}", v.name());
+                    let (wpr, words) = (k.div_ceil(64), k.div_ceil(64) * rows);
+                    let mut scratch = ProjectScratch::new(rows, &src);
+                    let (mut y, mut norms) = (vec![0.0; rows * k], vec![0.0; rows]);
+                    project_patches_approx_into(
+                        &src,
+                        0,
+                        rows,
+                        &panels,
+                        &mut scratch,
+                        &mut y,
+                        &mut norms,
+                    );
+                    assert_eq!(src.dense(), *dense, "walk: {what}");
+                    // Bounds at exactly the last row's `|v|` under a
+                    // unit scale: a one-ulp change in how `v` or the
+                    // compare rounds flips that row's words.
+                    let tie: Vec<f32> = y[(rows - 1) * k..].iter().map(|v| v.abs()).collect();
+                    let unit: fn(usize, f32) -> f32 = |_, _| 1.0;
+                    for (bounds, scale) in
+                        [(&bounds, row_scale as fn(usize, f32) -> f32), (&tie, unit)]
+                    {
+                        let (mut signs, mut uncertain) = (vec![!0; words], vec![!0; words]);
+                        let mut sign_norms = vec![0.0; rows];
+                        let epilogue = Signs {
+                            bounds,
+                            row_scale: scale,
+                            signs: &mut signs,
+                            uncertain: &mut uncertain,
+                        };
+                        project_patches_signs_into(
                             &src,
                             0,
                             rows,
                             &panels,
                             &mut scratch,
-                            &mut y,
-                            &mut norms,
+                            epilogue,
+                            &mut sign_norms,
                         );
                         assert_eq!(src.dense(), *dense, "walk: {what}");
-                        // The stored floats plus the noise: what the
-                        // epilogue compares.
-                        for (r, y) in y.chunks_exact_mut(k).enumerate() {
-                            if let Some(noise) = noise {
-                                for (y, &z) in y.iter_mut().zip(&z[r * k..]) {
-                                    *y += noise.level * norms[r] * z;
-                                }
-                            }
-                        }
-                        // Bounds at exactly the last row's `|v|` under a
-                        // unit scale: a one-ulp change in how `v` or the
-                        // compare rounds flips that row's words.
-                        let tie: Vec<f32> = y[(rows - 1) * k..].iter().map(|v| v.abs()).collect();
-                        let unit: fn(usize, f32) -> f32 = |_, _| 1.0;
-                        for (bounds, scale) in
-                            [(&bounds, row_scale as fn(usize, f32) -> f32), (&tie, unit)]
-                        {
-                            let (mut signs, mut uncertain) = (vec![!0; words], vec![!0; words]);
-                            let mut sign_norms = vec![0.0; rows];
-                            let epilogue = Signs {
-                                bounds,
-                                row_scale: scale,
-                                noise: noise.map(|noise| (noise.level, &z[..])),
-                                signs: &mut signs,
-                                uncertain: &mut uncertain,
-                            };
-                            project_patches_signs_into(
-                                &src,
-                                0,
-                                rows,
-                                &panels,
-                                &mut scratch,
-                                epilogue,
-                                &mut sign_norms,
-                            );
-                            assert_eq!(src.dense(), *dense, "walk: {what}");
-                            let bits =
-                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(bits(&sign_norms), bits(&norms), "norms: {what}");
-                            let (mut want_s, mut want_u) = (vec![0; wpr], vec![0; wpr]);
-                            for (r, v) in y.chunks_exact(k).enumerate() {
-                                let row_scale = scale(n, norms[r]);
-                                certify_signs_into(v, bounds, row_scale, &mut want_s, &mut want_u);
-                                for w in 0..wpr {
-                                    let at = w * rows + r;
-                                    assert_eq!(
-                                        signs[at], want_s[w],
-                                        "signs row {r} word {w}: {what}"
-                                    );
-                                    assert_eq!(
-                                        uncertain[at], want_u[w],
-                                        "uncertain row {r} word {w}: {what}"
-                                    );
-                                }
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&sign_norms), bits(&norms), "norms: {what}");
+                        let (mut want_s, mut want_u) = (vec![0; wpr], vec![0; wpr]);
+                        for (r, v) in y.chunks_exact(k).enumerate() {
+                            let row_scale = scale(n, norms[r]);
+                            certify_signs_into(v, bounds, row_scale, &mut want_s, &mut want_u);
+                            for w in 0..wpr {
+                                let at = w * rows + r;
+                                assert_eq!(signs[at], want_s[w], "signs row {r} word {w}: {what}");
+                                assert_eq!(
+                                    uncertain[at], want_u[w],
+                                    "uncertain row {r} word {w}: {what}"
+                                );
                             }
                         }
                     }
@@ -842,7 +701,7 @@ mod tests {
             let src = PatchSource::rows(x.data(), n);
             for k in [256, 1024] {
                 let proj = gaussian(&[n, k], 100 + k as u64);
-                let (_, _, recomputed) = certified(&src, proj.data(), k, None);
+                let (_, _, recomputed) = certified(&src, proj.data(), k);
                 let lanes = rows * k;
                 assert!(
                     recomputed * 200 < lanes,

@@ -10,7 +10,7 @@
 //! inference:
 //!
 //! 1. hash every im2col patch of the layer input with the layer's
-//!    projection (the on-chip crossbar; optional device noise) — both
+//!    projection (the on-chip crossbar, an ideal device) — both
 //!    read in place: the patches from the layer's zero-padded input,
 //!    skipping on sparse layers the columns a group of rows has all
 //!    zero, without materialising the im2col matrix, and the projection
@@ -45,7 +45,7 @@ use deepcam_tensor::pool::{split_ranges, Parallelism, ThreadPool};
 use deepcam_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
 
-use crate::certify::{column_bounds, CrossbarNoise, SignHasher};
+use crate::certify::{column_bounds, SignHasher};
 use crate::error::CoreError;
 use crate::hashplan::HashPlan;
 use crate::ir::{CompiledModel, CompiledStep, CompiledTile};
@@ -63,11 +63,6 @@ pub struct EngineConfig {
     pub cosine: CosineMode,
     /// Norm quantization (8-bit minifloat by default).
     pub norm: NormMode,
-    /// Crossbar device-noise level for *activation* hashing: standard
-    /// deviation of the analog disturbance relative to the patch norm
-    /// (0.0 = ideal device). Weight hashes are software-generated and
-    /// always clean.
-    pub crossbar_noise: f32,
     /// Worker parallelism for patch hashing and batched inference.
     ///
     /// Any setting produces **bit-identical** outputs — parallelism only
@@ -84,7 +79,6 @@ impl Default for EngineConfig {
             seed: 0xDEE9CA4,
             cosine: CosineMode::default(),
             norm: NormMode::default(),
-            crossbar_noise: 0.0,
             parallelism: Parallelism::Auto,
         }
     }
@@ -96,17 +90,30 @@ impl serde::bin::BinCodec for EngineConfig {
         w.put_u64(self.seed);
         self.cosine.encode(w);
         self.norm.encode(w);
-        w.put_f32(self.crossbar_noise);
+        // The device-noise slot of the format: every engine models an
+        // ideal device, so it is always 0.0.
+        w.put_f32(0.0);
         self.parallelism.encode(w);
     }
 
     fn decode(r: &mut serde::bin::Reader<'_>) -> serde::bin::BinResult<Self> {
+        let plan = serde::bin::BinCodec::decode(r)?;
+        let seed = r.get_u64()?;
+        let cosine = serde::bin::BinCodec::decode(r)?;
+        let norm = serde::bin::BinCodec::decode(r)?;
+        // An artifact compiled for a noisy device fails closed rather
+        // than being served as an ideal one (`!=` also refuses NaN).
+        let noise = r.get_f32()?;
+        if noise != 0.0 {
+            return Err(serde::bin::BinError::Invalid(format!(
+                "crossbar noise {noise}: only an ideal device (0.0) is supported"
+            )));
+        }
         Ok(EngineConfig {
-            plan: serde::bin::BinCodec::decode(r)?,
-            seed: r.get_u64()?,
-            cosine: serde::bin::BinCodec::decode(r)?,
-            norm: serde::bin::BinCodec::decode(r)?,
-            crossbar_noise: r.get_f32()?,
+            plan,
+            seed,
+            cosine,
+            norm,
             parallelism: serde::bin::BinCodec::decode(r)?,
         })
     }
@@ -236,9 +243,6 @@ struct Walk<'a> {
     cfg: &'a EngineConfig,
     /// One derived tile per dot layer, indexed by traversal index.
     tiles: &'a [RuntimeTile],
-    /// Global index of the batch's first image within the set being
-    /// inferred (keeps crossbar noise batch-invariant).
-    img_offset: usize,
     /// Workers for patch hashing inside a dot step.
     dot_workers: usize,
     datapath: Datapath,
@@ -334,9 +338,11 @@ impl DeepCamEngine {
     /// single worker runs everything on the calling thread.
     ///
     /// **Bit-exactness guarantee:** the logits are the same for every
-    /// worker count — including under `crossbar_noise`, whose draws
-    /// follow each image's position in the batch, not its chunk.
-    /// `tests/parallel_equivalence.rs` enforces this on all zoo models.
+    /// worker count and every batch composition: image `i`'s logits equal
+    /// those of image `i` run alone, so the serving runtime's
+    /// micro-batches never change a served result.
+    /// `tests/parallel_equivalence.rs` and `tests/serve_differential.rs`
+    /// enforce this.
     ///
     /// # Errors
     ///
@@ -351,8 +357,8 @@ impl DeepCamEngine {
     /// packed-tile rewrite.
     ///
     /// Logits are guaranteed bit-identical to [`DeepCamEngine::infer`]
-    /// — `tests/hotpath_reference.rs` enforces it across models, modes
-    /// and noise levels. This exists as a differential oracle and as the
+    /// — `tests/hotpath_reference.rs` enforces it across models and
+    /// modes. This exists as a differential oracle and as the
     /// baseline side of the `perf` benchmark; never use it for
     /// production inference.
     ///
@@ -360,9 +366,8 @@ impl DeepCamEngine {
     ///
     /// Same conditions as [`DeepCamEngine::infer`].
     pub fn infer_reference(&self, batch: &Tensor) -> Result<Tensor> {
-        self.infer_at_offset(
+        self.run_walk(
             batch,
-            0,
             self.compiled.config.parallelism.resolve(),
             Datapath::Reference,
         )
@@ -382,7 +387,7 @@ impl DeepCamEngine {
         batch: &Tensor,
         datapath: Datapath,
     ) -> Result<(Tensor, Recording)> {
-        let walk = self.walk(0, self.compiled.config.parallelism.resolve(), datapath);
+        let walk = self.walk(self.compiled.config.parallelism.resolve(), datapath);
         let mut rec = Recording {
             datapath,
             steps: Vec::new(),
@@ -397,20 +402,10 @@ impl DeepCamEngine {
         Ok((cur, rec))
     }
 
-    /// Runs inference with the batch logically positioned at image index
-    /// `img_offset` of a larger set, using `dot_workers` workers inside
-    /// each layer. The offset only matters under `crossbar_noise > 0`,
-    /// where it keeps per-patch noise a function of the *global* image
-    /// index so any batching/sharding of a set reproduces the same
-    /// disturbances.
-    fn infer_at_offset(
-        &self,
-        batch: &Tensor,
-        img_offset: usize,
-        dot_workers: usize,
-        datapath: Datapath,
-    ) -> Result<Tensor> {
-        let walk = self.walk(img_offset, dot_workers, datapath);
+    /// Runs inference on the calling thread, with `dot_workers` workers
+    /// inside each layer.
+    fn run_walk(&self, batch: &Tensor, dot_workers: usize, datapath: Datapath) -> Result<Tensor> {
+        let walk = self.walk(dot_workers, datapath);
         let mut cur = batch.clone();
         for step in &self.compiled.steps {
             cur = run_step(step, cur, &walk, None)?;
@@ -418,25 +413,22 @@ impl DeepCamEngine {
         Ok(cur)
     }
 
-    fn walk(&self, img_offset: usize, dot_workers: usize, datapath: Datapath) -> Walk<'_> {
+    fn walk(&self, dot_workers: usize, datapath: Datapath) -> Walk<'_> {
         Walk {
             cfg: &self.compiled.config,
             tiles: &self.tiles,
-            img_offset,
             dot_workers,
             datapath,
         }
     }
 
-    /// The one batch fan-out/reassembly primitive: [`DeepCamEngine::infer`],
-    /// [`DeepCamEngine::evaluate_with`] and the serving runtime's
-    /// [`DeepCamEngine::infer_each`] all run their images through it.
+    /// The one batch fan-out/reassembly primitive: [`DeepCamEngine::infer`]
+    /// and [`DeepCamEngine::evaluate_with`] run their images through it.
     ///
     /// Each range of `ranges` is copied out as a standalone image chunk,
-    /// run through the full pipeline at the noise offset `offset_of`
-    /// assigns it, and reduced by `finish`; results come back in range
-    /// order (a deterministic reduction regardless of which worker
-    /// finishes first). The worker budget left over when there are fewer
+    /// run through the full pipeline and reduced by `finish`; results
+    /// come back in range order (a deterministic reduction regardless of
+    /// which worker finishes first). The worker budget left over when there are fewer
     /// chunks than workers goes to per-layer patch hashing inside each
     /// chunk (either nesting is bit-exact — parallelism never changes
     /// values). With one chunk or one worker the chunks run on the
@@ -447,14 +439,12 @@ impl DeepCamEngine {
         images: &Tensor,
         ranges: &[std::ops::Range<usize>],
         workers: usize,
-        offset_of: impl Fn(&std::ops::Range<usize>) -> usize + Sync,
         finish: impl Fn(&std::ops::Range<usize>, Tensor) -> R + Sync,
     ) -> Vec<Result<R>> {
         let inner_workers = (workers / ranges.len().max(1)).max(1);
         let run_one = |r: &std::ops::Range<usize>| -> Result<R> {
             let chunk = self.image_chunk(images, r.start, r.end)?;
-            let logits =
-                self.infer_at_offset(&chunk, offset_of(r), inner_workers, Datapath::Fast)?;
+            let logits = self.run_walk(&chunk, inner_workers, Datapath::Fast)?;
             Ok(finish(r, logits))
         };
         if workers <= 1 || ranges.len() <= 1 {
@@ -497,52 +487,10 @@ impl DeepCamEngine {
         let n = batch.shape().dim(0);
         let workers = parallelism.resolve();
         if workers.min(n.max(1)) <= 1 {
-            return self.infer_at_offset(batch, 0, workers, Datapath::Fast);
+            return self.run_walk(batch, workers, Datapath::Fast);
         }
         let ranges = split_ranges(n, workers);
-        let chunks = self.fan_out(batch, &ranges, workers, |r| r.start, |_, logits| logits);
-        Self::concat_logits(n, chunks)
-    }
-
-    /// Inference over a batch whose images are **independent
-    /// single-image submissions** — the serving runtime's micro-batches,
-    /// where the batch composition is an accident of request timing.
-    ///
-    /// The contract: logits for image `i` are bit-identical to running
-    /// that image alone through [`DeepCamEngine::infer`], for every
-    /// batch composition and worker count. [`DeepCamEngine::infer`]
-    /// deliberately does *not* have this property under
-    /// `crossbar_noise > 0`: it treats the batch as one logical set, so
-    /// image `i` draws the noise of global position `i`. Here every
-    /// image runs at offset 0 — its position in its own one-image
-    /// submission — so dynamic micro-batching can never change a served
-    /// result (`tests/serve_differential.rs` enforces this).
-    ///
-    /// With a clean device (`crossbar_noise == 0`) offsets seed nothing,
-    /// and with one image offset 0 is its position anyway; both cases are
-    /// plain [`DeepCamEngine::infer`], whose contiguous chunks compute
-    /// identical values with better chunking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor shape errors (batch/model mismatch).
-    pub fn infer_each(&self, batch: &Tensor) -> Result<Tensor> {
-        let n = batch.shape().dim(0);
-        if self.compiled.config.crossbar_noise == 0.0 || n <= 1 {
-            return self.infer(batch);
-        }
-        // One range per image, every range at offset 0: each image's
-        // noise is drawn exactly as its own single-image `infer` draws
-        // it, whatever this micro-batch happens to contain. Unlike the
-        // contiguous path, ranges here cannot be merged (each needs its
-        // own offset), so the worker cap is honored by fanning out in
-        // `workers`-sized waves instead.
-        let workers = self.compiled.config.parallelism.resolve();
-        let ranges: Vec<std::ops::Range<usize>> = (0..n).map(|i| i..i + 1).collect();
-        let mut chunks = Vec::with_capacity(n);
-        for wave in ranges.chunks(workers) {
-            chunks.extend(self.fan_out(batch, wave, workers, |_| 0, |_, logits| logits));
-        }
+        let chunks = self.fan_out(batch, &ranges, workers, |_, logits| logits);
         Self::concat_logits(n, chunks)
     }
 
@@ -567,11 +515,7 @@ impl DeepCamEngine {
     /// Propagates inference errors.
     pub fn calibrate_bn(&mut self, images: &Tensor) -> Result<()> {
         let mut steps = std::mem::take(&mut self.compiled.steps);
-        let walk = self.walk(
-            0,
-            self.compiled.config.parallelism.resolve(),
-            Datapath::Fast,
-        );
+        let walk = self.walk(self.compiled.config.parallelism.resolve(), Datapath::Fast);
         let result = calibrate_steps(&mut steps, images.clone(), &walk);
         self.compiled.steps = steps;
         result.map(|_| ())
@@ -671,13 +615,9 @@ impl DeepCamEngine {
         let ranges: Vec<std::ops::Range<usize>> = (0..n.div_ceil(batch_size))
             .map(|bi| bi * batch_size..(bi * batch_size + batch_size).min(n))
             .collect();
-        let counts = self.fan_out(
-            images,
-            &ranges,
-            parallelism.resolve(),
-            |r| r.start,
-            |r, logits| Self::count_correct(&logits, &labels[r.start..r.end]),
-        );
+        let counts = self.fan_out(images, &ranges, parallelism.resolve(), |r, logits| {
+            Self::count_correct(&logits, &labels[r.start..r.end])
+        });
         let mut correct = 0usize;
         for count in counts {
             correct += count?;
@@ -770,8 +710,7 @@ fn run_dot(
     let m = tile.kernels();
     let rt = &walk.tiles[tile.layer_idx];
     // Each image contributes P = OH*OW patch rows (P = 1 for a linear
-    // step), so the global patch-row offset of this chunk is
-    // img_offset * P.
+    // step).
     let (src, dims, p) = match conv {
         Some(conv_cfg) => {
             let src = PatchSource::conv(x, conv_cfg).map_err(|e| {
@@ -802,7 +741,6 @@ fn run_dot(
         nonzero_macs: src.nonzero() * tile.k,
         ..DotRecord::default()
     };
-    let row_offset = walk.img_offset * p;
     let out = match walk.datapath {
         Datapath::Fast => {
             let step = DotStep {
@@ -812,7 +750,6 @@ fn run_dot(
                 cfg: walk.cfg,
                 bias,
                 p,
-                row_offset,
             };
             dot_rows(&step, walk.dot_workers, rec.is_some().then_some(&mut dot))
         }
@@ -830,7 +767,6 @@ fn run_dot(
                 walk.cfg,
                 bias,
                 p,
-                row_offset,
                 walk.dot_workers,
             )
         }
@@ -937,10 +873,6 @@ struct DotStep<'a> {
     bias: &'a [f32],
     /// Patch rows per image (`P = 1` for a linear step).
     p: usize,
-    /// Global patch-row index of row 0 (used only to seed the per-patch
-    /// crossbar noise, making disturbances a pure function of the
-    /// patch's position in the full set).
-    row_offset: usize,
 }
 
 /// The heart of the engine: approximate dot-products of every patch row
@@ -1031,9 +963,8 @@ fn plane_segments<'o>(
 ///    offset table, `R` from the tile's 64-column panels) and, on a
 ///    sparse layer, walks per group of rows only the columns some row of
 ///    the group is non-zero in; the exact patch norms come with it; each
-///    finished tile adds any crossbar noise (per global row) and packs
-///    its signs into word-major queries, certifying each sign against an
-///    error bound;
+///    finished tile packs its signs into word-major queries, certifying
+///    each sign against an error bound;
 /// 2. recompute the uncertain lanes exactly ([`SignHasher`]; the signs
 ///    are those of the exact chain) and quantize the norms;
 /// 3. run one Hamming tile of those queries against all M packed kernel
@@ -1057,18 +988,16 @@ fn dot_rows_range<P: Probe>(
         cfg: engine_cfg,
         bias,
         p,
-        row_offset,
     } = step;
     let m = ct.kernels();
     let k = ct.k;
     let wpr = ct.packed.words_per_row();
-    let noise = CrossbarNoise::of(engine_cfg, ct.layer_idx);
     let norm_mode = engine_cfg.norm;
     let lut = &rt.cos_lut[..=k];
     let first_image = rows.start / p;
     let block = SUB_ROWS.min(rows.len().max(1));
     // Per-worker scratch, allocated once per chunk (not per patch).
-    let mut hasher = SignHasher::new(block, src, k, noise);
+    let mut hasher = SignHasher::new(block, src, k);
     let mut a_norms = vec![0.0f32; block];
     let mut queries = vec![0u64; wpr * block];
     let mut dists = vec![0u32; m * block];
@@ -1080,7 +1009,7 @@ fn dot_rows_range<P: Probe>(
         // in a fixed order over n, so block boundaries never change it.
         let queries = &mut queries[..wpr * nq];
         let (panels, bounds) = (&rt.panels, &rt.col_bounds[..]);
-        let recomputed = hasher.hash(src, g0, nq, panels, bounds, row_offset + g0, queries, probe);
+        let recomputed = hasher.hash(src, g0, nq, panels, bounds, queries, probe);
         for (a_norm, &norm) in a_norms.iter_mut().zip(&hasher.norms()[..nq]) {
             *a_norm = match norm_mode {
                 NormMode::Minifloat8 => Minifloat8::quantize(norm),
@@ -1246,29 +1175,6 @@ mod tests {
         let logits = engine.infer(&x).unwrap();
         assert_eq!(logits.shape(), &Shape::new(&[2, 10]));
         assert!(logits.all_finite());
-    }
-
-    #[test]
-    fn noise_changes_outputs_deterministically() {
-        let mut rng = seeded_rng(7);
-        let model = scaled_lenet5(&mut rng, 10);
-        let x = tiny_batch(2);
-        let mk = |noise: f32| {
-            let cfg = EngineConfig {
-                plan: HashPlan::Uniform(256),
-                crossbar_noise: noise,
-                ..EngineConfig::default()
-            };
-            DeepCamEngine::compile(&model, cfg)
-                .unwrap()
-                .infer(&x)
-                .unwrap()
-        };
-        let clean = mk(0.0);
-        let noisy1 = mk(0.5);
-        let noisy2 = mk(0.5);
-        assert_ne!(clean.data(), noisy1.data());
-        assert_eq!(noisy1.data(), noisy2.data()); // deterministic noise
     }
 
     #[test]
@@ -1459,19 +1365,14 @@ mod tests {
             ),
         ];
         for (model, x) in &models {
-            for (crossbar_noise, parallelism) in [
-                (0.0, Parallelism::Serial),
-                (0.05, Parallelism::Serial),
-                (0.05, Parallelism::Fixed(2)),
-            ] {
+            for parallelism in [Parallelism::Serial, Parallelism::Fixed(2)] {
                 let cfg = EngineConfig {
                     plan: HashPlan::Uniform(256),
-                    crossbar_noise,
                     parallelism,
                     ..EngineConfig::default()
                 };
                 let engine = DeepCamEngine::compile(model, cfg).unwrap();
-                let what = format!("{} noise {crossbar_noise} {parallelism:?}", model.name);
+                let what = format!("{} {parallelism:?}", model.name);
                 let (fast, rec) = engine.infer_recorded(x, Datapath::Fast).unwrap();
                 assert_eq!(fast.data(), engine.infer(x).unwrap().data(), "{what}");
                 assert_eq!(rec.datapath, Datapath::Fast);
@@ -1643,58 +1544,30 @@ mod tests {
     }
 
     #[test]
-    fn infer_each_matches_per_image_infer_bitwise() {
-        // The serving-runtime contract: every image of an `infer_each`
-        // batch is bit-identical to its own single-image `infer` call —
-        // including under crossbar noise, where `infer_batch` would
-        // instead draw position-dependent noise.
+    fn infer_matches_per_image_infer_bitwise() {
+        // The serving-runtime contract: every image of an `infer` batch
+        // is bit-identical to its own single-image `infer` call, so
+        // micro-batching can never change a served result.
         let mut rng = seeded_rng(23);
         let model = scaled_lenet5(&mut rng, 10);
-        for noise in [0.0f32, 0.5] {
-            let engine_at = |parallelism| {
-                let cfg = EngineConfig {
-                    plan: HashPlan::Uniform(256),
-                    crossbar_noise: noise,
-                    parallelism,
-                    ..EngineConfig::default()
-                };
-                DeepCamEngine::compile(&model, cfg).unwrap()
+        let engine_at = |parallelism| {
+            let cfg = EngineConfig {
+                plan: HashPlan::Uniform(256),
+                parallelism,
+                ..EngineConfig::default()
             };
-            let engine = engine_at(Parallelism::Serial);
-            let x = tiny_batch(5);
-            let mut serial: Vec<f32> = Vec::new();
-            for i in 0..5 {
-                let one = engine.image_chunk(&x, i, i + 1).unwrap();
-                serial.extend_from_slice(engine.infer(&one).unwrap().data());
-            }
-            for workers in [1usize, 2, 4] {
-                let coalesced = engine_at(Parallelism::Fixed(workers))
-                    .infer_each(&x)
-                    .unwrap();
-                assert_eq!(
-                    serial.as_slice(),
-                    coalesced.data(),
-                    "noise {noise}, workers {workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn noisy_infer_batch_is_batch_invariant() {
-        // Crossbar noise is keyed by the global patch index, so image
-        // sharding must reproduce the serial disturbances exactly.
-        let mut rng = seeded_rng(16);
-        let model = scaled_lenet5(&mut rng, 10);
-        let cfg = EngineConfig {
-            plan: HashPlan::Uniform(256),
-            crossbar_noise: 0.5,
-            ..EngineConfig::default()
+            DeepCamEngine::compile(&model, cfg).unwrap()
         };
-        let engine = DeepCamEngine::compile(&model, cfg).unwrap();
-        let x = tiny_batch(4);
-        let serial = engine.infer_batch_with(&x, Parallelism::Serial).unwrap();
-        let par = engine.infer_batch_with(&x, Parallelism::Fixed(4)).unwrap();
-        assert_eq!(serial.data(), par.data());
+        let engine = engine_at(Parallelism::Serial);
+        let x = tiny_batch(5);
+        let mut serial: Vec<f32> = Vec::new();
+        for i in 0..5 {
+            let one = engine.image_chunk(&x, i, i + 1).unwrap();
+            serial.extend_from_slice(engine.infer(&one).unwrap().data());
+        }
+        for workers in [1usize, 2, 4] {
+            let coalesced = engine_at(Parallelism::Fixed(workers)).infer(&x).unwrap();
+            assert_eq!(serial.as_slice(), coalesced.data(), "workers {workers}");
+        }
     }
 }

@@ -57,7 +57,7 @@ pub enum DotKind {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DotIr {
     /// Traversal index (0-based; residual bodies before their shortcuts —
-    /// the numbering every hash plan, noise seed and profile sample uses).
+    /// the numbering every hash plan and profile sample uses).
     pub index: usize,
     /// Source layer form.
     pub kind: DotKind,
@@ -392,7 +392,7 @@ pub(crate) fn dot_layer_weights(model: &Cnn) -> Vec<&Tensor> {
 /// derives the rest from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledTile {
-    /// Dot-layer traversal index (noise seeding, profile labels).
+    /// Dot-layer traversal index (profile labels).
     pub layer_idx: usize,
     /// Lowered layer name (`conv3`, `fc1`, …).
     pub name: String,
@@ -685,7 +685,7 @@ pub const ARTIFACT_MIN_VERSION: u32 = 1;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledModel {
     /// The configuration the model was compiled under (plan, seed,
-    /// cosine/norm modes, noise, parallelism default).
+    /// cosine/norm modes, parallelism default).
     pub config: EngineConfig,
     /// The lowered view the compile consumed.
     pub ir: LayerIr,
@@ -1448,7 +1448,6 @@ mod tests {
             &model,
             EngineConfig {
                 plan: HashPlan::PerLayer(vec![256, 512, 256, 768, 1024]),
-                crossbar_noise: 0.25,
                 ..EngineConfig::default()
             },
         )

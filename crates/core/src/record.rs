@@ -74,8 +74,8 @@ pub struct DotRecord {
     /// Wall time of the whole dot step.
     pub wall: Duration,
     /// Fused-tile projection (the rows' bases, the patch norms and the
-    /// group lists), with the noise draws and the tile epilogue that
-    /// compares each finished tile against the sign certificate and
+    /// group lists), with the tile epilogue that compares each finished
+    /// tile against the sign certificate and
     /// packs the sign words.
     pub project: Duration,
     /// The exact fix-up of the lanes the certificate left uncertain and

@@ -11,8 +11,8 @@
 //! It exists for two reasons:
 //!
 //! 1. **Differential oracle.** The optimized engine must produce
-//!    bit-identical logits to this path for every model, cosine mode,
-//!    norm mode and noise level (`tests/hotpath_reference.rs`). Any
+//!    bit-identical logits to this path for every model, cosine mode
+//!    and norm mode (`tests/hotpath_reference.rs`). Any
 //!    semantic drift in the fast kernels fails loudly against code that
 //!    provably computed the paper's equations.
 //! 2. **Benchmark baseline.** The `perf` bench bin times
@@ -27,7 +27,6 @@ use deepcam_hash::context::ContextSet;
 use deepcam_hash::geometric::{GeometricDot, NormMode};
 use deepcam_hash::{BitVec, Minifloat8};
 use deepcam_tensor::pool::ThreadPool;
-use deepcam_tensor::rng::{seeded_rng, standard_normal};
 use deepcam_tensor::Tensor;
 
 use crate::engine::EngineConfig;
@@ -78,7 +77,6 @@ pub(crate) fn dot_layer(
     engine_cfg: &EngineConfig,
     bias: &[f32],
     p: usize,
-    row_offset: usize,
     workers: usize,
 ) -> Vec<f32> {
     let r = row_data.len() / tile.n.max(1);
@@ -87,16 +85,7 @@ pub(crate) fn dot_layer(
     let workers = workers.clamp(1, r.max(1));
     let range = |row_start: usize, chunk: &mut [f32]| {
         dot_rows_range(
-            row_data,
-            tile.n,
-            proj,
-            weights,
-            tile.k,
-            tile.layer_idx,
-            engine_cfg,
-            row_offset,
-            row_start,
-            chunk,
+            row_data, tile.n, proj, weights, tile.k, engine_cfg, row_start, chunk,
         )
     };
     if workers <= 1 {
@@ -132,18 +121,14 @@ fn dot_rows_range(
     proj: &deepcam_tensor::Tensor,
     weights: &ContextSet,
     k: usize,
-    layer_idx: usize,
     engine_cfg: &EngineConfig,
-    row_offset: usize,
     row_start: usize,
     out: &mut [f32],
 ) {
     let m = weights.len();
     let rows_here = out.len() / m;
-    let noise = engine_cfg.crossbar_noise;
     let cosine = engine_cfg.cosine;
     let norm_mode = engine_cfg.norm;
-    let seed = engine_cfg.seed;
     // Batched projection of this chunk: [rows_here, n] x [n, k]. Each
     // projected element is a fixed-order dot over n, so chunk boundaries
     // never change its value.
@@ -152,20 +137,7 @@ fn dot_rows_range(
     for local in 0..rows_here {
         let patch = &row_data[(row_start + local) * n..(row_start + local + 1) * n];
         let norm = patch.iter().map(|&v| v * v).sum::<f32>().sqrt();
-        let mut pre = projected[local * k..(local + 1) * k].to_vec();
-        if noise > 0.0 {
-            // Per-patch deterministic RNG keyed by the *global* patch
-            // index: disturbances are reproducible across runs, thread
-            // counts and batch splits.
-            let global_row = (row_offset + row_start + local) as u64;
-            let mut rng = seeded_rng(
-                seed ^ ((layer_idx as u64) << 40) ^ global_row.wrapping_mul(0x9E3779B97F4A7C15),
-            );
-            for v in &mut pre {
-                *v += noise * norm * standard_normal(&mut rng) as f32;
-            }
-        }
-        let bits = bitwise_from_signs(&pre);
+        let bits = bitwise_from_signs(&projected[local * k..(local + 1) * k]);
         let a_norm = match norm_mode {
             NormMode::Minifloat8 => Minifloat8::from_f32(norm).to_f32(),
             NormMode::Fp32 => norm,

@@ -1,7 +1,7 @@
 //! The pass pipeline's one contract, checked exhaustively: every pass —
 //! and every *ordered subset* of the default pass list — leaves the
 //! logits bitwise identical to the unpassed model, across random zoo
-//! models, per-layer hash plans, crossbar noise levels and seeds.
+//! models, per-layer hash plans and seeds.
 //!
 //! Mapping attaches scheduling metadata; it may not perturb a single
 //! output bit.
@@ -41,7 +41,6 @@ proptest! {
     fn every_pass_subset_is_output_invariant(
         model_sel in 0usize..3,
         width_bits in any::<u64>(),
-        noise_steps in 0u32..3,
         seed in 0u64..1000,
     ) {
         let model = model_for(model_sel);
@@ -53,7 +52,6 @@ proptest! {
             .collect();
         let cfg = EngineConfig {
             plan: HashPlan::PerLayer(widths),
-            crossbar_noise: noise_steps as f32 * 0.25,
             seed,
             ..EngineConfig::default()
         };

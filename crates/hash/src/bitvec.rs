@@ -238,8 +238,7 @@ impl BitVec {
         (0..self.len).map(move |i| self.get(i))
     }
 
-    /// Flips bit `i` in place (used by fault-injection tests and the
-    /// crossbar device-noise model).
+    /// Flips bit `i` in place (used by fault-injection tests).
     ///
     /// # Panics
     ///

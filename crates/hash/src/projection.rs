@@ -89,9 +89,8 @@ impl ProjectionMatrix {
 
     /// Computes the raw projection `x·C ∈ R^k` (before the sign).
     ///
-    /// Exposed separately because the on-chip crossbar model in
-    /// `deepcam-core` needs the analog pre-sign values to inject device
-    /// noise before the sense amplifiers take the sign.
+    /// Exposed separately so a caller can inspect the analog pre-sign
+    /// values the sense amplifiers take the sign of.
     ///
     /// # Errors
     ///

@@ -11,7 +11,7 @@
 //!                                    │ Arc<DeepCamEngine>
 //!                    ┌───────────────▼────────────────────────────┐
 //!  submit()/infer() →│ Runtime → Session   bounded queue, dynamic │
-//!                    │ micro-batcher → DeepCamEngine::infer_each  │
+//!                    │ micro-batcher → DeepCamEngine::infer       │
 //!                    └───────────────┬────────────────────────────┘
 //!                                    │ logits rows
 //!                    ┌───────────────▼────────────────────────────┐
@@ -27,10 +27,10 @@
 //! * [`session::Session`] / [`session::Runtime`] — the one submission
 //!   path: a bounded request queue and a dynamic micro-batcher that
 //!   coalesces concurrent single-image requests into
-//!   [`deepcam_core::DeepCamEngine::infer_each`] calls. Coalescing is
+//!   [`deepcam_core::DeepCamEngine::infer`] calls. Coalescing is
 //!   **bit-invisible**: served logits are identical to serial
-//!   submission for every batch composition, worker count and noise
-//!   level. Backpressure is a typed [`ServeError::Overloaded`];
+//!   submission for every batch composition and worker count.
+//!   Backpressure is a typed [`ServeError::Overloaded`];
 //!   per-model counters track requests, batches, occupancy and p50/p99
 //!   latency.
 //! * [`server::Server`] / [`client::Client`] — a `std::net`-only TCP

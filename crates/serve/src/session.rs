@@ -15,7 +15,7 @@
 //!    requests are waiting, or when the oldest request has waited
 //!    `max_wait` (the deadline is read from a [`Clock`], so tests drive
 //!    it deterministically with [`crate::clock::ManualClock`]).
-//! 3. The batch runs through [`DeepCamEngine::infer_each`], whose
+//! 3. The batch runs through [`DeepCamEngine::infer`], whose
 //!    contract makes coalescing invisible: every image's logits are
 //!    bit-identical to a lone `infer` call, whatever the batch
 //!    composition (`tests/serve_differential.rs`).
@@ -455,7 +455,7 @@ fn run_batch(
     }
     let result = Tensor::from_vec(data, Shape::new(&dims))
         .map_err(|e| ServeError::Engine(e.into()))
-        .and_then(|images| engine.infer_each(&images).map_err(ServeError::Engine));
+        .and_then(|images| engine.infer(&images).map_err(ServeError::Engine));
     let now = clock.now();
     let mut replies: Vec<(ReplySink, Result<Vec<f32>>)> = Vec::with_capacity(occupancy);
     {

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use deepcam_core::{CompiledModel, DeepCamEngine, EngineConfig, HashPlan};
+use deepcam_core::{CompiledModel, CoreError, DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
 use deepcam_serve::{ManualClock, ModelRegistry, Runtime, ServeError, Session, SessionConfig};
 use deepcam_tensor::rng::seeded_rng;
@@ -115,6 +115,56 @@ fn in_memory_registration_is_never_evicted() {
     // engines are evictable, and "disk" is the only one.
     registry.get("mem").unwrap();
     assert!(registry.list().iter().any(|m| m.id == "mem" && m.loaded));
+}
+
+/// A clean artifact of `engine` with its crossbar-noise slot (right
+/// after the magic, the version, and the config's plan, seed, cosine and
+/// norm) overwritten with `noise`.
+fn noisy_artifact(engine: &DeepCamEngine, noise: f32) -> Vec<u8> {
+    use serde::bin::{BinCodec, Writer};
+    let cfg = &engine.compiled().config;
+    let mut w = Writer::new();
+    cfg.plan.encode(&mut w);
+    w.put_u64(cfg.seed);
+    cfg.cosine.encode(&mut w);
+    cfg.norm.encode(&mut w);
+    let at = 8 + w.len();
+    let mut bytes = engine.compiled().to_bytes();
+    assert_eq!(&bytes[at..at + 4], &0f32.to_le_bytes(), "clean noise slot");
+    bytes[at..at + 4].copy_from_slice(&noise.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn noisy_artifacts_fail_closed() {
+    // Every engine models an ideal device: an artifact compiled for a
+    // noisy one is refused, never served as if it were clean.
+    let engine = lenet_engine(21);
+    for noise in [0.25f32, f32::NAN] {
+        match CompiledModel::from_bytes(&noisy_artifact(&engine, noise)) {
+            Err(CoreError::Artifact(detail)) => {
+                assert!(
+                    detail.contains(&format!("crossbar noise {noise}")),
+                    "{detail}"
+                )
+            }
+            other => panic!("noise {noise}: expected CoreError::Artifact, got {other:?}"),
+        }
+    }
+    let dir = tmp_dir("registry_noisy");
+    std::fs::write(dir.join("noisy.dcam"), noisy_artifact(&engine, 0.25)).unwrap();
+    let registry = ModelRegistry::open(&dir).unwrap();
+    match registry.get("noisy") {
+        Err(ServeError::BadArtifact { detail, .. }) => {
+            assert!(detail.contains("crossbar noise 0.25"), "{detail}")
+        }
+        Err(other) => panic!("expected BadArtifact, got {other:?}"),
+        Ok(_) => panic!("expected BadArtifact, got a loaded engine"),
+    }
+    assert!(registry
+        .list()
+        .iter()
+        .any(|m| m.id == "noisy" && m.quarantined && !m.loaded));
 }
 
 #[test]

@@ -539,9 +539,8 @@ fn exact_chains<const L: usize>(
 /// The sign certificate [`project_patches_signs_into`] applies to every
 /// finished tile in place of storing its floats.
 ///
-/// Lane `j` of row `r` compares `v = y_j`, or under crossbar noise
-/// `v = fl(y_j + fl(fl(level·‖x‖)·z_j))` with `z` the row's draws. Its
-/// sign bit is `v >= 0.0`, and its uncertain bit is set unless
+/// Lane `j` of row `r` compares `v = y_j`. Its sign bit is `v >= 0.0`,
+/// and its uncertain bit is set unless
 /// `|v| > fl(s_r · c_j)`, where `s_r = row_scale(n, ‖x‖)` and
 /// `c_j = bounds[j]`. Both compares are ordered, so a NaN value or
 /// bound, and an infinite value against an infinite bound, flag the lane:
@@ -556,9 +555,6 @@ pub struct Signs<'e> {
     pub bounds: &'e [f32],
     /// The bound's row factor from the patch width and the row's norm.
     pub row_scale: fn(usize, f32) -> f32,
-    /// Crossbar noise: its level and the block's `[rows, k]` norm-free
-    /// draws `z`, row-major.
-    pub noise: Option<(f32, &'e [f32])>,
     /// The sign words, `k.div_ceil(64) · rows`.
     pub signs: &'e mut [u64],
     /// The uncertain words, laid out as `signs`.
@@ -581,27 +577,20 @@ pub(crate) enum Epilogue<'e> {
 }
 
 /// A [`Signs`] certificate over a block of `rows` rows of width `n`, with
-/// row `r`'s bound factor and noise amplitude in `factors[r]` once its
-/// norm is known.
+/// row `r`'s bound factor in `factors[r]` once its norm is known.
 pub(crate) struct SignTile<'e> {
     pub(crate) cert: Signs<'e>,
     pub(crate) n: usize,
     pub(crate) rows: usize,
-    /// The noise level, `0.0` without noise. A plain field, not read
-    /// through `cert.noise`: the amplitude multiply is speculated either
-    /// way, and the uninitialised level of a `None` can be a subnormal
-    /// whose microcode assist costs about 100 cycles a row.
-    pub(crate) level: f32,
-    pub(crate) factors: &'e mut [(f32, f32)],
+    pub(crate) factors: &'e mut [f32],
 }
 
 impl Epilogue<'_> {
-    /// Row `r`'s norm is known: fixes its bound factor and its noise
-    /// amplitude `fl(level·‖x‖)`.
+    /// Row `r`'s norm is known: fixes its bound factor.
     #[inline]
     fn set_norm(&mut self, r: usize, norm: f32) {
         if let Epilogue::Signs(st) = self {
-            st.factors[r] = ((st.cert.row_scale)(st.n, norm), st.level * norm);
+            st.factors[r] = (st.cert.row_scale)(st.n, norm);
         }
     }
 
@@ -617,20 +606,9 @@ impl Epilogue<'_> {
             }
             Epilogue::Signs(st) => st,
         };
-        let (scale, amp) = st.factors[r];
-        let (k, cert) = (st.cert.bounds.len(), &mut st.cert);
-        let mut noisy = [0.0f32; 64];
-        let v = match cert.noise {
-            Some((_, z)) => {
-                for ((v, &y), &z) in noisy.iter_mut().zip(vals).zip(&z[r * k + j0..]) {
-                    *v = y + amp * z;
-                }
-                &noisy[..w]
-            }
-            None => vals,
-        };
+        let (scale, cert) = (st.factors[r], &mut st.cert);
         let (mut sign, mut unsure) = ([0u8; 64], [0u8; 64]);
-        let lanes = sign.iter_mut().zip(&mut unsure).zip(v);
+        let lanes = sign.iter_mut().zip(&mut unsure).zip(vals);
         for (((s, u), &v), &c) in lanes.zip(&cert.bounds[j0..]) {
             *s = u8::from(v >= 0.0);
             let sure = v.abs() > scale * c;
@@ -659,8 +637,8 @@ fn collapse(bytes: &[u8; 64]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct ProjectScratch {
     max_rows: usize,
-    /// Per-row bound factor and noise amplitude of a [`Signs`] block.
-    factors: Vec<(f32, f32)>,
+    /// Per-row bound factor of a [`Signs`] block.
+    factors: Vec<f32>,
     last: LastBlock,
 }
 
@@ -712,7 +690,7 @@ impl ProjectScratch {
         let list = if listed { max_rows * n } else { 0 };
         ProjectScratch {
             max_rows,
-            factors: vec![(0.0, 0.0); max_rows],
+            factors: vec![0.0; max_rows],
             last: LastBlock {
                 n,
                 listed,
@@ -827,8 +805,7 @@ pub fn project_patches_approx_into(
 /// accumulators are still in registers (on the portable variants, from a
 /// stack tile): no float of the block is stored. The words equal
 /// `bitvec::certify_signs_into` in `deepcam-hash` applied to the floats
-/// [`project_patches_approx_into`] stores (plus the noise `signs`
-/// describes), and the norms are the same.
+/// [`project_patches_approx_into`] stores, and the norms are the same.
 ///
 /// # Panics
 ///
@@ -849,9 +826,6 @@ pub fn project_patches_signs_into(
     assert_eq!(signs.bounds.len(), k, "one bound per output column");
     assert_eq!(signs.signs.len(), words, "word-major sign block");
     assert_eq!(signs.uncertain.len(), words, "word-major uncertain block");
-    if let Some((_, z)) = signs.noise {
-        assert_eq!(z.len(), rows * k, "one draw per output");
-    }
     let target = Target::Signs(signs);
     project_block(src, row_start, rows, panels, scratch, target, norms);
 }
@@ -896,7 +870,6 @@ fn project_block(
     let mut ep = match target {
         Target::Floats(out) => Epilogue::Store { out, k },
         Target::Signs(cert) => Epilogue::Signs(SignTile {
-            level: cert.noise.map_or(0.0, |(level, _)| level),
             cert,
             n,
             rows,

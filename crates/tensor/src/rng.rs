@@ -1,7 +1,7 @@
 //! Deterministic random-number helpers shared by the whole reproduction.
 //!
 //! Every stochastic component (weight init, synthetic datasets, projection
-//! matrices, device-noise models) is seeded explicitly so experiments are
+//! matrices) is seeded explicitly so experiments are
 //! reproducible run-to-run. Gaussian variates come from the Box–Muller
 //! transform — `rand` is in the allowed dependency set but `rand_distr` is
 //! not, so the normal distribution is implemented here once and reused

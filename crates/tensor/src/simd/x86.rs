@@ -92,20 +92,13 @@ fn finish_512<const R: usize>(
             return;
         }
     };
-    let (k, cert) = (st.cert.bounds.len(), &mut st.cert);
+    let cert = &mut st.cert;
     let bounds = &cert.bounds[j0..j0 + JT];
     let c = [0, 16, 32, 48].map(|at| load16(bounds, at));
-    for (i, mut y) in acc.into_iter().enumerate() {
+    for (i, y) in acc.into_iter().enumerate() {
         let r = r0 + i;
-        let (scale, amp) = st.factors[r];
-        if let Some((_, z)) = cert.noise {
-            let (amp, z) = (_mm512_set1_ps(amp), &z[r * k + j0..r * k + j0 + JT]);
-            for (v, y_v) in y.iter_mut().enumerate() {
-                *y_v = _mm512_add_ps(*y_v, _mm512_mul_ps(amp, load16(z, 16 * v)));
-            }
-        }
         let at = j0 / JT * st.rows + r;
-        (cert.signs[at], cert.uncertain[at]) = sign_word_512(y, c, scale);
+        (cert.signs[at], cert.uncertain[at]) = sign_word_512(y, c, st.factors[r]);
     }
 }
 

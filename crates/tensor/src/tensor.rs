@@ -376,9 +376,9 @@ impl Tensor {
 /// The shared GEMM kernel behind [`Tensor::matmul`]: `out = a · b` for
 /// row-major `a [m, k]`, `b [k, n]`, `out [m, n]`.
 ///
-/// Exposed as a slice-level free function so the inference engine can
-/// project im2col patch chunks straight out of a larger buffer into
-/// per-worker scratch — no intermediate `Tensor` clone of the chunk.
+/// [`Tensor::matmul`] runs it for training and the float model; it is
+/// exposed as a slice-level free function so the property suite can
+/// check [`matmul_dense_into`] against it on raw buffers.
 ///
 /// # Layout and bit-exactness
 ///
@@ -480,10 +480,12 @@ fn axpy_row(out: &mut [f32], a: f32, b_row: &[f32]) {
 /// cancellation rounds to `+0.0`, and `+0.0 + ±0.0 = +0.0`), so adding
 /// them never changes a single bit. With a non-finite `b` element the
 /// skipped `0 · ∞ = NaN` terms would differ — hence the dedicated entry
-/// point instead of replacing [`matmul_into`]. The inference engine
-/// uses this for its projection GEMM (projection matrices are finite by
-/// construction); `tests/hotpath_reference.rs` pins the equivalence
-/// against the historical kernel on real pipelines.
+/// point instead of replacing [`matmul_into`]. It is the oracle of the
+/// engine's projection (im2col + this GEMM is what
+/// [`crate::ops::project`]'s tiles must reproduce bit for bit, and its
+/// tests and the certified-hash tests check it), and the repo
+/// benchmark's traced replay of the dense datapath runs it (projection
+/// matrices are finite by construction).
 ///
 /// # Panics
 ///

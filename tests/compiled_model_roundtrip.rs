@@ -1,8 +1,8 @@
 //! Artifact round-trip suite for the compilation pipeline: a
 //! `CompiledModel` that is serialized and reloaded must serve inference
 //! **bit-identically** to the in-memory compile, across zoo model
-//! families, hash plans (uniform and variable), engine modes and
-//! crossbar noise. This is the contract that makes "compile once, save,
+//! families, hash plans (uniform and variable) and engine modes. This
+//! is the contract that makes "compile once, save,
 //! serve anywhere" safe.
 
 use std::path::PathBuf;
@@ -82,7 +82,6 @@ fn vgg_roundtrips_with_noise_and_modes() {
         &model,
         EngineConfig {
             plan: HashPlan::PerLayer(vec![256, 256, 512, 512, 768, 768, 1024, 256, 512]),
-            crossbar_noise: 0.4,
             cosine: CosineMode::Exact,
             norm: NormMode::Fp32,
             ..EngineConfig::default()
@@ -169,7 +168,6 @@ fn passed_models_roundtrip_with_mapping_and_fused_steps() {
     let model = scaled_vgg11(&mut rng, 4, 10);
     let cfg = EngineConfig {
         plan: HashPlan::Uniform(256),
-        crossbar_noise: 0.25,
         ..EngineConfig::default()
     };
     let mut compiled = CompiledModel::compile(&model, cfg).expect("compiles");
@@ -289,7 +287,6 @@ proptest! {
     #[test]
     fn random_plans_and_modes_roundtrip_bit_exactly(
         ks in plan_strategy(5),
-        noise_steps in 0u32..3,
         exact_cos in any::<bool>(),
         fp32_norms in any::<bool>(),
         seed in 0u64..1000,
@@ -298,7 +295,6 @@ proptest! {
         let model = scaled_lenet5(&mut rng, 10);
         let cfg = EngineConfig {
             plan: HashPlan::PerLayer(ks),
-            crossbar_noise: noise_steps as f32 * 0.25,
             cosine: if exact_cos { CosineMode::Exact } else { CosineMode::PiecewiseEq5 },
             norm: if fp32_norms { NormMode::Fp32 } else { NormMode::Minifloat8 },
             seed,

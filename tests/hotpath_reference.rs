@@ -5,7 +5,7 @@
 //! per-(patch, kernel) scalar pipeline verbatim (naive GEMM, per-bit
 //! sign build, heap hashes, per-pair angle/cosine). The optimized path
 //! must reproduce it **bit for bit** for every model family, cosine
-//! mode, norm mode and noise level — this is the contract that let the
+//! mode and norm mode — this is the contract that let the
 //! hot path be rebuilt for throughput without moving a single output
 //! bit.
 
@@ -82,25 +82,6 @@ fn resnet18_residual_wiring_matches_reference() {
 }
 
 #[test]
-fn noisy_crossbar_matches_reference() {
-    // Device noise mutates the projected values before the sign — the
-    // packed path must consume noise in the exact same RNG order.
-    let mut rng = seeded_rng(306);
-    let model = scaled_lenet5(&mut rng, 10);
-    let mut data_rng = seeded_rng(307);
-    let x = init::normal(&mut data_rng, Shape::new(&[2, 1, 28, 28]), 0.0, 1.0);
-    for noise in [0.1f32, 0.5, 2.0] {
-        let cfg = EngineConfig {
-            plan: HashPlan::Uniform(256),
-            crossbar_noise: noise,
-            parallelism: Parallelism::Serial,
-            ..EngineConfig::default()
-        };
-        assert_paths_identical(&model, &x, cfg, &format!("lenet5 noise {noise}"));
-    }
-}
-
-#[test]
 fn variable_hash_plan_matches_reference() {
     // Per-layer hash widths exercise distinct LUT sizes and packed tile
     // strides in one pipeline.
@@ -122,9 +103,7 @@ fn every_detected_simd_variant_matches_reference() {
     // the host detects (scalar always included — the CI
     // `DEEPCAM_SIMD=scalar` leg runs this same suite with scalar as the
     // ambient default) and require the full pipeline to reproduce the
-    // frozen reference bit for bit, clean and under crossbar noise (each
-    // variant's tile epilogue adds the noise before it packs the signs).
-    // VGG11 at width 8 puts patch widths over 64 through both projection
+    // frozen reference bit for bit. VGG11 at width 8 puts patch widths over 64 through both projection
     // tiles. Flipping the process-wide variant is benign even if other
     // tests race this one: all variants compute identical bits, which is
     // exactly what this test enforces.
@@ -141,16 +120,13 @@ fn every_detected_simd_variant_matches_reference() {
     for &variant in detected() {
         force_variant(variant).expect("detected variant");
         for (name, model, x, k) in cases {
-            for noise in [0.0f32, 0.5] {
-                let cfg = EngineConfig {
-                    plan: HashPlan::Uniform(k),
-                    crossbar_noise: noise,
-                    parallelism: Parallelism::Serial,
-                    ..EngineConfig::default()
-                };
-                let label = format!("{name} simd {} noise {noise}", variant.name());
-                assert_paths_identical(model, x, cfg, &label);
-            }
+            let cfg = EngineConfig {
+                plan: HashPlan::Uniform(k),
+                parallelism: Parallelism::Serial,
+                ..EngineConfig::default()
+            };
+            let label = format!("{name} simd {}", variant.name());
+            assert_paths_identical(model, x, cfg, &label);
         }
     }
     let _ = force_variant(initial);

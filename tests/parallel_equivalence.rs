@@ -72,35 +72,6 @@ fn infer_batch_bit_identical_to_serial_on_every_zoo_model() {
 }
 
 #[test]
-fn noisy_inference_is_sharding_invariant() {
-    // Crossbar noise is seeded by the global patch index, so even a
-    // noisy device model must reproduce serial logits under any image
-    // sharding — this is what makes `Parallelism` safe to flip in
-    // production configs rather than a "fast but different" mode.
-    let mut rng = seeded_rng(7);
-    let model = scaled_vgg11(&mut rng, 4, 10);
-    let engine = DeepCamEngine::compile(
-        &model,
-        EngineConfig {
-            plan: HashPlan::Uniform(256),
-            crossbar_noise: 0.3,
-            parallelism: Parallelism::Serial,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("engine compiles");
-    let mut xr = seeded_rng(77);
-    let x = init::normal(&mut xr, Shape::new(&[6, 3, 32, 32]), 0.0, 1.0);
-    let serial = engine.infer(&x).expect("serial inference");
-    for workers in WORKER_SWEEP {
-        let sharded = engine
-            .infer_batch_with(&x, Parallelism::Fixed(workers))
-            .expect("sharded inference");
-        assert_eq!(serial.data(), sharded.data(), "noisy, {workers} workers");
-    }
-}
-
-#[test]
 fn evaluate_parallel_equals_evaluate_exactly() {
     let mut rng = seeded_rng(9);
     let model = scaled_lenet5(&mut rng, 10);

