@@ -1570,4 +1570,22 @@ mod tests {
             assert_eq!(serial.as_slice(), coalesced.data(), "workers {workers}");
         }
     }
+
+    #[test]
+    fn noisy_infer_batch_is_batch_invariant() {
+        // The name predates the ideal-device model; what stays is the
+        // per-call override: one engine sharded over images by
+        // `infer_batch_with` reproduces its own serial pass exactly.
+        let mut rng = seeded_rng(16);
+        let model = scaled_lenet5(&mut rng, 10);
+        let cfg = EngineConfig {
+            plan: HashPlan::Uniform(256),
+            ..EngineConfig::default()
+        };
+        let engine = DeepCamEngine::compile(&model, cfg).unwrap();
+        let x = tiny_batch(4);
+        let serial = engine.infer_batch_with(&x, Parallelism::Serial).unwrap();
+        let par = engine.infer_batch_with(&x, Parallelism::Fixed(4)).unwrap();
+        assert_eq!(serial.data(), par.data());
+    }
 }
