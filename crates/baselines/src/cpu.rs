@@ -10,12 +10,11 @@
 
 use deepcam_core::LayerIr;
 use deepcam_models::{DotLayer, ModelSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{BaselineReport, LayerCost};
 
 /// Skylake AVX-512 VNNI CPU model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkylakeCpu {
     /// Peak INT8 MACs per cycle (2 ports × 64 MACs).
     pub peak_macs_per_cycle: f64,

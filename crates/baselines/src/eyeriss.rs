@@ -20,12 +20,11 @@
 
 use deepcam_core::LayerIr;
 use deepcam_models::{DotLayer, ModelSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{BaselineReport, LayerCost};
 
 /// Eyeriss configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Eyeriss {
     /// PE array rows (mapped along the patch dimension `n`).
     pub rows: usize,

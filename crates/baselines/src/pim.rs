@@ -19,7 +19,6 @@
 
 use deepcam_core::LayerIr;
 use deepcam_models::{DotLayer, ModelSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{BaselineReport, LayerCost};
 
@@ -28,7 +27,7 @@ use crate::report::{BaselineReport, LayerCost};
 const VGG11_MACS: f64 = 153.2e6;
 
 /// Which published PIM engine to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PimTechnology {
     /// RRAM crossbar macro benchmarked with DNN+NeuroSim (IEDM 2019).
     NeuroSimRram,
@@ -60,7 +59,7 @@ impl PimTechnology {
 }
 
 /// An analog PIM engine as an anchored analytical model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalogPim {
     /// Which published engine this instance models.
     pub technology: PimTechnology,

@@ -1,9 +1,7 @@
 //! Common report types shared by all baseline simulators.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost of one layer on a baseline accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerCost {
     /// Layer name.
     pub name: String,
@@ -17,7 +15,7 @@ pub struct LayerCost {
 }
 
 /// Whole-model inference cost on a baseline accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineReport {
     /// Accelerator name.
     pub accelerator: String,

@@ -191,8 +191,8 @@ fn main() {
         accounted * 100.0
     );
 
-    // Hand-rolled JSON: the vendored serde is a no-op shim (no
-    // serializer exists offline). Schema documented in ROADMAP.md.
+    // Hand-rolled JSON: the vendored serde is only the binary artifact
+    // codec. Schema documented in ROADMAP.md.
     let quoted: Vec<String> = features.iter().map(|f| format!("\"{f}\"")).collect();
     let variant_rows: Vec<String> = variants
         .iter()

@@ -7,13 +7,11 @@
 //! not an area one — so area depends on the full 1024-bit word plus
 //! peripherals.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chunk::{CHUNK_BITS, MAX_CHUNKS};
 use crate::config::CamConfig;
 
 /// Analytical area model, all values in µm² (45 nm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// One 2T-2FeFET ternary cell.
     pub cell_um2: f64,

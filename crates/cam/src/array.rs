@@ -13,14 +13,13 @@
 //! The [`BitVec`] API is kept for construction and tests.
 
 use deepcam_hash::{low_mask, BitVec, PackedHashes};
-use serde::{Deserialize, Serialize};
 
 use crate::config::CamConfig;
 use crate::error::CamError;
 use crate::Result;
 
 /// The result of one row's match-line evaluation during a search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchHit {
     /// Row index.
     pub row: usize,
@@ -54,7 +53,7 @@ pub struct SearchHit {
 /// assert_eq!(hits[0].hamming, 0);
 /// # Ok::<(), deepcam_cam::CamError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CamArray {
     config: CamConfig,
     /// All row words in one contiguous slab (stale garbage may remain in

@@ -8,8 +8,6 @@
 //! nor searched, which is where the variable-hash-length energy saving
 //! comes from.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CamError;
 use crate::Result;
 
@@ -31,7 +29,7 @@ pub const MAX_CHUNKS: usize = 4;
 /// assert_eq!(c.word_bits(), 768);
 /// # Ok::<(), deepcam_cam::CamError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkConfig {
     enabled: usize,
 }

@@ -1,7 +1,5 @@
 //! CAM array configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chunk::ChunkConfig;
 use crate::error::CamError;
 use crate::sense::SenseModel;
@@ -25,7 +23,7 @@ pub const SUPPORTED_COL_SIZES: [usize; 4] = [256, 512, 768, 1024];
 /// assert_eq!(cfg.word_bits(), 512);
 /// # Ok::<(), deepcam_cam::CamError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CamConfig {
     /// Number of rows (stored contexts searched in parallel).
     pub rows: usize,

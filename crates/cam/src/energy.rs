@@ -17,12 +17,10 @@
 //! chunks × 256) with a peripheral floor — this is what makes variable
 //! hash lengths profitable (Fig. 10).
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::CamConfig;
 
 /// Energy and latency of one CAM operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchCost {
     /// Dynamic energy in joules.
     pub energy_j: f64,
@@ -44,7 +42,7 @@ pub struct SearchCost {
 /// assert_eq!(small.cycles, large.cycles);          // O(1) search time
 /// # Ok::<(), deepcam_cam::CamError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CamCostModel {
     /// Search energy per active cell (search-line toggle + cell
     /// evaluation), joules/bit.

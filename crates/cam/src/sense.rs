@@ -21,10 +21,8 @@
 //! the paper implicitly assume near-ideal readout, so `deepcam-core`
 //! uses `Exact` unless an experiment asks otherwise.
 
-use serde::{Deserialize, Serialize};
-
 /// Sense-amplifier readout model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SenseModel {
     /// Ideal readout: the reported distance equals the true distance.
     #[default]

@@ -17,10 +17,8 @@
 //! `ceil(n/rows)·ceil(k/cols)`. This tiling is what makes context
 //! generation a first-order cost for the wide layers of VGG/ResNet.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost model for the on-chip context generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CtxGenCostModel {
     /// Physical crossbar rows (input dimension per tile). Patches longer
     /// than this tile serially over the rows.
@@ -62,7 +60,7 @@ impl Default for CtxGenCostModel {
 }
 
 /// Cost of context-generating one layer's activations.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CtxGenCost {
     /// Cycles (patches pipeline; norm and hash proceed in parallel, the
     /// slower unit dominates).

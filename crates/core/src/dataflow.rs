@@ -1,7 +1,6 @@
 //! The two dataflows evaluated in the paper (§IV-A, Fig. 9).
 
 use serde::bin::{BinCodec, BinError, BinResult, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 /// How a dot-product layer is mapped onto the CAM.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///   kernel contexts stream. Conv layers have hundreds of output
 ///   positions, so the rows fill up (→ ~100% utilization) and fewer
 ///   search operations are needed overall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataflow {
     /// Kernels in rows, activations as keys.
     WeightStationary,

@@ -43,7 +43,6 @@ use deepcam_tensor::ops::pool::{avg_pool2d, max_pool2d};
 use deepcam_tensor::ops::project::{PatchSource, ProjPanels};
 use deepcam_tensor::pool::{split_ranges, Parallelism, ThreadPool};
 use deepcam_tensor::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
 
 use crate::certify::{column_bounds, SignHasher};
 use crate::error::CoreError;
@@ -53,7 +52,7 @@ use crate::record::{now, DotRecord, Probe, Recording, Timed};
 use crate::Result;
 
 /// Functional engine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Hash length per dot layer.
     pub plan: HashPlan,
@@ -307,11 +306,6 @@ impl DeepCamEngine {
     /// [`CompiledModel::save`]).
     pub fn compiled(&self) -> &CompiledModel {
         &self.compiled
-    }
-
-    /// Consumes the engine, returning the compiled artifact.
-    pub fn into_compiled(self) -> CompiledModel {
-        self.compiled
     }
 
     /// Number of dot-product layers compiled to CAM form.

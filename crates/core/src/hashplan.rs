@@ -6,14 +6,13 @@
 //! chunked word (256/512/768/1024 bits) provides the discrete choices.
 
 use deepcam_hash::SUPPORTED_HASH_LENGTHS;
-use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 use crate::ir::LayerIr;
 use crate::Result;
 
 /// A hash length for every dot-product layer of a model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HashPlan {
     /// The same length for all layers (the Fig. 10 baselines: 256-bit
     /// "DeepCAM-256", 1024-bit "Max DeepCAM").
@@ -203,7 +202,7 @@ impl HashPlan {
 /// scheduler ([`crate::sched::CamScheduler::run_ir`]) and the auto-tuner.
 /// Holding a `PlanBinding` is proof the plan fits the model it was bound
 /// against.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanBinding {
     ks: Vec<usize>,
 }

@@ -36,7 +36,6 @@ use deepcam_tensor::ops::conv::Conv2dConfig;
 use deepcam_tensor::ops::pool::PoolConfig;
 use deepcam_tensor::Tensor;
 use serde::bin::{BinCodec, BinError, BinResult, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
@@ -45,7 +44,7 @@ use crate::passes::mapping::ModelMapping;
 use crate::Result;
 
 /// Which dot-product form a lowered layer came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DotKind {
     /// A convolution: `P` im2col patches against `M` kernels.
     Conv,
@@ -54,7 +53,7 @@ pub enum DotKind {
 }
 
 /// One lowered dot-product layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DotIr {
     /// Traversal index (0-based; residual bodies before their shortcuts —
     /// the numbering every hash plan and profile sample uses).
@@ -75,7 +74,7 @@ pub struct DotIr {
 }
 
 /// A model lowered to its dot-layer list — stage one of the pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerIr {
     /// Source model name, e.g. `"VGG11"`.
     pub model_name: String,
@@ -390,7 +389,7 @@ pub(crate) fn dot_layer_weights(model: &Cnn) -> Vec<&Tensor> {
 /// One dot layer's CAM-resident artifact: every kernel context packed
 /// into a contiguous tile, plus the seeds and raw norms the runtime
 /// derives the rest from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTile {
     /// Dot-layer traversal index (profile labels).
     pub layer_idx: usize,
@@ -461,7 +460,7 @@ impl CompiledTile {
 /// Mirrors the model's block structure: dot-product steps carry their
 /// [`CompiledTile`]; peripheral steps carry the exact float parameters
 /// the post-processing module executes digitally.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CompiledStep {
     /// Convolution through the CAM datapath.
     Conv {
@@ -682,7 +681,7 @@ pub const ARTIFACT_MIN_VERSION: u32 = 1;
 /// [`DeepCamEngine::from_compiled`](crate::DeepCamEngine::from_compiled).
 /// A saved-and-reloaded artifact produces logits bit-identical to the
 /// in-memory compile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
     /// The configuration the model was compiled under (plan, seed,
     /// cosine/norm modes, parallelism default).

@@ -18,7 +18,6 @@
 
 use deepcam_cam::SUPPORTED_ROW_SIZES;
 use serde::bin::{BinCodec, BinResult, Reader, Writer};
-use serde::{Deserialize, Serialize};
 
 use crate::dataflow::Dataflow;
 use crate::error::CoreError;
@@ -29,7 +28,7 @@ use crate::sched::CamScheduler;
 use crate::Result;
 
 /// One dot layer's chosen tile geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerMapping {
     /// CAM rows per tile (64/128/256/512).
     pub rows: usize,
@@ -53,7 +52,7 @@ impl BinCodec for LayerMapping {
 
 /// A whole model's array mapping: the chip's array count plus one
 /// [`LayerMapping`] per dot layer, traversal order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelMapping {
     /// CAM arrays available to run tiles side by side.
     pub arrays: usize,

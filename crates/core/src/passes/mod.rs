@@ -8,8 +8,8 @@
 //!
 //! * **May change:** scheduling metadata ([`CompiledModel::mapping`]).
 //! * **May never change:** the logits. Output must stay **bitwise
-//!   identical** to the unpassed pipeline for every input, noise seed,
-//!   worker count and SIMD variant.
+//!   identical** to the unpassed pipeline for every input, worker
+//!   count and SIMD variant.
 //!
 //! The default list is one pass, [`Pass::MapArrays`] ([`mapping`]): it
 //! replaces the scheduler's fixed 64-row assumption with per-layer

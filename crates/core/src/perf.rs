@@ -1,9 +1,7 @@
 //! Performance reports for the DeepCAM accelerator.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy broken down by architectural component, in joules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// CAM search operations.
     pub cam_search: f64,
@@ -31,7 +29,7 @@ impl EnergyBreakdown {
 }
 
 /// Per-layer performance of the accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerPerf {
     /// Layer name.
     pub name: String,
@@ -50,7 +48,7 @@ pub struct LayerPerf {
 }
 
 /// Whole-model performance report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Configuration label, e.g. `"DeepCAM-AS rows=64 variable"`.
     pub config: String,

@@ -13,10 +13,9 @@
 //! synthesizes with Synopsys DC/PrimeTime.
 
 use deepcam_models::{LayerSpec, PoolKind};
-use serde::{Deserialize, Serialize};
 
 /// Cycle/energy model of the digital post-processing unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PostProcCostModel {
     /// ALU operations needed per approximate dot-product (angle + cosine
     /// + norm multiplies).
@@ -46,7 +45,7 @@ impl Default for PostProcCostModel {
 }
 
 /// Cost of a batch of work on the post-processing unit.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PostProcCost {
     /// Cycles at the unit's clock.
     pub cycles: u64,

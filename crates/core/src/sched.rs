@@ -18,7 +18,6 @@
 
 use deepcam_cam::{CamConfig, CamCostModel, SUPPORTED_ROW_SIZES};
 use deepcam_models::{DotLayer, ModelSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::ctxgen::CtxGenCostModel;
 use crate::dataflow::Dataflow;
@@ -32,7 +31,7 @@ use crate::Result;
 
 /// How per-layer cycles combine across the accelerator's three stages
 /// (CAM, context generator, post-processing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CycleModel {
     /// Stages overlap in a pipeline; the slowest stage bounds the layer
     /// (the paper's architecture, Fig. 3, processes in a pipeline).
@@ -49,7 +48,7 @@ pub enum CycleModel {
 }
 
 /// Scheduler configuration + cost models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CamScheduler {
     /// CAM rows (64/128/256/512).
     pub rows: usize,
@@ -63,10 +62,6 @@ pub struct CamScheduler {
     pub ctxgen: CtxGenCostModel,
     /// Cycle combination model.
     pub cycle_model: CycleModel,
-    /// Charge CAM writes for weight tiles (WS). `true` is the consistent
-    /// default; `false` models the paper's framing that pre-processed
-    /// weight contexts "cause no impact on computation time".
-    pub charge_weight_writes: bool,
 }
 
 impl CamScheduler {
@@ -88,7 +83,6 @@ impl CamScheduler {
             postproc: PostProcCostModel::default(),
             ctxgen: CtxGenCostModel::default(),
             cycle_model: CycleModel::default(),
-            charge_weight_writes: true,
         })
     }
 
@@ -160,10 +154,6 @@ impl CamScheduler {
         let mut e_search = 0.0f64;
         let mut e_write = 0.0f64;
         let mut occupied = 0usize;
-        let charge_writes = match dataflow {
-            Dataflow::WeightStationary => self.charge_weight_writes,
-            Dataflow::ActivationStationary => true,
-        };
         let mut t = 0usize;
         while t < tiles {
             let wave = (tiles - t).min(arrays);
@@ -171,11 +161,9 @@ impl CamScheduler {
             for i in 0..wave {
                 let rows_used = (stored - (t + i) * rows).min(rows);
                 occupied += rows_used;
-                if charge_writes {
-                    let wc = self.cam_cost.write_cost(&cfg, rows_used);
-                    wave_write_cycles = wave_write_cycles.max(wc.cycles);
-                    e_write += wc.energy_j;
-                }
+                let wc = self.cam_cost.write_cost(&cfg, rows_used);
+                wave_write_cycles = wave_write_cycles.max(wc.cycles);
+                e_write += wc.energy_j;
                 let sc = self.cam_cost.search_cost_with_rows(&cfg, rows_used);
                 searches += streamed as u64;
                 e_search += streamed as f64 * sc.energy_j;

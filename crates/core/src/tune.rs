@@ -34,7 +34,6 @@ use std::collections::HashMap;
 use deepcam_hash::SUPPORTED_HASH_LENGTHS;
 use deepcam_models::Cnn;
 use deepcam_tensor::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{DeepCamEngine, EngineConfig};
 use crate::error::CoreError;
@@ -47,7 +46,7 @@ use crate::Dataflow;
 use crate::Result;
 
 /// How the per-layer widths are searched.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SearchStrategy {
     /// Binary search per layer over the supported widths — the default;
     /// `⌈log₂ 4⌉ = 2` evaluations per layer.
@@ -58,7 +57,7 @@ pub enum SearchStrategy {
 }
 
 /// Auto-tuner configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TunerConfig {
     /// Maximum accepted accuracy drop (absolute, on the tuning split)
     /// relative to the all-1024 reference.

@@ -4,8 +4,6 @@
 //! hashed binary datum of a context. Hamming distance — the quantity the
 //! FeFET CAM senses in O(1) on its match lines — is XOR + popcount here.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::HashError;
 use crate::Result;
 
@@ -56,7 +54,7 @@ pub const fn tail_garbage_mask(bits: usize) -> u64 {
 /// assert_eq!(a.hamming(&b)?, 2);
 /// # Ok::<(), deepcam_hash::HashError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
     len: usize,
     words: Vec<u64>,

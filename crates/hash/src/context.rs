@@ -14,7 +14,6 @@
 //! Hamming distance between their hashes estimates nothing.
 
 use deepcam_tensor::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
 
 use crate::bitvec::BitVec;
 use crate::error::HashError;
@@ -23,7 +22,7 @@ use crate::projection::ProjectionMatrix;
 use crate::Result;
 
 /// The CAM-resident representation of one vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Context {
     /// Full-precision L2 norm (kept for ablations).
     pub norm: f32,
@@ -42,7 +41,7 @@ impl Context {
 
 /// A batch of contexts sharing one projection (one CNN layer's weights, or
 /// one input tile's activations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextSet {
     /// The contexts, in kernel order (weights) or output-position order
     /// (activations).
@@ -86,7 +85,7 @@ impl ContextSet {
 /// assert_eq!(set.hash_len, 1024);
 /// # Ok::<(), deepcam_hash::HashError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContextGenerator {
     projection: ProjectionMatrix,
 }

@@ -1,7 +1,5 @@
 //! The approximate geometric dot-product (paper eq. 2–4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cosine::{approx_cosine, exact_cosine};
 use crate::error::HashError;
 use crate::minifloat::Minifloat8;
@@ -9,7 +7,7 @@ use crate::projection::ProjectionMatrix;
 use crate::Result;
 
 /// How the cosine of the estimated angle is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CosineMode {
     /// The paper's piecewise-linear eq. 5 (hardware default).
     #[default]
@@ -29,7 +27,7 @@ impl CosineMode {
 }
 
 /// How operand L2 norms enter the final multiply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NormMode {
     /// Quantize through the 8-bit minifloat (hardware default, §III-A).
     #[default]
@@ -88,7 +86,7 @@ impl NormMode {
 
 /// Tunable details of the approximation, for ablations and the variable
 /// hash-length strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DotOptions {
     /// Compare only the first `k` hash bits (`None` = full width). This is
     /// the software twin of disabling CAM chunks.
@@ -114,7 +112,7 @@ pub struct DotOptions {
 /// assert!((approx - 2.0765).abs() < 0.3); // vs the algebraic 2.0765
 /// # Ok::<(), deepcam_hash::HashError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeometricDot {
     projection: ProjectionMatrix,
 }

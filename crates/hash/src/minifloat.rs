@@ -13,8 +13,6 @@
 //! * subnormals (e = 0): `(-1)^s · 2^(-6) · (m/8)`
 //! * max finite: `2^8 · 1.875 = 480.0`; min positive subnormal: `2^-9`
 
-use serde::{Deserialize, Serialize};
-
 const EXP_BITS: u32 = 4;
 const MAN_BITS: u32 = 3;
 const BIAS: i32 = 7;
@@ -31,7 +29,7 @@ const MAX_EXP: i32 = (1 << EXP_BITS) - 1; // 15
 /// // 3.2 is between representable 3.0 and 3.25; RNE picks 3.25.
 /// assert!((m.to_f32() - 3.25).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Minifloat8(u8);
 
 impl Minifloat8 {

@@ -26,8 +26,6 @@
 //!
 //! [`CamArray`]: https://docs.rs/deepcam-cam
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitvec::BitVec;
 use crate::error::HashError;
 use crate::Result;
@@ -55,7 +53,7 @@ const TILE_QUERIES: usize = 64;
 /// assert_eq!(dists, [0, 100]);
 /// # Ok::<(), deepcam_hash::HashError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedHashes {
     bits: usize,
     words_per_row: usize,

@@ -1,7 +1,6 @@
 //! Gaussian random-projection matrices (the paper's `C ∈ R^{n×k}`).
 
 use deepcam_tensor::rng::{seeded_rng, standard_normal};
-use serde::{Deserialize, Serialize};
 
 use crate::bitvec::BitVec;
 use crate::error::HashError;
@@ -27,7 +26,7 @@ use crate::Result;
 /// assert_eq!(h.len(), 256);
 /// # Ok::<(), deepcam_hash::HashError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProjectionMatrix {
     input_dim: usize,
     hash_len: usize,

@@ -1,9 +1,7 @@
 //! Error metrics for approximation-quality experiments (Fig. 2).
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of an approximation error sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorStats {
     /// Number of (approx, reference) pairs.
     pub count: usize,

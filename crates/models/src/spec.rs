@@ -5,10 +5,8 @@
 //! used by every scheduler — how many dot-products a layer performs
 //! (`P`), against how many kernels (`M`), at what vector length (`n`).
 
-use serde::{Deserialize, Serialize};
-
 /// 2-D convolution shape.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConvSpec {
     /// Layer name, e.g. `"conv1"`.
     pub name: String,
@@ -53,15 +51,10 @@ impl ConvSpec {
     pub fn macs(&self) -> u64 {
         self.positions() as u64 * self.out_channels as u64 * self.patch_len() as u64
     }
-
-    /// Weight parameter count (no bias).
-    pub fn params(&self) -> u64 {
-        self.out_channels as u64 * self.patch_len() as u64
-    }
 }
 
 /// Fully-connected layer shape.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LinearSpec {
     /// Layer name, e.g. `"fc1"`.
     pub name: String,
@@ -76,15 +69,10 @@ impl LinearSpec {
     pub fn macs(&self) -> u64 {
         self.in_features as u64 * self.out_features as u64
     }
-
-    /// Weight parameter count (no bias).
-    pub fn params(&self) -> u64 {
-        self.macs()
-    }
 }
 
 /// Pooling kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Max pooling.
     Max,
@@ -93,7 +81,7 @@ pub enum PoolKind {
 }
 
 /// Pooling layer shape.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PoolSpec {
     /// Max or average.
     pub kind: PoolKind,
@@ -120,7 +108,7 @@ impl PoolSpec {
 }
 
 /// One layer of a model spec.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LayerSpec {
     /// Convolution (a dot-product layer).
     Conv(ConvSpec),
@@ -168,7 +156,7 @@ impl LayerSpec {
 /// * Convolution: `P` = output positions, `M` = kernels, `n` = patch len.
 /// * Linear: `P` = 1 (one input vector per image), `M` = output neurons,
 ///   `n` = input features.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DotLayer {
     /// Source layer name.
     pub name: String,
@@ -342,7 +330,7 @@ impl serde::bin::BinCodec for DotLayer {
 }
 
 /// A complete weight-free model description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Model name, e.g. `"VGG11"`.
     pub name: String,
@@ -360,18 +348,6 @@ impl ModelSpec {
     /// Total MACs per image.
     pub fn total_macs(&self) -> u64 {
         self.layers.iter().map(|l| l.macs()).sum()
-    }
-
-    /// Total weight parameters.
-    pub fn total_params(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                LayerSpec::Conv(c) => c.params(),
-                LayerSpec::Linear(l) => l.params(),
-                _ => 0,
-            })
-            .sum()
     }
 
     /// The dot-product layers in CAM-mapping form, execution order.

@@ -111,11 +111,6 @@ impl<S> FaultStream<S> {
         }
     }
 
-    /// Ops not yet applied.
-    pub fn remaining_ops(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Unwraps the inner transport.
     pub fn into_inner(self) -> S {
         self.inner

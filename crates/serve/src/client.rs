@@ -11,7 +11,6 @@
 //! would just repeat the refusal.
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -118,7 +117,6 @@ impl Default for ClientConfig {
 pub struct Client {
     addrs: Vec<SocketAddr>,
     cfg: ClientConfig,
-    clock: Arc<dyn Clock>,
     rng: StdRng,
     stream: Option<TcpStream>,
     /// Version negotiated on the current stream; `None` until the
@@ -145,25 +143,10 @@ impl Client {
     ///
     /// Returns [`ServeError::Io`] when the connect fails.
     pub fn connect_with(addr: impl ToSocketAddrs, cfg: ClientConfig) -> Result<Client> {
-        Client::connect_with_clock(addr, cfg, Arc::new(SystemClock))
-    }
-
-    /// [`Client::connect_with`] with an explicit time source, so the
-    /// overall-deadline check can be driven from tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] when the connect fails.
-    pub fn connect_with_clock(
-        addr: impl ToSocketAddrs,
-        cfg: ClientConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Result<Client> {
         let rng = StdRng::seed_from_u64(cfg.retry.seed);
         let mut client = Client {
             addrs: resolve(addr)?,
             cfg,
-            clock,
             rng,
             stream: None,
             negotiated: None,
@@ -268,7 +251,7 @@ impl Client {
             .cfg
             .retry
             .overall_deadline
-            .and_then(|d| self.clock.now().checked_add(d));
+            .and_then(|d| SystemClock.now().checked_add(d));
         let max_attempts = self.cfg.retry.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
@@ -285,7 +268,7 @@ impl Client {
             if let Some(deadline) = deadline {
                 // Would the backoff alone blow the budget? Give up and
                 // surface the last failure rather than oversleeping.
-                match self.clock.now().checked_add(delay) {
+                match SystemClock.now().checked_add(delay) {
                     Some(resumes_at) if resumes_at <= deadline => {}
                     _ => return Err(err),
                 }

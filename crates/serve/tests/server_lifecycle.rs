@@ -405,6 +405,47 @@ fn no_retry_policy_fails_fast_on_overload() {
     assert_eq!(served.join().expect("script"), 1);
 }
 
+/// The jittered first backoff is at least half of 1 s, which overruns a
+/// 400 ms budget: the client must surface the first `Overloaded` rather
+/// than sleep into a retry. The script holds a second answer, so a retry
+/// would show up as a second served frame.
+#[test]
+fn client_stops_retrying_when_the_backoff_would_overrun_the_deadline() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let overloaded = Response::Error {
+        kind: ErrorKind::Overloaded,
+        message: "full".into(),
+    };
+    let served = scripted_server(listener, vec![overloaded.clone(), overloaded]);
+
+    let cfg = ClientConfig {
+        retry: RetryPolicy {
+            max_attempts: 5,
+            base_backoff: Duration::from_secs(1),
+            max_backoff: Duration::from_secs(1),
+            overall_deadline: Some(Duration::from_millis(400)),
+            seed: 11,
+        },
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(addr, cfg).expect("connect");
+    assert!(matches!(
+        client.infer("m", &[1, 1], &[0.0]),
+        Err(ServeError::Remote {
+            kind: ErrorKind::Overloaded,
+            ..
+        })
+    ));
+    assert_eq!(client.last_call_attempts(), 1);
+    drop(client);
+    assert_eq!(
+        served.join().expect("script"),
+        1,
+        "exactly one frame served"
+    );
+}
+
 /// Both clients share one `Hello` exchange, so both refuse a server
 /// that answers with a version they did not offer (or with 0).
 #[test]

@@ -8,8 +8,6 @@
 //! in `deepcam-core` sees exactly the same patch geometry as the reference
 //! float convolution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::pool::ThreadPool;
 use crate::shape::Shape;
@@ -26,7 +24,7 @@ use crate::Result;
 /// let cfg = Conv2dConfig::new(3, 16, 3).with_stride(1).with_padding(1);
 /// assert_eq!(cfg.output_hw(32, 32), (32, 32));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2dConfig {
     /// Input channels `C`.
     pub in_channels: usize,

@@ -1,7 +1,5 @@
 //! Max and average pooling.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -17,7 +15,7 @@ use crate::Result;
 /// let p = PoolConfig::new(2); // 2x2 window, stride 2
 /// assert_eq!(p.output_hw(28, 28), (14, 14));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolConfig {
     /// Window size (square).
     pub kernel: usize,

@@ -48,8 +48,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Environment variable overriding the default worker count
 /// ([`Parallelism::Auto`]): set `DEEPCAM_WORKERS=4` to pin four workers.
 pub const WORKERS_ENV: &str = "DEEPCAM_WORKERS";
@@ -60,7 +58,7 @@ pub const WORKERS_ENV: &str = "DEEPCAM_WORKERS";
 /// tensor ops and the experiment binaries. Whatever it resolves to, the
 /// computed values are bit-identical — parallelism only changes wall
 /// clock, never results.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parallelism {
     /// Run strictly on the calling thread.
     Serial,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The dimensions of a [`crate::Tensor`], row-major (last axis contiguous).
 ///
 /// CNN tensors follow the NCHW convention: `[batch, channels, height,
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.rank(), 4);
 /// assert_eq!(s.dim(1), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }
@@ -99,11 +97,6 @@ impl Shape {
             stride *= self.dims[axis];
         }
         off
-    }
-
-    /// Returns `true` when this is an NCHW (rank 4) shape.
-    pub fn is_nchw(&self) -> bool {
-        self.rank() == 4
     }
 
     /// Interprets the shape as `[batch, channels, height, width]`.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::shape::Shape;
 use crate::Result;
@@ -25,7 +23,7 @@ use crate::Result;
 /// let u = t.map(|x| x + 1.0);
 /// assert!(u.data().iter().all(|&v| v == 1.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -111,16 +109,6 @@ impl Tensor {
     /// Panics when the index rank or bounds are invalid (debug builds).
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]
-    }
-
-    /// Mutable element reference at a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the index rank or bounds are invalid (debug builds).
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let off = self.shape.offset(index);
-        &mut self.data[off]
     }
 
     /// Reinterprets the buffer with a new shape of equal volume.

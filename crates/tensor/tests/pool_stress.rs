@@ -1,4 +1,4 @@
-//! Seeded-interleaving stress harness for the work-stealing pool.
+//! Seeded-interleaving stress harness for the FIFO worker pool.
 //!
 //! A loom-style schedule explorer without loom: each round draws a
 //! random task structure — worker count, task count, nesting depth,
