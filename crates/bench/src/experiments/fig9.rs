@@ -125,9 +125,9 @@ mod tests {
         // The paper reports ResNet18 speedup growing ~8x from 64 to 512
         // rows. On the published CIFAR-shape topology the deep stages have
         // P ≤ 64 output positions, so rows beyond P are unusable and the
-        // scaling saturates — we assert meaningful but sub-8x growth and
-        // discuss the discrepancy in EXPERIMENTS.md (the full 8x needs
-        // ImageNet-sized feature maps; see `zoo::resnet18_imagenet`).
+        // scaling saturates — we assert meaningful but sub-8x growth (the
+        // full 8x needs ImageNet-sized feature maps; see
+        // `zoo::resnet18_imagenet`).
         let row = run_workload(&zoo::resnet18());
         let s = |rows: usize| {
             row.deepcam

@@ -3,8 +3,8 @@
 //! The evaluation harness of the DeepCAM reproduction: one experiment
 //! module per table/figure of the paper, each exposing a pure function
 //! that computes the figure's rows, plus thin `src/bin/*` binaries that
-//! print them. Criterion benches in `benches/` exercise the hot kernels
-//! each experiment depends on.
+//! print them. The `perf`, `compiler` and `serve_throughput` binaries
+//! time the engine, the compiler and the serving stack.
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|

@@ -2,17 +2,17 @@
 //!
 //! Storage is a [`PackedHashes`] slab plus an occupancy bitmap rather
 //! than a `Vec<Option<BitVec>>`: every stored word lives in one
-//! contiguous row-major allocation, searched one row at a time by the
-//! portable XOR+popcount kernel `deepcam_hash::packed::hamming_words`
-//! (the inference engine's weight tiles use the same slab layout, walked
-//! by the blocked `hamming_tile_into`), instead of a pointer chase
-//! through per-row heap vectors. The
-//! occupancy bitmap doubles as an EIE-style skip index: a search walks
-//! it word by word, skipping 64 rows per all-zero word without touching
-//! the slab (the software twin of keeping empty match lines unsensed).
-//! The [`BitVec`] API is kept for construction and tests.
+//! contiguous row-major allocation (the inference engine's weight tiles
+//! use the same slab layout), instead of a pointer chase through per-row
+//! heap vectors. A search is one walk over the occupancy bitmap, which
+//! doubles as an EIE-style skip index: an all-zero bitmap word skips 64
+//! rows without touching the slab, and each set bit of the rest is one
+//! [`PackedHashes::hamming_row`] call on the portable XOR+popcount
+//! kernel `deepcam_hash::packed::hamming_words` (the software twin of
+//! keeping empty match lines unsensed). The [`BitVec`] API is kept for
+//! construction and tests.
 
-use deepcam_hash::{low_mask, BitVec, PackedHashes};
+use deepcam_hash::{BitVec, PackedHashes};
 
 use crate::config::CamConfig;
 use crate::error::CamError;
@@ -182,53 +182,29 @@ impl CamArray {
     /// Match-line evaluation for every row (key width already validated),
     /// in row order.
     ///
-    /// The occupancy bitmap drives an EIE-style zero-run skip: the scan
-    /// walks one bitmap word (64 rows) at a time and an all-zero word is
-    /// skipped without touching the slab at all. Fully-occupied spans
-    /// take one linear [`PackedHashes::hamming_range_into`] pass —
-    /// mirroring how every match line evaluates simultaneously in the
-    /// real array — and partially-occupied spans visit only the set bits
-    /// through [`PackedHashes::hamming_row`], so stale slab rows are
-    /// never read (empty rows keep their match lines silent).
+    /// One walk over the occupancy bitmap: each bitmap word covers 64
+    /// rows (every supported row count is a multiple of 64), an all-zero
+    /// word is skipped without touching the slab, and the set bits of the
+    /// rest are visited in ascending row order through
+    /// [`PackedHashes::hamming_row`], so stale slab rows are never read
+    /// (empty rows keep their match lines silent).
     fn search_rows(&self, key: &BitVec) -> Vec<SearchHit> {
-        let (rows, word_bits) = (self.config.rows, self.config.word_bits());
+        let word_bits = self.config.word_bits();
         let key_words = key.words();
         let mut hits = Vec::with_capacity(self.occupied_rows());
-        let push = |hits: &mut Vec<SearchHit>, row: usize, d: u32| {
-            let hamming = d as usize;
-            hits.push(SearchHit {
-                row,
-                hamming,
-                sensed: self.config.sense.read(hamming, word_bits),
-            });
-        };
-        let mut dists = [0u32; 64];
         for (wi, &occupied) in self.occupied.iter().enumerate() {
-            let base = wi * 64;
-            let span_hi = rows.min(base + 64) - base;
-            let span_mask = low_mask(span_hi);
-            let masked = occupied & span_mask;
-            if masked == 0 {
-                // Zero run: 64 rows skipped with one bitmap-word load.
-                continue;
-            }
-            if masked == span_mask {
-                // Dense span: one contiguous range pass over the slab.
-                let (rlo, rhi) = (base, base + span_hi);
-                let span = &mut dists[..rhi - rlo];
-                self.packed.hamming_range_into(key_words, rlo, rhi, span);
-                for (off, &d) in span.iter().enumerate() {
-                    push(&mut hits, rlo + off, d);
-                }
-            } else {
-                // Sparse span: visit set bits only, in ascending row
-                // order (clearing the lowest set bit each step).
-                let mut m = masked;
-                while m != 0 {
-                    let row = base + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    push(&mut hits, row, self.packed.hamming_row(row, key_words));
-                }
+            // Clearing the lowest set bit each step; a zero word (64
+            // empty rows) ends the loop at once.
+            let mut m = occupied;
+            while m != 0 {
+                let row = wi * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let hamming = self.packed.hamming_row(row, key_words) as usize;
+                hits.push(SearchHit {
+                    row,
+                    hamming,
+                    sensed: self.config.sense.read(hamming, word_bits),
+                });
             }
         }
         hits
@@ -296,9 +272,9 @@ mod tests {
 
     #[test]
     fn occupancy_skip_paths_agree_with_reference() {
-        // 256 rows = 4 bitmap words, one per skip path: word 0 dense
-        // (range-kernel pass), word 1 all-empty (zero-run skip), word 2
-        // sparse (per-set-bit visits), word 3 sparse again.
+        // 256 rows = 4 bitmap words, against a per-row popcount
+        // reference: word 0 fully occupied, word 1 all-empty (zero-run
+        // skip), words 2 and 3 sparse (only the set bits are visited).
         let mut rng = seeded_rng(9);
         let mut cam = CamArray::new(CamConfig::new(256, 256).unwrap());
         let mut stored: Vec<Option<BitVec>> = vec![None; 256];

@@ -497,8 +497,7 @@ impl DeepCamEngine {
     /// bias and the Hamming estimator adds variance), and the mismatch
     /// compounds across deep networks. Recomputing BN statistics under
     /// the deployed arithmetic is the standard compute-in-memory
-    /// calibration step and substantially recovers deep-model accuracy
-    /// (see EXPERIMENTS.md, Fig. 5).
+    /// calibration step and substantially recovers deep-model accuracy.
     ///
     /// Calibration mutates the compiled artifact's BN steps, so an
     /// engine calibrated here and then [`CompiledModel::save`]d serves

@@ -56,8 +56,7 @@ pub fn exact_cosine(theta: f32) -> f32 {
 /// Maximum absolute error of [`approx_cosine`] against [`exact_cosine`]
 /// over a uniform grid of `samples` angles in `[0, π]`.
 ///
-/// Used by the ablation benches to quantify how much accuracy eq. 5
-/// sacrifices.
+/// Quantifies how much accuracy eq. 5 sacrifices.
 pub fn max_abs_error(samples: usize) -> f32 {
     let mut worst = 0.0f32;
     for i in 0..samples {

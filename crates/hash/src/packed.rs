@@ -214,35 +214,19 @@ impl PackedHashes {
     #[inline]
     // analyze: alloc-free
     pub fn hamming_into(&self, query_words: &[u64], out: &mut [u32]) {
-        self.hamming_range_into(query_words, 0, self.rows, out);
-    }
-
-    /// [`PackedHashes::hamming_into`] over rows `lo..hi` only (the
-    /// building block of sharded CAM search: each shard scans a disjoint
-    /// contiguous row range of the same slab).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range is out of bounds or descending, when
-    /// `query_words` is not exactly `words_per_row` long, or when `out`
-    /// is not exactly `hi - lo` long.
-    // analyze: alloc-free
-    pub fn hamming_range_into(&self, query_words: &[u64], lo: usize, hi: usize, out: &mut [u32]) {
-        assert!(lo <= hi && hi <= self.rows, "row range {lo}..{hi} invalid");
         assert_eq!(
             query_words.len(),
             self.words_per_row,
             "query width must match the tile stride"
         );
-        assert_eq!(out.len(), hi - lo, "output slot per row in range");
+        assert_eq!(out.len(), self.rows, "output slot per row");
         let wpr = self.words_per_row;
         if wpr == 0 {
             // Zero-width rows: every distance is zero by definition.
             out.fill(0);
             return;
         }
-        let rows = self.slab[lo * wpr..hi * wpr].chunks_exact(wpr);
-        for (row_words, o) in rows.zip(out.iter_mut()) {
+        for (row_words, o) in self.slab.chunks_exact(wpr).zip(out.iter_mut()) {
             *o = hamming_words(row_words, query_words);
         }
     }
@@ -303,7 +287,7 @@ impl PackedHashes {
     /// Hamming distance between row `row` and `query_words`, through the
     /// same [`hamming_words`] kernel as [`PackedHashes::hamming_into`] (the
     /// single-row primitive of the occupancy-skip CAM scan, which visits
-    /// sparse survivors one at a time instead of the whole range).
+    /// occupied rows one at a time).
     ///
     /// # Panics
     ///
@@ -434,23 +418,6 @@ mod tests {
             tile.hamming_into(query.words(), &mut dists);
             for (row, &d) in rows.iter().zip(dists.iter()) {
                 assert_eq!(d as usize, row.hamming(&query).unwrap(), "bits {bits}");
-            }
-        }
-    }
-
-    #[test]
-    fn hamming_range_matches_full_pass() {
-        let bits = 192;
-        let rows: Vec<BitVec> = (2..12).map(|s| patterned(bits, s)).collect();
-        let tile = PackedHashes::from_bitvecs(bits, &rows).unwrap();
-        let query = patterned(bits, 3);
-        let mut full = vec![0u32; tile.rows()];
-        tile.hamming_into(query.words(), &mut full);
-        for lo in 0..tile.rows() {
-            for hi in lo..=tile.rows() {
-                let mut part = vec![0u32; hi - lo];
-                tile.hamming_range_into(query.words(), lo, hi, &mut part);
-                assert_eq!(part.as_slice(), &full[lo..hi], "range {lo}..{hi}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Differential suite for the packed Hamming kernels and the sign pack:
-//! every search entry of `PackedHashes` (`hamming_into`,
-//! `hamming_range_into`, `hamming_row`, the blocked `hamming_tile_into`)
+//! every search entry of `PackedHashes` (`hamming_into`, `hamming_row`,
+//! the blocked `hamming_tile_into`)
 //! and `hamming_words` must equal the bit-by-bit `BitVec::hamming`
 //! oracle, and the sign pack one `x >= 0.0` per value, on every width —
 //! explicit boundary widths around the word and the 256-bit chunk, plus
@@ -40,20 +40,14 @@ fn patterned_bitvec(bits: usize, seed: u64) -> BitVec {
 fn check_searches(rows: &[BitVec], query: &BitVec, what: &str) {
     let bits = query.len();
     let tile = PackedHashes::from_bitvecs(bits, rows).expect("equal widths");
-    let n = rows.len();
     let want: Vec<u32> = rows
         .iter()
         .map(|row| row.hamming(query).expect("equal widths") as u32)
         .collect();
     // Pre-filled so every slot must be written.
-    let mut full = vec![u32::MAX; n];
+    let mut full = vec![u32::MAX; rows.len()];
     tile.hamming_into(query.words(), &mut full);
     assert_eq!(full, want, "{what}: hamming_into");
-    for (lo, hi) in [(0, n), (0, n / 2), (n / 3, n), (n / 2, n / 2)] {
-        let mut part = vec![u32::MAX; hi - lo];
-        tile.hamming_range_into(query.words(), lo, hi, &mut part);
-        assert_eq!(part, want[lo..hi], "{what}: hamming_range_into {lo}..{hi}");
-    }
     for (r, &w) in want.iter().enumerate() {
         assert_eq!(
             tile.hamming_row(r, query.words()),
@@ -101,9 +95,6 @@ fn zero_width_rows_have_zero_distance() {
     let tile = PackedHashes::zeroed(0, 3);
     let mut out = [7u32; 3];
     tile.hamming_into(&[], &mut out);
-    assert_eq!(out, [0, 0, 0]);
-    let mut out = [7u32; 3];
-    tile.hamming_range_into(&[], 0, 3, &mut out);
     assert_eq!(out, [0, 0, 0]);
     for row in 0..3 {
         assert_eq!(tile.hamming_row(row, &[]), 0, "row {row}");

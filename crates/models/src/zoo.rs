@@ -227,7 +227,8 @@ pub fn resnet18() -> ModelSpec {
 /// Not one of the paper's Table I workloads, but included because the
 /// paper's claimed 8× speedup scaling from 64→512 CAM rows requires
 /// feature maps with ≥512 output positions in every stage — true at
-/// ImageNet resolution, false at CIFAR resolution (see EXPERIMENTS.md).
+/// ImageNet resolution, false at CIFAR resolution (the Fig. 9 test
+/// `more_rows_increase_resnet_speedup_search_only` pins the saturation).
 pub fn resnet18_imagenet() -> ModelSpec {
     let mut layers = Vec::new();
     // 7×7/2 stem: 224 → 112, then 3×3/2 max pool → 56.

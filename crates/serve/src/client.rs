@@ -21,7 +21,7 @@ use crate::error::{Result, ServeError};
 use crate::protocol::{
     decode_payload, decode_payload_v2, encode_payload, encode_payload_v2, read_frame, write_frame,
     ErrorKind, Frame, Request, Response, WireModelInfo, WireServerStats, WireStats,
-    CONNECTION_SCOPED_ID, MAX_PROTOCOL_VERSION, PROTOCOL_V1, PROTOCOL_V2,
+    MAX_PROTOCOL_VERSION, PROTOCOL_V1, PROTOCOL_V2,
 };
 
 /// When and how [`Client`] retries a failed call.
@@ -94,12 +94,6 @@ pub struct ClientConfig {
     /// The retry policy; [`RetryPolicy::none`] by default, so plain
     /// [`Client::connect`] behaves exactly like the pre-retry client.
     pub retry: RetryPolicy,
-    /// Highest protocol version to offer the server.
-    /// [`PROTOCOL_V1`] (the default) skips the handshake entirely and
-    /// speaks the original wire format; `>= 2` sends a `Hello` on each
-    /// (re)connect and frames requests under whatever version the
-    /// server answers with.
-    pub version: u32,
 }
 
 impl Default for ClientConfig {
@@ -108,21 +102,17 @@ impl Default for ClientConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             retry: RetryPolicy::none(),
-            version: PROTOCOL_V1,
         }
     }
 }
 
-/// A connected client speaking one request/response at a time.
+/// A connected client speaking one request/response at a time, in
+/// protocol v1 (no `Hello`; [`MuxClient`] is the v2 client).
 pub struct Client {
     addrs: Vec<SocketAddr>,
     cfg: ClientConfig,
     rng: StdRng,
     stream: Option<TcpStream>,
-    /// Version negotiated on the current stream; `None` until the
-    /// handshake (or the v1 short-circuit) has run.
-    negotiated: Option<u32>,
-    next_request_id: u64,
     last_attempts: u32,
 }
 
@@ -149,18 +139,10 @@ impl Client {
             cfg,
             rng,
             stream: None,
-            negotiated: None,
-            next_request_id: 0,
             last_attempts: 0,
         };
         client.ensure_connected()?;
         Ok(client)
-    }
-
-    /// The protocol version the current connection speaks, when one is
-    /// established and (if requested) negotiated.
-    pub fn negotiated_version(&self) -> Option<u32> {
-        self.negotiated
     }
 
     /// Attempts the most recent call made, including the successful
@@ -170,21 +152,14 @@ impl Client {
         self.last_attempts
     }
 
-    /// Re-establishes the connection if the last call tore it down,
-    /// re-running the version handshake on every fresh stream (a
-    /// reconnect may land on a different server).
+    /// Re-establishes the connection if the last call tore it down.
     fn ensure_connected(&mut self) -> Result<()> {
         if self.stream.is_none() {
-            self.negotiated = None;
-            let mut stream =
-                open_stream(&self.addrs, self.cfg.read_timeout, self.cfg.write_timeout)?;
-            let version = if self.cfg.version > PROTOCOL_V1 {
-                hello(&mut stream, self.cfg.version)?
-            } else {
-                PROTOCOL_V1
-            };
-            self.negotiated = Some(version);
-            self.stream = Some(stream);
+            self.stream = Some(open_stream(
+                &self.addrs,
+                self.cfg.read_timeout,
+                self.cfg.write_timeout,
+            )?);
         }
         Ok(())
     }
@@ -196,43 +171,16 @@ impl Client {
     fn call_once(&mut self, request: &Request) -> Result<Response> {
         let outcome: Result<Response> = (|| {
             self.ensure_connected()?;
-            let version = self.negotiated.unwrap_or(PROTOCOL_V1);
-            let req_id = self.next_request_id;
-            if version >= PROTOCOL_V2 {
-                self.next_request_id = self.next_request_id.wrapping_add(1);
-            }
             let stream = self
                 .stream
                 .as_mut()
                 .ok_or_else(|| ServeError::Io("not connected".into()))?;
-            if version >= PROTOCOL_V2 {
-                write_frame(stream, &encode_payload_v2(req_id, request))?;
-                match read_frame(stream)? {
-                    Frame::Payload(payload) => {
-                        let (id, resp) = decode_payload_v2::<Response>(&payload)?;
-                        // Connection-scoped errors (timeouts, drains)
-                        // carry the sentinel id; this client has one
-                        // request outstanding, so both attributions
-                        // answer it.
-                        if id != req_id && id != CONNECTION_SCOPED_ID {
-                            return Err(ServeError::Protocol(format!(
-                                "reply carries request id {id}, expected {req_id}"
-                            )));
-                        }
-                        Ok(resp)
-                    }
-                    Frame::Closed => Err(ServeError::Io(
-                        "server closed the connection mid-call".into(),
-                    )),
-                }
-            } else {
-                write_frame(stream, &encode_payload(request))?;
-                match read_frame(stream)? {
-                    Frame::Payload(payload) => decode_payload(&payload),
-                    Frame::Closed => Err(ServeError::Io(
-                        "server closed the connection mid-call".into(),
-                    )),
-                }
+            write_frame(stream, &encode_payload(request))?;
+            match read_frame(stream)? {
+                Frame::Payload(payload) => decode_payload(&payload),
+                Frame::Closed => Err(ServeError::Io(
+                    "server closed the connection mid-call".into(),
+                )),
             }
         })();
         match outcome {
@@ -387,7 +335,7 @@ impl MuxClient {
         write_timeout: Option<Duration>,
     ) -> Result<MuxClient> {
         let mut stream = open_stream(&resolve(addr)?, read_timeout, write_timeout)?;
-        let version = hello(&mut stream, MAX_PROTOCOL_VERSION)?;
+        let version = hello(&mut stream)?;
         if version < PROTOCOL_V2 {
             return Err(ServeError::Protocol(format!(
                 "server negotiated protocol version {version}; multiplexing requires v2"
@@ -434,7 +382,7 @@ impl MuxClient {
 
     /// Blocks for the next reply frame, whichever outstanding request
     /// it answers. Connection-scoped frames (timeouts, drain notices)
-    /// come back under [`CONNECTION_SCOPED_ID`].
+    /// come back under [`crate::protocol::CONNECTION_SCOPED_ID`].
     ///
     /// # Errors
     ///
@@ -487,9 +435,10 @@ fn open_stream(
 }
 
 /// The v1-framed `Hello` exchange on a fresh stream: offers versions up
-/// to `offered` and returns the server's pick, refusing one outside
-/// `1..=offered`.
-fn hello(stream: &mut TcpStream, offered: u32) -> Result<u32> {
+/// to [`MAX_PROTOCOL_VERSION`] and returns the server's pick, refusing
+/// one outside `1..=MAX_PROTOCOL_VERSION`.
+fn hello(stream: &mut TcpStream) -> Result<u32> {
+    let offered = MAX_PROTOCOL_VERSION;
     write_frame(
         stream,
         &encode_payload(&Request::Hello {

@@ -9,10 +9,9 @@ use std::time::Duration;
 
 use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
-use deepcam_serve::protocol::{ErrorKind, PROTOCOL_V2};
+use deepcam_serve::protocol::{ErrorKind, Response};
 use deepcam_serve::{
-    Client, ClientConfig, ModelRegistry, Runtime, ServeError, Server, ServerConfig, Session,
-    SessionConfig,
+    ModelRegistry, MuxClient, Runtime, ServeError, Server, ServerConfig, Session, SessionConfig,
 };
 use deepcam_tensor::rng::seeded_rng;
 
@@ -52,22 +51,21 @@ fn lenet_server() -> (Server, Arc<DeepCamEngine>) {
 
 /// A protocol-v2 client whose reads give up after a few seconds, so a
 /// request stranded by a dead dispatcher fails instead of hanging.
-fn v2_client(addr: SocketAddr) -> Client {
-    Client::connect_with(
-        addr,
-        ClientConfig {
-            version: PROTOCOL_V2,
-            read_timeout: Some(Duration::from_secs(10)),
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect")
+fn v2_client(addr: SocketAddr) -> MuxClient {
+    let timeout = Some(Duration::from_secs(10));
+    MuxClient::connect_with(addr, timeout, timeout).expect("connect")
 }
 
-fn remote_kind(err: &ServeError) -> Option<ErrorKind> {
-    match err {
-        ServeError::Remote { kind, .. } => Some(*kind),
-        _ => None,
+/// One v2 round trip to `lenet`: its logits, or the typed error kind
+/// the server answered with.
+fn infer(client: &mut MuxClient, dims: &[usize], img: &[f32]) -> Result<Vec<f32>, ErrorKind> {
+    let id = client.submit_infer("lenet", dims, img).expect("submit");
+    let (reply_id, resp) = client.recv().expect("reply");
+    assert_eq!(reply_id, id, "one request in flight");
+    match resp {
+        Response::Logits(logits) => Ok(logits),
+        Response::Error { kind, .. } => Err(kind),
+        other => panic!("expected Logits or Error, got {other:?}"),
     }
 }
 
@@ -80,19 +78,14 @@ fn reshaped_image_is_a_typed_error_and_the_model_keeps_serving() {
     let (mut server, engine) = lenet_server();
     let mut client = v2_client(server.local_addr());
     let img = image(3);
-    let err = client
-        .infer("lenet", &[1, 14, 56], &img)
+    let kind = infer(&mut client, &[1, 14, 56], &img)
         .expect_err("a 14x56 image cannot run through LeNet5");
     assert!(
-        matches!(
-            remote_kind(&err),
-            Some(ErrorKind::Engine | ErrorKind::InvalidRequest)
-        ),
-        "{err}"
+        matches!(kind, ErrorKind::Engine | ErrorKind::InvalidRequest),
+        "{kind:?}"
     );
-    let logits = client
-        .infer("lenet", &[1, 28, 28], &img)
-        .expect("the session survives the hostile shape");
+    let logits =
+        infer(&mut client, &[1, 28, 28], &img).expect("the session survives the hostile shape");
     assert_eq!(logits, expected_logits(&engine, &img));
     server.shutdown();
 }
@@ -140,17 +133,11 @@ fn non_finite_pixels_are_invalid_requests() {
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
         let mut img = image(6);
         img[0] = bad;
-        let err = client
-            .infer("lenet", &[1, 28, 28], &img)
-            .expect_err("non-finite pixel");
-        assert_eq!(
-            remote_kind(&err),
-            Some(ErrorKind::InvalidRequest),
-            "{bad}: {err}"
-        );
+        let kind = infer(&mut client, &[1, 28, 28], &img).expect_err("non-finite pixel");
+        assert_eq!(kind, ErrorKind::InvalidRequest, "{bad}");
     }
     let img = image(6);
-    let logits = client.infer("lenet", &[1, 28, 28], &img).expect("clean");
+    let logits = infer(&mut client, &[1, 28, 28], &img).expect("clean");
     assert_eq!(logits, expected_logits(&engine, &img));
     server.shutdown();
 }

@@ -12,11 +12,10 @@ use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
 use deepcam_serve::protocol::{
     decode_payload, encode_payload, read_frame, write_frame, Frame, Request, Response,
-    MAX_PROTOCOL_VERSION, PROTOCOL_V1, PROTOCOL_V2,
+    MAX_PROTOCOL_VERSION, PROTOCOL_V1,
 };
 use deepcam_serve::{
-    Client, ClientConfig, ManualClock, ModelRegistry, MuxClient, Runtime, Server, ServerConfig,
-    SessionConfig,
+    Client, ManualClock, ModelRegistry, MuxClient, Runtime, Server, ServerConfig, SessionConfig,
 };
 use deepcam_tensor::rng::seeded_rng;
 
@@ -59,40 +58,16 @@ fn lenet_server() -> (Server, Arc<DeepCamEngine>) {
     (server, engine)
 }
 
-/// A v1 client (the default) never sends a `Hello` and round-trips
+/// `Client` speaks v1: it never sends a `Hello` and round-trips
 /// unchanged — the downgrade path is "nothing happens".
 #[test]
 fn v1_clients_work_unchanged() {
     let (mut server, engine) = lenet_server();
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
-    assert_eq!(client.negotiated_version(), Some(PROTOCOL_V1));
     let img = image(11);
     let logits = client.infer("lenet", &[1, 28, 28], &img).expect("infer");
     assert_eq!(logits, expected_logits(&engine, &img));
-    server.shutdown();
-}
-
-/// A v2-offering client negotiates v2, round-trips bit-exact, and the
-/// negotiation survives a reconnect.
-#[test]
-fn v2_negotiation_round_trips() {
-    let (mut server, engine) = lenet_server();
-    let addr = server.local_addr();
-    let mut client = Client::connect_with(
-        addr,
-        ClientConfig {
-            version: PROTOCOL_V2,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect");
-    assert_eq!(client.negotiated_version(), Some(PROTOCOL_V2));
-    let img = image(23);
-    for _ in 0..3 {
-        let logits = client.infer("lenet", &[1, 28, 28], &img).expect("infer");
-        assert_eq!(logits, expected_logits(&engine, &img));
-    }
     server.shutdown();
 }
 

@@ -446,30 +446,20 @@ fn client_stops_retrying_when_the_backoff_would_overrun_the_deadline() {
     );
 }
 
-/// Both clients share one `Hello` exchange, so both refuse a server
-/// that answers with a version they did not offer (or with 0).
+/// The `Hello` exchange (only `MuxClient` sends one) refuses a server
+/// that answers with a version it did not offer (or with 0).
 #[test]
 fn clients_refuse_a_hello_answer_outside_their_offer() {
-    for mux in [false, true] {
-        for version in [0, MAX_PROTOCOL_VERSION + 1] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let served = scripted_server(listener, vec![Response::Hello { version }]);
-            let result = if mux {
-                MuxClient::connect(addr).map(|_| ())
-            } else {
-                let cfg = ClientConfig {
-                    version: MAX_PROTOCOL_VERSION,
-                    ..ClientConfig::default()
-                };
-                Client::connect_with(addr, cfg).map(|_| ())
-            };
-            assert!(
-                matches!(result, Err(ServeError::Protocol(_))),
-                "mux {mux}, version {version}: {result:?}"
-            );
-            assert_eq!(served.join().expect("script"), 1, "one Hello frame");
-        }
+    for version in [0, MAX_PROTOCOL_VERSION + 1] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let served = scripted_server(listener, vec![Response::Hello { version }]);
+        let result = MuxClient::connect(addr).map(|_| ());
+        assert!(
+            matches!(result, Err(ServeError::Protocol(_))),
+            "version {version}: {result:?}"
+        );
+        assert_eq!(served.join().expect("script"), 1, "one Hello frame");
     }
 }
 
