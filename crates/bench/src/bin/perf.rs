@@ -1,6 +1,7 @@
 //! The engine's performance record, in `BENCH_perf.json`: the frozen
 //! reference datapath against the fast path, the fast path on every
-//! detected SIMD variant, batched inference at 1, 2 and 4 workers, and
+//! detected SIMD variant, batched inference bounded at 1, 2 and 4
+//! workers (with the image tasks each bound splits the batch into), and
 //! per-dot-layer phases from the engine's own recorder
 //! ([`DeepCamEngine::infer_recorded`]).
 //!
@@ -148,6 +149,12 @@ fn main() {
         assert_eq!(got.data(), want.data(), "{c:?} differs from the fast path");
     }
     println!("gates passed: logits bit-identical across {configs:?}");
+    for w in workers {
+        println!(
+            "  {w:?} splits the batch into {} tasks",
+            engine.image_tasks(&batch, w)
+        );
+    }
     let times: Vec<Spread> = configs
         .iter()
         .map(|c| {
@@ -209,10 +216,14 @@ fn main() {
     let worker_rows: Vec<String> = workers
         .iter()
         .zip(worker_t)
-        .map(|(w, t)| {
+        .map(|(&w, t)| {
             let speedup = speedup_field("speedup_vs_serial", &serial_t, t);
+            let tasks = engine.image_tasks(&batch, w);
             let w = w.resolve();
-            format!("    {{\"workers\": {w}, \"batch\": {}{speedup}}}", t.json())
+            format!(
+                "    {{\"workers\": {w}, \"tasks\": {tasks}, \"batch\": {}{speedup}}}",
+                t.json()
+            )
         })
         .collect();
     let tiles = engine.compiled().tiles();

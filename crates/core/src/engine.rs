@@ -62,7 +62,10 @@ pub struct EngineConfig {
     pub cosine: CosineMode,
     /// Norm quantization (8-bit minifloat by default).
     pub norm: NormMode,
-    /// Worker parallelism for patch hashing and batched inference.
+    /// The most pool tasks a split of the batch (or of a layer's patch
+    /// rows) may use. Each split takes one task per `MIN_TASK_MACS`
+    /// multiply-adds of projection, up to this bound, so small jobs run
+    /// on the calling thread whatever the setting.
     ///
     /// Any setting produces **bit-identical** outputs — parallelism only
     /// changes wall clock (see `tests/parallel_equivalence.rs`). The
@@ -242,7 +245,7 @@ struct Walk<'a> {
     cfg: &'a EngineConfig,
     /// One derived tile per dot layer, indexed by traversal index.
     tiles: &'a [RuntimeTile],
-    /// Workers for patch hashing inside a dot step.
+    /// The most tasks a dot step splits its patch rows into.
     dot_workers: usize,
     datapath: Datapath,
 }
@@ -325,11 +328,13 @@ impl DeepCamEngine {
 
     /// Runs inference on an NCHW batch, returning logits `[N, classes]`.
     ///
-    /// The batch is split into contiguous image chunks, one per worker
-    /// of the configured [`Parallelism`], and the logits are reassembled
-    /// in input order. A single image runs on the calling thread with its
-    /// patch hashing sharded across the workers inside each layer; a
-    /// single worker runs everything on the calling thread.
+    /// The batch is split into contiguous image chunks, one per
+    /// `MIN_TASK_MACS` multiply-adds of projection, at most one per worker
+    /// of the configured [`Parallelism`] (see
+    /// [`DeepCamEngine::image_tasks`]), and the logits are reassembled in
+    /// input order. A batch too small to split runs on the calling
+    /// thread, where each dot layer splits its patch rows by the same
+    /// rule; a single worker runs everything on the calling thread.
     ///
     /// **Bit-exactness guarantee:** the logits are the same for every
     /// worker count and every batch composition: image `i`'s logits equal
@@ -422,30 +427,57 @@ impl DeepCamEngine {
     /// Each range of `ranges` is copied out as a standalone image chunk,
     /// run through the full pipeline and reduced by `finish`; results
     /// come back in range order (a deterministic reduction regardless of
-    /// which worker finishes first). The worker budget left over when there are fewer
-    /// chunks than workers goes to per-layer patch hashing inside each
-    /// chunk (either nesting is bit-exact — parallelism never changes
-    /// values). With one chunk or one worker the chunks run on the
-    /// calling thread, so `Parallelism::Serial` callers are genuinely
-    /// single-threaded, and no range at all yields no result.
+    /// which worker finishes first). The ranges go to
+    /// [`DeepCamEngine::image_tasks`] pool tasks in contiguous groups; one
+    /// group runs on the calling thread, so small jobs and
+    /// `Parallelism::Serial` callers never touch the pool. Inside each
+    /// chunk every dot layer splits its patch rows by the same rule, up
+    /// to the workers the groups leave idle (either nesting is bit-exact
+    /// — parallelism never changes values), and no range at all yields
+    /// no result.
     fn fan_out<R: Send>(
         &self,
         images: &Tensor,
         ranges: &[std::ops::Range<usize>],
-        workers: usize,
+        parallelism: Parallelism,
         finish: impl Fn(&std::ops::Range<usize>, Tensor) -> R + Sync,
     ) -> Vec<Result<R>> {
-        let inner_workers = (workers / ranges.len().max(1)).max(1);
+        let groups = split_ranges(ranges.len(), self.image_tasks(images, parallelism));
+        // Only the workers the groups leave idle split a chunk's rows:
+        // more tasks than workers at once just take turns on the CPUs.
+        let dot_workers = (parallelism.resolve() / groups.len().max(1)).max(1);
         let run_one = |r: &std::ops::Range<usize>| -> Result<R> {
             let chunk = self.image_chunk(images, r.start, r.end)?;
-            let logits = self.run_walk(&chunk, inner_workers, Datapath::Fast)?;
+            let logits = self.run_walk(&chunk, dot_workers, Datapath::Fast)?;
             Ok(finish(r, logits))
         };
-        if workers <= 1 || ranges.len() <= 1 {
-            ranges.iter().map(run_one).collect()
-        } else {
-            ThreadPool::global().run_indexed(ranges.len(), |ci| run_one(&ranges[ci]))
+        if groups.len() <= 1 {
+            return ranges.iter().map(run_one).collect();
         }
+        ThreadPool::global()
+            .run_indexed(groups.len(), |gi| {
+                ranges[groups[gi].clone()]
+                    .iter()
+                    .map(run_one)
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// How many image tasks [`DeepCamEngine::infer_batch_with`] and
+    /// [`DeepCamEngine::evaluate_with`] split `batch` into under
+    /// `parallelism`: one per `MIN_TASK_MACS` multiply-adds of the batch's
+    /// projection (images × `Σ p·n·k` over the dot layers, each conv's
+    /// `p` traced from the batch's own height and width), at least one
+    /// and at most the workers or the images. 1 means the batch runs on
+    /// the calling thread.
+    pub fn image_tasks(&self, batch: &Tensor, parallelism: Parallelism) -> usize {
+        let mut hw = batch.shape().as_nchw().map(|(_, _, h, w)| (h, w));
+        let images = batch.shape().dim(0);
+        let macs = images * image_macs(&self.compiled.steps, &mut hw);
+        tasks(macs, parallelism.resolve()).min(images.max(1))
     }
 
     /// Concatenates per-chunk logits back into one `[n, classes]` tensor
@@ -472,19 +504,20 @@ impl DeepCamEngine {
     }
 
     /// [`DeepCamEngine::infer`] with an explicit parallelism override
-    /// (the compiled engine is reusable across worker counts).
+    /// (the compiled engine is reusable across worker counts): the batch
+    /// splits into [`DeepCamEngine::image_tasks`] contiguous chunks, and
+    /// `parallelism` bounds the tasks of every split.
     ///
     /// # Errors
     ///
     /// Propagates tensor shape errors (batch/model mismatch).
     pub fn infer_batch_with(&self, batch: &Tensor, parallelism: Parallelism) -> Result<Tensor> {
         let n = batch.shape().dim(0);
-        let workers = parallelism.resolve();
-        if workers.min(n.max(1)) <= 1 {
-            return self.run_walk(batch, workers, Datapath::Fast);
+        let ranges = split_ranges(n, self.image_tasks(batch, parallelism));
+        if ranges.len() <= 1 {
+            return self.run_walk(batch, parallelism.resolve(), Datapath::Fast);
         }
-        let ranges = split_ranges(n, workers);
-        let chunks = self.fan_out(batch, &ranges, workers, |_, logits| logits);
+        let chunks = self.fan_out(batch, &ranges, parallelism, |_, logits| logits);
         Self::concat_logits(n, chunks)
     }
 
@@ -608,7 +641,7 @@ impl DeepCamEngine {
         let ranges: Vec<std::ops::Range<usize>> = (0..n.div_ceil(batch_size))
             .map(|bi| bi * batch_size..(bi * batch_size + batch_size).min(n))
             .collect();
-        let counts = self.fan_out(images, &ranges, parallelism.resolve(), |r, logits| {
+        let counts = self.fan_out(images, &ranges, parallelism, |r, logits| {
             Self::count_correct(&logits, &labels[r.start..r.end])
         });
         let mut correct = 0usize;
@@ -851,6 +884,80 @@ fn calibrate_steps(steps: &mut [CompiledStep], x: Tensor, walk: &Walk<'_>) -> Re
     Ok(cur)
 }
 
+/// The projection multiply-adds one pool task must carry before a split
+/// pays for its hand-off (2²⁵ ≈ 33.5 M, about 0.6 ms of projection).
+///
+/// A hand-off costs 12–23 µs of CPU on a 2-vCPU AVX-512 Xeon, and the
+/// woken worker starts more than 20 µs late. A 2-way split of `Fixed(2)`
+/// `infer_batch_with` against the serial pass on that host, with the
+/// work per task as the column (medians of 30–80 interleaved rounds in
+/// one process, three sweeps, logits identical; the ranges are the
+/// sweeps' spread on a shared host):
+///
+/// | work per task | job | CPU overhead | wall gain |
+/// |---|---|---|---|
+/// | 4.5 M | 1 LeNet5 image (rows) | +15 to +31% | −6 to +20% |
+/// | 9.0 M | 2 LeNet5 images | +24 to +34% | +12 to +20% |
+/// | 11.8 M | 1 VGG11 image (rows) | +18 to +27% | +11 to +19% |
+/// | 18 M | 4 LeNet5 images | +7 to +18% | +26 to +39% |
+/// | 24–27 M | 2 VGG11, 6 LeNet5 images | +4 to +13% | +34 to +44% |
+/// | 35–54 M | 3–4 VGG11, 8–12 LeNet5 images | +5 to +38% | +12 to +43% |
+/// | 71–108 M | 6–8 VGG11, 16–24 LeNet5 images | −2 to +36% | +11 to +49% |
+/// | 189 M | 16 VGG11 images | +4% | +45% |
+///
+/// Below about 16 M a split buys at most a fifth of the wall time for a
+/// quarter or more extra CPU; from about 24 M it buys a third or more.
+/// 32 M keeps a margin over that knee. On the repo benchmark's
+/// `serve-lenet5-poisson` (micro-batches of 1.8 LeNet5 images on
+/// average) 16, 32 and 64 M all read 11–18% less CPU per image than
+/// splitting every batch, inside each other's spread over four seeds, so
+/// the knee, not that workload, sets the value.
+const MIN_TASK_MACS: usize = 32 << 20;
+
+/// How many tasks `macs` multiply-adds split into: one per whole
+/// [`MIN_TASK_MACS`], at least one and at most `workers`. The image
+/// fan-out and the patch-row split of every dot layer both take this
+/// rule, so a job too small to pay for the hand-off stays on the
+/// calling thread.
+fn tasks(macs: usize, workers: usize) -> usize {
+    (macs / MIN_TASK_MACS).clamp(1, workers.max(1))
+}
+
+/// Projection multiply-adds of one image through `steps`: `Σ p·n·k` over
+/// the dot layers. Each conv's `p` is traced from `hw`, the height and
+/// width the step sees (as `run_dot` does), so an IR lowered without an
+/// input shape is sized too. A window that does not fit ends the trace
+/// (`None`): the pass itself rejects such an input.
+fn image_macs(steps: &[CompiledStep], hw: &mut Option<(usize, usize)>) -> usize {
+    let mut macs = 0;
+    for step in steps {
+        match step {
+            CompiledStep::Conv { cfg, tile, .. } => {
+                let (pad, valid) = (2 * cfg.padding, cfg.validate().is_ok());
+                *hw = hw
+                    .filter(|&(h, w)| valid && h + pad >= cfg.kernel_h && w + pad >= cfg.kernel_w)
+                    .map(|(h, w)| cfg.output_hw(h, w));
+                macs += hw.map_or(0, |(h, w)| h * w) * tile.n * tile.k;
+            }
+            CompiledStep::Linear { tile, .. } => macs += tile.n * tile.k,
+            CompiledStep::MaxPool(pool) | CompiledStep::AvgPool(pool) => {
+                *hw = hw
+                    .filter(|&(h, w)| pool.validate(h, w).is_ok())
+                    .map(|(h, w)| pool.output_hw(h, w));
+            }
+            CompiledStep::Residual { body, shortcut } => {
+                let mut branch = *hw;
+                macs += image_macs(body, hw);
+                macs += shortcut
+                    .as_deref()
+                    .map_or(0, |s| image_macs(s, &mut branch));
+            }
+            CompiledStep::Bn { .. } | CompiledStep::Relu | CompiledStep::Flatten => {}
+        }
+    }
+    macs
+}
+
 /// Patch rows per blocked sub-block: the projected activations stay
 /// cache-resident between the projection that produces them and the
 /// sign/Hamming stage that consumes them (64 rows × k floats ≈ 64 KB at
@@ -873,7 +980,9 @@ struct DotStep<'a> {
 /// Hamming distance, plus the bias, written straight into the
 /// `[N, M, P]` output it returns.
 ///
-/// `workers` shards the row range across the pool. Each worker owns the
+/// The rows split into [`tasks`] contiguous ranges of at most `workers`,
+/// sized by the layer's `rows·n·k` multiply-adds; more than one range
+/// runs on the pool. Each range owns the
 /// disjoint segments of every `(image, channel)` plane its rows cover,
 /// split off the output with `split_at_mut`. Every output element is
 /// computed by the identical pipeline regardless of sharding, so results
@@ -884,7 +993,7 @@ struct DotStep<'a> {
 fn dot_rows(step: &DotStep<'_>, workers: usize, rec: Option<&mut DotRecord>) -> Vec<f32> {
     let (r, m) = (step.src.len(), step.ct.kernels());
     let mut out = vec![0.0f32; r * m];
-    let ranges = split_ranges(r, workers);
+    let ranges = split_ranges(r, tasks(r * step.ct.n * step.ct.k, workers));
     let mut shares = plane_segments(&mut out, m, step.p, &ranges);
     let mut parts = vec![DotRecord::default(); if rec.is_some() { ranges.len() } else { 0 }];
     let run = |rows: &std::ops::Range<usize>, segs: &mut [&mut [f32]], part| match part {
@@ -908,6 +1017,7 @@ fn dot_rows(step: &DotStep<'_>, workers: usize, rec: Option<&mut DotRecord>) -> 
     // The segments borrow `out`; release them before handing it back.
     drop(shares);
     if let Some(rec) = rec {
+        rec.tasks = ranges.len();
         for part in &parts {
             rec.absorb(part);
         }
@@ -1051,6 +1161,74 @@ mod tests {
     fn tiny_batch(n: usize) -> Tensor {
         let mut rng = seeded_rng(5);
         deepcam_tensor::init::normal(&mut rng, Shape::new(&[n, 1, 28, 28]), 0.0, 1.0)
+    }
+
+    /// The smallest LeNet5 batch whose image fan-out takes `workers`
+    /// tasks, so a sweep up to `workers` compares real splits.
+    fn split_batch(engine: &DeepCamEngine, workers: usize) -> Tensor {
+        let per_image = image_macs(&engine.compiled.steps, &mut Some((28, 28)));
+        let x = tiny_batch((workers * MIN_TASK_MACS).div_ceil(per_image));
+        assert_eq!(engine.image_tasks(&x, Parallelism::Fixed(workers)), workers);
+        x
+    }
+
+    #[test]
+    fn tasks_split_only_whole_task_loads() {
+        assert_eq!(tasks(0, 4), 1, "no work still runs once");
+        for w in [2usize, 3, 4] {
+            assert_eq!(
+                tasks(w * MIN_TASK_MACS - 1, w),
+                w - 1,
+                "just below {w} loads"
+            );
+            assert_eq!(tasks(w * MIN_TASK_MACS, w), w, "{w} whole loads");
+        }
+        assert_eq!(tasks(MIN_TASK_MACS - 1, 8), 1);
+        assert_eq!(tasks(100 * MIN_TASK_MACS, 3), 3, "capped at the workers");
+        assert_eq!(tasks(100 * MIN_TASK_MACS, 0), 1, "0 workers behave like 1");
+    }
+
+    #[test]
+    fn an_ir_without_input_shape_is_sized_from_the_batch() {
+        let mut model = scaled_lenet5(&mut seeded_rng(24), 10);
+        let cfg = EngineConfig {
+            plan: HashPlan::Uniform(256),
+            parallelism: Parallelism::Serial,
+            ..EngineConfig::default()
+        };
+        let declared = DeepCamEngine::compile(&model, cfg.clone()).unwrap();
+        model.input = None;
+        let shapeless = DeepCamEngine::compile(&model, cfg).unwrap();
+        assert!(
+            !shapeless.compiled.ir.has_static_shapes(),
+            "p = 0 in the IR"
+        );
+        // The trace from the batch reads the declared IR's Σ p·n·k.
+        let ir_macs: usize = declared
+            .compiled
+            .ir
+            .dots
+            .iter()
+            .zip(declared.compiled.tiles())
+            .map(|(d, t)| d.shape.p * d.shape.n * t.k)
+            .sum();
+        let trace = |e: &DeepCamEngine| image_macs(&e.compiled.steps, &mut Some((28, 28)));
+        assert_eq!(trace(&declared), ir_macs);
+        assert_eq!(trace(&shapeless), ir_macs);
+        let x = split_batch(&declared, 4);
+        assert_eq!(shapeless.image_tasks(&x, Parallelism::Fixed(4)), 4);
+        let serial = shapeless.infer(&x).unwrap();
+        let split = shapeless
+            .infer_batch_with(&x, Parallelism::Fixed(4))
+            .unwrap();
+        assert_eq!(serial.data(), split.data());
+        // A window that does not fit ends the trace instead of panicking;
+        // the pass itself reports the misshapen input.
+        let tiny = Tensor::zeros(Shape::new(&[64, 1, 2, 2]));
+        assert_eq!(shapeless.image_tasks(&tiny, Parallelism::Fixed(4)), 1);
+        assert!(shapeless
+            .infer_batch_with(&tiny, Parallelism::Fixed(4))
+            .is_err());
     }
 
     #[test]
@@ -1371,8 +1549,11 @@ mod tests {
                 assert_eq!(rec.datapath, Datapath::Fast);
                 assert_eq!(rec.steps.len(), engine.compiled.steps.len(), "{what}");
                 assert_eq!(rec.dots.len(), engine.dot_layers(), "{what}");
+                let tiles = engine.compiled.tiles();
                 for (i, dot) in rec.dots.iter().enumerate() {
                     assert_eq!(dot.layer, i, "{what}: traversal order");
+                    let macs = dot.rows * tiles[i].n * tiles[i].k;
+                    assert_eq!(dot.tasks, tasks(macs, parallelism.resolve()), "{what}");
                     assert!(dot.sub_blocks >= dot.rows.div_ceil(SUB_ROWS), "{what}");
                     if parallelism == Parallelism::Serial {
                         assert_eq!(dot.sub_blocks, dot.rows.div_ceil(SUB_ROWS), "{what}");
@@ -1525,12 +1706,13 @@ mod tests {
             },
         )
         .unwrap();
-        let x = tiny_batch(5); // odd count: uneven worker chunks
+        // 8 tasks' worth of images: 3 workers get uneven chunks.
+        let x = split_batch(&engine, 8);
         let serial = serial_engine.infer(&x).unwrap();
         for workers in [1usize, 2, 3, 8] {
-            let par = engine
-                .infer_batch_with(&x, Parallelism::Fixed(workers))
-                .unwrap();
+            let par = Parallelism::Fixed(workers);
+            assert_eq!(engine.image_tasks(&x, par), workers);
+            let par = engine.infer_batch_with(&x, par).unwrap();
             assert_eq!(serial.data(), par.data(), "workers {workers}");
             assert_eq!(serial.shape(), par.shape());
         }
@@ -1552,14 +1734,16 @@ mod tests {
             DeepCamEngine::compile(&model, cfg).unwrap()
         };
         let engine = engine_at(Parallelism::Serial);
-        let x = tiny_batch(5);
+        let x = split_batch(&engine, 4);
         let mut serial: Vec<f32> = Vec::new();
-        for i in 0..5 {
+        for i in 0..x.shape().dim(0) {
             let one = engine.image_chunk(&x, i, i + 1).unwrap();
             serial.extend_from_slice(engine.infer(&one).unwrap().data());
         }
         for workers in [1usize, 2, 4] {
-            let coalesced = engine_at(Parallelism::Fixed(workers)).infer(&x).unwrap();
+            let engine = engine_at(Parallelism::Fixed(workers));
+            assert_eq!(engine.image_tasks(&x, engine.config().parallelism), workers);
+            let coalesced = engine.infer(&x).unwrap();
             assert_eq!(serial.as_slice(), coalesced.data(), "workers {workers}");
         }
     }
@@ -1576,7 +1760,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let engine = DeepCamEngine::compile(&model, cfg).unwrap();
-        let x = tiny_batch(4);
+        let x = split_batch(&engine, 4);
         let serial = engine.infer_batch_with(&x, Parallelism::Serial).unwrap();
         let par = engine.infer_batch_with(&x, Parallelism::Fixed(4)).unwrap();
         assert_eq!(serial.data(), par.data());

@@ -63,14 +63,19 @@ impl Recording {
 /// One dot layer of a recorded pass.
 ///
 /// Phases and counters are zero on the reference datapath, which has no
-/// sub-blocks (all but `nonzero_macs`). When the layer's rows are sharded across workers, each
-/// phase is summed over the workers, so the phases may exceed `wall`.
+/// sub-blocks (all but `nonzero_macs`). A layer whose `rows·n·k`
+/// multiply-adds outweigh the pool hand-off splits its rows into `tasks`
+/// ranges on the pool; each phase is then summed over the tasks, so the
+/// phases may exceed `wall`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DotRecord {
     /// Dot-layer traversal index.
     pub layer: usize,
     /// Patch rows hashed (images × output positions).
     pub rows: usize,
+    /// Row ranges the fast path split the layer into: 1 on the calling
+    /// thread, more on the pool (0 on the reference datapath).
+    pub tasks: usize,
     /// Wall time of the whole dot step.
     pub wall: Duration,
     /// Fused-tile projection (the rows' bases, the patch norms and the

@@ -47,7 +47,7 @@ pub mod packed;
 pub mod projection;
 pub mod stats;
 
-pub use bitvec::{low_mask, tail_garbage_mask, BitVec};
+pub use bitvec::BitVec;
 pub use context::{Context, ContextGenerator, ContextSet};
 pub use error::HashError;
 pub use geometric::GeometricDot;

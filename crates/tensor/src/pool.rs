@@ -52,7 +52,10 @@ use std::time::Duration;
 /// ([`Parallelism::Auto`]): set `DEEPCAM_WORKERS=4` to pin four workers.
 pub const WORKERS_ENV: &str = "DEEPCAM_WORKERS";
 
-/// How much parallelism a component should use.
+/// The most workers a component may split one job across: an upper
+/// bound on its pool tasks, not a promise to use them all. The engine
+/// takes fewer tasks when a job is too small to pay for the hand-off
+/// (see `DeepCamEngine::image_tasks` in `deepcam-core`).
 ///
 /// This is the single knob threaded through `EngineConfig`, the sharded
 /// tensor ops and the experiment binaries. Whatever it resolves to, the
@@ -62,10 +65,10 @@ pub const WORKERS_ENV: &str = "DEEPCAM_WORKERS";
 pub enum Parallelism {
     /// Run strictly on the calling thread.
     Serial,
-    /// Use exactly this many workers (values of 0 behave like 1).
+    /// Use at most this many workers (values of 0 behave like 1).
     Fixed(usize),
-    /// Use `DEEPCAM_WORKERS` if set (and a positive integer), otherwise
-    /// all available cores.
+    /// At most `DEEPCAM_WORKERS` if set (and a positive integer),
+    /// otherwise all available cores.
     #[default]
     Auto,
 }

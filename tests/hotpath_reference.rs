@@ -9,6 +9,8 @@
 //! hot path be rebuilt for throughput without moving a single output
 //! bit.
 
+mod common;
+
 use deepcam::accel::{passes, CompiledModel, Datapath, DeepCamEngine, EngineConfig, HashPlan};
 use deepcam::hash::geometric::{CosineMode, NormMode};
 use deepcam::models::scaled::{scaled_lenet5, scaled_resnet18, scaled_vgg11};
@@ -132,18 +134,35 @@ fn every_detected_simd_variant_matches_reference() {
     let _ = force_variant(initial);
 }
 
+/// A batch size at which the largest dot layer of `engine` splits its
+/// patch rows `workers` ways: the image fan-out's size for `workers`
+/// tasks, scaled by the whole pass's multiply-adds over that layer's
+/// (`rows·n·k`, both per image, from a one-image recording).
+fn row_split_images(engine: &DeepCamEngine, image: &[usize], workers: usize) -> usize {
+    let one = Tensor::zeros(Shape::new(&[1, image[0], image[1], image[2]]));
+    let (_, rec) = engine
+        .infer_recorded(&one, Datapath::Fast)
+        .expect("recorded succeeds");
+    let tiles = engine.compiled().tiles();
+    let layer_macs: Vec<usize> = rec
+        .dots
+        .iter()
+        .map(|d| d.rows * tiles[d.layer].n * tiles[d.layer].k)
+        .collect();
+    let (total, largest) = (layer_macs.iter().sum::<usize>(), layer_macs.iter().max());
+    (common::fan_out_images(engine, image, workers) * total).div_ceil(*largest.expect("dot layers"))
+}
+
 #[test]
 fn sharded_fast_path_matches_serial_reference() {
     // Both axes at once: the reference (serial) pins the values, the
-    // fast path must hit them at every worker count. The worker row
+    // fast path must hit them at every worker count. Each batch is just
+    // big enough for the largest worker count to split both the image
+    // fan-out and the largest layer's rows that many ways. The row
     // ranges and 64-row sub-blocks cut the output planes in different
-    // places per model: LeNet5 (P = 784 and 100) splits mid-image, and
-    // VGG11's 4×4 layer (P = 16) puts an image and part of the next
+    // places per model: LeNet5's first layer (P = 784) splits mid-image,
+    // and VGG11's 4×4 layer (P = 16) puts an image and part of the next
     // into one sub-block.
-    let mut rng = seeded_rng(310);
-    let lenet = scaled_lenet5(&mut rng, 10);
-    let mut data_rng = seeded_rng(311);
-    let lenet_x = init::normal(&mut data_rng, Shape::new(&[3, 1, 28, 28]), 0.0, 1.0);
     let compile = |model: &Cnn, parallelism: Parallelism, passed: bool| {
         let cfg = EngineConfig {
             plan: HashPlan::Uniform(256),
@@ -156,26 +175,44 @@ fn sharded_fast_path_matches_serial_reference() {
         }
         DeepCamEngine::from_compiled(compiled).expect("engine builds")
     };
+    let lenet = scaled_lenet5(&mut seeded_rng(310), 10);
     let vgg = scaled_vgg11(&mut seeded_rng(314), 4, 10);
-    let vgg_x = init::normal(&mut seeded_rng(315), Shape::new(&[3, 3, 32, 32]), 0.0, 1.0);
-    let cases: [(&str, &Cnn, &Tensor, bool, &[usize]); 2] = [
-        ("lenet5", &lenet, &lenet_x, false, &[1, 2, 5]),
-        ("vgg11 (default passes)", &vgg, &vgg_x, true, &[2, 3]),
+    let cases = [
+        ("lenet5", &lenet, 311, [1, 28, 28], false, &[1, 2, 5][..]),
+        (
+            "vgg11 (default passes)",
+            &vgg,
+            315,
+            [3, 32, 32],
+            true,
+            &[2, 3],
+        ),
     ];
-    for (label, model, x, passed, workers) in cases {
+    for (label, model, data_seed, image, passed, workers) in cases {
+        let most = *workers.iter().max().expect("a worker count");
+        let n = row_split_images(
+            &compile(model, Parallelism::Fixed(most), passed),
+            &image,
+            most,
+        );
+        let shape = Shape::new(&[n, image[0], image[1], image[2]]);
+        let x = &init::normal(&mut seeded_rng(data_seed), shape, 0.0, 1.0);
         let reference = compile(model, Parallelism::Serial, passed)
             .infer_reference(x)
             .expect("reference succeeds");
         for &workers in workers {
             let engine = compile(model, Parallelism::Fixed(workers), passed);
+            assert_eq!(engine.image_tasks(x, engine.config().parallelism), workers);
             let fast = engine.infer(x).expect("fast succeeds");
             assert_eq!(fast.data(), reference.data(), "{label}, workers {workers}");
             // `infer` fans whole images out to the workers; the recorded
-            // pass (like BN calibration) shards each layer's rows over
+            // pass (like BN calibration) splits each layer's rows over
             // the whole batch, which is where the cuts above fall.
-            let (recorded, _) = engine
+            let (recorded, rec) = engine
                 .infer_recorded(x, Datapath::Fast)
                 .expect("recorded succeeds");
+            let split = rec.dots.iter().map(|d| d.tasks).max();
+            assert_eq!(split, Some(workers), "{label}, workers {workers}");
             assert_eq!(
                 recorded.data(),
                 reference.data(),

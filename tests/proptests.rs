@@ -1,6 +1,8 @@
 //! Cross-crate property-based tests (proptest) on the reproduction's
 //! core invariants.
 
+mod common;
+
 use deepcam::accel::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam::cam::{CamArray, CamConfig, SenseModel};
 use deepcam::hash::geometric::{CosineMode, NormMode};
@@ -237,7 +239,7 @@ proptest! {
     fn worker_count_never_changes_evaluate_accuracy(
         workers in 1usize..9,
         batch_size in 1usize..8,
-        n_images in 1usize..9,
+        extra_images in 0usize..8,
         model_seed in 0u64..20,
         data_seed in 0u64..50,
     ) {
@@ -251,13 +253,19 @@ proptest! {
             },
         )
         .unwrap();
+        // Enough images for the fan-out to take `workers` tasks; the
+        // model declares no input shape, so the split is sized from the
+        // batch.
+        let n_images = common::fan_out_images(&engine, &[1, 8, 8], workers) + extra_images;
         let mut rng = deepcam::tensor::rng::seeded_rng(data_seed);
         let x = deepcam::tensor::init::normal(
             &mut rng, Shape::new(&[n_images, 1, 8, 8]), 0.0, 1.0);
         let labels: Vec<usize> = (0..n_images).map(|i| (i * 7 + data_seed as usize) % 4).collect();
         let reference = engine.evaluate(&x, &labels, batch_size).unwrap();
+        let parallelism = Parallelism::Fixed(workers);
+        prop_assert_eq!(engine.image_tasks(&x, parallelism), workers);
         let parallel = engine
-            .evaluate_with(&x, &labels, batch_size, Parallelism::Fixed(workers))
+            .evaluate_with(&x, &labels, batch_size, parallelism)
             .unwrap();
         // Exact equality — thread count must never move accuracy, even
         // with remainder mini-batches.
