@@ -150,9 +150,6 @@ impl Config {
                         // baseline; its tuned bindings come from
                         // `tune_joint`, which reuses the tuner's.
                         ("crates/bench/src/bin/compiler.rs", 1),
-                        // The open-loop sweep stands up a real server
-                        // per connection count.
-                        ("crates/bench/src/bin/serve_throughput.rs", 1),
                     ],
                 },
             ],

@@ -4,9 +4,9 @@
 //! latency percentiles into `BENCH_serve.json`.
 //!
 //! Usage: `cargo run --release -p deepcam-bench --bin serve_throughput
-//! [--out PATH] [--clients N] [--requests N] [--conns N] [--repeats R]
-//! [--force]` (an unknown flag or a value that is not a count of at least
-//! 1 exits 2 with this usage line).
+//! [--out PATH] [--clients N] [--requests N] [--repeats R] [--force]`
+//! (an unknown flag or a value that is not a count of at least 1 exits 2
+//! with this usage line).
 //!
 //! The sweep runs `max_batch` 1, 4, 8 and 16, less every value above
 //! `--clients`: a closed loop never has more requests in flight than
@@ -32,15 +32,13 @@
 //! Refuses to overwrite a committed JSON recorded on a bigger host
 //! unless `--force` is passed (same guard as the other speedup bins).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use deepcam_bench::guard::{self, BenchArgs, Spread};
 use deepcam_core::{DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
-use deepcam_serve::protocol::Response;
-use deepcam_serve::{ModelRegistry, MuxClient, Runtime, Server, ServerConfig, SessionConfig};
+use deepcam_serve::{ModelRegistry, Runtime, SessionConfig};
 use deepcam_tensor::rng::seeded_rng;
 use deepcam_tensor::{init, Shape};
 
@@ -122,16 +120,6 @@ fn run_config(
     }
 }
 
-struct OpenRow {
-    conns: usize,
-    completed: u64,
-    errors: u64,
-    elapsed_ms: f64,
-    reqs_per_sec: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-}
-
 /// Keeps the run with the median wall time (`wall` of it, in ms) of
 /// `runs`, together with the spread of all of them: every rate is
 /// derived from the median run, so one lucky run cannot set the record.
@@ -141,118 +129,10 @@ fn median_run<T>(mut runs: Vec<T>, wall: fn(&T) -> f64) -> (T, Spread) {
     (runs.swap_remove(runs.len() / 2), spread)
 }
 
-/// Exact percentile over the collected per-request latencies (the
-/// open-loop sweep keeps every sample, so no histogram coarseness).
-fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// One open-loop run over the wire: `conns` protocol-v2 connections,
-/// each holding `window` pipelined requests in flight against a live
-/// TCP server — the sweep keeps `conns · window` constant, so climbing
-/// the connection count measures fan-in scalability at fixed offered
-/// load, not queueing delay. Per-request
-/// latency is measured client-side submit→reply; typed error replies
-/// (overload backpressure) count separately from completions.
-fn run_open_loop(
-    engine: &Arc<DeepCamEngine>,
-    conns: usize,
-    window: usize,
-    requests: usize,
-    images: &[Vec<f32>],
-) -> OpenRow {
-    let registry = Arc::new(ModelRegistry::new());
-    registry.register(
-        "bench",
-        DeepCamEngine::from_compiled(engine.compiled().clone()).unwrap(),
-    );
-    let runtime = Arc::new(Runtime::new(
-        registry,
-        SessionConfig {
-            max_batch: 16,
-            max_wait: Duration::from_micros(500),
-            queue_capacity: 256,
-        },
-    ));
-    let mut server = Server::bind(
-        "127.0.0.1:0",
-        runtime,
-        ServerConfig {
-            max_connections: conns + 8,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bench server binds");
-    let addr = server.local_addr();
-
-    let start = Instant::now();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut completed = 0u64;
-    let mut errors = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..conns)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut mux = MuxClient::connect(addr).expect("open-loop connect");
-                    let mut inflight: HashMap<u64, Instant> = HashMap::new();
-                    let mut lat = Vec::with_capacity(requests);
-                    let mut submitted = 0usize;
-                    let mut done = 0u64;
-                    let mut errs = 0u64;
-                    while submitted < requests || !inflight.is_empty() {
-                        while submitted < requests && inflight.len() < window {
-                            let img = &images[(c * requests + submitted) % images.len()];
-                            let id = mux
-                                .submit_infer("bench", &[1, 28, 28], img)
-                                .expect("open-loop submit");
-                            inflight.insert(id, Instant::now());
-                            submitted += 1;
-                        }
-                        let (id, resp) = mux.recv().expect("open-loop reply");
-                        if let Some(sent) = inflight.remove(&id) {
-                            match resp {
-                                Response::Logits(_) => {
-                                    lat.push(sent.elapsed().as_secs_f64() * 1000.0);
-                                    done += 1;
-                                }
-                                _ => errs += 1,
-                            }
-                        }
-                    }
-                    (lat, done, errs)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (lat, done, errs) = handle.join().expect("open-loop client thread");
-            latencies.extend(lat);
-            completed += done;
-            errors += errs;
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    server.shutdown();
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    OpenRow {
-        conns,
-        completed,
-        errors,
-        elapsed_ms: elapsed * 1e3,
-        reqs_per_sec: completed as f64 / elapsed,
-        p50_ms: percentile_ms(&latencies, 0.50),
-        p99_ms: percentile_ms(&latencies, 0.99),
-    }
-}
-
 fn main() {
     let args = BenchArgs::from_env(
-        "serve_throughput [--out PATH] [--clients N] [--requests N] [--conns N] [--repeats R] \
-         [--force]",
-        &["--clients", "--requests", "--conns"],
+        "serve_throughput [--out PATH] [--clients N] [--requests N] [--repeats R] [--force]",
+        &["--clients", "--requests"],
         &[],
     );
     let out_path = args
@@ -330,67 +210,6 @@ fn main() {
         }
     }
 
-    // Open-loop many-connection sweep over the wire: pipelined
-    // protocol-v2 requests against a live TCP server, from a base
-    // connection count up to 4× that fan-in at the SAME total in-flight
-    // load (window shrinks as connections grow). The headline is the
-    // c10k question: does p99 at 4× the connections hold at
-    // equal-or-better than at the base count? 2048 requests per run put
-    // 20 samples above each p99, and the p99 of every repeat is kept.
-    const OPEN_INFLIGHT: usize = 16;
-    const OPEN_TOTAL: usize = 2048;
-    let base_conns = args.number("--conns").unwrap_or(4);
-    let conn_sweep = [base_conns, base_conns * 4];
-    println!(
-        "\n== Open-loop wire sweep: {OPEN_INFLIGHT} pipelined v2 requests in flight, split over the connections =="
-    );
-    let open_rows: Vec<(OpenRow, Spread, Spread)> = conn_sweep
-        .iter()
-        .map(|&conns| {
-            let window = (OPEN_INFLIGHT / conns).max(1);
-            let requests = (OPEN_TOTAL / conns).max(8);
-            let runs: Vec<OpenRow> = (0..repeats)
-                .map(|_| run_open_loop(&engine, conns, window, requests, &images))
-                .collect();
-            let p99 = Spread::of(runs.iter().map(|r| r.p99_ms).collect());
-            let (row, wall) = median_run(runs, |r| r.elapsed_ms);
-            println!(
-                "{:>4} conns x window {}: {:>8.1} req/s (wall {:.1} ms, {:.1}-{:.1}), \
-                 completed {}, errors {}, p50 {:.2} ms, p99 {:.2} ms ({:.2}-{:.2})",
-                row.conns,
-                window,
-                row.reqs_per_sec,
-                wall.median,
-                wall.min,
-                wall.max,
-                row.completed,
-                row.errors,
-                row.p50_ms,
-                p99.median,
-                p99.min,
-                p99.max
-            );
-            (row, wall, p99)
-        })
-        .collect();
-    let ((base, _, base_p99), (top, _, top_p99)) = (&open_rows[0], &open_rows[1]);
-    // A verdict only where the p99 ranges do not overlap (`perf`'s
-    // speedup rule); `None` when the repeats cannot tell the two apart.
-    let p99_equal_or_better = base_p99.speedup_to(top_p99).map(|ratio| ratio >= 1.0);
-    println!(
-        "{} conns vs {} conns: p99 {:.2} ms vs {:.2} ms ({}), {:.2}x connections",
-        top.conns,
-        base.conns,
-        top_p99.median,
-        base_p99.median,
-        match p99_equal_or_better {
-            Some(true) => "equal-or-better",
-            Some(false) => "worse",
-            None => "ranges overlap",
-        },
-        top.conns as f64 / base.conns as f64
-    );
-
     // Hand-rolled JSON, like the other speedup bins (the vendored serde
     // has no serializer).
     let mut json = String::new();
@@ -422,37 +241,7 @@ fn main() {
             speedup.map_or("null".to_string(), |x| format!("{x:.3}"))
         ));
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"open_loop\": {\n");
-    json.push_str(&format!("    \"total_inflight\": {OPEN_INFLIGHT},\n"));
-    json.push_str(&format!("    \"base_conns\": {base_conns},\n"));
-    json.push_str("    \"protocol\": 2,\n");
-    json.push_str("    \"rows\": [\n");
-    for (i, (row, wall, p99)) in open_rows.iter().enumerate() {
-        let comma = if i + 1 == open_rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "      {{\"conns\": {}, \"completed\": {}, \"errors\": {}, \
-             \"wall_ms\": {}, \"reqs_per_sec\": {:.2}, \"p50_ms\": {:.3}, \
-             \"p99_ms\": {}}}{comma}\n",
-            row.conns,
-            row.completed,
-            row.errors,
-            wall.json(),
-            row.reqs_per_sec,
-            row.p50_ms,
-            p99.json()
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"headline\": {{\"conn_ratio\": {:.1}, \"base_p99_ms\": {}, \
-         \"top_p99_ms\": {}, \"p99_equal_or_better\": {}}}\n",
-        top.conns as f64 / base.conns as f64,
-        base_p99.json(),
-        top_p99.json(),
-        p99_equal_or_better.map_or("null".to_string(), |b| b.to_string())
-    ));
-    json.push_str("  }\n}\n");
+    json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
     println!("wrote {out_path}");
 }

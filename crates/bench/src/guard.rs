@@ -287,7 +287,7 @@ mod tests {
         assert!(parse("--repeat 3")
             .unwrap_err()
             .contains("unknown argument"));
-        assert!(parse("--conns 4").is_err(), "another bin's flag");
+        assert!(parse("--clients 4").is_err(), "another bin's flag");
         assert!(parse("extra").is_err());
         assert!(parse("--images 2 5").is_err());
     }

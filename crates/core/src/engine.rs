@@ -255,6 +255,9 @@ pub struct DeepCamEngine {
     compiled: CompiledModel,
     /// One derived tile per dot layer, indexed by traversal index.
     tiles: Vec<RuntimeTile>,
+    /// Projection multiply-adds of one image: `Σ p·n·k` over the IR's
+    /// dot layers at their bound `k` (sizes [`DeepCamEngine::image_tasks`]).
+    macs_per_image: usize,
 }
 
 impl DeepCamEngine {
@@ -291,7 +294,17 @@ impl DeepCamEngine {
             .into_iter()
             .map(|t| RuntimeTile::derive(t, &compiled.config, &mut luts))
             .collect();
-        Ok(DeepCamEngine { compiled, tiles })
+        // Saturating: a decoded `p` is not bounded by the tiles, and a
+        // hostile one may only change the task count, never panic.
+        let macs_per_image = compiled.ir.dots.iter().fold(0usize, |sum, d| {
+            let k = compiled.binding.k_for(d.index);
+            sum.saturating_add(d.shape.p.saturating_mul(d.shape.n * k))
+        });
+        Ok(DeepCamEngine {
+            compiled,
+            tiles,
+            macs_per_image,
+        })
     }
 
     /// Loads an artifact from disk and builds its runtime — the serving
@@ -326,7 +339,9 @@ impl DeepCamEngine {
         &self.compiled.config
     }
 
-    /// Runs inference on an NCHW batch, returning logits `[N, classes]`.
+    /// Runs inference on an NCHW batch, returning the model's output
+    /// with the batch as its first axis (logits `[N, classes]` for a
+    /// classifier).
     ///
     /// The batch is split into contiguous image chunks, one per
     /// `MIN_TASK_MACS` multiply-adds of projection, at most one per worker
@@ -366,7 +381,7 @@ impl DeepCamEngine {
     /// Same conditions as [`DeepCamEngine::infer`].
     pub fn infer_reference(&self, batch: &Tensor) -> Result<Tensor> {
         self.run_walk(
-            batch,
+            batch.clone(),
             self.compiled.config.parallelism.resolve(),
             Datapath::Reference,
         )
@@ -402,10 +417,11 @@ impl DeepCamEngine {
     }
 
     /// Runs inference on the calling thread, with `dot_workers` workers
-    /// inside each layer.
-    fn run_walk(&self, batch: &Tensor, dot_workers: usize, datapath: Datapath) -> Result<Tensor> {
+    /// inside each layer. The steps rewrite `batch` in place where they
+    /// can, so it is taken by value.
+    fn run_walk(&self, batch: Tensor, dot_workers: usize, datapath: Datapath) -> Result<Tensor> {
         let walk = self.walk(dot_workers, datapath);
-        let mut cur = batch.clone();
+        let mut cur = batch;
         for step in &self.compiled.steps {
             cur = run_step(step, cur, &walk, None)?;
         }
@@ -448,7 +464,7 @@ impl DeepCamEngine {
         let dot_workers = (parallelism.resolve() / groups.len().max(1)).max(1);
         let run_one = |r: &std::ops::Range<usize>| -> Result<R> {
             let chunk = self.image_chunk(images, r.start, r.end)?;
-            let logits = self.run_walk(&chunk, dot_workers, Datapath::Fast)?;
+            let logits = self.run_walk(chunk, dot_workers, Datapath::Fast)?;
             Ok(finish(r, logits))
         };
         if groups.len() <= 1 {
@@ -469,28 +485,30 @@ impl DeepCamEngine {
     /// How many image tasks [`DeepCamEngine::infer_batch_with`] and
     /// [`DeepCamEngine::evaluate_with`] split `batch` into under
     /// `parallelism`: one per `MIN_TASK_MACS` multiply-adds of the batch's
-    /// projection (images × `Σ p·n·k` over the dot layers, each conv's
-    /// `p` traced from the batch's own height and width), at least one
-    /// and at most the workers or the images. 1 means the batch runs on
-    /// the calling thread.
+    /// projection, at least one and at most the workers or the images.
+    /// The projection is images × `Σ p·n·k` over the compiled IR's dot
+    /// layers at their bound `k`, summed once when the engine is built
+    /// (every `p` is static: models lower from their declared input).
+    /// 1 means the batch runs on the calling thread.
     pub fn image_tasks(&self, batch: &Tensor, parallelism: Parallelism) -> usize {
-        let mut hw = batch.shape().as_nchw().map(|(_, _, h, w)| (h, w));
         let images = batch.shape().dim(0);
-        let macs = images * image_macs(&self.compiled.steps, &mut hw);
+        let macs = images.saturating_mul(self.macs_per_image);
         tasks(macs, parallelism.resolve()).min(images.max(1))
     }
 
-    /// Concatenates per-chunk logits back into one `[n, classes]` tensor
-    /// (the reassembly half of [`DeepCamEngine::fan_out`]).
-    fn concat_logits(n: usize, chunks: Vec<Result<Tensor>>) -> Result<Tensor> {
-        let mut logits: Vec<f32> = Vec::new();
-        let mut classes = 0usize;
+    /// Concatenates per-chunk outputs along the batch axis into one
+    /// `[n, ...]` tensor that keeps the per-image dims (the reassembly
+    /// half of [`DeepCamEngine::fan_out`]).
+    fn concat_outputs(n: usize, chunks: Vec<Result<Tensor>>) -> Result<Tensor> {
+        let mut data: Vec<f32> = Vec::new();
+        let mut dims = vec![n];
         for chunk in chunks {
             let chunk = chunk?;
-            classes = chunk.shape().dim(1);
-            logits.extend_from_slice(chunk.data());
+            dims.truncate(1);
+            dims.extend_from_slice(&chunk.shape().dims()[1..]);
+            data.extend_from_slice(chunk.data());
         }
-        Ok(Tensor::from_vec(logits, Shape::new(&[n, classes]))?)
+        Ok(Tensor::from_vec(data, Shape::new(&dims))?)
     }
 
     /// Alias of [`DeepCamEngine::infer`], which the repo benchmark
@@ -515,10 +533,10 @@ impl DeepCamEngine {
         let n = batch.shape().dim(0);
         let ranges = split_ranges(n, self.image_tasks(batch, parallelism));
         if ranges.len() <= 1 {
-            return self.run_walk(batch, parallelism.resolve(), Datapath::Fast);
+            return self.run_walk(batch.clone(), parallelism.resolve(), Datapath::Fast);
         }
         let chunks = self.fan_out(batch, &ranges, parallelism, |_, logits| logits);
-        Self::concat_logits(n, chunks)
+        Self::concat_outputs(n, chunks)
     }
 
     /// Recalibrates every batch-norm stage's running statistics under the
@@ -923,41 +941,6 @@ fn tasks(macs: usize, workers: usize) -> usize {
     (macs / MIN_TASK_MACS).clamp(1, workers.max(1))
 }
 
-/// Projection multiply-adds of one image through `steps`: `Σ p·n·k` over
-/// the dot layers. Each conv's `p` is traced from `hw`, the height and
-/// width the step sees (as `run_dot` does), so an IR lowered without an
-/// input shape is sized too. A window that does not fit ends the trace
-/// (`None`): the pass itself rejects such an input.
-fn image_macs(steps: &[CompiledStep], hw: &mut Option<(usize, usize)>) -> usize {
-    let mut macs = 0;
-    for step in steps {
-        match step {
-            CompiledStep::Conv { cfg, tile, .. } => {
-                let (pad, valid) = (2 * cfg.padding, cfg.validate().is_ok());
-                *hw = hw
-                    .filter(|&(h, w)| valid && h + pad >= cfg.kernel_h && w + pad >= cfg.kernel_w)
-                    .map(|(h, w)| cfg.output_hw(h, w));
-                macs += hw.map_or(0, |(h, w)| h * w) * tile.n * tile.k;
-            }
-            CompiledStep::Linear { tile, .. } => macs += tile.n * tile.k,
-            CompiledStep::MaxPool(pool) | CompiledStep::AvgPool(pool) => {
-                *hw = hw
-                    .filter(|&(h, w)| pool.validate(h, w).is_ok())
-                    .map(|(h, w)| pool.output_hw(h, w));
-            }
-            CompiledStep::Residual { body, shortcut } => {
-                let mut branch = *hw;
-                macs += image_macs(body, hw);
-                macs += shortcut
-                    .as_deref()
-                    .map_or(0, |s| image_macs(s, &mut branch));
-            }
-            CompiledStep::Bn { .. } | CompiledStep::Relu | CompiledStep::Flatten => {}
-        }
-    }
-    macs
-}
-
 /// Patch rows per blocked sub-block: the projected activations stay
 /// cache-resident between the projection that produces them and the
 /// sign/Hamming stage that consumes them (64 rows × k floats ≈ 64 KB at
@@ -1154,7 +1137,7 @@ fn dot_rows_range<P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcam_models::scaled::{scaled_lenet5, scaled_resnet18};
+    use deepcam_models::scaled::{scaled_lenet5, scaled_resnet18, scaled_vgg11};
     use deepcam_tensor::rng::seeded_rng;
     use deepcam_tensor::Layer;
 
@@ -1166,8 +1149,7 @@ mod tests {
     /// The smallest LeNet5 batch whose image fan-out takes `workers`
     /// tasks, so a sweep up to `workers` compares real splits.
     fn split_batch(engine: &DeepCamEngine, workers: usize) -> Tensor {
-        let per_image = image_macs(&engine.compiled.steps, &mut Some((28, 28)));
-        let x = tiny_batch((workers * MIN_TASK_MACS).div_ceil(per_image));
+        let x = tiny_batch((workers * MIN_TASK_MACS).div_ceil(engine.macs_per_image));
         assert_eq!(engine.image_tasks(&x, Parallelism::Fixed(workers)), workers);
         x
     }
@@ -1189,46 +1171,84 @@ mod tests {
     }
 
     #[test]
-    fn an_ir_without_input_shape_is_sized_from_the_batch() {
-        let mut model = scaled_lenet5(&mut seeded_rng(24), 10);
-        let cfg = EngineConfig {
-            plan: HashPlan::Uniform(256),
-            parallelism: Parallelism::Serial,
-            ..EngineConfig::default()
-        };
-        let declared = DeepCamEngine::compile(&model, cfg.clone()).unwrap();
-        model.input = None;
-        let shapeless = DeepCamEngine::compile(&model, cfg).unwrap();
-        assert!(
-            !shapeless.compiled.ir.has_static_shapes(),
-            "p = 0 in the IR"
-        );
-        // The trace from the batch reads the declared IR's Σ p·n·k.
-        let ir_macs: usize = declared
-            .compiled
-            .ir
-            .dots
-            .iter()
-            .zip(declared.compiled.tiles())
-            .map(|(d, t)| d.shape.p * d.shape.n * t.k)
-            .sum();
-        let trace = |e: &DeepCamEngine| image_macs(&e.compiled.steps, &mut Some((28, 28)));
-        assert_eq!(trace(&declared), ir_macs);
-        assert_eq!(trace(&shapeless), ir_macs);
-        let x = split_batch(&declared, 4);
-        assert_eq!(shapeless.image_tasks(&x, Parallelism::Fixed(4)), 4);
-        let serial = shapeless.infer(&x).unwrap();
-        let split = shapeless
-            .infer_batch_with(&x, Parallelism::Fixed(4))
+    fn image_tasks_follow_the_ir_macs() {
+        // The IR's static `Σ p·n·k` is what one image's pass hashes, and
+        // `image_tasks` sizes every batch from it.
+        let mut rng = seeded_rng(24);
+        for model in [
+            scaled_lenet5(&mut rng, 10),
+            scaled_vgg11(&mut rng, 4, 10),
+            scaled_resnet18(&mut rng, 4, 10),
+        ] {
+            let engine = DeepCamEngine::compile(
+                &model,
+                EngineConfig {
+                    plan: HashPlan::Uniform(512),
+                    parallelism: Parallelism::Serial,
+                    ..EngineConfig::default()
+                },
+            )
             .unwrap();
-        assert_eq!(serial.data(), split.data());
-        // A window that does not fit ends the trace instead of panicking;
-        // the pass itself reports the misshapen input.
-        let tiny = Tensor::zeros(Shape::new(&[64, 1, 2, 2]));
-        assert_eq!(shapeless.image_tasks(&tiny, Parallelism::Fixed(4)), 1);
-        assert!(shapeless
-            .infer_batch_with(&tiny, Parallelism::Fixed(4))
-            .is_err());
+            let ir = &engine.compiled.ir;
+            let ir_macs: usize = ir.dots.iter().map(|d| d.shape.p * d.shape.n * 512).sum();
+            assert_eq!(engine.macs_per_image, ir_macs, "{}", model.name);
+            let (c, h, w) = model.input.unwrap();
+            let one = Tensor::zeros(Shape::new(&[1, c, h, w]));
+            let (_, rec) = engine.infer_recorded(&one, Datapath::Fast).unwrap();
+            let hashed: usize = rec
+                .dots
+                .iter()
+                .map(|d| d.rows * ir.dots[d.layer].shape.n * 512)
+                .sum();
+            assert_eq!(hashed, ir_macs, "{}", model.name);
+            for images in [1usize, 3, 16, 64] {
+                let x = Tensor::zeros(Shape::new(&[images, c, h, w]));
+                for workers in [1usize, 2, 4] {
+                    assert_eq!(
+                        engine.image_tasks(&x, Parallelism::Fixed(workers)),
+                        tasks(images * ir_macs, workers).min(images),
+                        "{} x{images} / {workers}",
+                        model.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_feature_map_output_concatenates_along_the_batch() {
+        // A conv-final model's output is `[N, M, OH, OW]`, not
+        // `[N, classes]`: every worker count must reassemble it whole.
+        use deepcam_models::Block;
+        use deepcam_tensor::layer::{Conv2d, ReLU};
+        let mut rng = seeded_rng(25);
+        let model = Cnn::new(
+            "conv-final",
+            vec![
+                Block::Conv(Conv2d::new(
+                    &mut rng,
+                    Conv2dConfig::new(1, 16, 3).with_padding(1),
+                )),
+                Block::Relu(ReLU::new()),
+            ],
+            16,
+        )
+        .with_input(1, 32, 32);
+        let engine = DeepCamEngine::compile(
+            &model,
+            EngineConfig {
+                plan: HashPlan::Uniform(1024),
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let x = deepcam_tensor::init::normal(&mut rng, Shape::new(&[16, 1, 32, 32]), 0.0, 1.0);
+        assert_eq!(engine.image_tasks(&x, Parallelism::Fixed(2)), 2);
+        let serial = engine.infer_batch_with(&x, Parallelism::Serial).unwrap();
+        let split = engine.infer_batch_with(&x, Parallelism::Fixed(2)).unwrap();
+        assert_eq!(serial.shape(), &Shape::new(&[16, 16, 32, 32]));
+        assert_eq!(split.shape(), serial.shape());
+        assert_eq!(split.data(), serial.data());
     }
 
     #[test]
@@ -1498,7 +1518,8 @@ mod tests {
                 Block::Linear(Linear::new(&mut rng, 8, 4)),
             ],
             4,
-        );
+        )
+        .with_input(2, 2, 2);
         let engine = DeepCamEngine::compile(&model, EngineConfig::default()).unwrap();
         assert!(engine
             .infer(&Tensor::zeros(Shape::new(&[1, 2, 2, 2])))

@@ -61,86 +61,6 @@ impl HashPlan {
         )
     }
 
-    /// The hash length for dot-product layer `layer` (0-based, execution
-    /// order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidPlan`] when a per-layer plan is too
-    /// short for the requested index.
-    pub fn length_for(&self, layer: usize) -> Result<usize> {
-        match self {
-            HashPlan::Uniform(k) => Ok(*k),
-            HashPlan::PerLayer(ks) => ks.get(layer).copied().ok_or_else(|| {
-                CoreError::InvalidPlan(format!(
-                    "plan has {} entries, layer {layer} requested",
-                    ks.len()
-                ))
-            }),
-        }
-    }
-
-    /// Returns `true` when `k` is a CAM-supported hash width — the one
-    /// membership rule shared by [`HashPlan::validate`] and
-    /// [`HashPlan::bind`].
-    fn width_supported(k: usize) -> bool {
-        SUPPORTED_HASH_LENGTHS.contains(&k)
-    }
-
-    /// Validates every length against the CAM-supported set and (for
-    /// per-layer plans) the expected layer count.
-    ///
-    /// Prefer [`HashPlan::bind`] when a lowered [`LayerIr`] is at hand;
-    /// its messages name real layers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidPlan`] with a description of the first
-    /// violation.
-    pub fn validate(&self, expected_layers: usize) -> Result<()> {
-        match self {
-            HashPlan::Uniform(k) => {
-                if !Self::width_supported(*k) {
-                    return Err(CoreError::InvalidPlan(format!(
-                        "uniform hash length {k} not in {SUPPORTED_HASH_LENGTHS:?}"
-                    )));
-                }
-            }
-            HashPlan::PerLayer(ks) => {
-                if ks.len() != expected_layers {
-                    return Err(CoreError::InvalidPlan(format!(
-                        "plan has {} entries for a {expected_layers}-layer model",
-                        ks.len()
-                    )));
-                }
-                for (i, &k) in ks.iter().enumerate() {
-                    if !Self::width_supported(k) {
-                        return Err(CoreError::InvalidPlan(format!(
-                            "hash length {k} at dot layer {i} not in {SUPPORTED_HASH_LENGTHS:?}"
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Mean hash length over `layers` layers (diagnostic; drives the
-    /// headline energy saving).
-    pub fn mean_length(&self, layers: usize) -> f64 {
-        match self {
-            HashPlan::Uniform(k) => *k as f64,
-            HashPlan::PerLayer(ks) => {
-                if ks.is_empty() {
-                    0.0
-                } else {
-                    ks.iter().take(layers.max(1)).sum::<usize>() as f64
-                        / ks.len().min(layers.max(1)) as f64
-                }
-            }
-        }
-    }
-
     /// Short label for figure legends.
     pub fn label(&self) -> String {
         match self {
@@ -164,7 +84,7 @@ impl HashPlan {
         let layers = ir.dots.len();
         let ks: Vec<usize> = match self {
             HashPlan::Uniform(k) => {
-                if !Self::width_supported(*k) {
+                if !SUPPORTED_HASH_LENGTHS.contains(k) {
                     return Err(CoreError::InvalidPlan(format!(
                         "uniform hash length {k} not in {SUPPORTED_HASH_LENGTHS:?}"
                     )));
@@ -180,7 +100,7 @@ impl HashPlan {
                     )));
                 }
                 for (i, &k) in ks.iter().enumerate() {
-                    if !Self::width_supported(k) {
+                    if !SUPPORTED_HASH_LENGTHS.contains(&k) {
                         return Err(CoreError::InvalidPlan(format!(
                             "hash length {k} at dot layer {i} ('{}') not in \
                              {SUPPORTED_HASH_LENGTHS:?}",
@@ -241,11 +161,6 @@ impl PlanBinding {
             self.ks.iter().sum::<usize>() as f64 / self.ks.len() as f64
         }
     }
-
-    /// The binding as an explicit per-layer plan.
-    pub fn to_plan(&self) -> HashPlan {
-        HashPlan::PerLayer(self.ks.clone())
-    }
 }
 
 impl serde::bin::BinCodec for HashPlan {
@@ -291,24 +206,24 @@ mod tests {
 
     #[test]
     fn uniform_lengths() {
-        let p = HashPlan::Uniform(512);
-        assert_eq!(p.length_for(0).unwrap(), 512);
-        assert_eq!(p.length_for(99).unwrap(), 512);
-        assert!(p.validate(5).is_ok());
+        let b = HashPlan::Uniform(512).bind(&toy_ir(&["a"; 5])).unwrap();
+        assert_eq!(b.ks(), &[512; 5]);
+        assert_eq!(b.k_for(4), 512);
     }
 
     #[test]
     fn unsupported_length_rejected() {
-        assert!(HashPlan::Uniform(300).validate(3).is_err());
-        assert!(HashPlan::PerLayer(vec![256, 300]).validate(2).is_err());
+        let ir = toy_ir(&["a", "b", "c"]);
+        assert!(HashPlan::Uniform(300).bind(&ir).is_err());
+        assert!(HashPlan::PerLayer(vec![256, 300, 512]).bind(&ir).is_err());
     }
 
     #[test]
     fn per_layer_count_checked() {
         let p = HashPlan::PerLayer(vec![256, 512]);
-        assert!(p.validate(3).is_err());
-        assert!(p.validate(2).is_ok());
-        assert!(p.length_for(2).is_err());
+        assert!(p.bind(&toy_ir(&["a", "b", "c"])).is_err());
+        assert!(p.bind(&toy_ir(&["a"])).is_err());
+        assert_eq!(p.bind(&toy_ir(&["a", "b"])).unwrap().ks(), &[256, 512]);
     }
 
     #[test]
@@ -322,9 +237,17 @@ mod tests {
 
     #[test]
     fn mean_length() {
-        assert_eq!(HashPlan::Uniform(256).mean_length(4), 256.0);
-        let p = HashPlan::PerLayer(vec![256, 768]);
-        assert_eq!(p.mean_length(2), 512.0);
+        let ir = toy_ir(&["a", "b"]);
+        let mean = |p: HashPlan| p.bind(&ir).unwrap().mean_length();
+        assert_eq!(mean(HashPlan::Uniform(256)), 256.0);
+        assert_eq!(mean(HashPlan::PerLayer(vec![256, 768])), 512.0);
+        assert_eq!(
+            HashPlan::Uniform(256)
+                .bind(&toy_ir(&[]))
+                .unwrap()
+                .mean_length(),
+            0.0
+        );
     }
 
     #[test]
@@ -367,7 +290,6 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
         assert_eq!(b.mean_length(), 512.0);
-        assert_eq!(b.to_plan(), HashPlan::PerLayer(vec![512, 512]));
         let v = HashPlan::PerLayer(vec![256, 1024]).bind(&ir).unwrap();
         assert_eq!(v.mean_length(), 640.0);
     }

@@ -62,10 +62,9 @@ pub struct DotIr {
     pub kind: DotKind,
     /// CAM-mapping shape: name, `P`, `M`, `n`, unique input elements.
     ///
-    /// When lowered from a [`Cnn`] whose [`Cnn::input`] is unset, the
-    /// spatially-dependent quantities (`p`, `input_elems`) are 0 — the
-    /// functional engine never needs them; the analytic scheduler
-    /// rejects such an IR.
+    /// Every lowering fixes these statically (a [`Cnn`] from its declared
+    /// [`Cnn::input`]), so `p ≥ 1` for every dot layer of a valid
+    /// [`CompiledModel`]; the engine sizes its image tasks from them.
     pub shape: DotLayer,
     /// The peripheral (non-dot) layers executed between this dot layer
     /// and the next, in order. The post-processing cost model folds
@@ -128,27 +127,28 @@ impl LayerIr {
         }
     }
 
-    /// Lowers a trainable [`Cnn`], inferring static shapes from
-    /// [`Cnn::input`] when declared.
+    /// Lowers a trainable [`Cnn`] from its declared [`Cnn::input`].
     ///
     /// Traversal order matches the engine compiler exactly (residual
     /// bodies before their shortcuts). Conv layers are named
     /// `conv1..convN` and linear layers `fc1..fcM` in traversal order.
-    /// With a declared input shape the lowering also emits every
-    /// peripheral layer with its element counts, so the analytic
-    /// scheduler can cost a trained model's exact topology; without one,
-    /// `p`/`input_elems` stay 0 and peripherals are omitted (the
-    /// functional engine needs neither).
+    /// Every dot layer gets its static `P` and every peripheral layer its
+    /// element counts, traced from the declared input, so the analytic
+    /// scheduler can cost a trained model's exact topology.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Unsupported`] when the declared input shape
-    /// is inconsistent with a layer's expectations.
+    /// Returns [`CoreError::Unsupported`] when the model declares no
+    /// input shape, or when the declared shape is inconsistent with a
+    /// layer's expectations.
     pub fn from_cnn(model: &Cnn) -> Result<LayerIr> {
-        let mut st = match model.input {
-            Some((c, h, w)) => TraceShape::Chw(c, h, w),
-            None => TraceShape::Unknown,
+        let Some((c, h, w)) = model.input else {
+            return Err(CoreError::Unsupported(format!(
+                "model '{}' declares no input shape (see `Cnn::with_input`)",
+                model.name
+            )));
         };
+        let mut st = TraceShape::Chw(c, h, w);
         let mut ir = LayerIr {
             model_name: model.name.clone(),
             workload: model.name.clone(),
@@ -176,23 +176,25 @@ impl LayerIr {
     pub fn patch_lens(&self) -> Vec<usize> {
         self.dots.iter().map(|d| d.shape.n).collect()
     }
-
-    /// Returns `true` when every dot layer carries static `P` shapes
-    /// (lowered from a spec, or from a [`Cnn`] with a declared input).
-    pub fn has_static_shapes(&self) -> bool {
-        self.dots.iter().all(|d| d.shape.p > 0)
-    }
 }
 
 /// Shape state threaded through the [`Cnn`] lowering walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TraceShape {
-    /// No declared input: spatially-dependent quantities stay 0.
-    Unknown,
     /// NCHW feature map of `(channels, height, width)` per image.
     Chw(usize, usize, usize),
     /// Flattened features per image.
     Flat(usize),
+}
+
+impl TraceShape {
+    /// Elements per image.
+    fn elements(self) -> usize {
+        match self {
+            TraceShape::Chw(c, h, w) => c * h * w,
+            TraceShape::Flat(f) => f,
+        }
+    }
 }
 
 fn attach_peripheral(ir: &mut LayerIr, spec: LayerSpec) {
@@ -213,29 +215,32 @@ fn walk_blocks(
             Block::Conv(conv) => {
                 counters.0 += 1;
                 let name = format!("conv{}", counters.0);
-                let (p, input_elems) = match *st {
-                    TraceShape::Chw(c, h, w) => {
-                        if c != conv.cfg.in_channels {
-                            return Err(CoreError::Unsupported(format!(
-                                "{name} expects {} input channels, traced shape has {c}",
-                                conv.cfg.in_channels
-                            )));
-                        }
-                        let (oh, ow) = conv.cfg.output_hw(h, w);
-                        *st = TraceShape::Chw(conv.cfg.out_channels, oh, ow);
-                        (oh * ow, c * h * w)
-                    }
-                    _ => (0, 0),
-                };
+                let (c, h, w) = feature_map(*st, &name)?;
+                let cfg = &conv.cfg;
+                if c != cfg.in_channels {
+                    return Err(CoreError::Unsupported(format!(
+                        "{name} expects {} input channels, traced shape has {c}",
+                        cfg.in_channels
+                    )));
+                }
+                let pad = 2 * cfg.padding;
+                if cfg.validate().is_err() || h + pad < cfg.kernel_h || w + pad < cfg.kernel_w {
+                    return Err(CoreError::Unsupported(format!(
+                        "{name}'s {}x{} window does not fit its {h}x{w} input",
+                        cfg.kernel_h, cfg.kernel_w
+                    )));
+                }
+                let (oh, ow) = cfg.output_hw(h, w);
+                *st = TraceShape::Chw(cfg.out_channels, oh, ow);
                 ir.dots.push(DotIr {
                     index: ir.dots.len(),
                     kind: DotKind::Conv,
                     shape: DotLayer {
                         name,
-                        p,
-                        m: conv.cfg.out_channels,
-                        n: conv.cfg.patch_len(),
-                        input_elems,
+                        p: oh * ow,
+                        m: cfg.out_channels,
+                        n: cfg.patch_len(),
+                        input_elems: c * h * w,
                     },
                     peripherals: Vec::new(),
                 });
@@ -246,13 +251,12 @@ fn walk_blocks(
                 let m = lin.weight.value.shape().dim(0);
                 let n = lin.weight.value.shape().dim(1);
                 match *st {
-                    TraceShape::Flat(f) => {
-                        if f != n {
-                            return Err(CoreError::Unsupported(format!(
-                                "{name} expects {n} input features, traced shape has {f}"
-                            )));
-                        }
+                    TraceShape::Flat(f) if f != n => {
+                        return Err(CoreError::Unsupported(format!(
+                            "{name} expects {n} input features, traced shape has {f}"
+                        )));
                     }
+                    TraceShape::Flat(_) => {}
                     TraceShape::Chw(c, h, w) => {
                         // The engine's Linear step consumes `[N, F]`
                         // input; a feature map reaching it unflattened
@@ -261,7 +265,6 @@ fn walk_blocks(
                             "{name} follows a {c}x{h}x{w} feature map with no Flatten"
                         )));
                     }
-                    TraceShape::Unknown => {}
                 }
                 *st = TraceShape::Flat(m);
                 ir.dots.push(DotIr {
@@ -277,41 +280,21 @@ fn walk_blocks(
                     peripherals: Vec::new(),
                 });
             }
-            Block::Bn(_) => match *st {
-                TraceShape::Chw(c, h, w) => {
-                    attach_peripheral(
-                        ir,
-                        LayerSpec::BatchNorm {
-                            elements: c * h * w,
-                        },
-                    );
-                }
-                TraceShape::Flat(f) => {
-                    attach_peripheral(ir, LayerSpec::BatchNorm { elements: f });
-                }
-                TraceShape::Unknown => {}
-            },
-            Block::Relu(_) => match *st {
-                TraceShape::Chw(c, h, w) => {
-                    attach_peripheral(
-                        ir,
-                        LayerSpec::Activation {
-                            elements: c * h * w,
-                        },
-                    );
-                }
-                TraceShape::Flat(f) => {
-                    attach_peripheral(ir, LayerSpec::Activation { elements: f });
-                }
-                TraceShape::Unknown => {}
-            },
-            Block::MaxPool(p) => pool_peripheral(st, ir, PoolKind::Max, &p.cfg),
-            Block::AvgPool(p) => pool_peripheral(st, ir, PoolKind::Avg, &p.cfg),
-            Block::Flatten(_) => {
-                if let TraceShape::Chw(c, h, w) = *st {
-                    *st = TraceShape::Flat(c * h * w);
-                }
-            }
+            Block::Bn(_) => attach_peripheral(
+                ir,
+                LayerSpec::BatchNorm {
+                    elements: st.elements(),
+                },
+            ),
+            Block::Relu(_) => attach_peripheral(
+                ir,
+                LayerSpec::Activation {
+                    elements: st.elements(),
+                },
+            ),
+            Block::MaxPool(p) => pool_peripheral(st, ir, PoolKind::Max, &p.cfg)?,
+            Block::AvgPool(p) => pool_peripheral(st, ir, PoolKind::Avg, &p.cfg)?,
+            Block::Flatten(_) => *st = TraceShape::Flat(st.elements()),
             Block::Residual(ResBlock { body, shortcut, .. }) => {
                 let entry = *st;
                 let mut body_st = entry;
@@ -319,47 +302,56 @@ fn walk_blocks(
                 if let Some(sc) = shortcut {
                     let mut sc_st = entry;
                     walk_blocks(sc, &mut sc_st, ir, counters)?;
-                    if sc_st != body_st
-                        && sc_st != TraceShape::Unknown
-                        && body_st != TraceShape::Unknown
-                    {
+                    if sc_st != body_st {
                         return Err(CoreError::Unsupported(
                             "residual branches disagree on output shape".to_string(),
                         ));
                     }
                 }
                 *st = body_st;
-                let elements = match body_st {
-                    TraceShape::Chw(c, h, w) => Some(c * h * w),
-                    TraceShape::Flat(f) => Some(f),
-                    TraceShape::Unknown => None,
-                };
-                if let Some(elements) = elements {
-                    attach_peripheral(ir, LayerSpec::EltwiseAdd { elements });
-                    // The ReLU after the residual add.
-                    attach_peripheral(ir, LayerSpec::Activation { elements });
-                }
+                let elements = body_st.elements();
+                attach_peripheral(ir, LayerSpec::EltwiseAdd { elements });
+                // The ReLU after the residual add.
+                attach_peripheral(ir, LayerSpec::Activation { elements });
             }
         }
     }
     Ok(())
 }
 
-fn pool_peripheral(st: &mut TraceShape, ir: &mut LayerIr, kind: PoolKind, cfg: &PoolConfig) {
-    if let TraceShape::Chw(c, h, w) = *st {
-        attach_peripheral(
-            ir,
-            LayerSpec::Pool(PoolSpec {
-                kind,
-                kernel: cfg.kernel,
-                channels: c,
-                in_h: h,
-                in_w: w,
-            }),
-        );
-        let (oh, ow) = cfg.output_hw(h, w);
-        *st = TraceShape::Chw(c, oh, ow);
+/// The feature map `layer` reads, or an error when the activations
+/// reaching it are already flattened.
+fn feature_map(st: TraceShape, layer: &str) -> Result<(usize, usize, usize)> {
+    match st {
+        TraceShape::Chw(c, h, w) => Ok((c, h, w)),
+        TraceShape::Flat(f) => Err(CoreError::Unsupported(format!(
+            "{layer} follows {f} flattened features, not a feature map"
+        ))),
     }
+}
+
+fn pool_peripheral(
+    st: &mut TraceShape,
+    ir: &mut LayerIr,
+    kind: PoolKind,
+    cfg: &PoolConfig,
+) -> Result<()> {
+    let (c, h, w) = feature_map(*st, "pooling")?;
+    cfg.validate(h, w)
+        .map_err(|e| CoreError::Unsupported(format!("pooling: {e}")))?;
+    attach_peripheral(
+        ir,
+        LayerSpec::Pool(PoolSpec {
+            kind,
+            kernel: cfg.kernel,
+            channels: c,
+            in_h: h,
+            in_w: w,
+        }),
+    );
+    let (oh, ow) = cfg.output_hw(h, w);
+    *st = TraceShape::Chw(c, oh, ow);
+    Ok(())
 }
 
 /// The weight tensor of every dot layer of a [`Cnn`], traversal order
@@ -776,8 +768,9 @@ impl CompiledModel {
     }
 
     /// Structural consistency check: the binding covers the IR, every
-    /// tile's width matches its bound length, and tile indices are the
-    /// IR's traversal order. Run on every decoded artifact.
+    /// dot layer has a static patch count, every tile's width matches its
+    /// bound length, and tile indices are the IR's traversal order. Run
+    /// on every decoded artifact.
     ///
     /// # Errors
     ///
@@ -798,6 +791,15 @@ impl CompiledModel {
                 return Err(CoreError::Artifact(format!(
                     "IR dot layer at traversal position {pos} claims index {}",
                     dot.index
+                )));
+            }
+            // Every model lowers from a declared input, so a dot layer
+            // with no patches is a corrupted (or hand-built) IR that the
+            // engine's task sizing and the scheduler cannot cost.
+            if dot.shape.p == 0 {
+                return Err(CoreError::Artifact(format!(
+                    "IR dot layer {pos} ('{}') has no static patch count (p = 0)",
+                    dot.shape.name
                 )));
             }
         }
@@ -1176,12 +1178,9 @@ mod tests {
             let ir = LayerIr::from_cnn(&cnn).unwrap();
             assert_eq!(ir.len(), expect, "{}", cnn.name);
             assert_eq!(ir.len(), cnn.dot_layer_count());
-            // Scaled constructors declare their input, so shapes are
-            // fully static.
-            assert!(ir.has_static_shapes(), "{}", cnn.name);
             for (i, d) in ir.dots.iter().enumerate() {
                 assert_eq!(d.index, i);
-                assert!(d.shape.m > 0 && d.shape.n > 0);
+                assert!(d.shape.p > 0 && d.shape.m > 0 && d.shape.n > 0);
             }
         }
     }
@@ -1194,8 +1193,8 @@ mod tests {
             assert_eq!(ir.len(), direct.len());
             for (d, raw) in ir.dots.iter().zip(direct.iter()) {
                 assert_eq!(&d.shape, raw);
+                assert!(d.shape.p > 0);
             }
-            assert!(ir.has_static_shapes());
             // Every non-dot layer of the spec lands in exactly one
             // peripheral list (or the preamble).
             let peripheral_count: usize =
@@ -1214,17 +1213,37 @@ mod tests {
     }
 
     #[test]
-    fn cnn_lowering_without_input_is_geometry_only() {
+    fn cnn_lowering_without_input_is_unsupported() {
         let mut rng = seeded_rng(2);
         let mut model = scaled_lenet5(&mut rng, 10);
         model.input = None;
-        let ir = LayerIr::from_cnn(&model).unwrap();
-        assert_eq!(ir.len(), 5);
-        assert!(!ir.has_static_shapes());
-        assert_eq!(ir.dots[0].shape.p, 0);
-        // Geometry (m, n) is still exact.
-        assert_eq!(ir.dots[0].shape.n, 25);
-        assert_eq!(ir.dots[0].shape.m, 6);
+        assert!(matches!(
+            LayerIr::from_cnn(&model),
+            Err(CoreError::Unsupported(msg)) if msg.contains("declares no input")
+        ));
+        assert!(matches!(
+            CompiledModel::compile(&model, EngineConfig::default()),
+            Err(CoreError::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn cnn_lowering_rejects_a_conv_after_flatten() {
+        use deepcam_tensor::layer::{Conv2d, Flatten};
+        let mut rng = seeded_rng(10);
+        let model = Cnn::new(
+            "flat-conv",
+            vec![
+                Block::Flatten(Flatten::new()),
+                Block::Conv(Conv2d::new(&mut rng, Conv2dConfig::new(1, 4, 1))),
+            ],
+            4,
+        )
+        .with_input(1, 4, 4);
+        assert!(matches!(
+            LayerIr::from_cnn(&model),
+            Err(CoreError::Unsupported(msg)) if msg.contains("conv1 follows 16 flattened")
+        ));
     }
 
     #[test]
@@ -1235,6 +1254,13 @@ mod tests {
         assert!(matches!(
             LayerIr::from_cnn(&model),
             Err(CoreError::Unsupported(_))
+        ));
+        // A 2x2 image pools to 1x1 before conv2's 5x5 window: a typed
+        // error, not a panic in the shape arithmetic.
+        model.input = Some((1, 2, 2));
+        assert!(matches!(
+            LayerIr::from_cnn(&model),
+            Err(CoreError::Unsupported(msg)) if msg.contains("conv2's 5x5 window")
         ));
     }
 
@@ -1293,6 +1319,30 @@ mod tests {
         assert!(matches!(
             compiled.validate(),
             Err(CoreError::Artifact(msg)) if msg.contains("position 0")
+        ));
+        assert!(matches!(
+            CompiledModel::from_bytes(&compiled.to_bytes()),
+            Err(CoreError::Artifact(_))
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_a_dot_layer_without_patches() {
+        // Every IR lowers from a declared input; an artifact whose dot
+        // layer has `p = 0` cannot size the engine's tasks or be costed.
+        let mut rng = seeded_rng(11);
+        let mut compiled = CompiledModel::compile(
+            &scaled_lenet5(&mut rng, 10),
+            EngineConfig {
+                plan: HashPlan::Uniform(256),
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        compiled.ir.dots[1].shape.p = 0;
+        assert!(matches!(
+            compiled.validate(),
+            Err(CoreError::Artifact(msg)) if msg.contains("dot layer 1 ('conv2')")
         ));
         assert!(matches!(
             CompiledModel::from_bytes(&compiled.to_bytes()),

@@ -143,9 +143,8 @@ impl Default for MappingConfig {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidPlan`] when the binding does not cover
-/// the IR or the candidate space is empty,
-/// [`CoreError::Unsupported`] when the IR lacks static shapes, and CAM
-/// errors for unsupported geometry in `cfg`.
+/// the IR or the candidate space is empty, and CAM errors for
+/// unsupported geometry in `cfg`.
 pub fn search_mapping(
     sched: &CamScheduler,
     ir: &LayerIr,
@@ -158,12 +157,6 @@ pub fn search_mapping(
             binding.len(),
             ir.model_name,
             ir.dots.len()
-        )));
-    }
-    if !ir.has_static_shapes() && !ir.is_empty() {
-        return Err(CoreError::Unsupported(format!(
-            "IR '{}' lacks static shapes (lower the model with a declared input)",
-            ir.model_name
         )));
     }
     if cfg.rows_options.is_empty() || cfg.dataflows.is_empty() {
@@ -208,21 +201,10 @@ pub fn search_mapping(
 
 /// The pass entry point: search a mapping for `model` and attach it.
 ///
-/// Models lowered without static shapes cannot be costed; the pass skips
-/// them (`changed: false`) rather than failing the pipeline — the
-/// functional engine serves them the same either way.
-///
 /// # Errors
 ///
 /// Propagates [`search_mapping`] errors.
 pub(crate) fn run(model: &mut CompiledModel, cfg: &MappingConfig) -> Result<PassOutcome> {
-    if !model.ir.has_static_shapes() && !model.ir.is_empty() {
-        return Ok(PassOutcome {
-            pass: "map-arrays",
-            changed: false,
-            detail: "skipped: IR lacks static shapes".to_string(),
-        });
-    }
     // The scheduler here is a cost-model container; its own fixed
     // geometry is never consulted by the mapped entry point.
     let sched = CamScheduler::new(64, Dataflow::ActivationStationary)?;

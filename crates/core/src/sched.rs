@@ -239,9 +239,7 @@ impl CamScheduler {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidPlan`] when the binding does not
-    /// cover the IR, [`CoreError::Unsupported`] when the IR lacks static
-    /// shapes (a [`Cnn`](deepcam_models::Cnn) lowered without a declared
-    /// input), and CAM errors for unsupported geometry.
+    /// cover the IR, and CAM errors for unsupported geometry.
     pub fn run_ir(
         &self,
         ir: &LayerIr,
@@ -306,12 +304,6 @@ impl CamScheduler {
                 mapping.per_layer.len(),
                 ir.model_name,
                 ir.dots.len()
-            )));
-        }
-        if !ir.has_static_shapes() && !ir.is_empty() {
-            return Err(CoreError::Unsupported(format!(
-                "IR '{}' lacks static shapes (lower the model with a declared input)",
-                ir.model_name
             )));
         }
         let mut layers: Vec<LayerPerf> = Vec::with_capacity(ir.dots.len());

@@ -1,7 +1,7 @@
 //! Property-based tests of the scheduler over randomized layer shapes.
 
 use deepcam_core::sched::{CamScheduler, CycleModel};
-use deepcam_core::{Dataflow, HashPlan};
+use deepcam_core::{Dataflow, DotIr, DotKind, HashPlan, LayerIr};
 use deepcam_models::DotLayer;
 use proptest::prelude::*;
 
@@ -13,6 +13,30 @@ fn layer_strategy() -> impl Strategy<Value = DotLayer> {
         n,
         input_elems: n.max(p), // plausible unique input count
     })
+}
+
+/// An IR of `len` identical linear layers (the plan checks read only
+/// the layer count and names).
+fn linear_ir(len: usize) -> LayerIr {
+    LayerIr {
+        model_name: "Linear".into(),
+        workload: "Linear".into(),
+        preamble: Vec::new(),
+        dots: (0..len)
+            .map(|index| DotIr {
+                index,
+                kind: DotKind::Linear,
+                shape: DotLayer {
+                    name: format!("fc{}", index + 1),
+                    p: 1,
+                    m: 4,
+                    n: 8,
+                    input_elems: 8,
+                },
+                peripherals: Vec::new(),
+            })
+            .collect(),
+    }
 }
 
 fn k_strategy() -> impl Strategy<Value = usize> {
@@ -95,11 +119,9 @@ proptest! {
     #[test]
     fn plan_validation_consistent(len in 1usize..30) {
         let plan = HashPlan::PerLayer(vec![256; len]);
-        prop_assert!(plan.validate(len).is_ok());
-        prop_assert!(plan.validate(len + 1).is_err());
-        for i in 0..len {
-            prop_assert_eq!(plan.length_for(i).unwrap(), 256);
-        }
-        prop_assert!(plan.length_for(len).is_err());
+        let binding = plan.bind(&linear_ir(len)).unwrap();
+        prop_assert_eq!(binding.ks().to_vec(), vec![256; len]);
+        prop_assert!(plan.bind(&linear_ir(len + 1)).is_err());
+        prop_assert!(plan.bind(&linear_ir(len - 1)).is_err());
     }
 }

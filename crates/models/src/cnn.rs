@@ -187,20 +187,21 @@ pub struct Cnn {
     pub blocks: Vec<Block>,
     /// Classifier classes.
     pub num_classes: usize,
-    /// Expected input `(channels, height, width)` per image, when known.
+    /// Expected input `(channels, height, width)` per image.
     ///
     /// Purely descriptive for training (`forward` accepts whatever batch
-    /// it is handed), but it lets the compilation pipeline infer static
-    /// per-layer shapes — patch counts, peripheral element counts — so a
-    /// trained model can be lowered to the same `LayerIr` a weight-free
-    /// `ModelSpec` produces. `None` still lowers; only the quantities
-    /// that need spatial dims are left at zero.
+    /// it is handed), but the compilation pipeline lowers a model only
+    /// from it: it fixes every layer's static shapes — patch counts,
+    /// peripheral element counts — so a trained model lowers to the same
+    /// `LayerIr` a weight-free `ModelSpec` produces. A model left at
+    /// `None` trains but does not compile; declare it with
+    /// [`Cnn::with_input`].
     pub input: Option<(usize, usize, usize)>,
 }
 
 impl Cnn {
-    /// Creates a model from blocks (input shape unknown; see
-    /// [`Cnn::with_input`]).
+    /// Creates a model from blocks (input shape undeclared, so it trains
+    /// but does not compile until [`Cnn::with_input`] declares one).
     pub fn new(name: impl Into<String>, blocks: Vec<Block>, num_classes: usize) -> Self {
         Cnn {
             name: name.into(),

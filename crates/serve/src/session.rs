@@ -154,8 +154,8 @@ pub struct Session {
     cfg: SessionConfig,
     clock: Arc<dyn Clock>,
     shared: Arc<SessionShared>,
-    /// Expected elements per image when the compiled IR carries static
-    /// shapes — submit-time validation that keeps a misshapen request
+    /// Expected elements per image when the model's first step is a dot
+    /// layer — submit-time validation that keeps a misshapen request
     /// from ever reaching (and failing) a coalesced batch.
     expected_elems: Option<usize>,
     dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -361,19 +361,14 @@ impl Drop for Session {
     }
 }
 
-/// Elements per image the compiled model expects, when its IR carries
-/// static shapes (`None` otherwise — validation then falls to the
+/// Elements per image the compiled model expects: the first dot layer's
+/// unique-input count, which is the model input size only when nothing
+/// runs before it (`None` otherwise — validation then falls to the
 /// engine's own shape errors).
 fn expected_image_elems(engine: &DeepCamEngine) -> Option<usize> {
     let ir = &engine.compiled().ir;
-    let first = ir.dots.first()?;
-    // The first dot layer's unique-input count is the model input size
-    // only when nothing runs before it.
-    if ir.preamble.is_empty() && first.shape.input_elems > 0 {
-        Some(first.shape.input_elems)
-    } else {
-        None
-    }
+    let first = ir.dots.first().filter(|_| ir.preamble.is_empty())?;
+    Some(first.shape.input_elems)
 }
 
 /// Length of the queue's leading run of same-shaped requests — the
@@ -465,9 +460,10 @@ fn run_batch(
         stats.max_occupancy = stats.max_occupancy.max(occupancy);
         match result {
             Ok(logits) => {
-                let classes = logits.shape().dim(1);
+                // Each image's whole output, whatever its per-image dims.
+                let per_reply = logits.len() / occupancy;
                 for (row, req) in batch.into_iter().enumerate() {
-                    let out = logits.data()[row * classes..(row + 1) * classes].to_vec();
+                    let out = logits.data()[row * per_reply..(row + 1) * per_reply].to_vec();
                     stats.completed += 1;
                     stats
                         .latency

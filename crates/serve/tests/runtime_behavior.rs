@@ -270,6 +270,75 @@ fn full_batch_dispatches_without_the_clock_moving() {
 }
 
 #[test]
+fn a_feature_map_output_splits_whole_per_request() {
+    // A conv-final model answers each image with its `[16, 32, 32]`
+    // feature map, not a `[classes]` row: a coalesced pair must reply
+    // with each image's whole output.
+    use deepcam_models::{Block, Cnn};
+    use deepcam_tensor::layer::{Conv2d, ReLU};
+    use deepcam_tensor::ops::conv::Conv2dConfig;
+    let mut rng = seeded_rng(9);
+    let model = Cnn::new(
+        "conv-final",
+        vec![
+            Block::Conv(Conv2d::new(
+                &mut rng,
+                Conv2dConfig::new(1, 16, 3).with_padding(1),
+            )),
+            Block::Relu(ReLU::new()),
+        ],
+        16,
+    )
+    .with_input(1, 32, 32);
+    let engine = Arc::new(
+        DeepCamEngine::compile(
+            &model,
+            EngineConfig {
+                plan: HashPlan::Uniform(1024),
+                ..EngineConfig::default()
+            },
+        )
+        .expect("compiles"),
+    );
+    let session = Session::with_clock(
+        Arc::clone(&engine),
+        SessionConfig {
+            max_batch: 2,
+            max_wait: Duration::from_secs(3600),
+            queue_capacity: 8,
+        },
+        Arc::new(ManualClock::new()),
+    );
+    let images: Vec<Vec<f32>> = (0..2u64)
+        .map(|i| {
+            let mut rng = seeded_rng(300 + i);
+            (0..1024)
+                .map(|_| deepcam_tensor::rng::standard_normal(&mut rng) as f32)
+                .collect()
+        })
+        .collect();
+    let pendings: Vec<_> = images
+        .iter()
+        .map(|img| session.submit(&[1, 32, 32], img).unwrap())
+        .collect();
+    for (img, pending) in images.iter().zip(pendings) {
+        let alone = engine
+            .infer(
+                &deepcam_tensor::Tensor::from_vec(
+                    img.clone(),
+                    deepcam_tensor::Shape::new(&[1, 1, 32, 32]),
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        let reply = pending.wait().unwrap();
+        assert_eq!(reply.len(), 16 * 32 * 32);
+        assert_eq!(reply.as_slice(), alone.data());
+    }
+    assert_eq!(session.stats().batches, 1, "the pair must coalesce");
+}
+
+#[test]
 fn partial_batch_waits_for_the_simulated_deadline() {
     let clock = Arc::new(ManualClock::new());
     let session = Session::with_clock(

@@ -228,7 +228,7 @@ fn tiny_cnn(seed: u64) -> Cnn {
         Block::Flatten(Flatten::new()),
         Block::Linear(Linear::new(&mut rng, 2 * 8 * 8, 4)),
     ];
-    Cnn::new("TinyCnn", blocks, 4)
+    Cnn::new("TinyCnn", blocks, 4).with_input(1, 8, 8)
 }
 
 proptest! {
@@ -253,9 +253,7 @@ proptest! {
             },
         )
         .unwrap();
-        // Enough images for the fan-out to take `workers` tasks; the
-        // model declares no input shape, so the split is sized from the
-        // batch.
+        // Enough images for the fan-out to take `workers` tasks.
         let n_images = common::fan_out_images(&engine, &[1, 8, 8], workers) + extra_images;
         let mut rng = deepcam::tensor::rng::seeded_rng(data_seed);
         let x = deepcam::tensor::init::normal(
