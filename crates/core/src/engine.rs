@@ -38,7 +38,7 @@ use deepcam_hash::geometric::{CosineMode, GeometricDot, NormMode};
 use deepcam_hash::{Minifloat8, ProjectionMatrix};
 use deepcam_models::Cnn;
 use deepcam_tensor::ops::conv::{im2col_sharded, Conv2dConfig};
-use deepcam_tensor::ops::norm::BN_EPS;
+use deepcam_tensor::ops::norm::{batch_norm2d_infer, channel_stats};
 use deepcam_tensor::ops::pool::{avg_pool2d, max_pool2d};
 use deepcam_tensor::ops::project::{PatchSource, ProjPanels};
 use deepcam_tensor::pool::{split_ranges, Parallelism, ThreadPool};
@@ -601,9 +601,23 @@ impl DeepCamEngine {
 
     /// Counts top-1 hits of `logits` against `labels` (first index wins
     /// ties, matching `Tensor::argmax`).
-    fn count_correct(logits: &Tensor, labels: &[usize]) -> usize {
-        let classes = logits.shape().dim(1);
-        labels
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidInput`] unless `logits` is `[rows, classes]`
+    /// with one row per label and at least one class.
+    fn count_correct(logits: &Tensor, labels: &[usize]) -> Result<usize> {
+        let classes = match logits.shape().dims() {
+            &[rows, classes] if rows == labels.len() && classes > 0 => classes,
+            _ => {
+                return Err(CoreError::InvalidInput(format!(
+                    "evaluate: output {} is not [rows, classes] for {} labels",
+                    logits.shape(),
+                    labels.len()
+                )))
+            }
+        };
+        Ok(labels
             .iter()
             .enumerate()
             .filter(|&(row, &label)| {
@@ -617,7 +631,7 @@ impl DeepCamEngine {
                 );
                 best == label
             })
-            .count()
+            .count())
     }
 
     /// Top-1 accuracy over a labelled set, processed in mini-batches
@@ -664,7 +678,7 @@ impl DeepCamEngine {
         });
         let mut correct = 0usize;
         for count in counts {
-            correct += count?;
+            correct += count??;
         }
         Ok(correct as f32 / n.max(1) as f32)
     }
@@ -693,7 +707,7 @@ fn run_step(
             mean,
             var,
         } => {
-            let (n, c, h, w) = x.shape().as_nchw().ok_or_else(|| {
+            let (_, c, _, _) = x.shape().as_nchw().ok_or_else(|| {
                 CoreError::Unsupported("batch norm input must be NCHW".to_string())
             })?;
             if gamma.len() != c {
@@ -702,15 +716,7 @@ fn run_step(
                     gamma.len()
                 )));
             }
-            for ni in 0..n {
-                for ci in 0..c {
-                    let inv = 1.0 / (var[ci] + BN_EPS).sqrt();
-                    let base = (ni * c + ci) * h * w;
-                    for v in &mut x.data_mut()[base..base + h * w] {
-                        *v = gamma[ci] * (*v - mean[ci]) * inv + beta[ci];
-                    }
-                }
-            }
+            batch_norm2d_infer(&mut x, gamma, beta, mean, var)?;
             Ok(x)
         }
         CompiledStep::Relu => {
@@ -835,42 +841,6 @@ fn check_width(tile: &CompiledTile, width: usize) -> Result<()> {
             tile.layer_idx, tile.n
         )))
     }
-}
-
-/// Per-channel mean and biased variance of an NCHW tensor — the batch
-/// statistics BN calibration stores.
-fn channel_stats(x: &Tensor) -> Result<(Vec<f32>, Vec<f32>)> {
-    let (n, c, h, w) = x
-        .shape()
-        .as_nchw()
-        .ok_or_else(|| CoreError::Unsupported("batch norm input must be NCHW".to_string()))?;
-    let count = (n * h * w).max(1) as f32;
-    let mut new_mean = vec![0.0f32; c];
-    let mut new_var = vec![0.0f32; c];
-    for ni in 0..n {
-        for (ci, m) in new_mean.iter_mut().enumerate() {
-            let base = (ni * c + ci) * h * w;
-            for &v in &x.data()[base..base + h * w] {
-                *m += v;
-            }
-        }
-    }
-    for m in &mut new_mean {
-        *m /= count;
-    }
-    for ni in 0..n {
-        for (ci, nv) in new_var.iter_mut().enumerate() {
-            let base = (ni * c + ci) * h * w;
-            for &v in &x.data()[base..base + h * w] {
-                let d = v - new_mean[ci];
-                *nv += d * d;
-            }
-        }
-    }
-    for v in &mut new_var {
-        *v /= count;
-    }
-    Ok((new_mean, new_var))
 }
 
 /// Walks the pipeline forwarding `x`, replacing every batch-norm stage's
@@ -1252,6 +1222,37 @@ mod tests {
     }
 
     #[test]
+    fn evaluate_refuses_a_feature_map_output() {
+        // The conv 1→16 + ReLU model answers `[N, 16, 32, 32]`, which has
+        // no per-image class row to score.
+        use deepcam_models::Block;
+        use deepcam_tensor::layer::{Conv2d, ReLU};
+        let mut rng = seeded_rng(25);
+        let model = Cnn::new(
+            "conv-final",
+            vec![
+                Block::Conv(Conv2d::new(
+                    &mut rng,
+                    Conv2dConfig::new(1, 16, 3).with_padding(1),
+                )),
+                Block::Relu(ReLU::new()),
+            ],
+            16,
+        )
+        .with_input(1, 32, 32);
+        let engine = DeepCamEngine::compile(&model, EngineConfig::default()).unwrap();
+        let x = deepcam_tensor::init::normal(&mut rng, Shape::new(&[4, 1, 32, 32]), 0.0, 1.0);
+        for parallelism in [Parallelism::Serial, Parallelism::Fixed(2)] {
+            match engine.evaluate_with(&x, &[0, 1, 2, 3], 2, parallelism) {
+                Err(CoreError::InvalidInput(msg)) => {
+                    assert!(msg.contains("[2, 16, 32, 32]"), "{msg}")
+                }
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn compile_counts_layers() {
         let mut rng = seeded_rng(0);
         let model = scaled_lenet5(&mut rng, 10);
@@ -1462,10 +1463,19 @@ mod tests {
             Shape::new(&[3, 4]),
         )
         .unwrap();
-        assert_eq!(DeepCamEngine::count_correct(&logits, &[1, 0, 2]), 3);
-        assert_eq!(DeepCamEngine::count_correct(&logits, &[2, 1, 3]), 0);
+        assert_eq!(
+            DeepCamEngine::count_correct(&logits, &[1, 0, 2]).unwrap(),
+            3
+        );
+        assert_eq!(
+            DeepCamEngine::count_correct(&logits, &[2, 1, 3]).unwrap(),
+            0
+        );
         // Mixed: only the middle row's label is the winning index.
-        assert_eq!(DeepCamEngine::count_correct(&logits, &[2, 0, 3]), 1);
+        assert_eq!(
+            DeepCamEngine::count_correct(&logits, &[2, 0, 3]).unwrap(),
+            1
+        );
     }
 
     #[test]
@@ -1479,7 +1489,7 @@ mod tests {
                 .0;
             let labels: Vec<usize> = (0..8).map(|_| expected).collect();
             // Row `row` must be counted under its argmax label.
-            let hits = DeepCamEngine::count_correct(&logits, &labels);
+            let hits = DeepCamEngine::count_correct(&logits, &labels).unwrap();
             assert!(hits >= 1, "row {row}");
         }
     }

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
-//!  *.dcam artifacts →│ ModelRegistry      lazy load, LRU eviction │
+//!  *.dcam artifacts →│ ModelRegistry   lazy load, kept while open │
 //!                    └───────────────┬────────────────────────────┘
 //!                                    │ Arc<DeepCamEngine>
 //!                    ┌───────────────▼────────────────────────────┐
@@ -21,8 +21,8 @@
 //! ```
 //!
 //! * [`registry::ModelRegistry`] — `DCAM` artifacts (v2 is written,
-//!   v1–v2 are read) keyed by model id, loaded lazily, evicted
-//!   least-recently-used, with typed errors for missing/corrupt
+//!   v1–v2 are read) keyed by model id, loaded lazily and kept for
+//!   the registry's lifetime, with typed errors for missing/corrupt
 //!   artifacts.
 //! * [`session::Session`] / [`session::Runtime`] — the one submission
 //!   path: a bounded request queue and a dynamic micro-batcher that

@@ -22,7 +22,7 @@
 //! | `3` | `Request::ServerStats` | — |
 //! | `4` | `Request::Hello` | highest protocol version the client speaks |
 //! | `0` | `Response::Logits` | f32 logits row |
-//! | `1` | `Response::Models` | id + residency per model |
+//! | `1` | `Response::Models` | id + loaded flag per model |
 //! | `2` | `Response::Stats` | serving counters snapshot |
 //! | `3` | `Response::Error` | [`ErrorKind`] + message |
 //! | `4` | `Response::ServerStats` | server robustness counters |
@@ -150,7 +150,7 @@ pub enum Response {
 pub struct WireModelInfo {
     /// Registry id.
     pub id: String,
-    /// Whether the engine is currently resident.
+    /// Whether the engine is loaded.
     pub loaded: bool,
 }
 

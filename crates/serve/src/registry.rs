@@ -1,12 +1,14 @@
 //! Directory-backed model registry: `DCAM` artifacts keyed by model id,
-//! loaded lazily and evicted least-recently-used.
+//! loaded lazily and held for the registry's lifetime.
 //!
 //! A registry is the serving fleet's view of "what models exist": every
 //! `<id>.dcam` file in the registry directory is an entry, but nothing
 //! is read from disk until the first [`ModelRegistry::get`] for that id
-//! — loading a large zoo directory costs one `readdir`. Engines built
-//! in-process (tests, benches) can be [`ModelRegistry::register`]ed
-//! directly without touching disk.
+//! — loading a large zoo directory costs one `readdir`. Once loaded, an
+//! engine stays in the registry until the registry is dropped, as a
+//! compiled model stays in its CAM arrays. Engines built in-process
+//! (tests, benches) can be [`ModelRegistry::register`]ed directly
+//! without touching disk.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -26,10 +28,8 @@ pub struct ModelInfo {
     /// Registry id (the artifact's file stem, or the name it was
     /// registered under).
     pub id: String,
-    /// Whether the engine is resident in the **registry's cache**. An
-    /// evicted engine may still be alive through other handles (an open
-    /// [`crate::session::Session`], in-flight callers) — this flag
-    /// tracks what the registry itself holds.
+    /// Whether the engine is loaded (it then stays loaded for the
+    /// registry's lifetime).
     pub loaded: bool,
     /// Source model name (`None` until first load).
     pub model_name: Option<String>,
@@ -39,14 +39,6 @@ pub struct ModelInfo {
     /// load failed and the file has not changed since, so `get`s fail
     /// fast without re-reading it.
     pub quarantined: bool,
-}
-
-enum Source {
-    /// Lazily loaded from (and evictable back to) this artifact file.
-    File(PathBuf),
-    /// Registered in-process; there is no file to reload from, so the
-    /// engine is never evicted.
-    Memory,
 }
 
 /// Negative-cache record of a corrupt artifact, keyed to the exact
@@ -60,39 +52,29 @@ struct Quarantine {
     detail: String,
 }
 
-struct Entry {
-    source: Source,
-    engine: Option<Arc<DeepCamEngine>>,
-    /// Eviction clock: registry tick of the last `get`.
-    last_used: u64,
-    /// Set while the artifact is negative-cached as corrupt.
-    quarantine: Option<Quarantine>,
-}
-
-struct Inner {
-    entries: BTreeMap<String, Entry>,
-    tick: u64,
+enum Entry {
+    /// Indexed from the registry directory and not loaded yet.
+    Cold {
+        path: PathBuf,
+        /// Set while the artifact is negative-cached as corrupt.
+        quarantine: Option<Quarantine>,
+    },
+    /// Loaded from its artifact or registered in-process.
+    Loaded(Arc<DeepCamEngine>),
 }
 
 /// A thread-safe, lazily-loading model store. See the
 /// [module docs](self).
+#[derive(Default)]
 pub struct ModelRegistry {
-    inner: Mutex<Inner>,
-    /// Max file-backed engines kept resident at once.
-    capacity: usize,
+    entries: Mutex<BTreeMap<String, Entry>>,
 }
 
 impl ModelRegistry {
     /// An empty registry (models arrive via
-    /// [`ModelRegistry::register`]). Unlimited residency.
+    /// [`ModelRegistry::register`]).
     pub fn new() -> Self {
-        ModelRegistry {
-            inner: Mutex::new(Inner {
-                entries: BTreeMap::new(),
-                tick: 0,
-            }),
-            capacity: usize::MAX,
-        }
+        ModelRegistry::default()
     }
 
     /// Opens a registry over `dir`, indexing every `*.dcam` file by its
@@ -103,95 +85,47 @@ impl ModelRegistry {
     ///
     /// Returns [`ServeError::Io`] when the directory cannot be read.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with_capacity(dir, usize::MAX)
-    }
-
-    /// [`ModelRegistry::open`] with an eviction bound: at most
-    /// `capacity` file-backed engines stay resident in the registry's
-    /// cache; loading one more evicts the least-recently-used (its
-    /// entry stays listed and reloads on the next `get`). `capacity`
-    /// is clamped to ≥ 1.
-    ///
-    /// The bound governs only this cache: callers that keep the
-    /// returned `Arc` (notably open sessions) pin their engine for as
-    /// long as they hold it — eviction drops the registry's handle, it
-    /// cannot reclaim a model something is still serving.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] when the directory cannot be read.
-    pub fn open_with_capacity(dir: impl AsRef<Path>, capacity: usize) -> Result<Self> {
-        let registry = ModelRegistry {
-            inner: Mutex::new(Inner {
-                entries: BTreeMap::new(),
-                tick: 0,
-            }),
-            capacity: capacity.max(1),
-        };
-        registry.rescan(dir)?;
-        Ok(registry)
-    }
-
-    /// Re-indexes `dir`, adding artifacts that appeared since the last
-    /// scan (already-known ids keep their loaded engines). Returns the
-    /// number of ids now known.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] when the directory cannot be read.
-    pub fn rescan(&self, dir: impl AsRef<Path>) -> Result<usize> {
         let dir = dir.as_ref();
-        let listing = std::fs::read_dir(dir)
-            .map_err(|e| ServeError::Io(format!("reading registry dir {}: {e}", dir.display())))?;
-        let mut inner = self.inner.lock().expect("registry lock");
-        for item in listing {
-            let path = item
-                .map_err(|e| {
-                    ServeError::Io(format!("reading registry dir {}: {e}", dir.display()))
-                })?
-                .path();
+        let io = |e: std::io::Error| {
+            ServeError::Io(format!("reading registry dir {}: {e}", dir.display()))
+        };
+        let mut entries = BTreeMap::new();
+        for item in std::fs::read_dir(dir).map_err(io)? {
+            let path = item.map_err(io)?.path();
             if path.extension().and_then(|e| e.to_str()) != Some(ARTIFACT_EXT) {
                 continue;
             }
             let Some(id) = path.file_stem().and_then(|s| s.to_str()) else {
                 continue;
             };
-            inner.entries.entry(id.to_string()).or_insert(Entry {
-                source: Source::File(path.clone()),
-                engine: None,
-                last_used: 0,
-                quarantine: None,
-            });
+            let id = id.to_string();
+            entries.insert(
+                id,
+                Entry::Cold {
+                    path,
+                    quarantine: None,
+                },
+            );
         }
-        Ok(inner.entries.len())
+        Ok(ModelRegistry {
+            entries: Mutex::new(entries),
+        })
     }
 
     /// Registers an in-process engine under `id` (replacing any previous
     /// entry with that id) and returns the shared handle.
     pub fn register(&self, id: impl Into<String>, engine: DeepCamEngine) -> Arc<DeepCamEngine> {
         let engine = Arc::new(engine);
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.insert(
-            id.into(),
-            Entry {
-                source: Source::Memory,
-                engine: Some(Arc::clone(&engine)),
-                last_used: tick,
-                quarantine: None,
-            },
-        );
+        let mut entries = self.entries.lock().expect("registry lock");
+        entries.insert(id.into(), Entry::Loaded(Arc::clone(&engine)));
         engine
     }
 
-    /// The engine for `id`, loading its artifact on first use and
-    /// evicting the least-recently-used file-backed engine when the
-    /// residency bound is exceeded.
+    /// The engine for `id`, loading its artifact on first use.
     ///
     /// A cold load runs **outside** the registry lock — reading and
     /// decoding a large artifact never stalls `get`s for models that
-    /// are already resident. If two callers race the same cold model,
+    /// are already loaded. If two callers race the same cold model,
     /// both load, but every caller ends up sharing whichever engine
     /// was cached first.
     ///
@@ -206,22 +140,10 @@ impl ModelRegistry {
     /// (which changes the key) clears the quarantine and reloads.
     pub fn get(&self, id: &str) -> Result<Arc<DeepCamEngine>> {
         // Fast path (and path lookup) under the lock.
-        let (path, quarantine) = {
-            let mut inner = self.inner.lock().expect("registry lock");
-            inner.tick += 1;
-            let tick = inner.tick;
-            let entry = inner
-                .entries
-                .get_mut(id)
-                .ok_or_else(|| ServeError::ModelNotFound { model: id.into() })?;
-            entry.last_used = tick;
-            if let Some(engine) = &entry.engine {
-                return Ok(Arc::clone(engine));
-            }
-            let Source::File(path) = &entry.source else {
-                unreachable!("memory entries always hold their engine");
-            };
-            (path.clone(), entry.quarantine.clone())
+        let (path, quarantine) = match self.entries.lock().expect("registry lock").get(id) {
+            None => return Err(ServeError::ModelNotFound { model: id.into() }),
+            Some(Entry::Loaded(engine)) => return Ok(Arc::clone(engine)),
+            Some(Entry::Cold { path, quarantine }) => (path.clone(), quarantine.clone()),
         };
         // Quarantine check: one cheap stat instead of a full read when
         // the file is still the exact bytes that failed last time.
@@ -237,113 +159,69 @@ impl ModelRegistry {
             }
         }
         // Slow path: disk read + decode with no locks held.
-        let loaded = DeepCamEngine::load(&path).map_err(|e| ServeError::BadArtifact {
-            model: id.into(),
-            detail: e.to_string(),
-        });
+        let loaded = DeepCamEngine::load(&path);
+        let mut entries = self.entries.lock().expect("registry lock");
+        let entry = entries.get_mut(id);
         let engine = match loaded {
             Ok(engine) => Arc::new(engine),
             Err(e) => {
+                let detail = e.to_string();
                 // Negative-cache this exact file state (when it could
                 // be keyed) so the broken artifact is not re-parsed on
                 // every request.
-                if let Some((len, mtime)) = stat {
-                    let detail = match &e {
-                        ServeError::BadArtifact { detail, .. } => detail.clone(),
-                        other => other.to_string(),
-                    };
-                    let mut inner = self.inner.lock().expect("registry lock");
-                    if let Some(entry) = inner.entries.get_mut(id) {
-                        entry.quarantine = Some(Quarantine { len, mtime, detail });
-                    }
+                if let (Some(Entry::Cold { quarantine, .. }), Some((len, mtime))) = (entry, stat) {
+                    *quarantine = Some(Quarantine {
+                        len,
+                        mtime,
+                        detail: detail.clone(),
+                    });
                 }
-                return Err(e);
+                return Err(ServeError::BadArtifact {
+                    model: id.into(),
+                    detail,
+                });
             }
         };
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.get_mut(id) {
-            entry.last_used = tick;
-            // A successful load from this file state supersedes any
-            // stale quarantine.
-            entry.quarantine = None;
-            // A racing loader may have cached first; share its engine
-            // so every caller holds the same instance.
-            if let Some(existing) = &entry.engine {
-                return Ok(Arc::clone(existing));
+        match entry {
+            // A racing loader cached first; share its engine so every
+            // caller holds the same instance.
+            Some(Entry::Loaded(existing)) => Ok(Arc::clone(existing)),
+            Some(entry) => {
+                *entry = Entry::Loaded(Arc::clone(&engine));
+                Ok(engine)
             }
-            entry.engine = Some(Arc::clone(&engine));
-        }
-        self.evict_over_capacity(&mut inner);
-        Ok(engine)
-    }
-
-    /// Drops the least-recently-used *file-backed* engines until at most
-    /// `capacity` stay resident. In-memory registrations are exempt —
-    /// they have no artifact to reload from.
-    fn evict_over_capacity(&self, inner: &mut Inner) {
-        loop {
-            let resident = inner
-                .entries
-                .values()
-                .filter(|e| e.engine.is_some() && matches!(e.source, Source::File(_)))
-                .count();
-            if resident <= self.capacity {
-                return;
-            }
-            let Some(victim) = inner
-                .entries
-                .values_mut()
-                .filter(|e| e.engine.is_some() && matches!(e.source, Source::File(_)))
-                .min_by_key(|e| e.last_used)
-            else {
-                return;
-            };
-            victim.engine = None;
+            None => Ok(engine),
         }
     }
 
-    /// Every known id with its residency status, sorted by id.
+    /// Every known id with its load status, sorted by id.
     pub fn list(&self) -> Vec<ModelInfo> {
-        let inner = self.inner.lock().expect("registry lock");
-        inner
-            .entries
+        let entries = self.entries.lock().expect("registry lock");
+        entries
             .iter()
-            .map(|(id, e)| ModelInfo {
-                id: id.clone(),
-                loaded: e.engine.is_some(),
-                model_name: e.engine.as_ref().map(|eng| eng.model_name().to_string()),
-                dot_layers: e.engine.as_ref().map(|eng| eng.dot_layers()),
-                quarantined: e.quarantine.is_some(),
+            .map(|(id, entry)| {
+                let (engine, quarantined) = match entry {
+                    Entry::Loaded(engine) => (Some(engine), false),
+                    Entry::Cold { quarantine, .. } => (None, quarantine.is_some()),
+                };
+                ModelInfo {
+                    id: id.clone(),
+                    loaded: engine.is_some(),
+                    model_name: engine.map(|eng| eng.model_name().to_string()),
+                    dot_layers: engine.map(|eng| eng.dot_layers()),
+                    quarantined,
+                }
             })
             .collect()
     }
 
     /// Number of known model ids.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("registry lock").entries.len()
+        self.entries.lock().expect("registry lock").len()
     }
 
     /// Whether the registry knows no models.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of currently resident engines.
-    pub fn loaded_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .entries
-            .values()
-            .filter(|e| e.engine.is_some())
-            .count()
-    }
-}
-
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        ModelRegistry::new()
     }
 }

@@ -27,7 +27,7 @@
 //! are still served before the dispatcher exits.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -135,16 +135,6 @@ impl Pending {
             }
         }
     }
-
-    /// Non-blocking probe: `None` while the request is still queued or
-    /// in flight.
-    pub fn poll(&self) -> Option<Result<Vec<f32>>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-        }
-    }
 }
 
 /// One model's submission path: bounded queue + dispatcher thread. See
@@ -211,11 +201,6 @@ impl Session {
             .expect("spawn session dispatcher");
         *session.dispatcher.lock().expect("dispatcher lock") = Some(handle);
         session
-    }
-
-    /// The engine this session serves.
-    pub fn engine(&self) -> &Arc<DeepCamEngine> {
-        &self.engine
     }
 
     /// Enqueues one image (shape per image, no batch axis — e.g.
@@ -521,23 +506,12 @@ impl Runtime {
         }
     }
 
-    /// The registry this runtime serves from.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
-    }
-
     /// The session serving `model`, creating it (and loading the
     /// model's artifact) on first use.
     ///
     /// The cold path — artifact load + session spawn — runs without the
     /// session-map lock held, so opening one cold model never stalls
     /// traffic to models that are already serving.
-    ///
-    /// An open session pins its engine in memory for as long as it
-    /// lives, independent of the registry's residency bound (which
-    /// governs only the registry's own cache): a model with an open
-    /// session is a model you are actively serving. Use
-    /// [`Runtime::close_session`] to retire one.
     ///
     /// # Errors
     ///
@@ -558,22 +532,6 @@ impl Runtime {
         let session = Session::with_clock(engine, self.cfg.clone(), Arc::clone(&self.clock));
         sessions.insert(model.to_string(), Arc::clone(&session));
         Ok(session)
-    }
-
-    /// Retires `model`'s session: it stops accepting work, serves
-    /// everything already queued, and releases its engine pin (the
-    /// engine itself stays resident only while the registry cache or
-    /// in-flight handles still hold it). Returns whether a session
-    /// existed. The next [`Runtime::session`] call recreates one.
-    pub fn close_session(&self, model: &str) -> bool {
-        let removed = self.sessions.lock().expect("runtime lock").remove(model);
-        match removed {
-            Some(session) => {
-                session.shutdown();
-                true
-            }
-            None => false,
-        }
     }
 
     /// Blocking single-image inference against `model` through its
@@ -633,7 +591,7 @@ impl Runtime {
         }
     }
 
-    /// Every model the registry knows, with residency status.
+    /// Every model the registry knows, with its load status.
     pub fn list(&self) -> Vec<ModelInfo> {
         self.registry.list()
     }

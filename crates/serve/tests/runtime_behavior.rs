@@ -1,5 +1,5 @@
 //! Behavioral suite for the registry and the micro-batching session:
-//! lazy load + eviction, deterministic deadline batching under a
+//! lazy and racing cold loads, deterministic deadline batching under a
 //! simulated clock, backpressure, stats counters, and submit-time
 //! validation.
 
@@ -51,14 +51,12 @@ fn registry_loads_lazily_and_reports_typed_errors() {
 
     let registry = ModelRegistry::open(&dir).unwrap();
     assert_eq!(registry.len(), 2, "only *.dcam files are indexed");
-    assert_eq!(registry.loaded_count(), 0, "nothing read before first get");
     let listed = registry.list();
     assert!(listed.iter().all(|m| !m.loaded && m.model_name.is_none()));
 
     // Lazy load on first get.
     let engine = registry.get("lenet5").unwrap();
     assert_eq!(engine.model_name(), "LeNet5");
-    assert_eq!(registry.loaded_count(), 1);
     assert!(registry
         .list()
         .iter()
@@ -76,45 +74,62 @@ fn registry_loads_lazily_and_reports_typed_errors() {
 }
 
 #[test]
-fn registry_evicts_least_recently_used() {
-    let dir = tmp_dir("registry_evict");
-    lenet_engine(2).compiled().save(dir.join("a.dcam")).unwrap();
-    lenet_engine(3).compiled().save(dir.join("b.dcam")).unwrap();
-    lenet_engine(4).compiled().save(dir.join("c.dcam")).unwrap();
+fn racing_cold_loads_share_the_first_cached_engine() {
+    let dir = tmp_dir("registry_race");
+    for (id, seed) in [("a", 2), ("b", 3), ("c", 4)] {
+        lenet_engine(seed)
+            .compiled()
+            .save(dir.join(format!("{id}.dcam")))
+            .unwrap();
+    }
+    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
+    let runtime = Runtime::new(Arc::clone(&registry), SessionConfig::default());
 
-    let registry = ModelRegistry::open_with_capacity(&dir, 2).unwrap();
-    registry.get("a").unwrap();
-    registry.get("b").unwrap();
-    assert_eq!(registry.loaded_count(), 2);
-    // Touch `a` so `b` is the LRU, then load `c`.
-    registry.get("a").unwrap();
+    // Every racer is released at once onto a cold id: sessions of "a"
+    // through the runtime, engines of "b" straight from the registry.
+    const RACERS: usize = 4;
+    let start = std::sync::Barrier::new(2 * RACERS);
+    let (sessions, engines) = std::thread::scope(|s| {
+        let sessions: Vec<_> = (0..RACERS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    runtime.session("a").unwrap()
+                })
+            })
+            .collect();
+        let engines: Vec<_> = (0..RACERS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    registry.get("b").unwrap()
+                })
+            })
+            .collect();
+        (
+            sessions
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>(),
+            engines
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>(),
+        )
+    });
+    assert!(sessions.iter().all(|s| Arc::ptr_eq(s, &sessions[0])));
+    assert!(engines.iter().all(|e| Arc::ptr_eq(e, &engines[0])));
+    assert!(Arc::ptr_eq(&engines[0], &registry.get("b").unwrap()));
+
     registry.get("c").unwrap();
-    assert_eq!(registry.loaded_count(), 2);
-    let loaded: Vec<String> = registry
-        .list()
-        .into_iter()
-        .filter(|m| m.loaded)
-        .map(|m| m.id)
-        .collect();
-    assert_eq!(loaded, vec!["a".to_string(), "c".to_string()]);
-    // The evicted entry transparently reloads.
-    assert_eq!(registry.get("b").unwrap().model_name(), "LeNet5");
-}
-
-#[test]
-fn in_memory_registration_is_never_evicted() {
-    let dir = tmp_dir("registry_memory");
-    lenet_engine(5)
-        .compiled()
-        .save(dir.join("disk.dcam"))
-        .unwrap();
-    let registry = ModelRegistry::open_with_capacity(&dir, 1).unwrap();
-    registry.register("mem", lenet_engine(6));
-    registry.get("disk").unwrap();
-    // Registering + loading exceeds capacity 1, but only file-backed
-    // engines are evictable, and "disk" is the only one.
-    registry.get("mem").unwrap();
-    assert!(registry.list().iter().any(|m| m.id == "mem" && m.loaded));
+    let listed = registry.list();
+    let ids: Vec<&str> = listed.iter().map(|m| m.id.as_str()).collect();
+    assert_eq!(ids, ["a", "b", "c"]);
+    for m in &listed {
+        assert!(m.loaded && !m.quarantined, "{m:?}");
+        assert_eq!(m.model_name.as_deref(), Some("LeNet5"), "{m:?}");
+        assert_eq!(m.dot_layers, Some(5), "{m:?}");
+    }
 }
 
 /// A clean artifact of `engine` with its crossbar-noise slot (right
@@ -354,7 +369,10 @@ fn partial_batch_waits_for_the_simulated_deadline() {
     // Real time passes, simulated time does not: the partial batch must
     // stay queued no matter how long we wait.
     std::thread::sleep(Duration::from_millis(40));
-    assert!(pending.poll().is_none(), "dispatched before the deadline");
+    assert!(
+        pending.wait_timeout(Duration::ZERO).is_none(),
+        "dispatched before the deadline"
+    );
     assert_eq!(session.stats().batches, 0);
     // Advance past max_wait: the deadline path dispatches a batch of 1.
     clock.advance(Duration::from_millis(6));
@@ -467,22 +485,6 @@ fn runtime_serves_multiple_models_and_tracks_stats_separately() {
     let a = runtime.infer("m1", &[1, 28, 28], &img).unwrap();
     let b = runtime.infer("m2", &[1, 28, 28], &img).unwrap();
     assert_ne!(a, b);
-}
-
-#[test]
-fn close_session_flushes_and_allows_recreation() {
-    let registry = Arc::new(ModelRegistry::new());
-    registry.register("m", lenet_engine(15));
-    let runtime = Runtime::new(registry, SessionConfig::default());
-    let img = image(700);
-    let first = runtime.infer("m", &[1, 28, 28], &img).unwrap();
-    assert!(runtime.close_session("m"));
-    assert!(!runtime.close_session("m"), "second close is a no-op");
-    // A fresh session recreates on demand and serves bit-identically;
-    // its counters start over (close retired the old session's stats).
-    let second = runtime.infer("m", &[1, 28, 28], &img).unwrap();
-    assert_eq!(first, second);
-    assert_eq!(runtime.stats("m").unwrap().completed, 1);
 }
 
 #[test]

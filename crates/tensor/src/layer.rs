@@ -353,13 +353,15 @@ impl Layer for BatchNorm2d {
             self.cache = Some(cache);
             Ok(y)
         } else {
+            let mut y = x.clone();
             batch_norm2d_infer(
-                x,
-                &self.gamma.value,
-                &self.beta.value,
+                &mut y,
+                self.gamma.value.data(),
+                self.beta.value.data(),
                 &self.running_mean,
                 &self.running_var,
-            )
+            )?;
+            Ok(y)
         }
     }
 

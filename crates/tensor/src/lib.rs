@@ -52,3 +52,21 @@ pub use tensor::{matmul_dense_into, matmul_into, Tensor};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;
+
+/// Prints `msg` to stderr the first time it is seen; repeats are
+/// swallowed, so a misconfigured environment variable (`DEEPCAM_WORKERS`,
+/// `DEEPCAM_SIMD`) warns once per distinct bad value, not once per call.
+/// Returns whether it printed (the warning path's unit-test hook).
+pub(crate) fn emit_env_warning_once(msg: &str) -> bool {
+    static WARNED: std::sync::OnceLock<std::sync::Mutex<Vec<String>>> = std::sync::OnceLock::new();
+    let mut seen = WARNED
+        .get_or_init(Default::default)
+        .lock()
+        .expect("env warning lock");
+    if seen.iter().any(|m| m == msg) {
+        return false;
+    }
+    eprintln!("{msg}");
+    seen.push(msg.to_string());
+    true
+}

@@ -51,34 +51,9 @@ pub fn batch_norm2d_train(
             op: "batch_norm2d (params)",
         });
     }
-    let count = (n * h * w) as f32;
-    let mut mean = vec![0.0f32; c];
-    let mut var = vec![0.0f32; c];
-    let data = x.data();
-    for ni in 0..n {
-        for (ci, m) in mean.iter_mut().enumerate() {
-            let base = (ni * c + ci) * h * w;
-            for &v in &data[base..base + h * w] {
-                *m += v;
-            }
-        }
-    }
-    for m in &mut mean {
-        *m /= count;
-    }
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            for &v in &data[base..base + h * w] {
-                let d = v - mean[ci];
-                var[ci] += d * d;
-            }
-        }
-    }
-    for v in &mut var {
-        *v /= count;
-    }
+    let (mean, var) = channel_stats(x)?;
     let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect();
+    let data = x.data();
     let mut x_hat = vec![0.0f32; data.len()];
     let mut out = vec![0.0f32; data.len()];
     for ni in 0..n {
@@ -104,39 +79,78 @@ pub fn batch_norm2d_train(
     ))
 }
 
-/// Inference-mode batch norm using running statistics.
+/// Inference-mode batch norm, rewriting `x` in place: every value of
+/// channel `c` becomes `gamma[c] · (x − mean[c]) / √(var[c] + ε) + beta[c]`.
 ///
 /// # Errors
 ///
-/// Returns an error for non-NCHW input or mis-sized parameter vectors.
+/// Returns an error for non-NCHW input or mis-sized parameter slices.
 pub fn batch_norm2d_infer(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    running_mean: &[f32],
-    running_var: &[f32],
-) -> Result<Tensor> {
+    x: &mut Tensor,
+    gamma: &[f32],
+    beta: &[f32],
+    mean: &[f32],
+    var: &[f32],
+) -> Result<()> {
     let (n, c, h, w) = check_nchw(x, "batch_norm2d_infer")?;
-    if gamma.len() != c || beta.len() != c || running_mean.len() != c || running_var.len() != c {
+    if let Some(p) = [gamma, beta, mean, var].into_iter().find(|p| p.len() != c) {
         return Err(TensorError::ShapeMismatch {
-            lhs: gamma.shape().clone(),
+            lhs: Shape::new(&[p.len()]),
             rhs: Shape::new(&[c]),
             op: "batch_norm2d_infer (params)",
         });
     }
-    let mut out = vec![0.0f32; x.len()];
-    let data = x.data();
+    let data = x.data_mut();
     for ni in 0..n {
         for ci in 0..c {
+            let inv = 1.0 / (var[ci] + BN_EPS).sqrt();
             let base = (ni * c + ci) * h * w;
-            let inv = 1.0 / (running_var[ci] + BN_EPS).sqrt();
-            let (g, b) = (gamma.data()[ci], beta.data()[ci]);
-            for i in base..base + h * w {
-                out[i] = g * (data[i] - running_mean[ci]) * inv + b;
+            for v in &mut data[base..base + h * w] {
+                *v = gamma[ci] * (*v - mean[ci]) * inv + beta[ci];
             }
         }
     }
-    Tensor::from_vec(out, x.shape().clone())
+    Ok(())
+}
+
+/// Per-channel mean and biased variance of an NCHW tensor: the batch
+/// statistics training normalizes with and BN calibration stores. The
+/// count is clamped to 1, so an empty batch gives zero statistics, not
+/// NaN.
+///
+/// # Errors
+///
+/// Returns an error for non-NCHW input.
+pub fn channel_stats(x: &Tensor) -> Result<(Vec<f32>, Vec<f32>)> {
+    let (n, c, h, w) = check_nchw(x, "channel_stats")?;
+    let count = (n * h * w).max(1) as f32;
+    let data = x.data();
+    let mut mean = vec![0.0f32; c];
+    for ni in 0..n {
+        for (ci, m) in mean.iter_mut().enumerate() {
+            let base = (ni * c + ci) * h * w;
+            for &v in &data[base..base + h * w] {
+                *m += v;
+            }
+        }
+    }
+    for m in &mut mean {
+        *m /= count;
+    }
+    let mut var = vec![0.0f32; c];
+    for ni in 0..n {
+        for (ci, s) in var.iter_mut().enumerate() {
+            let base = (ni * c + ci) * h * w;
+            for &v in &data[base..base + h * w] {
+                let d = v - mean[ci];
+                *s += d * d;
+            }
+        }
+    }
+    for v in &mut var {
+        *v /= count;
+    }
+    Ok((mean, var))
 }
 
 /// Backward pass of training-mode batch norm.
@@ -232,11 +246,9 @@ mod tests {
 
     #[test]
     fn infer_uses_running_stats() {
-        let x = Tensor::full(Shape::new(&[1, 1, 2, 2]), 10.0);
-        let gamma = Tensor::full(Shape::new(&[1]), 1.0);
-        let beta = Tensor::zeros(Shape::new(&[1]));
-        let y = batch_norm2d_infer(&x, &gamma, &beta, &[10.0], &[1.0]).unwrap();
-        assert!(y.data().iter().all(|&v| v.abs() < 1e-4));
+        let mut x = Tensor::full(Shape::new(&[1, 1, 2, 2]), 10.0);
+        batch_norm2d_infer(&mut x, &[1.0], &[0.0], &[10.0], &[1.0]).unwrap();
+        assert!(x.data().iter().all(|&v| v.abs() < 1e-4));
     }
 
     #[test]

@@ -48,6 +48,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
+use crate::emit_env_warning_once;
+
 /// Environment variable overriding the default worker count
 /// ([`Parallelism::Auto`]): set `DEEPCAM_WORKERS=4` to pin four workers.
 pub const WORKERS_ENV: &str = "DEEPCAM_WORKERS";
@@ -121,25 +123,6 @@ fn resolve_auto(raw: Option<&str>) -> (usize, Option<String>) {
             ),
         },
     }
-}
-
-/// Prints `msg` to stderr the first time it is seen; repeats are
-/// swallowed so a hot loop resolving [`Parallelism::Auto`] warns once
-/// per distinct bad value, not once per call. Returns whether it
-/// printed (the warning path's unit-test hook).
-// analyze: allow(determinism, "the loud-misconfiguration warning itself; stderr only, once per bad value")
-fn emit_env_warning_once(msg: &str) -> bool {
-    static WARNED: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    let mut seen = WARNED
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("env warning lock");
-    if seen.iter().any(|m| m == msg) {
-        return false;
-    }
-    eprintln!("{msg}");
-    seen.push(msg.to_string());
-    true
 }
 
 impl serde::bin::BinCodec for Parallelism {

@@ -28,6 +28,8 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+use crate::emit_env_warning_once;
+
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86;
 
@@ -188,22 +190,6 @@ pub(crate) struct Avx512Token(());
 /// (never on hosts or architectures without it).
 pub(crate) fn avx512() -> Option<Avx512Token> {
     (active() == Variant::Avx512).then_some(Avx512Token(()))
-}
-
-/// Prints `msg` to stderr once per distinct message (same discipline as
-/// the `DEEPCAM_WORKERS` misconfiguration warning).
-fn emit_env_warning_once(msg: &str) {
-    use std::sync::Mutex;
-    static WARNED: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    let mut seen = WARNED
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("simd env warning lock");
-    if seen.iter().any(|m| m == msg) {
-        return;
-    }
-    eprintln!("{msg}");
-    seen.push(msg.to_string());
 }
 
 #[cfg(test)]
