@@ -215,6 +215,11 @@ impl ModelRegistry {
             .collect()
     }
 
+    /// Whether `id` is a known model, loaded or not.
+    pub fn contains(&self, id: &str) -> bool {
+        self.entries.lock().expect("registry lock").contains_key(id)
+    }
+
     /// Number of known model ids.
     pub fn len(&self) -> usize {
         self.entries.lock().expect("registry lock").len()

@@ -274,7 +274,7 @@ impl Session {
                 data[i]
             )));
         }
-        {
+        let wake = {
             let mut st = self.shared.state.lock().expect("session lock");
             if st.shutdown {
                 return Err(ServeError::ShuttingDown);
@@ -299,8 +299,17 @@ impl Session {
                 enqueued: self.clock.now(),
                 reply: Box::new(sink),
             });
+            // Wake the dispatcher only when this push changes its
+            // decision: the queue stopped being empty, or the leading
+            // same-shape run just reached `max_batch`. A push behind a
+            // partial batch leaves its deadline where it was.
+            let cap = self.cfg.max_batch.max(1);
+            let len = st.queue.len();
+            len == 1 || (len == cap && leading_same_shape(&st.queue, cap) == cap)
+        };
+        if wake {
+            self.shared.changed.notify_all();
         }
-        self.shared.changed.notify_all();
         Ok(())
     }
 
@@ -582,7 +591,7 @@ impl Runtime {
             return Ok(session.stats());
         }
         // No traffic yet: still distinguish "idle model" from "unknown".
-        if self.registry.list().iter().any(|m| m.id == model) {
+        if self.registry.contains(model) {
             Ok(StatsInner::default().snapshot())
         } else {
             Err(ServeError::ModelNotFound {

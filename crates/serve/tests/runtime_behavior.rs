@@ -8,7 +8,9 @@ use std::time::Duration;
 
 use deepcam_core::{CompiledModel, CoreError, DeepCamEngine, EngineConfig, HashPlan};
 use deepcam_models::scaled::scaled_lenet5;
-use deepcam_serve::{ManualClock, ModelRegistry, Runtime, ServeError, Session, SessionConfig};
+use deepcam_serve::{
+    ManualClock, ModelRegistry, Runtime, ServeError, Session, SessionConfig, SessionStats,
+};
 use deepcam_tensor::rng::seeded_rng;
 
 fn lenet_engine(seed: u64) -> DeepCamEngine {
@@ -485,6 +487,38 @@ fn runtime_serves_multiple_models_and_tracks_stats_separately() {
     let a = runtime.infer("m1", &[1, 28, 28], &img).unwrap();
     let b = runtime.infer("m2", &[1, 28, 28], &img).unwrap();
     assert_ne!(a, b);
+}
+
+#[test]
+fn stats_tells_an_idle_model_from_an_unknown_one() {
+    // A cold artifact with no session yet: its stats are zeroed, and
+    // asking for them neither loads the model nor opens a session.
+    let dir = tmp_dir("stats_idle");
+    lenet_engine(15)
+        .compiled()
+        .save(dir.join("idle.dcam"))
+        .unwrap();
+    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
+    let runtime = Runtime::new(Arc::clone(&registry), SessionConfig::default());
+    let zeroed = SessionStats {
+        submitted: 0,
+        completed: 0,
+        failed: 0,
+        rejected: 0,
+        batches: 0,
+        mean_occupancy: 0.0,
+        max_occupancy: 0,
+        p50_latency_ms: 0.0,
+        p99_latency_ms: 0.0,
+    };
+    assert_eq!(runtime.stats("idle").unwrap(), zeroed);
+    assert!(registry.contains("idle"));
+    assert!(!registry.list()[0].loaded, "stats must not load the model");
+    assert!(!registry.contains("unknown"));
+    assert!(matches!(
+        runtime.stats("unknown"),
+        Err(ServeError::ModelNotFound { model }) if model == "unknown"
+    ));
 }
 
 #[test]
