@@ -15,7 +15,9 @@
 //! words and norms are therefore bit-identical to im2col →
 //! `matmul_dense_into` → `pack_signs_into`, and so are the
 //! logits, the wire bytes and the modeled CAM cost. Only kernel time
-//! changes.
+//! changes. Compile hashes the kernels the same way, through the same
+//! [`Projection`] ([`crate::CompiledTile::compile`]), so every artifact
+//! byte passes through this certificate too.
 //!
 //! # The bound
 //!
@@ -115,6 +117,63 @@ pub(crate) fn column_bounds(panels: &ProjPanels) -> Vec<f32> {
         .collect()
 }
 
+/// One layer's projection `R` as the certified hash reads it: its
+/// 64-column panels and their [`column_bounds`]. Compile hashes the
+/// weights through it and the engine the activations, so both sides of
+/// every Hamming distance come from the same tiles.
+pub(crate) struct Projection {
+    pub(crate) panels: ProjPanels,
+    pub(crate) bounds: Vec<f32>,
+}
+
+impl Projection {
+    /// The layer's seeded Gaussian `R`, drawn straight into its panels
+    /// ([`ProjPanels::generate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` or `k` is zero.
+    pub(crate) fn generate(n: usize, k: usize, seed: u64) -> Self {
+        Projection::new(ProjPanels::generate(n, k, seed))
+    }
+
+    /// `panels` with their bounds.
+    pub(crate) fn new(panels: ProjPanels) -> Self {
+        let bounds = column_bounds(&panels);
+        Projection { panels, bounds }
+    }
+
+    /// Hashes every row of `src`, 64 rows at a time: the row-major
+    /// sign words (`k.div_ceil(64)` a row, the bits past `k` zero), the
+    /// row norms and the number of lanes recomputed exactly. The words
+    /// and norms are those of [`SignHasher::hash`], so they equal the
+    /// exact chain's signs and the materialised rows' norms.
+    pub(crate) fn hash_all(&self, src: &PatchSource<'_>) -> (Vec<u64>, Vec<f32>, usize) {
+        let (rows, k) = (src.len(), self.panels.k());
+        let (wpr, block) = (k.div_ceil(64), rows.clamp(1, 64));
+        let mut hasher = SignHasher::new(block, src, k);
+        let mut queries = vec![0u64; block * wpr];
+        let mut words = vec![0u64; rows * wpr];
+        let mut norms = Vec::with_capacity(rows);
+        let mut recomputed = 0;
+        for g0 in (0..rows).step_by(block) {
+            let nq = block.min(rows - g0);
+            let queries = &mut queries[..nq * wpr];
+            recomputed += hasher.hash(src, g0, nq, self, queries, &mut ());
+            for (r, row) in words[g0 * wpr..][..nq * wpr]
+                .chunks_exact_mut(wpr)
+                .enumerate()
+            {
+                for (w, word) in row.iter_mut().enumerate() {
+                    *word = queries[w * nq + r];
+                }
+            }
+            norms.extend_from_slice(&hasher.norms()[..nq]);
+        }
+        (words, norms, recomputed)
+    }
+}
+
 /// The row factor `4·n·u·‖x‖` of the bound, or `+∞` when the row
 /// certifies nothing.
 fn row_scale(n: usize, norm: f32) -> f32 {
@@ -149,31 +208,30 @@ impl SignHasher {
         }
     }
 
-    /// Hashes patch rows `g0..g0 + nq` of `src` through `panels` (`R`),
-    /// with `bounds` its [`column_bounds`]. The fused tiles compare each
-    /// finished tile against the bound ([`project_patches_signs_into`])
-    /// and write sign word `w` of row `r` to `queries[w·nq + r]`,
-    /// word-major as the Hamming tile reads it; the row's norm stays in
-    /// [`SignHasher::norms`]`()[r]`. Then every lane the bound left
-    /// uncertain is recomputed exactly. The projection is charged to
-    /// `probe`'s project phase. Returns the number of lanes recomputed.
+    /// Hashes patch rows `g0..g0 + nq` of `src` through `proj`. The fused
+    /// tiles compare each finished tile against the bound
+    /// ([`project_patches_signs_into`]) and write sign word `w` of row
+    /// `r` to `queries[w·nq + r]`, word-major as the Hamming tile reads
+    /// it; the row's norm stays in [`SignHasher::norms`]`()[r]`. Then
+    /// every lane the bound left uncertain is recomputed exactly. The
+    /// projection is charged to `probe`'s project phase. Returns the
+    /// number of lanes recomputed.
     ///
     /// # Panics
     ///
     /// Panics when the block exceeds the buffers, or a length disagrees
     /// with `n`, `k` or `nq`.
     // analyze: alloc-free
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn hash<P: Probe>(
         &mut self,
         src: &PatchSource<'_>,
         g0: usize,
         nq: usize,
-        panels: &ProjPanels,
-        bounds: &[f32],
+        proj: &Projection,
         queries: &mut [u64],
         probe: &mut P,
     ) -> usize {
+        let Projection { panels, bounds } = proj;
         let SignHasher {
             scratch,
             any,
@@ -304,29 +362,16 @@ mod tests {
         (words, norms)
     }
 
-    /// Hashes every row of `src` in `BLOCK`-row sub-blocks; returns the
+    /// Hashes every row of `src` ([`Projection::hash_all`]); returns the
     /// row-major sign words, the norm bits and the recomputed lanes.
     fn certified(src: &PatchSource<'_>, proj: &[f32], k: usize) -> (Vec<u64>, Vec<u32>, usize) {
-        let (rows, wpr) = (src.len(), k.div_ceil(64));
-        let panels = ProjPanels::pack(proj, src.width(), k);
-        let bounds = column_bounds(&panels);
-        let mut hasher = SignHasher::new(BLOCK, src, k);
-        let mut words = vec![!0u64; rows * wpr];
-        let mut norms = Vec::with_capacity(rows);
-        let mut queries = vec![0u64; BLOCK * wpr];
-        let mut recomputed = 0;
-        for g0 in (0..rows).step_by(BLOCK) {
-            let nq = BLOCK.min(rows - g0);
-            let queries = &mut queries[..nq * wpr];
-            recomputed += hasher.hash(src, g0, nq, &panels, &bounds, queries, &mut ());
-            for r in 0..nq {
-                for w in 0..wpr {
-                    words[(g0 + r) * wpr + w] = queries[w * nq + r];
-                }
-                norms.push(hasher.norms()[r].to_bits());
-            }
-        }
-        (words, norms, recomputed)
+        let proj = Projection::new(ProjPanels::pack(proj, src.width(), k));
+        let (words, norms, recomputed) = proj.hash_all(src);
+        (
+            words,
+            norms.iter().map(|v| v.to_bits()).collect(),
+            recomputed,
+        )
     }
 
     /// Asserts the certified hash of `src` equals the oracle over its
@@ -666,6 +711,102 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+        let _ = force_variant(initial);
+    }
+
+    /// A row `x ≈ R[:, j] / ‖R[:, j]‖` whose fused and exact chains
+    /// against `col` (column `j`) drift apart coherently: every tap is
+    /// nudged by up to `i + 1` ulps, which moves its product across one
+    /// ulp of the running sum, to the value that widens `exact − fused`
+    /// most. Both chains round each step's sum to the nearest float, so
+    /// the gap grows by up to one ulp of the sum a step, about
+    /// `¾·n·u·‖x‖·‖R[:, j]‖` over the row. Returns the row and its
+    /// exact and fused values.
+    fn drifting_row(col: &[f32]) -> (Vec<f32>, f32, f32) {
+        let norm = col
+            .iter()
+            .map(|&r| f64::from(r).powi(2))
+            .sum::<f64>()
+            .sqrt();
+        let (mut x, mut exact, mut fused) = (Vec::new(), 0.0f32, 0.0f32);
+        for (i, &r) in col.iter().enumerate() {
+            let mut tap = (f64::from(r) / norm) as f32;
+            for _ in 0..8 * (i + 1) {
+                tap = tap.next_down();
+            }
+            let mut best = (f64::NEG_INFINITY, tap, exact, fused);
+            for _ in 0..16 * (i + 1) + 1 {
+                let (e, f) = (exact + tap * r, tap.mul_add(r, fused));
+                if f64::from(e) - f64::from(f) > best.0 {
+                    best = (f64::from(e) - f64::from(f), tap, e, f);
+                }
+                tap = tap.next_up();
+            }
+            (_, tap, exact, fused) = best;
+            x.push(tap);
+        }
+        (x, exact, fused)
+    }
+
+    #[test]
+    fn the_bound_is_within_sixteen_times_of_a_drift_the_fused_tile_reaches() {
+        let _pin = pin();
+        let initial = active();
+        // Row j of each block drifts against column j.
+        let (rows, k) = (16, 64);
+        for n in [27, 288, 576] {
+            let proj = gaussian(&[n, k], 40 + n as u64);
+            let r = proj.data();
+            let bounds = column_bounds(&ProjPanels::pack(r, n, k));
+            let (mut x, mut chains) = (Vec::new(), Vec::new());
+            for j in 0..rows {
+                let col: Vec<f32> = (0..n).map(|i| r[i * k + j]).collect();
+                let (row, exact, fused) = drifting_row(&col);
+                x.extend_from_slice(&row);
+                chains.push((exact, fused));
+            }
+            let mut worst = f64::INFINITY;
+            for (j, (row, &(exact, fused))) in x.chunks_exact(n).zip(&chains).enumerate() {
+                let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
+                let bound = row_scale(n, norm) * bounds[j];
+                let gap = (f64::from(fused) - f64::from(exact)).abs();
+                let scale = n as f64 * f64::from(U) * f64::from(norm) * f64::from(bounds[j]);
+                let what = format!("n {n} column {j}: gap {gap:e}, n·u·‖x‖·c_j {scale:e}");
+                assert!(gap < f64::from(bound), "{what}: B = {bound:e} is no bound");
+                worst = worst.min(gap / scale);
+            }
+            // Every drift reaches a quarter of n·u·‖x‖·c_j, a sixteenth of
+            // B, and most reach half of it: a bound eight times weaker
+            // certifies lanes whose exact sign it does not know.
+            assert!(
+                worst >= 0.25,
+                "n {n}: a drift reaches only {worst:.3}·n·u·‖x‖·c_j"
+            );
+            // The tiles run these chains, fused on `Avx512` and exact
+            // elsewhere, and the certified hash packs the exact signs.
+            let src = PatchSource::rows(&x, n);
+            for &v in detected() {
+                force_variant(v).expect("detected variant");
+                let panels = ProjPanels::pack(r, n, k);
+                let mut scratch = ProjectScratch::new(rows, &src);
+                let (mut y, mut norms) = (vec![0.0; rows * k], vec![0.0; rows]);
+                project_patches_approx_into(
+                    &src,
+                    0,
+                    rows,
+                    &panels,
+                    &mut scratch,
+                    &mut y,
+                    &mut norms,
+                );
+                for (j, &(exact, fused)) in chains.iter().enumerate() {
+                    let want = if v == Variant::Avx512 { fused } else { exact };
+                    let what = format!("{} n {n} column {j}", v.name());
+                    assert_eq!(y[j * k + j].to_bits(), want.to_bits(), "{what}");
+                }
+                check(&src, &x, r, k, &format!("{} n {n} drifting rows", v.name()));
             }
         }
         let _ = force_variant(initial);

@@ -14,7 +14,7 @@
 //!    read in place: the patches from the layer's zero-padded input,
 //!    skipping on sparse layers the columns a group of rows has all
 //!    zero, without materialising the im2col matrix, and the projection
-//!    from 64-column panels packed once per layer,
+//!    from 64-column panels drawn once per layer,
 //! 2. Hamming-compare a 64-patch block of hashes against all stored
 //!    kernel contexts in one tile — functionally what the CAM array does
 //!    in parallel, one search per patch,
@@ -40,11 +40,11 @@ use deepcam_models::Cnn;
 use deepcam_tensor::ops::conv::{im2col_sharded, Conv2dConfig};
 use deepcam_tensor::ops::norm::{batch_norm2d_infer, channel_stats};
 use deepcam_tensor::ops::pool::{avg_pool2d, max_pool2d};
-use deepcam_tensor::ops::project::{PatchSource, ProjPanels};
+use deepcam_tensor::ops::project::PatchSource;
 use deepcam_tensor::pool::{split_ranges, Parallelism, ThreadPool};
 use deepcam_tensor::{Shape, Tensor};
 
-use crate::certify::{column_bounds, SignHasher};
+use crate::certify::{Projection, SignHasher};
 use crate::error::CoreError;
 use crate::hashplan::HashPlan;
 use crate::ir::{CompiledModel, CompiledStep, CompiledTile};
@@ -126,16 +126,16 @@ impl serde::bin::BinCodec for EngineConfig {
 /// store because it is a deterministic function of what it does store.
 pub(crate) struct RuntimeTile {
     /// Layer projection `R` (`[n, k]`, the on-chip crossbar weights),
-    /// regenerated from the tile's seed and packed into the 64-column
-    /// panels the projection tiles read in place.
-    panels: ProjPanels,
+    /// drawn from the tile's seed straight into the 64-column panels the
+    /// projection tiles read in place, with the upward-rounded bounds on
+    /// its column norms, the `c_j` of the sign certificate (see
+    /// [`crate::certify`]). Compile hashed the kernels through the same
+    /// draw.
+    projection: Projection,
     /// `R` row-major, for the frozen [`reference`](`crate::reference`)
     /// datapath alone: regenerated on its first use, so the fast path
     /// never holds a second copy.
     proj: std::sync::OnceLock<Tensor>,
-    /// Upward-rounded bounds on the projection's column norms, the `c_j`
-    /// of the sign certificate (see [`crate::certify`]).
-    col_bounds: Vec<f32>,
     /// Per-kernel contexts rebuilt from the packed tile + raw norms —
     /// read only by the frozen [`reference`](`crate::reference`)
     /// datapath and tests, so they are derived lazily on first use (the
@@ -163,9 +163,6 @@ impl RuntimeTile {
         cfg: &EngineConfig,
         luts: &mut std::collections::HashMap<usize, std::sync::Arc<Vec<f32>>>,
     ) -> Self {
-        let matrix = ProjectionMatrix::generate(tile.n, tile.k, tile.seed);
-        let panels = ProjPanels::pack(matrix.as_slice(), tile.n, tile.k);
-        let col_bounds = column_bounds(&panels);
         let w_norms = tile
             .norms
             .iter()
@@ -191,9 +188,8 @@ impl RuntimeTile {
             })
             .clone();
         RuntimeTile {
-            panels,
+            projection: Projection::generate(tile.n, tile.k, tile.seed),
             proj: std::sync::OnceLock::new(),
-            col_bounds,
             weights: std::sync::OnceLock::new(),
             w_norms,
             cos_lut,
@@ -1064,8 +1060,7 @@ fn dot_rows_range<P: Probe>(
         // Each hash bit is the exact chain's sign, and each chain runs
         // in a fixed order over n, so block boundaries never change it.
         let queries = &mut queries[..wpr * nq];
-        let (panels, bounds) = (&rt.panels, &rt.col_bounds[..]);
-        let recomputed = hasher.hash(src, g0, nq, panels, bounds, queries, probe);
+        let recomputed = hasher.hash(src, g0, nq, &rt.projection, queries, probe);
         for (a_norm, &norm) in a_norms.iter_mut().zip(&hasher.norms()[..nq]) {
             *a_norm = match norm_mode {
                 NormMode::Minifloat8 => Minifloat8::quantize(norm),

@@ -30,13 +30,15 @@
 //! artifact stays compact: seeds are stored, `n×k` float matrices are
 //! not.
 
-use deepcam_hash::{ContextGenerator, PackedHashes};
+use deepcam_hash::{HashError, PackedHashes};
 use deepcam_models::{Block, Cnn, DotLayer, LayerSpec, ModelSpec, PoolKind, PoolSpec, ResBlock};
 use deepcam_tensor::ops::conv::Conv2dConfig;
 use deepcam_tensor::ops::pool::PoolConfig;
+use deepcam_tensor::ops::project::PatchSource;
 use deepcam_tensor::Tensor;
 use serde::bin::{BinCodec, BinError, BinResult, Reader, Writer};
 
+use crate::certify::Projection;
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
 use crate::hashplan::PlanBinding;
@@ -392,9 +394,9 @@ pub struct CompiledTile {
     /// Bound hash width `k`.
     pub k: usize,
     /// Seed of the layer's `n×k` Gaussian projection. The matrix itself
-    /// is *derived*, never stored — `ProjectionMatrix::generate(n, k,
-    /// seed)` is deterministic, which keeps artifacts small and the
-    /// round-trip bit-exact.
+    /// is *derived*, never stored — drawing it from `(n, k, seed)` is
+    /// deterministic, which keeps artifacts small and the round-trip
+    /// bit-exact.
     pub seed: u64,
     /// All `M` kernel hashes in one packed tile.
     pub packed: PackedHashes,
@@ -408,9 +410,22 @@ impl CompiledTile {
     /// Hashes one layer's weights into a tile: the per-layer unit of
     /// compilation (and the tuner's cache entry).
     ///
+    /// Each kernel, flattened row-major to the im2col patch layout, is
+    /// hashed as a patch row, by the sign-certified tile the engine hashes
+    /// activations with, through the layer's projection drawn straight
+    /// into panels ([`ProjPanels::generate`]). The certificate makes every
+    /// sign bit and norm that of the exact chain, which for a finite `R`
+    /// is the chain of `ContextGenerator::weight_contexts` in
+    /// `deepcam-hash` (the zero taps it skips add `±0.0` to an
+    /// accumulator that never holds `-0.0`), so the tile's bytes are the
+    /// same as through that oracle.
+    ///
+    /// [`ProjPanels::generate`]: deepcam_tensor::ops::project::ProjPanels::generate
+    ///
     /// # Errors
     ///
-    /// Propagates hashing errors (invalid geometry).
+    /// Returns [`CoreError::Hash`] when the kernels are empty or `k` is
+    /// zero.
     pub fn compile(
         name: impl Into<String>,
         layer_idx: usize,
@@ -420,23 +435,20 @@ impl CompiledTile {
     ) -> Result<Self> {
         let dims = weight.shape().dims();
         let n: usize = dims[1..].iter().product();
-        let gen = ContextGenerator::new(n, k, seed)?;
-        let contexts = gen.weight_contexts(weight)?;
-        let mut packed = PackedHashes::new(k);
-        let mut norms = Vec::with_capacity(contexts.len());
-        for wctx in contexts.iter() {
-            packed
-                .push(&wctx.bits)
-                .expect("weight hashes share the layer width by construction");
-            norms.push(wctx.norm);
+        if n == 0 || k == 0 {
+            return Err(CoreError::Hash(HashError::InvalidConfig(format!(
+                "a tile hashes kernels of {n} values to {k} bits; both must be > 0"
+            ))));
         }
+        let proj = Projection::generate(n, k, seed);
+        let (words, norms, _) = proj.hash_all(&PatchSource::rows(weight.data(), n));
         Ok(CompiledTile {
             layer_idx,
             name: name.into(),
             n,
             k,
             seed,
-            packed,
+            packed: PackedHashes::from_words(k, words)?,
             norms,
         })
     }

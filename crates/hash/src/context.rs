@@ -71,6 +71,13 @@ impl ContextSet {
 
 /// Generates contexts for one layer: owns the layer's projection matrix.
 ///
+/// Each context is projected one vector at a time through the row-major
+/// matrix ([`ProjectionMatrix::project`]'s serial multiply-then-add
+/// chain, skipping zero taps). The compiler in `deepcam-core` does not
+/// call it: it hashes the kernels with the engine's certified panel
+/// tile, whose bits and norms equal these for every finite projection,
+/// and its tests keep this generator as the scalar oracle.
+///
 /// # Example
 ///
 /// ```

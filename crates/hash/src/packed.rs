@@ -103,6 +103,39 @@ impl PackedHashes {
         Ok(tile)
     }
 
+    /// Takes a row-major slab of `bits`-wide rows, `bits.div_ceil(64)`
+    /// words each, as the tile.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HashError::InvalidConfig`] when `bits` is zero, the slab
+    /// is not a whole number of rows, or a row sets a bit past `bits` in
+    /// its last word (the tile keeps those zero).
+    pub fn from_words(bits: usize, slab: Vec<u64>) -> Result<Self> {
+        let words_per_row = bits.div_ceil(WORD_BITS);
+        if words_per_row == 0 || !slab.len().is_multiple_of(words_per_row) {
+            return Err(HashError::InvalidConfig(format!(
+                "{} words are not whole rows of {bits} bits",
+                slab.len()
+            )));
+        }
+        let mask = crate::bitvec::tail_garbage_mask(bits);
+        if let Some(row) = slab
+            .chunks_exact(words_per_row)
+            .position(|row| row[words_per_row - 1] & mask != 0)
+        {
+            return Err(HashError::InvalidConfig(format!(
+                "row {row} has bits set past its width of {bits}"
+            )));
+        }
+        Ok(PackedHashes {
+            bits,
+            words_per_row,
+            rows: slab.len() / words_per_row,
+            slab,
+        })
+    }
+
     /// Appends one hash row.
     ///
     /// # Errors
@@ -420,6 +453,18 @@ mod tests {
                 assert_eq!(d as usize, row.hamming(&query).unwrap(), "bits {bits}");
             }
         }
+    }
+
+    #[test]
+    fn from_words_takes_whole_rows_with_zero_tails_only() {
+        let rows = vec![patterned(70, 3), patterned(70, 5)];
+        let mut slab: Vec<u64> = rows.iter().flat_map(|r| r.words().to_vec()).collect();
+        let tile = PackedHashes::from_words(70, slab.clone()).unwrap();
+        assert_eq!(tile, PackedHashes::from_bitvecs(70, &rows).unwrap());
+        slab[3] |= 1 << 6;
+        assert!(PackedHashes::from_words(70, slab).is_err());
+        assert!(PackedHashes::from_words(70, vec![0; 3]).is_err());
+        assert!(PackedHashes::from_words(0, Vec::new()).is_err());
     }
 
     #[test]

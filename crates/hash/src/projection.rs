@@ -42,9 +42,12 @@ impl ProjectionMatrix {
     /// [`standard_normal`](deepcam_tensor::rng::standard_normal) draw of
     /// `seeded_rng(seed)` as `f32`, bit for bit. The block generator
     /// [`fill_standard_normal`] writes it, about 3× faster than one libm
-    /// `ln` and `cos` per entry. Compile (the context generator), every
-    /// artifact load and the reference datapath rebuild their matrices
-    /// through here, so this draw is most of a model's set-up time.
+    /// `ln` and `cos` per entry. [`ContextGenerator`](crate::ContextGenerator)
+    /// and the engine's frozen reference datapath build their row-major
+    /// matrices here. Compile and every artifact load draw the same
+    /// values straight into the engine's 64-column panels instead
+    /// (`ProjPanels::generate` in `deepcam-tensor`), never holding this
+    /// row-major copy.
     ///
     /// # Panics
     ///

@@ -11,8 +11,9 @@
 //!   offset table: column `kk` of patch row `r` is
 //!   `padded[base_r + off[kk]]`. Linear layers use the same form, with
 //!   `base_r = r·n` and the identity table.
-//! - **`B`.** [`ProjPanels`] packs `R` once per layer into 64-column
-//!   panels laid out `[k/64][n][64]`, so every tile walks contiguous
+//! - **`B`.** [`ProjPanels`] holds `R` once per layer in 64-column
+//!   panels laid out `[k/64][n][64]`, drawn straight into them from the
+//!   layer's seed ([`ProjPanels::generate`]), so every tile walks contiguous
 //!   64-float rows. A 64-column slice of row-major `R` at `k = 256` has a
 //!   1 KB stride, which maps it onto 16 of L1's 64 sets.
 //!
@@ -80,6 +81,7 @@ use std::borrow::Cow;
 
 use crate::error::TensorError;
 use crate::ops::conv::Conv2dConfig;
+use crate::rng::{fill_standard_normal, seeded_rng};
 use crate::shape::Shape;
 use crate::simd::Avx512Token;
 use crate::tensor::Tensor;
@@ -141,16 +143,50 @@ impl ProjPanels {
     /// Panics when `proj` is not `n·k` long.
     pub fn pack(proj: &[f32], n: usize, k: usize) -> Self {
         assert_eq!(proj.len(), n * k, "projection must be n*k");
-        let len = k.div_ceil(64) * n * 64;
-        let mut buf = vec![0.0; len + LINE];
-        let at = line_start(&buf);
-        let dst = &mut buf[at..at + len];
-        for (row, src) in proj.chunks_exact(k.max(1)).enumerate() {
-            for (p, cols) in src.chunks(64).enumerate() {
-                dst[(p * n + row) * 64..][..cols.len()].copy_from_slice(cols);
-            }
+        let mut panels = Self::zeroed(n, k);
+        for (row, vals) in proj.chunks_exact(k.max(1)).enumerate() {
+            panels.put_row(row, vals);
         }
+        panels
+    }
+
+    /// Draws the seeded Gaussian `R` straight into panels: bit for bit
+    /// [`ProjPanels::pack`] of the row-major `[n, k]` matrix whose entry
+    /// `i` is the `i`-th [`standard_normal`](crate::rng::standard_normal)
+    /// draw of [`seeded_rng`]`(seed)` as `f32` (`ProjectionMatrix::generate`
+    /// in `deepcam-hash`). It draws one row of `k` values at a time into a
+    /// `k`-float buffer with [`fill_standard_normal`], in the same order,
+    /// and copies each 64-value run into its panel, so the row-major
+    /// `n·k` matrix is never held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` or `k` is zero.
+    pub fn generate(n: usize, k: usize, seed: u64) -> Self {
+        assert!(n > 0 && k > 0, "projection dimensions must be > 0");
+        let mut panels = Self::zeroed(n, k);
+        let (mut rng, mut vals) = (seeded_rng(seed), vec![0.0; k]);
+        for row in 0..n {
+            fill_standard_normal(&mut rng, &mut vals);
+            panels.put_row(row, &vals);
+        }
+        panels
+    }
+
+    /// All-zero panels for an `[n, k]` matrix, starting on a line.
+    fn zeroed(n: usize, k: usize) -> Self {
+        let buf = vec![0.0; k.div_ceil(64) * n * 64 + LINE];
         ProjPanels { n, k, buf }
+    }
+
+    /// Writes row `row` of `R` (`k` values) into its panels, one 64-value
+    /// run each.
+    fn put_row(&mut self, row: usize, vals: &[f32]) {
+        let (n, at) = (self.n, line_start(&self.buf));
+        let dst = &mut self.buf[at..];
+        for (p, cols) in vals.chunks(64).enumerate() {
+            dst[(p * n + row) * 64..][..cols.len()].copy_from_slice(cols);
+        }
     }
 
     /// Rows `n` of `R`.
@@ -1242,6 +1278,26 @@ mod tests {
                 );
             }
             assert_eq!(panels.panel(0).as_ptr().align_offset(64), 0, "k {k}");
+        }
+    }
+
+    #[test]
+    fn generated_panels_are_the_packed_seeded_draw() {
+        // One row, a conv patch width and the widest layer; whole panels,
+        // a 6-column last panel, and the widths the hash plans bind.
+        for n in [1, 27, 576] {
+            for k in [64, 70, 256, 768, 1024] {
+                let seed = (n * k) as u64;
+                let mut r = vec![0.0f32; n * k];
+                crate::rng::fill_standard_normal(&mut seeded_rng(seed), &mut r);
+                let (want, got) = (ProjPanels::pack(&r, n, k), ProjPanels::generate(n, k, seed));
+                assert_eq!((got.n(), got.k()), (n, k));
+                for p in 0..k.div_ceil(64) {
+                    let (a, b) = (got.panel(p), want.panel(p));
+                    assert_eq!(bits(a), bits(b), "n {n} k {k} panel {p}");
+                    assert_eq!(a.as_ptr().align_offset(64), 0, "n {n} k {k} panel {p}");
+                }
+            }
         }
     }
 
