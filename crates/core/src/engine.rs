@@ -163,16 +163,13 @@ impl RuntimeTile {
         cfg: &EngineConfig,
         luts: &mut std::collections::HashMap<usize, std::sync::Arc<Vec<f32>>>,
     ) -> Self {
+        // Identical to `Context::quantized_norm` on the lazily rebuilt
+        // contexts below: `Minifloat8::quantize` is bit for bit the
+        // `from_f32` round trip they store.
         let w_norms = tile
             .norms
             .iter()
-            .map(|&norm| match cfg.norm {
-                // Identical to `Context::quantized_norm` on the lazily
-                // rebuilt contexts below: both round-trip through
-                // `Minifloat8::from_f32`.
-                NormMode::Minifloat8 => Minifloat8::from_f32(norm).to_f32(),
-                NormMode::Fp32 => norm,
-            })
+            .map(|&norm| cfg.norm.apply(norm))
             .collect();
         let cos_lut = luts
             .entry(tile.k)
@@ -1062,10 +1059,7 @@ fn dot_rows_range<P: Probe>(
         let queries = &mut queries[..wpr * nq];
         let recomputed = hasher.hash(src, g0, nq, &rt.projection, queries, probe);
         for (a_norm, &norm) in a_norms.iter_mut().zip(&hasher.norms()[..nq]) {
-            *a_norm = match norm_mode {
-                NormMode::Minifloat8 => Minifloat8::quantize(norm),
-                NormMode::Fp32 => norm,
-            };
+            *a_norm = norm_mode.apply(norm);
         }
         probe.lap(|d| &mut d.certify);
         let dists = &mut dists[..m * nq];

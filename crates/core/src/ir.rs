@@ -356,30 +356,6 @@ fn pool_peripheral(
     Ok(())
 }
 
-/// The weight tensor of every dot layer of a [`Cnn`], traversal order
-/// (tuner building block: re-compile a single layer's tile at a new
-/// hash length without re-walking the model).
-pub(crate) fn dot_layer_weights(model: &Cnn) -> Vec<&Tensor> {
-    fn collect<'m>(blocks: &'m [Block], out: &mut Vec<&'m Tensor>) {
-        for block in blocks {
-            match block {
-                Block::Conv(c) => out.push(&c.weight.value),
-                Block::Linear(l) => out.push(&l.weight.value),
-                Block::Residual(ResBlock { body, shortcut, .. }) => {
-                    collect(body, out);
-                    if let Some(sc) = shortcut {
-                        collect(sc, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut out = Vec::new();
-    collect(&model.blocks, &mut out);
-    out
-}
-
 /// One dot layer's CAM-resident artifact: every kernel context packed
 /// into a contiguous tile, plus the seeds and raw norms the runtime
 /// derives the rest from.
@@ -408,7 +384,7 @@ pub struct CompiledTile {
 
 impl CompiledTile {
     /// Hashes one layer's weights into a tile: the per-layer unit of
-    /// compilation (and the tuner's cache entry).
+    /// compilation.
     ///
     /// Each kernel, flattened row-major to the im2col patch layout, is
     /// hashed as a patch row, by the sign-certified tile the engine hashes
@@ -760,25 +736,6 @@ impl CompiledModel {
         out
     }
 
-    /// Mutable visit of every tile in traversal order (tuner internals).
-    pub(crate) fn for_each_tile_mut(&mut self, f: &mut impl FnMut(&mut CompiledTile)) {
-        fn walk(steps: &mut [CompiledStep], f: &mut impl FnMut(&mut CompiledTile)) {
-            for step in steps {
-                match step {
-                    CompiledStep::Conv { tile, .. } | CompiledStep::Linear { tile, .. } => f(tile),
-                    CompiledStep::Residual { body, shortcut } => {
-                        walk(body, f);
-                        if let Some(sc) = shortcut {
-                            walk(sc, f);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        walk(&mut self.steps, f);
-    }
-
     /// Structural consistency check: the binding covers the IR, every
     /// dot layer has a static patch count, every tile's width matches its
     /// bound length, and tile indices are the IR's traversal order. Run
@@ -1039,35 +996,15 @@ fn compile_blocks(
     let mut steps = Vec::with_capacity(blocks.len());
     for block in blocks {
         match block {
-            Block::Conv(conv) => {
-                let tile = CompiledTile::compile(
-                    ir.dots[*idx].shape.name.clone(),
-                    *idx,
-                    binding.k_for(*idx),
-                    cfg.seed.wrapping_add(*idx as u64),
-                    &conv.weight.value,
-                )?;
-                steps.push(CompiledStep::Conv {
-                    cfg: conv.cfg,
-                    tile,
-                    bias: conv.bias.value.data().to_vec(),
-                });
-                *idx += 1;
-            }
-            Block::Linear(lin) => {
-                let tile = CompiledTile::compile(
-                    ir.dots[*idx].shape.name.clone(),
-                    *idx,
-                    binding.k_for(*idx),
-                    cfg.seed.wrapping_add(*idx as u64),
-                    &lin.weight.value,
-                )?;
-                steps.push(CompiledStep::Linear {
-                    tile,
-                    bias: lin.bias.value.data().to_vec(),
-                });
-                *idx += 1;
-            }
+            Block::Conv(conv) => steps.push(CompiledStep::Conv {
+                cfg: conv.cfg,
+                tile: compile_tile(&conv.weight.value, cfg, ir, binding, idx)?,
+                bias: conv.bias.value.data().to_vec(),
+            }),
+            Block::Linear(lin) => steps.push(CompiledStep::Linear {
+                tile: compile_tile(&lin.weight.value, cfg, ir, binding, idx)?,
+                bias: lin.bias.value.data().to_vec(),
+            }),
             Block::Bn(bn) => steps.push(CompiledStep::Bn {
                 gamma: bn.gamma.value.data().to_vec(),
                 beta: bn.beta.value.data().to_vec(),
@@ -1092,6 +1029,27 @@ fn compile_blocks(
         }
     }
     Ok(steps)
+}
+
+/// Hashes dot layer `*idx`'s weights at its bound width and advances
+/// `*idx`: the one place a tile's name, index, width and projection
+/// seed (`cfg.seed + idx`, wrapping) are chosen.
+fn compile_tile(
+    weight: &Tensor,
+    cfg: &EngineConfig,
+    ir: &LayerIr,
+    binding: &PlanBinding,
+    idx: &mut usize,
+) -> Result<CompiledTile> {
+    let i = *idx;
+    *idx += 1;
+    CompiledTile::compile(
+        ir.dots[i].shape.name.clone(),
+        i,
+        binding.k_for(i),
+        cfg.seed.wrapping_add(i as u64),
+        weight,
+    )
 }
 
 impl BinCodec for DotKind {

@@ -7,13 +7,15 @@
 //! all-1024 reference, then reports both plans' accuracy on the
 //! **held-out split** the search never saw. The search is fully
 //! deterministic: same model, data, split and config ⇒ bit-identical
-//! plan and accuracies (pinned by `tuner_is_deterministic`).
+//! plan and accuracies (pinned by `tuner_decisions_are_pinned`).
 //!
-//! The pipeline refactor is what makes the search cheap: candidate
-//! engines are assembled from a **per-(layer, width) tile cache** —
-//! each weight tile is hashed once per width ever probed and swapped
-//! into a cloned [`CompiledModel`], instead of re-hashing every layer of
-//! every candidate from scratch as the pre-IR search did.
+//! Every candidate is an ordinary compile:
+//! [`DeepCamEngine::compile`] under the base config with the trial
+//! [`HashPlan::PerLayer`], BN-calibrated and evaluated like any engine,
+//! so a tuned plan scores exactly what serving it would. Compiling is
+//! cheap next to scoring: on VGG11 width 8 a compile costs about what
+//! the engine's own derivation does, under 3% of a candidate that
+//! calibrates and evaluates 500 images.
 //!
 //! Both strategies lower one layer at a time, in execution order, with
 //! the layers before it at their chosen widths and the layers after it
@@ -29,8 +31,6 @@
 //! so the final plan is the last accepted trial (or all-1024) and meets
 //! the target on the tuning split by construction.
 
-use std::collections::HashMap;
-
 use deepcam_hash::SUPPORTED_HASH_LENGTHS;
 use deepcam_models::Cnn;
 use deepcam_tensor::{Shape, Tensor};
@@ -38,7 +38,7 @@ use deepcam_tensor::{Shape, Tensor};
 use crate::engine::{DeepCamEngine, EngineConfig};
 use crate::error::CoreError;
 use crate::hashplan::{HashPlan, PlanBinding};
-use crate::ir::{dot_layer_weights, CompiledModel, CompiledTile, LayerIr};
+use crate::ir::LayerIr;
 use crate::passes::mapping::{search_mapping, MappingConfig, ModelMapping};
 use crate::perf::PerfReport;
 use crate::sched::CamScheduler;
@@ -116,89 +116,38 @@ pub fn holdout_within(max_drop: f32, reference: f32, tuned: f32) -> bool {
     tuned + max_drop >= reference
 }
 
-/// Candidate-engine factory: one compiled base plus a per-(layer, width)
-/// tile cache. Assembling a candidate clones the base artifact and swaps
-/// only the tiles whose width differs — weight hashing happens once per
-/// (layer, width) ever probed.
+/// Candidate-engine factory: compiles, calibrates and scores trial
+/// plans, counting every evaluation.
 struct Searcher<'a> {
-    weights: Vec<&'a Tensor>,
+    model: &'a Cnn,
     base_cfg: &'a EngineConfig,
     calibration: Option<&'a Tensor>,
     batch_size: usize,
-    base: CompiledModel,
-    cache: HashMap<(usize, usize), CompiledTile>,
     evaluations: usize,
 }
 
-impl<'a> Searcher<'a> {
-    fn new(
-        model: &'a Cnn,
-        base_cfg: &'a EngineConfig,
-        calibration: Option<&'a Tensor>,
-        batch_size: usize,
-    ) -> Result<Self> {
-        let layers = model.dot_layer_count();
-        let max_k = *SUPPORTED_HASH_LENGTHS.last().expect("non-empty");
+impl Searcher<'_> {
+    /// Compiles (and BN-calibrates, when configured) an engine for `ks`.
+    fn engine_for(&self, ks: &[usize]) -> Result<DeepCamEngine> {
         let cfg = EngineConfig {
-            plan: HashPlan::PerLayer(vec![max_k; layers]),
-            ..base_cfg.clone()
+            plan: HashPlan::PerLayer(ks.to_vec()),
+            ..self.base_cfg.clone()
         };
-        let base = CompiledModel::compile(model, cfg)?;
-        let mut cache = HashMap::new();
-        for tile in base.tiles() {
-            cache.insert((tile.layer_idx, tile.k), tile.clone());
-        }
-        Ok(Searcher {
-            weights: dot_layer_weights(model),
-            base_cfg,
-            calibration,
-            batch_size,
-            base,
-            cache,
-            evaluations: 0,
-        })
-    }
-
-    fn ensure_tile(&mut self, layer: usize, k: usize) -> Result<()> {
-        if !self.cache.contains_key(&(layer, k)) {
-            let tile = CompiledTile::compile(
-                self.base.ir.dots[layer].shape.name.clone(),
-                layer,
-                k,
-                self.base_cfg.seed.wrapping_add(layer as u64),
-                self.weights[layer],
-            )?;
-            self.cache.insert((layer, k), tile);
-        }
-        Ok(())
-    }
-
-    /// Builds (and BN-calibrates, when configured) an engine for `ks`.
-    fn engine_for(&mut self, ks: &[usize]) -> Result<DeepCamEngine> {
-        for (layer, &k) in ks.iter().enumerate() {
-            self.ensure_tile(layer, k)?;
-        }
-        let mut compiled = self.base.clone();
-        compiled.config.plan = HashPlan::PerLayer(ks.to_vec());
-        compiled.binding = compiled.config.plan.bind(&compiled.ir)?;
-        let cache = &self.cache;
-        compiled.for_each_tile_mut(&mut |tile| {
-            let k = ks[tile.layer_idx];
-            if tile.k != k {
-                *tile = cache[&(tile.layer_idx, k)].clone();
-            }
-        });
-        let mut engine = DeepCamEngine::from_compiled(compiled)?;
+        let mut engine = DeepCamEngine::compile(self.model, cfg)?;
         if let Some(calib) = self.calibration {
             engine.calibrate_bn(calib)?;
         }
         Ok(engine)
     }
 
-    fn eval(&mut self, ks: &[usize], images: &Tensor, labels: &[usize]) -> Result<f32> {
-        let engine = self.engine_for(ks)?;
+    fn score(&mut self, engine: &DeepCamEngine, images: &Tensor, labels: &[usize]) -> Result<f32> {
         self.evaluations += 1;
         engine.evaluate(images, labels, self.batch_size)
+    }
+
+    fn eval(&mut self, ks: &[usize], images: &Tensor, labels: &[usize]) -> Result<f32> {
+        let engine = self.engine_for(ks)?;
+        self.score(&engine, images, labels)
     }
 }
 
@@ -246,7 +195,13 @@ pub fn tune(
 
     let layers = model.dot_layer_count();
     let max_k = *SUPPORTED_HASH_LENGTHS.last().expect("non-empty");
-    let mut searcher = Searcher::new(model, base, calibration, cfg.batch_size)?;
+    let mut searcher = Searcher {
+        model,
+        base_cfg: base,
+        calibration,
+        batch_size: cfg.batch_size,
+        evaluations: 0,
+    };
 
     let max_ks = vec![max_k; layers];
     let reference = searcher.eval(&max_ks, &tune_x, &tune_y)?;
@@ -292,16 +247,16 @@ pub fn tune(
 
     // The final plan is the last accepted trial (or all-1024), and
     // evaluation is deterministic, so this re-evaluation always passes.
-    let tuned_accuracy = searcher.eval(&ks, &tune_x, &tune_y)?;
+    // One engine scores both splits, and its compile bound the plan.
+    let tuned = searcher.engine_for(&ks)?;
+    let tuned_accuracy = searcher.score(&tuned, &tune_x, &tune_y)?;
     debug_assert!(acceptable(tuned_accuracy));
 
     let holdout_reference = searcher.eval(&max_ks, &hold_x, &hold_y)?;
-    let holdout_tuned = searcher.eval(&ks, &hold_x, &hold_y)?;
+    let holdout_tuned = searcher.score(&tuned, &hold_x, &hold_y)?;
 
     let plan = HashPlan::PerLayer(ks);
-    // The searcher's base artifact already holds the lowered IR — no
-    // need to re-walk the model.
-    let binding = plan.bind(&searcher.base.ir)?;
+    let binding = tuned.compiled().binding.clone();
     let mean_hash_len = binding.mean_length();
     Ok(TuneReport {
         plan,
@@ -631,27 +586,45 @@ mod tests {
     }
 
     #[test]
-    fn cached_candidates_match_fresh_compiles_bitwise() {
-        // The tile cache must be invisible: a candidate engine assembled
-        // by the searcher computes the same logits as compiling the
-        // plan from scratch.
+    fn tuner_decisions_are_pinned() {
+        // The toy run's plan, evaluation count and accuracy bits, pinned
+        // per strategy: a rewrite of how candidates are built must not
+        // change what any of them scores.
         let model = trained_lenet();
-        let base = EngineConfig::default();
-        let mut searcher = Searcher::new(&model, &base, None, 8).unwrap();
-        let ks = [256usize, 512, 256, 768, 1024];
-        let cached = searcher.engine_for(&ks).unwrap();
-        let fresh = DeepCamEngine::compile(
-            &model,
-            EngineConfig {
-                plan: HashPlan::PerLayer(ks.to_vec()),
-                ..base
-            },
-        )
-        .unwrap();
-        let (x, _) = toy_images(4);
-        assert_eq!(
-            cached.infer(&x).unwrap().data(),
-            fresh.infer(&x).unwrap().data()
-        );
+        let (x, y) = toy_images(20);
+        for (strategy, ks, evaluations) in [
+            (
+                SearchStrategy::BinaryMinimal,
+                [256, 256, 1024, 1024, 1024],
+                14,
+            ),
+            (
+                SearchStrategy::GreedyAscending,
+                [256, 256, 1024, 1024, 256],
+                13,
+            ),
+        ] {
+            let cfg = TunerConfig {
+                max_drop: 0.05,
+                batch_size: 8,
+                strategy,
+                ..TunerConfig::default()
+            };
+            let r = tune(&model, &x, &y, &EngineConfig::default(), None, &cfg).unwrap();
+            assert_eq!(r.plan, HashPlan::PerLayer(ks.to_vec()), "{strategy:?}");
+            assert_eq!(r.evaluations, evaluations, "{strategy:?}");
+            let bits = [
+                r.reference_accuracy,
+                r.tuned_accuracy,
+                r.holdout_reference,
+                r.holdout_tuned,
+            ]
+            .map(f32::to_bits);
+            assert_eq!(
+                bits,
+                [0x3f4c_cccd, 0x3f4c_cccd, 0x3f33_3333, 0x3f66_6666],
+                "{strategy:?}"
+            );
+        }
     }
 }

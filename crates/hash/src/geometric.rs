@@ -76,6 +76,7 @@ impl serde::bin::BinCodec for NormMode {
 
 impl NormMode {
     /// Applies the selected quantization to a norm.
+    #[inline]
     pub fn apply(self, norm: f32) -> f32 {
         match self {
             NormMode::Minifloat8 => Minifloat8::quantize(norm),

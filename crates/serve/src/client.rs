@@ -20,9 +20,10 @@ use crate::clock::{Clock, SystemClock};
 use crate::error::{Result, ServeError};
 use crate::protocol::{
     decode_payload, decode_payload_v2, encode_payload, encode_payload_v2, read_frame, write_frame,
-    ErrorKind, Frame, Request, Response, WireModelInfo, WireServerStats, WireStats,
-    MAX_PROTOCOL_VERSION, PROTOCOL_V1, PROTOCOL_V2,
+    ErrorKind, Frame, Request, Response, WireModelInfo, MAX_PROTOCOL_VERSION, PROTOCOL_V1,
+    PROTOCOL_V2,
 };
+use crate::stats::{ServerStats, SessionStats};
 
 /// When and how [`Client`] retries a failed call.
 ///
@@ -266,7 +267,7 @@ impl Client {
     /// # Errors
     ///
     /// Same conditions as [`Client::infer`].
-    pub fn stats(&mut self, model: &str) -> Result<WireStats> {
+    pub fn stats(&mut self, model: &str) -> Result<SessionStats> {
         match self.call(&Request::Stats {
             model: model.into(),
         })? {
@@ -282,7 +283,7 @@ impl Client {
     /// # Errors
     ///
     /// Same conditions as [`Client::infer`].
-    pub fn server_stats(&mut self) -> Result<WireServerStats> {
+    pub fn server_stats(&mut self) -> Result<ServerStats> {
         match self.call(&Request::ServerStats)? {
             Response::ServerStats(stats) => Ok(stats),
             other => Err(ServeError::Protocol(format!(

@@ -53,7 +53,7 @@ use crate::error::{Result, ServeError};
 use crate::protocol::{
     check_frame_len, classify, decode_payload, decode_payload_v2, encode_payload,
     encode_payload_v2, negotiate_version, ErrorKind, Request, Response, WireModelInfo,
-    WireServerStats, WireStats, CONNECTION_SCOPED_ID, MAX_FRAME_BYTES, PROTOCOL_V1, PROTOCOL_V2,
+    CONNECTION_SCOPED_ID, MAX_FRAME_BYTES, PROTOCOL_V1, PROTOCOL_V2,
 };
 use crate::server::ServerShared;
 
@@ -506,29 +506,10 @@ impl Connection {
                     .collect(),
             ),
             Ok(Request::Stats { model }) => match self.shared.runtime.stats(&model) {
-                Ok(s) => Response::Stats(WireStats {
-                    submitted: s.submitted,
-                    completed: s.completed,
-                    failed: s.failed,
-                    rejected: s.rejected,
-                    batches: s.batches,
-                    mean_occupancy: s.mean_occupancy,
-                    max_occupancy: s.max_occupancy as u64,
-                    p50_latency_ms: s.p50_latency_ms,
-                    p99_latency_ms: s.p99_latency_ms,
-                }),
+                Ok(s) => Response::Stats(s),
                 Err(e) => error_response(&e),
             },
-            Ok(Request::ServerStats) => {
-                let s = self.shared.counters.snapshot();
-                Response::ServerStats(WireServerStats {
-                    accepted: s.accepted,
-                    refused: s.refused,
-                    timed_out: s.timed_out,
-                    protocol_errors: s.protocol_errors,
-                    drained: s.drained,
-                })
-            }
+            Ok(Request::ServerStats) => Response::ServerStats(self.shared.counters.snapshot()),
             Err(e) => {
                 // Frame boundaries are intact, so a garbage payload is
                 // answered and the connection keeps serving.

@@ -63,6 +63,7 @@ use std::io::{Read, Write};
 use serde::bin::{BinCodec, BinError, BinResult, Reader, Writer};
 
 use crate::error::{Result, ServeError};
+use crate::stats::{ServerStats, SessionStats};
 
 /// Hard cap on one frame's payload bytes (16 MiB).
 pub const MAX_FRAME_BYTES: usize = 1 << 24;
@@ -126,7 +127,7 @@ pub enum Response {
     /// The registry listing for a `ListModels` request.
     Models(Vec<WireModelInfo>),
     /// The counters for a `Stats` request.
-    Stats(WireStats),
+    Stats(SessionStats),
     /// The request failed; `kind` classifies it for typed client-side
     /// handling.
     Error {
@@ -136,7 +137,7 @@ pub enum Response {
         message: String,
     },
     /// The robustness counters for a `ServerStats` request.
-    ServerStats(WireServerStats),
+    ServerStats(ServerStats),
     /// Handshake reply: the protocol version every subsequent frame on
     /// this connection speaks.
     Hello {
@@ -152,29 +153,6 @@ pub struct WireModelInfo {
     pub id: String,
     /// Whether the engine is loaded.
     pub loaded: bool,
-}
-
-/// A [`crate::stats::SessionStats`] snapshot on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireStats {
-    /// Requests accepted into the queue.
-    pub submitted: u64,
-    /// Requests answered with logits.
-    pub completed: u64,
-    /// Requests answered with an engine error.
-    pub failed: u64,
-    /// Requests rejected by backpressure.
-    pub rejected: u64,
-    /// Engine batches dispatched.
-    pub batches: u64,
-    /// Mean images per dispatched batch.
-    pub mean_occupancy: f64,
-    /// Largest batch dispatched.
-    pub max_occupancy: u64,
-    /// Median submit→reply latency, milliseconds.
-    pub p50_latency_ms: f64,
-    /// 99th-percentile submit→reply latency, milliseconds.
-    pub p99_latency_ms: f64,
 }
 
 /// Coarse error classes a [`Response::Error`] carries, so clients can
@@ -238,23 +216,7 @@ impl BinCodec for ErrorKind {
     }
 }
 
-/// A [`crate::stats::ServerStats`] snapshot on the wire: the server's
-/// connection-level robustness counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireServerStats {
-    /// Connections accepted into service.
-    pub accepted: u64,
-    /// Connections refused (over the limit, or arriving mid-drain).
-    pub refused: u64,
-    /// Connections reaped for stalling mid-frame past `read_timeout`.
-    pub timed_out: u64,
-    /// Wire-protocol violations answered with a typed error.
-    pub protocol_errors: u64,
-    /// Requests whose replies were delivered during a graceful drain.
-    pub drained: u64,
-}
-
-impl BinCodec for WireServerStats {
+impl BinCodec for ServerStats {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.accepted);
         w.put_u64(self.refused);
@@ -264,7 +226,7 @@ impl BinCodec for WireServerStats {
     }
 
     fn decode(r: &mut Reader<'_>) -> BinResult<Self> {
-        Ok(WireServerStats {
+        Ok(ServerStats {
             accepted: r.get_u64()?,
             refused: r.get_u64()?,
             timed_out: r.get_u64()?,
@@ -366,7 +328,8 @@ impl BinCodec for WireModelInfo {
     }
 }
 
-impl BinCodec for WireStats {
+/// `max_occupancy` travels as a `u64`, whatever the width of `usize`.
+impl BinCodec for SessionStats {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.submitted);
         w.put_u64(self.completed);
@@ -374,20 +337,25 @@ impl BinCodec for WireStats {
         w.put_u64(self.rejected);
         w.put_u64(self.batches);
         w.put_f64(self.mean_occupancy);
-        w.put_u64(self.max_occupancy);
+        w.put_u64(self.max_occupancy as u64);
         w.put_f64(self.p50_latency_ms);
         w.put_f64(self.p99_latency_ms);
     }
 
     fn decode(r: &mut Reader<'_>) -> BinResult<Self> {
-        Ok(WireStats {
+        Ok(SessionStats {
             submitted: r.get_u64()?,
             completed: r.get_u64()?,
             failed: r.get_u64()?,
             rejected: r.get_u64()?,
             batches: r.get_u64()?,
             mean_occupancy: r.get_f64()?,
-            max_occupancy: r.get_u64()?,
+            max_occupancy: {
+                let v = r.get_u64()?;
+                usize::try_from(v).map_err(|_| {
+                    BinError::Invalid(format!("max_occupancy {v} does not fit a usize"))
+                })?
+            },
             p50_latency_ms: r.get_f64()?,
             p99_latency_ms: r.get_f64()?,
         })
@@ -691,6 +659,47 @@ mod tests {
     }
 
     #[test]
+    fn stats_responses_encode_to_pinned_bytes() {
+        // A round trip cannot see a width or order change made on both
+        // sides, so the bytes themselves are pinned: tag, five u64
+        // counters, then `mean_occupancy` (f64), `max_occupancy` (u64)
+        // and the two latencies (f64), all little-endian.
+        let stats = encode_payload(&Response::Stats(SessionStats {
+            submitted: 10,
+            completed: 9,
+            failed: 1,
+            rejected: 2,
+            batches: 3,
+            mean_occupancy: 3.25,
+            max_occupancy: 4,
+            p50_latency_ms: 1.5,
+            p99_latency_ms: 9.75,
+        }));
+        let mut want = vec![2u8];
+        for v in [10u64, 9, 1, 2, 3] {
+            want.extend(v.to_le_bytes());
+        }
+        want.extend(3.25f64.to_le_bytes());
+        want.extend(4u64.to_le_bytes());
+        want.extend(1.5f64.to_le_bytes());
+        want.extend(9.75f64.to_le_bytes());
+        assert_eq!(stats, want);
+
+        let server = encode_payload(&Response::ServerStats(ServerStats {
+            accepted: 12,
+            refused: 3,
+            timed_out: 2,
+            protocol_errors: 1,
+            drained: 4,
+        }));
+        let mut want = vec![4u8];
+        for v in [12u64, 3, 2, 1, 4] {
+            want.extend(v.to_le_bytes());
+        }
+        assert_eq!(server, want);
+    }
+
+    #[test]
     fn responses_round_trip() {
         for resp in [
             Response::Logits(vec![1.0, -2.5, f32::NAN]),
@@ -698,7 +707,7 @@ mod tests {
                 id: "a".into(),
                 loaded: true,
             }]),
-            Response::Stats(WireStats {
+            Response::Stats(SessionStats {
                 submitted: 10,
                 completed: 9,
                 failed: 1,
@@ -709,7 +718,7 @@ mod tests {
                 p50_latency_ms: 1.0,
                 p99_latency_ms: 9.5,
             }),
-            Response::ServerStats(WireServerStats {
+            Response::ServerStats(ServerStats {
                 accepted: 12,
                 refused: 3,
                 timed_out: 2,
